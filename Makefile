@@ -12,7 +12,7 @@
 #   make profile      run fig3 under the event-loop profiler
 #   make bench-micro  hot-path events/sec vs the committed BENCH_micro.json
 #   make mem          build both 10^6-node namespaces under the 2 GB RSS budget
-#   make shard-check  sharded engine fingerprints bit-identical to serial
+#   make shard-check  sharded runs bit-identical to serial, events within 5 %
 #   make serve-smoke  live 5-peer UDS cluster + AIMD client (capacity.json)
 #   make det-lint     determinism/shard-safety AST lint (python -m repro lint)
 #   make typecheck    mypy strict gate over sim/, net/, core/, tools/

@@ -13,8 +13,8 @@
   million-node namespace build smoke under an RSS budget
   (see :mod:`repro.experiments.mem_smoke`);
 * ``python -m repro shard-check [--shards 1,4]`` -- verify sharded
-  windowed runs are bit-identical to the serial engine
-  (see :mod:`repro.sim.shard`);
+  windowed runs are bit-identical to the serial engine and dispatch
+  no more than 5 % more engine events (see :mod:`repro.sim.shard`);
 * ``python -m repro lint [paths] [--format json]`` -- determinism &
   shard-safety static analysis (see :mod:`repro.tools.detlint`);
 * ``python -m repro serve [--servers N] [--transport uds|tcp]

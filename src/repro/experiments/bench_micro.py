@@ -30,16 +30,15 @@ dispatches and wall time are reported alongside for transparency.
 * ``shard_window`` -- the ``end_to_end`` workload on the 2-shard
   windowed coordinator (inline backend, so the number isolates the
   windowed protocol's overhead: barriers, egress exchange, stats-log
-  replay -- not multiprocessing).  Gates the sharded run loop: its
-  single-core cost must stay close enough to serial that the
-  process backend's multi-core scaling nets out ahead.
+  replay -- not multiprocessing).  Gates the sharded run loop's
+  single-core cost against serial.
 * ``shard_egress_codec`` -- ``shard_window`` with the packed
   cross-shard codec forced on (still inline): isolates the per-barrier
   encode/decode cost of the wire format the process backend uses.
 * ``shard_multicore`` -- the same workload on the 2-shard *process*
   backend: shared-memory arenas, packed pipe frames, real worker
-  processes.  Honest about its host: on one core it pays for
-  parallelism it cannot use; on many cores it is the speedup number.
+  processes.  On one core it pays for parallelism it cannot use; the
+  measured 2-CPU serial-vs-sharded numbers are in DESIGN.md 12.3.
 * ``serve_loopback`` -- live mode end to end: a 4-peer UDS cluster in
   this process, a fixed batch of pipelined client lookups, rate in
   completed lookups per wall second.  Gates the asyncio runtime, the
@@ -249,8 +248,8 @@ def bench_shard_window() -> Dict[str, float]:
 
     Inline backend on purpose: wall time then measures what sharding
     *adds* on one core (shard construction, window barriers, egress
-    merge, event-log replay), which is the overhead the multi-core
-    process backend has to amortise.
+    merge, event-log replay), which is the overhead the process
+    backend has to amortise.
     """
     from repro.sim.shard import WindowedCoordinator
     from repro.workload.streams import uzipf_stream
@@ -366,10 +365,9 @@ def bench_shard_multicore() -> Dict[str, float]:
 
     Shared-memory arenas, packed pipe frames, window coalescing --
     everything the process backend ships.  On a single-core host this
-    is expected to trail ``shard_window`` (two workers time-slice one
-    core and pay the barrier round-trips); on a multi-core host the
-    same number is where the speedup shows up.  ``wall_s`` includes
-    worker spawn and arena export, because a real run pays them too.
+    trails ``shard_window`` (two workers time-slice one core and pay
+    the barrier round-trips).  ``wall_s`` includes worker spawn and
+    arena export, because a real run pays them too.
     """
     from repro.sim.shard import WindowedCoordinator
     from repro.workload.streams import uzipf_stream

@@ -12,15 +12,24 @@ delivers at ``t + d``, and sends only happen while the engine clock is
 non-decreasing -- so delivery times are non-decreasing and FIFO send
 order *is* delivery-time order.  Instead of one heap entry per
 in-flight message the transport keeps a plain FIFO ring of
-``(deliver_at, dest, msg)`` and at most **one** scheduled engine event
-(the drain for the ring head).  The drain delivers every head entry due
-at its timestamp, then re-arms itself for the new head.  This keeps the
-engine heap small no matter how many messages are in flight, and
-preserves determinism: entries sharing a delivery time fire in send
-order, exactly as their per-message heap entries would have (``seq``
-tie-breaking).  Handlers may send during a drain; the new entries land
-at ``now + d``, strictly later than the batch being drained, so the
-ring stays time-ordered.
+``(deliver_at, src_shard, send_seq, dest, msg)`` and at most **one**
+live engine event (the drain for the ring head).  The drain delivers
+every head entry due at its timestamp, then re-arms itself for the new
+head.  This keeps the engine heap small no matter how many messages
+are in flight, and preserves determinism: entries sharing a delivery
+time fire in send order, exactly as their per-message heap entries
+would have (``seq`` tie-breaking).  Handlers may send during a drain;
+the new entries land at ``now + d``, strictly later than the batch
+being drained, so the ring stays time-ordered.
+
+The serial and the sharded transport share this ring and its one drain.
+``_drain_at`` is the time of the armed drain event (``inf`` when none
+is) and the only rule is: **arm when an entry lands earlier than
+``_drain_at``**.  It keeps the drain's own time while the drain
+delivers, so a handler's sends (due at ``now + d``) never arm a second
+event; the drain re-arms, or disarms, once, when it is done.  The
+leading ``(deliver_at, src_shard, send_seq)`` of an entry is the key a
+sharded run merges on; a serial run is shard 0.
 
 The per-message heap path remains and is used whenever it must be:
 with ``net_jitter > 0`` delivery times are not monotone, and with
@@ -32,6 +41,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from math import inf
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.sim.engine import Engine, EventHandle, ShardError
@@ -82,7 +92,9 @@ class Transport:
         "n_lost",
         "_ring",
         "_ring_enabled",
-        "_drain_armed",
+        "_send_seq",
+        "_drain_handle",
+        "_drain_at",
     )
 
     def __init__(self, engine: Engine, net_delay: float,
@@ -101,9 +113,11 @@ class Transport:
         self.n_sent = 0
         self.n_control_sent = 0
         self.n_lost = 0
-        self._ring: Deque[Tuple[float, int, Any]] = deque()
+        self._ring: Deque[Tuple[float, int, int, int, Any]] = deque()
         self._ring_enabled = net_jitter == 0.0 and net_delay > 0.0
-        self._drain_armed = False
+        self._send_seq = 0
+        self._drain_handle: Optional[EventHandle] = None
+        self._drain_at = inf
 
     def register(self, server_id: int, handler: Callable[[Any], None]) -> None:
         """Register a server's delivery handler."""
@@ -131,15 +145,19 @@ class Transport:
         engine = self.engine
         if self._ring_enabled:
             at = engine.now + self.net_delay
-            self._ring.append((at, dest, msg))
-            if not self._drain_armed:
-                self._drain_armed = True
-                engine.schedule(at, self._drain)
+            self._send_seq += 1
+            self._ring.append((at, 0, self._send_seq, dest, msg))
+            if at < self._drain_at:
+                self._arm(at)
             return
         delay = self.net_delay
         if self.net_jitter > 0:
             delay += exponential(self._jitter_rng, self.net_jitter)
         engine.schedule_after(delay, self._deliver, dest, msg)
+
+    def _arm(self, at: float) -> None:
+        self._drain_handle = self.engine.schedule(at, self._drain, handle=True)
+        self._drain_at = at
 
     def _drain(self) -> None:
         """Deliver every ring entry due now, then re-arm for the head."""
@@ -148,15 +166,15 @@ class Transport:
         failed = self.failed
         endpoints = self._endpoints
         while ring and ring[0][0] <= now:
-            _, dest, msg = ring.popleft()
+            _, _, _, dest, msg = ring.popleft()
             if dest in failed:
                 self._lose(dest, msg)
             else:
                 endpoints[dest](msg)
         if ring:
-            self.engine.schedule(ring[0][0], self._drain)
+            self._arm(ring[0][0])
         else:
-            self._drain_armed = False
+            self._drain_at = inf
 
     def _deliver(self, dest: int, msg: Any) -> None:
         if dest in self.failed:
@@ -195,16 +213,18 @@ class Transport:
 class ShardTransport(Transport):
     """One shard's slice of the transport under windowed execution.
 
-    Local deliveries keep the constant-delay ring fast path; sends to
-    servers on other shards are buffered in per-destination-shard
-    egress lists that the :class:`~repro.sim.shard.WindowedCoordinator`
-    exchanges at each window barrier.  Every in-flight entry is a
-    ``(deliver_at, src_shard, send_seq, dest, msg)`` tuple: the leading
-    triple is a globally unique, totally ordered key (``send_seq`` is a
-    per-shard monotone counter), so merging remote batches into the
-    local ring with :func:`heapq.merge` yields one canonical delivery
-    order -- ties in ``deliver_at`` across shards break by
-    ``(src_shard, send_seq)``, which is the documented merge rule.
+    Local deliveries use the base class's ring and drain unchanged.
+    Shard-specific are only :meth:`send`, which buffers entries for
+    servers on other shards in per-destination-shard egress lists,
+    :meth:`collect_egress`, which hands those to the
+    :class:`~repro.sim.shard.WindowedCoordinator` at each window
+    barrier, and :meth:`ingest`, which merges what other shards sent.
+    The leading ``(deliver_at, src_shard, send_seq)`` of an entry is a
+    globally unique, totally ordered key (``send_seq`` is a per-shard
+    monotone counter), so merging remote batches into the local ring
+    with :func:`heapq.merge` yields one canonical delivery order --
+    ties in ``deliver_at`` across shards break by ``(src_shard,
+    send_seq)``, which is the documented merge rule.
 
     Constant lookahead is load-bearing: with ``net_jitter > 0``
     delivery times are not ``now + net_delay`` and the window argument
@@ -213,15 +233,7 @@ class ShardTransport(Transport):
     fall back to the serial engine loudly, never silently diverge.
     """
 
-    __slots__ = (
-        "shard_id",
-        "n_shards",
-        "total_servers",
-        "_send_seq",
-        "_egress",
-        "_drain_handle",
-        "_drain_at",
-    )
+    __slots__ = ("shard_id", "n_shards", "total_servers", "_egress")
 
     def __init__(
         self,
@@ -252,10 +264,7 @@ class ShardTransport(Transport):
         self.shard_id = shard_id
         self.n_shards = n_shards
         self.total_servers = n_servers
-        self._send_seq = 0
         self._egress: Dict[int, List[Tuple]] = {}
-        self._drain_handle: Optional[EventHandle] = None
-        self._drain_at = 0.0
 
     # ------------------------------------------------------------------
 
@@ -276,32 +285,10 @@ class ShardTransport(Transport):
         dest_shard = shard_of_sid(dest, self.total_servers, self.n_shards)
         if dest_shard == self.shard_id:
             self._ring.append(entry)
-            if self._drain_handle is None:
+            if at < self._drain_at:
                 self._arm(at)
         else:
             self._egress.setdefault(dest_shard, []).append(entry)
-
-    def _arm(self, at: float) -> None:
-        self._drain_handle = self.engine.schedule(
-            at, self._drain, handle=True
-        )
-        self._drain_at = at
-
-    def _drain(self) -> None:
-        """Deliver every ring entry due now, then re-arm for the head."""
-        ring = self._ring
-        now = self.engine.now
-        failed = self.failed
-        endpoints = self._endpoints
-        self._drain_handle = None
-        while ring and ring[0][0] <= now:
-            _, _, _, dest, msg = ring.popleft()
-            if dest in failed:
-                self._lose(dest, msg)
-            else:
-                endpoints[dest](msg)
-        if ring:
-            self._arm(ring[0][0])
 
     # ------------------------------------------------------------------
     # barrier protocol (driven by the WindowedCoordinator)
@@ -323,22 +310,25 @@ class ShardTransport(Transport):
 
         The merged ring is sorted by the canonical key; delivery then
         proceeds through the normal drain, so entries sharing a
-        delivery time fire in key order exactly as documented.
+        delivery time fire in key order exactly as documented.  The
+        armed drain is replaced only when the merged head is earlier;
+        a head that stayed put costs no cancelled heap entry.
         """
         batches = [b for b in batches if b]
         if not batches:
             return
-        merged = list(heapq.merge(list(self._ring), *batches))
-        if merged[0][0] < self.engine.now:
+        merged = list(heapq.merge(self._ring, *batches))
+        head = merged[0][0]
+        if head < self.engine.now:
             raise ShardError(
-                f"window protocol violation: message for t={merged[0][0]} "
+                f"window protocol violation: message for t={head} "
                 f"arrived at barrier t={self.engine.now}"
             )
         self._ring = deque(merged)
-        if self._drain_handle is not None:
-            self._drain_handle.cancel()
-            self._drain_handle = None
-        self._arm(merged[0][0])
+        if head < self._drain_at:
+            if self._drain_handle is not None:
+                self._drain_handle.cancel()  # no-op on one that has fired
+            self._arm(head)
 
     # ------------------------------------------------------------------
 

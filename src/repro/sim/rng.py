@@ -8,7 +8,10 @@ standard common-random-numbers discipline for simulation experiments.
 :class:`ZipfSampler` implements the bounded Zipf law the paper uses for
 destination popularity (Zipf 1949): ``P(rank=i) ~ 1/i**alpha`` over a
 finite population, sampled in O(log n) by inverse-CDF binary search
-over precomputed cumulative weights (numpy).
+over precomputed cumulative weights (numpy).  numpy is imported where a
+sampler is built, not with this module: every ``repro`` process imports
+``repro.sim``, and shard workers and live peers, which replay
+pre-generated arrivals and never sample, should not pay for it.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _stable_hash(name: str) -> int:
@@ -74,6 +78,8 @@ class ZipfSampler:
         if alpha == 0.0:
             self._cdf = None
         else:
+            import numpy as np
+
             ranks = np.arange(1, n + 1, dtype=np.float64)
             weights = ranks ** (-alpha)
             cdf = np.cumsum(weights)
@@ -85,10 +91,12 @@ class ZipfSampler:
         if self._cdf is None:
             return rng.randrange(self.n)
         u = rng.random()
-        return int(np.searchsorted(self._cdf, u, side="left"))
+        return int(self._cdf.searchsorted(u, side="left"))
 
     def sample_many(self, rng: random.Random, k: int) -> np.ndarray:
         """Draw ``k`` ranks at once (vectorised)."""
+        import numpy as np
+
         if self._cdf is None:
             return np.array([rng.randrange(self.n) for _ in range(k)])
         us = np.array([rng.random() for _ in range(k)])

@@ -181,10 +181,13 @@ def test_top_k_for_fraction_is_minimal_prefix(weights, fraction):
     total = sum(weights.values())
     if total > 0:
         got = sum(weights[n] for n in top)
-        assert got >= fraction * total - 1e-9
+        # the ranking sums in rank order, this test in dict order: the
+        # two totals differ by rounding, relative to their size
+        slack = 1e-9 * total
+        assert got >= fraction * total - slack
         # minimality: dropping the last element breaks the target
         if len(top) > 1:
-            assert got - weights[top[-1]] < fraction * total
+            assert got - weights[top[-1]] < fraction * total + slack
 
 
 @given(st.dictionaries(

@@ -18,10 +18,12 @@ import pytest
 from repro.analysis.summary import run_summary
 from repro.cluster.builder import build_shard_system, build_system
 from repro.cluster.config import SystemConfig
+from repro.experiments.common import rate_for_utilization
 from repro.namespace.generators import balanced_tree
 from repro.net.transport import ShardTransport, shard_of_sid, shard_sids
 from repro.sim.engine import Engine, ShardError
 from repro.sim.shard import (
+    MAX_EVENT_OVERHEAD,
     MergedRun,
     WindowedCoordinator,
     resolve_backend,
@@ -240,6 +242,19 @@ class TestShardTransport:
             tr.fail_server(3)  # lives on shard 1
 
 
+def hotspot_style():
+    """The benchmark's hotspot regime, shortened: 40 % utilisation and
+    Zipf phases hot enough to replicate (probe replies and transfer
+    acks are the sends a delivery makes synchronously), 4 simulated
+    seconds of stream."""
+    ns = balanced_tree(levels=11)
+    cfg = SystemConfig.replicated(n_servers=48, seed=7, cache_slots=16,
+                                  digest_probe_limit=2)
+    spec = cuzipf_stream(rate=rate_for_utilization(0.4, 48), alpha=1.0,
+                         warmup=1.0, phase=1.5, n_phases=2, seed=7)
+    return ns, cfg, spec, spec.duration + 0.5
+
+
 # ----------------------------------------------------------------------
 # the determinism contract
 # ----------------------------------------------------------------------
@@ -289,6 +304,53 @@ class TestShardedDeterminism:
         assert len(run.processed_by_sid) == cfg.n_servers
         assert run.total_replicas() == sum(
             len(r) for r in run.replicas_by_sid
+        )
+
+
+class TestCostModel:
+    """Sharding must cost what the serial engine costs, not just agree
+    with it.
+
+    ``run_fingerprint`` leaves ``engine.n_dispatched`` out on purpose,
+    so for two PRs a sharded run that dispatched 36 times the serial
+    engine's events on the benchmark's stream (leaked delivery-ring
+    drains, more of them the longer the stream) passed every
+    bit-identity check.  The engine's work
+    is about two events a message -- its service completion and its
+    share of a ring drain -- plus one per arrival and the maintenance
+    ticks; each shard adds only its own ticks and feeder.
+    """
+
+    MAX_EVENTS_PER_MSG = 2.2
+
+    @pytest.fixture(scope="class")
+    def serial(self):
+        ns, cfg, spec, until = hotspot_style()
+        system = serial_run(ns, cfg, spec, until)
+        ref = json.dumps(run_fingerprint(system), sort_keys=True)
+        return ns, cfg, spec, until, system.engine.n_dispatched, ref
+
+    @pytest.mark.parametrize("n_shards, backend, codec", [
+        (1, "inline", False), (2, "inline", False), (4, "inline", False),
+        (1, "inline", True), (2, "inline", True), (4, "inline", True),
+        (2, "process", True),
+    ])
+    def test_events_track_messages_and_the_serial_run(
+        self, serial, n_shards, backend, codec
+    ):
+        ns, cfg, spec, until, serial_events, ref = serial
+        run = WindowedCoordinator(ns, cfg, spec, n_shards, backend=backend,
+                                  codec=codec).run(until)
+        assert json.dumps(run_fingerprint(run), sort_keys=True) == ref
+        events = run.engine.n_dispatched
+        msgs = run.transport.n_sent + run.transport.n_control_sent
+        assert events / msgs <= self.MAX_EVENTS_PER_MSG
+        assert abs(events - serial_events) <= (
+            MAX_EVENT_OVERHEAD * serial_events
+        )
+        dp = run.data_plane
+        assert dp["n_barriers"] + dp["n_coalesced"] == len(
+            list(window_plan(cfg.net_delay, until))
         )
 
 
@@ -542,3 +604,19 @@ class TestShardCheckCli:
         assert rc == 0
         assert "OK: bit-identical to serial" in out
         assert "FAIL" not in out
+        # serial and every shard count report their engine cost
+        assert out.count("events=") == 3 and "/msg)" in out
+
+    def test_shard_check_fails_a_run_that_costs_too_many_events(
+        self, capsys, monkeypatch
+    ):
+        from repro.sim import shard
+
+        # no honest run is 50 % *cheaper* than serial: the gate must trip
+        monkeypatch.setattr(shard, "MAX_EVENT_OVERHEAD", -0.5)
+        rc = shard.main(["--shards", "2", "--levels", "6", "--servers",
+                         "8", "--duration", "2"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "OK: bit-identical to serial" in out
+        assert "FAIL: event count over the limit" in out

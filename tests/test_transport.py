@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net.transport import Transport
+from repro.net.transport import ShardTransport, Transport
 from repro.sim.engine import Engine
 
 
@@ -165,6 +165,77 @@ class TestDeliveryRing:
         tr.send(0, "x")
         assert tr.n_in_flight == 0
         assert tr.n_lost == 1
+
+
+def _plain(eng, delay):
+    return Transport(eng, delay)
+
+
+def _shard(eng, delay):
+    # shard 0 of 2 over 4 servers: servers 0 and 1 are local
+    return ShardTransport(eng, delay, shard_id=0, n_shards=2, n_servers=4)
+
+
+@pytest.mark.parametrize("make", [_plain, _shard])
+class TestOneLiveDrain:
+    """The ring costs the engine one drain event per distinct delivery
+    time, whatever handlers send while a drain delivers.
+
+    Regression: ``ShardTransport`` once had its own drain, which
+    dropped its armed marker *before* delivering; a handler that sent
+    to a same-shard server then armed a second drain, the re-arm at the
+    end a third, and each leaked event re-armed itself for as long as
+    the ring was busy (73 engine events per message instead of 2).
+    Fingerprints could not see it: the results were right, only the
+    cost was not.  The same body runs on both transports.
+    """
+
+    D = 0.01
+    WINDOWS = 250
+
+    @staticmethod
+    def _live_drains(eng, tr):
+        return sum(
+            1 for _, _, h, fn, _ in eng._heap
+            if fn == tr._drain and (h is None or not h.cancelled)
+        )
+
+    def test_busy_ring_through_many_windows(self, make):
+        eng = Engine()
+        tr = make(eng, self.D)
+        delivered_at = []
+
+        def handler(sid):
+            def deliver(hops):
+                delivered_at.append(eng.now)
+                if hops:
+                    tr.send(1 - sid, hops - 1)  # same shard, mid-drain
+            return deliver
+
+        for sid in (0, 1):
+            tr.register(sid, handler(sid))
+        # five endless relay chains, staggered inside the first window
+        # so the ring always holds entries at several distinct times
+        for i in range(5):
+            eng.run(until=i * self.D / 7)
+            tr.send(i % 2, 10 ** 9)
+        n_remote = 0
+        end = 0.0
+        for k in range(self.WINDOWS):
+            end += self.D
+            eng.run_window(end)
+            if isinstance(tr, ShardTransport):
+                # mail from shard 1 for the next window: ahead of the
+                # local head at some barriers, behind it at others
+                n_remote += 1
+                at = end + self.D * (k % 5) / 5
+                tr.ingest([[(at, 1, n_remote, k % 2, 3)]])
+            assert self._live_drains(eng, tr) <= 1
+        assert len(delivered_at) > 4 * self.WINDOWS
+        # nothing but drains is scheduled here, so the general bound
+        # (events <= messages + distinct delivery times) tightens to
+        assert eng.n_dispatched == len(set(delivered_at))
+        assert eng.pending <= 2  # the live drain, at most one cancelled
 
 
 class TestJitter:

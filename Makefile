@@ -11,6 +11,7 @@
 #   make outputs      the canonical test_output.txt / bench_output.txt pair
 #   make profile      run fig3 under the event-loop profiler
 #   make bench-micro  hot-path events/sec vs the committed BENCH_micro.json
+#   make bench-selfcheck  the repo benchmark's own tests (bench/tests, ~30 s)
 #   make mem          build both 10^6-node namespaces under the 2 GB RSS budget
 #   make shard-check  sharded runs bit-identical to serial, events within 5 %
 #   make serve-smoke  live 5-peer UDS cluster + AIMD client (capacity.json)
@@ -47,6 +48,9 @@ profile:
 bench-micro:
 	$(PYTHON) -m repro bench-micro --out bench_micro.json --check BENCH_micro.json
 
+bench-selfcheck:
+	$(PYTHON) -m pytest bench/tests -q
+
 mem:
 	$(PYTHON) -m repro mem-smoke
 
@@ -69,4 +73,4 @@ outputs:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-.PHONY: install lint test bench experiments campaign figures outputs profile bench-micro mem shard-check serve-smoke det-lint typecheck
+.PHONY: install lint test bench experiments campaign figures outputs profile bench-micro bench-selfcheck mem shard-check serve-smoke det-lint typecheck

@@ -77,7 +77,9 @@ class SystemConfig:
     # --- caching (section 2.4) -------------------------------------------
     caching_enabled: bool = True
     cache_slots: int = 16
-    """LRU cache entries per server."""
+    """LRU cache entries per server (the paper sizes them at 16-26).
+    Each routing decision scans the cache, so its cost is linear in
+    this; writes are O(1) at any size."""
     path_propagation: bool = True
     """Cache the path-so-far at every hop (vs. query endpoints only)."""
 

@@ -1,11 +1,13 @@
 """Namespace ancestor index: O(depth) closest-member queries.
 
-The per-hop routing decision asks one question of a peer's local state
-twice (once for hosted nodes, once for the LRU cache): *which member is
-closest to the destination, breaking ties by iteration order?*  The
-scan implementations (:func:`repro.core.routing.closest_hosted`,
-:func:`repro.core.routing.scan_cache`) answer it in
-O(|members| * depth) per hop, which caps large-namespace runs.
+The per-hop routing decision asks of a peer's hosted nodes: *which
+member is closest to the destination, breaking ties by iteration
+order?*  A linear scan answers it in O(|members| * depth) per hop,
+which caps large-namespace runs: a peer hosts on the order of a
+hundred nodes, and the hosted list changes only when a replica is
+installed or evicted.  (The LRU cache asks the same question of 16-26
+entries it rewrites several times per message, so it keeps no index
+and is scanned instead: :func:`repro.core.routing.scan_cache`.)
 
 :class:`AncestorIndex` answers it in O(depth(dest)) dict probes by
 bucketing members under every node of their ancestor chain.  For a
@@ -20,17 +22,15 @@ and its best contribution is its minimum-depth member.  So the closest
 member overall is found by probing ``depth(t) + 1`` buckets -- the
 state size never appears in the per-hop cost.
 
-**Determinism contract.**  The scans break ties by "first member in
-iteration order at a strictly smaller distance": hosted-list position
-for the replica store, ``OrderedDict`` order (insertion order, updated
-by ``move_to_end``) for the cache.  The winner is therefore the member
+**Determinism contract.**  A scan breaks ties by "first member in
+iteration order at a strictly smaller distance" -- hosted-list
+position for the replica store.  The winner is therefore the member
 minimising the pair ``(distance, position)`` lexicographically.  The
 index reproduces this exactly by stamping every member with a
-monotonically increasing *sequence number* -- re-stamped on
-:meth:`touch`, which is precisely what ``move_to_end`` does to an
-``OrderedDict`` position -- and keeping each bucket as a lazy min-heap
-ordered by ``(depth, seq)``.  Why per-bucket ``(depth, seq)`` minima
-suffice:
+monotonically increasing *sequence number* (re-stamped on
+:meth:`touch`, the ``move_to_end`` of an ordered collection) and
+keeping each bucket as a lazy min-heap ordered by ``(depth, seq)``.
+Why per-bucket ``(depth, seq)`` minima suffice:
 
 * within one bucket, only minimum-depth members can attain the
   bucket's best distance (deeper members are strictly farther *at this
@@ -64,12 +64,12 @@ index's buckets (DESIGN.md section 11).
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Tuple
 
 if TYPE_CHECKING:
     from repro.namespace.tree import Namespace
 
-#: "no bound" initial distance, matching the scan implementations.
+#: "no bound" initial distance for :meth:`AncestorIndex.closest`.
 NO_BOUND = 1 << 30
 
 # bucket layout, two representations keyed by type:
@@ -84,10 +84,10 @@ _LIVE = 1
 class AncestorIndex:
     """Incrementally maintained ancestor -> candidate-bucket map.
 
-    Mirrors an ordered member collection (the hosted list or the LRU
-    cache): :meth:`add` appends at the back, :meth:`touch` moves a
-    member to the back, :meth:`remove` deletes.  :meth:`closest`
-    answers closest-member queries in O(depth(dest)).
+    Mirrors an ordered member collection (the hosted list):
+    :meth:`add` appends at the back, :meth:`touch` moves a member to
+    the back, :meth:`remove` deletes.  :meth:`closest` answers
+    closest-member queries in O(depth(dest)).
     """
 
     __slots__ = ("_arena", "_off", "_depth", "_buckets", "_members", "_seq")
@@ -145,7 +145,12 @@ class AncestorIndex:
                 b[_LIVE] += 1
 
     def touch(self, node: int) -> None:
-        """Move ``node`` to the back of the mirrored order (LRU touch)."""
+        """Move ``node`` to the back of the mirrored order.
+
+        No production caller since the cache stopped mirroring its LRU
+        order here (the hosted list never reorders); kept because
+        ``bench/tracer.py`` patches it by name (see ROADMAP item C).
+        """
         members = self._members
         cur = members.get(node)
         if cur is None:
@@ -224,7 +229,7 @@ class AncestorIndex:
         """The member strictly closer to ``dest`` than ``best_d`` that a
         linear scan in mirrored order would pick, or ``(-1, best_d)``.
 
-        Matches the scans bit-for-bit: minimum distance first, then
+        Matches such a scan bit-for-bit: minimum distance first, then
         earliest iteration-order position (see the module docstring).
         """
         members = self._members

@@ -19,14 +19,12 @@ The candidates, in the order we evaluate them:
    against known inverse-mapping digests; a hit strictly closer than
    the best candidate so far wins (section 3.6.1).
 
-The candidate search is O(depth(dest)) per hop: hosted state and the
-cache each maintain an :class:`~repro.core.nsindex.AncestorIndex`, and
-:func:`decide` walks the destination's precomputed ancestor chain
-instead of scanning local state.  :func:`closest_hosted` and
-:func:`scan_cache` remain as the *reference* linear scans: they define
-the tie-breaking contract (first member in iteration order at a
-strictly smaller distance) that the index reproduces bit-for-bit, and
-the equivalence tests cross-check the two implementations.
+Hosted state is large and rarely changes, so the store keeps an
+:class:`~repro.core.nsindex.AncestorIndex` and the structural candidate
+costs O(depth(dest)).  The cache is small and written several times per
+message, so it keeps no index: :func:`scan_cache` walks its entries in
+LRU order, pruning each with one ancestor comparison (DESIGN.md
+section 10).
 """
 
 from __future__ import annotations
@@ -82,44 +80,6 @@ class RouteDecision:
         )
 
 
-def closest_hosted(peer: "Peer", dest: int) -> Tuple[int, int]:
-    """The hosted node closest to ``dest`` and its distance.
-
-    Every server owns at least one node, so this always exists.
-
-    Reference implementation: :func:`decide` answers this through the
-    store's ancestor index in O(depth); this linear scan defines the
-    exact semantics (first hosted-list entry at a strictly smaller
-    distance wins) and backs the index-equivalence tests.
-    """
-    ns = peer.ns
-    anc = ns.anc
-    depth = ns.depth
-    a_dest = anc[dest]
-    n_dest = len(a_dest)
-    d_dest = depth[dest]
-    best = -1
-    best_d = 1 << 30
-    # the store's hosted list, iterated directly: same order as
-    # iter_hosted() (owned first, then replicas)
-    for h in peer.store.hosted_list:
-        a_h = anc[h]
-        # inline prefix scan for lca depth
-        n = len(a_h)
-        if n_dest < n:
-            n = n_dest
-        i = 0
-        while i < n and a_h[i] == a_dest[i]:
-            i += 1
-        d = depth[h] + d_dest - 2 * (i - 1)
-        if d < best_d:
-            best_d = d
-            best = h
-            if d == 1:
-                break  # cannot do better without hosting dest
-    return best, best_d
-
-
 def structural_next(peer: "Peer", h_star: int, dest: int) -> int:
     """The neighbor of ``h_star`` one step toward ``dest``.
 
@@ -133,35 +93,42 @@ def scan_cache(peer: "Peer", dest: int, best_d: int) -> Tuple[int, int]:
     """Best cache candidate strictly closer than ``best_d``.
 
     Returns ``(node, distance)`` or ``(-1, best_d)`` when nothing beats
-    the current best.
+    the current best.  Entries are visited in LRU order and accepted
+    only at a strictly smaller distance, so among equidistant entries
+    the least recently used wins (the pinned tie-break).
 
-    Reference implementation: :func:`decide` answers this through the
-    cache's ancestor index in O(depth); this linear scan defines the
-    exact semantics (first entry in LRU iteration order at a strictly
-    smaller distance wins) and backs the index-equivalence tests.
+    An entry ``v`` at distance ``depth(v) + depth(dest) - 2 * lca_depth``
+    beats ``best_d`` only if ``lca_depth >= k`` with
+    ``k = (depth(v) + depth(dest) - best_d) // 2 + 1``, i.e. only if the
+    two ancestor chains agree at depth ``k``: one comparison rejects
+    every other entry, and only survivors walk the common prefix on
+    from ``k``.
     """
-    cache = peer.cache
-    if not len(cache):
-        return -1, best_d
     ns = peer.ns
-    anc = ns.anc
+    arena = ns.anc_arena
+    off = ns.anc_off
     depth = ns.depth
-    a_dest = anc[dest]
-    n_dest = len(a_dest)
+    o_dest = off[dest]
     d_dest = depth[dest]
     best = -1
-    for v in cache.nodes():
-        a_v = anc[v]
-        n = len(a_v)
-        if n_dest < n:
-            n = n_dest
-        i = 0
-        while i < n and a_v[i] == a_dest[i]:
-            i += 1
-        d = depth[v] + d_dest - 2 * (i - 1)
-        if d < best_d:
-            best_d = d
-            best = v
+    # k = (depth(v) + slack) >> 1; rises whenever best_d improves
+    slack = d_dest - best_d + 2
+    for v in peer.cache.nodes():
+        d_v = depth[v]
+        k = (d_v + slack) >> 1
+        if k < 0:
+            k = 0
+        elif k > d_v or k > d_dest:
+            continue
+        o_v = off[v]
+        if arena[o_v + k] != arena[o_dest + k]:
+            continue
+        n = d_v if d_v < d_dest else d_dest
+        while k < n and arena[o_v + k + 1] == arena[o_dest + k + 1]:
+            k += 1
+        best = v
+        best_d = d_v + d_dest - 2 * k
+        slack = d_dest - best_d + 2
     return best, best_d
 
 
@@ -224,38 +191,28 @@ def decide(peer: "Peer", dest: int) -> RouteDecision:
             )
 
     # destination sitting in the cache: also distance 0
-    if peer.cache is not None:
-        centry = peer.cache.peek(dest)
-        if centry:
-            server = _select_filtered(peer, dest, centry, rng, sid)
-            if server >= 0:
-                peer.cache.touch(dest)
-                return RouteDecision(
-                    RouteAction.FORWARD, via=dest, next_server=server,
-                    source="cache", distance=0,
-                )
-            peer.cache.remove(dest)
+    centry = peer.cache.peek(dest)
+    if centry:
+        server = _select_filtered(peer, dest, centry, rng, sid)
+        if server >= 0:
+            peer.cache.touch(dest)
+            return RouteDecision(
+                RouteAction.FORWARD, via=dest, next_server=server,
+                source="cache", distance=0,
+            )
+        peer.cache.remove(dest)
 
     # structural candidate from the closest hosted node's context --
-    # an O(depth) ancestor-chain walk (scan fallback for bare stores)
-    hidx = peer.store.index
-    if hidx is not None:
-        h_star, d_star = hidx.closest(dest)
-    else:
-        h_star, d_star = closest_hosted(peer, dest)
+    # an O(depth) ancestor-chain walk over the store's index
+    h_star, d_star = peer.store.index.closest(dest)
     via = structural_next(peer, h_star, dest)
     best_d = d_star - 1
     source = "struct"
 
-    # closest cached node, if strictly closer (same O(depth) walk)
-    if peer.cache is not None:
-        cidx = peer.cache.index
-        if cidx is not None:
-            cnode, cd = cidx.closest(dest, best_d)
-        else:
-            cnode, cd = scan_cache(peer, dest, best_d)
-        if cnode >= 0:
-            via, best_d, source = cnode, cd, "cache"
+    # closest cached node, if strictly closer (pruned LRU-order scan)
+    cnode, cd = scan_cache(peer, dest, best_d)
+    if cnode >= 0:
+        via, best_d, source = cnode, cd, "cache"
 
     # digest shortcut for anything closer still
     if peer.cfg.digests_enabled:
@@ -348,8 +305,7 @@ def inferable_names(peer: "Peer", dest: int) -> List[int]:
     out = set()
     seeds = set(peer.iter_hosted())
     seeds.update(peer.maps.keys())
-    if peer.cache is not None:
-        seeds.update(peer.cache.nodes())
+    seeds.update(peer.cache.nodes())
     seeds.add(dest)
     for v in seeds:
         out.update(ns.anc[v])

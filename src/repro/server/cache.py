@@ -7,21 +7,19 @@ supplies a shortcut pointer.  Entries are replaced LRU, touched
 whenever used in routing, and populated by *path propagation*: every
 server along a query's path caches the path walked so far.
 
-When an :class:`~repro.core.nsindex.AncestorIndex` is attached, every
-membership/order mutation is mirrored into it, so the routing hot path
-can find the closest cached node in O(depth) instead of scanning the
-whole cache.  The index mirrors the ``OrderedDict`` order exactly:
-inserts append at the back, ``get``/``touch``/merging ``put`` move to
-the back, LRU eviction drops the front.
+The cache is written far more often than it is read (about four puts
+per message, one closest-entry query per routing decision), so it
+keeps no search structure beside the ``OrderedDict``: every mutator is
+O(1), and routing finds the closest cached node by scanning the
+entries in LRU order (:func:`repro.core.routing.scan_cache`; cost
+linear in ``capacity``, DESIGN.md section 10).
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from typing import Iterator, Optional, Sequence, Tuple
-
-from repro.core.nsindex import AncestorIndex
+from typing import Container, Iterable, Iterator, Optional, Sequence, Tuple
 
 
 class LRUCache:
@@ -38,14 +36,9 @@ class LRUCache:
     """
 
     __slots__ = ("capacity", "rmap", "_entries", "hits", "misses",
-                 "evictions", "index")
+                 "evictions")
 
-    def __init__(
-        self,
-        capacity: int,
-        rmap: int = 4,
-        index: Optional[AncestorIndex] = None,
-    ) -> None:
+    def __init__(self, capacity: int, rmap: int = 4) -> None:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         if rmap < 1:
@@ -56,7 +49,6 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.index = index
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -65,8 +57,8 @@ class LRUCache:
         return node in self._entries
 
     def nodes(self) -> Iterator[int]:
-        """Iterate cached node ids (no LRU touch)."""
-        return iter(self._entries.keys())
+        """Iterate cached node ids in LRU order (no LRU touch)."""
+        return iter(self._entries)
 
     def items(self) -> Iterator[Tuple[int, Sequence[int]]]:
         return iter(self._entries.items())
@@ -82,8 +74,6 @@ class LRUCache:
             self.misses += 1
             return None
         self._entries.move_to_end(node)
-        if self.index is not None:
-            self.index.touch(node)
         self.hits += 1
         return entry
 
@@ -91,8 +81,6 @@ class LRUCache:
         """Mark as most-recently-used (an entry 'used in routing')."""
         if node in self._entries:
             self._entries.move_to_end(node)
-            if self.index is not None:
-                self.index.touch(node)
 
     def put(self, node: int, servers: Sequence[int]) -> None:
         """Insert or extend an entry (union, bounded by ``rmap``).
@@ -108,8 +96,6 @@ class LRUCache:
                 if s not in cur and len(cur) < self.rmap:
                     cur.append(s)
             self._entries.move_to_end(node)
-            if self.index is not None:
-                self.index.touch(node)
             return
         entry = array("i")
         for s in servers:
@@ -118,35 +104,59 @@ class LRUCache:
         if not entry:
             return
         if len(self._entries) >= self.capacity:
-            victim, _ = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.evictions += 1
-            if self.index is not None:
-                self.index.remove(victim)
         self._entries[node] = entry
-        if self.index is not None:
-            self.index.add(node)
+
+    def put_path(
+        self,
+        path: Iterable[Tuple[int, int]],
+        own_sid: int,
+        owned: Container[int],
+        replicas: Container[int],
+    ) -> None:
+        """Absorb a propagated path: ``put(node, (server,))`` for every
+        ``(node, server)`` hop in order, skipping hops served by
+        ``own_sid`` and nodes the caching server hosts itself (members
+        of ``owned`` or ``replicas``).
+
+        One call per message instead of one per hop; entries, LRU order
+        and the eviction count come out exactly as from the ``put`` loop.
+        """
+        capacity = self.capacity
+        if capacity == 0:
+            return
+        entries = self._entries
+        rmap = self.rmap
+        for node, server in path:
+            if server == own_sid or node in owned or node in replicas:
+                continue
+            cur = entries.get(node)
+            if cur is not None:
+                if server not in cur and len(cur) < rmap:
+                    cur.append(server)
+                entries.move_to_end(node)
+                continue
+            if len(entries) >= capacity:
+                entries.popitem(last=False)
+                self.evictions += 1
+            entries[node] = array("i", (server,))
 
     def replace(self, node: int, servers: Sequence[int]) -> None:
         """Overwrite an entry's map in place (post-merge/filter update).
 
-        Keeps the entry's LRU position (this is a content update, not a
-        use), so the attached index needs no order change either.
+        Keeps the entry's LRU position: this is a content update, not a
+        use.
         """
         if node in self._entries:
             if servers:
                 self._entries[node] = array("i", servers[: self.rmap])
             else:
                 del self._entries[node]
-                if self.index is not None:
-                    self.index.remove(node)
 
     def remove(self, node: int) -> bool:
         """Drop an entry (e.g. it proved stale); True if present."""
-        if self._entries.pop(node, None) is None:
-            return False
-        if self.index is not None:
-            self.index.remove(node)
-        return True
+        return self._entries.pop(node, None) is not None
 
     def remove_server(self, node: int, server: int) -> None:
         """Drop one stale server from an entry, dropping the entry if emptied."""
@@ -159,13 +169,9 @@ class LRUCache:
             return
         if not entry:
             del self._entries[node]
-            if self.index is not None:
-                self.index.remove(node)
 
     def clear(self) -> None:
         self._entries.clear()
-        if self.index is not None:
-            self.index.clear()
 
     @property
     def hit_rate(self) -> float:

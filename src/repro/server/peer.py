@@ -37,7 +37,6 @@ from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.load import BusyWindowLoadMeter
 from repro.core.maps import merge_maps
-from repro.core.nsindex import AncestorIndex
 from repro.core.ranking import NodeRanking
 from repro.core.replication import ReplicationManager
 from repro.filters.digest import Digest, DigestDirectory
@@ -146,11 +145,8 @@ class Peer:
         self.maps: Dict[int, List[int]] = {}
         self.pin_refs: Dict[int, int] = {}
         self.metadata = MetaStore()
-        # the cache carries an ancestor index mirroring its LRU order,
-        # so routing's closest-cached query is O(depth), not O(|cache|)
         self.cache = LRUCache(
             cfg.cache_slots if cfg.caching_enabled else 0, rmap=cfg.rmap,
-            index=AncestorIndex(system.ns),
         )
         self.digest: Optional[Digest] = None  # wired by the builder
         self.digest_dir: Optional[DigestDirectory] = None

@@ -176,9 +176,7 @@ class RoutingCore:
                 reply.data = peer.metadata.get_data(req.node)
                 reply.meta = peer.metadata.meta(req.node).snapshot()
         else:
-            entry = peer.maps.get(req.node) or (
-                peer.cache.peek(req.node) if peer.cache is not None else None
-            )
+            entry = peer.maps.get(req.node) or peer.cache.peek(req.node)
             reply.redirect_map = [
                 s for s in (entry if entry is not None else ())
                 if s != peer.sid

@@ -51,11 +51,7 @@ class SoftStateAbsorber:
         for adv in m.adverts:
             self.absorb_advert(adv.node, (adv.server,))
         if peer.cfg.caching_enabled and peer.cfg.path_propagation:
-            cache_put = peer.cache.put
-            hosts = peer.hosts
-            for node, server in m.path:
-                if server != sid and not hosts(node):
-                    cache_put(node, (server,))
+            peer.cache.put_path(m.path, sid, peer.owned, peer.store.replicas)
 
     def absorb_response(self, r: ResponseMessage, now: float) -> None:
         """Intake of everything piggybacked on a query response."""
@@ -70,9 +66,9 @@ class SoftStateAbsorber:
                     r.dest, peer._filter_servers(r.dest, r.dest_map)
                 )
             if peer.cfg.path_propagation:
-                for node, server in r.path:
-                    if server != peer.sid and not peer.hosts(node):
-                        peer.cache.put(node, (server,))
+                peer.cache.put_path(
+                    r.path, peer.sid, peer.owned, peer.store.replicas
+                )
 
     def absorb_advert(self, node: int, servers: Iterable[int]) -> None:
         """Fold advertised new replicas into kept maps, preferred."""

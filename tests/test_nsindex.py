@@ -1,14 +1,18 @@
-"""Unit and property tests for the ancestor index.
+"""Unit and property tests for the two closest-member queries.
 
-The index must reproduce the linear-scan routing semantics *exactly*:
-the winner is the first member in mirrored order at a strictly smaller
-distance (``repro.core.routing.closest_hosted`` / ``scan_cache`` are
-the reference implementations).  These tests pin the contract three
-ways: direct unit tests, randomized cross-checks against an explicit
-ordered-list scan, and end-of-workload equivalence on live peers.
+Routing asks "which member is closest to the destination, first in
+iteration order among ties" of the hosted list (answered by the
+store's ancestor index) and of the cache (answered by the pruned
+LRU-order scan, ``repro.core.routing.scan_cache``).  Both must agree
+*exactly* with an unpruned scan over ``ns.distance``: the winner is the
+first member in order at a strictly smaller distance.  These tests pin
+the contract three ways: direct unit tests, randomized cross-checks
+against an explicit ordered-list scan, and end-of-workload equivalence
+on live peers; ``TestCostModel`` pins what the writes cost.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,20 +21,40 @@ from hypothesis import strategies as st
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.core.nsindex import NO_BOUND, AncestorIndex
-from repro.core.routing import RouteAction, closest_hosted, decide, scan_cache
+from repro.core.routing import RouteAction, decide, scan_cache
 from repro.namespace.generators import balanced_tree, university_tree
+from repro.server.cache import LRUCache
+from repro.server.replica_store import ReplicaStore
 from repro.workload.arrivals import WorkloadDriver
-from repro.workload.streams import cuzipf_stream
+from repro.workload.streams import cuzipf_stream, unif_stream
 
 
 def ref_closest(ns, order, dest, best_d=NO_BOUND):
-    """The scan the index must agree with: first member in ``order``
-    at a strictly smaller distance."""
+    """The unpruned scan both queries must agree with: first member in
+    ``order`` at a strictly smaller distance."""
     best = -1
     for v in order:
         d = ns.distance(v, dest)
         if d < best_d:
             best, best_d = v, d
+    return best, best_d
+
+
+def closest_hosted(peer, dest):
+    """The store index's reference: a linear scan of the hosted list
+    (owned first, then replicas), first entry at a strictly smaller
+    distance wins.  Stops at distance 1 -- nothing short of hosting
+    ``dest`` beats it -- so it is only comparable for non-hosted dests.
+    """
+    ns = peer.ns
+    best = -1
+    best_d = NO_BOUND
+    for h in peer.store.hosted_list:
+        d = ns.distance(h, dest)
+        if d < best_d:
+            best, best_d = h, d
+            if d == 1:
+                break
     return best, best_d
 
 
@@ -191,9 +215,80 @@ def test_index_matches_reference_scan(ops, seed):
             ns, ref.order, dest, bound)
 
 
+# one cache op: (name, node, ...) over the 63-node tree and servers 0..3
+_NODE = st.integers(0, 62)
+_SERVER = st.integers(0, 3)
+_CACHE_OP = st.one_of(
+    st.tuples(st.just("put"), _NODE, _SERVER),
+    st.tuples(st.sampled_from(["get", "touch", "remove"]), _NODE),
+    st.tuples(st.just("replace"), _NODE, st.lists(_SERVER, max_size=2)),
+    st.tuples(st.just("remove_server"), _NODE, _SERVER),
+    st.tuples(st.just("put_path"),
+              st.lists(st.tuples(_NODE, _SERVER), max_size=8)),
+)
+# what put_path is told to skip: hops served by server 0, hosted nodes
+_OWN_SID, _OWNED, _REPLICAS = 0, {1, 2}, {3: None}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_CACHE_OP, max_size=60), st.integers(0, 2**32 - 1))
+def test_cache_scan_matches_reference(ops, seed):
+    """Random mutator sequences on a small cache: after every op the
+    pruned scan answers what the unpruned ordered-list scan answers,
+    and ``put_path`` leaves exactly what the per-hop ``put`` loop (run
+    on a twin cache) leaves."""
+    ns = balanced_tree(levels=5)  # 63 nodes
+    capacity = 5
+    cache = LRUCache(capacity=capacity, rmap=2)
+    twin = LRUCache(capacity=capacity, rmap=2)
+    peer = SimpleNamespace(ns=ns, cache=cache)
+    ref = _OrderMirror()
+    rng = random.Random(seed)
+
+    def ref_put(v):
+        if v in ref.order:
+            ref.touch(v)
+        else:
+            if len(ref.order) >= capacity:
+                ref.order.pop(0)
+            ref.add(v)
+
+    for op in ops:
+        name, args = op[0], op[1:]
+        if name == "put_path":
+            cache.put_path(args[0], _OWN_SID, _OWNED, _REPLICAS)
+            for v, s in args[0]:
+                if s != _OWN_SID and v not in _OWNED and v not in _REPLICAS:
+                    twin.put(v, (s,))
+                    ref_put(v)
+        else:
+            v = args[0]
+            if name == "put":
+                ref_put(v)
+                args = (v, (args[1],))
+            elif name in ("get", "touch"):
+                ref.touch(v)
+            elif name == "remove" or (name == "replace" and not args[1]) or (
+                    name == "remove_server"
+                    and list(cache.peek(v) or ()) == [args[1]]):
+                ref.remove(v)  # the op empties the entry
+            getattr(cache, name)(*args)
+            getattr(twin, name)(*args)
+        assert list(cache.nodes()) == ref.order
+        assert list(cache.items()) == list(twin.items())
+        assert cache.evictions == twin.evictions
+        # the root is shallower than every other entry; bounds 0 and 1
+        # are below any distance a non-dest entry can achieve
+        for dest in (0, rng.randrange(len(ns)), rng.randrange(len(ns))):
+            for bound in (NO_BOUND, 0, 1, rng.randrange(2, 12)):
+                assert scan_cache(peer, dest, bound) == ref_closest(
+                    ns, ref.order, dest, bound)
+
+
 class TestLiveEquivalence:
-    """After a real workload, the store and cache indexes answer
-    exactly what the reference scans answer, on every peer."""
+    """After a real workload, on every peer, the store index answers
+    what the hosted-list scan answers and the production cache scan
+    answers what an unpruned scan in ``cache.nodes()`` order answers."""
 
     def test_index_vs_scan_after_workload(self):
         ns = balanced_tree(levels=6)
@@ -205,11 +300,11 @@ class TestLiveEquivalence:
         system.run_until(spec.duration + 1.0)
         rng = random.Random(3)
         dests = [rng.randrange(len(ns)) for _ in range(200)]
+        assert all(len(peer.cache) for peer in system.peers)
         for peer in system.peers:
             assert sorted(peer.store.index.nodes()) == sorted(
                 peer.hosted_list)
-            assert sorted(peer.cache.index.nodes()) == sorted(
-                peer.cache.nodes())
+            order = list(peer.cache.nodes())
             for dest in dests:
                 if not peer.hosts(dest):
                     # decide() only consults the index for non-hosted
@@ -218,8 +313,46 @@ class TestLiveEquivalence:
                     assert peer.store.index.closest(dest) == (
                         closest_hosted(peer, dest))
                 for bound in (NO_BOUND, 1, 2, 4):
-                    assert peer.cache.index.closest(dest, bound) == (
-                        scan_cache(peer, dest, bound))
+                    assert scan_cache(peer, dest, bound) == ref_closest(
+                        ns, order, dest, bound)
+
+
+class TestCostModel:
+    """Soft-state writes are O(1): the ancestor index is written only
+    when the hosted list changes, however many cache puts a run makes
+    (before issue 17 every cache put and eviction walked an index)."""
+
+    def test_index_writes_equal_hosted_membership_changes(self, monkeypatch):
+        calls = {}
+
+        def count(cls, name):
+            inner = getattr(cls, name)
+
+            def wrapper(self, *args):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(self, *args)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for name in ("add", "remove", "touch"):
+            count(AncestorIndex, name)
+        count(ReplicaStore, "install")
+        ns = balanced_tree(levels=10)  # 2047 nodes, 256x one cache
+        cfg = SystemConfig.replicated(n_servers=16, seed=5, cache_slots=8)
+        system = build_system(ns, cfg)
+        spec = unif_stream(rate=900.0, duration=2.0, seed=5)
+        WorkloadDriver(system, spec).start()
+        system.run_until(spec.duration + 1.0)
+        # the evicting regime: more cache inserts than the build's adds
+        assert sum(p.cache.evictions for p in system.peers) > 3000
+        # hosted-list changes of a run without membership churn: the
+        # build adopts every node once, then replicas come and go
+        assert calls["install"] > 0
+        assert calls["add"] == len(ns) + calls["install"]
+        assert calls.get("remove", 0) == (
+            system.stats.replicas_evicted.total())
+        assert "touch" not in calls
+        assert calls["add"] - calls.get("remove", 0) == sum(
+            len(p.hosted_list) for p in system.peers)
 
 
 def uni_system(**cfg_over):

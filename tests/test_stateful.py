@@ -30,6 +30,7 @@ class LRUCacheModel(RuleBasedStateMachine):
         self.rmap = 3
         self.cache = LRUCache(capacity=self.capacity, rmap=self.rmap)
         self.model: "OrderedDict[int, list]" = OrderedDict()
+        self.model_evictions = 0
 
     def _model_put(self, node: int, servers) -> None:
         if node in self.model:
@@ -47,6 +48,7 @@ class LRUCacheModel(RuleBasedStateMachine):
             return
         if len(self.model) >= self.capacity:
             self.model.popitem(last=False)
+            self.model_evictions += 1
         self.model[node] = entry
 
     @rule(node=st.integers(0, 9),
@@ -54,6 +56,17 @@ class LRUCacheModel(RuleBasedStateMachine):
     def put(self, node, servers):
         self.cache.put(node, servers)
         self._model_put(node, servers)
+
+    @rule(path=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 5)),
+                        max_size=6))
+    def put_path(self, path):
+        """One batched call == the per-hop put loop it replaced."""
+        own_sid, owned, replicas = 0, {1}, {2: None}
+        self.cache.put_path(path, own_sid, owned, replicas)
+        for node, server in path:
+            if server != own_sid and node not in owned \
+                    and node not in replicas:
+                self._model_put(node, (server,))
 
     @rule(node=st.integers(0, 9))
     def get(self, node):
@@ -90,8 +103,10 @@ class LRUCacheModel(RuleBasedStateMachine):
 
     @invariant()
     def same_contents_and_order(self):
-        assert list(self.cache.nodes()) == list(self.model.keys())
+        assert [(n, list(e)) for n, e in self.cache.items()] == [
+            (n, e) for n, e in self.model.items()]
         assert len(self.cache) <= self.capacity
+        assert self.cache.evictions == self.model_evictions
 
 
 TestLRUCacheModel = LRUCacheModel.TestCase

@@ -274,7 +274,7 @@ def bench_serve_loopback() -> Dict[str, float]:
 
     A 4-peer UDS cluster hosted in-process, driven with a fixed batch
     of pipelined client lookups.  The rate is *completed lookups per
-    wall second* end to end -- framing, restricted decode, socket
+    wall second* end to end -- framing, packed decode, socket
     round-trips, the peer pipeline, and the reply path -- so codec or
     wire regressions show up here and nowhere else.  Service means are
     tiny: the measurement targets the stack, not simulated queueing.

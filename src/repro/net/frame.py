@@ -2,61 +2,59 @@
 
 The simulator passes message objects by reference; live mode
 (:mod:`repro.runtime.async_wire`) moves the *same* message classes
-across TCP/UDS sockets.  This module is the codec both ends share:
+across TCP/UDS sockets.  This module is the framing both ends share;
+the bytes inside a frame are :mod:`repro.net.codec`'s packed bodies,
+the same per-class functions the sharded data plane batches.
 
-* **Framing** -- each message is one length-prefixed frame: a 4-byte
-  big-endian payload length followed by the payload.  A stream is any
-  concatenation of frames; :class:`FrameReader` reassembles frames
-  from arbitrarily fragmented reads (sockets deliver whatever they
-  feel like), buffering partial headers and partial payloads.
-* **Payload codec** -- pickle (protocol 4) restricted to the closed
-  set of wire types in :data:`WIRE_TYPES`.  Pickle keeps perfect
-  fidelity for the message structs' mixed tuples/lists/sets/dicts
-  (``QueryMessage.path`` is a list of tuples, digest snapshots are
-  tuples, ``NodeMeta.keywords`` is a set) -- a JSON mapping would
-  silently rewrite tuples to lists and diverge from the simulator.
-  Decoding refuses any global outside the allowlist, so a frame can
-  only ever instantiate message structs: a malicious or corrupt peer
-  cannot reach arbitrary constructors through the unpickler.
+Frame grammar (one message per frame)::
 
-Both directions are pure functions of their input bytes/objects; no
-clocks, RNG, or I/O live here (the module stays protocol-classified
-under the determinism lint).
+    frame   := u32be length | payload          length = len(payload)
+    payload := u8 type_id | body               body per repro.net.codec
+
+* **Framing** -- a stream is any concatenation of frames;
+  :class:`FrameReader` reassembles payloads from arbitrarily fragmented
+  reads (sockets deliver whatever they feel like), slicing whole frames
+  straight out of the received chunk and buffering only a partial tail.
+* **Payload** -- the codec's closed type-id table is the allowlist:
+  :func:`encode_message` refuses a class without an entry, and
+  :func:`decode_message` can only ever build the message structs listed
+  there, field by field from fixed ``struct`` layouts.  Every malformed
+  payload -- unknown id, truncation, a body shorter or longer than the
+  frame announced, a digest marker the link cannot expand -- is a
+  :class:`FrameError`, never another exception type.
+* **Link state** -- ``encode_frame(msg, sent)`` / ``decode_message(
+  payload, seen)`` take the connection's
+  :class:`~repro.net.codec.DigestTable`, which lets an unchanged digest
+  snapshot travel as its version (see the codec's docstring).  With no
+  table both are stateless and digests always travel in full.
+
+Both directions are pure functions of their input bytes/objects and
+tables; no clocks, RNG, or I/O live here (the module stays
+protocol-classified under the determinism lint).
 """
 
 from __future__ import annotations
 
-import io
-import pickle
 import struct
-from typing import Any, Dict, List, Tuple, Type
+from typing import Any, List, Optional
 
-from repro.namespace.meta import NodeMeta
-from repro.net.message import (
-    Advertisement,
-    AdvertMessage,
-    ClientLookup,
-    ClientLookupReply,
-    DataReply,
-    DataRequest,
-    ProbeMessage,
-    ProbeReplyMessage,
-    QueryMessage,
-    ReplicaPayload,
-    ResponseMessage,
-    TransferAckMessage,
-    TransferMessage,
+from repro.net.codec import (
+    DECODE_ERRORS,
+    DECODERS,
+    ENCODERS,
+    Buf,
+    CodecError,
+    DigestTable,
 )
 
 __all__ = [
     "FrameError",
     "FrameReader",
+    "HEADER_SIZE",
     "MAX_FRAME",
-    "WIRE_TYPES",
     "decode_message",
     "encode_frame",
     "encode_message",
-    "register_wire_type",
 ]
 
 #: frame header: payload length, 4 bytes big-endian
@@ -68,80 +66,45 @@ HEADER_SIZE = _HEADER.size
 MAX_FRAME = 1 << 24
 
 
-class FrameError(ValueError):
-    """Malformed frame, oversized frame, or disallowed payload type."""
+class FrameError(CodecError):
+    """Malformed frame, oversized frame, or unregistered payload type."""
 
 
-#: every message class that may cross the wire (peer plane + client
-#: plane + the payload structs they embed)
-WIRE_TYPES: Tuple[Type[Any], ...] = (
-    Advertisement,
-    AdvertMessage,
-    ClientLookup,
-    ClientLookupReply,
-    DataReply,
-    DataRequest,
-    NodeMeta,
-    ProbeMessage,
-    ProbeReplyMessage,
-    QueryMessage,
-    ReplicaPayload,
-    ResponseMessage,
-    TransferAckMessage,
-    TransferMessage,
-)
-
-_ALLOWED: Dict[Tuple[str, str], Type[Any]] = {
-    (cls.__module__, cls.__name__): cls for cls in WIRE_TYPES
-}
-_ENCODABLE = set(WIRE_TYPES)
-
-
-def register_wire_type(cls: Type[Any]) -> Type[Any]:
-    """Admit an additional message class to the wire (tests, extensions).
-
-    Usable as a class decorator; returns ``cls`` unchanged.
-    """
-    _ALLOWED[(cls.__module__, cls.__name__)] = cls
-    _ENCODABLE.add(cls)
-    return cls
-
-
-class _RestrictedUnpickler(pickle.Unpickler):
-    """Unpickler whose global lookup is the wire-type allowlist."""
-
-    def find_class(self, module: str, name: str) -> Any:
-        cls = _ALLOWED.get((module, name))
-        if cls is None:
-            raise FrameError(
-                f"frame references disallowed global {module}.{name}; "
-                f"only registered wire types may cross the wire"
-            )
-        return cls
-
-
-def encode_message(msg: Any) -> bytes:
+def encode_message(msg: Any, sent: Optional[DigestTable] = None) -> bytes:
     """Serialize one wire message to payload bytes."""
-    if type(msg) not in _ENCODABLE:
+    try:
+        tid, enc = ENCODERS[msg.__class__]
+    except KeyError:
         raise FrameError(
             f"{type(msg).__name__} is not a registered wire type"
-        )
-    return pickle.dumps(msg, protocol=4)
+        ) from None
+    out = bytearray((tid,))
+    enc(out, msg, sent)
+    return bytes(out)
 
 
-def decode_message(payload: bytes) -> Any:
+def decode_message(payload: bytes, seen: Optional[DigestTable] = None) -> Any:
     """Deserialize payload bytes produced by :func:`encode_message`."""
+    if not payload:
+        raise FrameError("empty frame payload")
+    dec = DECODERS.get(payload[0])
+    if dec is None:
+        raise FrameError(f"unknown wire type id {payload[0]}")
     try:
-        return _RestrictedUnpickler(io.BytesIO(payload)).load()
-    except FrameError:
-        raise
-    except Exception as exc:
+        msg, end = dec(payload, 1, seen)
+    except DECODE_ERRORS as exc:
         raise FrameError(f"undecodable frame payload: {exc}") from exc
+    if end != len(payload):
+        raise FrameError(
+            f"frame announces a {len(payload) - 1}-byte body, "
+            f"decoder read {end - 1}"
+        )
+    return msg
 
 
-def encode_frame(msg: Any) -> bytes:
+def encode_frame(msg: Any, sent: Optional[DigestTable] = None) -> bytes:
     """One complete frame (header + payload) for ``msg``."""
-    payload = encode_message(msg)
+    payload = encode_message(msg, sent)
     if len(payload) > MAX_FRAME:
         raise FrameError(
             f"frame payload {len(payload)} bytes exceeds MAX_FRAME "
@@ -161,33 +124,38 @@ class FrameReader:
     __slots__ = ("_buf", "max_frame", "n_frames")
 
     def __init__(self, max_frame: int = MAX_FRAME) -> None:
-        self._buf = bytearray()
+        self._buf = bytearray()  # the partial frame ending the last feed
         self.max_frame = max_frame
         self.n_frames = 0
 
     def feed(self, data: bytes) -> List[bytes]:
         """Absorb ``data``; return every payload completed by it."""
         buf = self._buf
-        buf.extend(data)
+        src: Buf = data
+        if buf:
+            buf += data
+            src = buf
+        size = len(src)
         out: List[bytes] = []
         offset = 0
-        while True:
-            if len(buf) - offset < HEADER_SIZE:
-                break
-            (length,) = _HEADER.unpack_from(buf, offset)
+        while size - offset >= HEADER_SIZE:
+            (length,) = _HEADER.unpack_from(src, offset)
             if length > self.max_frame:
                 raise FrameError(
                     f"frame header announces {length} bytes "
                     f"(max {self.max_frame}); stream is corrupt"
                 )
             end = offset + HEADER_SIZE + length
-            if len(buf) < end:
+            if end > size:
                 break
-            out.append(bytes(buf[offset + HEADER_SIZE:end]))
-            self.n_frames += 1
+            # a slice of a bytes chunk already is the payload object
+            out.append(bytes(src[offset + HEADER_SIZE:end]))
             offset = end
-        if offset:
+        self.n_frames += len(out)
+        if src is buf:
             del buf[:offset]
+        elif offset < size:
+            buf += data[offset:]
         return out
 
     def pending(self) -> int:

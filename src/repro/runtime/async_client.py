@@ -1,7 +1,7 @@
 """Live clients: framed lookups and closed-loop capacity discovery.
 
 :class:`HomeConnection` is the minimal client endpoint: one framed
-stream to a home peer's listener, correlation-id matching of
+connection to a home peer's listener, correlation-id matching of
 :class:`~repro.net.message.ClientLookup` requests to their replies,
 and per-lookup timeout/retry (lookups are idempotent, so a timed-out
 attempt is simply reissued -- the same masking strategy as the
@@ -43,71 +43,102 @@ from repro.workload.streams import WorkloadSpec
 
 __all__ = ["AdaptiveLoadClient", "HomeConnection", "SegmentSampler"]
 
-_READ_CHUNK = 65536
+#: bytes one read of a home connection can take (replies are ~50 B)
+_RECV_BUFFER = 16384
 
 
-class HomeConnection:
-    """One client's framed connection to its home peer."""
+class HomeConnection(asyncio.BufferedProtocol):
+    """One client's framed connection to its home peer.
+
+    The connection *is* the asyncio protocol: the transport reads into
+    the connection's own buffer (no allocation per read, see
+    :class:`repro.runtime.async_wire._Inbound`), replies are decoded in
+    ``buffer_updated`` and resolve their lookup's future directly, a
+    lookup's timeout is one ``call_later`` that resolves the same
+    future with ``None``, and ``connection_lost`` fails whatever is
+    still in flight -- so a lookup never waits out its timeout against
+    a socket that is gone.  The client plane is stateless on the wire:
+    frames are encoded and decoded without a link table.
+    """
 
     def __init__(self, loop: asyncio.AbstractEventLoop, address: Tuple[Any, ...]) -> None:
         self.loop = loop
         self.address = address
-        self.reader: Optional[asyncio.StreamReader] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
-        self._pending: Dict[int, "asyncio.Future[ClientLookupReply]"] = {}
+        self.transport: Optional[asyncio.Transport] = None
+        self._frames = FrameReader()
+        self._recv_view = memoryview(bytearray(_RECV_BUFFER))
+        self._pending: Dict[int, "asyncio.Future[Optional[ClientLookupReply]]"] = {}
         self._cqid = 0
-        self._pump: Optional["asyncio.Task[None]"] = None
         self.n_sent = 0
         self.n_replies = 0
         self.n_timeouts = 0
+        #: attempts failed because the connection was (or went) down
+        self.n_disconnects = 0
 
     async def connect(self, retries: int = 100, backoff: float = 0.05) -> None:
         last: Optional[OSError] = None
         for _attempt in range(retries):
             try:
                 if self.address[0] == "uds":
-                    self.reader, self.writer = await asyncio.open_unix_connection(
-                        self.address[1]
+                    await self.loop.create_unix_connection(
+                        lambda: self, self.address[1]
                     )
                 else:
-                    self.reader, self.writer = await asyncio.open_connection(
-                        self.address[1], self.address[2]
+                    await self.loop.create_connection(
+                        lambda: self, self.address[1], self.address[2]
                     )
-                break
+                return
             except OSError as exc:
                 last = exc
                 await asyncio.sleep(backoff)
-        if self.writer is None:
-            raise ConnectionError(
-                f"could not reach home peer at {self.address}: {last}"
-            )
-        self._pump = self.loop.create_task(self._read_replies())
+        raise ConnectionError(
+            f"could not reach home peer at {self.address}: {last}"
+        )
 
-    async def _read_replies(self) -> None:
-        frames = FrameReader()
-        reader = self.reader
-        assert reader is not None
+    # -- asyncio.BufferedProtocol ------------------------------------------
+
+    def connection_made(  # type: ignore[override]
+        self, transport: asyncio.Transport
+    ) -> None:
+        self.transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._recv_view
+
+    def buffer_updated(self, nbytes: int) -> None:
         try:
-            while True:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                for payload in frames.feed(data):
-                    msg = decode_message(payload)
-                    fut = self._pending.pop(msg.cqid, None)
-                    if fut is not None and not fut.done():
-                        self.n_replies += 1
-                        fut.set_result(msg)
-        except (ConnectionError, FrameError, asyncio.CancelledError):
-            pass
+            for payload in self._frames.feed(bytes(self._recv_view[:nbytes])):
+                msg = decode_message(payload)
+                if type(msg) is not ClientLookupReply:
+                    raise FrameError(
+                        f"home peer sent a {type(msg).__name__}, not a reply"
+                    )
+                fut = self._pending.pop(msg.cqid, None)
+                if fut is not None and not fut.done():
+                    self.n_replies += 1
+                    fut.set_result(msg)
+        except FrameError:
+            # corrupt stream: drop it; connection_lost fails what waits
+            if self.transport is not None:
+                self.transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        pending, self._pending = self._pending, {}
+        for fut in pending.values():
+            if not fut.done():
+                self.n_disconnects += 1
+                fut.set_result(None)
+
+    # -- lookups ----------------------------------------------------------
 
     async def lookup(
         self, node: int, timeout: float, retries: int = 0
     ) -> Optional[ClientLookupReply]:
-        """Resolve ``node``; None when every attempt timed out.
+        """Resolve ``node``; None when every attempt failed.
 
-        A reply with ``ok=False`` (the server-side deadline fired) also
-        consumes an attempt -- the query died inside the cluster and
+        An attempt fails by timing out, by the connection dropping
+        under it, or with a reply of ``ok=False`` (the server-side
+        deadline fired) -- the query died inside the cluster and
         reissuing is the correct client response.
         """
         for _attempt in range(retries + 1):
@@ -119,35 +150,34 @@ class HomeConnection:
     async def _lookup_once(
         self, node: int, timeout: float
     ) -> Optional[ClientLookupReply]:
-        writer = self.writer
-        if writer is None or writer.is_closing():
-            self.n_timeouts += 1
+        transport = self.transport
+        if transport is None or transport.is_closing():
+            self.n_disconnects += 1
             return None
         self._cqid += 1
         cqid = self._cqid
-        fut: "asyncio.Future[ClientLookupReply]" = self.loop.create_future()
+        fut: "asyncio.Future[Optional[ClientLookupReply]]" = (
+            self.loop.create_future()
+        )
         self._pending[cqid] = fut
         self.n_sent += 1
-        writer.write(encode_frame(ClientLookup(cqid, node)))
+        transport.write(encode_frame(ClientLookup(cqid, node)))
+        timer = self.loop.call_later(timeout, self._on_timeout, cqid)
         try:
-            return await asyncio.wait_for(fut, timeout)
-        except asyncio.TimeoutError:
-            self._pending.pop(cqid, None)
+            return await fut
+        finally:
+            timer.cancel()
+            self._pending.pop(cqid, None)  # still there if cancelled
+
+    def _on_timeout(self, cqid: int) -> None:
+        fut = self._pending.pop(cqid, None)
+        if fut is not None and not fut.done():
             self.n_timeouts += 1
-            return None
+            fut.set_result(None)
 
     async def close(self) -> None:
-        if self._pump is not None:
-            self._pump.cancel()
-            try:
-                await self._pump
-            except asyncio.CancelledError:
-                pass
-        if self.writer is not None:
-            try:
-                self.writer.close()
-            except Exception:
-                pass
+        if self.transport is not None:
+            self.transport.close()
 
 
 class SegmentSampler:

@@ -152,6 +152,7 @@ async def _amain(args: argparse.Namespace) -> Dict[str, Any]:
         "n_deadline_failures": service.n_deadline_failures,
         "n_replicas": system.total_replicas(),
     }
+    curve["wire"] = wire.counters()
     return curve
 
 

@@ -169,9 +169,10 @@ class LiveService:
         """Install this service as the wire's client-plane handler."""
         wire.on_client = self.handle_client
 
-    # the wire calls this synchronously from a listener's read task
+    # the wire calls this synchronously from a listener connection's
+    # read callback; ``writer`` is that connection's transport
     def handle_client(
-        self, sid: int, msg: ClientLookup, writer: asyncio.StreamWriter
+        self, sid: int, msg: ClientLookup, writer: asyncio.WriteTransport
     ) -> None:
         system = self.system
         peer = system.peers[sid]
@@ -200,7 +201,7 @@ class LiveService:
 
     def _on_deadline(
         self, peer: Any, qid: int, msg: ClientLookup,
-        writer: asyncio.StreamWriter,
+        writer: asyncio.WriteTransport,
     ) -> None:
         """The query died inside the cluster (queue drop, lost frame):
         fail the lookup instead of leaking its completion hook."""
@@ -211,7 +212,7 @@ class LiveService:
         self._reply(writer, ClientLookupReply(msg.cqid, msg.node, False))
 
     @staticmethod
-    def _reply(writer: asyncio.StreamWriter, reply: ClientLookupReply) -> None:
+    def _reply(writer: asyncio.WriteTransport, reply: ClientLookupReply) -> None:
         if writer.is_closing():
             return  # client went away; nothing to answer
         writer.write(encode_frame(reply))

@@ -4,37 +4,58 @@ One cluster is a set of peer endpoints, each listening on its own
 address -- a unix-domain socket (``("uds", path)``) or a TCP port
 (``("tcp", host, port)``).  Every peer-to-peer message is one frame
 (:mod:`repro.net.frame`) written to the *destination's* listener over
-a lazily opened, cached outbound connection; connections are
-write-only in the peer plane (a response is an independent send to the
-origin's listener, mirroring the simulator's transport, which has no
-notion of a connection at all).
+a lazily dialed, cached outbound link; links are write-only in the
+peer plane (a response is an independent send to the origin's
+listener, mirroring the simulator's transport, which has no notion of
+a connection at all).
+
+Both ends of a link are asyncio protocol objects, not streams: there
+is no reader task, no ``StreamReader`` buffer and no future per read.
+A listener connection (a ``BufferedProtocol`` reading into one buffer
+the whole wire shares) feeds each chunk to a
+:class:`~repro.net.frame.FrameReader`, decodes, and delivers
+synchronously -- peer messages straight to the registered handler
+(``peer.deliver``), client-plane messages
+(:class:`~repro.net.message.ClientLookup`) to the ``on_client``
+callback with the connection's transport so the service can answer on
+the same socket.
 
 ``send`` is synchronous fire-and-forget, exactly like
-``Transport.send``: protocol code never awaits.  When no connection to
-``dest`` exists yet, the frame queues in a per-destination outbox and
-a connector task dials with retries (cluster processes boot in any
-order); once connected the outbox flushes in send order, preserving
-per-destination FIFO -- the same per-link ordering guarantee the
-simulator's delivery ring provides.
+``Transport.send``: protocol code never awaits.  The first frame for a
+destination creates its :class:`_PeerLink` -- an outbox, the sender's
+half of the link's digest table, and a dial task that retries (cluster
+processes boot in any order); once connected the outbox flushes in
+send order and later frames go straight to ``transport.write``,
+preserving per-destination FIFO -- the same per-link ordering
+guarantee the simulator's delivery ring provides.
 
-Inbound, each listener reassembles frames, decodes, and hands peer
-messages straight to the registered handler (``peer.deliver``);
-client-plane messages (:class:`~repro.net.message.ClientLookup`)
-divert to the ``on_client`` callback with the connection's writer so
-the service can answer on the same socket.
+**Link tables.**  Frames are encoded against the link's
+:class:`~repro.net.codec.DigestTable`, so a sender's unchanged digest
+snapshot crosses a link once and travels as its version afterwards.
+The sender's table lives and dies with the ``_PeerLink`` (a lost
+connection or a failed dial drops both, and the next send re-dials
+with an empty table); the receiver's belongs to the accepted
+connection's ``_Inbound``.  A link is one FIFO byte stream read by
+one table, so the two ends agree by construction; a frame the reader
+cannot decode or expand is a :class:`~repro.net.frame.FrameError`
+that is counted, logged, and costs exactly that connection.
 
 Counter parity with :class:`repro.net.transport.Transport`: ``n_sent``
 / ``n_control_sent`` / ``n_lost`` have the same meaning, so live and
-simulated runs report through the same introspection surface.
+simulated runs report through the same introspection surface; on top
+the wire accounts for what it drops and saves (``n_frame_errors``,
+``n_bytes_sent``, ``n_digests_full``, ``n_digests_elided``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.net.codec import DigestTable
 from repro.net.frame import (
     FrameError,
     FrameReader,
@@ -45,10 +66,13 @@ from repro.net.message import ClientLookup
 
 __all__ = ["AsyncWire", "tcp_addresses", "uds_addresses"]
 
+_log = logging.getLogger(__name__)
+
 #: ("uds", path) or ("tcp", host, port)
 Address = Tuple[Any, ...]
 
-_READ_CHUNK = 65536
+#: bytes one read can take; a larger backlog just takes another read
+_RECV_BUFFER = 65536
 
 
 def uds_addresses(sock_dir: str, n_servers: int) -> Dict[int, Address]:
@@ -68,14 +92,107 @@ def tcp_addresses(
     }
 
 
+class _Inbound(asyncio.BufferedProtocol):
+    """One accepted connection on local peer ``sid``'s listener.
+
+    A *buffered* protocol: the transport ``recv_into``s the wire's one
+    receive buffer instead of allocating a fresh 256 KiB ``bytes`` per
+    read and shrinking it to the hundred bytes that arrived -- an
+    allocation big enough to make glibc map and unmap memory on every
+    read, which on this path cost up to a third of the throughput and
+    made it depend on the allocator's mood (DESIGN.md section 14.3).
+    """
+
+    __slots__ = ("wire", "sid", "deliver", "frames", "seen", "transport")
+
+    transport: asyncio.Transport  # set by connection_made
+
+    def __init__(self, wire: "AsyncWire", sid: int) -> None:
+        self.wire = wire
+        self.sid = sid
+        self.deliver = wire._endpoints[sid]
+        self.frames = FrameReader()
+        self.seen = DigestTable()
+
+    def connection_made(  # type: ignore[override]
+        self, transport: asyncio.Transport
+    ) -> None:
+        self.transport = transport
+        self.wire._inbound.add(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.wire._recv_view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        wire = self.wire
+        seen = self.seen
+        # copy out first: the buffer is shared by every connection of
+        # the wire, and the next read on any of them overwrites it
+        data = bytes(wire._recv_view[:nbytes])
+        try:
+            for payload in self.frames.feed(data):
+                msg = decode_message(payload, seen)
+                wire.n_delivered += 1
+                if type(msg) is ClientLookup:
+                    if wire.on_client is not None:
+                        wire.on_client(self.sid, msg, self.transport)
+                else:
+                    self.deliver(msg)
+        except FrameError as exc:
+            # the stream is corrupt or the tables are out of step:
+            # nothing after this frame can be trusted, so the link goes
+            # and the sender re-dials with empty tables
+            wire.n_frame_errors += 1
+            _log.warning(
+                "peer %d: closing inbound connection: %s", self.sid, exc
+            )
+            self.transport.close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.wire._inbound.discard(self)
+
+
+class _PeerLink(asyncio.Protocol):
+    """The dialed, write-only link to one destination's listener.
+
+    Created by the first send to ``dest``; frames queue in ``outbox``
+    until the dial lands.  ``sent`` is the sender's half of the link's
+    digest table and never outlives the byte stream it describes.
+    The peer closing its end arrives as ``connection_lost``, so a later
+    send re-dials instead of writing into a dead socket.
+    """
+
+    __slots__ = ("wire", "dest", "sent", "outbox", "transport")
+
+    def __init__(self, wire: "AsyncWire", dest: int) -> None:
+        self.wire = wire
+        self.dest = dest
+        self.sent = DigestTable(wire._digest_counts)
+        self.outbox: List[bytes] = []
+        self.transport: Optional[asyncio.Transport] = None
+
+    def connection_made(  # type: ignore[override]
+        self, transport: asyncio.Transport
+    ) -> None:
+        self.transport = transport
+        if self.outbox:
+            transport.write(b"".join(self.outbox))
+            self.outbox.clear()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.wire._drop_link(self)
+
+
 class AsyncWire:
-    """Live transport over framed UDS/TCP streams."""
+    """Live transport over framed UDS/TCP connections."""
 
     def __init__(
         self,
         loop: asyncio.AbstractEventLoop,
         addresses: Dict[int, Address],
-        on_client: Optional[Callable[[int, Any, asyncio.StreamWriter], None]] = None,
+        on_client: Optional[
+            Callable[[int, Any, asyncio.WriteTransport], None]
+        ] = None,
         connect_retries: int = 100,
         connect_backoff: float = 0.05,
     ) -> None:
@@ -85,16 +202,23 @@ class AsyncWire:
         self.connect_retries = connect_retries
         self.connect_backoff = connect_backoff
         self._endpoints: Dict[int, Callable[[Any], None]] = {}
-        self._writers: Dict[int, asyncio.StreamWriter] = {}
-        self._outbox: Dict[int, List[bytes]] = {}
-        self._connecting: Set[int] = set()
+        self._links: Dict[int, _PeerLink] = {}
+        self._inbound: Set[_Inbound] = set()
         self._servers: List[asyncio.AbstractServer] = []
-        self._tasks: Set["asyncio.Task[Any]"] = set()
+        self._dials: Set["asyncio.Task[None]"] = set()
         self._closed = False
         self.n_sent = 0
         self.n_control_sent = 0
         self.n_lost = 0
         self.n_delivered = 0
+        self.n_frame_errors = 0
+        self.n_bytes_sent = 0
+        # [full, elided]: one tally shared by every link's digest table
+        self._digest_counts = [0, 0]
+        # the one receive buffer of every inbound connection: the loop
+        # runs get_buffer -> recv_into -> buffer_updated back to back,
+        # and buffer_updated copies the bytes out before it returns
+        self._recv_view = memoryview(bytearray(_RECV_BUFFER))
 
     # ------------------------------------------------------------------
     # registration and listeners
@@ -110,49 +234,23 @@ class AsyncWire:
 
     async def start_listeners(self) -> None:
         """Bind one listener per locally registered peer."""
+        loop = self.loop
         for sid in sorted(self._endpoints):
             addr = self.addresses[sid]
-            conn_cb = partial(self._serve_conn, sid)
+            accept = partial(_Inbound, self, sid)
+            server: asyncio.AbstractServer
             if addr[0] == "uds":
                 path = addr[1]
                 try:
                     os.unlink(path)  # stale socket from a previous run
                 except OSError:
                     pass
-                server = await asyncio.start_unix_server(conn_cb, path=path)
+                server = await loop.create_unix_server(accept, path=path)
             else:
-                server = await asyncio.start_server(
-                    conn_cb, host=addr[1], port=addr[2]
+                server = await loop.create_server(
+                    accept, host=addr[1], port=addr[2]
                 )
             self._servers.append(server)
-
-    async def _serve_conn(
-        self, sid: int, reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Pump one inbound connection into peer ``sid``."""
-        frames = FrameReader()
-        deliver = self._endpoints[sid]
-        try:
-            while True:
-                data = await reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                for payload in frames.feed(data):
-                    msg = decode_message(payload)
-                    self.n_delivered += 1
-                    if type(msg) is ClientLookup:
-                        if self.on_client is not None:
-                            self.on_client(sid, msg, writer)
-                    else:
-                        deliver(msg)
-        except (ConnectionError, FrameError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
 
     # ------------------------------------------------------------------
     # outbound
@@ -167,92 +265,107 @@ class AsyncWire:
         if self._closed or dest not in self.addresses:
             self.n_lost += 1
             return
-        frame = encode_frame(msg)
-        writer = self._writers.get(dest)
-        if writer is not None and not writer.is_closing():
-            writer.write(frame)
-            return
-        self._outbox.setdefault(dest, []).append(frame)
-        if dest not in self._connecting:
-            self._connecting.add(dest)
-            self._spawn(self._connect(dest))
+        link = self._links.get(dest)
+        if link is None or (
+            link.transport is not None and link.transport.is_closing()
+        ):
+            # none yet, or one that closed under us and whose
+            # connection_lost is still queued on the loop
+            link = self._open_link(dest)
+        frame = encode_frame(msg, link.sent)
+        self.n_bytes_sent += len(frame)
+        if link.transport is not None:
+            link.transport.write(frame)
+        else:
+            link.outbox.append(frame)
 
-    def _spawn(self, coro: Any) -> None:
-        task = self.loop.create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+    def _open_link(self, dest: int) -> _PeerLink:
+        """A fresh link (outbox, empty table, dial) replaces any old one."""
+        link = self._links[dest] = _PeerLink(self, dest)
+        task = self.loop.create_task(self._dial(link))
+        self._dials.add(task)
+        task.add_done_callback(self._dials.discard)
+        return link
 
-    async def _connect(self, dest: int) -> None:
-        """Dial ``dest`` with retries, then flush its outbox in order."""
-        addr = self.addresses[dest]
-        reader: Optional[asyncio.StreamReader] = None
-        writer: Optional[asyncio.StreamWriter] = None
+    def _drop_link(self, link: _PeerLink) -> None:
+        """Forget ``link`` (and with it the sender's digest table)."""
+        if self._links.get(link.dest) is link:
+            del self._links[link.dest]
+
+    async def _dial(self, link: _PeerLink) -> None:
+        """Connect ``link`` with retries; its outbox flushes on success."""
+        addr = self.addresses[link.dest]
+        loop = self.loop
         for _attempt in range(self.connect_retries):
             if self._closed:
                 break
             try:
                 if addr[0] == "uds":
-                    reader, writer = await asyncio.open_unix_connection(addr[1])
+                    await loop.create_unix_connection(lambda: link, addr[1])
                 else:
-                    reader, writer = await asyncio.open_connection(
-                        addr[1], addr[2]
+                    await loop.create_connection(
+                        lambda: link, addr[1], addr[2]
                     )
-                break
+                return
             except OSError:
                 await asyncio.sleep(self.connect_backoff)
-        self._connecting.discard(dest)
-        if writer is None or reader is None:
-            # peer unreachable: everything queued for it is lost
-            self.n_lost += len(self._outbox.pop(dest, []))
-            return
-        self._writers[dest] = writer
-        for frame in self._outbox.pop(dest, []):
-            writer.write(frame)
-        self._spawn(self._watch_peer(dest, reader, writer))
+        # peer unreachable: everything queued for it is lost
+        self.n_lost += len(link.outbox)
+        self._drop_link(link)
 
-    async def _watch_peer(
-        self, dest: int, reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Outbound connections are write-only; watch for peer close so
-        a later send re-dials instead of writing into a dead socket."""
-        try:
-            while await reader.read(_READ_CHUNK):
-                pass
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        if self._writers.get(dest) is writer:
-            del self._writers[dest]
+    # ------------------------------------------------------------------
+    # accounting
+    # ------------------------------------------------------------------
+
+    @property
+    def n_digests_full(self) -> int:
+        """Digest snapshots sent with their words."""
+        return self._digest_counts[0]
+
+    @property
+    def n_digests_elided(self) -> int:
+        """Digest snapshots sent as a version the link already carried."""
+        return self._digest_counts[1]
+
+    def counters(self) -> Dict[str, int]:
+        """Every wire counter by name (the capacity record's block)."""
+        return {
+            "n_sent": self.n_sent,
+            "n_control_sent": self.n_control_sent,
+            "n_lost": self.n_lost,
+            "n_delivered": self.n_delivered,
+            "n_frame_errors": self.n_frame_errors,
+            "n_bytes_sent": self.n_bytes_sent,
+            "n_digests_full": self.n_digests_full,
+            "n_digests_elided": self.n_digests_elided,
+        }
 
     # ------------------------------------------------------------------
     # shutdown
     # ------------------------------------------------------------------
 
     async def close(self) -> None:
-        """Stop listeners, close connections, cancel helper tasks."""
+        """Stop listeners, close every connection, cancel pending dials."""
         self._closed = True
         for server in self._servers:
             server.close()
-        for server in self._servers:
-            try:
-                await server.wait_closed()
-            except Exception:
-                pass
-        self._servers.clear()
-        for writer in list(self._writers.values()):
-            try:
-                writer.close()
-            except Exception:
-                pass
-        self._writers.clear()
-        for task in list(self._tasks):
+        # closing a transport only queues its connection_lost, so none
+        # of these collections changes under the loops
+        for conn in self._inbound:
+            conn.transport.close()
+        for link in self._links.values():
+            if link.transport is not None:
+                link.transport.close()
+        for task in self._dials:
             task.cancel()
-        if self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
-        self._tasks.clear()
+        if self._dials:
+            await asyncio.gather(*self._dials, return_exceptions=True)
+        for server in self._servers:
+            await server.wait_closed()
+        self._servers.clear()
 
     def __repr__(self) -> str:
         return (
             f"AsyncWire(local={sorted(self._endpoints)}, "
-            f"conns={len(self._writers)}, sent={self.n_sent})"
+            f"links={len(self._links)}, sent={self.n_sent})"
         )

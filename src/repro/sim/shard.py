@@ -76,6 +76,7 @@ if TYPE_CHECKING:
 from repro.cluster.builder import _resolve_owner, build_shard_system, build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.tree import Namespace, export_arenas
+from repro.net.codec import require_encodable
 from repro.net.transport import shard_of_sid
 from repro.sim import profile
 from repro.sim.engine import Engine, ShardError
@@ -113,7 +114,6 @@ from repro.sim.shardcodec import (
     encode_batch,
     encode_step_reply,
     encode_step_request,
-    require_encodable,
 )
 from repro.sim.stats import StatsSink, SystemStats
 from repro.workload.arrivals import WorkloadDriver, iter_arrivals

@@ -12,10 +12,12 @@ with flat ``struct``-packed frames:
   canonical merge key ``(deliver_at, src_shard, send_seq)`` in a fixed
   27-byte header followed by a type id and a varlen body, so a reader
   can order records -- and a relay can route whole frames -- without
-  decoding bodies.  Bodies exist for exactly the message classes
-  registered in :data:`repro.server.peer.PEER_DISPATCH`; registering a
-  new cross-shard message class without adding a codec entry fails
-  loudly at coordinator construction (:func:`require_encodable`).
+  decoding bodies.  The bodies are :mod:`repro.net.codec`'s -- the same
+  per-class functions the live wire frames -- always with full digest
+  snapshots (a batch has no link table).  Registering a new cross-shard
+  message class in :data:`repro.server.peer.PEER_DISPATCH` without
+  adding a codec entry fails loudly at coordinator construction
+  (:func:`repro.net.codec.require_encodable`).
 * **Step frames** (:func:`encode_step_request` /
   :func:`encode_step_reply`): the per-window worker-pipe protocol --
   one ``send_bytes`` each way per barrier, pure bytes, no pickle.  The
@@ -48,33 +50,9 @@ from __future__ import annotations
 
 import struct
 from array import array
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.namespace.meta import NodeMeta
-from repro.net.message import (
-    Advertisement,
-    AdvertMessage,
-    DataReply,
-    DataRequest,
-    ProbeMessage,
-    ProbeReplyMessage,
-    QueryMessage,
-    ReplicaPayload,
-    ResponseMessage,
-    TransferAckMessage,
-    TransferMessage,
-)
+from repro.net.codec import DECODERS, ENCODERS, Buf, CodecError
 
 __all__ = [
     "ArrivalBatch",
@@ -88,460 +66,21 @@ __all__ = [
     "encode_batch",
     "encode_step_reply",
     "encode_step_request",
-    "require_encodable",
-    "supported_types",
 ]
 
-
-class ShardCodecError(ValueError):
-    """A frame or message cannot be encoded/decoded faithfully."""
-
+#: what every function here raises on a frame it cannot write or read;
+#: one class with the body codec, so a body's overflow or truncation
+#: surfaces from ``encode_batch``/``decode_batch`` unwrapped
+ShardCodecError = CodecError
 
 #: frame magic: "Sharded Data Plane v1"
 MAGIC = b"SDP1"
 
 Entry = Tuple[float, int, int, int, Any]
-Buf = Union[bytes, bytearray, memoryview]
 
 # record header: deliver_at, src_shard, send_seq, dest, type_id, body_len
 _HDR = struct.Struct("<dHQiBI")
 _U32 = struct.Struct("<I")
-_I32 = struct.Struct("<i")
-_F64 = struct.Struct("<d")
-
-
-# ----------------------------------------------------------------------
-# primitive writers / readers
-# ----------------------------------------------------------------------
-
-def _w_ints(out: bytearray, xs: Sequence[int]) -> None:
-    n = len(xs)
-    out += _U32.pack(n)
-    if n:
-        try:
-            out += struct.pack(f"<{n}i", *xs)
-        except struct.error as exc:
-            raise ShardCodecError(f"int32 overflow in {xs!r}") from exc
-
-
-def _r_ints(buf: Buf, off: int) -> Tuple[List[int], int]:
-    (n,) = _U32.unpack_from(buf, off)
-    off += 4
-    if not n:
-        return [], off
-    vals = struct.unpack_from(f"<{n}i", buf, off)
-    return list(vals), off + 4 * n
-
-
-def _w_pairs(out: bytearray, pairs: Sequence[Tuple[int, int]]) -> None:
-    n = len(pairs)
-    out += _U32.pack(n)
-    if n:
-        flat: List[int] = []
-        for a, b in pairs:
-            flat.append(a)
-            flat.append(b)
-        try:
-            out += struct.pack(f"<{2 * n}i", *flat)
-        except struct.error as exc:
-            raise ShardCodecError(f"int32 overflow in {pairs!r}") from exc
-
-
-def _r_pairs(buf: Buf, off: int) -> Tuple[List[Tuple[int, int]], int]:
-    (n,) = _U32.unpack_from(buf, off)
-    off += 4
-    if not n:
-        return [], off
-    flat = struct.unpack_from(f"<{2 * n}i", buf, off)
-    return (
-        [(flat[2 * i], flat[2 * i + 1]) for i in range(n)],
-        off + 8 * n,
-    )
-
-
-def _w_str(out: bytearray, s: str) -> None:
-    b = s.encode("utf-8")
-    out += _U32.pack(len(b))
-    out += b
-
-
-def _r_str(buf: Buf, off: int) -> Tuple[str, int]:
-    (n,) = _U32.unpack_from(buf, off)
-    off += 4
-    b = bytes(buf[off:off + n])
-    if len(b) != n:
-        raise ShardCodecError("truncated string field")
-    return b.decode("utf-8"), off + n
-
-
-def _w_digest(out: bytearray, digest: Optional[Tuple[int, Any]]) -> None:
-    """A digest snapshot: ``None`` or ``(version, words)`` with u64 words."""
-    if digest is None:
-        out += b"\x00"
-        return
-    version, words = digest
-    n = len(words)
-    out += b"\x01"
-    out += struct.pack("<qI", version, n)
-    if n:
-        try:
-            out += struct.pack(f"<{n}Q", *words)
-        except struct.error as exc:
-            raise ShardCodecError("digest word out of u64 range") from exc
-
-
-def _r_digest(buf: Buf, off: int) -> Tuple[Optional[Tuple[int, Tuple[int, ...]]], int]:
-    flag = buf[off]
-    off += 1
-    if not flag:
-        return None, off
-    version, n = struct.unpack_from("<qI", buf, off)
-    off += 12
-    words = struct.unpack_from(f"<{n}Q", buf, off)
-    return (version, tuple(words)), off + 8 * n
-
-
-def _w_meta(out: bytearray, meta: Any) -> None:
-    """A :class:`NodeMeta` snapshot or ``None``.
-
-    Attributes travel in ``items()`` order (dict insertion order is the
-    value's identity -- replicas compare versions, not orders, but the
-    round-trip stays exact); keywords travel sorted and are rebuilt
-    into a set.
-    """
-    if meta is None:
-        out += b"\x00"
-        return
-    if not isinstance(meta, NodeMeta):
-        raise ShardCodecError(
-            f"cannot encode meta payload of type {type(meta).__name__}; "
-            "sharded runs ship NodeMeta snapshots only"
-        )
-    out += b"\x01"
-    out += struct.pack("<q", meta.version)
-    out += _U32.pack(len(meta.attributes))
-    for k, v in meta.attributes.items():
-        _w_str(out, k)
-        _w_str(out, v)
-    keywords = sorted(meta.keywords)
-    out += _U32.pack(len(keywords))
-    for w in keywords:
-        _w_str(out, w)
-
-
-def _r_meta(buf: Buf, off: int) -> Tuple[Optional[NodeMeta], int]:
-    flag = buf[off]
-    off += 1
-    if not flag:
-        return None, off
-    meta = NodeMeta()
-    (meta.version,) = struct.unpack_from("<q", buf, off)
-    off += 8
-    (n_attrs,) = _U32.unpack_from(buf, off)
-    off += 4
-    for _ in range(n_attrs):
-        k, off = _r_str(buf, off)
-        v, off = _r_str(buf, off)
-        meta.attributes[k] = v
-    (n_kw,) = _U32.unpack_from(buf, off)
-    off += 4
-    for _ in range(n_kw):
-        w, off = _r_str(buf, off)
-        meta.keywords.add(w)
-    return meta, off
-
-
-# application data payloads (DataReply.data): opaque to the protocol,
-# but the wire is typed -- only scalar payloads cross shards
-_DATA_NONE, _DATA_STR, _DATA_BYTES, _DATA_BOOL, _DATA_INT, _DATA_FLOAT = range(6)
-
-
-def _w_data(out: bytearray, data: Any) -> None:
-    if data is None:
-        out.append(_DATA_NONE)
-    elif isinstance(data, str):
-        out.append(_DATA_STR)
-        _w_str(out, data)
-    elif isinstance(data, (bytes, bytearray)):
-        out.append(_DATA_BYTES)
-        out += _U32.pack(len(data))
-        out += data
-    elif isinstance(data, bool):
-        out.append(_DATA_BOOL)
-        out.append(1 if data else 0)
-    elif isinstance(data, int):
-        out.append(_DATA_INT)
-        try:
-            out += struct.pack("<q", data)
-        except struct.error as exc:
-            raise ShardCodecError("int data payload out of i64 range") from exc
-    elif isinstance(data, float):
-        out.append(_DATA_FLOAT)
-        out += _F64.pack(data)
-    else:
-        raise ShardCodecError(
-            f"cannot encode data payload of type {type(data).__name__}; "
-            "store str/bytes/int/float node data for sharded runs"
-        )
-
-
-def _r_data(buf: Buf, off: int) -> Tuple[Any, int]:
-    kind = buf[off]
-    off += 1
-    if kind == _DATA_NONE:
-        return None, off
-    if kind == _DATA_STR:
-        return _r_str(buf, off)
-    if kind == _DATA_BYTES:
-        (n,) = _U32.unpack_from(buf, off)
-        off += 4
-        return bytes(buf[off:off + n]), off + n
-    if kind == _DATA_BOOL:
-        return bool(buf[off]), off + 1
-    if kind == _DATA_INT:
-        (v,) = struct.unpack_from("<q", buf, off)
-        return v, off + 8
-    if kind == _DATA_FLOAT:
-        (f,) = _F64.unpack_from(buf, off)
-        return f, off + 8
-    raise ShardCodecError(f"unknown data payload kind {kind}")
-
-
-# ----------------------------------------------------------------------
-# per-class bodies
-# ----------------------------------------------------------------------
-
-_QUERY_FIXED = struct.Struct("<qiidiidii")  # qid dest origin created hops sender load stale via
-
-
-def _enc_query(out: bytearray, m: QueryMessage) -> None:
-    out += _QUERY_FIXED.pack(
-        m.qid, m.dest, m.origin, m.created_at, m.hops, m.sender,
-        m.sender_load, m.stale_hops, m.via,
-    )
-    _w_digest(out, m.sender_digest)
-    _w_ints(out, m.dest_map)
-    _w_pairs(out, m.path)
-    out += _U32.pack(len(m.adverts))
-    for ad in m.adverts:
-        out += struct.pack("<ii", ad.node, ad.server)
-
-
-def _dec_query(buf: Buf, off: int) -> Tuple[QueryMessage, int]:
-    m = QueryMessage.__new__(QueryMessage)
-    (m.qid, m.dest, m.origin, m.created_at, m.hops, m.sender,
-     m.sender_load, m.stale_hops, m.via) = _QUERY_FIXED.unpack_from(buf, off)
-    off += _QUERY_FIXED.size
-    m.sender_digest, off = _r_digest(buf, off)
-    m.dest_map, off = _r_ints(buf, off)
-    m.path, off = _r_pairs(buf, off)
-    (n_ads,) = _U32.unpack_from(buf, off)
-    off += 4
-    adverts: List[Advertisement] = []
-    for _ in range(n_ads):
-        node, server = struct.unpack_from("<ii", buf, off)
-        off += 8
-        adverts.append(Advertisement(node, server))
-    m.adverts = adverts
-    return m, off
-
-
-_RESP_FIXED = struct.Struct("<qiidiiiqd")  # qid dest origin created hops resolver stale mver load
-
-
-def _enc_response(out: bytearray, m: ResponseMessage) -> None:
-    out += _RESP_FIXED.pack(
-        m.qid, m.dest, m.origin, m.created_at, m.hops, m.resolver,
-        m.stale_hops, m.meta_version, m.sender_load,
-    )
-    _w_digest(out, m.sender_digest)
-    _w_ints(out, m.dest_map)
-    _w_pairs(out, m.path)
-
-
-def _dec_response(buf: Buf, off: int) -> Tuple[ResponseMessage, int]:
-    m = ResponseMessage.__new__(ResponseMessage)
-    (m.qid, m.dest, m.origin, m.created_at, m.hops, m.resolver,
-     m.stale_hops, m.meta_version, m.sender_load) = _RESP_FIXED.unpack_from(buf, off)
-    off += _RESP_FIXED.size
-    m.sender_digest, off = _r_digest(buf, off)
-    m.dest_map, off = _r_ints(buf, off)
-    m.path, off = _r_pairs(buf, off)
-    return m, off
-
-
-def _enc_advert(out: bytearray, m: AdvertMessage) -> None:
-    out += _I32.pack(m.node)
-    _w_ints(out, m.servers)
-
-
-def _dec_advert(buf: Buf, off: int) -> Tuple[AdvertMessage, int]:
-    m = AdvertMessage.__new__(AdvertMessage)
-    (m.node,) = _I32.unpack_from(buf, off)
-    m.servers, off = _r_ints(buf, off + 4)
-    return m, off
-
-
-_PROBE = struct.Struct("<qid")
-
-
-def _enc_probe(out: bytearray, m: ProbeMessage) -> None:
-    out += _PROBE.pack(m.session, m.src, m.src_load)
-
-
-def _dec_probe(buf: Buf, off: int) -> Tuple[ProbeMessage, int]:
-    m = ProbeMessage.__new__(ProbeMessage)
-    m.session, m.src, m.src_load = _PROBE.unpack_from(buf, off)
-    return m, off + _PROBE.size
-
-
-_PROBE_REPLY = struct.Struct("<qidB")
-
-
-def _enc_probe_reply(out: bytearray, m: ProbeReplyMessage) -> None:
-    out += _PROBE_REPLY.pack(m.session, m.src, m.load, 1 if m.willing else 0)
-
-
-def _dec_probe_reply(buf: Buf, off: int) -> Tuple[ProbeReplyMessage, int]:
-    m = ProbeReplyMessage.__new__(ProbeReplyMessage)
-    m.session, m.src, m.load, willing = _PROBE_REPLY.unpack_from(buf, off)
-    m.willing = bool(willing)
-    return m, off + _PROBE_REPLY.size
-
-
-_TRANSFER_FIXED = struct.Struct("<qid")
-_PAYLOAD_FIXED = struct.Struct("<iq")
-
-
-def _enc_transfer(out: bytearray, m: TransferMessage) -> None:
-    out += _TRANSFER_FIXED.pack(m.session, m.src, m.load_delta)
-    out += _U32.pack(len(m.payloads))
-    for p in m.payloads:
-        out += _PAYLOAD_FIXED.pack(p.node, p.meta_version)
-        _w_ints(out, p.node_map)
-        out += _U32.pack(len(p.context))
-        for node, nmap in p.context.items():
-            out += _I32.pack(node)
-            _w_ints(out, nmap)
-        _w_meta(out, p.meta)
-
-
-def _dec_transfer(buf: Buf, off: int) -> Tuple[TransferMessage, int]:
-    m = TransferMessage.__new__(TransferMessage)
-    m.session, m.src, m.load_delta = _TRANSFER_FIXED.unpack_from(buf, off)
-    off += _TRANSFER_FIXED.size
-    (n_payloads,) = _U32.unpack_from(buf, off)
-    off += 4
-    payloads: List[ReplicaPayload] = []
-    for _ in range(n_payloads):
-        p = ReplicaPayload.__new__(ReplicaPayload)
-        p.node, p.meta_version = _PAYLOAD_FIXED.unpack_from(buf, off)
-        off += _PAYLOAD_FIXED.size
-        p.node_map, off = _r_ints(buf, off)
-        (n_ctx,) = _U32.unpack_from(buf, off)
-        off += 4
-        context: Dict[int, List[int]] = {}
-        for _ in range(n_ctx):
-            (node,) = _I32.unpack_from(buf, off)
-            context[node], off = _r_ints(buf, off + 4)
-        p.context = context
-        p.meta, off = _r_meta(buf, off)
-        payloads.append(p)
-    m.payloads = payloads
-    return m, off
-
-
-_ACK_FIXED = struct.Struct("<qi")
-
-
-def _enc_transfer_ack(out: bytearray, m: TransferAckMessage) -> None:
-    out += _ACK_FIXED.pack(m.session, m.src)
-    _w_ints(out, m.installed)
-
-
-def _dec_transfer_ack(buf: Buf, off: int) -> Tuple[TransferAckMessage, int]:
-    m = TransferAckMessage.__new__(TransferAckMessage)
-    m.session, m.src = _ACK_FIXED.unpack_from(buf, off)
-    m.installed, off = _r_ints(buf, off + _ACK_FIXED.size)
-    return m, off
-
-
-_DATA_REQ = struct.Struct("<qiiB")
-
-
-def _enc_data_request(out: bytearray, m: DataRequest) -> None:
-    out += _DATA_REQ.pack(m.rid, m.node, m.origin, 1 if m.want_meta else 0)
-
-
-def _dec_data_request(buf: Buf, off: int) -> Tuple[DataRequest, int]:
-    m = DataRequest.__new__(DataRequest)
-    m.rid, m.node, m.origin, want_meta = _DATA_REQ.unpack_from(buf, off)
-    m.want_meta = bool(want_meta)
-    return m, off + _DATA_REQ.size
-
-
-_DATA_REPLY_FIXED = struct.Struct("<qii")
-
-
-def _enc_data_reply(out: bytearray, m: DataReply) -> None:
-    out += _DATA_REPLY_FIXED.pack(m.rid, m.node, m.responder)
-    _w_data(out, m.data)
-    _w_meta(out, m.meta)
-    _w_ints(out, m.redirect_map)
-
-
-def _dec_data_reply(buf: Buf, off: int) -> Tuple[DataReply, int]:
-    m = DataReply.__new__(DataReply)
-    m.rid, m.node, m.responder = _DATA_REPLY_FIXED.unpack_from(buf, off)
-    off += _DATA_REPLY_FIXED.size
-    m.data, off = _r_data(buf, off)
-    m.meta, off = _r_meta(buf, off)
-    m.redirect_map, off = _r_ints(buf, off)
-    return m, off
-
-
-Encoder = Callable[[bytearray, Any], None]
-Decoder = Callable[[Buf, int], Tuple[Any, int]]
-
-#: type id -> (class, encoder, decoder); ids are wire format, never reused
-_CODECS: Dict[int, Tuple[type, Encoder, Decoder]] = {
-    1: (QueryMessage, _enc_query, _dec_query),
-    2: (ResponseMessage, _enc_response, _dec_response),
-    3: (AdvertMessage, _enc_advert, _dec_advert),
-    4: (ProbeMessage, _enc_probe, _dec_probe),
-    5: (ProbeReplyMessage, _enc_probe_reply, _dec_probe_reply),
-    6: (TransferMessage, _enc_transfer, _dec_transfer),
-    7: (TransferAckMessage, _enc_transfer_ack, _dec_transfer_ack),
-    8: (DataRequest, _enc_data_request, _dec_data_request),
-    9: (DataReply, _enc_data_reply, _dec_data_reply),
-}
-
-_ENCODERS: Dict[type, Tuple[int, Encoder]] = {
-    cls: (tid, enc) for tid, (cls, enc, _) in _CODECS.items()
-}
-_DECODERS: Dict[int, Decoder] = {
-    tid: dec for tid, (_, _, dec) in _CODECS.items()
-}
-
-
-def supported_types() -> Tuple[type, ...]:
-    """Every message class the packed codec can carry."""
-    return tuple(_ENCODERS)
-
-
-def require_encodable(types: Iterable[type]) -> None:
-    """Fail fast when a registered message class has no codec entry.
-
-    Called at coordinator construction with the peer dispatch
-    registry's types, so adding a new cross-shard message class without
-    extending the codec breaks loudly before any window runs.
-    """
-    missing = [t.__name__ for t in types if t not in _ENCODERS]
-    if missing:
-        raise ShardCodecError(
-            f"no packed codec for cross-shard message type(s) "
-            f"{', '.join(sorted(missing))}; extend repro.sim.shardcodec"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -559,7 +98,7 @@ def encode_batch(entries: Sequence[Entry]) -> bytes:
     out += _U32.pack(len(entries))
     for at, src_shard, send_seq, dest, msg in entries:
         try:
-            tid, enc = _ENCODERS[msg.__class__]
+            tid, enc = ENCODERS[msg.__class__]
         except KeyError:
             raise ShardCodecError(
                 f"no packed codec for message type {type(msg).__name__}"
@@ -567,7 +106,7 @@ def encode_batch(entries: Sequence[Entry]) -> bytes:
         hdr_at = len(out)
         out += _HDR.pack(at, src_shard, send_seq, dest, tid, 0)
         body_at = len(out)
-        enc(out, msg)
+        enc(out, msg, None)
         # backpatch the body length now that it is known
         _U32.pack_into(out, hdr_at + _HDR.size - 4, len(out) - body_at)
     return bytes(out)
@@ -594,12 +133,12 @@ def decode_batch(frame: Buf) -> List[Entry]:
                 view, off
             )
             off += _HDR.size
-            dec = _DECODERS.get(tid)
+            dec = DECODERS.get(tid)
             if dec is None:
                 raise ShardCodecError(f"unknown message type id {tid}")
             if off + body_len > len(view):
                 raise ShardCodecError("truncated record body")
-            msg, end = dec(view, off)
+            msg, end = dec(view, off, None)
             if end - off != body_len:
                 raise ShardCodecError(
                     f"body length mismatch for type id {tid}: "

@@ -155,7 +155,7 @@ async def _live_trace():
         for conn in conns.values():
             await conn.close()
         await wire.close()
-    return lookups, placements
+    return lookups, placements, wire.n_digests_elided
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +164,7 @@ async def _live_trace():
 
 def test_sim_and_live_traces_agree():
     sim_lookups, sim_placements = sim_trace()
-    live_lookups, live_placements = asyncio.run(_live_trace())
+    live_lookups, live_placements, n_elided = asyncio.run(_live_trace())
 
     assert len(sim_lookups) == len(live_lookups)
     for i, (s, l) in enumerate(zip(sim_lookups, live_lookups)):
@@ -172,6 +172,9 @@ def test_sim_and_live_traces_agree():
             f"op {i}: sim (dest, hops, map, ver) = {s} but live = {l}"
         )
     assert sim_placements == live_placements
+    # the agreement above must hold *with* digests travelling as
+    # versions; a trace that stopped exercising interning proves less
+    assert n_elided > 0
 
 
 def test_sim_trace_is_self_consistent():

@@ -15,19 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.namespace.meta import NodeMeta
+from repro.net.codec import require_encodable, supported_types
 from repro.net.message import (
-    Advertisement,
     AdvertMessage,
-    DataReply,
-    DataRequest,
     ProbeMessage,
-    ProbeReplyMessage,
     QueryMessage,
-    ReplicaPayload,
     ResponseMessage,
-    TransferAckMessage,
-    TransferMessage,
 )
 from repro.sim.shardcodec import (
     MAGIC,
@@ -41,158 +34,26 @@ from repro.sim.shardcodec import (
     encode_batch,
     encode_step_reply,
     encode_step_request,
-    require_encodable,
-    supported_types,
 )
-
-# ---------------------------------------------------------------------------
-# strategies
-# ---------------------------------------------------------------------------
-
-i32 = st.integers(-(2 ** 31), 2 ** 31 - 1)
-u16 = st.integers(0, 2 ** 16 - 1)
-u64 = st.integers(0, 2 ** 64 - 1)
-i64 = st.integers(-(2 ** 63), 2 ** 63 - 1)
-f64 = st.floats(allow_nan=False)
-times = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
-ids = st.integers(0, 10_000)
-int_lists = st.lists(i32, max_size=6)
-pair_lists = st.lists(st.tuples(i32, i32), max_size=6)
-short_text = st.text(max_size=12)
-
-digests = st.none() | st.tuples(
-    i64, st.lists(u64, max_size=6).map(tuple)
-)
-
-
-@st.composite
-def metas(draw):
-    m = NodeMeta()
-    m.version = draw(i64)
-    m.attributes = draw(
-        st.dictionaries(short_text, short_text, max_size=4)
-    )
-    m.keywords = draw(st.sets(short_text, max_size=4))
-    return m
-
-
-@st.composite
-def queries(draw):
-    m = QueryMessage(
-        qid=draw(i64), dest=draw(ids), origin=draw(ids),
-        created_at=draw(times),
-    )
-    m.hops = draw(st.integers(0, 1000))
-    m.sender = draw(ids)
-    m.sender_load = draw(f64)
-    m.sender_digest = draw(digests)
-    m.dest_map = draw(int_lists)
-    m.path = draw(pair_lists)
-    m.adverts = [
-        Advertisement(n, s)
-        for n, s in draw(st.lists(st.tuples(ids, ids), max_size=4))
-    ]
-    m.stale_hops = draw(st.integers(0, 1000))
-    m.via = draw(i32)
-    return m
-
-
-@st.composite
-def responses(draw):
-    m = ResponseMessage(draw(queries()), resolver=draw(ids),
-                        dest_map=draw(int_lists),
-                        meta_version=draw(i64))
-    m.sender_load = draw(f64)
-    m.sender_digest = draw(digests)
-    return m
-
-
-adverts = st.builds(AdvertMessage, node=ids, servers=int_lists)
-probes = st.builds(ProbeMessage, session=i64, src=ids, src_load=f64)
-probe_replies = st.builds(
-    ProbeReplyMessage, session=i64, src=ids, load=f64, willing=st.booleans()
-)
-
-
-@st.composite
-def payloads(draw):
-    context = {
-        k: draw(int_lists)
-        for k in draw(st.lists(ids, max_size=3, unique=True))
-    }
-    return ReplicaPayload(
-        node=draw(ids), meta_version=draw(i64),
-        node_map=draw(int_lists), context=context,
-        meta=draw(st.none() | metas()),
-    )
-
-
-transfers = st.builds(
-    TransferMessage, session=i64, src=ids,
-    payloads=st.lists(payloads(), max_size=3), load_delta=f64,
-)
-acks = st.builds(TransferAckMessage, session=i64, src=ids,
-                 installed=int_lists)
-data_requests = st.builds(DataRequest, rid=i64, node=ids, origin=ids,
-                          want_meta=st.booleans())
-
-data_payloads = (
-    st.none() | short_text | st.binary(max_size=12) | st.booleans()
-    | i64 | f64
-)
-
-
-@st.composite
-def data_replies(draw):
-    m = DataReply(rid=draw(i64), node=draw(ids), responder=draw(ids))
-    m.data = draw(data_payloads)
-    m.meta = draw(st.none() | metas())
-    m.redirect_map = draw(int_lists)
-    return m
-
-
-messages = st.one_of(
-    queries(), responses(), adverts, probes, probe_replies, transfers,
-    acks, data_requests, data_replies(),
+from tests.wire_strategies import (
+    i32,
+    i64,
+    ids,
+    peer_messages,
+    state,
+    times,
+    u16,
+    u64,
 )
 
 entries = st.lists(
-    st.tuples(times, u16, u64, i32, messages), max_size=6
+    st.tuples(times, u16, u64, i32, peer_messages), max_size=6
 )
-
-
-# ---------------------------------------------------------------------------
-# structural equality (slot-by-slot, expanding nested objects)
-# ---------------------------------------------------------------------------
-
-def _state(obj):
-    if isinstance(obj, Advertisement):
-        return ("ad", obj.node, obj.server)
-    if isinstance(obj, ReplicaPayload):
-        return ("payload", obj.node, obj.meta_version, obj.node_map,
-                obj.context, _state(obj.meta))
-    if isinstance(obj, NodeMeta):
-        return ("meta", obj.version, obj.attributes, obj.keywords)
-    if obj is None or isinstance(obj, (int, float, str, bytes, bool,
-                                       tuple, list, dict)):
-        return obj
-    slots = []
-    for klass in type(obj).__mro__:
-        slots.extend(klass.__dict__.get("__slots__", ()))
-    return (type(obj).__name__,) + tuple(
-        (name, _nested(getattr(obj, name))) for name in slots
-    )
-
-
-def _nested(v):
-    if isinstance(v, list):
-        return [_state(x) for x in v]
-    return _state(v)
 
 
 def _entry_state(e):
     at, src, seq, dest, msg = e
-    return (at, src, seq, dest, _state(msg))
+    return (at, src, seq, dest, state(msg))
 
 
 # ---------------------------------------------------------------------------

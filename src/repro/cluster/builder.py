@@ -85,18 +85,17 @@ def _populate_system(
         if nodes is not None:
             nodes.append(node)
 
-    shared_pos_cache = None
+    template = None
     for sid in sids:
         peer = Peer(sid, system, owned=())
-        peer.digest = Digest(
-            digest_capacity, fp_rate=cfg.digest_fp_rate, owner_server=sid
-        )
-        # all digests share geometry; share the hash-position cache so
-        # each node id is hashed once per process, not once per filter
-        if shared_pos_cache is None:
-            shared_pos_cache = peer.digest.bloom.pos_cache
+        # one geometry and one hash-position cache for the fleet: each
+        # node id is hashed once per process, not once per filter
+        if template is None:
+            template = peer.digest = Digest(
+                digest_capacity, fp_rate=cfg.digest_fp_rate, owner_server=sid
+            )
         else:
-            peer.digest.bloom.pos_cache = shared_pos_cache
+            peer.digest = Digest.like(template, owner_server=sid)
         peer.digest_dir = DigestDirectory(
             peer.digest, max_peers=cfg.digest_dir_max
         )

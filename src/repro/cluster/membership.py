@@ -158,17 +158,8 @@ def add_server(system: System, take_nodes: Iterable[int]) -> int:
 
     sid = len(system.peers)
     peer = Peer(sid, system, owned=())
-    template = system.peers[0].digest
-    peer.digest = Digest(
-        capacity=max(16, template.bloom.n_bits // 8),
-        owner_server=sid,
-    )
-    # share geometry with the fleet so snapshots stay cross-evaluable
-    peer.digest._bloom = template.bloom.__class__(
-        template.bloom.n_bits, template.bloom.n_hashes,
-        salt=template.bloom._salt,
-    )
-    peer.digest.bloom.pos_cache = template.bloom.pos_cache
+    # fleet geometry, so snapshots stay cross-evaluable both ways
+    peer.digest = Digest.like(system.peers[0].digest, owner_server=sid)
     peer.digest_dir = DigestDirectory(
         peer.digest, max_peers=system.cfg.digest_dir_max
     )

@@ -80,15 +80,6 @@ class RouteDecision:
         )
 
 
-def structural_next(peer: "Peer", h_star: int, dest: int) -> int:
-    """The neighbor of ``h_star`` one step toward ``dest``.
-
-    If ``h_star`` is an ancestor of ``dest`` this is the child on the
-    path down to ``dest``; otherwise it is ``h_star``'s parent.
-    """
-    return peer.ns.step_toward(h_star, dest)
-
-
 def scan_cache(peer: "Peer", dest: int, best_d: int) -> Tuple[int, int]:
     """Best cache candidate strictly closer than ``best_d``.
 
@@ -143,7 +134,7 @@ def digest_shortcut(peer: "Peer", dest: int, best_d: int) -> Tuple[int, int, int
     Returns ``(node, server, distance)`` or ``(-1, -1, best_d)``.
     """
     ddir = peer.digest_dir
-    if ddir is None or not len(ddir):
+    if ddir is None:
         return -1, -1, best_d
     ns = peer.ns
     a_dest = ns.anc[dest]
@@ -158,12 +149,12 @@ def digest_shortcut(peer: "Peer", dest: int, best_d: int) -> Tuple[int, int, int
     snaps = ddir.eligible_snaps(peer.sid, peer.cfg.digest_probe_limit)
     if not snaps:
         return -1, -1, best_d
-    positions = ddir.reference.bloom._positions
+    positions = ddir.positions
     for da in range(d_dest, max(min_depth, 0) - 1, -1):
         pos = positions(a_dest[da])
-        for server, words in snaps:
-            for p in pos:
-                if not (words[p >> 6] >> (p & 63)) & 1:
+        for server, vector in snaps:
+            for i, m in pos:
+                if not vector[i] & m:
                     break
             else:
                 return a_dest[da], server, d_dest - da
@@ -205,7 +196,9 @@ def decide(peer: "Peer", dest: int) -> RouteDecision:
     # structural candidate from the closest hosted node's context --
     # an O(depth) ancestor-chain walk over the store's index
     h_star, d_star = peer.store.index.closest(dest)
-    via = structural_next(peer, h_star, dest)
+    # its neighbor one step toward dest: the child on the path down if
+    # h_star is an ancestor of dest, else h_star's parent
+    via = peer.ns.step_toward(h_star, dest)
     best_d = d_star - 1
     source = "struct"
 
@@ -236,7 +229,7 @@ def decide(peer: "Peer", dest: int) -> RouteDecision:
             )
         # dead cache entry: drop it and fall back to the structural hop
         peer.cache.remove(via)
-        via = structural_next(peer, h_star, dest)
+        via = peer.ns.step_toward(h_star, dest)
         best_d = d_star - 1
         source = "struct"
 
@@ -289,24 +282,3 @@ def _select_filtered(
     if not eligible:
         return _select(entry, rng, exclude)
     return eligible[rng.randrange(len(eligible))]
-
-
-def inferable_names(peer: "Peer", dest: int) -> List[int]:
-    """Gen(S): every node id the server can infer (paper section 3.6.1).
-
-    Hosted, neighboring, and cached node ids, the destination, plus --
-    via "prefix extraction" -- all of their ancestors up to the root.
-    Used by the digest-shortcut discovery procedure in its full
-    generality (the hot path probes only the destination's own ancestor
-    chain, which contains every candidate that can actually improve on
-    map-based routing toward ``dest``).
-    """
-    ns = peer.ns
-    out = set()
-    seeds = set(peer.iter_hosted())
-    seeds.update(peer.maps.keys())
-    seeds.update(peer.cache.nodes())
-    seeds.add(dest)
-    for v in seeds:
-        out.update(ns.anc[v])
-    return sorted(out)

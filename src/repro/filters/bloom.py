@@ -1,11 +1,18 @@
 """A from-scratch Bloom filter over integer keys.
 
-The bit vector is a list of 64-bit words, so membership tests touch
-only machine-word ints (Python big-int shifts would dominate the
-simulator's routing hot path).  A *snapshot* is the tuple of words:
-immutable, cheap to share, and exactly what soft-state digest
-dissemination needs -- a server piggybacks its current snapshot on a
-message and remote copies go stale independently at zero copy cost.
+The bit vector is one contiguous ``bytearray``: bit ``p`` is byte
+``p >> 3``, mask ``1 << (p & 7)``.  A key's probe is cached as a tuple
+of ``(byte index, bit mask)`` pairs, so every membership test in the
+tree is the loop ``for i, m in pos: if not vector[i] & m: ...`` --
+indexing ``bytes`` yields an interned small int, so a test touches one
+object, allocates nothing and costs O(k) at every filter size (a Python
+big-int vector makes probe and cached mask O(n_bits); DESIGN.md
+section 10.5 has the measurements).
+
+A *snapshot* is ``bytes(vector)``: immutable, so every message and
+remote directory holding it can share one object, and already in wire
+layout -- byte ``j`` is byte ``j`` of the vector's little-endian u64
+words.
 
 Hash family: double hashing over two splitmix64-style mixes,
 ``h_i(x) = (h1(x) + i * h2(x)) mod m`` -- the Kirsch-Mitzenmacher
@@ -16,11 +23,15 @@ independent hashes.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple, Union
 
 _MASK64 = (1 << 64) - 1
 
-Snapshot = Tuple[int, ...]
+#: a versioned snapshot as digests publish it and the wire carries it:
+#: ``(version, vector)``
+Snapshot = Tuple[int, bytes]
+#: one key's probe: ``(byte index, bit mask)`` per hash
+Positions = Tuple[Tuple[int, int], ...]
 
 try:
     _popcount = int.bit_count  # Python >= 3.10: native popcount
@@ -64,46 +75,56 @@ class BloomFilter:
     True
     """
 
-    __slots__ = ("n_bits", "n_hashes", "words", "n_items", "_salt", "pos_cache")
+    __slots__ = ("n_bits", "n_hashes", "_buf", "n_items", "_salt",
+                 "pos_cache", "_pairs")
 
     def __init__(self, n_bits: int, n_hashes: int, salt: int = 0) -> None:
         if n_bits < 1:
             raise ValueError("n_bits must be >= 1")
         if n_hashes < 1:
             raise ValueError("n_hashes must be >= 1")
-        # round up to whole words
+        # whole 64-bit words: the wire counts a vector in u64s
         self.n_bits = ((n_bits + 63) // 64) * 64
         self.n_hashes = n_hashes
-        self.words: List[int] = [0] * (self.n_bits // 64)
+        self._buf = bytearray(self.n_bits // 8)
         self.n_items = 0
         self._salt = salt & _MASK64
-        # key -> tuple of bit positions; share one dict across all
-        # same-geometry filters (the simulator probes the same node ids
-        # against many digests, so hashing each id once ever pays off)
-        self.pos_cache: dict = {}
+        # key -> probe; share one dict across all same-geometry filters
+        # (the simulator probes the same node ids against many digests,
+        # so hashing each id once ever pays off)
+        self.pos_cache: Dict[int, Positions] = {}
+        # bit -> its one (byte index, bit mask) object, filled on the
+        # first miss and shared with the cache: keys are many, bits few
+        self._pairs: List[Tuple[int, int]] = []
+
+    @property
+    def geometry(self) -> Tuple[int, int, int]:
+        """``(n_bits, n_hashes, salt)``: what cross-evaluable filters share."""
+        return (self.n_bits, self.n_hashes, self._salt)
 
     def share_cache_with(self, other: "BloomFilter") -> None:
         """Share the position cache of ``other`` (requires same geometry)."""
-        if (self.n_bits, self.n_hashes, self._salt) != (
-            other.n_bits,
-            other.n_hashes,
-            other._salt,
-        ):
+        if self.geometry != other.geometry:
             raise ValueError("geometry mismatch; cannot share position cache")
         self.pos_cache = other.pos_cache
+        self._pairs = other._pairs
 
-    def _positions(self, key: int) -> Tuple[int, ...]:
-        """Cached bit positions for ``key``."""
+    def positions(self, key: int) -> Positions:
+        """The cached ``(byte index, bit mask)`` pairs probed for ``key``:
+        how every caller learns where a key's bits live."""
         pos = self.pos_cache.get(key)
         if pos is None:
-            h1, h2 = self._hash_pair(key)
+            h1 = _splitmix64(key ^ self._salt)
+            h2 = _splitmix64(h1) | 1  # odd step avoids short cycles
             m = self.n_bits
+            pairs = self._pairs
+            if not pairs:
+                pairs.extend((p >> 3, 1 << (p & 7)) for p in range(m))
             out = []
             for _ in range(self.n_hashes):
-                out.append(h1 % m)
-                h1 = (h1 + h2) & _MASK64
-            pos = tuple(out)
-            self.pos_cache[key] = pos
+                out.append(pairs[h1 % m])
+                h1 = (h1 + h2) & _MASK64  # stepping by adds stays in 64 bits
+            pos = self.pos_cache[key] = tuple(out)
         return pos
 
     @classmethod
@@ -114,16 +135,11 @@ class BloomFilter:
         m = optimal_bits(capacity, fp_rate)
         return cls(m, optimal_hashes(m, capacity), salt=salt)
 
-    def _hash_pair(self, key: int) -> Tuple[int, int]:
-        h1 = _splitmix64(key ^ self._salt)
-        h2 = _splitmix64(h1) | 1  # odd step avoids short cycles
-        return h1, h2
-
     def add(self, key: int) -> None:
         """Insert an integer key."""
-        words = self.words
-        for pos in self._positions(key):
-            words[pos >> 6] |= 1 << (pos & 63)
+        buf = self._buf
+        for i, m in self.positions(key):
+            buf[i] |= m
         self.n_items += 1
 
     def update(self, keys: Iterable[int]) -> None:
@@ -131,32 +147,28 @@ class BloomFilter:
             self.add(k)
 
     def __contains__(self, key: int) -> bool:
-        words = self.words
-        for pos in self._positions(key):
-            if not (words[pos >> 6] >> (pos & 63)) & 1:
-                return False
-        return True
+        return self.test_snapshot(self._buf, key)
 
     def clear(self) -> None:
         """Remove all items (Bloom filters do not support point deletion)."""
-        self.words = [0] * (self.n_bits // 64)
+        self._buf = bytearray(self.n_bits // 8)
         self.n_items = 0
 
-    def snapshot(self) -> Snapshot:
-        """An immutable copy of the bit vector (tuple of 64-bit words)."""
-        return tuple(self.words)
+    def snapshot(self) -> bytes:
+        """An immutable copy of the bit vector (``n_bits // 8`` bytes)."""
+        return bytes(self._buf)
 
-    def test_snapshot(self, snapshot_words: Snapshot, key: int) -> bool:
-        """Test ``key`` against a previously taken :meth:`snapshot`."""
-        for pos in self._positions(key):
-            if not (snapshot_words[pos >> 6] >> (pos & 63)) & 1:
+    def test_snapshot(self, vector: Union[bytes, bytearray], key: int) -> bool:
+        """Test ``key`` against a same-geometry :meth:`snapshot`."""
+        for i, m in self.positions(key):
+            if not vector[i] & m:
                 return False
         return True
 
     @property
     def set_bits(self) -> int:
         """Number of bits currently set."""
-        return sum(map(_popcount, self.words))
+        return _popcount(int.from_bytes(self._buf, "little"))
 
     @property
     def fill_ratio(self) -> float:
@@ -176,13 +188,9 @@ class BloomFilter:
         to both sides are counted twice; :attr:`set_bits` /
         :attr:`fill_ratio` reflect the true saturation).
         """
-        if (self.n_bits, self.n_hashes, self._salt) != (
-            other.n_bits,
-            other.n_hashes,
-            other._salt,
-        ):
+        if self.geometry != other.geometry:
             raise ValueError("cannot union Bloom filters of differing geometry")
         out = BloomFilter(self.n_bits, self.n_hashes, salt=self._salt)
-        out.words = [a | b for a, b in zip(self.words, other.words)]
+        out._buf = bytearray(a | b for a, b in zip(self._buf, other._buf))
         out.n_items = self.n_items + other.n_items
         return out

@@ -11,8 +11,12 @@ servers keep the most recent snapshot per peer in a
   against known digests -- section 3.6.1), and
 * prune stale entries from node maps (section 3.6.2).
 
-Snapshots are ``(version, bits)`` pairs; ``bits`` is the Bloom filter's
-integer bit vector, so snapshotting never copies.
+A snapshot is a ``(version, vector)`` pair, ``vector`` the filter's
+bits as immutable ``bytes``.  A digest copies its vector once per
+*version*, not once per message: :meth:`Digest.snapshot` returns the
+same tuple until the digest mutates, so every message, directory and
+link table holding an unchanged digest holds one shared object --
+safely, because nothing can write to ``bytes``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ class Digest:
     mutation so remote snapshots can be ordered.
     """
 
-    __slots__ = ("_bloom", "version", "owner_server")
+    __slots__ = ("_bloom", "version", "owner_server", "_snap")
 
     def __init__(
         self,
@@ -39,13 +43,33 @@ class Digest:
         owner_server: int = -1,
         salt: int = 0x7E44AD12,
     ) -> None:
-        self._bloom = BloomFilter.with_capacity(capacity, fp_rate, salt=salt)
+        self._start(
+            BloomFilter.with_capacity(capacity, fp_rate, salt=salt),
+            owner_server,
+        )
+
+    def _start(self, bloom: BloomFilter, owner_server: int) -> None:
+        self._bloom = bloom
         self.version = 0
         self.owner_server = owner_server
+        # the snapshot last handed out; no version is ever negative
+        self._snap: Snapshot = (-1, b"")
+
+    @classmethod
+    def like(cls, template: "Digest", owner_server: int = -1) -> "Digest":
+        """An empty digest of ``template``'s geometry, sharing its
+        position cache: how every digest of a fleet after the first is
+        built, at set-up and when a server joins later."""
+        n_bits, n_hashes, salt = template._bloom.geometry
+        bloom = BloomFilter(n_bits, n_hashes, salt=salt)
+        bloom.share_cache_with(template._bloom)
+        digest = cls.__new__(cls)
+        digest._start(bloom, owner_server)
+        return digest
 
     @property
     def bloom(self) -> BloomFilter:
-        """The underlying filter (exposed for geometry/cache sharing)."""
+        """The underlying filter (geometry, positions, raw tests)."""
         return self._bloom
 
     def add(self, node: int) -> None:
@@ -56,28 +80,28 @@ class Digest:
     def rebuild(self, hosted: Iterable[int]) -> None:
         """Rebuild after un-hosting (replica eviction)."""
         self._bloom.clear()
-        for v in hosted:
-            self._bloom.add(v)
+        self._bloom.update(hosted)
         self.version += 1
 
     def __contains__(self, node: int) -> bool:
         return node in self._bloom
 
-    def snapshot(self) -> Tuple[int, int]:
-        """A ``(version, bits)`` pair cheap enough to piggyback anywhere."""
-        return (self.version, self._bloom.snapshot())
-
-    def test_snapshot(self, snap: Tuple[int, int], node: int) -> bool:
-        """Test ``node`` against a snapshot taken from a same-geometry digest."""
-        return self._bloom.test_snapshot(snap[1], node)
+    def snapshot(self) -> Snapshot:
+        """The ``(version, vector)`` pair to piggyback: one object per
+        version, copied from the filter only when the version moved."""
+        snap = self._snap
+        if snap[0] != self.version:
+            snap = self._snap = (self.version, self._bloom.snapshot())
+        return snap
 
 
 class DigestDirectory:
     """Per-server store of the freshest known digest snapshot per peer.
 
-    All digests in one simulated system share Bloom geometry, so any
-    :class:`Digest` instance can evaluate any snapshot; the directory
-    keeps a reference digest for that purpose.
+    All digests in one system share Bloom geometry, so the reference
+    digest's positions locate a key in any stored vector; a snapshot of
+    another length cannot be probed with them and is refused on arrival
+    (:attr:`n_rejected`).
 
     The directory is read once per routing decision but mutates only
     when piggybacked snapshots arrive, so the eligible-snapshot list
@@ -85,40 +109,47 @@ class DigestDirectory:
     version counter (bumped on every stored/forgotten snapshot).
     """
 
-    __slots__ = ("_ref", "_snaps", "max_peers", "version",
-                 "_snaps_cache_key", "_snaps_cache")
+    __slots__ = ("positions", "_n_bytes", "_snaps", "max_peers", "version",
+                 "n_rejected", "_snaps_cache_key", "_snaps_cache")
 
     def __init__(self, reference: Digest, max_peers: int = 0) -> None:
-        self._ref = reference
-        self._snaps: Dict[int, Tuple[int, int]] = {}
+        #: ``BloomFilter.positions`` of the shared geometry
+        self.positions = reference.bloom.positions
+        self._n_bytes = reference.bloom.n_bits // 8
+        self._snaps: Dict[int, Snapshot] = {}
         self.max_peers = max_peers  # 0 = unbounded
         #: bumped on every mutation; keys the eligible-snapshot cache
         self.version = 0
+        #: snapshots refused for not having the fleet's vector length
+        self.n_rejected = 0
         self._snaps_cache_key: Optional[Tuple[int, int, int]] = None
-        self._snaps_cache: List[Tuple[int, Snapshot]] = []
+        self._snaps_cache: List[Tuple[int, bytes]] = []
 
     def __len__(self) -> int:
         return len(self._snaps)
 
-    @property
-    def reference(self) -> Digest:
-        """The digest used to evaluate snapshots (shared Bloom geometry)."""
-        return self._ref
-
-    def observe(self, server: int, snap: Tuple[int, int]) -> bool:
+    def observe(self, server: int, snap: Snapshot) -> bool:
         """Record a snapshot for ``server`` if newer; return True if stored."""
-        cur = self._snaps.get(server)
+        snaps = self._snaps
+        cur = snaps.get(server)
         if cur is not None and cur[0] >= snap[0]:
             return False
-        if (
-            cur is None
-            and self.max_peers
-            and len(self._snaps) >= self.max_peers
-        ):
-            # evict the stalest snapshot (lowest version) to make room
-            victim = min(self._snaps, key=lambda s: self._snaps[s][0])
-            del self._snaps[victim]
-        self._snaps[server] = snap
+        if len(snap[1]) != self._n_bytes:
+            # probing it with this geometry's positions could raise
+            # in the middle of a routing decision
+            self.n_rejected += 1
+            return False
+        if cur is None and self.max_peers and len(snaps) >= self.max_peers:
+            # make room: evict the stalest snapshot, i.e. the first
+            # entry in directory order holding the lowest version
+            entries = iter(snaps.items())
+            victim, held = next(entries)
+            lowest = held[0]
+            for s, held in entries:
+                if held[0] < lowest:
+                    victim, lowest = s, held[0]
+            del snaps[victim]
+        snaps[server] = snap
         self.version += 1
         return True
 
@@ -128,20 +159,18 @@ class DigestDirectory:
 
     def eligible_snaps(
         self, exclude: int, limit: int = 0
-    ) -> List[Tuple[int, Snapshot]]:
-        """The ``(server, words)`` list the digest shortcut probes.
+    ) -> List[Tuple[int, bytes]]:
+        """The ``(server, vector)`` list the digest shortcut probes.
 
         Directory iteration order, skipping ``exclude``, truncated to
-        the first ``limit`` entries (0 = unbounded) -- identical to the
-        inline loop it replaces.  The list is cached until the
-        directory's :attr:`version` moves (or the probe parameters
-        change), so steady-state routing decisions reuse one list
-        instead of re-materialising it per hop.
+        the first ``limit`` entries (0 = unbounded); cached until the
+        directory's :attr:`version` moves or the parameters change, so
+        steady-state decisions reuse one list.
         """
         key = (self.version, exclude, limit)
         if key == self._snaps_cache_key:
             return self._snaps_cache
-        out: List[Tuple[int, Snapshot]] = []
+        out: List[Tuple[int, bytes]] = []
         for server, snap in self._snaps.items():
             if server == exclude:
                 continue
@@ -152,7 +181,7 @@ class DigestDirectory:
         self._snaps_cache = out
         return out
 
-    def get(self, server: int) -> Optional[Tuple[int, int]]:
+    def get(self, server: int) -> Optional[Snapshot]:
         return self._snaps.get(server)
 
     def test(self, server: int, node: int) -> Optional[bool]:
@@ -163,14 +192,8 @@ class DigestDirectory:
         snap = self._snaps.get(server)
         if snap is None:
             return None
-        return self._ref.test_snapshot(snap, node)
-
-    def servers(self) -> Iterable[int]:
-        return self._snaps.keys()
-
-    def known_hosts_of(self, node: int) -> Iterable[int]:
-        """Servers whose last known digest claims to host ``node``."""
-        ref = self._ref
-        return [
-            s for s, snap in self._snaps.items() if ref.test_snapshot(snap, node)
-        ]
+        vector = snap[1]
+        for i, m in self.positions(node):
+            if not vector[i] & m:
+                return False
+        return True

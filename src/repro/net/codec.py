@@ -20,19 +20,22 @@ only ever build the message structs listed there.
 versioned digest snapshot (paper section 3.6), and a receiver keeps
 only the freshest one per peer, so on a FIFO link re-sending an
 unchanged snapshot buys nothing.  The digest field therefore has three
-forms: absent, *full* ``(version, words)``, and *version only*.  The
-version-only form is written when the :class:`DigestTable` handed to
-the encoder shows this link already carried that sender's snapshot at
-that version, and is expanded on read from the receiving end's table to
-the identical ``(version, words)`` tuple.  Both tables see the same
-byte stream in the same order, so they stay in step by construction;
-with no table (shard batches, the client plane, tests) the field is
-always written -- and must always arrive -- in full.  A digest's
-version increments on every mutation (:class:`repro.filters.digest
-.Digest`), which is what lets a version stand for its words; the
-reader still refuses a version-only marker that does not match the
-version it holds, so an out-of-step pair of tables costs an error, not
-a wrong snapshot.
+forms: absent, *full* ``(version, vector)``, and *version only*.  The
+full form is a head (version, u64 word count) and then the snapshot's
+``bytes`` as they are -- the vector is its own wire body, read back as
+one bounds-checked slice copy.  The version-only form is written when
+the :class:`DigestTable` handed to the encoder shows this link already
+carried that sender's snapshot at that version, and is expanded on read
+from the receiving end's table to the identical ``(version, vector)``
+tuple.  Both tables see the same byte stream in the same order, so they
+stay in step by construction; with no table (shard batches, the client
+plane, tests) the field is always written -- and must always arrive --
+in full.  A digest's version increments on every mutation (:class:`repro
+.filters.digest.Digest`), which is what lets a version stand for its
+vector; the reader still refuses a version-only marker that does not
+match the version it holds, so an out-of-step pair of tables costs an
+error, not a wrong snapshot.  Whether a vector fits the *receiver's*
+geometry is for ``DigestDirectory.observe`` to check, not the wire.
 
 Everything is little-endian with explicit ``struct`` formats.  Encoders
 and decoders are pure functions of their arguments (tables included):
@@ -56,6 +59,7 @@ from typing import (
     Union,
 )
 
+from repro.filters.bloom import Snapshot
 from repro.namespace.meta import NodeMeta
 from repro.net.message import (
     Advertisement,
@@ -97,7 +101,6 @@ class CodecError(ValueError):
 DECODE_ERRORS = (CodecError, struct.error, IndexError, UnicodeDecodeError)
 
 Buf = Union[bytes, bytearray, memoryview]
-Snapshot = Tuple[int, Tuple[int, ...]]
 
 _U32 = struct.Struct("<I")
 _I32 = struct.Struct("<i")
@@ -207,10 +210,10 @@ _DIGEST_HEAD = struct.Struct("<qI")  # version, n_words
 
 
 def _w_digest(
-    out: bytearray, digest: Optional[Tuple[int, Any]], sid: int,
+    out: bytearray, digest: Optional[Snapshot], sid: int,
     sent: Optional[DigestTable],
 ) -> None:
-    """``sid``'s digest snapshot: ``None`` or ``(version, u64 words)``.
+    """``sid``'s digest snapshot: ``None`` or ``(version, vector)``.
 
     With a link table, a snapshot whose version the link already
     carried for ``sid`` shrinks to its version.
@@ -218,7 +221,12 @@ def _w_digest(
     if digest is None:
         out.append(_DIGEST_NONE)
         return
-    version, words = digest
+    version, vector = digest
+    n, rest = divmod(len(vector), 8)
+    if rest:
+        raise CodecError(
+            f"digest vector of {len(vector)} bytes is not whole u64 words"
+        )
     if sent is not None:
         prev = sent.snaps.get(sid)
         if prev is not None and prev[0] == version:
@@ -228,14 +236,9 @@ def _w_digest(
             return
         sent.snaps[sid] = digest
         sent.counts[0] += 1
-    n = len(words)
     out.append(_DIGEST_FULL)
     out += _DIGEST_HEAD.pack(version, n)
-    if n:
-        try:
-            out += struct.pack(f"<{n}Q", *words)
-        except struct.error as exc:
-            raise CodecError("digest word out of u64 range") from exc
+    out += vector
 
 
 def _r_digest(
@@ -248,10 +251,13 @@ def _r_digest(
     if form == _DIGEST_FULL:
         version, n = _DIGEST_HEAD.unpack_from(buf, off)
         off += 12
-        snap = (version, struct.unpack_from(f"<{n}Q", buf, off))
+        end = off + 8 * n
+        if end > len(buf):  # a slice would silently come back short
+            raise CodecError("truncated digest vector")
+        snap = (version, bytes(buf[off:end]))
         if seen is not None:
             seen.snaps[sid] = snap
-        return snap, off + 8 * n
+        return snap, end
     if form == _DIGEST_VERSION:
         (version,) = _I64.unpack_from(buf, off)
         if seen is None:

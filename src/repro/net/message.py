@@ -21,6 +21,8 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.filters.bloom import Snapshot
+
 
 class Advertisement:
     """A "server X now replicates node v" notice piggybacked on messages."""
@@ -65,7 +67,7 @@ class QueryMessage:
         hops: network hops taken so far.
         sender: server that forwarded this message (piggyback source).
         sender_load: sender's load sample at send time.
-        sender_digest: ``(version, bits)`` digest snapshot of the sender.
+        sender_digest: ``(version, vector)`` digest snapshot of the sender.
         dest_map: merged map (server ids) for the destination node.
         path: ``(node, server)`` pairs logically visited so far, used
             for path-propagation caching (paper section 2.4).
@@ -100,7 +102,7 @@ class QueryMessage:
         self.hops = 0
         self.sender = origin
         self.sender_load = 0.0
-        self.sender_digest: Optional[Tuple[int, int]] = None
+        self.sender_digest: Optional[Snapshot] = None
         self.dest_map: List[int] = []
         self.path: List[Tuple[int, int]] = []
         self.adverts: List[Advertisement] = []
@@ -154,7 +156,7 @@ class ResponseMessage:
         self.path = query.path
         self.stale_hops = query.stale_hops
         self.sender_load = 0.0
-        self.sender_digest: Optional[Tuple[int, int]] = None
+        self.sender_digest: Optional[Snapshot] = None
         self.meta_version = meta_version
 
 

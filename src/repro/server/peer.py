@@ -359,12 +359,10 @@ class Peer:
         ddir = self.digest_dir
         if ddir is None or not self.cfg.digests_enabled:
             return [s for s in servers]
-        out = []
-        for s in servers:
-            if s != self.sid and ddir.test(s, node) is False:
-                continue
-            out.append(s)
-        return out
+        return [
+            s for s in servers
+            if s == self.sid or ddir.test(s, node) is not False
+        ]
 
     # ------------------------------------------------------------------
     # message delivery (transport entry point)

@@ -1,12 +1,140 @@
-"""Unit tests for the Bloom filter."""
+"""Unit tests for the Bloom filter.
+
+``WordListBloom`` is the representation ``src/`` shipped until issue 19
+-- a list of 64-bit words probed by shift and mask -- kept here as the
+oracle the byte-vector filter is compared against, operation for
+operation and byte for byte.
+"""
+
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.filters.bloom import (
     BloomFilter,
+    _splitmix64,
     optimal_bits,
     optimal_hashes,
 )
+
+_MASK64 = (1 << 64) - 1
+
+
+class WordListBloom:
+    """Reference filter: same hash family, bits in a list of u64 words."""
+
+    def __init__(self, n_bits, n_hashes, salt=0):
+        self.n_bits = ((n_bits + 63) // 64) * 64
+        self.n_hashes = n_hashes
+        self.salt = salt & _MASK64
+        self.words = [0] * (self.n_bits // 64)
+
+    def bit_positions(self, key):
+        h1 = _splitmix64(key ^ self.salt)
+        h2 = _splitmix64(h1) | 1
+        out = []
+        for _ in range(self.n_hashes):
+            out.append(h1 % self.n_bits)
+            h1 = (h1 + h2) & _MASK64
+        return out
+
+    def add(self, key):
+        for pos in self.bit_positions(key):
+            self.words[pos >> 6] |= 1 << (pos & 63)
+
+    def __contains__(self, key):
+        return self.test_snapshot(self.words, key)
+
+    def snapshot(self):
+        return tuple(self.words)
+
+    def test_snapshot(self, words, key):
+        return all(
+            (words[pos >> 6] >> (pos & 63)) & 1
+            for pos in self.bit_positions(key)
+        )
+
+    @property
+    def set_bits(self):
+        return sum(bin(w).count("1") for w in self.words)
+
+    def union(self, other):
+        out = WordListBloom(self.n_bits, self.n_hashes, self.salt)
+        out.words = [a | b for a, b in zip(self.words, other.words)]
+        return out
+
+    def clear(self):
+        self.words = [0] * len(self.words)
+
+    def packed(self):
+        """The wire form the word list always had."""
+        return struct.pack(f"<{len(self.words)}Q", *self.words)
+
+
+geometries = st.tuples(
+    st.integers(1, 4096), st.integers(1, 8), st.integers(0, 2 ** 70)
+)
+key_lists = st.lists(st.integers(0, 2 ** 40), max_size=60)
+
+
+class TestAgainstTheWordListOracle:
+    @given(geometries, key_lists, key_lists, key_lists)
+    @settings(max_examples=200)
+    def test_every_operation_agrees(self, geometry, first, second, probes):
+        n_bits, n_hashes, salt = geometry
+        bf = BloomFilter(n_bits, n_hashes, salt=salt)
+        ref = WordListBloom(n_bits, n_hashes, salt=salt)
+        assert bf.n_bits == ref.n_bits
+        for k in first:
+            bf.add(k)
+            ref.add(k)
+        snap, ref_snap = bf.snapshot(), ref.snapshot()
+        assert snap == ref.packed() and type(snap) is bytes
+        for k in second:  # the snapshots must not move with these
+            bf.add(k)
+            ref.add(k)
+        assert bf.snapshot() == ref.packed()
+        assert bf.set_bits == ref.set_bits
+        for k in first + second + probes:
+            assert (k in bf) == (k in ref)
+            assert bf.test_snapshot(snap, k) == ref.test_snapshot(ref_snap, k)
+        assert all(k in bf for k in first + second)  # no false negatives
+        bf.clear()
+        ref.clear()
+        assert bf.snapshot() == ref.packed() == bytes(bf.n_bits // 8)
+        assert bf.set_bits == 0 and not any(k in bf for k in probes)
+
+    @given(geometries, key_lists, key_lists)
+    @settings(max_examples=100)
+    def test_union_agrees(self, geometry, left, right):
+        n_bits, n_hashes, salt = geometry
+        a, b = (BloomFilter(n_bits, n_hashes, salt=salt) for _ in "ab")
+        ra, rb = (WordListBloom(n_bits, n_hashes, salt=salt) for _ in "ab")
+        for k in left:
+            a.add(k)
+            ra.add(k)
+        for k in right:
+            b.add(k)
+            rb.add(k)
+        u, ru = a | b, ra.union(rb)
+        assert u.snapshot() == ru.packed()
+        assert u.set_bits == ru.set_bits
+        assert u.n_items == len(left) + len(right)
+        assert all(k in u for k in left + right)
+
+    @given(geometries, st.integers(0, 2 ** 40))
+    def test_positions_name_the_oracle_s_bits(self, geometry, key):
+        """Bit ``p`` is byte ``p >> 3``, mask ``1 << (p & 7)`` -- which is
+        where little-endian u64 word ``p >> 6`` keeps its bit ``p & 63``."""
+        n_bits, n_hashes, salt = geometry
+        bf = BloomFilter(n_bits, n_hashes, salt=salt)
+        ref = WordListBloom(n_bits, n_hashes, salt=salt)
+        pos = bf.positions(key)
+        assert [i * 8 + m.bit_length() - 1 for i, m in pos] == \
+            ref.bit_positions(key)
+        assert bf.positions(key) is pos  # cached: hashed once
 
 
 class TestSizing:
@@ -85,6 +213,18 @@ class TestPositionCache:
         assert 10 in a and 11 in b
         assert a.pos_cache is b.pos_cache
         assert 10 in a.pos_cache and 11 in a.pos_cache
+
+    def test_one_pair_object_per_bit_across_keys_and_sharers(self):
+        """Keys are many, bits are few: every probe that names a bit
+        names it through the same ``(byte index, bit mask)`` tuple."""
+        a = BloomFilter(128, 8, salt=9)
+        b = BloomFilter(128, 8, salt=9)
+        b.share_cache_with(a)
+        seen = {}
+        for key in range(200):
+            for pair in (a if key % 2 else b).positions(key):
+                assert seen.setdefault(pair, pair) is pair
+        assert len(seen) <= 128
 
     def test_share_rejects_geometry_mismatch(self):
         a = BloomFilter(512, 5)

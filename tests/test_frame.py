@@ -8,6 +8,8 @@ frame makes the decoder do anything but decode or raise ``FrameError``.
 The strategies are shared with ``tests/test_shardcodec.py``.
 """
 
+import inspect
+import re
 import struct
 
 import pytest
@@ -15,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.namespace.meta import NodeMeta
-from repro.net.codec import DigestTable, supported_types
+from repro.net import codec
+from repro.net.codec import CodecError, DigestTable, supported_types
 from repro.net.frame import (
     HEADER_SIZE,
     MAX_FRAME,
@@ -41,7 +44,7 @@ from repro.net.message import (
     TransferMessage,
 )
 from repro.sim.shardcodec import encode_batch
-from tests.wire_strategies import peer_messages, state, wire_messages
+from tests.wire_strategies import peer_messages, state, wire_messages, words
 
 
 def make_query():
@@ -49,7 +52,7 @@ def make_query():
     q.hops = 3
     q.sender = 5
     q.sender_load = 0.75
-    q.sender_digest = (4, (1 << 63, 0, 0xDEADBEEF))  # u64 bloom words
+    q.sender_digest = (4, words(1 << 63, 0, 0xDEADBEEF))
     q.dest_map = [1, 2, 3]
     q.path = [(3, 1), (5, 2)]
     q.adverts = [Advertisement(9, 4)]
@@ -78,9 +81,9 @@ def test_query_roundtrip_preserves_structure():
     # compares digest snapshots structurally
     assert q2.path == [(3, 1), (5, 2)]
     assert all(isinstance(p, tuple) for p in q2.path)
-    assert q2.sender_digest == (4, (1 << 63, 0, 0xDEADBEEF))
+    assert q2.sender_digest == (4, words(1 << 63, 0, 0xDEADBEEF))
     assert isinstance(q2.sender_digest, tuple)
-    assert isinstance(q2.sender_digest[1], tuple)
+    assert type(q2.sender_digest[1]) is bytes  # immutable: it is shared
     assert q2.adverts[0].node == 9 and q2.adverts[0].server == 4
 
 
@@ -184,7 +187,7 @@ def test_digest_travels_once_per_version_with_tables():
     a, b = decode_message(first, seen), decode_message(second, seen)
     assert a.sender_digest == b.sender_digest == q.sender_digest
     assert b.sender_digest is a.sender_digest  # expanded from the table
-    q.sender_digest = (5, (1, 2, 3))  # a mutation bumps the version
+    q.sender_digest = (5, words(1, 2, 3))  # a mutation bumps the version
     assert encode_message(q, sent) == encode_message(q)
     assert (sent.n_full, sent.n_elided) == (2, 1)
 
@@ -199,7 +202,7 @@ def test_version_only_digest_needs_the_matching_table_entry():
     with pytest.raises(FrameError, match="holds nothing"):
         decode_message(marker, DigestTable())
     stale = DigestTable()
-    stale.snaps[q.sender] = (3, (0, 0, 0))
+    stale.snaps[q.sender] = (3, words(0, 0, 0))
     with pytest.raises(FrameError, match="holds version 3"):
         decode_message(marker, stale)
 
@@ -214,7 +217,7 @@ def test_tables_in_step_decode_what_a_stateless_link_would(script):
     for sid, version, as_response in script:
         q = make_query()
         q.sender = sid
-        snap = (version, (sid, version, 7))
+        snap = (version, words(sid, version, 7))
         if as_response:
             msg = ResponseMessage(q, resolver=sid, dest_map=[sid])
             msg.sender_digest = snap
@@ -224,6 +227,76 @@ def test_tables_in_step_decode_what_a_stateless_link_would(script):
         got = decode_message(encode_message(msg, sent), seen)
         assert state(got) == state(decode_message(encode_message(msg)))
     assert sent.snaps == seen.snaps
+
+
+# ----------------------------------------------------------------------
+# the snapshot's bytes are the digest field's body
+# ----------------------------------------------------------------------
+
+#: ``encode_message(make_query())`` as the parent of issue 19 wrote it,
+#: one ``struct.pack`` per u64 word of a word-tuple snapshot
+GOLDEN_QUERY = bytes.fromhex(
+    "0107000000000000002a00000001000000000000000000c03f03000000050000"
+    "00000000000000e83f0100000009000000"
+    "01" "0400000000000000" "03000000"  # full form, version 4, 3 words
+    "0000000000000080" "0000000000000000" "efbeadde00000000"
+    "0300000001000000020000000300000002000000030000000100000005000000"
+    "02000000010000000900000004000000"
+)
+
+
+def test_golden_query_frame_is_byte_identical():
+    assert encode_message(make_query()) == GOLDEN_QUERY
+    assert state(decode_message(GOLDEN_QUERY)) == state(make_query())
+
+
+def test_a_vector_is_appended_not_packed_word_by_word():
+    """Pins the cost: the encoder adds ``len(vector)`` bytes for a
+    vector it was handed and keeps that very object in the link table;
+    no per-word ``struct`` format is left to build one from."""
+    vector = words(1 << 63, 0, 0xDEADBEEF)
+    snap = (4, vector)
+    sent, out = DigestTable(), bytearray()
+    codec._w_digest(out, snap, 5, sent)
+    assert len(out) == 1 + 12 + len(vector) and out[13:] == vector
+    assert sent.snaps[5] is snap
+    again = bytearray()
+    codec._w_digest(again, snap, 5, sent)  # forwarded twice: its version
+    assert len(again) == 1 + 8
+    got, end = codec._r_digest(bytes(out), 0, 5, None)
+    assert got == snap and end == len(out) and type(got[1]) is bytes
+    assert not re.search(r"\}Q\"", inspect.getsource(codec))
+
+
+def test_a_vector_that_is_not_whole_words_is_refused():
+    q = make_query()
+    for n in (1, 7, 9, 23):
+        q.sender_digest = (4, bytes(n))
+        sent = DigestTable()
+        with pytest.raises(CodecError, match="whole u64 words"):
+            encode_message(q, sent)
+        assert sent.snaps == {} and sent.n_full == 0  # table untouched
+
+
+def test_n_words_field_mutations_never_yield_a_short_vector():
+    """``bytes(buf[off:end])`` cannot raise on a short buffer the way
+    ``unpack_from`` did: the bound is checked, and a frame whose word
+    count lies is a ``FrameError``, never a vector of another length."""
+    payload = encode_message(make_query())
+    at = GOLDEN_QUERY.index(bytes.fromhex("03000000000000000000008000"))
+    assert payload[at:at + 4] == (3).to_bytes(4, "little")
+    for n in (0, 1, 2, 4, 5, 255, 2 ** 16, 2 ** 31, 2 ** 32 - 1):
+        mutant = payload[:at] + n.to_bytes(4, "little") + payload[at + 4:]
+        with pytest.raises(FrameError):
+            decode_message(mutant)
+        with pytest.raises(FrameError):
+            decode_message(mutant, DigestTable())
+        # the claimed words cut off at every point inside the vector
+        for cut in range(at + 4, len(mutant)):
+            with pytest.raises(FrameError):
+                decode_message(mutant[:cut])
+    with pytest.raises(CodecError, match="truncated digest vector"):
+        codec._r_digest(payload[:at + 4 + 23], at - 9, 5, None)
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +349,7 @@ def corpus():
     q = make_query()
     resp = ResponseMessage(make_query(), resolver=2, dest_map=[2, 0],
                            meta_version=5)
-    resp.sender_digest = (9, (1, 2))
+    resp.sender_digest = (9, words(1, 2))
     payload = ReplicaPayload(9, 2, [1, 2], {8: [1], 10: [2]}, make_meta())
     reply = DataReply(1, 42, 3)
     reply.data, reply.meta, reply.redirect_map = "héllo", make_meta(), [4]

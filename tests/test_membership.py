@@ -155,9 +155,20 @@ class TestAddServer:
         sid = add_server(system, sorted(system.peers[0].owned)[:1])
         joiner = system.peers[sid]
         node = next(iter(joiner.owned))
-        snap = joiner.digest.snapshot()
-        # an old peer can evaluate the joiner's snapshot
-        assert system.peers[1].digest.test_snapshot(snap, node)
+        old = system.peers[1]
+        # built by the fleet's one constructor: same geometry, same
+        # position cache, nothing reached into from outside
+        assert joiner.digest.bloom.geometry == old.digest.bloom.geometry
+        assert joiner.digest.bloom.pos_cache is old.digest.bloom.pos_cache
+        assert joiner.digest.owner_server == sid
+        # an old peer can evaluate the joiner's snapshot ...
+        assert old.digest_dir.observe(sid, joiner.digest.snapshot())
+        assert old.digest_dir.test(sid, node) is True
+        # ... and the joiner an old peer's
+        theirs = next(iter(old.owned))
+        assert joiner.digest_dir.observe(old.sid, old.digest.snapshot())
+        assert joiner.digest_dir.test(old.sid, theirs) is True
+        assert old.digest_dir.n_rejected == joiner.digest_dir.n_rejected == 0
 
     def test_workload_spans_new_server(self):
         ns, system = make()

@@ -3,6 +3,7 @@
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
+from repro.net.message import QueryMessage
 from repro.server.peer import AdvertMessage
 
 
@@ -258,3 +259,31 @@ class TestUnpinHostedRegression:
         assert p.sid in p.maps[owned]
         from repro.server.state import audit_peer
         audit_peer(p)
+
+
+class TestWrongLengthDigest:
+    def test_refused_on_arrival_and_the_peer_keeps_serving(self):
+        """A well-formed query whose piggybacked digest is one word long
+        (the codec round-trips it) must not reach ``digest_shortcut``:
+        probing it with the fleet's positions raised out of
+        ``_finish_service`` before ``in_service`` was cleared, and the
+        peer never served another query."""
+        ns, system = make(n_servers=8)
+        p = system.peers[3]
+        remote = [v for v in range(len(ns)) if not p.hosts(v)]
+        q = QueryMessage(10**6, remote[0], 0, 0.0)
+        q.sender = 0
+        q.sender_digest = (10**9, bytes(8))
+        p.deliver(q)
+        system.engine.run(until=5.0)
+        assert p.digest_dir.n_rejected == 1
+        assert p.digest_dir.get(0) is None
+        assert not p.in_service and p.n_processed == 1
+        # the parent commit raised IndexError out of the third of these
+        # decisions, the first to probe the stored one-word vector
+        for i, dest in enumerate(remote[1:40]):
+            system.inject(3, dest)
+            system.engine.run(until=6.0 + i)
+        assert p.n_processed >= 40 and not p.in_service
+        assert system.stats.n_completed == 40  # the scripted one included
+        assert sum(x.digest_dir.n_rejected for x in system.peers) == 1

@@ -35,6 +35,7 @@ from repro.sim.shardcodec import (
     encode_step_reply,
     encode_step_request,
 )
+from tests.test_frame import GOLDEN_QUERY, make_query
 from tests.wire_strategies import (
     i32,
     i64,
@@ -44,6 +45,7 @@ from tests.wire_strategies import (
     times,
     u16,
     u64,
+    words,
 )
 
 entries = st.lists(
@@ -157,6 +159,62 @@ class TestRejection:
     def test_garbage_bytes(self):
         with pytest.raises(ShardCodecError):
             decode_batch(b"\xde\xad\xbe\xef" * 8)
+
+
+class TestDigestBearingBatch:
+    """A batch record whose body carries a digest vector: the bytes the
+    parent of issue 19 wrote, and nothing but ``ShardCodecError`` out of
+    any damaged copy."""
+
+    #: ``encode_batch([(0.5, 1, 2, 3, make_query())])`` on that parent
+    GOLDEN = bytes.fromhex(
+        "53445031" "01000000" "000000000000e03f" "0100"
+        "0200000000000000" "03000000" "01" "85000000"
+    ) + GOLDEN_QUERY[1:]
+
+    def _batch(self):
+        probe = ProbeMessage(session=7, src=1, src_load=0.25)
+        return encode_batch(
+            [(0.5, 1, 2, 3, make_query()), (1.5, 0, 3, 2, probe)]
+        )
+
+    def test_golden_batch_is_byte_identical(self):
+        assert encode_batch([(0.5, 1, 2, 3, make_query())]) == self.GOLDEN
+        ((at, src, seq, dest, msg),) = decode_batch(self.GOLDEN)
+        assert (at, src, seq, dest) == (0.5, 1, 2, 3)
+        assert state(msg) == state(make_query())
+        assert type(msg.sender_digest[1]) is bytes
+
+    def test_truncation_at_every_offset(self):
+        frame = self._batch()
+        for cut in range(len(frame)):
+            with pytest.raises(ShardCodecError):
+                decode_batch(frame[:cut])
+            with pytest.raises(ShardCodecError):
+                decode_batch(memoryview(frame)[:cut])
+
+    def test_n_words_field_mutations(self):
+        frame = self._batch()
+        at = frame.index(words(1 << 63)) - 4
+        assert frame[at:at + 4] == (3).to_bytes(4, "little")
+        for n in (0, 1, 2, 4, 5, 6, 255, 2 ** 31, 2 ** 32 - 1):
+            mutant = frame[:at] + n.to_bytes(4, "little") + frame[at + 4:]
+            with pytest.raises(ShardCodecError):
+                decode_batch(mutant)
+
+    def test_every_byte_flipped_decodes_or_raises_its_own_error(self):
+        frame = self._batch()
+        for i in range(len(frame)):
+            for mask in (0x01, 0x80, 0xFF):
+                mutant = bytearray(frame)
+                mutant[i] ^= mask
+                try:
+                    for entry in decode_batch(bytes(mutant)):
+                        snap = getattr(entry[4], "sender_digest", None)
+                        if snap is not None:
+                            assert len(snap[1]) % 8 == 0
+                except ShardCodecError:
+                    pass  # any other type propagates and fails the test
 
 
 # ---------------------------------------------------------------------------

@@ -36,15 +36,16 @@ from repro.runtime.async_runtime import AsyncRuntime
 from repro.runtime.async_service import LiveService, build_live_system
 from repro.runtime.async_wire import AsyncWire, uds_addresses
 from tests.test_live_conformance import _start_scripted_peer
+from tests.wire_strategies import words
 
-WORDS_A = (1, 2, 3)
-WORDS_B = (7, 8, 9)
+WORDS_A = words(1, 2, 3)
+WORDS_B = words(7, 8, 9)
 
 
-def query(qid, sender, version, words=WORDS_A):
+def query(qid, sender, version, vector=WORDS_A):
     q = QueryMessage(qid, 9, sender, 0.0)
     q.sender = sender
-    q.sender_digest = (version, words)
+    q.sender_digest = (version, vector)
     return q
 
 
@@ -279,25 +280,28 @@ LEVELS = 6
 
 
 class Cluster:
-    """A 4-peer live cluster over UDS plus one client per peer."""
+    """A live cluster (4 peers) over UDS plus one client per peer."""
 
-    def __init__(self, sock_dir, **cfg):
-        self.sock_dir, self.cfg = sock_dir, cfg
+    def __init__(self, sock_dir, n_servers=N_SERVERS, **cfg):
+        self.sock_dir, self.n_servers, self.cfg = sock_dir, n_servers, cfg
 
     async def __aenter__(self):
         loop = asyncio.get_running_loop()
         cfg = SystemConfig.replicated(
-            n_servers=N_SERVERS, seed=7, cache_slots=8, **self.cfg
+            n_servers=self.n_servers, seed=7, cache_slots=8, **self.cfg
         )
         self.ns = balanced_tree(levels=LEVELS)
-        addresses = uds_addresses(self.sock_dir, N_SERVERS)
+        addresses = self.addresses = uds_addresses(
+            self.sock_dir, self.n_servers
+        )
         self.rt = AsyncRuntime(loop)
         self.wire = AsyncWire(loop, addresses)
         self.system = build_live_system(self.ns, cfg, self.rt, self.wire)
         LiveService(self.system, lookup_deadline=10.0).attach(self.wire)
         await self.wire.start_listeners()
         self.conns = [
-            HomeConnection(loop, addresses[sid]) for sid in range(N_SERVERS)
+            HomeConnection(loop, addresses[sid])
+            for sid in range(self.n_servers)
         ]
         for conn in self.conns:
             await conn.connect()
@@ -369,6 +373,42 @@ def test_version_bump_sends_the_snapshot_in_full_exactly_once_per_link():
     bumped = [c for c in carried if c[1] == 1 and c[2] == after]
     assert len(bumped) > len(set(bumped)) > 0  # re-sent full, then elided
     assert counters["n_frame_errors"] == 0
+
+
+def test_wrong_length_digest_frame_leaves_the_cluster_answering():
+    """One well-formed frame whose digest vector is not the fleet's
+    length: the receiving peer refuses the snapshot, serves the query
+    that carried it, and goes on serving (on the parent of issue 19 the
+    vector was stored and the first decision to probe it raised inside
+    ``_finish_service``: that peer never answered again)."""
+    async def go():
+        with tempfile.TemporaryDirectory() as sock_dir:
+            async with Cluster(sock_dir, n_servers=3,
+                               service_mean=1e-4) as c:
+                victim = c.system.peers[1]
+                n_nodes = 2 ** (LEVELS + 1) - 1
+                remote = [v for v in range(1, n_nodes) if not victim.hosts(v)]
+                bad = query(10**6, 0, 10**9, words(0))
+                bad.dest = remote[0]
+                _, writer = await asyncio.open_unix_connection(
+                    c.addresses[1][1]
+                )
+                writer.write(encode_frame(bad))
+                await until(lambda: victim.n_processed == 1)
+                for node in remote[1:31]:
+                    for src in range(3):
+                        await c.lookup(src, node)
+                writer.close()
+                return (
+                    [p.digest_dir.n_rejected for p in c.system.peers],
+                    victim.digest_dir.get(0), victim.in_service,
+                    c.wire.n_frame_errors,
+                )
+
+    rejected, held, in_service, frame_errors = asyncio.run(go())
+    assert rejected == [0, 1, 0] and not in_service and frame_errors == 0
+    # what peer 1 holds for peer 0 came from peer 0, at a real version
+    assert held is None or held[0] < 10**9
 
 
 def _directories_after_trace(sock_dir):

@@ -5,6 +5,8 @@ Shared by ``tests/test_frame.py`` (the live framing) and
 :mod:`repro.net.codec`'s bodies, so both draw their messages here.
 """
 
+import struct
+
 from hypothesis import strategies as st
 
 from repro.namespace.meta import NodeMeta
@@ -39,8 +41,16 @@ int_lists = st.lists(i32, max_size=6)
 pair_lists = st.lists(st.tuples(i32, i32), max_size=6)
 short_text = st.text(max_size=12)
 
+
+
+def words(*u64s):
+    """A digest vector holding ``u64s``: their little-endian bytes."""
+    return struct.pack(f"<{len(u64s)}Q", *u64s)
+
+
+# a vector is whole u64 words on the wire (``_w_digest`` refuses less)
 digests = st.none() | st.tuples(
-    i64, st.lists(u64, max_size=6).map(tuple)
+    i64, st.lists(u64, max_size=6).map(lambda ws: words(*ws))
 )
 
 

@@ -12,7 +12,8 @@
 #   make profile      run fig3 under the event-loop profiler
 #   make bench-micro  hot-path events/sec vs the committed BENCH_micro.json
 #   make bench-selfcheck  the repo benchmark's own tests (bench/tests, ~30 s)
-#   make mem          build both 10^6-node namespaces under the 2 GB RSS budget
+#   make mem          build both 10^6-node namespaces under the 2 GB RSS budget,
+#                     and a 131 071-node / 256-server fleet under 200 MB
 #   make shard-check  sharded runs bit-identical to serial, events within 5 %
 #   make serve-smoke  live 5-peer UDS cluster + AIMD client (capacity.json)
 #   make det-lint     determinism/shard-safety AST lint (python -m repro lint)
@@ -53,6 +54,7 @@ bench-selfcheck:
 
 mem:
 	$(PYTHON) -m repro mem-smoke
+	$(PYTHON) -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 200
 
 shard-check:
 	$(PYTHON) -m repro shard-check --shards 1,2,4

@@ -9,8 +9,9 @@
   the event-loop profiler (see :mod:`repro.sim.profile`);
 * ``python -m repro bench-micro [--out F] [--check BASELINE]`` -- the
   NullSink micro-benchmark (see :mod:`repro.experiments.bench_micro`);
-* ``python -m repro mem-smoke [--nodes N] [--budget-mb MB]`` -- the
-  million-node namespace build smoke under an RSS budget
+* ``python -m repro mem-smoke [--nodes N] [--servers N] [--budget-mb MB]``
+  -- the million-node namespace build smoke, or with ``--servers`` a
+  whole fleet build, under an RSS budget
   (see :mod:`repro.experiments.mem_smoke`);
 * ``python -m repro shard-check [--shards 1,4]`` -- verify sharded
   windowed runs are bit-identical to the serial engine and dispatch

@@ -109,8 +109,7 @@ def _populate_system(
     # ownership and routing contexts
     for sid in sids:
         peer = system.peers[sid]
-        for node in owned_by[sid]:
-            peer.adopt_node(node)
+        peer.adopt_nodes(owned_by[sid])
         for node in owned_by[sid]:
             for nbr in ns.neighbors(node):
                 peer.pin(nbr, (owner_list[nbr],))
@@ -132,13 +131,16 @@ def _populate_system(
     if cfg.bootstrap_known_peers > 0 and cfg.n_servers > 1:
         boot_rng = random.Random(cfg.seed ^ 0x5EED0B00)
         k = min(cfg.bootstrap_known_peers, cfg.n_servers - 1)
+        # "every server but sid" as range(n - 1) with the indices from
+        # sid on shifted up: sample() draws positions, so the picks are
+        # those of the materialised list, without building n of them
+        everyone_else = range(cfg.n_servers - 1)
         for sid in range(cfg.n_servers):
-            others = [s for s in range(cfg.n_servers) if s != sid]
-            picks = boot_rng.sample(others, k)
+            picks = boot_rng.sample(everyone_else, k)
             peer = system.peers[sid] if sid < len(system.peers) else None
             if peer is not None:
-                for s in picks:
-                    peer.known_loads[s] = (0.0, 0.0)
+                for i in picks:
+                    peer.known_loads[i if i < sid else i + 1] = (0.0, 0.0)
 
 
 def build_system(

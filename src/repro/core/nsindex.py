@@ -9,28 +9,42 @@ installed or evicted.  (The LRU cache asks the same question of 16-26
 entries it rewrites several times per message, so it keeps no index
 and is scanned instead: :func:`repro.core.routing.scan_cache`.)
 
-:class:`AncestorIndex` answers it in O(depth(dest)) dict probes by
-bucketing members under every node of their ancestor chain.  For a
-member ``v`` and destination ``t``, the namespace distance is
+For a member ``v`` and destination ``t``, the namespace distance is
 
     d(v, t) = depth(v) + depth(t) - 2 * lca_depth(v, t)
 
 and ``lca(v, t)`` is always on ``t``'s (precomputed) ancestor chain.
-Walking that chain deepest-first, the bucket at ancestor ``a`` (depth
-``da``) contains exactly the members with ``lca_depth(v, t) >= da``,
-and its best contribution is its minimum-depth member.  So the closest
-member overall is found by probing ``depth(t) + 1`` buckets -- the
-state size never appears in the per-hop cost.
+Call the members under an ancestor ``a`` its *bucket*: walking ``t``'s
+chain deepest-first, the bucket at ancestor ``a`` (depth ``da``)
+contains exactly the members with ``lca_depth(v, t) >= da``, and its
+best contribution is its minimum-depth member.  So the closest member
+is found from one bucket minimum per level of ``t``'s chain.
+
+**Layout.**  :class:`AncestorIndex` keeps the minima in flat arrays, no
+container per ancestor.  Members are held sorted by depth-first rank
+(:attr:`Namespace.preorder <repro.namespace.tree.Namespace.preorder>`),
+under which every subtree -- every bucket -- is one contiguous run of
+members, and each member owns one *row* of ``max_depth + 1`` cells:
+cell ``k`` names the least member, by ``(depth, seq)``, of the bucket
+at the member's depth-``k`` ancestor.  Every member of a bucket carries
+the bucket's minimum, so any one of them can answer for it.
+
+**Rank-neighbour lemma.**  Ranked between two members, ``t`` shares
+its deepest ancestor-with-a-member with one of those two: the members
+under any ancestor of ``t`` form a run of ranks that contains or abuts
+``t``'s own rank, so a non-empty bucket always holds the member just
+before or just after it.  :meth:`closest` therefore bisects the rank
+array once, bisects the common chain prefix of ``t`` and each
+neighbour, and walks the better neighbour's row from that depth up;
+every deeper bucket on ``t``'s chain is empty.
 
 **Determinism contract.**  A scan breaks ties by "first member in
 iteration order at a strictly smaller distance" -- hosted-list
 position for the replica store.  The winner is therefore the member
 minimising the pair ``(distance, position)`` lexicographically.  The
 index reproduces this exactly by stamping every member with a
-monotonically increasing *sequence number* (re-stamped on
-:meth:`touch`, the ``move_to_end`` of an ordered collection) and
-keeping each bucket as a lazy min-heap ordered by ``(depth, seq)``.
-Why per-bucket ``(depth, seq)`` minima suffice:
+monotonically increasing *sequence number* on :meth:`add` and keeping
+``(depth, seq)`` minima per bucket.  Why those minima suffice:
 
 * within one bucket, only minimum-depth members can attain the
   bucket's best distance (deeper members are strictly farther *at this
@@ -45,26 +59,20 @@ Why per-bucket ``(depth, seq)`` minima suffice:
   ``depth(t) - da > best`` can neither improve nor tie and the walk
   stops at ``da = depth(t) - best``.
 
-Stale heap entries (from :meth:`touch` re-stamps and :meth:`remove`)
-are discarded lazily against the member table and compacted when a
-bucket's heap grows past a small multiple of its live membership, so
-all mutations stay O(depth) amortised.
-
-**Memory.**  Deep in the tree most ancestors index exactly one member
-(a member's near-ancestors are rarely shared), so single-member
-buckets are stored as the bare entry tuple ``(depth, seq, node)``
-instead of the general ``[heap, live]`` pair -- two fewer container
-objects per bucket.  A tuple bucket is always live and current:
-:meth:`touch` replaces it in place and :meth:`remove` deletes the
-key, so the query path needs no staleness check for it.  At the
-million-node scale this representation carries the bulk of the
-index's buckets (DESIGN.md section 11).
+**Writes.**  :meth:`add` copies the shared part of its row from the
+neighbour the lemma names, then sweeps outward over the members of the
+buckets the newcomer becomes the minimum of (it carries the newest
+stamp, so only where it is strictly shallowest).  :meth:`remove` drops
+the member's row and marks the rest stale: the next read recomputes
+every row in one O(members * depth) sweep, so a burst of evictions
+pays for one.  :meth:`extend` is that sweep over a whole batch.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Tuple
+from array import array
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Iterable, Iterator, Tuple
 
 if TYPE_CHECKING:
     from repro.namespace.tree import Namespace
@@ -72,25 +80,36 @@ if TYPE_CHECKING:
 #: "no bound" initial distance for :meth:`AncestorIndex.closest`.
 NO_BOUND = 1 << 30
 
-# bucket layout, two representations keyed by type:
-#   tuple          -- a single live member's entry (depth, seq, node);
-#                     never stale (touch replaces, remove deletes)
-#   [heap, live]   -- general form: lazy min-heap of entry tuples plus
-#                     the live-member count
-_HEAP = 0
-_LIVE = 1
+
+def _shared_depth(arena: array, oa: int, ob: int, lo: int, hi: int) -> int:
+    """Deepest level in ``lo..hi`` at which two ancestor chains agree.
+
+    The chains start at arena offsets ``oa`` and ``ob``, both reach
+    level ``hi``, and agree at ``lo``.  Chains that part never rejoin,
+    so agreement is a prefix and bisection finds its end.
+    """
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if arena[oa + mid] == arena[ob + mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 class AncestorIndex:
-    """Incrementally maintained ancestor -> candidate-bucket map.
+    """Per-member rows of bucket minima over a rank-sorted member set.
 
     Mirrors an ordered member collection (the hosted list):
-    :meth:`add` appends at the back, :meth:`touch` moves a member to
-    the back, :meth:`remove` deletes.  :meth:`closest` answers
-    closest-member queries in O(depth(dest)).
+    :meth:`add` and :meth:`extend` append at the back, :meth:`remove`
+    deletes.  :meth:`closest` answers closest-member queries in
+    O(log members + depth(dest)).
     """
 
-    __slots__ = ("_arena", "_off", "_depth", "_buckets", "_members", "_seq")
+    __slots__ = (
+        "_arena", "_off", "_depth", "_pre", "_width",
+        "_ranks", "_nodes", "_seqs", "_rows", "_seq", "_stale",
+    )
 
     def __init__(self, ns: "Namespace", members: Iterable[int] = ()) -> None:
         # ancestor chains are read straight out of the namespace's flat
@@ -99,127 +118,251 @@ class AncestorIndex:
         self._arena = ns.anc_arena
         self._off = ns.anc_off
         self._depth = ns.depth
-        # namespace node id -> [heap, live count]
-        self._buckets: Dict[int, list] = {}
-        # member node id -> current (valid) sequence stamp
-        self._members: Dict[int, int] = {}
+        self._pre = ns.preorder
+        self._width: int = ns.max_depth + 1
+        # parallel columns, one entry per member, ascending by rank
+        self._ranks = array("i")
+        self._nodes = array("i")
+        self._seqs = array("i")
+        # member i's row is _rows[i * _width:(i + 1) * _width]; cells
+        # past the member's own depth are never read
+        self._rows = array("i")
         self._seq = 0
-        for v in members:
-            self.add(v)
+        # set by remove(): rows may name a member that is gone
+        self._stale = False
+        self.extend(members)
 
     # ------------------------------------------------------------------
     # membership mirror
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._nodes)
 
     def __contains__(self, node: int) -> bool:
-        return node in self._members
+        return self._position(node) >= 0
 
     def nodes(self) -> Iterator[int]:
         """Live members, in no particular order."""
-        return iter(self._members)
+        return iter(self._nodes)
+
+    def _position(self, node: int) -> int:
+        """``node``'s index in the member columns, or -1 if absent."""
+        ranks = self._ranks
+        r = self._pre[node]
+        i = bisect_left(ranks, r)
+        if i < len(ranks) and ranks[i] == r:
+            return i
+        return -1
+
+    def _neighbour(self, node: int, i: int) -> Tuple[int, int]:
+        """Position of the member sharing the deepest ancestor with
+        ``node``, and that ancestor's depth.
+
+        ``i`` is where ``node``'s rank bisects the members, so by the
+        rank-neighbour lemma the member is at ``i - 1`` or at ``i``;
+        the index must not be empty.
+        """
+        arena = self._arena
+        off = self._off
+        nodes = self._nodes
+        o_node = off[node]
+        d_node = off[node + 1] - o_node - 1
+        pos = i if i < len(nodes) else i - 1
+        o = off[nodes[pos]]
+        hi = off[nodes[pos] + 1] - o - 1
+        lca = _shared_depth(arena, o, o_node, 0,
+                            hi if hi < d_node else d_node)
+        if 0 < i == pos:
+            # the other neighbour matters only if it shares more
+            o = off[nodes[i - 1]]
+            hi = off[nodes[i - 1] + 1] - o - 1
+            if hi > d_node:
+                hi = d_node
+            if hi > lca and arena[o + lca + 1] == arena[o_node + lca + 1]:
+                return i - 1, _shared_depth(arena, o, o_node, lca + 1, hi)
+        return pos, lca
 
     def add(self, node: int) -> None:
         """Append ``node`` at the back of the mirrored order."""
-        if node in self._members:
+        ranks = self._ranks
+        r = self._pre[node]
+        i = bisect_left(ranks, r)
+        if i < len(ranks) and ranks[i] == r:
             raise ValueError(f"node {node} already indexed")
         self._seq += 1
-        seq = self._seq
-        self._members[node] = seq
-        entry = (self._depth[node], seq, node)
-        buckets = self._buckets
+        width = self._width
+        # alone in every bucket below the deepest shared ancestor
+        row = array("i", (node,)) * width
+        if ranks and not self._stale:
+            pos, lca = self._neighbour(node, i)
+            rows = self._rows
+            base = pos * width
+            row[:lca + 1] = rows[base:base + lca + 1]
+            # buckets grow towards the root and their minima only get
+            # shallower, so the levels node takes over (newest stamp:
+            # strictly shallower only) are one run k0..lca
+            depth = self._depth
+            d_node = depth[node]
+            k0 = lca + 1
+            while k0 and d_node < depth[row[k0 - 1]]:
+                k0 -= 1
+            if k0 <= lca:
+                row[k0:lca + 1] = array("i", (node,)) * (lca + 1 - k0)
+                self._take_over(node, i - 1, -1, k0, lca)
+                self._take_over(node, i, 1, k0, lca)
+        ranks.insert(i, r)
+        self._nodes.insert(i, node)
+        self._seqs.insert(i, self._seq)
+        self._rows[i * width:i * width] = row
+
+    def _take_over(
+        self, node: int, j: int, step: int, k0: int, top: int
+    ) -> None:
+        """Name ``node`` the minimum at levels ``k0..top`` in the rows
+        of the members from position ``j`` outward in direction
+        ``step``, as far as they share those ancestors with it.
+
+        Members farther out in rank share ever shallower ancestors with
+        ``node``, so ``top`` only falls and the sweep ends at the first
+        member outside the depth-``k0`` ancestor's subtree.
+        """
         arena = self._arena
-        for i in range(self._off[node], self._off[node + 1]):
-            a = arena[i]
-            b = buckets.get(a)
-            if b is None:
-                buckets[a] = entry
-            elif type(b) is tuple:
-                heap = [b]
-                heappush(heap, entry)
-                buckets[a] = [heap, 2]
-            else:
-                heappush(b[_HEAP], entry)
-                b[_LIVE] += 1
+        off = self._off
+        nodes = self._nodes
+        rows = self._rows
+        width = self._width
+        o_node = off[node]
+        n = len(nodes)
+        while 0 <= j < n:
+            o = off[nodes[j]]
+            reach = off[nodes[j] + 1] - o - 1
+            if top > reach:
+                top = reach
+            while top >= k0 and arena[o + top] != arena[o_node + top]:
+                top -= 1
+            if top < k0:
+                return
+            base = j * width
+            for k in range(base + k0, base + top + 1):
+                rows[k] = node
+            j += step
 
     def touch(self, node: int) -> None:
         """Move ``node`` to the back of the mirrored order.
 
-        No production caller since the cache stopped mirroring its LRU
-        order here (the hosted list never reorders); kept because
-        ``bench/tracer.py`` patches it by name (see ROADMAP item C).
+        No production caller (the hosted list never reorders); kept
+        because ``bench/tracer.py`` patches it by name (see ROADMAP
+        item C).
         """
-        members = self._members
-        cur = members.get(node)
-        if cur is None:
-            return
-        if cur == self._seq:
-            # already the most recently stamped member: re-stamping
-            # cannot change relative order, so skip the heap pushes
-            # (the common case under skewed workloads -- repeated hits
-            # on the hottest entry)
-            return
-        self._seq += 1
-        seq = self._seq
-        members[node] = seq
-        entry = (self._depth[node], seq, node)
-        buckets = self._buckets
-        arena = self._arena
-        for i in range(self._off[node], self._off[node + 1]):
-            a = arena[i]
-            b = buckets[a]
-            if type(b) is tuple:
-                # the bucket's only live member is ``node`` itself:
-                # replace the entry in place, nothing goes stale
-                buckets[a] = entry
-                continue
-            heap = b[_HEAP]
-            heappush(heap, entry)
-            if len(heap) > 32 and len(heap) > 4 * b[_LIVE]:
-                self._compact(a, b)
+        if node in self:
+            self.remove(node)
+            self.add(node)
 
     def remove(self, node: int) -> None:
         """Drop ``node`` from the index (no-op if absent)."""
-        if self._members.pop(node, None) is None:
+        i = self._position(node)
+        if i < 0:
             return
-        buckets = self._buckets
-        arena = self._arena
-        for i in range(self._off[node], self._off[node + 1]):
-            a = arena[i]
-            b = buckets[a]
-            if type(b) is tuple:
-                del buckets[a]
-                continue
-            b[_LIVE] -= 1
-            if b[_LIVE] == 0:
-                del buckets[a]
-            else:
-                heap = b[_HEAP]
-                if len(heap) > 32 and len(heap) > 4 * b[_LIVE]:
-                    self._compact(a, b)
+        width = self._width
+        del self._ranks[i], self._nodes[i], self._seqs[i]
+        del self._rows[i * width:(i + 1) * width]
+        self._stale = True
 
     def clear(self) -> None:
-        self._buckets.clear()
-        self._members.clear()
+        del self._ranks[:], self._nodes[:], self._seqs[:], self._rows[:]
+        self._stale = False
 
     def rebuild(self, ordered_members: Iterable[int]) -> None:
         """Reset to exactly ``ordered_members`` in iteration order."""
         self.clear()
-        for v in ordered_members:
-            self.add(v)
+        self.extend(ordered_members)
 
-    def _compact(self, a: int, b: list) -> None:
-        members = self._members
-        heap = b[_HEAP]
-        heap[:] = [e for e in heap if members.get(e[2]) == e[1]]
-        if len(heap) == 1:
-            # shrunk back to a single live member: demote to the
-            # compact tuple representation
-            self._buckets[a] = heap[0]
-        else:
-            heapify(heap)
+    def extend(self, members: Iterable[int]) -> None:
+        """Append ``members``, in iteration order, at the back of the
+        mirrored order: one sort and one row sweep for the batch."""
+        pre = self._pre
+        entries = list(zip(self._ranks, self._nodes, self._seqs))
+        seq = self._seq
+        for v in members:
+            seq += 1
+            entries.append((pre[v], v, seq))
+        if seq == self._seq:
+            return
+        entries.sort()
+        ranks, nodes, seqs = (array("i", col) for col in zip(*entries))
+        for i in range(1, len(ranks)):
+            if ranks[i] == ranks[i - 1]:
+                raise ValueError(f"node {nodes[i]} already indexed")
+        self._seq = seq
+        self._ranks, self._nodes, self._seqs = ranks, nodes, seqs
+        self._fill_rows()
+
+    def _fill_rows(self) -> None:
+        """Recompute every row: one sweep over the members in rank order.
+
+        Rows start out naming their own member in every cell, which is
+        final for the buckets that hold one member.  A bucket of more
+        is a run of consecutive members, so the sweep keeps, per level,
+        where the open shared bucket on the current chain began and its
+        least member so far, and writes that member down the bucket's
+        column of cells when a member outside it arrives.
+        """
+        arena = self._arena
+        off = self._off
+        nodes = self._nodes
+        seqs = self._seqs
+        width = self._width
+        n = len(nodes)
+        rows = array("i", bytes(4 * width * n))
+        for k in range(width):
+            rows[k::width] = nodes
+        self._rows = rows
+        self._stale = False
+        if not n:
+            return
+        start = [0] * width
+        # the open bucket's least member per level, as three columns
+        least = [0] * width
+        least_depth = [0] * width
+        least_seq = [0] * width
+        top = -1  # levels 0..top hold an open bucket of several members
+        u = nodes[0]
+        o_u = off[u]
+        d_u = off[u + 1] - o_u - 1
+        for j in range(1, n):
+            v = nodes[j]
+            o = off[v]
+            d = off[v + 1] - o - 1
+            lca = _shared_depth(arena, o_u, o, 0, d if d < d_u else d_u)
+            # v is outside the open buckets below the shared ancestor
+            while top > lca:
+                s = start[top]
+                rows[s * width + top:j * width:width] = array(
+                    "i", (least[top],)) * (j - s)
+                top -= 1
+            # u was alone in its buckets from there down to the shared
+            # ancestor; v is their second member
+            while top < lca:
+                top += 1
+                start[top] = j - 1
+                least[top] = u
+                least_depth[top] = d_u
+                least_seq[top] = seqs[j - 1]
+            # v joins every open bucket; a minimum it cannot displace
+            # also stands in the larger buckets above
+            seq = seqs[j]
+            k = lca
+            while k >= 0 and (d < least_depth[k] or (
+                    d == least_depth[k] and seq < least_seq[k])):
+                least[k] = v
+                least_depth[k] = d
+                least_seq[k] = seq
+                k -= 1
+            u, o_u, d_u = v, o, d
+        for k in range(top + 1):
+            s = start[k]
+            rows[s * width + k::width] = array("i", (least[k],)) * (n - s)
 
     # ------------------------------------------------------------------
     # the query
@@ -232,53 +375,39 @@ class AncestorIndex:
         Matches such a scan bit-for-bit: minimum distance first, then
         earliest iteration-order position (see the module docstring).
         """
-        members = self._members
-        if not members:
+        ranks = self._ranks
+        if not ranks:
             return -1, best_d
-        buckets = self._buckets
-        arena = self._arena
-        o_dest = self._off[dest]
-        d_dest = self._off[dest + 1] - o_dest - 1
+        if self._stale:
+            self._fill_rows()
+        pos, da = self._neighbour(dest, bisect_left(ranks, self._pre[dest]))
+        rows = self._rows
+        depth = self._depth
+        base = pos * self._width
+        d_dest = depth[dest]
         best = -1
-        best_seq = 0
-        da = d_dest
         floor = d_dest - best_d
         if floor < 0:
             floor = 0
+        # every bucket deeper than da on dest's chain is empty
         while da >= floor:
-            b = buckets.get(arena[o_dest + da])
-            if b is not None:
-                if type(b) is tuple:
-                    # compact single-member bucket: always live
-                    depth_v, seq, v = b
-                else:
-                    heap = b[_HEAP]
-                    # discard stale heads (touched or removed members)
-                    while heap:
-                        top = heap[0]
-                        if members.get(top[2]) == top[1]:
-                            break
-                        heappop(heap)
-                    if not heap:
-                        da -= 1
-                        continue
-                    depth_v, seq, v = heap[0]
-                d = depth_v + d_dest - 2 * da
-                if d < best_d:
-                    best_d = d
-                    best = v
-                    best_seq = seq
-                    floor = d_dest - best_d
-                    if floor < 0:
-                        floor = 0
-                elif d == best_d and best >= 0 and seq < best_seq:
-                    best = v
-                    best_seq = seq
+            v = rows[base + da]
+            d = depth[v] + d_dest - 2 * da
+            if d < best_d:
+                best_d = d
+                best = v
+                floor = d_dest - best_d
+                if floor < 0:
+                    floor = 0
+            elif d == best_d and best >= 0 and (
+                    self._seqs[self._position(v)]
+                    < self._seqs[self._position(best)]):
+                best = v
             da -= 1
         return best, best_d
 
     def __repr__(self) -> str:
         return (
-            f"AncestorIndex(members={len(self._members)}, "
-            f"buckets={len(self._buckets)})"
+            f"AncestorIndex(members={len(self._nodes)}, "
+            f"width={self._width})"
         )

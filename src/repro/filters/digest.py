@@ -106,7 +106,7 @@ class DigestDirectory:
     The directory is read once per routing decision but mutates only
     when piggybacked snapshots arrive, so the eligible-snapshot list
     the digest shortcut probes is cached and invalidated by a directory
-    version counter (bumped on every stored/forgotten snapshot).
+    version counter (bumped on every stored snapshot).
     """
 
     __slots__ = ("positions", "_n_bytes", "_snaps", "max_peers", "version",
@@ -152,10 +152,6 @@ class DigestDirectory:
         snaps[server] = snap
         self.version += 1
         return True
-
-    def forget(self, server: int) -> None:
-        if self._snaps.pop(server, None) is not None:
-            self.version += 1
 
     def eligible_snaps(
         self, exclude: int, limit: int = 0

@@ -148,6 +148,7 @@ class Namespace:
         anc: per-node ancestor-chain view (root to the node, inclusive).
         anc_arena / anc_off: the flat ancestor arena and its offsets.
         child_arena / child_off: the flat CSR child arena and offsets.
+        preorder: depth-first rank per node (lazy; subtrees are ranges).
     """
 
     __slots__ = (
@@ -161,6 +162,7 @@ class Namespace:
         "child_off",
         "_label",
         "_levels",
+        "_preorder",
         "n_leaves",
         "max_depth",
     )
@@ -247,6 +249,7 @@ class Namespace:
                 leaves += 1
         self.n_leaves: int = leaves
         self._levels: Optional[List[array]] = None
+        self._preorder: Optional[array] = None
 
     # ------------------------------------------------------------------
     # basics
@@ -276,6 +279,36 @@ class Namespace:
                 levels[d].append(v)
             self._levels = levels
         return self._levels
+
+    @property
+    def preorder(self) -> array:
+        """Depth-first rank of every node, computed once on first use.
+
+        ``preorder[v]`` is ``v``'s position in a depth-first traversal
+        from the root, so the subtree of ``v`` is exactly the contiguous
+        rank range ``[preorder[v], preorder[v] + |subtree(v)|)`` -- what
+        lets :class:`repro.core.nsindex.AncestorIndex` find the members
+        under an ancestor by bisecting one sorted rank array.
+        """
+        if self._preorder is None:
+            par = self.parent
+            n = len(par)
+            # ids are parent-before-child, so one backward pass sums
+            # subtree sizes and one forward pass deals each child the
+            # next free rank range of its parent
+            size = array("i", (1,)) * n
+            for v in range(n - 1, 0, -1):
+                size[par[v]] += size[v]
+            rank = array("i", bytes(4 * n))
+            free = array("i", (1,)) * n  # next unassigned rank under v
+            for v in range(1, n):
+                p = par[v]
+                r = free[p]
+                rank[v] = r
+                free[p] = r + size[v]
+                free[v] = r + 1
+            self._preorder = rank
+        return self._preorder
 
     def nodes_at_depth(self, d: int) -> List[int]:
         """All node ids at depth ``d`` (ascending; cached as ``array('i')``)."""
@@ -568,6 +601,7 @@ class ArenaHandle:
         ns.children = _ArenaView(child_arena, child_off)
         ns._label = _LabelTable(self.uniques, label_ids)
         ns._levels = None
+        ns._preorder = None
         ns.n_leaves = self.n_leaves
         ns.max_depth = self.max_depth
         ns._arena_restore_extra(self.extra)

@@ -33,7 +33,16 @@ properties.
 
 from __future__ import annotations
 
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.load import BusyWindowLoadMeter
 from repro.core.maps import merge_maps
@@ -198,7 +207,7 @@ class Peer:
         """Hosted node ids, owned first then replicas (live view).
 
         Treat as read-only: membership changes must go through the
-        store (``adopt_node`` / ``install_replica`` / ``evict_replica``
+        store (``adopt_node(s)`` / ``install_replica`` / ``evict_replica``
         / ``store.untrack_owned``) so its ancestor index stays in sync.
         """
         return self.store.hosted_list
@@ -236,7 +245,9 @@ class Peer:
             for s in servers:
                 if s not in entry and len(entry) < self.cfg.rmap:
                     entry.append(s)
-            self.maps[node] = entry
+            # stored as an exact-size copy: a list grown by append
+            # carries four slots where most maps hold one server
+            self.maps[node] = entry[:]
         else:
             for s in servers:
                 if s not in cur and len(cur) < self.cfg.rmap:
@@ -261,14 +272,28 @@ class Peer:
             self.cache.put(node, entry)
 
     def adopt_node(self, node: int) -> None:
-        """Take ownership of ``node`` (builder wiring / membership API)."""
-        self.owned.add(node)
+        """Take ownership of ``node`` (membership API)."""
         self.store.track_owned(node)
+        self._wire_owned(node)
+
+    def adopt_nodes(self, nodes: Sequence[int]) -> None:
+        """Take ownership of ``nodes``, in order (builder wiring): one
+        bulk write of the store's index instead of one per node."""
+        self.store.track_owned_many(nodes)
+        for node in nodes:
+            self._wire_owned(node)
+
+    def _wire_owned(self, node: int) -> None:
+        """Everything adoption sets up outside the store, per node."""
+        self.owned.add(node)
         self.ranking.track(node)
         # the meta record is created on first access (version 0 either
         # way): nothing is materialised for the common never-written node
-        entry = self.maps.setdefault(node, [])
-        if self.sid not in entry:
+        entry = self.maps.get(node)
+        if entry is None:
+            # exact-size: growing an empty list over-allocates four slots
+            self.maps[node] = [self.sid]
+        elif self.sid not in entry:
             entry.insert(0, self.sid)
         if self.digest is not None:
             self.digest.add(node)

@@ -13,7 +13,7 @@ that state.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core.maps import merge_maps
 from repro.core.nsindex import AncestorIndex
@@ -88,6 +88,11 @@ class ReplicaStore:
         """Record a newly adopted owned node in the hosted list."""
         self.hosted_list.append(node)
         self.index.add(node)
+
+    def track_owned_many(self, nodes: Sequence[int]) -> None:
+        """Record a batch of adopted owned nodes, in order (the build)."""
+        self.hosted_list.extend(nodes)
+        self.index.extend(nodes)
 
     def untrack_owned(self, node: int) -> None:
         """Drop an owned node from the hosted list (ownership transfer).

@@ -27,6 +27,7 @@ def assert_equivalent(ns, got, samples=64, seed=3):
     assert got.max_depth == ns.max_depth
     assert list(got.parent) == list(ns.parent)
     assert list(got.depth) == list(ns.depth)
+    assert list(got.preorder) == list(ns.preorder)
     rng = random.Random(seed)
     nodes = [rng.randrange(len(ns)) for _ in range(samples)]
     for v in nodes:

@@ -155,13 +155,6 @@ class TestDirectory:
         assert ddir.get(2) is not None
         assert len(ddir) == 1
 
-    def test_forget(self, digests):
-        ref, d1, _ = digests
-        ddir = DigestDirectory(ref)
-        ddir.observe(1, d1.snapshot())
-        ddir.forget(1)
-        assert ddir.get(1) is None
-
     def test_eviction_tie_goes_to_the_first_stalest_in_arrival_order(self):
         """The victim is the first entry in directory (arrival) order
         holding the lowest version -- the tie-break the fingerprints
@@ -257,13 +250,3 @@ class TestEligibleSnaps:
         first = ddir.eligible_snaps(99)
         assert not ddir.observe(1, (0, new[1]))  # stale: rejected
         assert ddir.eligible_snaps(99) is first  # version unmoved
-
-    def test_forget_invalidates(self, digests):
-        ref, d1, _ = digests
-        ddir = DigestDirectory(ref)
-        ddir.observe(1, d1.snapshot())
-        first = ddir.eligible_snaps(99)
-        ddir.forget(1)
-        assert ddir.eligible_snaps(99) == []
-        ddir.forget(1)  # absent: version must not move spuriously
-        assert first == [(1, d1.snapshot()[1])]

@@ -71,3 +71,21 @@ class TestFmtBytes:
         assert fmt_bytes(1536) == "1.5 KiB"
         assert fmt_bytes(3 * 1024**2) == "3.0 MiB"
         assert fmt_bytes(2 * 1024**3) == "2.0 GiB"
+
+
+class TestMemSmokeFleet:
+    """``python -m repro mem-smoke --servers N``: the fleet point."""
+
+    def test_reports_index_sizes_and_enforces_the_budget(self, capsys):
+        from repro.experiments import mem_smoke
+
+        (point,) = mem_smoke.run_fleet(500, 4).values()
+        assert point["nodes"] == 511 and point["servers"] == 4
+        assert 0 < point["index_bytes_per_peer_mean"] <= (
+            point["index_bytes_per_peer_max"])
+        assert point["index_bytes_total"] < 511 * 200  # arrays, no dicts
+        argv = ["--nodes", "500", "--servers", "4", "--budget-mb"]
+        if point["peak_rss_bytes"]:  # 0 where the platform hides RSS
+            assert mem_smoke.main(argv + ["100000"]) == 0
+            assert mem_smoke.main(argv + ["1"]) == 1
+        assert "fleet_l8_s4" in capsys.readouterr().out

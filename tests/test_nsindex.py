@@ -7,8 +7,10 @@ LRU-order scan, ``repro.core.routing.scan_cache``).  Both must agree
 *exactly* with an unpruned scan over ``ns.distance``: the winner is the
 first member in order at a strictly smaller distance.  These tests pin
 the contract three ways: direct unit tests, randomized cross-checks
-against an explicit ordered-list scan, and end-of-workload equivalence
-on live peers; ``TestCostModel`` pins what the writes cost.
+against an explicit ordered-list scan (op lists, and a state machine
+that reads after every write), and end-of-workload equivalence on live
+peers; ``TestCostModel`` pins what the writes cost and what the index
+weighs.
 """
 
 import random
@@ -17,14 +19,25 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.core.nsindex import NO_BOUND, AncestorIndex
 from repro.core.routing import RouteAction, decide, scan_cache
-from repro.namespace.generators import balanced_tree, university_tree
+from repro.namespace.generators import (
+    balanced_tree,
+    random_tree,
+    university_tree,
+)
 from repro.server.cache import LRUCache
 from repro.server.replica_store import ReplicaStore
+from repro.sim.memsize import deep_sizeof
 from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import cuzipf_stream, unif_stream
 
@@ -215,6 +228,147 @@ def test_index_matches_reference_scan(ops, seed):
             ns, ref.order, dest, bound)
 
 
+def assert_matches_scan(ns, idx, order):
+    """Every destination, unbounded and under bounds on both sides of
+    what a member can achieve."""
+    assert sorted(idx.nodes()) == sorted(order)
+    for dest in range(len(ns)):
+        for bound in (NO_BOUND, 0, 1, 2, 5):
+            assert idx.closest(dest, bound) == ref_closest(
+                ns, order, dest, bound), (dest, bound)
+
+
+class TestRowTable:
+    """The cases the rank-sorted row table makes special."""
+
+    def test_shallowest_member_added_last_takes_over(self, ns):
+        """A newcomer shallower than every member becomes the minimum
+        of buckets other rows already name: ``add`` must rewrite them,
+        and only as far out as the newcomer's ancestors reach."""
+        order = ns.nodes_at_depth(ns.max_depth)[::3]
+        idx = AncestorIndex(ns, order)
+        mid = ns.children[ns.children[0][1]][0]  # over a quarter of them
+        for v in (mid, 0):
+            idx.add(v)
+            order.append(v)
+            assert_matches_scan(ns, idx, order)
+
+    def test_newcomer_of_equal_depth_takes_nothing_over(self, ns):
+        a, b = ns.children[0]
+        idx = AncestorIndex(ns, [a])
+        idx.add(b)  # as shallow as a, but stamped later
+        assert_matches_scan(ns, idx, [a, b])
+
+    def test_several_removes_before_the_next_read(self, ns):
+        order = list(range(0, len(ns), 2))
+        idx = AncestorIndex(ns, order)
+        for v in (0, 2, 30, 62, 4):  # the root, ends and middle of rank order
+            idx.remove(v)
+            order.remove(v)
+        idx.add(31)  # a write while the rows are stale
+        order.append(31)
+        assert_matches_scan(ns, idx, order)
+        for v in list(order):
+            idx.remove(v)
+        assert idx.closest(5) == (-1, NO_BOUND)
+
+    def test_destinations_ranked_outside_the_members(self, ns):
+        """Members in one middle subtree: destinations before the first
+        and after the last member have a single rank neighbour."""
+        left, right = ns.children[0]
+        order = ns.subtree(ns.children[left][1])
+        pre = ns.preorder
+        ranks = sorted(pre[v] for v in order)
+        assert any(pre[t] < ranks[0] for t in ns.subtree(left))
+        assert all(pre[t] > ranks[-1] for t in ns.subtree(right))
+        assert_matches_scan(ns, AncestorIndex(ns, order), order)
+
+    def test_destination_is_a_member(self, ns):
+        order = [9, 4, 40, 0, 22]
+        idx = AncestorIndex(ns, order)
+        for v in order:
+            assert idx.closest(v) == (v, 0)
+            assert idx.closest(v, 0) == (-1, 0)
+
+    @pytest.mark.parametrize("member", [0, 1, 31, 62])
+    def test_one_member(self, ns, member):
+        assert_matches_scan(ns, AncestorIndex(ns, [member]), [member])
+
+    def test_extend_onto_members_keeps_their_order(self, ns):
+        a, b = ns.children[0]
+        idx = AncestorIndex(ns, [b])
+        idx.extend([a, 7])
+        assert_matches_scan(ns, idx, [b, a, 7])
+        with pytest.raises(ValueError):
+            idx.extend([9, a])
+        assert_matches_scan(ns, idx, [b, a, 7])  # refused whole
+
+
+_TREES = (balanced_tree(levels=4), random_tree(40, seed=9))
+_MEMBER = st.integers(0, 30)
+
+
+class IndexMachine(RuleBasedStateMachine):
+    """Every write the index has, in any order, on a regular and an
+    irregular tree; the whole query surface is compared with the
+    ordered-list scan after each step, so rows are read fresh after an
+    ``add``, stale after any number of removes, and rebuilt."""
+
+    def __init__(self):
+        super().__init__()
+        self.ref = _OrderMirror()
+
+    @initialize(tree=st.sampled_from(_TREES),
+                seed=st.lists(_MEMBER, unique=True, max_size=6))
+    def build(self, tree, seed):
+        self.ns = tree
+        self.idx = AncestorIndex(tree, seed)
+        self.ref.order.extend(seed)
+
+    @rule(v=_MEMBER)
+    def add(self, v):
+        if v in self.ref.order:
+            with pytest.raises(ValueError):
+                self.idx.add(v)
+        else:
+            self.idx.add(v)
+            self.ref.add(v)
+
+    @rule(batch=st.lists(_MEMBER, unique=True, max_size=8))
+    def extend(self, batch):
+        batch = [v for v in batch if v not in self.ref.order]
+        self.idx.extend(batch)
+        self.ref.order.extend(batch)
+
+    @rule(burst=st.lists(_MEMBER, min_size=1, max_size=4))
+    def remove(self, burst):
+        for v in burst:
+            self.idx.remove(v)
+            self.ref.remove(v)
+
+    @rule(v=_MEMBER)
+    def touch(self, v):
+        self.idx.touch(v)
+        self.ref.touch(v)
+
+    @rule(data=st.data())
+    def rebuild(self, data):
+        self.ref.order = list(data.draw(st.permutations(self.ref.order)))
+        self.idx.rebuild(self.ref.order)
+
+    @invariant()
+    def answers_what_the_scan_answers(self):
+        assert len(self.idx) == len(self.ref.order)
+        for v in self.ref.order:
+            assert v in self.idx
+        assert_matches_scan(self.ns, self.idx, self.ref.order)
+
+
+TestIndexMachine = IndexMachine.TestCase
+TestIndexMachine.settings = settings(
+    max_examples=40, stateful_step_count=25, deadline=None)
+
+
 # one cache op: (name, node, ...) over the 63-node tree and servers 0..3
 _NODE = st.integers(0, 62)
 _SERVER = st.integers(0, 3)
@@ -320,21 +474,24 @@ class TestLiveEquivalence:
 class TestCostModel:
     """Soft-state writes are O(1): the ancestor index is written only
     when the hosted list changes, however many cache puts a run makes
-    (before issue 17 every cache put and eviction walked an index)."""
+    (before issue 17 every cache put and eviction walked an index);
+    and the index is flat arrays, a fixed few bytes per member."""
 
     def test_index_writes_equal_hosted_membership_changes(self, monkeypatch):
         calls = {}
 
-        def count(cls, name):
+        def count(cls, name, weigh=lambda *args: 1):
             inner = getattr(cls, name)
 
             def wrapper(self, *args):
-                calls[name] = calls.get(name, 0) + 1
+                calls[name] = calls.get(name, 0) + weigh(*args)
                 return inner(self, *args)
             monkeypatch.setattr(cls, name, wrapper)
 
         for name in ("add", "remove", "touch"):
             count(AncestorIndex, name)
+        # the build adopts each server's nodes in one bulk write
+        count(AncestorIndex, "extend", weigh=len)
         count(ReplicaStore, "install")
         ns = balanced_tree(levels=10)  # 2047 nodes, 256x one cache
         cfg = SystemConfig.replicated(n_servers=16, seed=5, cache_slots=8)
@@ -342,17 +499,32 @@ class TestCostModel:
         spec = unif_stream(rate=900.0, duration=2.0, seed=5)
         WorkloadDriver(system, spec).start()
         system.run_until(spec.duration + 1.0)
-        # the evicting regime: more cache inserts than the build's adds
+        # the evicting regime: more cache inserts than members indexed
         assert sum(p.cache.evictions for p in system.peers) > 3000
         # hosted-list changes of a run without membership churn: the
         # build adopts every node once, then replicas come and go
         assert calls["install"] > 0
-        assert calls["add"] == len(ns) + calls["install"]
+        assert calls["extend"] == len(ns)
+        assert calls["add"] == calls["install"]
         assert calls.get("remove", 0) == (
             system.stats.replicas_evicted.total())
         assert "touch" not in calls
-        assert calls["add"] - calls.get("remove", 0) == sum(
+        indexed = calls["extend"] + calls["add"]
+        assert indexed - calls.get("remove", 0) == sum(
             len(p.hosted_list) for p in system.peers)
+
+    def test_index_weighs_a_row_per_member(self):
+        """No container per ancestor: what an index holds beyond the
+        namespace's shared arrays is bounded by its member count."""
+        ns = balanced_tree(levels=10)
+        cfg = SystemConfig.replicated(n_servers=16, seed=5, cache_slots=8)
+        system = build_system(ns, cfg)
+        seen = set()
+        deep_sizeof(ns, seen)  # shared, charged to nobody's index
+        for peer in system.peers:
+            members = len(peer.hosted_list)
+            assert deep_sizeof(peer.store.index, seen) <= members * (
+                8 * (ns.max_depth + 1) + 160)
 
 
 def uni_system(**cfg_over):

@@ -120,7 +120,11 @@ def _cross_check(ns: Namespace, pairs_seed: int = 0) -> None:
         assert tuple(ns.anc[v]) == ref.anc[v]
         assert tuple(ns.children[v]) == ref.children[v]
         assert tuple(ns.neighbors(v)) == tuple(ref.neighbors(v))
-        assert ns.subtree(v) == ref.subtree(v)
+        sub = ns.subtree(v)
+        assert sub == ref.subtree(v)
+        # depth-first ranks: a subtree is one contiguous range
+        assert sorted(ns.preorder[u] for u in sub) == list(
+            range(ns.preorder[v], ns.preorder[v] + len(sub)))
         name = ns.name_of(v)
         assert name == ref.names[v]
         assert ns.id_of(name) == v

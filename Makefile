@@ -12,6 +12,9 @@
 #   make profile      run fig3 under the event-loop profiler
 #   make bench-micro  hot-path events/sec vs the committed BENCH_micro.json
 #   make bench-selfcheck  the repo benchmark's own tests (bench/tests, ~30 s)
+#   make pairs PARENT=<commit> W=<workload> [N=10] [SEEDS=1,2]
+#                     alternating parent/change benchmark pairs from clean
+#                     copies: medians, quartiles, wins (scripts/pairs.py)
 #   make mem          build both 10^6-node namespaces under the 2 GB RSS budget,
 #                     and a 131 071-node / 256-server fleet under 200 MB
 #   make shard-check  sharded runs bit-identical to serial, events within 5 %
@@ -52,6 +55,13 @@ bench-micro:
 bench-selfcheck:
 	$(PYTHON) -m pytest bench/tests -q
 
+N ?= 10
+SEEDS ?= 1,2
+
+pairs:
+	$(PYTHON) scripts/pairs.py --parent $(PARENT) --workload $(W) \
+		--n $(N) --seeds $(SEEDS)
+
 mem:
 	$(PYTHON) -m repro mem-smoke
 	$(PYTHON) -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 200
@@ -75,4 +85,4 @@ outputs:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-.PHONY: install lint test bench experiments campaign figures outputs profile bench-micro bench-selfcheck mem shard-check serve-smoke det-lint typecheck
+.PHONY: install lint test bench experiments campaign figures outputs profile bench-micro bench-selfcheck pairs mem shard-check serve-smoke det-lint typecheck

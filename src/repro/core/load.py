@@ -121,7 +121,9 @@ class BusyWindowLoadMeter:
             # weight the partial window by how much of it has elapsed
             val = (1.0 - frac) * val + frac * partial
         val += self._adjust
-        return min(1.0, max(0.0, val))
+        if val <= 0.0:
+            return 0.0
+        return val if val < 1.0 else 1.0
 
     # ------------------------------------------------------------------
     # hysteresis (creation protocol step 4)

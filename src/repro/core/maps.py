@@ -37,27 +37,24 @@ def merge_maps(
     """
     if rmap < 1:
         raise ValueError("rmap must be >= 1")
+    # maps hold <= rmap (four) small ints: ``in`` on the output list
+    # beats hashing into a set, and the list is what gets returned
     out: List[int] = []
-    seen = set()
     for s in advertised:
-        if s not in seen:
+        if s not in out:
             out.append(s)
-            seen.add(s)
             if len(out) >= rmap:
                 return out
-    pool = [s for s in list(mine) + list(incoming) if s not in seen]
-    # dedupe the pool preserving first occurrence
-    deduped: List[int] = []
-    pseen = set()
-    for s in pool:
-        if s not in pseen:
-            deduped.append(s)
-            pseen.add(s)
-    room = rmap - len(out)
-    if len(deduped) <= room:
-        out.extend(deduped)
-    else:
-        out.extend(rng.sample(deduped, room))
+    kept = len(out)
+    for s in mine:
+        if s not in out:
+            out.append(s)
+    for s in incoming:
+        if s not in out:
+            out.append(s)
+    if len(out) > rmap:
+        # overflow: the tail is the union in first-occurrence order
+        out[kept:] = rng.sample(out[kept:], rmap - kept)
     return out
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.server.peer import Peer
@@ -137,7 +137,6 @@ def digest_shortcut(peer: "Peer", dest: int, best_d: int) -> Tuple[int, int, int
     if ddir is None:
         return -1, -1, best_d
     ns = peer.ns
-    a_dest = ns.anc[dest]
     d_dest = ns.depth[dest]
     # ancestors at depth da have distance d_dest - da; only depths
     # yielding a strict improvement are worth probing
@@ -149,27 +148,34 @@ def digest_shortcut(peer: "Peer", dest: int, best_d: int) -> Tuple[int, int, int
     snaps = ddir.eligible_snaps(peer.sid, peer.cfg.digest_probe_limit)
     if not snaps:
         return -1, -1, best_d
-    positions = ddir.positions
+    arena = ns.anc_arena
+    o_dest = ns.anc_off[dest]
+    # a hit in the fleet's shared position cache costs one dict probe;
+    # only a node never probed before pays the call that hashes it
+    cached_pos = ddir.pos_cache.get
     for da in range(d_dest, max(min_depth, 0) - 1, -1):
-        pos = positions(a_dest[da])
+        a = arena[o_dest + da]
+        pos = cached_pos(a) or ddir.positions(a)
         for server, vector in snaps:
             for i, m in pos:
                 if not vector[i] & m:
                     break
             else:
-                return a_dest[da], server, d_dest - da
+                return a, server, d_dest - da
     return -1, -1, best_d
 
 
 def decide(peer: "Peer", dest: int) -> RouteDecision:
     """One full routing step for a query destined to ``dest`` at ``peer``."""
-    if peer.hosts(dest):
+    store = peer.store
+    if dest in peer.owned or dest in store.replicas:
         return RouteDecision(
             RouteAction.RESOLVED, via=dest, source="resolved", distance=0,
         )
 
     rng = peer.rng
     sid = peer.sid
+    cache = peer.cache
 
     # direct map for the destination itself (neighbor of a hosted node)
     direct = peer.maps.get(dest)
@@ -182,20 +188,20 @@ def decide(peer: "Peer", dest: int) -> RouteDecision:
             )
 
     # destination sitting in the cache: also distance 0
-    centry = peer.cache.peek(dest)
+    centry = cache.peek(dest)
     if centry:
         server = _select_filtered(peer, dest, centry, rng, sid)
         if server >= 0:
-            peer.cache.touch(dest)
+            cache.touch(dest)
             return RouteDecision(
                 RouteAction.FORWARD, via=dest, next_server=server,
                 source="cache", distance=0,
             )
-        peer.cache.remove(dest)
+        cache.remove(dest)
 
     # structural candidate from the closest hosted node's context --
     # an O(depth) ancestor-chain walk over the store's index
-    h_star, d_star = peer.store.index.closest(dest)
+    h_star, d_star = store.index.closest(dest)
     # its neighbor one step toward dest: the child on the path down if
     # h_star is an ancestor of dest, else h_star's parent
     via = peer.ns.step_toward(h_star, dest)
@@ -218,25 +224,19 @@ def decide(peer: "Peer", dest: int) -> RouteDecision:
 
     # resolve the winning candidate's map to a next-hop server
     if source == "cache":
-        entry = peer.cache.get(via)
-        if entry is None:
-            entry = []
-        server = _select_filtered(peer, via, entry, rng, sid)
+        server = _select_filtered(peer, via, cache.get(via) or (), rng, sid)
         if server >= 0:
             return RouteDecision(
                 RouteAction.FORWARD, via=via, next_server=server,
                 source="cache", distance=best_d,
             )
         # dead cache entry: drop it and fall back to the structural hop
-        peer.cache.remove(via)
+        cache.remove(via)
         via = peer.ns.step_toward(h_star, dest)
         best_d = d_star - 1
         source = "struct"
 
-    entry = peer.maps.get(via)
-    if entry is None:
-        entry = []
-    server = _select_filtered(peer, via, entry, rng, sid)
+    server = _select_filtered(peer, via, peer.maps.get(via) or (), rng, sid)
     if server >= 0:
         return RouteDecision(
             RouteAction.FORWARD, via=via, next_server=server,
@@ -245,7 +245,7 @@ def decide(peer: "Peer", dest: int) -> RouteDecision:
     return RouteDecision(RouteAction.FAIL, via=via, source=source, distance=best_d)
 
 
-def _select(entry: List[int], rng: random.Random, exclude: int) -> int:
+def _select(entry: Sequence[int], rng: random.Random, exclude: int) -> int:
     """Random host from a map, excluding ``exclude``; -1 when none."""
     n = len(entry)
     if n == 1:
@@ -260,7 +260,8 @@ def _select(entry: List[int], rng: random.Random, exclude: int) -> int:
 
 
 def _select_filtered(
-    peer: "Peer", node: int, entry: List[int], rng: random.Random, exclude: int
+    peer: "Peer", node: int, entry: Sequence[int], rng: random.Random,
+    exclude: int,
 ) -> int:
     """Digest-aware replica selection (paper section 3.7, map filtering).
 
@@ -273,12 +274,9 @@ def _select_filtered(
     if not entry:
         return -1
     ddir = peer.digest_dir
-    if ddir is None or not peer.cfg.digests_enabled:
-        return _select(entry, rng, exclude)
-    eligible = [
-        s for s in entry
-        if s != exclude and ddir.test(s, node) is not False
-    ]
-    if not eligible:
-        return _select(entry, rng, exclude)
-    return eligible[rng.randrange(len(eligible))]
+    if ddir is not None and peer.cfg.digests_enabled:
+        eligible = ddir.undenied(entry, node, drop=exclude)
+        if eligible:
+            # drawn even for a single eligible server: the pinned stream
+            return eligible[rng.randrange(len(eligible))]
+    return _select(entry, rng, exclude)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.filters.bloom import BloomFilter, Snapshot
+from repro.filters.bloom import BloomFilter, Positions, Snapshot
 
 
 class Digest:
@@ -109,12 +109,15 @@ class DigestDirectory:
     version counter (bumped on every stored snapshot).
     """
 
-    __slots__ = ("positions", "_n_bytes", "_snaps", "max_peers", "version",
-                 "n_rejected", "_snaps_cache_key", "_snaps_cache")
+    __slots__ = ("positions", "pos_cache", "_n_bytes", "_snaps", "max_peers",
+                 "version", "n_rejected", "_snaps_cache_key", "_snaps_cache")
 
     def __init__(self, reference: Digest, max_peers: int = 0) -> None:
         #: ``BloomFilter.positions`` of the shared geometry
         self.positions = reference.bloom.positions
+        #: the dict behind it (key -> positions), shared fleet-wide; a
+        #: filter joins a shared cache before its directory is built
+        self.pos_cache = reference.bloom.pos_cache
         self._n_bytes = reference.bloom.n_bits // 8
         self._snaps: Dict[int, Snapshot] = {}
         self.max_peers = max_peers  # 0 = unbounded
@@ -193,3 +196,36 @@ class DigestDirectory:
             if not vector[i] & m:
                 return False
         return True
+
+    def undenied(
+        self, servers: Iterable[int], node: int, drop: int = -1,
+        keep: int = -1,
+    ) -> List[int]:
+        """The members of ``servers`` whose last known digest does not
+        deny hosting ``node``, in order: map filtering (section 3.6.2)
+        for a whole map at once, ``node``'s positions looked up once.
+
+        A server with no known snapshot passes, like ``test(...) is not
+        False``.  ``drop`` is left out and ``keep`` kept whatever their
+        digests say (a selecting server never picks itself; a filtering
+        server never vetoes itself).
+        """
+        get = self._snaps.get
+        pos: Optional[Positions] = None
+        out: List[int] = []
+        for s in servers:
+            if s == drop:
+                continue
+            snap = get(s)
+            if snap is not None and s != keep:
+                if pos is None:
+                    pos = self.positions(node)
+                vector = snap[1]
+                for i, m in pos:
+                    if not vector[i] & m:
+                        break
+                else:
+                    out.append(s)
+                continue
+            out.append(s)
+        return out

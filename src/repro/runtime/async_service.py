@@ -21,25 +21,29 @@ contiguous sid range (multi-process deployments); remote peers stay
 :class:`~repro.net.message.ClientLookup` frames arriving on a hosted
 peer's listener by injecting the query locally, parking a completion
 hook, and framing a :class:`~repro.net.message.ClientLookupReply` back
-on the same connection -- with a server-side deadline so a dropped
-query answers ``ok=False`` instead of leaking the hook.
+on the same connection -- with a server-side deadline (one
+:class:`~repro.runtime.async_runtime.DeadlineQueue` per service) so a
+dropped query answers ``ok=False`` instead of leaking the hook.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Sequence
+import logging
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import SystemConfig
 from repro.namespace.tree import Namespace
 from repro.net.frame import encode_frame
 from repro.net.message import ClientLookup, ClientLookupReply
-from repro.runtime.async_runtime import AsyncRuntime
+from repro.runtime.async_runtime import AsyncRuntime, DeadlineQueue
 from repro.runtime.async_wire import AsyncWire
 from repro.sim.rng import RngStreams
 from repro.sim.stats import StatsSink, SystemStats
 
 __all__ = ["LiveService", "LiveSystem", "build_live_system"]
+
+_log = logging.getLogger(__name__)
 
 
 class LiveSystem:
@@ -164,6 +168,11 @@ class LiveService:
         self.n_lookups = 0
         self.n_completed = 0
         self.n_deadline_failures = 0
+        # one deadline per lookup, all of one length: a FIFO behind one
+        # timer, keyed (peer, hook key, request, connection)
+        self._deadlines = DeadlineQueue(
+            system.runtime.loop, self._is_waiting, self._on_deadline
+        )
 
     def attach(self, wire: AsyncWire) -> None:
         """Install this service as the wire's client-plane handler."""
@@ -178,13 +187,10 @@ class LiveService:
         peer = system.peers[sid]
         rt = system.runtime
         self.n_lookups += 1
-        qid = system.inject(sid, msg.node)
-        timer = rt.timer_after(
-            self.lookup_deadline, self._on_deadline, peer, qid, msg, writer
-        )
+        hook_key = ("lookup", system.inject(sid, msg.node))
+        settle = self._deadlines.settle
 
         def on_response(resp: Any) -> None:
-            timer.cancel()
             self.n_completed += 1
             self._reply(
                 writer,
@@ -196,19 +202,30 @@ class LiveService:
                     latency=rt.now - resp.created_at,
                 ),
             )
+            settle()
 
-        peer.client_hooks[("lookup", qid)] = on_response
+        peer.client_hooks[hook_key] = on_response
+        self._deadlines.push(
+            self.lookup_deadline, (peer, hook_key, msg, writer)
+        )
 
-    def _on_deadline(
-        self, peer: Any, qid: int, msg: ClientLookup,
-        writer: asyncio.WriteTransport,
-    ) -> None:
+    @staticmethod
+    def _is_waiting(entry: Tuple[Any, Any, ClientLookup, Any]) -> bool:
+        return entry[1] in entry[0].client_hooks
+
+    def _on_deadline(self, entry: Tuple[Any, Any, ClientLookup, Any]) -> None:
         """The query died inside the cluster (queue drop, lost frame):
         fail the lookup instead of leaking its completion hook."""
-        hook = peer.client_hooks.pop(("lookup", qid), None)
-        if hook is None:
-            return  # response raced the deadline; already answered
+        peer, hook_key, msg, writer = entry
+        if peer.client_hooks.pop(hook_key, None) is None:
+            return  # answered meanwhile
         self.n_deadline_failures += 1
+        _log.warning(
+            "peer %d: lookup qid=%d for node %d unanswered after %.3g s; "
+            "failing it (%d deadline failures so far)",
+            peer.sid, hook_key[1], msg.node, self.lookup_deadline,
+            self.n_deadline_failures,
+        )
         self._reply(writer, ClientLookupReply(msg.cqid, msg.node, False))
 
     @staticmethod

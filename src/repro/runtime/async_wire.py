@@ -44,7 +44,8 @@ Counter parity with :class:`repro.net.transport.Transport`: ``n_sent``
 / ``n_control_sent`` / ``n_lost`` have the same meaning, so live and
 simulated runs report through the same introspection surface; on top
 the wire accounts for what it drops and saves (``n_frame_errors``,
-``n_bytes_sent``, ``n_digests_full``, ``n_digests_elided``).
+``n_client_unhandled``, ``n_bytes_sent``, ``n_digests_full``,
+``n_digests_elided``).
 """
 
 from __future__ import annotations
@@ -136,6 +137,16 @@ class _Inbound(asyncio.BufferedProtocol):
                 if type(msg) is ClientLookup:
                     if wire.on_client is not None:
                         wire.on_client(self.sid, msg, self.transport)
+                    else:
+                        # no client plane attached: nobody will answer,
+                        # and the client only learns by timing out
+                        wire.n_client_unhandled += 1
+                        _log.warning(
+                            "peer %d: no client plane attached; dropping "
+                            "lookup cqid=%d for node %d (%d dropped so far)",
+                            self.sid, msg.cqid, msg.node,
+                            wire.n_client_unhandled,
+                        )
                 else:
                     self.deliver(msg)
         except FrameError as exc:
@@ -212,6 +223,8 @@ class AsyncWire:
         self.n_lost = 0
         self.n_delivered = 0
         self.n_frame_errors = 0
+        #: client lookups that arrived with no ``on_client`` to take them
+        self.n_client_unhandled = 0
         self.n_bytes_sent = 0
         # [full, elided]: one tally shared by every link's digest table
         self._digest_counts = [0, 0]
@@ -311,6 +324,12 @@ class AsyncWire:
                 await asyncio.sleep(self.connect_backoff)
         # peer unreachable: everything queued for it is lost
         self.n_lost += len(link.outbox)
+        if not self._closed:
+            _log.warning(
+                "peer %d at %s unreachable after %d dial attempts; "
+                "%d queued frames lost",
+                link.dest, addr, self.connect_retries, len(link.outbox),
+            )
         self._drop_link(link)
 
     # ------------------------------------------------------------------
@@ -335,6 +354,7 @@ class AsyncWire:
             "n_lost": self.n_lost,
             "n_delivered": self.n_delivered,
             "n_frame_errors": self.n_frame_errors,
+            "n_client_unhandled": self.n_client_unhandled,
             "n_bytes_sent": self.n_bytes_sent,
             "n_digests_full": self.n_digests_full,
             "n_digests_elided": self.n_digests_elided,

@@ -127,15 +127,17 @@ class LRUCache:
         if capacity == 0:
             return
         entries = self._entries
+        get = entries.get
+        move_to_end = entries.move_to_end
         rmap = self.rmap
         for node, server in path:
             if server == own_sid or node in owned or node in replicas:
                 continue
-            cur = entries.get(node)
+            cur = get(node)
             if cur is not None:
                 if server not in cur and len(cur) < rmap:
                     cur.append(server)
-                entries.move_to_end(node)
+                move_to_end(node)
                 continue
             if len(entries) >= capacity:
                 entries.popitem(last=False)

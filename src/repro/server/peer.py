@@ -346,31 +346,34 @@ class Peer:
 
         Applies digest-based map filtering (paper section 3.6.2): known
         digests that answer "no" for ``node`` veto their server's entry.
+        A peer that keeps neither a map nor a cache entry for ``node``
+        (most hops of most queries) has nothing to merge into and
+        returns before filtering.
         """
+        entry = self.maps.get(node)
+        cached = None
+        if entry is None:
+            if not self.cfg.caching_enabled:
+                return
+            cached = self.cache.peek(node)
+            if cached is None:
+                return
         incoming = self._filter_servers(node, incoming)
         if not incoming:
             return
-        advertised = tuple(self.store.adverts_recent.get(node, ()))
-        entry = self.maps.get(node)
-        if entry is not None:
-            keep: List[int] = []
-            if self.hosts(node) and self.sid in entry:
-                keep.append(self.sid)
-            self.maps[node] = merge_maps(
-                entry, incoming, self.cfg.rmap, self.rng,
-                advertised=tuple(keep) + advertised,
+        advertised: Sequence[int] = self.store.adverts_recent.get(node, ())
+        if entry is None:
+            self.cache.replace(
+                node,
+                merge_maps(cached, incoming, self.cfg.rmap, self.rng, advertised),
             )
             return
-        if self.cfg.caching_enabled:
-            cached = self.cache.peek(node)
-            if cached is not None:
-                self.cache.replace(
-                    node,
-                    merge_maps(
-                        cached, incoming, self.cfg.rmap, self.rng,
-                        advertised=advertised,
-                    ),
-                )
+        if self.sid in entry and self.hosts(node):
+            # a host never merges itself out of its own node's map
+            advertised = (self.sid, *advertised)
+        self.maps[node] = merge_maps(
+            entry, incoming, self.cfg.rmap, self.rng, advertised
+        )
 
     def _filter_servers(self, node: int, servers: Iterable[int]) -> List[int]:
         """Digest map filtering: drop entries whose digest denies ``node``.
@@ -383,11 +386,8 @@ class Peer:
             return [s for s in servers if peers[s].hosts(node)]
         ddir = self.digest_dir
         if ddir is None or not self.cfg.digests_enabled:
-            return [s for s in servers]
-        return [
-            s for s in servers
-            if s == self.sid or ddir.test(s, node) is not False
-        ]
+            return list(servers)
+        return ddir.undenied(servers, node, keep=self.sid)
 
     # ------------------------------------------------------------------
     # message delivery (transport entry point)
@@ -414,9 +414,6 @@ class Peer:
         self.rt.send(dest, msg, control=True)
 
     # -- dispatch handlers (registered in PEER_DISPATCH) ----------------
-
-    def _on_query(self, msg: QueryMessage) -> None:
-        self._enqueue_query(msg)
 
     def _on_response(self, msg: ResponseMessage) -> None:
         self.router.on_response(msg)
@@ -454,9 +451,10 @@ class Peer:
         self._record_injected(now)
         msg = QueryMessage(qid, dest, self.sid, now)
         msg.via = -1
-        self._enqueue_query(msg)
+        self._on_query(msg)
 
-    def _enqueue_query(self, msg: QueryMessage) -> None:
+    def _on_query(self, msg: QueryMessage) -> None:
+        """A query arrives, from a client or a peer (dispatch handler)."""
         ingress = self.ingress
         if not ingress.in_service:
             self._start_service(msg)

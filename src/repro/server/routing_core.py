@@ -12,7 +12,7 @@ queue.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Sequence
 
 from repro.core import routing
 from repro.core.maps import merge_maps
@@ -54,77 +54,84 @@ class RoutingCore:
     def process(self, m: QueryMessage) -> None:
         """One full processing step for a dequeued query."""
         peer = self.peer
+        cfg = peer.cfg
         now = peer.rt.now
         sid = peer.sid
         store = peer.store
+        dest = m.dest
 
         # -- absorb piggybacked soft state --------------------------------
         peer.absorber.absorb_query(m, now)
 
         # -- attribution of routing work (node ranking, section 3.2) ------
         via = m.via
-        if via >= 0:
-            if peer.hosts(via):
-                peer.ranking.hit(via)
-                store.touch(via, now)
-            else:
-                m.stale_hops += 1
-                self._record_stale_hop(now)
+        # nothing below changes what this peer hosts: one test serves
+        # the attribution here and the path entry at the end
+        served = via >= 0 and (via in peer.owned or via in store.replicas)
+        if served:
+            peer.ranking.hit(via)
+            store.touch(via, now)
+        elif via >= 0:
+            m.stale_hops += 1
+            self._record_stale_hop(now)
 
         # -- merge the in-flight destination map into kept state ----------
         if m.dest_map:
-            peer.merge_map(m.dest, m.dest_map)
+            peer.merge_map(dest, m.dest_map)
 
         # -- route ---------------------------------------------------------
-        decision = routing.decide(peer, m.dest)
-        if decision.action is routing.RouteAction.RESOLVED:
+        decision = routing.decide(peer, dest)
+        action = decision.action
+        if action is routing.RouteAction.RESOLVED:
             self.decisions["resolved"] += 1
             self.resolve(m, now)
             return
-        if decision.action is routing.RouteAction.FAIL:
+        if action is routing.RouteAction.FAIL:
             self.decisions["fail"] += 1
             self._record_drop(now, reason="routing")
             return
-        self.decisions[decision.source] += 1
+        source = decision.source
+        self.decisions[source] += 1
         m.hops += 1
-        if m.hops > peer.cfg.max_hops:
+        if m.hops > cfg.max_hops:
             self._record_drop(now, reason="ttl")
             return
-        self._record_forward(decision.source)
+        self._record_forward(source)
 
-        # back-propagate fresh replica info for the node we served
-        if (
-            peer.cfg.advertisement_enabled
-            and via >= 0
-            and m.sender != sid
-            and store.adverts_recent.get(via)
-        ):
-            peer.send_control(
-                m.sender, AdvertMessage(via, list(store.adverts_recent[via]))
-            )
+        # -- advertisements (an empty table, the usual case, costs one
+        # truth test) --------------------------------------------------------
+        adv_out = m.adverts
+        if adv_out:
+            # what came in was absorbed above, not forwarded
+            adv_out = m.adverts = []
+        advertised: Sequence[int] = ()
+        adverts_recent = store.adverts_recent
+        if adverts_recent:
+            if cfg.advertisement_enabled:
+                # back-propagate fresh replica info for the node we served
+                if via >= 0 and m.sender != sid:
+                    recent = adverts_recent.get(via)
+                    if recent:
+                        peer.send_control(
+                            m.sender, AdvertMessage(via, list(recent))
+                        )
+                for node in (decision.via, dest):
+                    recent = adverts_recent.get(node)
+                    if recent:
+                        adv_out.extend(Advertisement(node, s) for s in recent)
+            advertised = adverts_recent.get(dest, ())
 
         # -- piggyback and forward -----------------------------------------
-        if via >= 0 and peer.hosts(via):
+        if served:
             m.path.append((via, sid))
         m.via = decision.via
         m.sender = sid
         m.sender_load = peer.meter.load()
-        if peer.cfg.digests_enabled and peer.digest is not None:
+        if cfg.digests_enabled and peer.digest is not None:
             m.sender_digest = peer.digest.snapshot()
-        if peer.cfg.advertisement_enabled:
-            adv_out: List[Advertisement] = []
-            for node in (decision.via, m.dest):
-                dq = store.adverts_recent.get(node)
-                if dq:
-                    adv_out.extend(Advertisement(node, s) for s in dq)
-            m.adverts = adv_out
-        else:
-            m.adverts = []
-        local_map = peer.maps.get(m.dest) or peer.cache.peek(m.dest) or ()
-        advertised = tuple(store.adverts_recent.get(m.dest, ()))
         m.dest_map = merge_maps(
-            local_map, m.dest_map, peer.cfg.rmap, peer.rng,
-            advertised=advertised,
+            peer.maps.get(dest) or peer.cache.peek(dest) or (),
+            m.dest_map, cfg.rmap, peer.rng, advertised,
         )
         peer.rt.send(decision.next_server, m)
 

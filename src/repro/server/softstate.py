@@ -36,22 +36,23 @@ class SoftStateAbsorber:
     # per-message intake
     # ------------------------------------------------------------------
 
-    def note_load(self, server: int, load: float, now: float) -> None:
-        """Record an in-band load sample for ``server``."""
-        self.known_loads[server] = (load, now)
-
     def absorb_query(self, m: QueryMessage, now: float) -> None:
         """Intake of everything piggybacked on a forwarded query."""
         peer = self.peer
         sid = peer.sid
-        if m.sender != sid:
-            self.known_loads[m.sender] = (m.sender_load, now)
-            if m.sender_digest is not None and peer.digest_dir is not None:
-                peer.digest_dir.observe(m.sender, m.sender_digest)
+        sender = m.sender
+        if sender != sid:
+            self.known_loads[sender] = (m.sender_load, now)
+            snap = m.sender_digest
+            if snap is not None and peer.digest_dir is not None:
+                peer.digest_dir.observe(sender, snap)
         for adv in m.adverts:
             self.absorb_advert(adv.node, (adv.server,))
-        if peer.cfg.caching_enabled and peer.cfg.path_propagation:
-            peer.cache.put_path(m.path, sid, peer.owned, peer.store.replicas)
+        path = m.path
+        if path:
+            cfg = peer.cfg
+            if cfg.caching_enabled and cfg.path_propagation:
+                peer.cache.put_path(path, sid, peer.owned, peer.store.replicas)
 
     def absorb_response(self, r: ResponseMessage, now: float) -> None:
         """Intake of everything piggybacked on a query response."""

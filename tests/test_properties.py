@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.maps import merge_maps
 from repro.core.ranking import NodeRanking
 from repro.filters.bloom import BloomFilter
+from repro.filters.digest import Digest, DigestDirectory
 from repro.namespace.generators import random_tree
 from repro.namespace.name import ancestors_of_name, is_prefix, join, split
 from repro.sim.rng import ZipfSampler
@@ -155,6 +156,77 @@ def test_merge_maps_invariants(mine, incoming, rmap, advertised, seed):
     # nothing dropped while room remains
     pool = set(mine) | set(incoming) | set(advertised)
     assert len(out) == min(rmap, len(pool))
+
+
+def merge_maps_reference(mine, incoming, rmap, rng, advertised=()):
+    """``merge_maps`` as it stood before it lost its sets and temporary
+    lists (issue 21): the reference for lists *and* RNG draws."""
+    out = []
+    seen = set()
+    for s in advertised:
+        if s not in seen:
+            out.append(s)
+            seen.add(s)
+            if len(out) >= rmap:
+                return out
+    pool = [s for s in list(mine) + list(incoming) if s not in seen]
+    deduped = []
+    pseen = set()
+    for s in pool:
+        if s not in pseen:
+            deduped.append(s)
+            pseen.add(s)
+    room = rmap - len(out)
+    if len(deduped) <= room:
+        out.extend(deduped)
+    else:
+        out.extend(rng.sample(deduped, room))
+    return out
+
+
+@given(server_lists, server_lists, st.integers(1, 8),
+       st.lists(st.integers(0, 50), max_size=6),
+       st.integers(0, 2**31 - 1))
+def test_merge_maps_equals_its_set_based_reference(
+    mine, incoming, rmap, advertised, seed
+):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert merge_maps(mine, incoming, rmap, rng, advertised) == \
+        merge_maps_reference(mine, incoming, rmap, ref_rng, advertised)
+    # every fingerprint rides on the draws, not just on the lists
+    assert rng.getstate() == ref_rng.getstate()
+
+
+# ---------------------------------------------------------------------------
+# the bulk digest probe equals the per-server tests it replaced
+# ---------------------------------------------------------------------------
+
+@given(
+    hosted=st.lists(st.lists(st.integers(0, 40), max_size=12),
+                    min_size=1, max_size=6),
+    known=st.lists(st.booleans(), min_size=6, max_size=6),
+    servers=st.lists(st.integers(0, 7), max_size=8),
+    node=st.integers(0, 40),
+    own=st.integers(0, 7),
+)
+def test_undenied_equals_the_per_server_tests(hosted, known, servers, node, own):
+    # a filter this small is nearly full: false positives are common
+    ref = Digest(capacity=8, fp_rate=0.3)
+    ddir = DigestDirectory(ref)
+    for sid, nodes in enumerate(hosted):
+        if known[sid]:  # servers 6 and 7, and the rest, have no snapshot
+            digest = Digest.like(ref, owner_server=sid)
+            for n in nodes:
+                digest.add(n)
+            ddir.observe(sid, digest.snapshot())
+    # routing._select_filtered's comprehension: drops the selecting server
+    assert ddir.undenied(servers, node, drop=own) == [
+        s for s in servers if s != own and ddir.test(s, node) is not False
+    ]
+    # Peer._filter_servers': always keeps the peer's own sid
+    assert ddir.undenied(servers, node, keep=own) == [
+        s for s in servers if s == own or ddir.test(s, node) is not False
+    ]
 
 
 # ---------------------------------------------------------------------------

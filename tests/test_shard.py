@@ -11,6 +11,8 @@ knobs.
 """
 
 import json
+import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -18,9 +20,11 @@ import pytest
 from repro.analysis.summary import run_summary
 from repro.cluster.builder import build_shard_system, build_system
 from repro.cluster.config import SystemConfig
+from repro.core import maps, routing
 from repro.experiments.common import rate_for_utilization
 from repro.namespace.generators import balanced_tree
 from repro.net.transport import ShardTransport, shard_of_sid, shard_sids
+from repro.server import routing_core
 from repro.sim.engine import Engine, ShardError
 from repro.sim.shard import (
     MAX_EVENT_OVERHEAD,
@@ -352,6 +356,70 @@ class TestCostModel:
         assert dp["n_barriers"] + dp["n_coalesced"] == len(
             list(window_plan(cfg.net_delay, until))
         )
+
+
+class TestHopAllocations:
+    """A forwarded hop allocates the message fields it sends, and little
+    else, in the three modules that make the forwarding decision.
+
+    Counted with ``tracemalloc``: traces are cleared when
+    ``RoutingCore.process`` is entered, and whenever a function of
+    ``core/maps.py``, ``core/routing.py`` or ``server/routing_core.py``
+    returns (its locals still alive) the blocks those files allocated
+    since are counted; a hop scores its worst return.  What a hop keeps
+    is a path tuple, a ``RouteDecision`` and the merged ``dest_map``
+    (a list: two blocks) -- four blocks, five or six with an eligible
+    list or an advertisement alive beside them.  Before issue 21
+    ``merge_maps`` alone held two sets and three more lists at its
+    return and the mean was 10.7; a reintroduced set or scratch list in
+    any of the three files lifts the mean past the bound.
+    """
+
+    MAX_MEAN_BLOCKS_PER_HOP = 7.0
+
+    def test_a_forwarded_hop_allocates_what_it_sends(self):
+        files = tuple(m.__file__ for m in (maps, routing, routing_core))
+        filters = [tracemalloc.Filter(True, f) for f in files]
+        process = routing_core.RoutingCore.process.__code__
+        ns, cfg, spec, until = fig3_style()
+        system = build_system(ns, cfg)
+        WorkloadDriver(system, spec).start()
+        system.run_until(2.0)  # caches, digests and replicas are warm
+
+        forwarded = []  # worst live-block count of each forwarded hop
+        worst = hops_in = 0
+        inside = False
+
+        def hook(frame, event, arg):
+            nonlocal worst, hops_in, inside
+            code = frame.f_code
+            if code.co_filename not in files:
+                return
+            if event == "call":
+                if code is process:
+                    tracemalloc.clear_traces()
+                    inside, worst = True, 0
+                    hops_in = frame.f_locals["m"].hops
+            elif event == "return" and inside:
+                snap = tracemalloc.take_snapshot().filter_traces(filters)
+                worst = max(worst, sum(
+                    stat.count for stat in snap.statistics("filename")
+                ))
+                if code is process:
+                    inside = False
+                    if hops_in < frame.f_locals["m"].hops <= cfg.max_hops:
+                        forwarded.append(worst)
+
+        tracemalloc.start()
+        sys.setprofile(hook)
+        try:
+            system.run_until(2.25)
+        finally:
+            sys.setprofile(None)
+            tracemalloc.stop()
+        assert len(forwarded) > 100
+        mean = sum(forwarded) / len(forwarded)
+        assert mean <= self.MAX_MEAN_BLOCKS_PER_HOP, sorted(forwarded)
 
 
 class TestPackedDataPlane:

@@ -9,8 +9,6 @@
 #                     (artifacts in results/; re-runs skip fingerprint hits)
 #   make figures      render every figure as SVG into figures/
 #   make outputs      the canonical test_output.txt / bench_output.txt pair
-#   make profile      run fig3 under the event-loop profiler
-#   make bench-micro  hot-path events/sec vs the committed BENCH_micro.json
 #   make bench-selfcheck  the repo benchmark's own tests (bench/tests, ~30 s)
 #   make pairs PARENT=<commit> W=<workload> [N=10] [SEEDS=1,2]
 #                     alternating parent/change benchmark pairs from clean
@@ -23,7 +21,6 @@
 #   make typecheck    mypy strict gate over sim/, net/, core/, tools/
 
 PYTHON ?= python
-PROFILE_FIGS ?= fig3
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -45,12 +42,6 @@ campaign:
 
 figures:
 	$(PYTHON) -m repro.viz.figures --out figures
-
-profile:
-	$(PYTHON) -m repro profile $(PROFILE_FIGS)
-
-bench-micro:
-	$(PYTHON) -m repro bench-micro --out bench_micro.json --check BENCH_micro.json
 
 bench-selfcheck:
 	$(PYTHON) -m pytest bench/tests -q
@@ -85,4 +76,4 @@ outputs:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-.PHONY: install lint test bench experiments campaign figures outputs profile bench-micro bench-selfcheck pairs mem shard-check serve-smoke det-lint typecheck
+.PHONY: install lint test bench experiments campaign figures outputs bench-selfcheck pairs mem shard-check serve-smoke det-lint typecheck

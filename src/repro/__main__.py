@@ -1,14 +1,10 @@
-"""``python -m repro`` -- run experiments, campaigns, or profiles.
+"""``python -m repro`` -- run experiments, campaigns, and checks.
 
 * ``python -m repro [fig ...]`` -- the experiment suite
   (see :mod:`repro.experiments.runner`);
 * ``python -m repro run [fig ...] [--jobs N] [--resume] [--no-cache]
   [--out DIR]`` -- the same experiments as a cached, resumable campaign
   writing per-run artifacts (see :mod:`repro.experiments.campaign`);
-* ``python -m repro profile <fig> [...]`` -- the same experiments under
-  the event-loop profiler (see :mod:`repro.sim.profile`);
-* ``python -m repro bench-micro [--out F] [--check BASELINE]`` -- the
-  NullSink micro-benchmark (see :mod:`repro.experiments.bench_micro`);
 * ``python -m repro mem-smoke [--nodes N] [--servers N] [--budget-mb MB]``
   -- the million-node namespace build smoke, or with ``--servers`` a
   whole fleet build, under an RSS budget
@@ -32,14 +28,6 @@ def main(argv) -> int:
         from repro.experiments.campaign import main as campaign_main
 
         return campaign_main(argv[1:])
-    if argv and argv[0] == "profile":
-        from repro.sim.profile import main as profile_main
-
-        return profile_main(argv[1:])
-    if argv and argv[0] == "bench-micro":
-        from repro.experiments.bench_micro import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "mem-smoke":
         from repro.experiments.mem_smoke import main as mem_main
 

@@ -29,7 +29,6 @@ from repro.namespace.generators import assign_nodes_to_servers
 from repro.namespace.tree import Namespace
 from repro.server.peer import Peer
 from repro.sim.engine import Engine, ShardError
-from repro.sim.profile import make_engine, note_system
 from repro.sim.stats import StatsSink
 
 
@@ -71,7 +70,6 @@ def _populate_system(
     """
     ns, cfg = system.ns, system.cfg
     sids = list(sids)
-    sparse = getattr(system, "local_peers", None) is not None
 
     # shared Bloom geometry for all digests: capacity sized to the
     # worst-case hosted set (owned + replica allowance), so snapshots
@@ -99,11 +97,12 @@ def _populate_system(
         peer.digest_dir = DigestDirectory(
             peer.digest, max_peers=cfg.digest_dir_max
         )
-        if sparse:
+        # the serial ``peers`` *is* ``local_peers`` and grows with it; a
+        # shard or live system hosts a subset, and its ``peers`` is a
+        # separate pre-sized, sid-indexed list (None for remote servers)
+        system.local_peers.append(peer)
+        if system.peers is not system.local_peers:
             system.peers[sid] = peer
-            system.local_peers.append(peer)
-        else:
-            system.peers.append(peer)
         system.transport.register(sid, peer.deliver)
 
     # ownership and routing contexts
@@ -166,17 +165,12 @@ def build_system(
             server must own at least one node for routing progress).
     """
     owner_list = _resolve_owner(ns, cfg, owner)
-    # the profile module hands out ProfiledEngines when profiling is
-    # enabled (python -m repro profile ...), plain Engines otherwise.
-    # Explicit None check: an empty Engine is falsy (len() == 0), so
-    # ``engine or make_engine()`` would drop a caller's fresh engine.
+    # explicit None check: an empty Engine is falsy (len() == 0), so
+    # ``engine or Engine()`` would drop a caller's fresh engine
     if engine is None:
-        engine = make_engine()
+        engine = Engine()
     system = System(ns, cfg, engine, owner_list, stats=stats)
     _populate_system(system, owner_list, range(cfg.n_servers))
-    # register with the profiler (no-op unless profiling is active) so
-    # per-peer routing-decision counters appear in the profile report
-    note_system(system)
     return system
 
 
@@ -215,10 +209,9 @@ def build_shard_system(
         )
     owner_list = _resolve_owner(ns, cfg, owner)
     if engine is None:
-        engine = make_engine(label=f"shard{shard_id}")
+        engine = Engine()
     system = ShardSystem(
         ns, cfg, engine, owner_list, shard_id, n_shards, stats=stats
     )
     _populate_system(system, owner_list, system.local_sids)
-    note_system(system)
     return system

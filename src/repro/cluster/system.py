@@ -43,6 +43,7 @@ class System:
         "stats",
         "rng_streams",
         "peers",
+        "local_peers",
         "owner",
         "_qid",
         "_maintenance_scheduled",
@@ -70,6 +71,10 @@ class System:
         self.stats = stats if stats is not None else SystemStats(ns.max_depth)
         self.rng_streams = RngStreams(cfg.seed)
         self.peers: List = []
+        # the peers this engine runs, in ascending sid order: every
+        # maintenance and introspection loop iterates this.  Here it
+        # *is* ``peers``; a :class:`ShardSystem` holds a subset
+        self.local_peers: List = self.peers
         self.owner = owner
         self._qid = 0
         self._maintenance_scheduled = False
@@ -125,7 +130,7 @@ class System:
             == 0
         )
         stats = self.stats
-        for peer in self.peers:
+        for peer in self.local_peers:
             if peer.failed:
                 continue
             load = peer.roll_window(now)
@@ -134,7 +139,7 @@ class System:
         self.engine.schedule_after(self.cfg.load_window, self._tick_windows)
 
     def _tick_ranking(self) -> None:
-        for peer in self.peers:
+        for peer in self.local_peers:
             peer.rescale_ranking()
         self.engine.schedule_after(
             self.cfg.rank_rescale_interval, self._tick_ranking
@@ -142,7 +147,7 @@ class System:
 
     def _tick_idle_eviction(self) -> None:
         now = self.engine.now
-        for peer in self.peers:
+        for peer in self.local_peers:
             peer.evict_idle_replicas(now)
         self.engine.schedule_after(
             self.cfg.replica_idle_timeout, self._tick_idle_eviction
@@ -185,19 +190,19 @@ class System:
     # ------------------------------------------------------------------
 
     def total_replicas(self) -> int:
-        """Replicas currently hosted across all servers."""
-        return sum(len(p.replicas) for p in self.peers)
+        """Replicas currently hosted across this engine's servers."""
+        return sum(len(p.replicas) for p in self.local_peers)
 
     def loads(self, now: Optional[float] = None) -> List[float]:
         t = self.engine.now if now is None else now
-        return [p.meter.load(t) for p in self.peers]
+        return [p.meter.load(t) for p in self.local_peers]
 
     def hosted_counts(self) -> List[int]:
-        return [p.n_hosted for p in self.peers]
+        return [p.n_hosted for p in self.local_peers]
 
     def hosts_of(self, node: int) -> List[int]:
-        """Ground truth: every server currently hosting ``node``."""
-        return [p.sid for p in self.peers if p.hosts(node)]
+        """Ground truth: every local server currently hosting ``node``."""
+        return [p.sid for p in self.local_peers if p.hosts(node)]
 
     def __repr__(self) -> str:
         return (
@@ -229,7 +234,6 @@ class ShardSystem(System):
         "shard_id",
         "n_shards",
         "local_sids",
-        "local_peers",
         "_arrivals",
         "_arrival_idx",
     )
@@ -300,59 +304,6 @@ class ShardSystem(System):
             self.engine.schedule(
                 self._arrivals[self._arrival_idx][0], self._next_arrival
             )
-
-    # ------------------------------------------------------------------
-    # maintenance over local peers only
-    # ------------------------------------------------------------------
-
-    def _tick_windows(self) -> None:
-        now = self.engine.now
-        sample = (
-            self.cfg.sample_loads_every > 0
-            and int(now / self.cfg.load_window)
-            % max(1, int(round(self.cfg.sample_loads_every / self.cfg.load_window)))
-            == 0
-        )
-        stats = self.stats
-        for peer in self.local_peers:
-            if peer.failed:
-                continue
-            load = peer.roll_window(now)
-            if sample:
-                stats.sample_load(now, load)
-        self.engine.schedule_after(self.cfg.load_window, self._tick_windows)
-
-    def _tick_ranking(self) -> None:
-        for peer in self.local_peers:
-            peer.rescale_ranking()
-        self.engine.schedule_after(
-            self.cfg.rank_rescale_interval, self._tick_ranking
-        )
-
-    def _tick_idle_eviction(self) -> None:
-        now = self.engine.now
-        for peer in self.local_peers:
-            peer.evict_idle_replicas(now)
-        self.engine.schedule_after(
-            self.cfg.replica_idle_timeout, self._tick_idle_eviction
-        )
-
-    # ------------------------------------------------------------------
-    # introspection over local peers only
-    # ------------------------------------------------------------------
-
-    def total_replicas(self) -> int:
-        return sum(len(p.replicas) for p in self.local_peers)
-
-    def loads(self, now: Optional[float] = None) -> List[float]:
-        t = self.engine.now if now is None else now
-        return [p.meter.load(t) for p in self.local_peers]
-
-    def hosted_counts(self) -> List[int]:
-        return [p.n_hosted for p in self.local_peers]
-
-    def hosts_of(self, node: int) -> List[int]:
-        return [p.sid for p in self.local_peers if p.hosts(node)]
 
     def __repr__(self) -> str:
         return (

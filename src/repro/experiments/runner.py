@@ -38,8 +38,7 @@ EXPERIMENTS: Dict[str, Callable] = {
     name: functools.partial(run_and_render, name)
     for name in EXPERIMENT_NAMES
 }
-"""Name -> ``f(scale)`` printing that experiment's report block (the
-interface ``repro.sim.profile`` drives)."""
+"""Name -> ``f(scale)`` printing that experiment's report block."""
 
 
 def main(argv: List[str]) -> None:

@@ -193,7 +193,7 @@ class HomeConnection(asyncio.BufferedProtocol):
 class SegmentSampler:
     """Destination sampling over a :class:`WorkloadSpec`'s segments.
 
-    Mirrors :class:`~repro.workload.arrivals.WorkloadDriver`'s
+    Mirrors :func:`~repro.workload.arrivals.iter_arrivals`'s
     semantics -- one popularity permutation, reshuffled at segment
     boundaries flagged ``reshuffle``, Zipf samplers cached per alpha --
     driven by *elapsed* time instead of engine time.  Past the final

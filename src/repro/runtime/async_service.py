@@ -65,8 +65,8 @@ class LiveSystem:
         self.stats = stats if stats is not None else SystemStats(ns.max_depth)
         self.rng_streams = RngStreams(cfg.seed)
         # full-length sid-indexed list; None marks peers hosted by
-        # other processes (the ShardSystem convention, which is also
-        # what flips the builder into sparse-population mode)
+        # other processes (the ShardSystem convention: the builder
+        # fills ``peers`` by sid and appends to ``local_peers``)
         self.peers: List[Any] = [None] * cfg.n_servers
         self.local_peers: List[Any] = []
         self.owner = owner

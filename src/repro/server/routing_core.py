@@ -29,17 +29,11 @@ from repro.net.message import (
 class RoutingCore:
     """Decision + forward logic, stateless apart from the peer reference."""
 
-    __slots__ = ("peer", "decisions", "_record_drop", "_record_forward",
+    __slots__ = ("peer", "_record_drop", "_record_forward",
                  "_record_stale_hop", "_record_completion")
 
     def __init__(self, peer) -> None:
         self.peer = peer
-        # routing decisions by winning candidate class (plus failures):
-        # cheap enough to keep always-on, surfaced by `repro profile`
-        self.decisions = {
-            "resolved": 0, "direct": 0, "struct": 0, "cache": 0,
-            "digest": 0, "fail": 0,
-        }
         # per-query sink hooks, bound once (see Peer.__init__)
         stats = peer.stats
         self._record_drop = stats.record_drop
@@ -83,20 +77,16 @@ class RoutingCore:
         decision = routing.decide(peer, dest)
         action = decision.action
         if action is routing.RouteAction.RESOLVED:
-            self.decisions["resolved"] += 1
             self.resolve(m, now)
             return
         if action is routing.RouteAction.FAIL:
-            self.decisions["fail"] += 1
             self._record_drop(now, reason="routing")
             return
-        source = decision.source
-        self.decisions[source] += 1
         m.hops += 1
         if m.hops > cfg.max_hops:
             self._record_drop(now, reason="ttl")
             return
-        self._record_forward(source)
+        self._record_forward(decision.source)
 
         # -- advertisements (an empty table, the usual case, costs one
         # truth test) --------------------------------------------------------

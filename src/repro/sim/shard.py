@@ -27,8 +27,8 @@ Determinism is *by construction*, not by luck: fixed-seed runs are
 bit-identical to the serial engine for every shard count (tests lock
 serial against 1/2/4/8 shards).  Three mechanisms carry the proof:
 
-- The arrival stream is pre-generated once with the serial driver's
-  exact RNG sequence (:func:`repro.workload.arrivals.iter_arrivals`),
+- The arrival stream is the one the serial driver consumes lazily
+  (:func:`repro.workload.arrivals.iter_arrivals`), materialised once,
   query ids assigned in global arrival order, then partitioned by the
   source server's shard.
 - Every *global* construction draw (node assignment, heterogeneity,
@@ -78,7 +78,6 @@ from repro.cluster.config import SystemConfig
 from repro.namespace.tree import Namespace, export_arenas
 from repro.net.codec import require_encodable
 from repro.net.transport import shard_of_sid
-from repro.sim import profile
 from repro.sim.engine import Engine, ShardError
 from repro.sim.shardcodec import (
     LOG_BASE,
@@ -122,7 +121,6 @@ from repro.workload.streams import WorkloadSpec
 __all__ = [
     "MAX_EVENT_OVERHEAD",
     "MergedRun",
-    "ShardEngine",
     "ShardRecorder",
     "ShardResult",
     "ShardRunner",
@@ -135,39 +133,6 @@ __all__ = [
     "stats_fingerprint",
     "window_plan",
 ]
-
-
-class ShardEngine(Engine):
-    """An :class:`~repro.sim.engine.Engine` that knows which shard it is.
-
-    Pure bookkeeping on top of the base engine: the shard id names the
-    engine in errors/repr and ``n_windows`` counts barrier crossings.
-    Dispatch semantics are exactly the base class's.
-    """
-
-    __slots__ = ("shard_id", "n_windows")
-
-    def __init__(self, shard_id: int = 0) -> None:
-        super().__init__()
-        self.shard_id = shard_id
-        self.n_windows = 0
-
-    def run_window(self, end: float, inclusive: bool = False) -> None:
-        super().run_window(end, inclusive)
-        self.n_windows += 1
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardEngine(shard={self.shard_id}, now={self.now:.6f}, "
-            f"pending={len(self._heap)}, windows={self.n_windows})"
-        )
-
-
-def _make_shard_engine(shard_id: int) -> Engine:
-    """One engine per shard; profiled (and registered) when profiling is on."""
-    if profile.is_active():
-        return profile.make_engine(label=f"shard{shard_id}")
-    return ShardEngine(shard_id)
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +326,6 @@ class ShardResult:
         "n_lost",
         "now",
         "n_dispatched",
-        "n_windows",
         "local_sids",
         "processed_by_sid",
         "queue_drops_by_sid",
@@ -402,7 +366,7 @@ class ShardRunner:
         owner: Sequence[int],
         arrivals: Sequence[Tuple[float, int, int, int]],
     ) -> None:
-        engine = _make_shard_engine(shard_id)
+        engine = Engine()
         self.recorder = ShardRecorder(engine)
         self.system = build_shard_system(
             ns, cfg, shard_id, n_shards, owner=owner, engine=engine,
@@ -410,7 +374,7 @@ class ShardRunner:
         )
         self.system.feed(arrivals)
         self.system.start_maintenance()
-        # wall-clock codec accounting (profile output only -- never
+        # wall-clock codec accounting (``data_plane`` only -- never
         # part of any fingerprint)
         self.encode_s = 0.0
         self.decode_s = 0.0
@@ -478,7 +442,6 @@ class ShardRunner:
             n_lost=transport.n_lost,
             now=engine.now,
             n_dispatched=engine.n_dispatched,
-            n_windows=getattr(engine, "n_windows", 0),
             local_sids=list(system.local_sids),
             processed_by_sid=[p.n_processed for p in peers],
             queue_drops_by_sid=[p.n_queue_drops for p in peers],
@@ -550,14 +513,16 @@ class MergedRun:
         results: Sequence[ShardResult],
         stats: SystemStats,
         until: float,
-        data_plane: Optional[Dict[str, Any]] = None,
+        data_plane: Dict[str, Any],
     ) -> None:
         self.ns = ns
         self.cfg = cfg
         self.stats = stats
-        self.data_plane = {} if data_plane is None else data_plane
+        self.data_plane = data_plane
         self.n_shards = len(results)
-        self.n_windows = max((r.n_windows for r in results), default=0)
+        # barriers the coordinator stepped; its extra pass for mail
+        # landing exactly on the horizon is not a window of the plan
+        self.n_windows: int = data_plane["n_barriers"]
         self.engine = _EngineView(
             until, sum(r.n_dispatched for r in results)
         )
@@ -766,8 +731,7 @@ def resolve_backend(requested: Optional[str] = None, n_shards: int = 1) -> str:
     already accounts for campaign-level ``REPRO_WORKERS``) covers every
     shard -- it never oversubscribes.  An explicit ``process`` request
     always gets processes, with a warning when that oversubscribes the
-    machine.  Profiling forces ``inline``: profiled engines must live
-    in this process to be read afterwards.
+    machine.
     """
     from repro.experiments.parallel import shard_process_budget
 
@@ -780,15 +744,6 @@ def resolve_backend(requested: Optional[str] = None, n_shards: int = 1) -> str:
             f"unknown shard backend {b!r}; choose auto, inline, or process"
         )
     if b == "inline" or n_shards <= 1:
-        return "inline"
-    if profile.is_active():
-        if b == "process":
-            warnings.warn(
-                "profiling is active: shard workers would take their "
-                "profiles with them; running shards inline",
-                RuntimeWarning,
-                stacklevel=2,
-            )
         return "inline"
     budget = shard_process_budget()
     if b == "auto":
@@ -816,7 +771,7 @@ class WindowedCoordinator:
     schedule (global query ids, partitioned by source shard), the
     window plan, the per-barrier egress exchange, and the final merge
     into a :class:`MergedRun`.  Backends: ``inline`` steps every shard
-    in this process (debugging, profiling, tests); ``process`` keeps
+    in this process (debugging, tracing, tests); ``process`` keeps
     one persistent worker process per shard with a single pipe
     round-trip per window.
     """
@@ -905,7 +860,6 @@ class WindowedCoordinator:
             _ProcessStepper(self) if self.backend == "process"
             else _InlineStepper(self)
         )
-        profile.note_coordinator(self)
         try:
             inboxes: List[List[Any]] = [[] for _ in range(self.n_shards)]
             pending = False  # any cross-shard mail at the last barrier?
@@ -945,8 +899,7 @@ class WindowedCoordinator:
             "decode_s": sum(r.data_plane["decode_s"] for r in results),
         }
         return MergedRun(
-            self.ns, self.cfg, results, stats, until,
-            data_plane=self.data_plane,
+            self.ns, self.cfg, results, stats, until, self.data_plane
         )
 
     def _route(self, outs: Sequence[Dict[int, Any]]) -> List[List[Any]]:
@@ -1352,7 +1305,7 @@ def main(argv: List[str]) -> int:
         failed = failed or not ok or not cheap
         print(
             f"shards={n} ({tag}): windows={run.n_windows} "
-            f"coalesced={run.data_plane.get('n_coalesced', 0)} "
+            f"coalesced={run.data_plane['n_coalesced']} "
             f"{_cost_text(run)} ({over:+.1%} vs serial) "
             f"{'OK: bit-identical to serial' if ok else 'FAIL: diverged'}"
             f"{'' if cheap else '; FAIL: event count over the limit'}"

@@ -27,9 +27,9 @@ from repro.tools.detlint.rules._util import terminal_name
 
 #: classes defining ``__len__`` whose emptiness does NOT mean absence
 SIZED_PRESENCE_TYPES = frozenset({
-    "Engine", "ShardEngine", "ProfiledEngine", "DispatchRegistry",
-    "Namespace", "SystemStats", "ReplicaMap", "NodeMap",
-    "DigestDirectory", "AncestorIndex", "NodeRanking", "TimerWheel",
+    "Engine", "DispatchRegistry", "Namespace", "SystemStats",
+    "ReplicaMap", "NodeMap", "DigestDirectory", "AncestorIndex",
+    "NodeRanking", "TimerWheel",
 })
 
 #: constructors/factories whose result as an ``or`` fallback is a bug

@@ -1,19 +1,23 @@
 """Drives a :class:`~repro.workload.streams.WorkloadSpec` into a system.
 
-Arrivals are generated lazily -- each arrival event schedules the next
-one -- so multi-million-query runs never materialise their arrival list.
-The driver owns the rank-to-node permutation and redraws it at segment
-boundaries flagged ``reshuffle`` (instantaneous random popularity
-change); Zipf samplers are cached per distinct alpha.
+:func:`iter_arrivals` is the one arrival stream: a Poisson process over
+the spec's segments that owns the rank-to-node permutation, redraws it
+at segment boundaries flagged ``reshuffle`` (instantaneous random
+popularity change) and caches Zipf samplers per distinct alpha.  Its
+RNG is private, so *when* an item is drawn never matters.
 
-Segment boundaries are anchored at the driver's start time, so a
+:class:`WorkloadDriver` consumes it lazily -- each arrival event
+schedules the next one -- so multi-million-query runs never materialise
+their arrival list; sharded runs materialise and partition it instead.
+
+Segment boundaries are anchored at the stream's start time, so a
 workload can begin at any point of an already-running simulation.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.cluster.system import System
 from repro.sim.rng import ZipfSampler, exponential
@@ -23,21 +27,21 @@ from repro.workload.streams import WorkloadSpec
 def iter_arrivals(
     spec: WorkloadSpec, n_nodes: int, n_servers: int, t0: float = 0.0
 ) -> Iterator[Tuple[float, int, int]]:
-    """Yield the exact ``(time, src_server, dest_node)`` arrival stream a
-    :class:`WorkloadDriver` started at ``t0`` would inject.
+    """Yield the ``(time, src_server, dest_node)`` arrival stream of
+    ``spec`` started at ``t0``, in time order, up to the spec's end.
 
-    Sharded runs cannot generate arrivals lazily inside one shard --
-    the stream's RNG is global (one Poisson process, one popularity
-    permutation) while injection points are scattered across shards.
-    The coordinator instead materialises the stream with this
-    generator, assigns query ids in global arrival order, and
-    partitions by the source server's shard.
+    The serial :class:`WorkloadDriver` pulls one item per arrival
+    event.  Sharded runs cannot generate arrivals lazily inside one
+    shard -- the stream's RNG is global (one Poisson process, one
+    popularity permutation) while injection points are scattered
+    across shards -- so the coordinator materialises the stream,
+    assigns query ids in global arrival order, and partitions by the
+    source server's shard.
 
-    Every RNG draw here replays :meth:`WorkloadDriver._arrival`'s
-    sequence draw for draw (initial shuffle, inter-arrival gaps,
-    reshuffles at segment boundaries, source then destination per
-    arrival), so a fixed seed yields bit-identical arrivals either way;
-    a regression test locks the two together.
+    Draw order is part of every fixed-seed fingerprint (initial
+    shuffle, first gap, then per arrival: reshuffles at the segment
+    boundaries crossed, source, destination, next gap); golden rows in
+    ``tests/test_workload.py`` pin it.
     """
     rng = random.Random(spec.seed ^ 0xA11CE5)
     perm = list(range(n_nodes))
@@ -70,38 +74,16 @@ def iter_arrivals(
 
 
 class WorkloadDriver:
-    """Schedules Poisson query arrivals for one workload spec."""
+    """Schedules the arrivals of one workload spec into a system."""
 
-    __slots__ = (
-        "system",
-        "spec",
-        "_rng",
-        "_perm",
-        "_samplers",
-        "_boundaries",
-        "_segment_idx",
-        "_t0",
-        "_end_time",
-        "_started",
-        "n_generated",
-        "n_reshuffles",
-    )
+    __slots__ = ("system", "spec", "_stream", "_end_time", "n_generated")
 
     def __init__(self, system: System, spec: WorkloadSpec) -> None:
         self.system = system
         self.spec = spec
-        self._rng = random.Random(spec.seed ^ 0xA11CE5)
-        n = len(system.ns)
-        self._perm: List[int] = list(range(n))
-        self._rng.shuffle(self._perm)
-        self._samplers: Dict[float, ZipfSampler] = {}
-        self._boundaries = spec.boundaries()
-        self._segment_idx = 0
-        self._t0 = 0.0
-        self._end_time = self._boundaries[-1]
-        self._started = False
+        self._stream: Optional[Iterator[Tuple[float, int, int]]] = None
+        self._end_time = spec.boundaries()[-1]
         self.n_generated = 0
-        self.n_reshuffles = 0
 
     # ------------------------------------------------------------------
 
@@ -111,16 +93,16 @@ class WorkloadDriver:
         Defaults to the engine's current time; segment boundaries are
         relative to this instant.
         """
-        if self._started:
+        if self._stream is not None:
             raise RuntimeError("driver already started")
-        self._started = True
-        now = self.system.engine.now
-        self._t0 = now if at is None else max(at, now)
-        self._end_time = self._t0 + self._boundaries[-1]
-        offset = self._t0 + exponential(
-            self._rng, 1.0 / (self.spec.rate * self.spec.segments[0].rate_mult)
+        system = self.system
+        now = system.engine.now
+        t0 = now if at is None else max(at, now)
+        self._end_time = t0 + self.spec.boundaries()[-1]
+        self._stream = iter_arrivals(
+            self.spec, len(system.ns), len(system.peers), t0
         )
-        self.system.engine.schedule(offset, self._arrival)
+        self._schedule_next()
 
     @property
     def end_time(self) -> float:
@@ -130,46 +112,22 @@ class WorkloadDriver:
     def run(self, extra_time: float = 5.0) -> None:
         """Convenience: start now and run the system until the stream
         ends plus ``extra_time`` for in-flight queries to drain."""
-        if not self._started:
+        if self._stream is None:
             self.start()
         self.system.run_until(self._end_time + extra_time)
 
     # ------------------------------------------------------------------
 
-    def _sampler(self, alpha: float) -> ZipfSampler:
-        s = self._samplers.get(alpha)
-        if s is None:
-            s = ZipfSampler(len(self.system.ns), alpha)
-            self._samplers[alpha] = s
-        return s
+    def _schedule_next(self) -> None:
+        """Exactly one pending arrival event, until the stream ends."""
+        item = next(self._stream, None)
+        if item is not None:
+            t, src, dest = item
+            self.system.engine.schedule(t, self._arrival, src, dest)
 
-    def _advance_segment(self, now: float) -> bool:
-        """Move to the segment containing ``now``; False when past the end."""
-        if now >= self._end_time:
-            return False
-        rel = now - self._t0
-        idx = self._segment_idx
-        while rel >= self._boundaries[idx]:
-            idx += 1
-            if self.spec.segments[idx].reshuffle:
-                self._rng.shuffle(self._perm)
-                self.n_reshuffles += 1
-        self._segment_idx = idx
-        return True
-
-    def _arrival(self) -> None:
-        now = self.system.engine.now
-        if not self._advance_segment(now):
-            return
-        seg = self.spec.segments[self._segment_idx]
-        rng = self._rng
-        src = rng.randrange(len(self.system.peers))
-        if seg.alpha == 0.0:
-            dest = rng.randrange(len(self._perm))
-        else:
-            rank = self._sampler(seg.alpha).sample(rng)
-            dest = self._perm[rank]
+    def _arrival(self, src: int, dest: int) -> None:
+        # inject first: the next arrival is scheduled after everything
+        # this one schedules, which fixed-seed event order depends on
         self.system.inject(src, dest)
         self.n_generated += 1
-        gap = exponential(rng, 1.0 / (self.spec.rate * seg.rate_mult))
-        self.system.engine.schedule(now + gap, self._arrival)
+        self._schedule_next()

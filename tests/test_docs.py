@@ -63,3 +63,35 @@ class TestDocstrings:
             if callable(obj) and not (obj.__doc__ or "").strip():
                 undocumented.append(name)
         assert not undocumented, undocumented
+
+
+class TestQuotedCommands:
+    """Every ``python -m repro <subcommand>`` and ``make <target>`` the
+    docs quote exists (``bench/README.md`` is the benchmark's own file
+    and is not checked here)."""
+
+    DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/API.md")
+
+    def test_quoted_commands_resolve(self):
+        from repro.experiments.campaign import EXPERIMENT_NAMES
+
+        main_src = (REPO / "src" / "repro" / "__main__.py").read_text()
+        subcommands = set(re.findall(r'argv\[0\] == "([\w-]+)"', main_src))
+        assert "run" in subcommands and "shard-check" in subcommands
+        makefile = (REPO / "Makefile").read_text()
+        targets = set(
+            re.search(r"^\.PHONY:(.*)$", makefile, re.M).group(1).split()
+        )
+        runnable = subcommands | set(EXPERIMENT_NAMES)
+        stale = []
+        for doc in self.DOCS:
+            src = (REPO / doc).read_text()
+            # fenced blocks and inline spans: prose may say "make the"
+            code = "\n".join(re.findall(r"```.*?```|`[^`]+`", src, re.S))
+            for word in re.findall(r"python3? -m repro\s+([a-z][\w-]*)", code):
+                if word not in runnable:
+                    stale.append(f"{doc}: python -m repro {word}")
+            for word in re.findall(r"\bmake\s+([a-z][\w-]*)", code):
+                if word not in targets:
+                    stale.append(f"{doc}: make {word}")
+        assert not stale, stale

@@ -21,9 +21,12 @@ completion order, so parallel and serial runs produce identical output.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 from typing import Any, Callable, Dict, List, Optional, Sequence
+
+_log = logging.getLogger(__name__)
 
 
 def worker_count(n_tasks: int, workers: Optional[int] = None) -> int:
@@ -135,8 +138,9 @@ class PersistentWorker:
     needs the opposite -- each worker holds an engine heap and peer
     state across many request/response rounds (one per time window).
     The target must be a module-level callable taking the child end of
-    the pipe; it receives ``(op, payload)`` tuples and replies
-    ``("ok", result)`` or ``("error", traceback_text)``.
+    the pipe.  Both directions carry raw bytes frames whose meaning is
+    the caller's protocol (:mod:`repro.sim.shard`'s opcode-prefixed
+    frames); nothing here pickles.
     """
 
     __slots__ = ("proc", "_conn")
@@ -147,20 +151,6 @@ class PersistentWorker:
         self.proc = ctx.Process(target=target, args=(child,), daemon=True)
         self.proc.start()
         child.close()
-
-    def send(self, msg: Any) -> None:
-        self._conn.send(msg)
-
-    def recv(self) -> Any:
-        try:
-            status, payload = self._conn.recv()
-        except EOFError:
-            raise ParallelTaskError(
-                f"shard worker pid={self.proc.pid} exited unexpectedly"
-            ) from None
-        if status == "error":
-            raise ParallelTaskError(f"shard worker failed:\n{payload}")
-        return payload
 
     def send_frame(self, frame: Any) -> None:
         """Ship one raw bytes frame (no pickling).
@@ -185,23 +175,15 @@ class PersistentWorker:
                 f"shard worker pid={self.proc.pid} exited unexpectedly"
             ) from None
 
-    def request(self, msg: Any) -> Any:
-        self.send(msg)
-        return self.recv()
-
-    def close(self, sentinel: Optional[bytes] = None) -> None:
+    def close(self, sentinel: bytes) -> None:
         """Ask the worker to exit; escalate to terminate if it won't.
 
         Args:
-            sentinel: exit request as a raw bytes frame for workers
-                speaking the frame protocol; default is the legacy
-                pickled ``("exit", None)`` tuple.
+            sentinel: the exit request, a raw bytes frame in the
+                worker's protocol.
         """
         try:
-            if sentinel is not None:
-                self._conn.send_bytes(sentinel)
-            else:
-                self._conn.send(("exit", None))
+            self._conn.send_bytes(sentinel)
         except (BrokenPipeError, OSError):
             pass
         try:
@@ -209,7 +191,11 @@ class PersistentWorker:
         except OSError:  # pragma: no cover - already closed
             pass
         self.proc.join(timeout=5)
-        if self.proc.is_alive():  # pragma: no cover - hung worker
+        if self.proc.is_alive():
+            _log.warning(
+                "worker pid=%s did not exit when asked; terminating it",
+                self.proc.pid,
+            )
             self.proc.terminate()
             self.proc.join(timeout=5)
 

@@ -195,10 +195,15 @@ class SegmentSampler:
 
     Mirrors :func:`~repro.workload.arrivals.iter_arrivals`'s
     semantics -- one popularity permutation, reshuffled at segment
-    boundaries flagged ``reshuffle``, Zipf samplers cached per alpha --
+    boundaries flagged ``reshuffle``, one Zipf sampler per alpha --
     driven by *elapsed* time instead of engine time.  Past the final
     boundary the last segment's shape keeps applying (a live capacity
     run outlives its nominal spec duration by design).
+
+    Every sampler the spec needs is built here, before the generator
+    starts: a million-node CDF takes ~0.2 s, which on the event loop
+    would stall every lookup in flight.  Building draws nothing from
+    ``rng``, so the stream is the lazily-built one.
     """
 
     def __init__(self, spec: WorkloadSpec, n_nodes: int, rng: random.Random) -> None:
@@ -206,7 +211,11 @@ class SegmentSampler:
         self.rng = rng
         self.perm: List[int] = list(range(n_nodes))
         rng.shuffle(self.perm)
-        self._samplers: Dict[float, ZipfSampler] = {}
+        self._samplers: Dict[float, ZipfSampler] = {
+            alpha: ZipfSampler(n_nodes, alpha)
+            for alpha in sorted({seg.alpha for seg in spec.segments})
+            if alpha != 0.0
+        }
         self._boundaries = spec.boundaries()
         self._idx = 0
 
@@ -228,11 +237,7 @@ class SegmentSampler:
         seg = self.segment_at(rel_t)
         if seg.alpha == 0.0:
             return self.rng.randrange(len(self.perm))
-        sampler = self._samplers.get(seg.alpha)
-        if sampler is None:
-            sampler = ZipfSampler(len(self.perm), seg.alpha)
-            self._samplers[seg.alpha] = sampler
-        return self.perm[sampler.sample(self.rng)]
+        return self.perm[self._samplers[seg.alpha].sample(self.rng)]
 
 
 class AdaptiveLoadClient:

@@ -8,10 +8,8 @@ standard common-random-numbers discipline for simulation experiments.
 :class:`ZipfSampler` implements the bounded Zipf law the paper uses for
 destination popularity (Zipf 1949): ``P(rank=i) ~ 1/i**alpha`` over a
 finite population, sampled in O(log n) by inverse-CDF binary search
-over precomputed cumulative weights (numpy).  numpy is imported where a
-sampler is built, not with this module: every ``repro`` process imports
-``repro.sim``, and shard workers and live peers, which replay
-pre-generated arrivals and never sample, should not pay for it.
+over precomputed cumulative weights: one ``array('d')`` and
+:func:`bisect.bisect_left`, standard library only.
 """
 
 from __future__ import annotations
@@ -19,10 +17,10 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from typing import TYPE_CHECKING, Dict, List
-
-if TYPE_CHECKING:
-    import numpy as np
+from array import array
+from bisect import bisect_left
+from itertools import accumulate
+from typing import Dict, List, Optional
 
 
 def _stable_hash(name: str) -> int:
@@ -75,32 +73,23 @@ class ZipfSampler:
             raise ValueError("alpha must be >= 0")
         self.n = n
         self.alpha = alpha
-        if alpha == 0.0:
-            self._cdf = None
-        else:
-            import numpy as np
-
-            ranks = np.arange(1, n + 1, dtype=np.float64)
-            weights = ranks ** (-alpha)
-            cdf = np.cumsum(weights)
-            cdf /= cdf[-1]
-            self._cdf = cdf
+        self._cdf: Optional[array[float]] = None
+        if alpha != 0.0:
+            # generators end to end: the running sum and the normalised
+            # CDF are the only two n-sized buffers ever alive
+            if alpha == 1.0:
+                weights = (1.0 / i for i in range(1, n + 1))
+            else:
+                weights = (float(i) ** -alpha for i in range(1, n + 1))
+            sums = array("d", accumulate(weights))
+            total = sums[-1]
+            self._cdf = array("d", (s / total for s in sums))
 
     def sample(self, rng: random.Random) -> int:
         """Draw one rank using ``rng`` for the underlying uniform."""
         if self._cdf is None:
             return rng.randrange(self.n)
-        u = rng.random()
-        return int(self._cdf.searchsorted(u, side="left"))
-
-    def sample_many(self, rng: random.Random, k: int) -> np.ndarray:
-        """Draw ``k`` ranks at once (vectorised)."""
-        import numpy as np
-
-        if self._cdf is None:
-            return np.array([rng.randrange(self.n) for _ in range(k)])
-        us = np.array([rng.random() for _ in range(k)])
-        return np.searchsorted(self._cdf, us, side="left")
+        return bisect_left(self._cdf, rng.random())
 
     def pmf(self, rank: int) -> float:
         """Probability mass of a rank (0-based)."""
@@ -109,7 +98,7 @@ class ZipfSampler:
         if self._cdf is None:
             return 1.0 / self.n
         lo = self._cdf[rank - 1] if rank > 0 else 0.0
-        return float(self._cdf[rank] - lo)
+        return self._cdf[rank] - lo
 
 
 def exponential(rng: random.Random, mean: float) -> float:

@@ -1,11 +1,14 @@
 """Tests for the multiprocess experiment fan-out."""
 
+import logging
 import os
+import time
 
 import pytest
 
 from repro.experiments.parallel import (
     ParallelTaskError,
+    PersistentWorker,
     parallel_map,
     worker_count,
 )
@@ -17,6 +20,18 @@ def square(x):
 
 def boom(x):
     raise RuntimeError("task failure")
+
+
+def echo_until_exit(conn):
+    while True:
+        frame = conn.recv_bytes()
+        if frame == b"exit":
+            return
+        conn.send_bytes(frame)
+
+
+def deaf(conn):
+    time.sleep(60)
 
 
 class TestWorkerCount:
@@ -112,3 +127,29 @@ class TestParallelMap:
         serial = parallel_map(fig5_cell, [kwargs, kwargs], workers=0)
         para = parallel_map(fig5_cell, [kwargs, kwargs], workers=2)
         assert serial == para
+
+
+class TestPersistentWorker:
+    def test_frames_round_trip_and_exit_is_quiet(self, caplog):
+        worker = PersistentWorker(echo_until_exit)
+        worker.send_frame(b"ping")
+        assert worker.recv_frame() == b"ping"
+        with caplog.at_level(logging.WARNING, "repro.experiments.parallel"):
+            worker.close(sentinel=b"exit")
+        assert not worker.proc.is_alive()
+        assert not caplog.records
+
+    def test_terminating_a_hung_worker_is_logged(self, caplog, monkeypatch):
+        worker = PersistentWorker(deaf)
+        join = worker.proc.join
+        # close() waits 5 s before it escalates; 0.2 s makes the point
+        monkeypatch.setattr(worker.proc, "join",
+                            lambda timeout: join(min(timeout, 0.2)))
+        with caplog.at_level(logging.WARNING, "repro.experiments.parallel"):
+            worker.close(sentinel=b"exit")
+        join(5)
+        assert not worker.proc.is_alive()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"worker pid={worker.proc.pid} did not exit when asked; "
+            "terminating it"
+        ]

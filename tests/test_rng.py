@@ -102,11 +102,11 @@ class TestZipf:
         for rank in (0, 1, 5):
             assert abs(counts[rank] / n - z.pmf(rank)) < 0.01
 
-    def test_sample_many_matches_range(self):
+    def test_samples_stay_in_range(self):
         z = ZipfSampler(30, alpha=1.5)
         rng = random.Random(0)
-        xs = z.sample_many(rng, 1000)
-        assert xs.min() >= 0 and xs.max() < 30
+        xs = [z.sample(rng) for _ in range(1000)]
+        assert min(xs) >= 0 and max(xs) < 30
 
     def test_higher_alpha_more_skew(self):
         rng = random.Random(9)
@@ -124,3 +124,65 @@ class TestZipf:
             ZipfSampler(10, -1.0)
         with pytest.raises(IndexError):
             ZipfSampler(10, 1.0).pmf(10)
+
+
+# CDF knots (``float.hex()``) and the first 20 ranks ``random.Random(7)``
+# draws, read off the numpy sampler this one replaced (numpy 2.4.6) and
+# reproduced bit for bit by the array/bisect one: (n, alpha) -> both.
+GOLDEN = {
+    (2047, 1.0): (
+        {0: "0x1.f36a52e567346p-4", 1: "0x1.768fbe2c0d674p-3",
+         2: "0x1.c9cc215249455p-3", 9: "0x1.6db1628a91b0fp-2",
+         99: "0x1.43d4fca6df1acp-1", 1023: "0x1.d4c6515212fb3p-1",
+         2045: "0x1.fff8315ce0066p-1", 2046: "0x1.0000000000000p+0"},
+        [7, 1, 116, 0, 45, 10, 0, 35, 0, 19, 0, 0, 17, 494, 1, 2, 95,
+         1332, 63, 14],
+    ),
+    (100, 0.75): (
+        {0: "0x1.bc13d1e51c460p-4", 1: "0x1.62104fd3a5160p-3",
+         2: "0x1.c3785d868bf60p-3", 9: "0x1.a1646fc3a0681p-2",
+         49: "0x1.90e1ac342008dp-1", 98: "0x1.fe3ea0100e6eap-1",
+         99: "0x1.0000000000000p+0"},
+        [6, 1, 30, 0, 18, 7, 0, 16, 0, 11, 0, 0, 10, 58, 1, 3, 27, 85,
+         22, 9],
+    ),
+    (100, 1.5): (
+        {0: "0x1.a863e0da18251p-2", 1: "0x1.1f37a51ab7d4dp-1",
+         2: "0x1.480de83180689p-1", 9: "0x1.a7668c2fb73a8p-1",
+         49: "0x1.ee9d2b3b75688p-1", 98: "0x1.ffc9ad95651bap-1",
+         99: "0x1.0000000000000p+0"},
+        [0, 0, 3, 0, 1, 0, 0, 1, 0, 1, 0, 0, 1, 9, 0, 0, 2, 37, 2, 0],
+    ),
+}
+
+# every Zipf order src/repro/experiments/ (ZIPF_ORDERS, the churn and
+# static defaults) and bench/workloads.py hand the sampler
+ALPHAS_IN_USE = (0.75, 1.0, 1.25, 1.5)
+
+
+class TestZipfPinned:
+    @pytest.mark.parametrize("n,alpha", sorted(GOLDEN))
+    def test_golden_knots_and_draws(self, n, alpha):
+        knots, ranks = GOLDEN[n, alpha]
+        z = ZipfSampler(n, alpha)
+        assert {i: z._cdf[i].hex() for i in knots} == knots
+        rng = random.Random(7)
+        assert [z.sample(rng) for _ in range(20)] == ranks
+
+    @pytest.mark.parametrize("alpha", ALPHAS_IN_USE)
+    @pytest.mark.parametrize("n", [100, 2047, 32767])
+    def test_matches_the_numpy_formula(self, n, alpha):
+        """The deleted implementation, kept here as the reference."""
+        np = pytest.importorskip("numpy")
+        cdf = np.cumsum(np.arange(1, n + 1, dtype=np.float64) ** (-alpha))
+        cdf /= cdf[-1]
+        z = ZipfSampler(n, alpha)
+        assert len(z._cdf) == n
+        assert all(
+            abs(mine - ref) <= math.ulp(ref)
+            for mine, ref in zip(z._cdf, cdf.tolist())
+        )
+        rng, ref_rng = random.Random(3), random.Random(3)
+        got = [z.sample(rng) for _ in range(100_000)]
+        us = np.array([ref_rng.random() for _ in range(100_000)])
+        assert got == np.searchsorted(cdf, us, side="left").tolist()

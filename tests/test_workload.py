@@ -1,6 +1,7 @@
 """Unit tests for query-stream specs and the arrival driver."""
 
 import dataclasses
+import random
 from itertools import islice
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
+from repro.runtime.async_client import SegmentSampler
 from repro.workload.arrivals import WorkloadDriver, iter_arrivals
 from repro.workload.streams import (
     StreamSegment,
@@ -259,6 +261,38 @@ class TestGoldenStream:
         rows = tuple(islice(iter_arrivals(spec, 511, 8), 64))
         assert rows[0][0] < 0.5 < rows[-1][0]  # spans the surge boundary
         assert rows == GOLDEN_FLASH_CROWD
+
+
+class TestSegmentSampler:
+    """The live generator's mirror of ``iter_arrivals``' destinations."""
+
+    SPEC = WorkloadSpec(
+        rate=50.0,
+        segments=(StreamSegment(1.0, alpha=0.0),
+                  StreamSegment(1.0, alpha=1.0, reshuffle=True),
+                  StreamSegment(1.0, alpha=1.5, reshuffle=True),
+                  StreamSegment(1.0, alpha=1.0, reshuffle=True)),
+        seed=4,
+    )
+
+    def test_samplers_are_built_up_front_without_drawing(self):
+        rng, twin = random.Random(4), random.Random(4)
+        sampler = SegmentSampler(self.SPEC, 511, rng)
+        assert sorted(sampler._samplers) == [1.0, 1.5]
+        twin.shuffle(list(range(511)))  # the one draw: the permutation
+        assert rng.getstate() == twin.getstate()
+
+    def test_destinations_follow_the_segments(self):
+        sampler = SegmentSampler(self.SPEC, 511, random.Random(4))
+        before = list(sampler.perm)
+        assert all(0 <= sampler.dest(0.5) < 511 for _ in range(50))
+        assert sampler.perm == before
+        hot = [sampler.dest(1.5) for _ in range(400)]
+        assert sampler.perm != before  # reshuffled at the boundary
+        top = sampler.perm[0]
+        assert hot.count(top) > 400 * 0.08  # rank 0 of Zipf(1.0): ~15 %
+        # past the last boundary the last segment keeps applying
+        assert sampler.segment_at(99.0) is self.SPEC.segments[-1]
 
 
 class TestFlashCrowd:

@@ -52,8 +52,7 @@ def _resolve_owner(
         return assign_nodes_to_servers(ns, cfg.n_servers, seed=cfg.seed)
     if len(owner) != len(ns):
         raise ValueError("owner assignment length must equal node count")
-    n_servers = cfg.n_servers
-    if any(not 0 <= o < n_servers for o in owner):
+    if min(owner) < 0 or max(owner) >= cfg.n_servers:
         raise ValueError("owner ids out of range")
     return owner
 
@@ -109,9 +108,7 @@ def _populate_system(
     for sid in sids:
         peer = system.peers[sid]
         peer.adopt_nodes(owned_by[sid])
-        for node in owned_by[sid]:
-            for nbr in ns.neighbors(node):
-                peer.pin(nbr, (owner_list[nbr],))
+        peer.pin_contexts(owned_by[sid], owner_list)
 
     # heterogeneity: mark a fraction of servers slow (locally
     # normalized load metric absorbs the difference, section 3.1);

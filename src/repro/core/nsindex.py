@@ -282,18 +282,18 @@ class AncestorIndex:
         """Append ``members``, in iteration order, at the back of the
         mirrored order: one sort and one row sweep for the batch."""
         pre = self._pre
-        entries = list(zip(self._ranks, self._nodes, self._seqs))
-        seq = self._seq
-        for v in members:
-            seq += 1
-            entries.append((pre[v], v, seq))
-        if seq == self._seq:
+        fresh = [(pre[v], v, seq)
+                 for seq, v in enumerate(members, self._seq + 1)]
+        if not fresh:
             return
-        entries.sort()
-        ranks, nodes, seqs = (array("i", col) for col in zip(*entries))
-        for i in range(1, len(ranks)):
-            if ranks[i] == ranks[i - 1]:
-                raise ValueError(f"node {nodes[i]} already indexed")
+        seq = self._seq + len(fresh)
+        fresh.extend(zip(self._ranks, self._nodes, self._seqs))
+        fresh.sort()
+        ranks, nodes, seqs = (array("i", col) for col in zip(*fresh))
+        if len(set(nodes)) != len(nodes):
+            # equal ranks sort next to each other
+            twice = next(v for v, w in zip(nodes, nodes[1:]) if v == w)
+            raise ValueError(f"node {twice} already indexed")
         self._seq = seq
         self._ranks, self._nodes, self._seqs = ranks, nodes, seqs
         self._fill_rows()
@@ -334,7 +334,16 @@ class AncestorIndex:
             v = nodes[j]
             o = off[v]
             d = off[v + 1] - o - 1
-            lca = _shared_depth(arena, o_u, o, 0, d if d < d_u else d_u)
+            # the deepest level the two chains share (_shared_depth,
+            # written out: this is the one loop that runs per member)
+            lca = 0
+            hi = d if d < d_u else d_u
+            while lca < hi:
+                mid = (lca + hi + 1) >> 1
+                if arena[o_u + mid] == arena[o + mid]:
+                    lca = mid
+                else:
+                    hi = mid - 1
             # v is outside the open buckets below the shared ancestor
             while top > lca:
                 s = start[top]

@@ -40,14 +40,6 @@ except AttributeError:  # pragma: no cover - exercised on Python 3.9
         return bin(w).count("1")
 
 
-def _splitmix64(x: int) -> int:
-    """One splitmix64 scramble round (avalanching 64-bit mix)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 def optimal_bits(capacity: int, fp_rate: float) -> int:
     """Bit count m for a target false-positive rate at ``capacity`` items."""
     if capacity < 1:
@@ -114,8 +106,16 @@ class BloomFilter:
         how every caller learns where a key's bits live."""
         pos = self.pos_cache.get(key)
         if pos is None:
-            h1 = _splitmix64(key ^ self._salt)
-            h2 = _splitmix64(h1) | 1  # odd step avoids short cycles
+            # two splitmix64 rounds (an avalanching 64-bit mix), written
+            # out: the one place a key is hashed, once per process
+            x = ((key ^ self._salt) + 0x9E3779B97F4A7C15) & _MASK64
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+            h1 = x ^ (x >> 31)
+            x = (h1 + 0x9E3779B97F4A7C15) & _MASK64
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+            h2 = (x ^ (x >> 31)) | 1  # odd step avoids short cycles
             m = self.n_bits
             pairs = self._pairs
             if not pairs:
@@ -137,14 +137,22 @@ class BloomFilter:
 
     def add(self, key: int) -> None:
         """Insert an integer key."""
-        buf = self._buf
-        for i, m in self.positions(key):
-            buf[i] |= m
-        self.n_items += 1
+        self.add_many((key,))
 
-    def update(self, keys: Iterable[int]) -> None:
-        for k in keys:
-            self.add(k)
+    def add_many(self, keys: Iterable[int]) -> None:
+        """Insert every key of ``keys`` (duplicates count): the one
+        bit-setting loop, so a batch costs one call, not one per key."""
+        buf = self._buf
+        cached = self.pos_cache.get
+        positions = self.positions
+        n = 0
+        for key in keys:
+            for i, m in cached(key) or positions(key):
+                buf[i] |= m
+            n += 1
+        self.n_items += n
+
+    update = add_many
 
     def __contains__(self, key: int) -> bool:
         return self.test_snapshot(self._buf, key)

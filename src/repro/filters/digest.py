@@ -74,13 +74,20 @@ class Digest:
 
     def add(self, node: int) -> None:
         """Record that this server now hosts ``node``."""
-        self._bloom.add(node)
-        self.version += 1
+        self.add_many((node,))
+
+    def add_many(self, nodes: Iterable[int]) -> None:
+        """Record that this server now hosts ``nodes``: one version per
+        node, as :meth:`add` in a loop, for one pass over the bits."""
+        bloom = self._bloom
+        before = bloom.n_items
+        bloom.add_many(nodes)
+        self.version += bloom.n_items - before
 
     def rebuild(self, hosted: Iterable[int]) -> None:
         """Rebuild after un-hosting (replica eviction)."""
         self._bloom.clear()
-        self._bloom.update(hosted)
+        self._bloom.add_many(hosted)
         self.version += 1
 
     def __contains__(self, node: int) -> bool:

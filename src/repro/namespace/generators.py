@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 from typing import List, Optional, Tuple
 
 from repro.namespace.tree import Namespace, NamespaceBuilder
@@ -33,15 +34,16 @@ def balanced_tree(levels: int, arity: int = 2) -> Namespace:
         raise ValueError("levels must be >= 0")
     if arity < 1:
         raise ValueError("arity must be >= 1")
-    b = NamespaceBuilder()
-    frontier = [0]
-    for _ in range(levels):
-        nxt: List[int] = []
-        for p in frontier:
-            for i in range(arity):
-                nxt.append(b.add_child(p, f"n{i}"))
-        frontier = nxt
-    return b.build()
+    n = sum(arity ** d for d in range(levels + 1))
+    # breadth-first ids: node v's parent is (v - 1) // arity and its
+    # label n{(v - 1) % arity}, so each child slot is one strided copy
+    # of the internal ids and nothing is validated node by node
+    internal = array("i", range((n - 1) // arity))
+    parent = array("i", (0,)) * n  # exact-size; from bytes() over-allocates
+    for i in range(arity):
+        parent[1 + i::arity] = internal
+    labels = tuple(f"n{i}" for i in range(arity))
+    return Namespace(parent, ("",) + labels * len(internal))
 
 
 def path_tree(length: int) -> Namespace:

@@ -84,6 +84,14 @@ class GraphNamespace(Namespace):
             return base
         return base + extra
 
+    def contexts(self, nodes: Iterable[int]) -> List[int]:
+        """Each node's tree context with its cross links appended (the
+        base method reads the tree arenas, which hold no cross links)."""
+        out: List[int] = []
+        for v in nodes:
+            out.extend(self.neighbors(v))
+        return out
+
     def _arena_extra_state(self) -> Dict[str, object]:
         """Cross links ride in the arena handle (small, picklable)."""
         return {"cross": self.cross, "n_cross_links": self.n_cross_links}

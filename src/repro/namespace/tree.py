@@ -181,12 +181,13 @@ class Namespace:
         self.parent: array = par
         self._label: Tuple[str, ...] = tuple(label)
 
-        # depths + ancestor-chain offsets in one pass.  Chain v has
-        # depth[v] + 1 entries; offsets are the running prefix sum.
+        # pass 1: depths, ancestor-chain offsets (chain v has
+        # depth[v] + 1 entries; offsets are the running prefix sum) and
+        # child counts, which all index by (v, parent)
         depth = array("i", bytes(4 * n))
         anc_off = array("q", bytes(8 * (n + 1)))
+        child_off = array("q", bytes(8 * (n + 1)))
         total = 1  # the root's chain (ROOT,)
-        max_depth = 0
         # parent-before-child ordering is guaranteed by NamespaceBuilder
         for v in range(1, n):
             p = par[v]
@@ -194,60 +195,55 @@ class Namespace:
                 raise ValueError("nodes must be ordered parent-before-child")
             d = depth[p] + 1
             depth[v] = d
-            if d > max_depth:
-                max_depth = d
             anc_off[v] = total
             total += d + 1
+            child_off[p + 1] += 1
         anc_off[n] = total
         self.depth: array = depth
-        self.max_depth: int = max_depth
+        self.max_depth: int = max(depth)
 
-        # fill the ancestor arena: chain(v) = chain(parent) + (v,), a
-        # single slice copy (memmove) per node
+        # pass 2: fill the ancestor arena -- chain(v) = chain(parent) +
+        # (v,), a single slice copy (memmove) per node -- and the CSR
+        # child arena, derived from `parent`: each node takes the next
+        # free slot of its parent, so children appear in increasing id
+        # order, exactly as the old list-of-lists builder appended them
         arena = array("i", bytes(4 * total))
         arena[0] = ROOT
+        n_leaves = child_off.count(0) - 1  # child_off[0] is not a count
+        # summed in place: a C-speed accumulate() into a second array
+        # leaves a hole in the heap that a whole run's peak RSS shows
+        for v in range(n):
+            child_off[v + 1] += child_off[v]
+        child_arena = array("i", bytes(4 * (n - 1)))
+        cursor = child_off[:n]
         for v in range(1, n):
+            p = par[v]
             o = anc_off[v]
             dv = depth[v]  # parent's chain length
-            po = anc_off[par[v]]
+            po = anc_off[p]
             arena[o:o + dv] = arena[po:po + dv]
             arena[o + dv] = v
+            child_arena[cursor[p]] = v
+            cursor[p] += 1
         self.anc_arena: array = arena
         self.anc_off: array = anc_off
         self.anc = _ArenaView(arena, anc_off)
-
-        # children in CSR form.  When no explicit child lists are given
-        # (the builder's streaming path) they are derived from `parent`:
-        # children appear in increasing id order, which is exactly the
-        # order the old list-of-lists builder appended them in.
-        child_off = array("q", bytes(8 * (n + 1)))
-        if children is None:
-            for v in range(1, n):
-                child_off[par[v] + 1] += 1
-            for v in range(n):
-                child_off[v + 1] += child_off[v]
-            child_arena = array("i", bytes(4 * (n - 1 if n else 0)))
-            cursor = array("q", child_off[:n])
-            for v in range(1, n):
-                p = par[v]
-                child_arena[cursor[p]] = v
-                cursor[p] += 1
-        else:
+        if children is not None:
+            # a caller's own sibling order replaces the derived one
             if len(children) != n:
                 raise ValueError("children length must equal node count")
             flat: List[int] = []
+            n_leaves = 0
             for v, kids in enumerate(children):
                 flat.extend(kids)
+                if not len(kids):
+                    n_leaves += 1
                 child_off[v + 1] = len(flat)
             child_arena = array("i", flat)
         self.child_arena: array = child_arena
         self.child_off: array = child_off
         self.children = _ArenaView(child_arena, child_off)
-        leaves = 0
-        for v in range(n):
-            if child_off[v] == child_off[v + 1]:
-                leaves += 1
-        self.n_leaves: int = leaves
+        self.n_leaves: int = n_leaves
         self._levels: Optional[List[array]] = None
         self._preorder: Optional[array] = None
 
@@ -267,6 +263,20 @@ class Namespace:
         if v == ROOT:
             return tuple(kids)
         return (self.parent[v], *kids)
+
+    def contexts(self, nodes: Iterable[int]) -> List[int]:
+        """The routing contexts of ``nodes``, concatenated: for each
+        node its :meth:`neighbors`, parent first then children, read
+        off the arenas with no tuple built per node."""
+        parent, arena, off = self.parent, self.child_arena, self.child_off
+        out: List[int] = []
+        for v in nodes:
+            if v != ROOT:
+                out.append(parent[v])
+            o, e = off[v], off[v + 1]
+            if o != e:
+                out.extend(arena[o:e])
+        return out
 
     def is_leaf(self, v: int) -> bool:
         return self.child_off[v] == self.child_off[v + 1]
@@ -495,6 +505,10 @@ def _nbytes(a: Any) -> int:
     return len(a) * a.itemsize
 
 
+class ArenaError(Exception):
+    """A shared arena segment is missing, or too small for its handle."""
+
+
 class ArenaHandle:
     """Picklable descriptor of a namespace's shared-memory arenas.
 
@@ -566,9 +580,24 @@ class ArenaHandle:
         resource_tracker.register = _no_shm_register  # type: ignore[assignment]
         try:
             shm = shared_memory.SharedMemory(name=self.shm_name)
+        except FileNotFoundError as exc:
+            raise ArenaError(
+                f"arena segment {self.shm_name!r} does not exist"
+            ) from exc
         finally:
             resource_tracker.register = _orig_register  # type: ignore[assignment]
         n = self.n
+        # a truncated or foreign block would otherwise surface as a
+        # TypeError from a cast below, or an IndexError hops later
+        needed = 16 * (n + 1) + 4 * (
+            3 * n + self.n_anc + self.n_child + self.n_owner)
+        if shm.size < needed:
+            found = shm.size
+            shm.close()
+            raise ArenaError(
+                f"arena segment {self.shm_name!r} holds {found} bytes; "
+                f"its handle needs {needed}"
+            )
         buf = memoryview(shm.buf)
         off = 0
 

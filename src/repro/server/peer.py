@@ -273,30 +273,47 @@ class Peer:
 
     def adopt_node(self, node: int) -> None:
         """Take ownership of ``node`` (membership API)."""
-        self.store.track_owned(node)
-        self._wire_owned(node)
+        self.adopt_nodes((node,))
 
     def adopt_nodes(self, nodes: Sequence[int]) -> None:
-        """Take ownership of ``nodes``, in order (builder wiring): one
-        bulk write of the store's index instead of one per node."""
+        """Take ownership of ``nodes``, in order: everything adoption
+        sets up, once per batch (one index write, one pass over the
+        digest's bits) -- the builder hands over a server's whole share.
+        """
         self.store.track_owned_many(nodes)
-        for node in nodes:
-            self._wire_owned(node)
-
-    def _wire_owned(self, node: int) -> None:
-        """Everything adoption sets up outside the store, per node."""
-        self.owned.add(node)
-        self.ranking.track(node)
+        self.owned.update(nodes)
         # the meta record is created on first access (version 0 either
         # way): nothing is materialised for the common never-written node
-        entry = self.maps.get(node)
-        if entry is None:
-            # exact-size: growing an empty list over-allocates four slots
-            self.maps[node] = [self.sid]
-        elif self.sid not in entry:
-            entry.insert(0, self.sid)
+        maps = self.maps
+        sid = self.sid
+        track = self.ranking.track
+        for node in nodes:
+            track(node)
+            entry = maps.get(node)
+            if entry is None:
+                # exact-size: growing an empty list over-allocates four slots
+                maps[node] = [sid]
+            elif sid not in entry:
+                entry.insert(0, sid)
         if self.digest is not None:
-            self.digest.add(node)
+            self.digest.add_many(nodes)
+
+    def pin_contexts(self, nodes: Sequence[int], owner: Sequence[int]) -> None:
+        """Pin the routing context of every node of ``nodes`` at its
+        owner: ``pin(nbr, (owner[nbr],))`` for each neighbour in
+        :meth:`Namespace.contexts <repro.namespace.tree.Namespace.contexts>`
+        order, in one loop (the builder's wiring of a server's share).
+        """
+        maps = self.maps
+        refs = self.pin_refs
+        rmap = self.cfg.rmap
+        for nbr in self.ns.contexts(nodes):
+            refs[nbr] = refs.get(nbr, 0) + 1
+            cur = maps.get(nbr)
+            if cur is None:
+                maps[nbr] = [owner[nbr]] if rmap > 0 else []
+            elif len(cur) < rmap and owner[nbr] not in cur:
+                cur.append(owner[nbr])
 
     def bump_meta(self, node: int) -> int:
         """Owner-only meta-data version bump; replicas converge lazily."""

@@ -84,20 +84,15 @@ class ReplicaStore:
         """All hosted node ids (owned first, then replicas)."""
         return iter(self.hosted_list)
 
-    def track_owned(self, node: int) -> None:
-        """Record a newly adopted owned node in the hosted list."""
-        self.hosted_list.append(node)
-        self.index.add(node)
-
     def track_owned_many(self, nodes: Sequence[int]) -> None:
-        """Record a batch of adopted owned nodes, in order (the build)."""
+        """Record a batch of adopted owned nodes, in order."""
         self.hosted_list.extend(nodes)
         self.index.extend(nodes)
 
     def untrack_owned(self, node: int) -> None:
         """Drop an owned node from the hosted list (ownership transfer).
 
-        The counterpart of :meth:`track_owned`; replica hosting ends via
+        The counterpart of :meth:`track_owned_many`; replica hosting ends via
         :meth:`evict`.  All hosted-list membership changes must go
         through the store so the ancestor index stays in sync.
         """

@@ -6,14 +6,18 @@ one shared block -- this is what lets shard workers stop paying a
 per-process copy of the tree.
 """
 
+import os
 import pickle
 import random
+import sys
+from multiprocessing import shared_memory
 
 import pytest
 
 from repro.namespace.generators import balanced_tree, random_tree
 from repro.namespace.graph import GraphNamespace, mesh_of_trees
 from repro.namespace.tree import (
+    ArenaError,
     ArenaHandle,
     AttachedArenas,
     SharedArenas,
@@ -139,7 +143,7 @@ class TestArenaSafety:
         assert isinstance(shared, SharedArenas)
         handle = shared.handle
         shared.close()
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(ArenaError):
             handle.attach()
 
     def test_block_size_tracks_arenas_not_python_objects(self):
@@ -155,3 +159,73 @@ class TestArenaSafety:
             assert shared.nbytes < 64 * n + 4096
         finally:
             shared.close()
+
+
+def _nothing_left_behind(name):
+    """No ``/dev/shm`` entry and no mapping of the segment in this process."""
+    assert not os.path.exists(os.path.join("/dev/shm", name.lstrip("/")))
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as fh:
+            assert name.lstrip("/") not in fh.read()
+
+
+class TestAttachRefusesBadBlocks:
+    """ROADMAP E(3): a block that cannot hold what its handle describes
+    is refused at attach, by name and size, with nothing left mapped."""
+
+    def _retarget(self, handle, shm_name):
+        fields = list(handle.__reduce__()[1])
+        fields[0] = shm_name
+        return ArenaHandle(*fields)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="other platforms round a segment up to pages")
+    def test_block_one_byte_short(self):
+        shared = export_arenas(balanced_tree(levels=5), owner=[0] * 63)
+        short = shared_memory.SharedMemory(create=True, size=shared.nbytes - 1)
+        try:
+            handle = self._retarget(shared.handle, short.name)
+            with pytest.raises(ArenaError) as err:
+                handle.attach()
+            msg = str(err.value)
+            assert repr(short.name) in msg
+            assert f"holds {shared.nbytes - 1} bytes" in msg
+            assert f"needs {shared.nbytes}" in msg
+        finally:
+            short.close()
+            short.unlink()
+            shared.close()
+        _nothing_left_behind(short.name)
+        _nothing_left_behind(shared.handle.shm_name)
+
+    def test_block_of_a_smaller_namespace(self):
+        big = export_arenas(balanced_tree(levels=6))
+        small = export_arenas(balanced_tree(levels=4))
+        try:
+            handle = self._retarget(big.handle, small.handle.shm_name)
+            with pytest.raises(ArenaError) as err:
+                handle.attach()
+            msg = str(err.value)
+            assert repr(small.handle.shm_name) in msg
+            assert f"holds {small.nbytes} bytes" in msg
+            assert f"needs {big.nbytes}" in msg
+            # the segment itself is intact: its own handle still attaches
+            attached = small.handle.attach()
+            assert len(attached.ns) == 31
+            attached.close()
+        finally:
+            big.close()
+            small.close()
+        _nothing_left_behind(big.handle.shm_name)
+        _nothing_left_behind(small.handle.shm_name)
+
+    def test_missing_segment_is_named(self):
+        shared = export_arenas(balanced_tree(levels=4))
+        handle = shared.handle
+        shared.close()
+        with pytest.raises(ArenaError) as err:
+            handle.attach()
+        assert repr(handle.shm_name) in str(err.value)
+        assert "does not exist" in str(err.value)
+        assert isinstance(err.value.__cause__, FileNotFoundError)
+        _nothing_left_behind(handle.shm_name)

@@ -14,12 +14,20 @@ from hypothesis import strategies as st
 
 from repro.filters.bloom import (
     BloomFilter,
-    _splitmix64,
     optimal_bits,
     optimal_hashes,
 )
 
 _MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(x):
+    """One splitmix64 round: the oracle's own copy of the mix that
+    ``BloomFilter.positions`` writes out inline (since issue 24)."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 
 class WordListBloom:

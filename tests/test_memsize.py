@@ -3,6 +3,8 @@
 import sys
 from array import array
 
+import pytest
+
 from repro.namespace.generators import balanced_tree
 from repro.sim.memsize import deep_sizeof, fmt_bytes, report, rss_bytes
 
@@ -84,6 +86,10 @@ class TestMemSmokeFleet:
         assert 0 < point["index_bytes_per_peer_mean"] <= (
             point["index_bytes_per_peer_max"])
         assert point["index_bytes_total"] < 511 * 200  # arrays, no dicts
+        # the build budget is read per phase
+        assert point["namespace_s"] >= 0 and point["system_s"] > 0
+        assert point["build_s"] == pytest.approx(
+            point["namespace_s"] + point["system_s"], abs=2e-3)
         argv = ["--nodes", "500", "--servers", "4", "--budget-mb"]
         if point["peak_rss_bytes"]:  # 0 where the platform hides RSS
             assert mem_smoke.main(argv + ["100000"]) == 0

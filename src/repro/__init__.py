@@ -38,7 +38,7 @@ from repro.namespace.generators import (
 from repro.namespace.tree import Namespace, NamespaceBuilder
 from repro.server.peer import Peer
 from repro.sim.engine import Engine
-from repro.sim.stats import MultiSink, NullSink, StatsSink
+from repro.sim.stats import NullSink, StatsSink
 from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import (
     StreamSegment,
@@ -67,7 +67,6 @@ __all__ = [
     "QueryTrace",
     "TerraDirClient",
     "TraceRecorder",
-    "MultiSink",
     "Namespace",
     "NamespaceBuilder",
     "NullSink",

@@ -177,7 +177,6 @@ def build_shard_system(
     shard_id: int,
     n_shards: int,
     owner: Optional[Sequence[int]] = None,
-    engine: Optional[Engine] = None,
     stats: Optional[StatsSink] = None,
 ) -> ShardSystem:
     """Wire one shard's slice of a sharded deployment.
@@ -205,10 +204,8 @@ def build_shard_system(
             "run oracle comparisons on the serial engine"
         )
     owner_list = _resolve_owner(ns, cfg, owner)
-    if engine is None:
-        engine = Engine()
     system = ShardSystem(
-        ns, cfg, engine, owner_list, shard_id, n_shards, stats=stats
+        ns, cfg, Engine(), owner_list, shard_id, n_shards, stats=stats
     )
     _populate_system(system, owner_list, system.local_sids)
     return system

@@ -108,7 +108,7 @@ class FailureInjector:
         kind = msg.__class__
         if kind is QueryMessage or kind is ResponseMessage:
             # the query can never complete: record it as dropped
-            self.system.stats.record_drop(now, reason="failure")
+            self.system.stats.record_drop(now, "failure")
 
 
 def unreachable_nodes(system: System) -> List[int]:

@@ -4,7 +4,8 @@
 stats sink every component reports into -- a full
 :class:`~repro.sim.stats.SystemStats` collector by default, or any
 other :class:`~repro.sim.stats.StatsSink` (``NullSink`` for hot
-benchmark runs, ``MultiSink`` for composition).  It also drives
+benchmark runs; a shard's system records into a
+:class:`~repro.sim.shard.ShardRecorder`).  It also drives
 periodic maintenance (load-window rolls, ranking rescales, load
 sampling, idle-replica eviction) as a single global process to keep
 event-heap pressure low.

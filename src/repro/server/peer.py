@@ -477,7 +477,7 @@ class Peer:
             self._start_service(msg)
             return
         if not ingress.offer(msg):
-            self._record_drop(self.rt.now, reason="queue")
+            self._record_drop(self.rt.now, "queue")
 
     def _start_service(self, msg: QueryMessage) -> None:
         self.ingress.in_service = True

@@ -80,13 +80,13 @@ class RoutingCore:
             self.resolve(m, now)
             return
         if action is routing.RouteAction.FAIL:
-            self._record_drop(now, reason="routing")
+            self._record_drop(now, "routing")
             return
         m.hops += 1
         if m.hops > cfg.max_hops:
-            self._record_drop(now, reason="ttl")
+            self._record_drop(now, "ttl")
             return
-        self._record_forward(decision.source)
+        self._record_forward(now, decision.source)
 
         # -- advertisements (an empty table, the usual case, costs one
         # truth test) --------------------------------------------------------

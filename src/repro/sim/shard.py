@@ -61,6 +61,7 @@ from time import perf_counter
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -78,24 +79,8 @@ from repro.cluster.config import SystemConfig
 from repro.namespace.tree import Namespace, export_arenas
 from repro.net.codec import require_encodable
 from repro.net.transport import shard_of_sid
-from repro.sim.engine import Engine, ShardError
+from repro.sim.engine import ShardError
 from repro.sim.shardcodec import (
-    LOG_BASE,
-    LOG_CLIENT_LOOKUP,
-    LOG_CLIENT_RETRY,
-    LOG_CLIENT_TIMEOUT,
-    LOG_COMPLETION,
-    LOG_COMPLETION_ARGS,
-    LOG_DROP,
-    LOG_FLOAT_ARG,
-    LOG_FORWARD,
-    LOG_INJECTED,
-    LOG_LEVEL_ARG,
-    LOG_LOAD,
-    LOG_REPLICA_CREATED,
-    LOG_REPLICA_EVICTED,
-    LOG_STALE_HOP,
-    LOG_STR_ARG,
     OP_EXIT,
     OP_FINISH,
     OP_INIT,
@@ -104,8 +89,10 @@ from repro.sim.shardcodec import (
     ST_OK,
     ST_PAYLOAD,
     ST_STEP,
+    STATS_RECORDS,
     ArrivalBatch,
     PackedLog,
+    StatsRecord,
     decode_batch,
     decode_stats_log,
     decode_step_reply,
@@ -139,19 +126,24 @@ __all__ = [
 # per-shard stats event log + canonical-order replay
 # ----------------------------------------------------------------------
 
-# log record codes (index = StatsSink hook); the wire layouts live in
-# repro.sim.shardcodec, re-exported here under the historical names
-_INJECTED = LOG_INJECTED
-_DROP = LOG_DROP
-_COMPLETION = LOG_COMPLETION
-_FORWARD = LOG_FORWARD
-_STALE_HOP = LOG_STALE_HOP
-_REPLICA_CREATED = LOG_REPLICA_CREATED
-_REPLICA_EVICTED = LOG_REPLICA_EVICTED
-_LOAD = LOG_LOAD
-_CLIENT_LOOKUP = LOG_CLIENT_LOOKUP
-_CLIENT_TIMEOUT = LOG_CLIENT_TIMEOUT
-_CLIENT_RETRY = LOG_CLIENT_RETRY
+def _recorder_hook(code: int, record: StatsRecord) -> Callable[..., None]:
+    """One :class:`ShardRecorder` method: pack ``(now, code, *args)``."""
+    name, layout, str_at = record
+    pack = layout.pack
+    if str_at:
+        def hook(self: ShardRecorder, now: float, *args: Any) -> None:
+            vals = list(args)
+            for i in str_at:
+                vals[i] = self._intern(vals[i])
+            self._data += pack(now, code, *vals)
+            self.n += 1
+    else:
+        def hook(self: ShardRecorder, now: float, *args: Any) -> None:
+            self._data += pack(now, code, *args)
+            self.n += 1
+    hook.__name__ = name
+    hook.__qualname__ = f"ShardRecorder.{name}"
+    return hook
 
 
 class ShardRecorder(StatsSink):
@@ -161,26 +153,19 @@ class ShardRecorder(StatsSink):
     Aggregating per shard and summing at the end would lose bitwise
     equality with the serial run: float accumulation order, histogram
     dict insertion order, and per-bin maxima all depend on the *global*
-    event order.  The log keeps that order recoverable: replaying all
-    shards' logs merged by ``(time, shard, index)`` into one fresh
-    :class:`~repro.sim.stats.SystemStats` performs the exact additions
-    the serial collector performed, in the same order.
+    event order.  Replaying all shards' logs merged by ``(time, shard,
+    index)`` into one fresh :class:`~repro.sim.stats.SystemStats`
+    performs the serial collector's additions in the serial order.
 
-    Records are appended straight into a flat byte buffer (the
-    :class:`~repro.sim.shardcodec.PackedLog` wire layouts) with drop
-    reasons and forward sources interned into a small string table --
-    the process backend ships the buffer as-is and the coordinator
-    decodes it exactly once at finish, instead of pickling one Python
-    tuple per event.
-
-    ``record_forward`` is the one hook without a ``now`` argument; the
-    recorder stamps it from its engine reference.
+    Records go straight into a flat byte buffer (a
+    :class:`~repro.sim.shardcodec.PackedLog`) with string arguments
+    interned into a small table.  The hook methods are set below the
+    class, one per :data:`~repro.sim.shardcodec.STATS_RECORDS` entry.
     """
 
-    __slots__ = ("engine", "_data", "_strings", "_sidx", "n")
+    __slots__ = ("_data", "_strings", "_sidx", "n")
 
-    def __init__(self, engine: Engine) -> None:
-        self.engine = engine
+    def __init__(self) -> None:
         self._data = bytearray()
         self._strings: List[str] = []
         self._sidx: Dict[str, int] = {}
@@ -199,74 +184,12 @@ class ShardRecorder(StatsSink):
         """The log so far as a picklable flat-bytes payload."""
         return PackedLog(bytes(self._data), tuple(self._strings), self.n)
 
-    def record_injected(self, now: float) -> None:
-        self._data += LOG_BASE.pack(now, LOG_INJECTED)
-        self.n += 1
 
-    def record_drop(self, now: float, reason: str = "queue") -> None:
-        self._data += LOG_STR_ARG.pack(now, LOG_DROP, self._intern(reason))
-        self.n += 1
-
-    def record_completion(
-        self, now: float, latency: float, hops: int, stale_hops: int
-    ) -> None:
-        self._data += LOG_COMPLETION_ARGS.pack(
-            now, LOG_COMPLETION, latency, hops, stale_hops
-        )
-        self.n += 1
-
-    def record_forward(self, source: str) -> None:
-        self._data += LOG_STR_ARG.pack(
-            self.engine.now, LOG_FORWARD, self._intern(source)
-        )
-        self.n += 1
-
-    def record_stale_hop(self, now: float) -> None:
-        self._data += LOG_BASE.pack(now, LOG_STALE_HOP)
-        self.n += 1
-
-    def record_replica_created(self, now: float, level: int) -> None:
-        self._data += LOG_LEVEL_ARG.pack(now, LOG_REPLICA_CREATED, level)
-        self.n += 1
-
-    def record_replica_evicted(self, now: float, level: int) -> None:
-        self._data += LOG_LEVEL_ARG.pack(now, LOG_REPLICA_EVICTED, level)
-        self.n += 1
-
-    def sample_load(self, now: float, load: float) -> None:
-        self._data += LOG_FLOAT_ARG.pack(now, LOG_LOAD, load)
-        self.n += 1
-
-    def record_client_lookup(self, now: float) -> None:
-        self._data += LOG_BASE.pack(now, LOG_CLIENT_LOOKUP)
-        self.n += 1
-
-    def record_client_timeout(self, now: float) -> None:
-        self._data += LOG_BASE.pack(now, LOG_CLIENT_TIMEOUT)
-        self.n += 1
-
-    def record_client_retry(self, now: float) -> None:
-        self._data += LOG_BASE.pack(now, LOG_CLIENT_RETRY)
-        self.n += 1
+for _code, _record in enumerate(STATS_RECORDS):
+    setattr(ShardRecorder, _record[0], _recorder_hook(_code, _record))
 
 
-_REPLAY_HOOKS = {
-    _INJECTED: SystemStats.record_injected,
-    _DROP: SystemStats.record_drop,
-    _COMPLETION: SystemStats.record_completion,
-    _STALE_HOP: SystemStats.record_stale_hop,
-    _REPLICA_CREATED: SystemStats.record_replica_created,
-    _REPLICA_EVICTED: SystemStats.record_replica_evicted,
-    _LOAD: SystemStats.sample_load,
-    _CLIENT_LOOKUP: SystemStats.record_client_lookup,
-    _CLIENT_TIMEOUT: SystemStats.record_client_timeout,
-    _CLIENT_RETRY: SystemStats.record_client_retry,
-}
-
-
-def replay_stats(
-    logs: Sequence[Union[PackedLog, List[tuple]]], max_depth: int
-) -> SystemStats:
+def replay_stats(logs: Sequence[PackedLog], max_depth: int) -> SystemStats:
     """Merge per-shard logs and replay them into one fresh collector.
 
     Streams are merged by ``(timestamp, shard_id, log_index)`` --
@@ -274,16 +197,9 @@ def replay_stats(
     simultaneous records come out in shard order, which (contiguous
     shard blocks, ascending-sid local loops) equals the serial run's
     ascending-sid order for the only simultaneous cross-shard records
-    there are: per-server maintenance samples.
-
-    Accepts packed logs (the recorder's wire form, decoded here exactly
-    once) or pre-expanded tuple lists interchangeably.
+    there are: per-server maintenance samples.  Every record calls the
+    hook it was logged from, with the arguments it was logged with.
     """
-    expanded: List[List[tuple]] = [
-        decode_stats_log(log) if isinstance(log, PackedLog) else log
-        for log in logs
-    ]
-    logs = expanded
     stats = SystemStats(max_depth)
 
     def keyed(
@@ -293,15 +209,10 @@ def replay_stats(
         # up shard_id lazily and stamp every stream with the last one
         return ((rec[0], shard_id, idx, rec) for idx, rec in enumerate(log))
 
-    streams = [keyed(i, log) for i, log in enumerate(logs)]
-    forward = SystemStats.record_forward
-    hooks = _REPLAY_HOOKS
-    for _, _, _, rec in heapq.merge(*streams):
-        code = rec[1]
-        if code == _FORWARD:
-            forward(stats, rec[2])
-        else:
-            hooks[code](stats, rec[0], *rec[2:])
+    streams = [keyed(i, decode_stats_log(log)) for i, log in enumerate(logs)]
+    hooks = [getattr(stats, name) for name, _, _ in STATS_RECORDS]
+    for t, _, _, rec in heapq.merge(*streams):
+        hooks[rec[1]](t, *rec[2:])
     return stats
 
 
@@ -340,13 +251,6 @@ class ShardResult:
         if kw:
             raise TypeError(f"unexpected fields {sorted(kw)}")
 
-    def __getstate__(self) -> Dict[str, Any]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-
     def __repr__(self) -> str:
         return (
             f"ShardResult(shard={self.shard_id}, events={self.n_dispatched}, "
@@ -366,11 +270,9 @@ class ShardRunner:
         owner: Sequence[int],
         arrivals: Sequence[Tuple[float, int, int, int]],
     ) -> None:
-        engine = Engine()
-        self.recorder = ShardRecorder(engine)
+        self.recorder = ShardRecorder()
         self.system = build_shard_system(
-            ns, cfg, shard_id, n_shards, owner=owner, engine=engine,
-            stats=self.recorder,
+            ns, cfg, shard_id, n_shards, owner=owner, stats=self.recorder,
         )
         self.system.feed(arrivals)
         self.system.start_maintenance()
@@ -874,9 +776,9 @@ class WindowedCoordinator:
                     self.n_coalesced += 1
                     continue
                 outs, next_min = stepper.step_all(end, inclusive, inboxes)
+                self.n_windows += 1
                 inboxes = self._route(outs)
                 pending = any(inboxes)
-                self.n_windows += 1
             if pending:
                 # cross-shard messages landing at exactly `until` (sent
                 # at exactly `until - net_delay`): the serial engine's
@@ -909,12 +811,19 @@ class WindowedCoordinator:
         shard merges the same barrier the same way no matter which
         backend delivered it.  With the codec on, a batch is a packed
         frame (bytes) the coordinator routes without decoding; the
-        canonical merge key rides in each record's header.
+        canonical merge key rides in each record's header.  Egress a
+        shard addressed to itself or to no shard raises ``ShardError``.
         """
-        inboxes: List[List[Any]] = [[] for _ in range(self.n_shards)]
-        for src in range(self.n_shards):
+        n = self.n_shards
+        inboxes: List[List[Any]] = [[] for _ in range(n)]
+        for src in range(n):
             out = outs[src]
             for dest in sorted(out):
+                if not 0 <= dest < n or dest == src:
+                    raise ShardError(
+                        f"shard {src} sent egress to shard {dest} at "
+                        f"window {self.n_windows} ({n} shards)"
+                    )
                 batch = out[dest]
                 if not isinstance(batch, list):
                     self.bytes_exchanged += len(batch)
@@ -948,18 +857,14 @@ class _InlineStepper:
     ) -> Tuple[List[Dict[int, Any]], float]:
         outs: List[Dict[int, Any]] = []
         next_min = math.inf
-        if self.codec:
-            for i, r in enumerate(self.runners):
+        for i, r in enumerate(self.runners):
+            if self.codec:
                 dest_frames, nt = r.step_packed(end, inclusive, inboxes[i])
                 outs.append(dict(dest_frames))
-                if nt < next_min:
-                    next_min = nt
-        else:
-            for i, r in enumerate(self.runners):
+            else:
                 out, nt = r.step(end, inclusive, inboxes[i])
                 outs.append(out)
-                if nt < next_min:
-                    next_min = nt
+            next_min = min(next_min, nt)
         return outs, next_min
 
     def finish_all(self) -> List[ShardResult]:

@@ -25,9 +25,9 @@ with flat ``struct``-packed frames:
   coordinator uses for window coalescing (see
   :class:`repro.sim.shard.WindowedCoordinator`).
 * **Packed stats logs** (:class:`PackedLog` /
-  :func:`decode_stats_log`): the ``(t, opcode, *args)`` stats stream as
-  one flat byte buffer plus an interned string table, decoded once at
-  finish instead of shipping tuple lists.
+  :func:`decode_stats_log`): the stats hook calls as one flat byte
+  buffer plus an interned string table, decoded once at finish, in the
+  layouts :data:`STATS_RECORDS` derives from the ``StatsSink`` hooks.
 * **Packed arrivals** (:class:`ArrivalBatch`): the pre-generated
   ``(t, src, dest, qid)`` schedule as four flat columns; indexing
   yields the exact tuples :meth:`repro.cluster.system.ShardSystem.feed`
@@ -48,16 +48,19 @@ record is ever silently truncated -- malformed frames raise
 
 from __future__ import annotations
 
+import inspect
 import struct
 from array import array
 from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.net.codec import DECODERS, ENCODERS, Buf, CodecError
+from repro.sim.stats import StatsSink
 
 __all__ = [
     "ArrivalBatch",
     "MAGIC",
     "PackedLog",
+    "STATS_RECORDS",
     "ShardCodecError",
     "decode_batch",
     "decode_stats_log",
@@ -66,6 +69,7 @@ __all__ = [
     "encode_batch",
     "encode_step_reply",
     "encode_step_request",
+    "stats_records",
 ]
 
 #: what every function here raises on a frame it cannot write or read;
@@ -244,33 +248,42 @@ def decode_step_reply(payload: Buf) -> Tuple[float, List[Tuple[int, memoryview]]
 # packed stats logs
 # ----------------------------------------------------------------------
 
-# log record opcodes (shared with repro.sim.shard, which re-exports
-# them under its historical underscore names)
-LOG_INJECTED = 0
-LOG_DROP = 1
-LOG_COMPLETION = 2
-LOG_FORWARD = 3
-LOG_STALE_HOP = 4
-LOG_REPLICA_CREATED = 5
-LOG_REPLICA_EVICTED = 6
-LOG_LOAD = 7
-LOG_CLIENT_LOOKUP = 8
-LOG_CLIENT_TIMEOUT = 9
-LOG_CLIENT_RETRY = 10
+#: struct code per hook-argument annotation (a str: string-table index)
+_ARG_CODES = {"float": "d", "int": "i", "str": "H"}
 
-# per-opcode record layouts, all prefixed by <dB (timestamp, opcode)
-LOG_BASE = struct.Struct("<dB")
-LOG_STR_ARG = struct.Struct("<dBH")     # + string-table index
-LOG_COMPLETION_ARGS = struct.Struct("<dBdii")  # + latency, hops, stale
-LOG_LEVEL_ARG = struct.Struct("<dBi")   # + replica level
-LOG_FLOAT_ARG = struct.Struct("<dBd")   # + load sample
+#: (hook name, record layout, positions of the str arguments)
+StatsRecord = Tuple[str, struct.Struct, Tuple[int, ...]]
 
-_LOG_NOARG = frozenset((
-    LOG_INJECTED, LOG_STALE_HOP, LOG_CLIENT_LOOKUP, LOG_CLIENT_TIMEOUT,
-    LOG_CLIENT_RETRY,
-))
-_LOG_STR = frozenset((LOG_DROP, LOG_FORWARD))
-_LOG_LEVEL = frozenset((LOG_REPLICA_CREATED, LOG_REPLICA_EVICTED))
+
+def stats_records(sink: type) -> Tuple[StatsRecord, ...]:
+    """One record per public hook of ``sink``, in definition order.
+
+    The opcode is the index in the result; the layout is ``<dB``
+    (``now``, opcode) plus one struct code per further argument.
+    Raises :class:`TypeError` naming the hook (and the parameter) when
+    it does not take ``now`` first or annotates an argument otherwise.
+    """
+    records: List[StatsRecord] = []
+    for name, fn in vars(sink).items():
+        if name.startswith("_") or not inspect.isfunction(fn):
+            continue
+        params = list(inspect.signature(fn).parameters)[1:]
+        if params[:1] != ["now"]:
+            raise TypeError(f"stats hook {name} must take 'now' first")
+        codes = ""
+        for param in params[1:]:
+            ann = fn.__annotations__.get(param)
+            if ann not in _ARG_CODES:
+                raise TypeError(f"stats hook {name}: parameter {param!r} "
+                                f"is {ann!r}, not float, int or str")
+            codes += _ARG_CODES[ann]
+        str_at = tuple(i for i, c in enumerate(codes) if c == "H")
+        records.append((name, struct.Struct("<dB" + codes), str_at))
+    return tuple(records)
+
+
+#: every stats record a shard logs, derived when this module is imported
+STATS_RECORDS = stats_records(StatsSink)
 
 
 class PackedLog:
@@ -286,9 +299,6 @@ class PackedLog:
     def __len__(self) -> int:
         return self.n
 
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (PackedLog, (self.data, self.strings, self.n))
-
     def __repr__(self) -> str:
         return f"PackedLog(records={self.n}, bytes={len(self.data)})"
 
@@ -296,40 +306,29 @@ class PackedLog:
 def decode_stats_log(log: PackedLog) -> List[Tuple[Any, ...]]:
     """Expand a packed log back into ``(t, opcode, *args)`` tuples.
 
-    Done exactly once per shard at finish; the tuples compare equal to
-    what the pre-packed recorder appended, so the canonical-order
-    replay (:func:`repro.sim.shard.replay_stats`) is unchanged.
+    Done exactly once per shard at finish, for the canonical-order
+    replay (:func:`repro.sim.shard.replay_stats`); the opcode indexes
+    :data:`STATS_RECORDS`, and string arguments come back as strings.
     """
     data = log.data
     strings = log.strings
+    records = STATS_RECORDS
     out: List[Tuple[Any, ...]] = []
     off = 0
     try:
         for _ in range(log.n):
-            t, code = LOG_BASE.unpack_from(data, off)
-            if code in _LOG_NOARG:
-                off += LOG_BASE.size
-                out.append((t, code))
-            elif code in _LOG_STR:
-                _, _, sidx = LOG_STR_ARG.unpack_from(data, off)
-                off += LOG_STR_ARG.size
-                out.append((t, code, strings[sidx]))
-            elif code == LOG_COMPLETION:
-                _, _, latency, hops, stale = LOG_COMPLETION_ARGS.unpack_from(
-                    data, off
-                )
-                off += LOG_COMPLETION_ARGS.size
-                out.append((t, code, latency, hops, stale))
-            elif code in _LOG_LEVEL:
-                _, _, level = LOG_LEVEL_ARG.unpack_from(data, off)
-                off += LOG_LEVEL_ARG.size
-                out.append((t, code, level))
-            elif code == LOG_LOAD:
-                _, _, load = LOG_FLOAT_ARG.unpack_from(data, off)
-                off += LOG_FLOAT_ARG.size
-                out.append((t, code, load))
-            else:
+            code = data[off + 8]  # the opcode byte after the timestamp
+            if code >= len(records):
                 raise ShardCodecError(f"unknown stats opcode {code}")
+            _, layout, str_at = records[code]
+            rec = layout.unpack_from(data, off)
+            off += layout.size
+            if str_at:
+                vals = list(rec)
+                for i in str_at:
+                    vals[i + 2] = strings[vals[i + 2]]
+                rec = tuple(vals)
+            out.append(rec)
     except (struct.error, IndexError) as exc:
         raise ShardCodecError(f"corrupt packed stats log: {exc}") from None
     if off != len(data):

@@ -9,13 +9,14 @@ w-second smoothed maxima of Fig. 6 (right).
 Components never talk to a concrete collector: they record through the
 :class:`StatsSink` protocol.  :class:`SystemStats` is the full
 collector every experiment uses; :class:`NullSink` drops everything
-(hot benchmark runs pay zero collection cost); :class:`MultiSink` fans
-one stream of events out to several sinks.
+(hot benchmark runs pay zero collection cost).  The hook signatures
+on :class:`StatsSink` also declare a sharded run's stats records
+(:data:`repro.sim.shardcodec.STATS_RECORDS`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 class Counter:
@@ -187,6 +188,11 @@ class StatsSink:
     overrides what it cares about.  Hooks must never influence
     simulation behaviour (no RNG use, no engine scheduling): swapping
     sinks must leave a fixed-seed run bit-identical.
+
+    Every hook takes ``now`` first and annotates each further argument
+    ``float``, ``int`` or ``str``: its position is its opcode in a shard
+    log and its annotations the record layout, so a new hook is logged
+    and replayed on sharded runs with no further code.
     """
 
     __slots__ = ()
@@ -196,7 +202,7 @@ class StatsSink:
     def record_injected(self, now: float) -> None:
         pass
 
-    def record_drop(self, now: float, reason: str = "queue") -> None:
+    def record_drop(self, now: float, reason: str) -> None:
         pass
 
     def record_completion(
@@ -204,7 +210,7 @@ class StatsSink:
     ) -> None:
         pass
 
-    def record_forward(self, source: str) -> None:
+    def record_forward(self, now: float, source: str) -> None:
         pass
 
     def record_stale_hop(self, now: float) -> None:
@@ -238,64 +244,6 @@ class NullSink(StatsSink):
 
     def __repr__(self) -> str:
         return "NullSink()"
-
-
-class MultiSink(StatsSink):
-    """Fans every recording out to an ordered list of sinks."""
-
-    __slots__ = ("sinks",)
-
-    def __init__(self, sinks: Iterable[StatsSink]) -> None:
-        self.sinks = list(sinks)
-
-    def record_injected(self, now: float) -> None:
-        for s in self.sinks:
-            s.record_injected(now)
-
-    def record_drop(self, now: float, reason: str = "queue") -> None:
-        for s in self.sinks:
-            s.record_drop(now, reason=reason)
-
-    def record_completion(
-        self, now: float, latency: float, hops: int, stale_hops: int
-    ) -> None:
-        for s in self.sinks:
-            s.record_completion(now, latency, hops, stale_hops)
-
-    def record_forward(self, source: str) -> None:
-        for s in self.sinks:
-            s.record_forward(source)
-
-    def record_stale_hop(self, now: float) -> None:
-        for s in self.sinks:
-            s.record_stale_hop(now)
-
-    def record_replica_created(self, now: float, level: int) -> None:
-        for s in self.sinks:
-            s.record_replica_created(now, level)
-
-    def record_replica_evicted(self, now: float, level: int) -> None:
-        for s in self.sinks:
-            s.record_replica_evicted(now, level)
-
-    def sample_load(self, now: float, load: float) -> None:
-        for s in self.sinks:
-            s.sample_load(now, load)
-
-    def record_client_lookup(self, now: float) -> None:
-        for s in self.sinks:
-            s.record_client_lookup(now)
-
-    def record_client_timeout(self, now: float) -> None:
-        for s in self.sinks:
-            s.record_client_timeout(now)
-
-    def record_client_retry(self, now: float) -> None:
-        for s in self.sinks:
-            s.record_client_retry(now)
-
-    def __repr__(self) -> str:
-        return f"MultiSink({self.sinks!r})"
 
 
 class SystemStats(StatsSink):
@@ -353,7 +301,7 @@ class SystemStats(StatsSink):
         self.n_injected += 1
         self.injected.add(now)
 
-    def record_drop(self, now: float, reason: str = "queue") -> None:
+    def record_drop(self, now: float, reason: str) -> None:
         self.n_dropped += 1
         self.drops.add(now)
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
@@ -366,7 +314,7 @@ class SystemStats(StatsSink):
         self.latency.record(latency)
         self.hops_sum += hops
 
-    def record_forward(self, source: str) -> None:
+    def record_forward(self, now: float, source: str) -> None:
         self.route_sources[source] = self.route_sources.get(source, 0) + 1
 
     def record_stale_hop(self, now: float) -> None:

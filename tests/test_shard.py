@@ -11,6 +11,7 @@ knobs.
 """
 
 import json
+import pickle
 import sys
 import tracemalloc
 import warnings
@@ -29,6 +30,8 @@ from repro.sim.engine import Engine, ShardError
 from repro.sim.shard import (
     MAX_EVENT_OVERHEAD,
     MergedRun,
+    ShardResult,
+    ShardRunner,
     WindowedCoordinator,
     resolve_backend,
     resolve_shards,
@@ -498,6 +501,34 @@ class TestPackedDataPlane:
             assert stepper.workers == []
         finally:
             stepper.close()
+
+    @pytest.mark.parametrize("src, dest", [(0, -1), (1, 4), (3, 9), (2, 2)])
+    def test_route_refuses_bad_destination_shards(self, src, dest):
+        ns, cfg, spec, _ = fig3_style()
+        coord = WindowedCoordinator(ns, cfg, spec, 4, backend="inline")
+        coord.n_windows = 7
+        outs = [{} for _ in range(4)]
+        outs[src] = {dest: [(1.0, src, 1, 0, None)]}
+        with pytest.raises(
+            ShardError,
+            match=rf"shard {src} sent egress to shard {dest} at window 7",
+        ):
+            coord._route(outs)
+
+    def test_shard_result_pickles_natively(self):
+        ns, cfg, spec, _ = fig3_style()
+        coord = WindowedCoordinator(ns, cfg, spec, 2, backend="inline")
+        runner = ShardRunner(*coord._runner_args(0))
+        runner.step(1.5, False, [])
+        result = runner.finish()
+        assert "__getstate__" not in vars(ShardResult)
+        assert len(result.log) > 0
+        clone = pickle.loads(pickle.dumps(result))
+        for name in ShardResult.__slots__:
+            if name != "log":
+                assert getattr(clone, name) == getattr(result, name), name
+        assert (clone.log.data, clone.log.strings, clone.log.n) == \
+            (result.log.data, result.log.strings, result.log.n)
 
 
 class TestShardSystemConstruction:

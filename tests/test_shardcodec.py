@@ -7,6 +7,7 @@ step-frame / packed-log / packed-arrival layers the process backend is
 built on.
 """
 
+import json
 import math
 import pickle
 import struct
@@ -24,6 +25,7 @@ from repro.net.message import (
 )
 from repro.sim.shardcodec import (
     MAGIC,
+    STATS_RECORDS,
     ArrivalBatch,
     PackedLog,
     ShardCodecError,
@@ -34,6 +36,7 @@ from repro.sim.shardcodec import (
     encode_batch,
     encode_step_reply,
     encode_step_request,
+    stats_records,
 )
 from tests.test_frame import GOLDEN_QUERY, make_query
 from tests.wire_strategies import (
@@ -263,17 +266,32 @@ class TestStepFrames:
 # ---------------------------------------------------------------------------
 
 class TestPackedLog:
+    #: ``_recorded()``'s buffer and string table as the recorder wrote
+    #: them before the record layouts were derived from ``StatsSink``
+    GOLDEN = bytes.fromhex(
+        "000000000000e03f" "00"                                  # injected
+        "333333333333e33f" "01" "0000"                           # drop
+        "666666666666e63f" "02" "9a9999999999c93f" "03000000" "01000000"
+        "9a9999999999e93f" "03" "0100"                           # forward
+        "cdccccccccccec3f" "04"                                  # stale hop
+        "000000000000f03f" "05" "02000000"                       # created
+        "9a9999999999f13f" "06" "03000000"                       # evicted
+        "333333333333f33f" "07" "000000000000e83f"               # load
+        "cdccccccccccf43f" "08"                                  # lookup
+        "666666666666f63f" "09"                                  # timeout
+        "000000000000f83f" "0a"                                  # retry
+        "9a9999999999f93f" "01" "0000"                           # drop
+    )
+    GOLDEN_STRINGS = ("queue", "cache")
+
     def _recorded(self):
-        from repro.sim.engine import Engine
         from repro.sim.shard import ShardRecorder
 
-        eng = Engine()
-        rec = ShardRecorder(eng)
+        rec = ShardRecorder()
         rec.record_injected(0.5)
         rec.record_drop(0.6, "queue")
         rec.record_completion(0.7, 0.2, 3, 1)
-        eng.now = 0.8
-        rec.record_forward("cache")
+        rec.record_forward(0.8, "cache")
         rec.record_stale_hop(0.9)
         rec.record_replica_created(1.0, 2)
         rec.record_replica_evicted(1.1, 3)
@@ -284,24 +302,30 @@ class TestPackedLog:
         rec.record_drop(1.6, "queue")  # interned: same table entry
         return rec
 
-    def test_decode_matches_recorded_stream(self):
-        from repro.sim import shardcodec as sc
+    def test_golden_log_is_byte_identical(self):
+        log = self._recorded().packed()
+        assert log.data == self.GOLDEN
+        assert log.strings == self.GOLDEN_STRINGS
 
+    def test_decode_matches_recorded_stream(self):
         log = self._recorded().packed()
         assert len(log) == 12
-        assert decode_stats_log(log) == [
-            (0.5, sc.LOG_INJECTED),
-            (0.6, sc.LOG_DROP, "queue"),
-            (0.7, sc.LOG_COMPLETION, 0.2, 3, 1),
-            (0.8, sc.LOG_FORWARD, "cache"),
-            (0.9, sc.LOG_STALE_HOP),
-            (1.0, sc.LOG_REPLICA_CREATED, 2),
-            (1.1, sc.LOG_REPLICA_EVICTED, 3),
-            (1.2, sc.LOG_LOAD, 0.75),
-            (1.3, sc.LOG_CLIENT_LOOKUP),
-            (1.4, sc.LOG_CLIENT_TIMEOUT),
-            (1.5, sc.LOG_CLIENT_RETRY),
-            (1.6, sc.LOG_DROP, "queue"),
+        assert [
+            (t, STATS_RECORDS[code][0], *args)
+            for t, code, *args in decode_stats_log(log)
+        ] == [
+            (0.5, "record_injected"),
+            (0.6, "record_drop", "queue"),
+            (0.7, "record_completion", 0.2, 3, 1),
+            (0.8, "record_forward", "cache"),
+            (0.9, "record_stale_hop"),
+            (1.0, "record_replica_created", 2),
+            (1.1, "record_replica_evicted", 3),
+            (1.2, "sample_load", 0.75),
+            (1.3, "record_client_lookup"),
+            (1.4, "record_client_timeout"),
+            (1.5, "record_client_retry"),
+            (1.6, "record_drop", "queue"),
         ]
         assert log.strings == ("queue", "cache")
 
@@ -318,6 +342,90 @@ class TestPackedLog:
             decode_stats_log(
                 PackedLog(log.data + b"\x00" * 9, log.strings, log.n)
             )
+        bad_opcode = log.data[:8] + bytes((len(STATS_RECORDS),))
+        with pytest.raises(ShardCodecError, match="opcode"):
+            decode_stats_log(PackedLog(bad_opcode, (), 1))
+
+
+class TestStatsRecords:
+    """The record table is derived from the ``StatsSink`` hooks."""
+
+    def test_every_hook_is_recorded_on_the_recorder_itself(self):
+        from repro.sim.shard import ShardRecorder
+        from repro.sim.stats import StatsSink
+
+        hooks = [n for n in vars(StatsSink) if not n.startswith("_")]
+        assert [r[0] for r in STATS_RECORDS] == hooks
+        # the benchmark tracer resolves these with vars(ShardRecorder)
+        assert all(name in vars(ShardRecorder) for name in hooks)
+
+    def test_unpackable_annotation_raises_naming_hook_and_parameter(self):
+        class Sink:
+            def record_tagged(self, now: "float", tag: "bytes") -> None:
+                pass
+
+        # the same check runs on StatsSink when shardcodec is imported
+        with pytest.raises(TypeError, match=r"record_tagged.*'tag'"):
+            stats_records(Sink)
+
+    def test_hook_without_now_first_raises(self):
+        class Sink:
+            def record_late(self, source: "str", now: "float") -> None:
+                pass
+
+        with pytest.raises(TypeError, match="record_late"):
+            stats_records(Sink)
+
+
+MAX_DEPTH = 4
+
+_ARG_VALUES = {
+    # sums of these depend on their order (1e16 + 1.0 + 1.0 == 1e16,
+    # 1.0 + 1.0 + 1e16 > 1e16), so a replay that merges in the wrong
+    # order changes the fingerprint
+    "d": st.sampled_from((1.0, 1e16)),
+    "i": st.integers(min_value=0, max_value=MAX_DEPTH),
+    "H": st.sampled_from(("queue", "ttl", "routing", "cache", "digest")),
+}
+
+#: one hook call: (hook name, its arguments after ``now``)
+hook_calls = st.one_of([
+    st.tuples(
+        st.just(name), st.tuples(*[_ARG_VALUES[c] for c in layout.format[3:]])
+    )
+    for name, layout, _ in STATS_RECORDS
+])
+
+#: (recorder, time, call): few distinct times, so records of different
+#: recorders often share a timestamp and only the shard index orders them
+spread_calls = st.lists(
+    st.tuples(st.integers(0, 3), st.sampled_from((0.0, 0.5, 1.0, 2.5)),
+              hook_calls),
+    min_size=16, max_size=80,
+)
+
+
+class TestReplay:
+    @given(spread_calls)
+    @settings(max_examples=200, deadline=None)
+    def test_replay_equals_direct_calls_in_merge_order(self, spread):
+        from repro.sim.shard import ShardRecorder, replay_stats, stats_fingerprint
+        from repro.sim.stats import SystemStats
+
+        n_shards = 1 + max(shard for shard, _, _ in spread)
+        recorders = [ShardRecorder() for _ in range(n_shards)]
+        calls = []  # (t, shard, index, name, args)
+        # a stable sort: each recorder sees its calls in time order
+        for shard, t, (name, args) in sorted(spread, key=lambda c: c[:2]):
+            rec = recorders[shard]
+            calls.append((t, shard, rec.n, name, args))
+            getattr(rec, name)(t, *args)
+        direct = SystemStats(MAX_DEPTH)
+        for t, _, _, name, args in sorted(calls):
+            getattr(direct, name)(t, *args)
+        replayed = replay_stats([r.packed() for r in recorders], MAX_DEPTH)
+        assert json.dumps(stats_fingerprint(replayed), sort_keys=True) == \
+            json.dumps(stats_fingerprint(direct), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

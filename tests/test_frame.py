@@ -374,6 +374,67 @@ def decodes_or_frame_error(payload, seen=None):
         pass  # any other exception type propagates and fails the test
 
 
+#: ``corpus()``'s twelve payloads (all eleven classes, both data-reply
+#: forms), then ``make_query()``'s interned form, as the hand-written
+#: per-class encoders wrote them
+GOLDEN_CORPUS = tuple(bytes.fromhex(h) for h in (
+    (
+        "0107000000000000002a00000001000000000000000000c03f03000000050000"
+        "00000000000000e83f0100000009000000010400000000000000030000000000"
+        "0000000000800000000000000000efbeadde0000000003000000010000000200"
+        "0000030000000200000003000000010000000500000002000000010000000900"
+        "000004000000"
+    ),
+    (
+        "0207000000000000002a00000001000000000000000000c03f03000000020000"
+        "0001000000050000000000000000000000000000000109000000000000000200"
+        "0000010000000000000002000000000000000200000002000000000000000200"
+        "000003000000010000000500000002000000"
+    ),
+    "0303000000020000000100000002000000",
+    "04010000000000000002000000000000000000e03f",
+    "05010000000000000002000000000000000000d03f01",
+    (
+        "06010000000000000000000000000000000000e03f0100000009000000020000"
+        "0000000000020000000100000002000000020000000800000001000000010000"
+        "000a000000010000000200000001020000000000000001000000010000006b01"
+        "000000760200000005000000616c7068610400000062657461"
+    ),
+    "070100000000000000020000000100000009000000",
+    "080500000000000000060000000700000001",
+    (
+        "0901000000000000002a00000003000000010600000068c3a96c6c6f01020000"
+        "000000000001000000010000006b01000000760200000005000000616c706861"
+        "04000000626574610100000004000000"
+    ),
+    "0902000000000000002b00000004000000020200000000ff0000000000",
+    "0a0b000000000000002a000000",
+    (
+        "0b0b000000000000002a00000001000000000000000004000000000000000000"
+        "0000020000000300000001000000"
+    ),
+    (
+        "0107000000000000002a00000001000000000000000000c03f03000000050000"
+        "00000000000000e83f0100000009000000020400000000000000030000000100"
+        "0000020000000300000002000000030000000100000005000000020000000100"
+        "00000900000004000000"
+    ),
+))
+
+
+def test_every_wire_class_payload_is_byte_identical():
+    sent, seen = DigestTable(), DigestTable()
+    encode_message(make_query(), sent)
+    payloads = corpus() + [encode_message(make_query(), sent)]
+    assert payloads == list(GOLDEN_CORPUS)
+    # and each golden payload decodes to what re-encodes to it
+    for golden in GOLDEN_CORPUS[:-1]:
+        assert encode_message(decode_message(golden)) == golden
+    decode_message(GOLDEN_CORPUS[0], seen)
+    interned = decode_message(GOLDEN_CORPUS[-1], seen)
+    assert state(interned) == state(make_query())
+
+
 def test_truncation_at_every_offset():
     for payload in corpus():
         for cut in range(len(payload)):

@@ -4,7 +4,6 @@ from repro.net.dispatch import DispatchRegistry, UnknownMessageError
 from repro.net.message import (
     Advertisement,
     AdvertMessage,
-    ControlKind,
     DataReply,
     DataRequest,
     ProbeMessage,
@@ -20,7 +19,6 @@ from repro.net.transport import Transport
 __all__ = [
     "Advertisement",
     "AdvertMessage",
-    "ControlKind",
     "DataReply",
     "DataRequest",
     "DispatchRegistry",

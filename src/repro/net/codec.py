@@ -1,9 +1,9 @@
 """Packed message bodies: the one codec every wire in the tree shares.
 
 A *body* is the struct-packed field layout of one message class from
-:mod:`repro.net.message`, written by its ``_enc_*`` function and read
-back by the matching ``_dec_*``.  Two framings carry bodies and neither
-owns a second copy of them:
+:mod:`repro.net.message`, compiled from the class's declaration when
+this module is imported.  Two framings carry bodies and neither owns a
+second copy of them:
 
 * :mod:`repro.net.frame` -- the live wire: ``u8 type_id | body`` behind
   a 4-byte length header, one frame per message on a UDS/TCP stream;
@@ -11,10 +11,34 @@ owns a second copy of them:
   merge-key header, ``type_id``, body length and body per record of a
   cross-shard batch.
 
-The closed ``type id -> (class, encoder, decoder)`` table
-(:data:`_CODECS`) is the allowlist: a class without an entry cannot be
-encoded, an id without an entry cannot be decoded, and decoding can
-only ever build the message structs listed there.
+The closed type-id table (:data:`repro.net.message.WIRE_TYPES`) is the
+allowlist: a class without an entry cannot be encoded, an id without an
+entry cannot be decoded, and decoding can only ever build the message
+structs listed there.
+
+**Layouts.**  Each class declares its fields once, in wire order, as a
+``__slots__`` dict ``{field: kind}``.  The kinds and their wire forms:
+
+* ``"i32"``, ``"i64"``, ``"f64"``, ``"bool"`` (one byte) -- scalars; a
+  run of consecutive scalar fields is one ``struct.Struct``;
+* ``"list[int]"`` -- a u32 count and that many i32;
+* ``(list, record)`` / ``(dict, record)`` -- a u32 count, then each
+  record's fields by the same rules; a record is a declared class or a
+  tuple of kinds (a dict's is ``(key kind, value kind)``);
+* ``("digest", sender)`` -- a digest snapshot, interned per link under
+  the scalar field ``sender`` declared before it (below);
+* ``"meta"`` / ``"data"`` -- a :class:`~repro.namespace.meta.NodeMeta`
+  snapshot or ``None``, and an application data scalar: two leaf
+  codecs with tagged grammars of their own.  Neither is a message
+  layout and neither is restated anywhere, so a generic union kind
+  would buy nothing.
+
+:func:`compile_layout` generates one encoder and one decoder per class
+as straight-line source, so a field costs no Python call (the digest and
+the leaves are one helper call each).  A declaration it cannot read --
+an unknown kind, a slot without a kind or a kind without a slot, a
+digest keyed by an undeclared field -- raises :class:`TypeError` naming
+class and field.
 
 **Digest interning.**  A query or response piggybacks its sender's
 versioned digest snapshot (paper section 3.6), and a receiver keeps
@@ -39,43 +63,20 @@ geometry is for ``DigestDirectory.observe`` to check, not the wire.
 
 Everything is little-endian with explicit ``struct`` formats.  Encoders
 and decoders are pure functions of their arguments (tables included):
-no clocks, RNG or I/O.  A value a format cannot hold raises
-:class:`CodecError` on encode; what a decoder may raise on malformed
-input is listed at :data:`DECODE_ERRORS`.
+no clocks, RNG or I/O.  A value its kind cannot hold raises
+:class:`CodecError` naming class and field on encode; what a decoder
+may raise on malformed input is listed at :data:`DECODE_ERRORS`.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from types import MemberDescriptorType
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.filters.bloom import Snapshot
 from repro.namespace.meta import NodeMeta
-from repro.net.message import (
-    Advertisement,
-    AdvertMessage,
-    ClientLookup,
-    ClientLookupReply,
-    DataReply,
-    DataRequest,
-    ProbeMessage,
-    ProbeReplyMessage,
-    QueryMessage,
-    ReplicaPayload,
-    ResponseMessage,
-    TransferAckMessage,
-    TransferMessage,
-)
+from repro.net.message import WIRE_TYPES
 
 __all__ = [
     "Buf",
@@ -84,6 +85,7 @@ __all__ = [
     "DECODE_ERRORS",
     "DigestTable",
     "ENCODERS",
+    "compile_layout",
     "require_encodable",
     "supported_types",
 ]
@@ -93,17 +95,16 @@ class CodecError(ValueError):
     """A message or frame cannot be encoded/decoded faithfully."""
 
 
-#: everything a ``_dec_*`` function can raise on truncated or corrupt
-#: bytes: short ``unpack_from`` (struct.error), a flag byte past the
-#: end (IndexError), invalid utf-8 (UnicodeDecodeError), and the
-#: codec's own checks.  Framings catch exactly these and re-raise their
-#: own error type.
+#: everything a decoder can raise on truncated or corrupt bytes: short
+#: ``unpack_from`` (struct.error), a flag byte past the end
+#: (IndexError), invalid utf-8 (UnicodeDecodeError), and the codec's
+#: own checks.  Framings catch exactly these and re-raise their own
+#: error type.
 DECODE_ERRORS = (CodecError, struct.error, IndexError, UnicodeDecodeError)
 
 Buf = Union[bytes, bytearray, memoryview]
 
 _U32 = struct.Struct("<I")
-_I32 = struct.Struct("<i")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 
@@ -141,67 +142,22 @@ class DigestTable:
 
 
 # ----------------------------------------------------------------------
-# primitive writers / readers
+# helper fields: length-prefixed bytes, the digest, the two leaves
 # ----------------------------------------------------------------------
 
-def _w_ints(out: bytearray, xs: Sequence[int]) -> None:
-    n = len(xs)
-    out += _U32.pack(n)
-    if n:
-        try:
-            out += struct.pack(f"<{n}i", *xs)
-        except struct.error as exc:
-            raise CodecError(f"int32 overflow in {xs!r}") from exc
-
-
-def _r_ints(buf: Buf, off: int) -> Tuple[List[int], int]:
-    (n,) = _U32.unpack_from(buf, off)
-    off += 4
-    if not n:
-        return [], off
-    vals = struct.unpack_from(f"<{n}i", buf, off)
-    return list(vals), off + 4 * n
-
-
-def _w_pairs(out: bytearray, pairs: Sequence[Tuple[int, int]]) -> None:
-    n = len(pairs)
-    out += _U32.pack(n)
-    if n:
-        flat: List[int] = []
-        for a, b in pairs:
-            flat.append(a)
-            flat.append(b)
-        try:
-            out += struct.pack(f"<{2 * n}i", *flat)
-        except struct.error as exc:
-            raise CodecError(f"int32 overflow in {pairs!r}") from exc
-
-
-def _r_pairs(buf: Buf, off: int) -> Tuple[List[Tuple[int, int]], int]:
-    (n,) = _U32.unpack_from(buf, off)
-    off += 4
-    if not n:
-        return [], off
-    flat = struct.unpack_from(f"<{2 * n}i", buf, off)
-    return (
-        [(flat[2 * i], flat[2 * i + 1]) for i in range(n)],
-        off + 8 * n,
-    )
-
-
-def _w_str(out: bytearray, s: str) -> None:
-    b = s.encode("utf-8")
+def _w_bytes(out: bytearray, b: Union[bytes, bytearray]) -> None:
     out += _U32.pack(len(b))
     out += b
 
 
-def _r_str(buf: Buf, off: int) -> Tuple[str, int]:
+def _r_bytes(buf: Buf, off: int) -> Tuple[bytes, int]:
+    """A u32-length-prefixed byte string: a ``bytes`` or a str's utf-8."""
     (n,) = _U32.unpack_from(buf, off)
     off += 4
     b = bytes(buf[off:off + n])
-    if len(b) != n:
-        raise CodecError("truncated string field")
-    return b.decode("utf-8"), off + n
+    if len(b) != n:  # a slice would silently come back short
+        raise CodecError("truncated string or bytes field")
+    return b, off + n
 
 
 # digest field forms (first byte)
@@ -234,11 +190,12 @@ def _w_digest(
             out.append(_DIGEST_VERSION)
             out += _I64.pack(version)
             return
+    out.append(_DIGEST_FULL)
+    out += _DIGEST_HEAD.pack(version, n)  # an overflow leaves the table be
+    out += vector
+    if sent is not None:
         sent.snaps[sid] = digest
         sent.counts[0] += 1
-    out.append(_DIGEST_FULL)
-    out += _DIGEST_HEAD.pack(version, n)
-    out += vector
 
 
 def _r_digest(
@@ -282,23 +239,23 @@ def _w_meta(out: bytearray, meta: Any) -> None:
     into a set.
     """
     if meta is None:
-        out += b"\x00"
+        out.append(0)
         return
     if not isinstance(meta, NodeMeta):
         raise CodecError(
             f"cannot encode meta payload of type {type(meta).__name__}; "
             "the wire ships NodeMeta snapshots only"
         )
-    out += b"\x01"
+    out.append(1)
     out += _I64.pack(meta.version)
     out += _U32.pack(len(meta.attributes))
     for k, v in meta.attributes.items():
-        _w_str(out, k)
-        _w_str(out, v)
+        _w_bytes(out, k.encode())
+        _w_bytes(out, v.encode())
     keywords = sorted(meta.keywords)
     out += _U32.pack(len(keywords))
     for w in keywords:
-        _w_str(out, w)
+        _w_bytes(out, w.encode())
 
 
 def _r_meta(buf: Buf, off: int) -> Tuple[Optional[NodeMeta], int]:
@@ -312,14 +269,14 @@ def _r_meta(buf: Buf, off: int) -> Tuple[Optional[NodeMeta], int]:
     (n_attrs,) = _U32.unpack_from(buf, off)
     off += 4
     for _ in range(n_attrs):
-        k, off = _r_str(buf, off)
-        v, off = _r_str(buf, off)
-        meta.attributes[k] = v
+        k, off = _r_bytes(buf, off)
+        v, off = _r_bytes(buf, off)
+        meta.attributes[k.decode()] = v.decode()
     (n_kw,) = _U32.unpack_from(buf, off)
     off += 4
     for _ in range(n_kw):
-        w, off = _r_str(buf, off)
-        meta.keywords.add(w)
+        w, off = _r_bytes(buf, off)
+        meta.keywords.add(w.decode())
     return meta, off
 
 
@@ -333,20 +290,16 @@ def _w_data(out: bytearray, data: Any) -> None:
         out.append(_DATA_NONE)
     elif isinstance(data, str):
         out.append(_DATA_STR)
-        _w_str(out, data)
+        _w_bytes(out, data.encode())
     elif isinstance(data, (bytes, bytearray)):
         out.append(_DATA_BYTES)
-        out += _U32.pack(len(data))
-        out += data
+        _w_bytes(out, data)
     elif isinstance(data, bool):
         out.append(_DATA_BOOL)
         out.append(1 if data else 0)
     elif isinstance(data, int):
         out.append(_DATA_INT)
-        try:
-            out += _I64.pack(data)
-        except struct.error as exc:
-            raise CodecError("int data payload out of i64 range") from exc
+        out += _I64.pack(data)
     elif isinstance(data, float):
         out.append(_DATA_FLOAT)
         out += _F64.pack(data)
@@ -363,11 +316,10 @@ def _r_data(buf: Buf, off: int) -> Tuple[Any, int]:
     if kind == _DATA_NONE:
         return None, off
     if kind == _DATA_STR:
-        return _r_str(buf, off)
+        b, off = _r_bytes(buf, off)
+        return b.decode(), off
     if kind == _DATA_BYTES:
-        (n,) = _U32.unpack_from(buf, off)
-        off += 4
-        return bytes(buf[off:off + n]), off + n
+        return _r_bytes(buf, off)
     if kind == _DATA_BOOL:
         return bool(buf[off]), off + 1
     if kind == _DATA_INT:
@@ -380,307 +332,196 @@ def _r_data(buf: Buf, off: int) -> Tuple[Any, int]:
 
 
 # ----------------------------------------------------------------------
-# per-class bodies
+# the layout compiler
 # ----------------------------------------------------------------------
 #
 # Every encoder is ``(out, msg, sent)`` and every decoder
 # ``(buf, off, seen) -> (msg, end)``; the table argument is the link's
-# DigestTable or None, and only the two digest-bearing classes read it.
-
-_QUERY_FIXED = struct.Struct("<qiidiidii")  # qid dest origin created hops sender load stale via
-_ADVERT_PAIR = struct.Struct("<ii")
-
-
-def _enc_query(
-    out: bytearray, m: QueryMessage, sent: Optional[DigestTable]
-) -> None:
-    out += _QUERY_FIXED.pack(
-        m.qid, m.dest, m.origin, m.created_at, m.hops, m.sender,
-        m.sender_load, m.stale_hops, m.via,
-    )
-    _w_digest(out, m.sender_digest, m.sender, sent)
-    _w_ints(out, m.dest_map)
-    _w_pairs(out, m.path)
-    out += _U32.pack(len(m.adverts))
-    for ad in m.adverts:
-        out += _ADVERT_PAIR.pack(ad.node, ad.server)
-
-
-def _dec_query(
-    buf: Buf, off: int, seen: Optional[DigestTable]
-) -> Tuple[QueryMessage, int]:
-    m = QueryMessage.__new__(QueryMessage)
-    (m.qid, m.dest, m.origin, m.created_at, m.hops, m.sender,
-     m.sender_load, m.stale_hops, m.via) = _QUERY_FIXED.unpack_from(buf, off)
-    off += _QUERY_FIXED.size
-    m.sender_digest, off = _r_digest(buf, off, m.sender, seen)
-    m.dest_map, off = _r_ints(buf, off)
-    m.path, off = _r_pairs(buf, off)
-    (n_ads,) = _U32.unpack_from(buf, off)
-    off += 4
-    adverts: List[Advertisement] = []
-    for _ in range(n_ads):
-        node, server = _ADVERT_PAIR.unpack_from(buf, off)
-        off += 8
-        adverts.append(Advertisement(node, server))
-    m.adverts = adverts
-    return m, off
-
-
-_RESP_FIXED = struct.Struct("<qiidiiiqd")  # qid dest origin created hops resolver stale mver load
-
-
-def _enc_response(
-    out: bytearray, m: ResponseMessage, sent: Optional[DigestTable]
-) -> None:
-    out += _RESP_FIXED.pack(
-        m.qid, m.dest, m.origin, m.created_at, m.hops, m.resolver,
-        m.stale_hops, m.meta_version, m.sender_load,
-    )
-    _w_digest(out, m.sender_digest, m.resolver, sent)
-    _w_ints(out, m.dest_map)
-    _w_pairs(out, m.path)
-
-
-def _dec_response(
-    buf: Buf, off: int, seen: Optional[DigestTable]
-) -> Tuple[ResponseMessage, int]:
-    m = ResponseMessage.__new__(ResponseMessage)
-    (m.qid, m.dest, m.origin, m.created_at, m.hops, m.resolver,
-     m.stale_hops, m.meta_version, m.sender_load) = _RESP_FIXED.unpack_from(buf, off)
-    off += _RESP_FIXED.size
-    m.sender_digest, off = _r_digest(buf, off, m.resolver, seen)
-    m.dest_map, off = _r_ints(buf, off)
-    m.path, off = _r_pairs(buf, off)
-    return m, off
-
-
-def _enc_advert(
-    out: bytearray, m: AdvertMessage, sent: Optional[DigestTable]
-) -> None:
-    out += _I32.pack(m.node)
-    _w_ints(out, m.servers)
-
-
-def _dec_advert(
-    buf: Buf, off: int, seen: Optional[DigestTable]
-) -> Tuple[AdvertMessage, int]:
-    m = AdvertMessage.__new__(AdvertMessage)
-    (m.node,) = _I32.unpack_from(buf, off)
-    m.servers, off = _r_ints(buf, off + 4)
-    return m, off
-
-
-_PROBE = struct.Struct("<qid")
-
-
-def _enc_probe(
-    out: bytearray, m: ProbeMessage, sent: Optional[DigestTable]
-) -> None:
-    out += _PROBE.pack(m.session, m.src, m.src_load)
-
-
-def _dec_probe(
-    buf: Buf, off: int, seen: Optional[DigestTable]
-) -> Tuple[ProbeMessage, int]:
-    m = ProbeMessage.__new__(ProbeMessage)
-    m.session, m.src, m.src_load = _PROBE.unpack_from(buf, off)
-    return m, off + _PROBE.size
-
-
-_PROBE_REPLY = struct.Struct("<qidB")
-
-
-def _enc_probe_reply(
-    out: bytearray, m: ProbeReplyMessage, sent: Optional[DigestTable]
-) -> None:
-    out += _PROBE_REPLY.pack(m.session, m.src, m.load, 1 if m.willing else 0)
-
-
-def _dec_probe_reply(
-    buf: Buf, off: int, seen: Optional[DigestTable]
-) -> Tuple[ProbeReplyMessage, int]:
-    m = ProbeReplyMessage.__new__(ProbeReplyMessage)
-    m.session, m.src, m.load, willing = _PROBE_REPLY.unpack_from(buf, off)
-    m.willing = bool(willing)
-    return m, off + _PROBE_REPLY.size
-
-
-_TRANSFER_FIXED = struct.Struct("<qid")
-_PAYLOAD_FIXED = struct.Struct("<iq")
-
-
-def _enc_transfer(
-    out: bytearray, m: TransferMessage, sent: Optional[DigestTable]
-) -> None:
-    out += _TRANSFER_FIXED.pack(m.session, m.src, m.load_delta)
-    out += _U32.pack(len(m.payloads))
-    for p in m.payloads:
-        out += _PAYLOAD_FIXED.pack(p.node, p.meta_version)
-        _w_ints(out, p.node_map)
-        out += _U32.pack(len(p.context))
-        for node, nmap in p.context.items():
-            out += _I32.pack(node)
-            _w_ints(out, nmap)
-        _w_meta(out, p.meta)
-
-
-def _dec_transfer(
-    buf: Buf, off: int, seen: Optional[DigestTable]
-) -> Tuple[TransferMessage, int]:
-    m = TransferMessage.__new__(TransferMessage)
-    m.session, m.src, m.load_delta = _TRANSFER_FIXED.unpack_from(buf, off)
-    off += _TRANSFER_FIXED.size
-    (n_payloads,) = _U32.unpack_from(buf, off)
-    off += 4
-    payloads: List[ReplicaPayload] = []
-    for _ in range(n_payloads):
-        p = ReplicaPayload.__new__(ReplicaPayload)
-        p.node, p.meta_version = _PAYLOAD_FIXED.unpack_from(buf, off)
-        off += _PAYLOAD_FIXED.size
-        p.node_map, off = _r_ints(buf, off)
-        (n_ctx,) = _U32.unpack_from(buf, off)
-        off += 4
-        context: Dict[int, List[int]] = {}
-        for _ in range(n_ctx):
-            (node,) = _I32.unpack_from(buf, off)
-            context[node], off = _r_ints(buf, off + 4)
-        p.context = context
-        p.meta, off = _r_meta(buf, off)
-        payloads.append(p)
-    m.payloads = payloads
-    return m, off
-
-
-_ACK_FIXED = struct.Struct("<qi")
-
-
-def _enc_transfer_ack(
-    out: bytearray, m: TransferAckMessage, sent: Optional[DigestTable]
-) -> None:
-    out += _ACK_FIXED.pack(m.session, m.src)
-    _w_ints(out, m.installed)
-
-
-def _dec_transfer_ack(
-    buf: Buf, off: int, seen: Optional[DigestTable]
-) -> Tuple[TransferAckMessage, int]:
-    m = TransferAckMessage.__new__(TransferAckMessage)
-    m.session, m.src = _ACK_FIXED.unpack_from(buf, off)
-    m.installed, off = _r_ints(buf, off + _ACK_FIXED.size)
-    return m, off
-
-
-_DATA_REQ = struct.Struct("<qiiB")
-
-
-def _enc_data_request(
-    out: bytearray, m: DataRequest, sent: Optional[DigestTable]
-) -> None:
-    out += _DATA_REQ.pack(m.rid, m.node, m.origin, 1 if m.want_meta else 0)
-
-
-def _dec_data_request(
-    buf: Buf, off: int, seen: Optional[DigestTable]
-) -> Tuple[DataRequest, int]:
-    m = DataRequest.__new__(DataRequest)
-    m.rid, m.node, m.origin, want_meta = _DATA_REQ.unpack_from(buf, off)
-    m.want_meta = bool(want_meta)
-    return m, off + _DATA_REQ.size
-
-
-_DATA_REPLY_FIXED = struct.Struct("<qii")
-
-
-def _enc_data_reply(
-    out: bytearray, m: DataReply, sent: Optional[DigestTable]
-) -> None:
-    out += _DATA_REPLY_FIXED.pack(m.rid, m.node, m.responder)
-    _w_data(out, m.data)
-    _w_meta(out, m.meta)
-    _w_ints(out, m.redirect_map)
-
-
-def _dec_data_reply(
-    buf: Buf, off: int, seen: Optional[DigestTable]
-) -> Tuple[DataReply, int]:
-    m = DataReply.__new__(DataReply)
-    m.rid, m.node, m.responder = _DATA_REPLY_FIXED.unpack_from(buf, off)
-    off += _DATA_REPLY_FIXED.size
-    m.data, off = _r_data(buf, off)
-    m.meta, off = _r_meta(buf, off)
-    m.redirect_map, off = _r_ints(buf, off)
-    return m, off
-
-
-_CLIENT_LOOKUP = struct.Struct("<qi")
-
-
-def _enc_client_lookup(
-    out: bytearray, m: ClientLookup, sent: Optional[DigestTable]
-) -> None:
-    out += _CLIENT_LOOKUP.pack(m.cqid, m.node)
-
-
-def _dec_client_lookup(
-    buf: Buf, off: int, seen: Optional[DigestTable]
-) -> Tuple[ClientLookup, int]:
-    m = ClientLookup.__new__(ClientLookup)
-    m.cqid, m.node = _CLIENT_LOOKUP.unpack_from(buf, off)
-    return m, off + _CLIENT_LOOKUP.size
-
-
-_CLIENT_REPLY_FIXED = struct.Struct("<qiBqid")  # cqid node ok mver hops latency
-
-
-def _enc_client_reply(
-    out: bytearray, m: ClientLookupReply, sent: Optional[DigestTable]
-) -> None:
-    out += _CLIENT_REPLY_FIXED.pack(
-        m.cqid, m.node, 1 if m.ok else 0, m.meta_version, m.hops, m.latency,
-    )
-    _w_ints(out, m.servers)
-
-
-def _dec_client_reply(
-    buf: Buf, off: int, seen: Optional[DigestTable]
-) -> Tuple[ClientLookupReply, int]:
-    m = ClientLookupReply.__new__(ClientLookupReply)
-    (m.cqid, m.node, ok, m.meta_version, m.hops,
-     m.latency) = _CLIENT_REPLY_FIXED.unpack_from(buf, off)
-    m.ok = bool(ok)
-    m.servers, off = _r_ints(buf, off + _CLIENT_REPLY_FIXED.size)
-    return m, off
-
+# DigestTable or None, and only a digest field reads it.
 
 Encoder = Callable[[bytearray, Any, Optional[DigestTable]], None]
 Decoder = Callable[[Buf, int, Optional[DigestTable]], Tuple[Any, int]]
 
-#: type id -> (class, encoder, decoder); ids are wire format, never
-#: reused.  1-9 are the peer plane (``PEER_DISPATCH``), 10-11 the live
-#: client plane.
-_CODECS: Dict[int, Tuple[type, Encoder, Decoder]] = {
-    1: (QueryMessage, _enc_query, _dec_query),
-    2: (ResponseMessage, _enc_response, _dec_response),
-    3: (AdvertMessage, _enc_advert, _dec_advert),
-    4: (ProbeMessage, _enc_probe, _dec_probe),
-    5: (ProbeReplyMessage, _enc_probe_reply, _dec_probe_reply),
-    6: (TransferMessage, _enc_transfer, _dec_transfer),
-    7: (TransferAckMessage, _enc_transfer_ack, _dec_transfer_ack),
-    8: (DataRequest, _enc_data_request, _dec_data_request),
-    9: (DataReply, _enc_data_reply, _dec_data_reply),
-    10: (ClientLookup, _enc_client_lookup, _dec_client_lookup),
-    11: (ClientLookupReply, _enc_client_reply, _dec_client_reply),
-}
+_SCALARS = {"i32": "i", "i64": "q", "f64": "d", "bool": "?"}
+_NOT_A_PAIR: Tuple[Any, Any] = (None, None)
+
+#: (label for errors, name, expression, kind).  The expression --
+#: ``m.qid``, ``o3.node``, a tuple element's local ``t7`` -- is the
+#: encoder's source and the decoder's target alike.
+_Field = Tuple[str, str, str, Any]
+
+
+def _declaration(cls: type) -> Tuple[Tuple[str, Any], ...]:
+    """``cls``'s ``(field, kind)`` pairs, checked against its slots."""
+    kinds = vars(cls).get("__slots__")
+    for klass in cls.__mro__:
+        slots = vars(klass).get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if klass is not cls or not isinstance(kinds, dict):
+                raise TypeError(
+                    f"{cls.__name__}.{name}: slot has no declared wire kind"
+                )
+    if not isinstance(kinds, dict):
+        raise TypeError(f"{cls.__name__} has no __slots__ wire declaration")
+    for name in kinds:
+        if type(vars(cls).get(name)) is not MemberDescriptorType:
+            raise TypeError(
+                f"{cls.__name__}.{name}: declared wire kind has no slot"
+            )
+    return tuple(kinds.items())
+
+
+class _Layout:
+    """The generated encoder and decoder lines of ``cls``'s ``fields``."""
+
+    def __init__(self, cls: type, fields: Tuple[Tuple[str, Any], ...]) -> None:
+        self.cls = cls
+        self.enc: List[str] = []
+        self.dec: List[str] = []
+        self.env: Dict[str, Any] = {
+            "U32": _U32, "pack": struct.pack, "unpack_from": struct.unpack_from,
+            "new": object.__new__, "struct_error": struct.error,
+            "w_digest": _w_digest, "r_digest": _r_digest,
+            "w_meta": _w_meta, "r_meta": _r_meta,
+            "w_data": _w_data, "r_data": _r_data, "misfit": _misfit,
+        }
+        self.n = 0
+        _emit(self, [(f"{cls.__name__}.{name}", name, f"m.{name}", kind)
+                     for name, kind in fields], 0)
+
+    def fresh(self, stem: str, value: Any = None) -> str:
+        """A new identifier, bound to ``value`` when one is given."""
+        self.n += 1
+        name = f"{stem}{self.n}"
+        if value is not None:
+            self.env[name] = value
+        return name
+
+    def w(self, depth: int, line: str) -> None:
+        self.enc.append("    " * depth + line)
+
+    def r(self, depth: int, line: str) -> None:
+        self.dec.append("    " * depth + line)
+
+    def define(self, head: str, body: List[str]) -> Any:
+        """The function ``head`` with ``body``, run in the layout's names."""
+        source = "\n".join([head] + ["    " + line for line in body])
+        ns: Dict[str, Any] = {}
+        exec(compile(source, f"<wire layout of {self.cls.__name__}>", "exec"),
+             self.env, ns)
+        return ns.popitem()[1]
+
+
+def _emit(lay: _Layout, fields: List[_Field], d: int) -> None:
+    """The encoder's and the decoder's lines for ``fields``, at depth ``d``."""
+    run: List[Tuple[str, str]] = []  # consecutive scalars: one struct
+    earlier: Dict[str, str] = {}
+    for label, name, x, kind in fields + [("", "", "", None)]:
+        if isinstance(kind, str) and kind in _SCALARS:
+            run.append((x, _SCALARS[kind]))
+            earlier[name] = x  # what a later digest may be keyed by
+            continue
+        if run:
+            layout = struct.Struct("<" + "".join(c for _, c in run))
+            s, xs = lay.fresh("S", layout), ", ".join(e for e, _ in run)
+            lay.w(d, f"out += {s}.pack({xs})")
+            lay.r(d, f"({xs},) = {s}.unpack_from(buf, off)")
+            lay.r(d, f"off += {layout.size}")
+            run = []
+        if kind is None:
+            return
+        head, arg = kind if isinstance(kind, tuple) and len(kind) == 2 \
+            else _NOT_A_PAIR
+        if kind == "list[int]":
+            v, n = lay.fresh("v"), lay.fresh("n")
+            lay.w(d, f"{v} = {x}")
+            lay.w(d, f"out += U32.pack(len({v}))")
+            lay.w(d, f'out += pack("<%di" % len({v}), *{v})')
+            lay.r(d, f"({n},) = U32.unpack_from(buf, off)")
+            lay.r(d, f'{x} = list(unpack_from("<%di" % {n}, buf, off + 4))')
+            lay.r(d, f"off += 4 + 4 * {n}")
+        elif kind in ("meta", "data"):
+            lay.w(d, f"w_{kind}(out, {x})")
+            lay.r(d, f"{x}, off = r_{kind}(buf, off)")
+        elif head == "digest" and isinstance(arg, str):
+            if arg not in earlier:
+                raise TypeError(f"{label}: digest keyed by {arg!r}, which is "
+                                "not a scalar field declared before it")
+            lay.w(d, f"w_digest(out, {x}, {earlier[arg]}, sent)")
+            lay.r(d, f"{x}, off = r_digest(buf, off, {earlier[arg]}, seen)")
+        elif (head is list and isinstance(arg, (type, tuple))
+              or head is dict and isinstance(arg, tuple) and len(arg) == 2):
+            v, n = lay.fresh("v"), lay.fresh("n")
+            if isinstance(arg, tuple):  # a tuple: one local per element
+                temps = [lay.fresh("t") for _ in arg]
+                item = f"({', '.join(temps)},)"
+                sub = [(label, t, t, k) for t, k in zip(temps, arg)]
+            else:  # a declared class: one local, its fields attributes
+                item = lay.fresh("o")
+                sub = [(f"{arg.__name__}.{f}", f, f"{item}.{f}", k)
+                       for f, k in _declaration(arg)]
+            lay.w(d, f"{v} = {x}")
+            lay.w(d, f"out += U32.pack(len({v}))")
+            lay.w(d, f"for {item} in {v}{'.items()' if head is dict else ''}:")
+            lay.r(d, f"({n},) = U32.unpack_from(buf, off)")
+            lay.r(d, "off += 4")
+            lay.r(d, f"{v} = []")
+            lay.r(d, f"for _ in range({n}):")
+            if not isinstance(arg, tuple):
+                lay.r(d + 1, f"{item} = new({lay.fresh('K', arg)})")
+            _emit(lay, sub, d + 1)
+            lay.r(d + 1, f"{v}.append({item})")
+            lay.r(d, f"{x} = {f'dict({v})' if head is dict else v}")
+        else:
+            raise TypeError(f"{label}: unknown wire kind {kind!r}")
+
+
+def _misfit(cls: type, msg: Any, exc: struct.error) -> CodecError:
+    """The :class:`CodecError` for an encode ``struct`` refused.
+
+    Re-encodes ever longer prefixes of the declaration until one fails,
+    so the error names the first field whose value its kind cannot hold.
+    """
+    fields = _declaration(cls)
+    for i in range(1, len(fields) + 1):
+        lay = _Layout(cls, fields[:i])
+        try:
+            lay.define("def encode(out, m, sent):", lay.enc)(bytearray(), msg, None)
+        except struct.error as field_exc:
+            return CodecError(f"{cls.__name__}.{fields[i - 1][0]} overflows "
+                              f"its wire kind: {field_exc}")
+    return CodecError(f"{cls.__name__}: {exc}")
+
+
+def compile_layout(cls: type) -> Tuple[Encoder, Decoder]:
+    """``cls``'s body encoder and decoder, generated from its declaration.
+
+    Raises :class:`TypeError` naming class and field when the
+    declaration is malformed (see the module docstring).
+    """
+    lay = _Layout(cls, _declaration(cls))
+    k = lay.fresh("K", cls)
+    encode: Encoder = lay.define(
+        f"def encode_{cls.__name__}(out, m, sent):", [
+            "try:", *["    " + line for line in lay.enc or ["pass"]],
+            "except struct_error as exc:",  # zero-cost until it fires
+            f"    raise misfit({k}, m, exc) from None",
+        ],
+    )
+    decode: Decoder = lay.define(
+        f"def decode_{cls.__name__}(buf, off, seen):",
+        [f"m = new({k})", *lay.dec, "return m, off"],
+    )
+    return encode, decode
+
 
 #: class -> (type id, encoder): what a framing looks a message up in
-ENCODERS: Dict[type, Tuple[int, Encoder]] = {
-    cls: (tid, enc) for tid, (cls, enc, _) in _CODECS.items()
-}
+ENCODERS: Dict[type, Tuple[int, Encoder]] = {}
 #: type id -> decoder
-DECODERS: Dict[int, Decoder] = {
-    tid: dec for tid, (_, _, dec) in _CODECS.items()
-}
+DECODERS: Dict[int, Decoder] = {}
+for _tid, _cls in WIRE_TYPES.items():
+    _enc, DECODERS[_tid] = compile_layout(_cls)
+    ENCODERS[_cls] = (_tid, _enc)
 
 
 def supported_types() -> Tuple[type, ...]:
@@ -693,11 +534,12 @@ def require_encodable(types: Iterable[type]) -> None:
 
     Called at coordinator construction with the peer dispatch
     registry's types, so adding a new cross-shard message class without
-    extending the codec breaks loudly before any window runs.
+    a type id breaks loudly before any window runs.
     """
     missing = [t.__name__ for t in types if t not in ENCODERS]
     if missing:
         raise CodecError(
             f"no packed codec for message type(s) "
-            f"{', '.join(sorted(missing))}; extend repro.net.codec"
+            f"{', '.join(sorted(missing))}; give it a type id in "
+            "repro.net.message.WIRE_TYPES"
         )

@@ -4,7 +4,7 @@ The simulator passes message objects by reference; live mode
 (:mod:`repro.runtime.async_wire`) moves the *same* message classes
 across TCP/UDS sockets.  This module is the framing both ends share;
 the bytes inside a frame are :mod:`repro.net.codec`'s packed bodies,
-the same per-class functions the sharded data plane batches.
+the same compiled layouts the sharded data plane batches.
 
 Frame grammar (one message per frame)::
 
@@ -18,7 +18,7 @@ Frame grammar (one message per frame)::
 * **Payload** -- the codec's closed type-id table is the allowlist:
   :func:`encode_message` refuses a class without an entry, and
   :func:`decode_message` can only ever build the message structs listed
-  there, field by field from fixed ``struct`` layouts.  Every malformed
+  there, field by field from their declared layouts.  Every malformed
   payload -- unknown id, truncation, a body shorter or longer than the
   frame announced, a digest marker the link cannot expand -- is a
   :class:`FrameError`, never another exception type.

@@ -14,11 +14,16 @@ All in-band soft-state dissemination is piggybacked on query messages:
 the sender's load sample, its digest snapshot, the destination node's
 map as merged so far, new-replica advertisements, and the query path
 walked so far (for path-propagation caching).
+
+**Wire declarations.**  Every class here declares its fields once, in
+wire order, as a ``__slots__`` dict ``{field: kind}`` (the kinds are
+:mod:`repro.net.codec`'s, which compiles them at import).  Adding a wire
+message is one declaration here, a type id in :data:`WIRE_TYPES` and a
+dispatch registration.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.filters.bloom import Snapshot
@@ -27,7 +32,7 @@ from repro.filters.bloom import Snapshot
 class Advertisement:
     """A "server X now replicates node v" notice piggybacked on messages."""
 
-    __slots__ = ("node", "server")
+    __slots__ = {"node": "i32", "server": "i32"}
 
     def __init__(self, node: int, server: int) -> None:
         self.node = node
@@ -46,7 +51,7 @@ class AdvertMessage:
     sender, off the critical path.
     """
 
-    __slots__ = ("node", "servers")
+    __slots__ = {"node": "i32", "servers": "list[int]"}
 
     def __init__(self, node: int, servers: List[int]) -> None:
         self.node = node
@@ -57,42 +62,30 @@ class AdvertMessage:
 
 
 class QueryMessage:
-    """A lookup query in flight.
+    """A lookup query in flight."""
 
-    Attributes:
-        qid: unique query id.
-        dest: destination node id.
-        origin: server where the query was initiated.
-        created_at: simulation time of initiation.
-        hops: network hops taken so far.
-        sender: server that forwarded this message (piggyback source).
-        sender_load: sender's load sample at send time.
-        sender_digest: ``(version, vector)`` digest snapshot of the sender.
-        dest_map: merged map (server ids) for the destination node.
-        path: ``(node, server)`` pairs logically visited so far, used
-            for path-propagation caching (paper section 2.4).
-        adverts: new-replica advertisements back-/forward-propagated.
-        stale_hops: hops that landed on a server no longer hosting the
-            node it was selected for (routing accuracy metric).
-        via: the node on whose behalf this message was forwarded (the
-            routing candidate the sender selected); -1 at injection.
-    """
-
-    __slots__ = (
-        "qid",
-        "dest",
-        "origin",
-        "created_at",
-        "hops",
-        "sender",
-        "sender_load",
-        "sender_digest",
-        "dest_map",
-        "path",
-        "adverts",
-        "stale_hops",
-        "via",
-    )
+    __slots__ = {
+        "qid": "i64",  # unique query id
+        "dest": "i32",  # destination node id
+        "origin": "i32",  # server where the query was initiated
+        "created_at": "f64",  # simulation time of initiation
+        "hops": "i32",  # network hops taken so far
+        "sender": "i32",  # server that forwarded it (piggyback source)
+        "sender_load": "f64",  # sender's load sample at send time
+        # hops that landed on a server no longer hosting the node it was
+        # selected for (routing accuracy metric)
+        "stale_hops": "i32",
+        # the node on whose behalf it was forwarded (the routing
+        # candidate the sender selected); -1 at injection
+        "via": "i32",
+        "sender_digest": ("digest", "sender"),  # (version, vector)
+        "dest_map": "list[int]",  # merged map for the destination node
+        # (node, server) pairs logically visited so far, for
+        # path-propagation caching (paper section 2.4)
+        "path": (list, ("i32", "i32")),
+        # new-replica advertisements back-/forward-propagated
+        "adverts": (list, Advertisement),
+    }
 
     def __init__(self, qid: int, dest: int, origin: int, created_at: float) -> None:
         self.qid = qid
@@ -124,20 +117,14 @@ class ResponseMessage:
     can install path-propagated cache entries.
     """
 
-    __slots__ = (
-        "qid",
-        "dest",
-        "origin",
-        "created_at",
-        "hops",
-        "resolver",
-        "dest_map",
-        "path",
-        "stale_hops",
-        "sender_load",
-        "sender_digest",
-        "meta_version",
-    )
+    __slots__ = {
+        "qid": "i64", "dest": "i32", "origin": "i32", "created_at": "f64",
+        "hops": "i32", "resolver": "i32", "stale_hops": "i32",
+        "meta_version": "i64", "sender_load": "f64",
+        "sender_digest": ("digest", "resolver"),
+        "dest_map": "list[int]",
+        "path": (list, ("i32", "i32")),
+    }
 
     def __init__(
         self,
@@ -160,19 +147,10 @@ class ResponseMessage:
         self.meta_version = meta_version
 
 
-class ControlKind(enum.Enum):
-    """Replication-protocol control message kinds."""
-
-    PROBE = "probe"
-    PROBE_REPLY = "probe_reply"
-    TRANSFER = "transfer"
-    TRANSFER_ACK = "transfer_ack"
-
-
 class ProbeMessage:
     """Step 2 of replica creation: overloaded server asks a candidate's load."""
 
-    __slots__ = ("session", "src", "src_load")
+    __slots__ = {"session": "i64", "src": "i32", "src_load": "f64"}
 
     def __init__(self, session: int, src: int, src_load: float) -> None:
         self.session = session
@@ -183,7 +161,7 @@ class ProbeMessage:
 class ProbeReplyMessage:
     """Candidate's reply: its actual load and willingness to host replicas."""
 
-    __slots__ = ("session", "src", "load", "willing")
+    __slots__ = {"session": "i64", "src": "i32", "load": "f64", "willing": "bool"}
 
     def __init__(self, session: int, src: int, load: float, willing: bool) -> None:
         self.session = session
@@ -201,7 +179,10 @@ class ReplicaPayload:
     equivalent to routing through the original.
     """
 
-    __slots__ = ("node", "meta_version", "node_map", "context", "meta")
+    __slots__ = {
+        "node": "i32", "meta_version": "i64", "node_map": "list[int]",
+        "context": (dict, ("i32", "list[int]")), "meta": "meta",
+    }
 
     def __init__(
         self,
@@ -225,7 +206,10 @@ class TransferMessage:
     computed; the target books it as its hysteresis adjustment (step 4).
     """
 
-    __slots__ = ("session", "src", "payloads", "load_delta")
+    __slots__ = {
+        "session": "i64", "src": "i32", "load_delta": "f64",
+        "payloads": (list, ReplicaPayload),
+    }
 
     def __init__(
         self,
@@ -243,7 +227,7 @@ class TransferMessage:
 class TransferAckMessage:
     """Target's confirmation listing the node ids actually installed."""
 
-    __slots__ = ("session", "src", "installed")
+    __slots__ = {"session": "i64", "src": "i32", "installed": "list[int]"}
 
     def __init__(self, session: int, src: int, installed: List[int]) -> None:
         self.session = session
@@ -260,7 +244,7 @@ class DataRequest:
     redirect carrying its own map for the node.
     """
 
-    __slots__ = ("rid", "node", "origin", "want_meta")
+    __slots__ = {"rid": "i64", "node": "i32", "origin": "i32", "want_meta": "bool"}
 
     def __init__(self, rid: int, node: int, origin: int,
                  want_meta: bool = False) -> None:
@@ -281,7 +265,7 @@ class ClientLookup:
     the server-minted query id.
     """
 
-    __slots__ = ("cqid", "node")
+    __slots__ = {"cqid": "i64", "node": "i32"}
 
     def __init__(self, cqid: int, node: int) -> None:
         self.cqid = cqid
@@ -299,9 +283,10 @@ class ClientLookupReply:
     the remaining fields mirror the simulator's ``LookupResult``.
     """
 
-    __slots__ = (
-        "cqid", "node", "ok", "servers", "meta_version", "hops", "latency",
-    )
+    __slots__ = {
+        "cqid": "i64", "node": "i32", "ok": "bool", "meta_version": "i64",
+        "hops": "i32", "latency": "f64", "servers": "list[int]",
+    }
 
     def __init__(
         self,
@@ -336,7 +321,10 @@ class DataReply:
     target does not export the data; try one of these servers).
     """
 
-    __slots__ = ("rid", "node", "responder", "data", "meta", "redirect_map")
+    __slots__ = {
+        "rid": "i64", "node": "i32", "responder": "i32",
+        "data": "data", "meta": "meta", "redirect_map": "list[int]",
+    }
 
     def __init__(self, rid: int, node: int, responder: int) -> None:
         self.rid = rid
@@ -345,3 +333,21 @@ class DataReply:
         self.data = None
         self.meta = None
         self.redirect_map: List[int] = []
+
+
+#: type id -> wire class: the closed allowlist both framings carry.  Ids
+#: are wire format, never reused; 1-9 are the peer plane
+#: (``PEER_DISPATCH``), 10-11 the live client plane.
+WIRE_TYPES: Dict[int, type] = {
+    1: QueryMessage,
+    2: ResponseMessage,
+    3: AdvertMessage,
+    4: ProbeMessage,
+    5: ProbeReplyMessage,
+    6: TransferMessage,
+    7: TransferAckMessage,
+    8: DataRequest,
+    9: DataReply,
+    10: ClientLookup,
+    11: ClientLookupReply,
+}

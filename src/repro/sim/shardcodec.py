@@ -13,10 +13,10 @@ with flat ``struct``-packed frames:
   27-byte header followed by a type id and a varlen body, so a reader
   can order records -- and a relay can route whole frames -- without
   decoding bodies.  The bodies are :mod:`repro.net.codec`'s -- the same
-  per-class functions the live wire frames -- always with full digest
+  compiled layouts the live wire frames -- always with full digest
   snapshots (a batch has no link table).  Registering a new cross-shard
   message class in :data:`repro.server.peer.PEER_DISPATCH` without
-  adding a codec entry fails loudly at coordinator construction
+  giving it a type id fails loudly at coordinator construction
   (:func:`repro.net.codec.require_encodable`).
 * **Step frames** (:func:`encode_step_request` /
   :func:`encode_step_reply`): the per-window worker-pipe protocol --
@@ -53,7 +53,7 @@ import struct
 from array import array
 from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.net.codec import DECODERS, ENCODERS, Buf, CodecError
+from repro.net.codec import DECODE_ERRORS, DECODERS, ENCODERS, Buf, CodecError
 from repro.sim.stats import StatsSink
 
 __all__ = [
@@ -150,7 +150,9 @@ def decode_batch(frame: Buf) -> List[Entry]:
                 )
             off = end
             entries.append((at, src_shard, send_seq, dest, msg))
-    except struct.error as exc:
+    except ShardCodecError:
+        raise
+    except DECODE_ERRORS as exc:
         raise ShardCodecError(f"truncated frame: {exc}") from None
     if off != len(view):
         raise ShardCodecError(

@@ -11,6 +11,7 @@ The strategies are shared with ``tests/test_shardcodec.py``.
 import inspect
 import re
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,12 @@ from hypothesis import strategies as st
 
 from repro.namespace.meta import NodeMeta
 from repro.net import codec
-from repro.net.codec import CodecError, DigestTable, supported_types
+from repro.net.codec import (
+    CodecError,
+    DigestTable,
+    compile_layout,
+    supported_types,
+)
 from repro.net.frame import (
     HEADER_SIZE,
     MAX_FRAME,
@@ -29,6 +35,7 @@ from repro.net.frame import (
     encode_message,
 )
 from repro.net.message import (
+    WIRE_TYPES,
     Advertisement,
     AdvertMessage,
     ClientLookup,
@@ -43,8 +50,14 @@ from repro.net.message import (
     TransferAckMessage,
     TransferMessage,
 )
-from repro.sim.shardcodec import encode_batch
-from tests.wire_strategies import peer_messages, state, wire_messages, words
+from repro.sim.shardcodec import decode_batch, encode_batch
+from tests.wire_strategies import (
+    messages,
+    peer_messages,
+    state,
+    wire_messages,
+    words,
+)
 
 
 def make_query():
@@ -134,7 +147,7 @@ def fragments(stream, cuts):
     msgs=st.lists(wire_messages, min_size=1, max_size=4),
     cuts=st.lists(st.integers(0, 4096), max_size=8),
 )
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_every_wire_class_round_trips_through_fragmented_frames(msgs, cuts):
     stream = b"".join(encode_frame(m) for m in msgs)
     reader = FrameReader()
@@ -152,7 +165,7 @@ def test_the_strategies_cover_every_wire_class():
     seen = set()
 
     @given(wire_messages)
-    @settings(max_examples=300, database=None)
+    @settings(max_examples=300, database=None, deadline=None)
     def collect(m):
         seen.add(type(m))
 
@@ -161,7 +174,7 @@ def test_the_strategies_cover_every_wire_class():
 
 
 @given(peer_messages)
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 def test_frame_body_is_the_batch_body(msg):
     """One codec, not two that agree: the bytes after a frame's type id
     are the bytes after a batch record's header."""
@@ -209,7 +222,7 @@ def test_version_only_digest_needs_the_matching_table_entry():
 
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
                           st.booleans()), max_size=30))
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 def test_tables_in_step_decode_what_a_stateless_link_would(script):
     """Any interleaving of senders, versions and message kinds: the
     table-carrying link decodes exactly what full frames decode."""
@@ -340,12 +353,161 @@ def test_frame_over_max_frame_is_refused():
         encode_frame(reply)
 
 
+def overflowing_query():
+    q = make_query()
+    q.sender_digest = (2 ** 63, words(1))
+    return q
+
+
+def overflowing_transfer():
+    payload = ReplicaPayload(9, 2, [1, 2], {8: [2 ** 31]})
+    return TransferMessage(1, 0, [payload])
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: ProbeMessage(1, 2 ** 31, 0.5), "ProbeMessage.src"),
+    (lambda: ClientLookupReply(2 ** 63, 1, True), "ClientLookupReply.cqid"),
+    (lambda: AdvertMessage(3, [1, -2 ** 31 - 1]), "AdvertMessage.servers"),
+    (overflowing_query, "QueryMessage.sender_digest"),
+    (overflowing_transfer, "TransferMessage.payloads"),
+])
+def test_an_overflow_is_a_codec_error_naming_class_and_field(make, field):
+    """Both framings: a value its kind cannot hold is never a bare
+    ``struct.error``."""
+    with pytest.raises(CodecError, match=re.escape(field)):
+        encode_message(make())
+    with pytest.raises(CodecError, match=re.escape(field)):
+        encode_batch([(0.0, 0, 0, 0, make())])
+
+
+def test_an_overflowing_digest_leaves_the_link_table_untouched():
+    sent = DigestTable()
+    with pytest.raises(CodecError, match="sender_digest"):
+        encode_message(overflowing_query(), sent)
+    assert sent.snaps == {} and sent.n_full == 0
+
+
+@pytest.mark.parametrize("data, head", [
+    (b"\x00\xff", b"\x02\x02\x00\x00\x00"),  # bytes tag, 2 bytes
+    ("héllo", b"\x01\x06\x00\x00\x00"),  # str tag, 6 utf-8 bytes
+])
+def test_a_length_running_past_the_end_is_a_truncated_field(data, head):
+    """``str`` and ``bytes`` share one bounds-checked reader, in both
+    framings."""
+    reply = DataReply(2, 43, 4)
+    reply.data = data
+    payload = encode_message(reply)
+    batch = encode_batch([(0.0, 0, 0, 0, reply)])
+    for wire, decode, error in ((payload, decode_message, FrameError),
+                                (batch, decode_batch, CodecError)):
+        at = wire.index(head) + 1
+        # one byte more than the wire holds after the length, and on
+        for n in (len(wire) - at - 3, 100, 2 ** 32 - 1):
+            mutant = wire[:at] + n.to_bytes(4, "little") + wire[at + 4:]
+            with pytest.raises(error, match="truncated string or bytes"):
+                decode(mutant)
+
+
+# ----------------------------------------------------------------------
+# declarations: one per class, compiled at import
+# ----------------------------------------------------------------------
+
+def test_the_type_table_is_derived_from_the_declarations():
+    assert sorted(codec.DECODERS) == sorted(WIRE_TYPES) == list(range(1, 12))
+    assert {cls: tid for cls, (tid, _) in codec.ENCODERS.items()} == \
+        {cls: tid for tid, cls in WIRE_TYPES.items()}
+    for cls in WIRE_TYPES.values():
+        assert isinstance(cls.__slots__, dict)
+
+
+class Deny:
+    """A message declared here and entered in no type-id table."""
+
+    __slots__ = {
+        "sender": "i32", "via": "i32", "version": "i64", "hit": "bool",
+        "sender_digest": ("digest", "sender"),
+        "hints": (list, ("i32", "f64")),
+        "seen": (dict, ("i32", "list[int]")),
+        "adverts": (list, Advertisement),
+        "meta": "meta",
+    }
+
+
+@given(messages(Deny))
+@settings(max_examples=100, deadline=None)
+def test_an_unregistered_declaration_compiles_and_round_trips(msg):
+    """A new message needs its declaration and nothing in the codec."""
+    assert Deny not in supported_types()
+    encode, decode = compile_layout(Deny)
+    out = bytearray()
+    encode(out, msg, None)
+    got, end = decode(bytes(out), 0, None)
+    assert end == len(out) and state(got) == state(msg)
+    assert isinstance(got.seen, dict)
+    assert all(type(h) is tuple for h in got.hints)
+
+
+def declared(**slots):
+    return type("Bad", (), {"__slots__": slots})
+
+
+class TestDeclarationErrors:
+    """A malformed declaration raises ``TypeError`` naming class and
+    field -- at import, for the classes of ``WIRE_TYPES``."""
+
+    def test_unknown_kind(self):
+        for kind in ("u16", "list[str]", ("digest",), (list, "i32"),
+                     (dict, ("i32",)), (set, ("i32",))):
+            with pytest.raises(TypeError, match=r"Bad\.odd: unknown wire kind"):
+                compile_layout(declared(ok="i32", odd=kind))
+
+    def test_unknown_kind_inside_a_record(self):
+        with pytest.raises(TypeError, match=r"Bad\.rows: unknown wire kind"):
+            compile_layout(declared(rows=(list, ("i32", "f32"))))
+
+    def test_slot_without_a_kind(self):
+        class Bad:
+            __slots__ = ("a", "b")
+
+        with pytest.raises(TypeError, match=r"Bad\.a: slot has no declared"):
+            compile_layout(Bad)
+
+        class Base:
+            __slots__ = ("extra",)
+
+        class Derived(Base):
+            __slots__ = {"x": "i32"}
+
+        with pytest.raises(TypeError, match=r"Derived\.extra: slot has no"):
+            compile_layout(Derived)
+
+    def test_kind_without_a_slot(self):
+        with pytest.raises(TypeError,
+                           match=r"Bad\.__weakref__: declared wire kind has no slot"):
+            compile_layout(declared(x="i32", __weakref__="i32"))
+
+    def test_no_declaration(self):
+        with pytest.raises(TypeError, match="NotAWireType has no __slots__"):
+            compile_layout(NotAWireType)
+
+    def test_digest_keyed_by_an_undeclared_field(self):
+        with pytest.raises(TypeError, match=r"Bad\.d: digest keyed by 'sender'"):
+            compile_layout(declared(d=("digest", "sender")))
+        # declared, but after the digest: the decoder could not key it
+        with pytest.raises(TypeError, match=r"Bad\.d: digest keyed by 'sender'"):
+            compile_layout(declared(d=("digest", "sender"), sender="i32"))
+
+
 # ----------------------------------------------------------------------
 # mutation fuzz: decode or FrameError, nothing else
 # ----------------------------------------------------------------------
 
 def corpus():
     """One valid payload per wire class, nested fields populated."""
+    return [encode_message(m) for m in corpus_messages()]
+
+
+def corpus_messages():
     q = make_query()
     resp = ResponseMessage(make_query(), resolver=2, dest_map=[2, 0],
                            meta_version=5)
@@ -364,7 +526,7 @@ def corpus():
         ClientLookupReply(11, 42, True, servers=[3, 1], hops=4),
     ]
     assert {type(m) for m in msgs} == set(supported_types())
-    return [encode_message(m) for m in msgs]
+    return msgs
 
 
 def decodes_or_frame_error(payload, seen=None):
@@ -459,6 +621,55 @@ def test_two_frames_spliced():
             for cut in (1, len(a) // 2, len(a) - 1):
                 decodes_or_frame_error(a[:cut] + b)
                 decodes_or_frame_error(a[:cut] + b[len(b) // 2:])
+
+
+# ----------------------------------------------------------------------
+# cost: no Python call per field
+# ----------------------------------------------------------------------
+
+def python_calls(fn, *args):
+    """Python-level ``call`` events of one ``fn(*args)``, itself included."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestCodecCost:
+    """A compiled layout costs no Python call per field.
+
+    Python-level ``call`` events (``sys.setprofile``) of one
+    ``encode_message`` / ``decode_message`` per ``corpus()`` payload,
+    bounded at what the hand-written per-class encoders and decoders
+    cost (one function per class plus one per list, string, digest and
+    meta field).  The count is deterministic, so the bound holds on any
+    host; a generated body that calls a helper per field fails it.
+    """
+
+    #: ``corpus_messages()`` order: query, response, advert, probe,
+    #: probe reply, transfer, ack, data request, data reply (meta),
+    #: data reply (bytes), client lookup, client reply
+    MAX_ENCODE_CALLS = (5, 5, 3, 2, 2, 10, 3, 2, 10, 5, 2, 3)
+    MAX_DECODE_CALLS = (7, 6, 3, 2, 2, 11, 3, 2, 11, 5, 2, 3)
+
+    def test_encode_calls_per_payload(self):
+        got = tuple(python_calls(encode_message, m) for m in corpus_messages())
+        assert all(n <= bound for n, bound in
+                   zip(got, self.MAX_ENCODE_CALLS)), got
+
+    def test_decode_calls_per_payload(self):
+        got = tuple(python_calls(decode_message, p) for p in corpus())
+        assert all(n <= bound for n, bound in
+                   zip(got, self.MAX_DECODE_CALLS)), got
 
 
 # ----------------------------------------------------------------------

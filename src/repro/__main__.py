@@ -12,8 +12,8 @@
 * ``python -m repro shard-check [--shards 1,4]`` -- verify sharded
   windowed runs are bit-identical to the serial engine and dispatch
   no more than 5 % more engine events (see :mod:`repro.sim.shard`);
-* ``python -m repro lint [paths] [--format json]`` -- determinism &
-  shard-safety static analysis (see :mod:`repro.tools.detlint`);
+* ``python -m repro lint [paths]`` -- determinism static analysis of
+  protocol code (see :mod:`repro.tools.detlint`);
 * ``python -m repro serve [--servers N] [--transport uds|tcp]
   [--drive adaptive]`` -- host a live cluster over real sockets and
   (optionally) discover its capacity with the closed-loop AIMD client

@@ -54,10 +54,6 @@ class NodeRanking:
         return self._weight.get(node, 0.0)
 
     def total_weight(self) -> float:
-        # det: ok(unordered-iteration) -- _weight's insertion order is
-        # the host/track event order, which serial and sharded replay
-        # reproduce draw-for-draw; sorting here would perturb the
-        # pinned fixed-seed fingerprints for zero correctness gain
         return sum(self._weight.values())
 
     def rescale(self) -> None:

@@ -389,8 +389,6 @@ class CampaignResult:
             return
         lines = [f"{len(self.failures)} of {self.stats.total} runs failed:"]
         for spec, record in self.failures[:5]:
-            # det: ok(sized-presence-truthiness) -- report text only; a
-            # missing, null, or empty error dict all mean "no detail"
             err = record.get("error") or {}
             lines.append(
                 f"  {spec.experiment}:{spec.task} -> "
@@ -651,8 +649,6 @@ def main(argv: List[str]) -> int:
     if args.resume and args.no_cache:
         parser.error("--resume and --no-cache are mutually exclusive")
 
-    # det: ok(sized-presence-truthiness) -- empty selection means "run
-    # every experiment"; emptiness IS the signal here, not absence
     wanted = list(args.experiments) or list(EXPERIMENT_NAMES)
     unknown = [w for w in wanted if w not in _MODULES]
     if unknown:
@@ -669,8 +665,6 @@ def main(argv: List[str]) -> int:
 
     scale = get_scale()
     seed = get_seed()
-    # det: ok(env-read) -- CLI banner echoing the value the line above
-    # just exported for workers; never feeds a RunSpec fingerprint
     shards = os.environ.get("REPRO_SHARDS", "").strip() or "1"
     print(
         f"scale={scale.name}  seed={seed}  out={args.out}  "
@@ -707,8 +701,6 @@ def main(argv: List[str]) -> int:
 
     print(f"\ncampaign: {result.stats.summary()}")
     for spec, record in result.failures:
-        # det: ok(sized-presence-truthiness) -- report text only; a
-        # missing, null, or empty error dict all mean "no detail"
         err = record.get("error") or {}
         print(f"  FAILED {spec.experiment}:{spec.task} -> "
               f"{err.get('type')}: {err.get('message')}")

@@ -37,8 +37,6 @@ from repro.experiments import common
 from repro.namespace.generators import balanced_tree, coda_like_tree
 from repro.sim.memsize import deep_sizeof, fmt_bytes, peak_rss_bytes
 
-# det: ok(env-read) -- CI memory-budget knob for the smoke gate; it
-# bounds the harness, never a simulation run's fingerprint
 DEFAULT_BUDGET_MB = float(os.environ.get("REPRO_MEM_BUDGET_MB", "2048"))
 
 

@@ -44,8 +44,6 @@ EXPERIMENTS: Dict[str, Callable] = {
 def main(argv: List[str]) -> None:
     """Print the combined report for the requested experiment subset."""
     scale = get_scale()
-    # det: ok(sized-presence-truthiness) -- an empty argv means "print
-    # every figure"; emptiness IS the signal here, not absence
     wanted = argv or list(EXPERIMENTS)
     unknown = [w for w in wanted if w not in EXPERIMENTS]
     if unknown:

@@ -602,9 +602,6 @@ def resolve_shards(
     """
     n = requested
     if n is None:
-        # det: ok(env-read) -- sanctioned run-level knob: resolved once
-        # here before any engine starts, mirroring REPRO_WORKERS in the
-        # parallel.py choke point (DESIGN.md section 12)
         raw = os.environ.get("REPRO_SHARDS", "").strip().lower()
         if raw in ("", "0", "none", "off"):
             n = 1
@@ -637,8 +634,6 @@ def resolve_backend(requested: Optional[str] = None, n_shards: int = 1) -> str:
     """
     from repro.experiments.parallel import shard_process_budget
 
-    # det: ok(env-read) -- sanctioned run-level knob: resolved once here
-    # before any engine starts; the backend never alters fingerprints
     b = requested or os.environ.get("REPRO_SHARD_BACKEND", "").strip().lower()
     b = b or "auto"
     if b not in ("auto", "inline", "process"):

@@ -1,55 +1,35 @@
-"""File classifier: which determinism contract applies to which file.
+"""File classifier: is a file protocol code?
 
-Rules are scoped by *category*, not per-file configuration:
+Every rule applies to *protocol* code only: the packages whose state
+feeds fixed-seed fingerprints and must replay RNG streams draw-for-draw
+across serial, sharded, and cached execution -- ``sim/``, ``core/``,
+``server/``, ``net/``, ``cluster/``, ``namespace/``, ``filters/``,
+``workload/``, ``runtime/`` and ``client/`` (``TerraDirClient`` runs
+inside the engine and its counters are part of ``run_fingerprint``).
+Closure capture in the rest of the tree is ruff B023's job.
 
-* ``protocol`` -- simulation/protocol code that must replay RNG streams
-  draw-for-draw across serial, sharded, and cached execution.  This is
-  every package whose state feeds fingerprints: ``sim/``, ``core/``,
-  ``server/``, ``net/``, ``cluster/``, ``namespace/``, ``filters/``,
-  ``workload/``, ``runtime/``.
-* ``chokepoint`` -- the two sanctioned configuration funnels
-  (``experiments/common.py``, ``experiments/parallel.py``).  Only these
-  may read ``os.environ``; everything else takes configuration as
-  arguments so a run's inputs are visible in its RunSpec fingerprint.
-
-There is one *rule-scoped* carve-out rather than a category of its
-own: ``runtime/async_*`` is the sanctioned wall-clock funnel (live
-mode genuinely runs on the event-loop clock), so DET001 skips exactly
-those files -- see :func:`is_wallclock_chokepoint` -- while every
-other protocol rule still applies to them, and the simulation side of
-``runtime/`` keeps the full contract.
-* ``experiments`` -- campaign/figure glue: cross-run orchestration that
-  never executes inside an engine window.
-* ``tools`` -- this linter and friends; exempt from protocol rules.
-* ``other`` -- anything else (viz, analysis, client, top-level).
+One rule-scoped carve-out rides on top: ``runtime/async_*`` is the
+sanctioned wall-clock funnel (live mode genuinely runs on the
+event-loop clock), so DET001 skips exactly those files -- see
+:func:`is_wallclock_chokepoint` -- while the other rules still apply
+to them, and the simulation side of ``runtime/`` keeps the full
+contract.
 
 The classifier keys on the path *relative to the package root* (the
 directory holding ``__main__.py``), so test fixtures that mimic the
-layout (``fixtures/sim/foo.py``) classify exactly like the real tree.
+layout under their own ``__main__.py`` classify exactly like the real
+tree.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Optional, Tuple
-
-PROTOCOL = "protocol"
-CHOKEPOINT = "chokepoint"
-EXPERIMENTS = "experiments"
-TOOLS = "tools"
-OTHER = "other"
-
-ALL_CATEGORIES = frozenset({PROTOCOL, CHOKEPOINT, EXPERIMENTS, TOOLS, OTHER})
+from typing import Optional
 
 PROTOCOL_DIRS = frozenset(
     {"sim", "core", "server", "net", "cluster", "namespace",
-     "filters", "workload", "runtime"}
-)
-
-#: the only files allowed to read ``os.environ``
-ENV_CHOKEPOINTS = frozenset(
-    {("experiments", "common.py"), ("experiments", "parallel.py")}
+     "filters", "workload", "runtime", "client"}
 )
 
 
@@ -72,18 +52,17 @@ def is_wallclock_chokepoint(relpath: str) -> bool:
 
 @dataclasses.dataclass(frozen=True)
 class FileClass:
-    """A classified file: absolute path, root-relative path, category."""
+    """A classified file: root-relative path and whether it is protocol."""
 
-    path: str
     relpath: str
-    category: str
+    protocol: bool
 
 
 def find_package_root(path: Path) -> Optional[Path]:
     """The enclosing package root: nearest ancestor with ``__main__.py``.
 
-    For the real tree that is ``src/repro``; fixtures supply an
-    explicit root instead.
+    For the real tree that is ``src/repro``; for the fixtures it is
+    ``tests/detlint_fixtures``.
     """
     for parent in [path] + list(path.parents):
         if parent.is_dir() and (parent / "__main__.py").is_file():
@@ -91,44 +70,15 @@ def find_package_root(path: Path) -> Optional[Path]:
     return None
 
 
-def _category(parts: Tuple[str, ...]) -> str:
-    if not parts:
-        return OTHER
-    if tuple(parts) in ENV_CHOKEPOINTS:
-        return CHOKEPOINT
-    head = parts[0]
-    if head in PROTOCOL_DIRS:
-        return PROTOCOL
-    if head == "experiments":
-        return EXPERIMENTS
-    if head == "tools":
-        return TOOLS
-    return OTHER
-
-
-def classify(path: Path, root: Optional[Path] = None) -> FileClass:
-    """Classify one source file.
-
-    Args:
-        path: the file to classify.
-        root: package root the category layout hangs off; auto-detected
-            via :func:`find_package_root` when omitted.  Files outside
-            the root classify as ``other``.
-    """
+def classify(path: Path) -> FileClass:
+    """Classify one source file; files outside a package root are not
+    protocol code."""
     path = path.resolve()
+    root = find_package_root(path)
     if root is None:
-        root = find_package_root(path)
-    else:
-        root = root.resolve()
-    if root is not None:
-        try:
-            rel = path.relative_to(root)
-        except ValueError:
-            rel = None
-        if rel is not None:
-            return FileClass(
-                path=str(path),
-                relpath=rel.as_posix(),
-                category=_category(rel.parts),
-            )
-    return FileClass(path=str(path), relpath=path.name, category=OTHER)
+        return FileClass(relpath=path.name, protocol=False)
+    rel = path.relative_to(root)
+    return FileClass(
+        relpath=rel.as_posix(),
+        protocol=rel.parts[0] in PROTOCOL_DIRS,
+    )

@@ -1,163 +1,52 @@
-"""``python -m repro lint`` -- the determinism linter's CLI.
+"""``python -m repro lint [paths]`` -- the determinism linter's CLI.
 
-Exit codes: 0 clean (baselined/waived findings allowed), 1 new
-violations / stale baseline entries / parse errors, 2 usage errors.
-
-Typical invocations::
-
-    python -m repro lint                      # src/, default baseline
-    python -m repro lint --format json --out detlint.json
-    python -m repro lint src/repro/sim --no-baseline
-    python -m repro lint --write-baseline     # ratchet the baseline down
-    python -m repro lint --list-rules
+Lints ``src`` when no path is given.  Exit codes: 0 clean (pragma
+waivers allowed), 1 violations or parse errors, 2 a missing path.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import List, Optional
 
-from repro.tools.detlint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    Baseline,
-    BaselineError,
-)
 from repro.tools.detlint.engine import LintResult, lint_paths
-from repro.tools.detlint.registry import Rule, all_rules, rule_by_name
-from repro.tools.detlint.report import render_json, text_report
 
 
-def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="python -m repro lint",
-        description="determinism & shard-safety static analysis",
+def text_report(result: LintResult) -> str:
+    """The terminal report: violations, then a one-line verdict."""
+    lines = [v.format() for v in result.violations]
+    lines.extend(f"{err}  [parse-error]" for err in result.parse_errors)
+    by_rule = Counter(v.rule_id for v in result.violations)
+    lines.append(
+        f"checked {len(result.files)} file(s): "
+        f"{len(result.violations)} violation(s)"
+        + (f" ({', '.join(f'{k} x{by_rule[k]}' for k in sorted(by_rule))})"
+           if by_rule else "")
+        + f", {len(result.suppressed)} pragma-waived"
     )
-    p.add_argument(
-        "paths", nargs="*", default=None,
-        help="files/directories to lint (default: src)",
-    )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    p.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="also write the report to FILE",
-    )
-    p.add_argument(
-        "--root", metavar="DIR", default=None,
-        help="package root for file classification "
-             "(default: auto-detect, e.g. src/repro)",
-    )
-    p.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help=f"baseline file (default: ./{DEFAULT_BASELINE_NAME} "
-             f"when present)",
-    )
-    p.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline: every violation is new",
-    )
-    p.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline from this run's findings and exit 0",
-    )
-    p.add_argument(
-        "--rules", metavar="NAMES", default=None,
-        help="comma-separated rule names/ids to run (default: all)",
-    )
-    p.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
-    )
-    p.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="also list pragma-waived findings in the text report",
-    )
-    return p
-
-
-def _select_rules(spec: Optional[str]) -> Optional[List[Rule]]:
-    if spec is None:
-        return None
-    rules: List[Rule] = []
-    for name in (s.strip() for s in spec.split(",")):
-        if not name:
-            continue
-        rule = rule_by_name(name)
-        if rule is None:
-            raise SystemExit(
-                f"unknown rule {name!r}; try --list-rules")
-        rules.append(rule)
-    return rules
-
-
-def _resolve_baseline(args: argparse.Namespace) -> Optional[Path]:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return Path(args.baseline)
-    default = Path(DEFAULT_BASELINE_NAME)
-    return default if default.exists() else None
+    lines.append("det-lint: " + ("OK" if result.ok else "FAILED"))
+    return "\n".join(lines)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
-
-    if args.list_rules:
-        for r in all_rules():
-            cats = ", ".join(sorted(r.categories))
-            print(f"{r.id}  {r.name}\n    {r.summary}\n    scope: {cats}")
-        return 0
-
-    try:
-        rules = _select_rules(args.rules)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return 2
-
-    paths = args.paths or ["src"]
-    missing = [p for p in paths if not Path(p).exists()]
+    p = argparse.ArgumentParser(
+        prog="python -m repro lint",
+        description="determinism static analysis of protocol code",
+    )
+    p.add_argument(
+        "paths", nargs="*",
+        help="files/directories to lint (default: src)",
+    )
+    paths = p.parse_args(argv).paths or ["src"]
+    missing = [path for path in paths if not Path(path).exists()]
     if missing:
         print(f"no such path(s): {missing}", file=sys.stderr)
         return 2
-
-    baseline_path = _resolve_baseline(args)
-    baseline: Optional[Baseline] = None
-    if baseline_path is not None and baseline_path.exists():
-        try:
-            baseline = Baseline.load(baseline_path)
-        except BaselineError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    root = Path(args.root) if args.root else None
-    result: LintResult = lint_paths(
-        paths, root=root, rules=rules, baseline=baseline)
-
-    if args.write_baseline:
-        target = baseline_path or Path(DEFAULT_BASELINE_NAME)
-        Baseline.from_violations(result.all_violations).save(target)
-        print(
-            f"wrote {len(result.all_violations)} entr"
-            f"{'y' if len(result.all_violations) == 1 else 'ies'} "
-            f"to {target}"
-        )
-        return 0
-
-    active = list(rules) if rules is not None else list(all_rules())
-    if args.format == "json":
-        output = render_json(result, active)
-    else:
-        output = text_report(result, verbose=args.verbose)
-    print(output, end="" if output.endswith("\n") else "\n")
-    if args.out:
-        Path(args.out).write_text(
-            output if output.endswith("\n") else output + "\n",
-            encoding="utf-8",
-        )
+    result = lint_paths(paths)
+    print(text_report(result))
     return 0 if result.ok else 1
 
 

@@ -1,10 +1,10 @@
-"""The lint engine: walk files, run rules, apply pragmas and baseline.
+"""The lint engine: walk files, run rules, apply pragmas.
 
 :func:`lint_paths` is the single entry point the CLI and the test
-suite share.  Per file it: classifies (category), parses (one AST,
-shared by every rule), runs the applicable rule visitors, filters
-through pragmas (defective/stale pragmas become violations), and
-finally partitions everything against the committed baseline.
+suite share.  Per file it: classifies (protocol or not), parses (one
+AST, shared by every rule), runs the rule visitors on protocol code,
+and filters through pragmas (defective/stale pragmas become
+violations).
 """
 
 from __future__ import annotations
@@ -12,22 +12,12 @@ from __future__ import annotations
 import ast
 import dataclasses
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.tools.detlint.baseline import Baseline
 from repro.tools.detlint.classify import FileClass, classify
-from repro.tools.detlint.pragmas import (
-    BAD_PRAGMA_ID,
-    BAD_PRAGMA_NAME,
-    apply_pragmas,
-    parse_pragmas,
-)
-from repro.tools.detlint.registry import (
-    FileContext,
-    Rule,
-    Violation,
-    all_rules,
-)
+from repro.tools.detlint.model import FileContext, Violation
+from repro.tools.detlint.pragmas import apply_pragmas, parse_pragmas
+from repro.tools.detlint.rules import RULES
 
 
 @dataclasses.dataclass
@@ -35,26 +25,14 @@ class LintResult:
     """Everything one lint run found."""
 
     files: List[FileClass] = dataclasses.field(default_factory=list)
-    new_violations: List[Violation] = dataclasses.field(default_factory=list)
-    baselined: List[Violation] = dataclasses.field(default_factory=list)
+    violations: List[Violation] = dataclasses.field(default_factory=list)
     suppressed: List[Violation] = dataclasses.field(default_factory=list)
-    stale_baseline: List[str] = dataclasses.field(default_factory=list)
     parse_errors: List[str] = dataclasses.field(default_factory=list)
 
     @property
-    def all_violations(self) -> List[Violation]:
-        """New + grandfathered, in discovery order (for --write-baseline)."""
-        return sorted(
-            self.new_violations + self.baselined,
-            key=lambda v: (v.path, v.line, v.col, v.rule_id),
-        )
-
-    @property
     def ok(self) -> bool:
-        """The gate: no new violations, no stale baseline, no parse errors."""
-        return not (
-            self.new_violations or self.stale_baseline or self.parse_errors
-        )
+        """The gate: no violations, no parse errors."""
+        return not (self.violations or self.parse_errors)
 
 
 def iter_py_files(paths: Sequence[Path]) -> Iterable[Path]:
@@ -76,84 +54,47 @@ def iter_py_files(paths: Sequence[Path]) -> Iterable[Path]:
     return out
 
 
-def pragma_identifiers(
-    rules: Sequence[Rule],
-) -> Tuple[set, Dict[str, str]]:
-    """(acceptable pragma identifiers, identifier -> canonical name)."""
-    known = set()
-    alias: Dict[str, str] = {}
-    for r in rules:
-        known.update((r.name, r.id))
-        alias[r.name] = r.name
-        alias[r.id] = r.name
-    known.update((BAD_PRAGMA_ID, BAD_PRAGMA_NAME))
-    alias[BAD_PRAGMA_ID] = BAD_PRAGMA_NAME
-    alias[BAD_PRAGMA_NAME] = BAD_PRAGMA_NAME
-    return known, alias
-
-
 def lint_file(
     path: Path,
-    root: Optional[Path] = None,
-    rules: Optional[Sequence[Rule]] = None,
 ) -> Tuple[FileClass, List[Violation], List[Violation], Optional[str]]:
     """Lint one file: (fclass, kept, suppressed, parse_error)."""
-    active = list(rules if rules is not None else all_rules())
-    fclass = classify(path, root=root)
+    fclass = classify(path)
     try:
         source = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return fclass, [], [], f"{fclass.relpath}: unreadable ({exc})"
-    ctx = FileContext(fclass, source)
     try:
         tree = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return (
-            fclass, [], [],
-            f"{fclass.relpath}:{exc.lineno}: syntax error: {exc.msg}",
-        )
-    for rule in active:
-        if rule.applies_to(fclass):
-            rule.make_visitor(ctx).visit(tree)
-    known, alias = pragma_identifiers(active)
-    pragmas, bad = parse_pragmas(ctx, known)
-    kept, suppressed = apply_pragmas(ctx, pragmas, alias)
+    except (SyntaxError, ValueError) as exc:
+        # a NUL byte is a SyntaxError without a line number on newer
+        # interpreters, a ValueError on older ones
+        lineno = getattr(exc, "lineno", None)
+        where = fclass.relpath if lineno is None \
+            else f"{fclass.relpath}:{lineno}"
+        msg = getattr(exc, "msg", str(exc))
+        return fclass, [], [], f"{where}: syntax error: {msg}"
+    ctx = FileContext(fclass, source)
+    if fclass.protocol:
+        for rule in RULES:
+            rule.visitor(rule, ctx).visit(tree)
+    pragmas, bad = parse_pragmas(ctx)
+    kept, suppressed = apply_pragmas(ctx, pragmas)
     kept.extend(bad)
     kept.sort(key=lambda v: (v.line, v.col, v.rule_id))
     return fclass, kept, suppressed, None
 
 
-def lint_paths(
-    paths: Sequence,
-    root: Optional[Path] = None,
-    rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
-) -> LintResult:
-    """Lint every ``.py`` file under ``paths``.
-
-    Args:
-        paths: files and/or directories (str or Path).
-        root: package root for classification; auto-detected per file
-            when omitted (see :func:`~repro.tools.detlint.classify
-            .find_package_root`).
-        rules: subset of rules to run (default: all).
-        baseline: grandfathered violations; when omitted every
-            violation is new.
-    """
+def lint_paths(paths: Sequence) -> LintResult:
+    """Lint every ``.py`` file under ``paths`` (files and/or
+    directories, str or Path); each file's package root is
+    auto-detected (see :func:`~repro.tools.detlint.classify
+    .find_package_root`)."""
     result = LintResult()
-    violations: List[Violation] = []
     for path in iter_py_files([Path(p) for p in paths]):
-        fclass, kept, suppressed, err = lint_file(path, root, rules)
+        fclass, kept, suppressed, err = lint_file(path)
         result.files.append(fclass)
+        result.violations.extend(kept)
         result.suppressed.extend(suppressed)
         if err is not None:
             result.parse_errors.append(err)
-        violations.extend(kept)
-    if baseline is None:
-        result.new_violations = violations
-    else:
-        new, old, stale = baseline.partition(violations)
-        result.new_violations = new
-        result.baselined = old
-        result.stale_baseline = stale
     return result

@@ -7,8 +7,9 @@ named rules on its own line, or -- when it is a standalone comment --
 on the next non-comment line, so a justification may run over several
 comment lines above a long statement::
 
-    # det: ok(unordered-iteration) -- int counters; addition commutes
-    total = sum(self._counts.values())
+    # det: ok(sized-presence-truthiness) -- an empty selection means
+    # "every server"; emptiness is the signal here, not absence
+    wanted = servers or list(all_servers)
 
 Defective pragmas are themselves violations (rule ``DET000``
 ``bad-pragma``): unknown rule names, missing justification, and
@@ -23,9 +24,10 @@ import dataclasses
 import io
 import re
 import tokenize
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
-from repro.tools.detlint.registry import FileContext, Violation
+from repro.tools.detlint.model import FileContext, Violation
+from repro.tools.detlint.rules import RULES
 
 PRAGMA_PREFIX_RE = re.compile(r"#\s*det\s*:")
 PRAGMA_RE = re.compile(
@@ -36,6 +38,12 @@ PRAGMA_RE = re.compile(
 BAD_PRAGMA_ID = "DET000"
 BAD_PRAGMA_NAME = "bad-pragma"
 
+#: every identifier a pragma may name (``DETnnn`` id or kebab-case
+#: name) -> the rule's name
+ALIASES: Dict[str, str] = {
+    ident: rule.name for rule in RULES for ident in (rule.id, rule.name)
+}
+
 
 @dataclasses.dataclass
 class Pragma:
@@ -43,7 +51,7 @@ class Pragma:
 
     line: int
     col: int
-    rules: Tuple[str, ...]
+    rules: Tuple[str, ...]  # rule names, aliases resolved
     justification: str
     #: for a comment-only pragma: the next non-comment line it waives
     target_line: int
@@ -61,19 +69,12 @@ def _bad(ctx: FileContext, line: int, col: int, message: str) -> Violation:
         line=line,
         col=col,
         message=message,
-        snippet=ctx.snippet(line),
     )
 
 
-def parse_pragmas(
-    ctx: FileContext, known: Set[str]
-) -> Tuple[List[Pragma], List[Violation]]:
+def parse_pragmas(ctx: FileContext) -> Tuple[List[Pragma], List[Violation]]:
     """Extract pragmas from ``ctx.source``; malformed ones become
-    ``bad-pragma`` violations.
-
-    Args:
-        known: the set of acceptable rule identifiers (names and ids).
-    """
+    ``bad-pragma`` violations."""
     pragmas: List[Pragma] = []
     problems: List[Violation] = []
     try:
@@ -105,12 +106,12 @@ def parse_pragmas(
             problems.append(_bad(
                 ctx, line, col, "det pragma names no rule"))
             continue
-        unknown = [n for n in names if n not in known]
+        unknown = [n for n in names if n not in ALIASES]
         if unknown:
             problems.append(_bad(
                 ctx, line, col,
-                f"det pragma names unknown rule(s) {unknown}; "
-                f"run 'python -m repro lint --list-rules'",
+                f"det pragma names unknown rule(s) {unknown}; known: "
+                f"{', '.join(f'{r.id} {r.name}' for r in RULES)}",
             ))
             continue
         if not why:
@@ -132,32 +133,23 @@ def parse_pragmas(
                     break
                 cursor += 1
         pragmas.append(Pragma(
-            line=line, col=col, rules=names,
+            line=line, col=col, rules=tuple(ALIASES[n] for n in names),
             justification=why, target_line=target,
         ))
     return pragmas, problems
 
 
 def apply_pragmas(
-    ctx: FileContext,
-    pragmas: List[Pragma],
-    alias: Dict[str, str],
+    ctx: FileContext, pragmas: List[Pragma]
 ) -> Tuple[List[Violation], List[Violation]]:
     """Split ``ctx.violations`` into (kept, suppressed); unused pragmas
-    are appended to *kept* as ``bad-pragma`` violations.
-
-    Args:
-        alias: maps every acceptable identifier (name or ``DETnnn``) to
-            the canonical rule name, so pragmas may use either form.
-    """
+    are appended to *kept* as ``bad-pragma`` violations."""
     kept: List[Violation] = []
     suppressed: List[Violation] = []
     for v in ctx.violations:
         waived = False
         for p in pragmas:
-            if not p.covers(v.line):
-                continue
-            if v.rule_name in (alias.get(n, n) for n in p.rules):
+            if p.covers(v.line) and v.rule_name in p.rules:
                 p.used = True
                 waived = True
                 break

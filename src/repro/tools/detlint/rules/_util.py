@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 
 class ImportMap:
@@ -71,15 +71,3 @@ def terminal_name(func: ast.AST) -> Optional[str]:
     if isinstance(func, ast.Attribute):
         return func.attr
     return None
-
-
-def walk_scoped(node: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` that does not descend into nested function scopes."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        yield child
-        if not isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            stack.extend(ast.iter_child_nodes(child))

@@ -25,8 +25,7 @@ from __future__ import annotations
 import ast
 from typing import List, Set
 
-from repro.tools.detlint import classify
-from repro.tools.detlint.registry import FileContext, Rule, register_rule
+from repro.tools.detlint.model import FileContext, Rule
 from repro.tools.detlint.rules._util import target_names
 
 #: callables that fully consume a genexp/lambda argument before returning
@@ -205,12 +204,4 @@ class ClosureVisitor(ast.NodeVisitor):
         self._visit_comprehension(node)
 
 
-@register_rule(
-    "DET003",
-    "loop-closure-capture",
-    "no lambda/genexp/nested-def created in a loop may read the loop "
-    "variable late (the shard-id stats-merge bug class)",
-    classify.ALL_CATEGORIES,
-)
-def make_closure_visitor(rule: Rule, ctx: FileContext) -> ast.NodeVisitor:
-    return ClosureVisitor(rule, ctx)
+RULE = Rule("DET003", "loop-closure-capture", ClosureVisitor)

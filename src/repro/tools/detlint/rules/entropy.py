@@ -16,15 +16,15 @@ One sanctioned exemption: ``runtime/async_*`` (see
 :func:`repro.tools.detlint.classify.is_wallclock_chokepoint`) is the
 live-mode wall-clock funnel -- the event-loop runtime, socket wire,
 live clients, and the serve CLI run in real time by design.  Those
-files skip this rule only; every other protocol rule still applies.
+files skip this rule only; the other rules still apply.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.tools.detlint import classify
-from repro.tools.detlint.registry import FileContext, Rule, register_rule
+from repro.tools.detlint.classify import is_wallclock_chokepoint
+from repro.tools.detlint.model import FileContext, Rule
 from repro.tools.detlint.rules._util import ImportMap
 
 #: module-level :mod:`random` functions that consume the shared stream
@@ -60,6 +60,8 @@ class EntropyVisitor(ast.NodeVisitor):
         self.imports = ImportMap()
 
     def visit_Module(self, node: ast.Module) -> None:
+        if is_wallclock_chokepoint(self.ctx.fclass.relpath):
+            return  # the sanctioned live-mode wall-clock funnel
         self.imports.collect(node)
         self.generic_visit(node)
 
@@ -95,14 +97,4 @@ class EntropyVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@register_rule(
-    "DET001",
-    "wall-clock-entropy",
-    "no ambient randomness or wall clocks in protocol code -- "
-    "seeded RngStreams and the engine clock only",
-    frozenset({classify.PROTOCOL}),
-)
-def make_entropy_visitor(rule: Rule, ctx: FileContext) -> ast.NodeVisitor:
-    if classify.is_wallclock_chokepoint(ctx.fclass.relpath):
-        return ast.NodeVisitor()  # sanctioned live-mode wall-clock funnel
-    return EntropyVisitor(rule, ctx)
+RULE = Rule("DET001", "wall-clock-entropy", EntropyVisitor)

@@ -21,8 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Optional
 
-from repro.tools.detlint import classify
-from repro.tools.detlint.registry import FileContext, Rule, register_rule
+from repro.tools.detlint.model import FileContext, Rule
 from repro.tools.detlint.rules._util import terminal_name
 
 #: classes defining ``__len__`` whose emptiness does NOT mean absence
@@ -162,12 +161,4 @@ class TruthinessVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-@register_rule(
-    "DET002",
-    "sized-presence-truthiness",
-    "no boolean-presence tests or 'or'-defaulting on objects whose "
-    "__len__ makes empty falsy (the build_system Engine bug class)",
-    classify.ALL_CATEGORIES,
-)
-def make_truthiness_visitor(rule: Rule, ctx: FileContext) -> ast.NodeVisitor:
-    return TruthinessVisitor(rule, ctx)
+RULE = Rule("DET002", "sized-presence-truthiness", TruthinessVisitor)

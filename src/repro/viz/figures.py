@@ -211,8 +211,6 @@ def render_figures(
     Returns the written file paths.
     """
     scale = scale or get_scale()
-    # det: ok(sized-presence-truthiness) -- an empty name list means
-    # "render every figure"; emptiness IS the signal, not absence
     wanted = names or list(FIGURES)
     unknown = [n for n in wanted if n not in FIGURES]
     if unknown:

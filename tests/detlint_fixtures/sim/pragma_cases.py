@@ -10,10 +10,10 @@ def waived_inline(servers):
     return servers[random.randrange(len(servers))]  # det: ok(wall-clock-entropy) -- fixture: justified inline waiver
 
 
-def waived_standalone(weights):
-    # det: ok(unordered-iteration) -- fixture: integer counters only;
-    # addition commutes exactly, any order gives the same total
-    return sum(weights.values())
+def waived_standalone(servers):
+    # det: ok(wall-clock-entropy) -- fixture: a justification may run
+    # over several comment lines above the statement it waives
+    return servers[random.randrange(len(servers))]
 
 
 def waived_by_id(servers):

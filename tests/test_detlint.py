@@ -1,22 +1,24 @@
-"""The determinism linter: rules, pragmas, baseline ratchet, CLI.
+"""The determinism linter: rules, scope, pragmas, CLI.
 
 Fixtures live in ``tests/detlint_fixtures/`` laid out like the real
-package (``sim/`` is protocol code, ``experiments/common.py`` is a
-choke point); every lint call passes that directory as the
-classification root so categories resolve identically to ``src/repro``.
+package (``sim/`` and ``runtime/`` are protocol code); its empty
+``__main__.py`` makes it a package root, so categories resolve
+identically to ``src/repro`` with no root argument.
 """
 
-import json
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.tools.detlint import LintResult, all_rules, lint_paths
-from repro.tools.detlint.baseline import Baseline, BaselineError
-from repro.tools.detlint.classify import classify
+from repro.tools.detlint import RULES, lint_paths
+from repro.tools.detlint.classify import classify, is_wallclock_chokepoint
 from repro.tools.detlint.cli import main as lint_main
+from repro.tools.detlint.cli import text_report
 from repro.tools.detlint.engine import lint_file
-from repro.tools.detlint.report import json_report, text_report
 
 TESTS_DIR = Path(__file__).resolve().parent
 FIXTURES = TESTS_DIR / "detlint_fixtures"
@@ -24,17 +26,23 @@ REPO_ROOT = TESTS_DIR.parent
 SRC = REPO_ROOT / "src"
 
 
-def lint_fixture(name, **kwargs):
-    """Lint one fixture file with the fixture dir as package root."""
-    return lint_paths([FIXTURES / name], root=FIXTURES, **kwargs)
+def lint_fixture(name):
+    return lint_paths([FIXTURES / name])
 
 
 def hits(result, rule_id):
-    return [v for v in result.new_violations if v.rule_id == rule_id]
+    return [v for v in result.violations if v.rule_id == rule_id]
 
 
-def lines_of(result, rule_id):
-    return sorted(v.line for v in hits(result, rule_id))
+def lint_outside_protocol(tmp_path, fixture):
+    """Lint a copy of ``sim/<fixture>`` placed under ``experiments/``
+    of a throwaway package root."""
+    (tmp_path / "__main__.py").touch()
+    (tmp_path / "experiments").mkdir()
+    shutil.copy(FIXTURES / "sim" / fixture, tmp_path / "experiments")
+    result = lint_paths([tmp_path / "experiments" / fixture])
+    assert [f.relpath for f in result.files] == [f"experiments/{fixture}"]
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -43,38 +51,31 @@ def lines_of(result, rule_id):
 
 class TestClassify:
     def test_fixture_sim_is_protocol(self):
-        fc = classify(FIXTURES / "sim" / "entropy_bad.py", root=FIXTURES)
-        assert fc.category == "protocol"
+        fc = classify(FIXTURES / "sim" / "entropy_bad.py")
+        assert fc.protocol
         assert fc.relpath == "sim/entropy_bad.py"
-
-    def test_fixture_chokepoint(self):
-        fc = classify(
-            FIXTURES / "experiments" / "common.py", root=FIXTURES)
-        assert fc.category == "chokepoint"
 
     def test_real_tree_autodetects_root(self):
         fc = classify(SRC / "repro" / "sim" / "engine.py")
-        assert fc.category == "protocol"
+        assert fc.protocol
         assert fc.relpath == "sim/engine.py"
 
-    def test_real_chokepoints(self):
-        for name in ("common.py", "parallel.py"):
-            fc = classify(SRC / "repro" / "experiments" / name)
-            assert fc.category == "chokepoint", name
-
     def test_tools_are_exempt_category(self):
-        fc = classify(
-            SRC / "repro" / "tools" / "detlint" / "engine.py")
-        assert fc.category == "tools"
+        for rel in ("tools/detlint/engine.py", "experiments/common.py",
+                    "viz/figures.py", "__main__.py"):
+            assert not classify(SRC / "repro" / rel).protocol, rel
 
     def test_runtime_is_protocol(self):
         for name in ("base.py", "sim_runtime.py", "async_runtime.py"):
             fc = classify(SRC / "repro" / "runtime" / name)
-            assert fc.category == "protocol", name
+            assert fc.protocol, name
+
+    def test_client_is_protocol(self):
+        # TerraDirClient runs inside the engine; its counters are part
+        # of run_fingerprint
+        assert classify(SRC / "repro" / "client" / "client.py").protocol
 
     def test_wallclock_chokepoint_predicate(self):
-        from repro.tools.detlint.classify import is_wallclock_chokepoint
-
         assert is_wallclock_chokepoint("runtime/async_runtime.py")
         assert is_wallclock_chokepoint("runtime/async_serve.py")
         assert not is_wallclock_chokepoint("runtime/sim_runtime.py")
@@ -91,17 +92,12 @@ class TestClassify:
 # ----------------------------------------------------------------------
 
 class TestCatalog:
-    def test_six_rules_registered(self):
-        rules = all_rules()
-        assert [r.id for r in rules] == [
-            "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
+    def test_three_rules(self):
+        assert [(r.id, r.name) for r in RULES] == [
+            ("DET001", "wall-clock-entropy"),
+            ("DET002", "sized-presence-truthiness"),
+            ("DET003", "loop-closure-capture"),
         ]
-        names = {r.name for r in rules}
-        assert names == {
-            "wall-clock-entropy", "sized-presence-truthiness",
-            "loop-closure-capture", "unordered-iteration",
-            "env-read", "handler-global-mutation",
-        }
 
 
 # ----------------------------------------------------------------------
@@ -123,16 +119,9 @@ class TestEntropy:
         result = lint_fixture("sim/entropy_ok.py")
         assert hits(result, "DET001") == []
 
-    def test_rule_scoped_to_protocol(self):
-        # the same source under experiments/ must not trigger DET001
-        src = (FIXTURES / "sim" / "entropy_bad.py").read_text()
-        target = FIXTURES / "experiments" / "_scope_probe.py"
-        target.write_text(src)
-        try:
-            result = lint_fixture("experiments/_scope_probe.py")
-            assert hits(result, "DET001") == []
-        finally:
-            target.unlink()
+    def test_rule_scoped_to_protocol(self, tmp_path):
+        result = lint_outside_protocol(tmp_path, "entropy_bad.py")
+        assert result.violations == []
 
     def test_runtime_async_files_are_sanctioned(self):
         # runtime/async_* is the live-mode wall-clock funnel
@@ -161,6 +150,10 @@ class TestTruthiness:
         result = lint_fixture("sim/truthiness_ok.py")
         assert hits(result, "DET002") == []
 
+    def test_rule_scoped_to_protocol(self, tmp_path):
+        result = lint_outside_protocol(tmp_path, "truthiness_bad.py")
+        assert result.violations == []
+
 
 # ----------------------------------------------------------------------
 # DET003 loop-closure-capture
@@ -180,62 +173,10 @@ class TestClosures:
         result = lint_fixture("sim/closures_ok.py")
         assert hits(result, "DET003") == []
 
-
-# ----------------------------------------------------------------------
-# DET004 unordered-iteration
-# ----------------------------------------------------------------------
-
-class TestOrdering:
-    def test_positives(self):
-        result = lint_fixture("sim/ordering_bad.py")
-        # 5 sites; the sum-over-set genexp reports twice (aggregation
-        # + set iteration), both pointing at the same expression
-        assert len(hits(result, "DET004")) == 6
-        assert len(set(lines_of(result, "DET004"))) == 5
-
-    def test_negatives(self):
-        result = lint_fixture("sim/ordering_ok.py")
-        assert hits(result, "DET004") == []
-
-
-# ----------------------------------------------------------------------
-# DET005 env-read
-# ----------------------------------------------------------------------
-
-class TestEnvReads:
-    def test_positives(self):
-        result = lint_fixture("sim/envread_bad.py")
-        found = hits(result, "DET005")
-        assert len(found) == 5
-        # the export (a write) is not among them
-        snippets = " ".join(v.snippet for v in found)
-        assert "export_workers" not in snippets
-        assert 'os.environ["REPRO_WORKERS"] = str(n)' not in snippets
-
-    def test_chokepoint_exempt(self):
-        result = lint_fixture("experiments/common.py")
-        assert hits(result, "DET005") == []
-        assert result.ok
-
-
-# ----------------------------------------------------------------------
-# DET006 handler-global-mutation
-# ----------------------------------------------------------------------
-
-class TestShardSafety:
-    def test_positives(self):
-        result = lint_fixture("sim/shardsafety_bad.py")
-        found = hits(result, "DET006")
-        assert len(found) == 3
-        messages = " ".join(v.message for v in found)
-        # one per registration form: string name, callable, decorator
-        assert "'_on_query'" in messages
-        assert "'on_probe'" in messages
-        assert "'on_advert'" in messages
-
-    def test_negatives(self):
-        result = lint_fixture("sim/shardsafety_ok.py")
-        assert hits(result, "DET006") == []
+    def test_rule_scoped_to_protocol(self, tmp_path):
+        # outside protocol code, ruff B023 covers this bug class
+        result = lint_outside_protocol(tmp_path, "closures_bad.py")
+        assert result.violations == []
 
 
 # ----------------------------------------------------------------------
@@ -275,14 +216,14 @@ class TestPR7Regressions:
 class TestPragmas:
     def test_valid_pragmas_suppress(self):
         result = lint_fixture("sim/pragma_cases.py")
-        assert result.new_violations == []
+        assert result.violations == []
         assert len(result.suppressed) == 3
         assert result.ok
 
     def test_standalone_pragma_covers_multiline_justification(self):
         result = lint_fixture("sim/pragma_cases.py")
-        waived = {v.rule_id for v in result.suppressed}
-        assert "DET004" in waived  # the sum(values()) two-line pragma
+        # the pragma two comment lines above waives the statement
+        assert 16 in {v.line for v in result.suppressed}
 
     def test_defective_pragmas_fail(self):
         result = lint_fixture("sim/pragma_bad_cases.py")
@@ -303,65 +244,29 @@ class TestPragmas:
 
 
 # ----------------------------------------------------------------------
-# baseline ratchet
+# input the parser cannot take
 # ----------------------------------------------------------------------
 
-class TestBaseline:
-    def _violations(self):
-        return lint_fixture("sim/entropy_bad.py").new_violations
+class TestUnparseableInput:
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        latin = tmp_path / "latin.py"
+        latin.write_bytes(b'x = "\xe9"\n')
+        assert lint_main([str(latin)]) == 1
+        out = capsys.readouterr().out
+        assert "latin.py: unreadable" in out and "utf-8" in out
 
-    def test_grandfathering(self):
-        violations = self._violations()
-        baseline = Baseline.from_violations(violations)
-        result = lint_fixture("sim/entropy_bad.py", baseline=baseline)
-        assert result.new_violations == []
-        assert len(result.baselined) == len(violations)
-        assert result.stale_baseline == []
-        assert result.ok
-
-    def test_new_instance_beyond_count_fails(self):
-        violations = self._violations()
-        baseline = Baseline.from_violations(violations)
-        key = violations[0].baseline_key()
-        baseline.entries[key] -= 1
-        if baseline.entries[key] == 0:
-            del baseline.entries[key]
-        result = lint_fixture("sim/entropy_bad.py", baseline=baseline)
-        assert len(result.new_violations) == 1
+    def test_nul_byte_error_names_no_line(self, tmp_path):
+        nul = tmp_path / "nul.py"
+        nul.write_bytes(b"x = 1\x00\n")
+        result = lint_paths([nul])
         assert not result.ok
-
-    def test_stale_entry_fails(self):
-        baseline = Baseline.from_violations(self._violations())
-        baseline.entries["DET001:sim/gone.py:random.random()"] = 1
-        result = lint_fixture("sim/entropy_bad.py", baseline=baseline)
-        assert result.new_violations == []
-        assert len(result.stale_baseline) == 1
-        assert not result.ok
-
-    def test_keys_are_line_number_free(self):
-        v = self._violations()[0]
-        assert str(v.line) not in v.baseline_key().split(":", 2)[:2]
-        assert v.baseline_key() == \
-            f"{v.rule_id}:{v.path}:{v.snippet}"
-
-    def test_roundtrip(self, tmp_path):
-        baseline = Baseline.from_violations(self._violations())
-        p = tmp_path / "baseline.json"
-        baseline.save(p)
-        assert Baseline.load(p).entries == baseline.entries
-
-    def test_load_rejects_garbage(self, tmp_path):
-        p = tmp_path / "baseline.json"
-        p.write_text("[]")
-        with pytest.raises(BaselineError):
-            Baseline.load(p)
-        p.write_text('{"version": 99, "entries": {}}')
-        with pytest.raises(BaselineError):
-            Baseline.load(p)
+        [err] = result.parse_errors
+        assert err.startswith("nul.py: syntax error: ")
+        assert "None" not in err
 
 
 # ----------------------------------------------------------------------
-# reports and CLI
+# report and CLI
 # ----------------------------------------------------------------------
 
 class TestReports:
@@ -373,90 +278,42 @@ class TestReports:
         clean = lint_fixture("sim/entropy_ok.py")
         assert "det-lint: OK" in text_report(clean)
 
-    def test_json_report_shapes(self):
-        result = lint_fixture("sim/entropy_bad.py")
-        payload = json_report(result, list(all_rules()))
-        assert payload["ok"] is False
-        assert payload["summary"]["new"] == len(result.new_violations)
-        assert {r["id"] for r in payload["rules"]} == {
-            f"DET00{i}" for i in range(1, 7)}
-        first = payload["new_violations"][0]
-        assert {"rule_id", "path", "line", "message"} <= set(first)
-
 
 class TestCli:
     def test_clean_run_exits_zero(self, capsys):
-        rc = lint_main([
-            str(FIXTURES / "sim" / "entropy_ok.py"),
-            "--root", str(FIXTURES), "--no-baseline",
-        ])
+        rc = lint_main([str(FIXTURES / "sim" / "entropy_ok.py")])
         assert rc == 0
         assert "det-lint: OK" in capsys.readouterr().out
 
     def test_violations_exit_one(self, capsys):
-        rc = lint_main([
-            str(FIXTURES / "sim" / "entropy_bad.py"),
-            "--root", str(FIXTURES), "--no-baseline",
-        ])
+        rc = lint_main([str(FIXTURES / "sim" / "entropy_bad.py")])
         assert rc == 1
         assert "DET001" in capsys.readouterr().out
-
-    def test_json_output_file(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        rc = lint_main([
-            str(FIXTURES / "sim" / "entropy_bad.py"),
-            "--root", str(FIXTURES), "--no-baseline",
-            "--format", "json", "--out", str(out),
-        ])
-        assert rc == 1
-        payload = json.loads(out.read_text())
-        assert payload["ok"] is False
-        assert payload["summary"]["new"] > 0
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        bl = tmp_path / "baseline.json"
-        rc = lint_main([
-            str(FIXTURES / "sim" / "entropy_bad.py"),
-            "--root", str(FIXTURES), "--baseline", str(bl),
-            "--write-baseline",
-        ])
-        assert rc == 0
-        assert bl.exists()
-        rc = lint_main([
-            str(FIXTURES / "sim" / "entropy_bad.py"),
-            "--root", str(FIXTURES), "--baseline", str(bl),
-        ])
-        assert rc == 0  # fully grandfathered
-        capsys.readouterr()
-
-    def test_rule_subset(self, capsys):
-        rc = lint_main([
-            str(FIXTURES / "sim" / "entropy_bad.py"),
-            "--root", str(FIXTURES), "--no-baseline",
-            "--rules", "env-read",
-        ])
-        assert rc == 0  # no env reads in the entropy fixture
-        capsys.readouterr()
-
-    def test_list_rules(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        assert "DET001" in out and "wall-clock-entropy" in out
 
     def test_missing_path_exits_two(self, capsys):
         assert lint_main(["definitely/not/here"]) == 2
         capsys.readouterr()
 
+    def test_paths_are_the_only_argument(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        # one positional, no option but -h (older argparse spells the
+        # positional "[paths [paths ...]]")
+        assert re.fullmatch(
+            r"usage: python -m repro lint \[-h\] "
+            r"\[paths( \[paths)? \.\.\.\]\]?", usage), usage
+
     def test_module_entry_point(self):
-        import subprocess
-        import sys
         proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", "--list-rules"],
+            [sys.executable, "-m", "repro", "lint",
+             str(FIXTURES / "sim" / "entropy_bad.py")],
             capture_output=True, text=True, cwd=str(REPO_ROOT),
             env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
         )
-        assert proc.returncode == 0
-        assert "DET006" in proc.stdout
+        assert proc.returncode == 1
+        assert "DET001" in proc.stdout
 
 
 # ----------------------------------------------------------------------
@@ -464,18 +321,14 @@ class TestCli:
 # ----------------------------------------------------------------------
 
 class TestTreeIsClean:
-    def test_src_lints_clean_with_committed_baseline(self):
-        baseline_path = REPO_ROOT / "detlint_baseline.json"
-        baseline = Baseline.load(baseline_path) \
-            if baseline_path.exists() else None
-        result: LintResult = lint_paths([SRC], baseline=baseline)
-        problems = [v.format() for v in result.new_violations]
+    def test_src_lints_clean(self):
+        result = lint_paths([SRC])
+        problems = [v.format() for v in result.violations]
         assert result.parse_errors == []
-        assert result.stale_baseline == []
         assert problems == [], "\n".join(problems)
 
     def test_every_waiver_is_justified(self):
-        # apply_pragmas already rejects justification-free pragmas; this
-        # locks the repo-wide count so new waivers are a conscious diff
+        # apply_pragmas already rejects justification-free pragmas; the
+        # tree carries none at all, so a new waiver is a conscious diff
         result = lint_paths([SRC])
-        assert len(result.suppressed) <= 20
+        assert result.suppressed == []

@@ -5,7 +5,9 @@ built -- a serial run, a sharded coordinator's pre-generated schedule,
 the live generator's :class:`SegmentSampler` -- and then reads
 ``sys.modules``: a third-party import anywhere on those paths (numpy
 used to arrive with the first Zipf arrival, mid-run) fails here even on
-a host that has the module installed.
+a host that has the module installed.  The same probe keeps the
+developer tooling (``repro.tools``, the determinism linter) off the
+runtime path.
 """
 
 import os
@@ -41,6 +43,7 @@ sampler = SegmentSampler(spec, len(ns), random.Random(3))
 assert 0 <= sampler.dest(0.75) < len(ns)
 
 assert "numpy" not in sys.modules
+assert "repro.tools" not in sys.modules  # the linter stays off runs
 stdlib = getattr(sys, "stdlib_module_names", None)  # 3.10+
 if stdlib is not None:
     tops = {name.partition(".")[0] for name in set(sys.modules) - at_startup}

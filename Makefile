@@ -14,7 +14,7 @@
 #                     alternating parent/change benchmark pairs from clean
 #                     copies: medians, quartiles, wins (scripts/pairs.py)
 #   make mem          build both 10^6-node namespaces under the 2 GB RSS budget,
-#                     and a 131 071-node / 256-server fleet under 200 MB
+#                     and a 131 071-node / 256-server fleet under 125 MB
 #   make shard-check  sharded runs bit-identical to serial, events within 5 %
 #                     (the CI sharded-determinism job's three invocations)
 #   make serve-smoke  live 5-peer UDS cluster + AIMD client (capacity.json)
@@ -56,7 +56,7 @@ pairs:
 
 mem:
 	$(PYTHON) -m repro mem-smoke
-	$(PYTHON) -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 200
+	$(PYTHON) -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 125
 
 shard-check:
 	$(PYTHON) -m repro shard-check --shards 1,4

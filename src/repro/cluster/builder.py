@@ -104,11 +104,14 @@ def _populate_system(
             system.peers[sid] = peer
         system.transport.register(sid, peer.deliver)
 
-    # ownership and routing contexts
+    # ownership and routing contexts.  Map values are read-only, so
+    # every single-server map of the fleet is one of these tuples:
+    # ~3 per owned node, stored by reference instead of as a list each
+    solo = [(s,) for s in range(cfg.n_servers)]
     for sid in sids:
         peer = system.peers[sid]
-        peer.adopt_nodes(owned_by[sid])
-        peer.pin_contexts(owned_by[sid], owner_list)
+        peer.adopt_nodes(owned_by[sid], solo)
+        peer.pin_contexts(owned_by[sid], owner_list, solo)
 
     # heterogeneity: mark a fraction of servers slow (locally
     # normalized load metric absorbs the difference, section 3.1);

@@ -63,10 +63,7 @@ def transfer_ownership(system: System, node: int, new_owner: int) -> None:
     dst.metadata._meta[node] = meta  # move, not copy: owner-only state
     if data is not None:
         dst.metadata.set_data(node, data)
-    for s in node_map:
-        entry = dst.maps[node]
-        if s not in entry and len(entry) < dst.cfg.rmap:
-            entry.append(s)
+    dst.pin(node, node_map)  # extends the map adoption just led with dst
     for nbr, nbr_map in context.items():
         dst.pin(nbr, nbr_map)
     system.owner[node] = new_owner
@@ -79,17 +76,17 @@ def transfer_ownership(system: System, node: int, new_owner: int) -> None:
     for p in system.peers:
         if p.sid == new_owner:
             continue
-        if node not in p.pin_refs:
-            continue
         entry = p.maps.get(node)
-        if entry is None:
+        if entry is None or not p.pinned(node):
             continue
-        if old_owner in entry:
-            entry.remove(old_owner)
-        if new_owner not in entry:
-            if len(entry) >= p.cfg.rmap:
-                entry.pop()
-            entry.insert(0, new_owner)
+        out = list(entry)  # map values are read-only
+        if old_owner in out:
+            out.remove(old_owner)
+        if new_owner not in out:
+            if len(out) >= p.cfg.rmap:
+                out.pop()
+            out.insert(0, new_owner)
+        p.maps[node] = out
 
 
 def _drop_owned(peer: Peer, node: int) -> None:
@@ -102,12 +99,13 @@ def _drop_owned(peer: Peer, node: int) -> None:
     peer.adverts_recent.pop(node, None)
     for nbr in peer.ns.neighbors(node):
         peer.unpin(nbr)
-    refs = peer.pin_refs.get(node, 0)
     entry = peer.maps.get(node)
     if entry is not None:
-        entry[:] = [s for s in entry if s != peer.sid]
-        if refs == 0 and not entry:
-            peer.maps.pop(node, None)
+        kept = [s for s in entry if s != peer.sid]
+        if kept or peer.pinned(node):
+            peer.maps[node] = kept
+        else:
+            del peer.maps[node]
     if peer.digest is not None:
         peer.digest.rebuild(peer.iter_hosted())
 

@@ -86,13 +86,15 @@ def _note_without_stats(owner: "Peer", node: int, target: int) -> None:
     advert_push(owner.adverts_recent, node, target, owner.cfg.rmap)
     entry = owner.maps.get(node)
     if entry is not None and target not in entry:
-        if len(entry) >= owner.cfg.rmap:
-            idx = [i for i, s in enumerate(entry) if s != owner.sid]
+        out = list(entry)  # map values are read-only: replace, not edit
+        if len(out) >= owner.cfg.rmap:
+            idx = [i for i, s in enumerate(out) if s != owner.sid]
             if idx:
-                entry.pop(idx[0])
+                out.pop(idx[0])
             else:
                 return
-        entry.insert(0, target)
+        out.insert(0, target)
+        owner.maps[node] = out
 
 
 def static_replica_count(ns: "Namespace", depth_limit: int, copies: int) -> int:

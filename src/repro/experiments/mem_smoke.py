@@ -9,7 +9,7 @@ a million-node namespace fits in laptop RAM (DESIGN.md section 11).
 With ``--servers N`` it measures a *fleet point* instead: the balanced
 namespace plus a full ``N``-server system at the million scale's knobs
 -- namespace, peers, routing state and every peer's ancestor index
-(the largest resident of a built fleet, DESIGN.md section 11.4) --
+(DESIGN.md sections 11.4 and 11.7) --
 reporting the build time per phase (``namespace_s`` + ``system_s`` =
 ``build_s``, DESIGN.md section 11.6) and the per-peer index size next
 to the peak RSS the budget is enforced on.
@@ -22,7 +22,7 @@ Usage::
     python -m repro mem-smoke                 # 2 GB budget
     python -m repro mem-smoke --nodes 100000  # quicker CI variant
     python -m repro mem-smoke --budget-mb 512
-    python -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 200
+    python -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 125
 """
 
 from __future__ import annotations

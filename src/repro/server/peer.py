@@ -107,7 +107,6 @@ class Peer:
         "stats",
         "owned",
         "maps",
-        "pin_refs",
         "metadata",
         "cache",
         "digest",
@@ -151,8 +150,10 @@ class Peer:
         self._record_injected = self.stats.record_injected
         self._record_drop = self.stats.record_drop
         self.owned = set(owned)
-        self.maps: Dict[int, List[int]] = {}
-        self.pin_refs: Dict[int, int] = {}
+        # node -> its map; a value is a read-only sequence that writers
+        # replace, never mutate, so one ``(sid,)`` tuple can stand for
+        # every single-server map of the fleet (DESIGN.md section 11.7)
+        self.maps: Dict[int, Sequence[int]] = {}
         self.metadata = MetaStore()
         self.cache = LRUCache(
             cfg.cache_slots if cfg.caching_enabled else 0, rmap=cfg.rmap,
@@ -236,36 +237,45 @@ class Peer:
     def n_hosted(self) -> int:
         return len(self.owned) + len(self.store.replicas)
 
+    def pinned(self, node: int) -> bool:
+        """True if the topology imposes ``node``'s map here: ``node`` is
+        a replica on this peer, or a namespace neighbour of a node this
+        peer hosts (neighbourhood is symmetric, cross links included).
+
+        Derived from the hosted set rather than counted: O(degree), and
+        asked only on the eviction, hand-off and audit paths.
+        """
+        replicas = self.store.replicas
+        if node in replicas:
+            return True
+        owned = self.owned
+        for nbr in self.ns.neighbors(node):
+            if nbr in owned or nbr in replicas:
+                return True
+        return False
+
     def pin(self, node: int, servers: Iterable[int]) -> None:
-        """Pin a neighbor map (routing context of a hosted node)."""
-        self.pin_refs[node] = self.pin_refs.get(node, 0) + 1
+        """Keep a neighbor map (routing context of a hosted node):
+        create ``node``'s map, or extend it with ``servers`` up to
+        ``rmap``."""
         cur = self.maps.get(node)
-        if cur is None:
-            entry: List[int] = []
-            for s in servers:
-                if s not in entry and len(entry) < self.cfg.rmap:
-                    entry.append(s)
-            # stored as an exact-size copy: a list grown by append
-            # carries four slots where most maps hold one server
-            self.maps[node] = entry[:]
-        else:
-            for s in servers:
-                if s not in cur and len(cur) < self.cfg.rmap:
-                    cur.append(s)
+        entry = list(cur) if cur is not None else []
+        rmap = self.cfg.rmap
+        for s in servers:
+            if s not in entry and len(entry) < rmap:
+                entry.append(s)
+        if cur is None or len(entry) != len(cur):
+            self.maps[node] = tuple(entry)
 
     def unpin(self, node: int) -> None:
-        """Release one pin; the map demotes to a cache entry at zero refs.
+        """Demote ``node``'s map to a cache entry once nothing pins it
+        (called for each neighbour of a node this peer stopped hosting).
 
         Hosted nodes keep their map unconditionally: a node can be both
         hosted and a (pinned) neighbor of another hosted node, and
         losing the last pin must never strip hosted state.
         """
-        refs = self.pin_refs.get(node, 0) - 1
-        if refs > 0:
-            self.pin_refs[node] = refs
-            return
-        self.pin_refs.pop(node, None)
-        if self.hosts(node):
+        if self.hosts(node) or self.pinned(node):
             return
         entry = self.maps.pop(node, None)
         if entry and self.cfg.caching_enabled:
@@ -275,10 +285,16 @@ class Peer:
         """Take ownership of ``node`` (membership API)."""
         self.adopt_nodes((node,))
 
-    def adopt_nodes(self, nodes: Sequence[int]) -> None:
+    def adopt_nodes(
+        self, nodes: Sequence[int], solo: Optional[Sequence[Tuple[int]]] = None
+    ) -> None:
         """Take ownership of ``nodes``, in order: everything adoption
         sets up, once per batch (one index write, one pass over the
         digest's bits) -- the builder hands over a server's whole share.
+
+        ``solo`` is the fleet's table of one-server maps (``solo[s] ==
+        (s,)``, one tuple per server shared by every peer); without it
+        a fresh ``(sid,)`` is stored.
         """
         self.store.track_owned_many(nodes)
         self.owned.update(nodes)
@@ -286,34 +302,39 @@ class Peer:
         # way): nothing is materialised for the common never-written node
         maps = self.maps
         sid = self.sid
+        mine = (sid,) if solo is None else solo[sid]
         track = self.ranking.track
         for node in nodes:
             track(node)
             entry = maps.get(node)
             if entry is None:
-                # exact-size: growing an empty list over-allocates four slots
-                maps[node] = [sid]
+                maps[node] = mine
             elif sid not in entry:
-                entry.insert(0, sid)
+                maps[node] = (sid, *entry)
         if self.digest is not None:
             self.digest.add_many(nodes)
 
-    def pin_contexts(self, nodes: Sequence[int], owner: Sequence[int]) -> None:
+    def pin_contexts(
+        self,
+        nodes: Sequence[int],
+        owner: Sequence[int],
+        solo: Sequence[Tuple[int]],
+    ) -> None:
         """Pin the routing context of every node of ``nodes`` at its
         owner: ``pin(nbr, (owner[nbr],))`` for each neighbour in
         :meth:`Namespace.contexts <repro.namespace.tree.Namespace.contexts>`
         order, in one loop (the builder's wiring of a server's share).
+        A new map is the shared ``solo[owner[nbr]]`` (see
+        :meth:`adopt_nodes`).
         """
         maps = self.maps
-        refs = self.pin_refs
         rmap = self.cfg.rmap
         for nbr in self.ns.contexts(nodes):
-            refs[nbr] = refs.get(nbr, 0) + 1
             cur = maps.get(nbr)
             if cur is None:
-                maps[nbr] = [owner[nbr]] if rmap > 0 else []
+                maps[nbr] = solo[owner[nbr]] if rmap > 0 else ()
             elif len(cur) < rmap and owner[nbr] not in cur:
-                cur.append(owner[nbr])
+                maps[nbr] = (*cur, owner[nbr])
 
     def bump_meta(self, node: int) -> int:
         """Owner-only meta-data version bump; replicas converge lazily."""

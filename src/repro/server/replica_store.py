@@ -125,7 +125,6 @@ class ReplicaStore:
             advertised=(peer.sid,),
         )
         peer.maps[node] = merged
-        peer.pin_refs[node] = peer.pin_refs.get(node, 0) + 1
         for nbr, nbr_map in payload.context.items():
             peer.pin(nbr, nbr_map)
         # drop any stale cache entry now superseded by hosted state
@@ -144,11 +143,10 @@ class ReplicaStore:
         peer.ranking.forget(node)
         for nbr in peer.ns.neighbors(node):
             peer.unpin(nbr)
-        refs = peer.pin_refs.pop(node, 0) - 1
         entry = peer.maps.pop(node, None)
-        if refs > 0:
+        if peer.pinned(node):
             # the node is also a pinned neighbor of another hosted node
-            peer.pin_refs[node] = refs
+            # (re-inserted: it moves to the end of the map order)
             if entry is not None:
                 peer.maps[node] = [s for s in entry if s != peer.sid]
         elif entry and peer.cfg.caching_enabled:
@@ -200,14 +198,16 @@ class ReplicaStore:
         advert_push(self.adverts_recent, node, target, peer.cfg.rmap)
         entry = peer.maps.get(node)
         if entry is not None:
-            if target in entry:
-                entry.remove(target)
-            if len(entry) >= peer.cfg.rmap:
+            out = list(entry)  # map values are read-only
+            if target in out:
+                out.remove(target)
+            if len(out) >= peer.cfg.rmap:
                 # random eviction, but never of our own entry
-                candidates = [i for i, s in enumerate(entry) if s != peer.sid]
+                candidates = [i for i, s in enumerate(out) if s != peer.sid]
                 if candidates:
-                    entry.pop(peer.rng.choice(candidates))
-            entry.insert(0, target)
+                    out.pop(peer.rng.choice(candidates))
+            out.insert(0, target)
+            peer.maps[node] = out
         peer.stats.record_replica_created(now, peer.ns.depth[node])
 
     def __repr__(self) -> str:

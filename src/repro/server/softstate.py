@@ -76,15 +76,21 @@ class SoftStateAbsorber:
         peer = self.peer
         entry = peer.maps.get(node)
         if entry is not None:
+            # map values are read-only: edit a copy, store it if it moved
+            out = list(entry)
+            moved = False
             for s in servers:
-                if s in entry:
+                if s in out:
                     continue
-                if len(entry) >= peer.cfg.rmap:
-                    idx = [i for i, e in enumerate(entry) if e != peer.sid]
+                if len(out) >= peer.cfg.rmap:
+                    idx = [i for i, e in enumerate(out) if e != peer.sid]
                     if not idx:
                         continue
-                    entry.pop(peer.rng.choice(idx))
-                entry.insert(0, s)
+                    out.pop(peer.rng.choice(idx))
+                out.insert(0, s)
+                moved = True
+            if moved:
+                peer.maps[node] = out
             return
         if peer.cfg.caching_enabled and node in peer.cache:
             peer.cache.put(node, list(servers))

@@ -48,7 +48,7 @@ def relationship_of(peer, node: int) -> Relationship:
         return Relationship.OWNED
     if node in peer.replicas:
         return Relationship.REPLICATED
-    if node in peer.pin_refs:
+    if peer.pinned(node):
         return Relationship.NEIGHBORING
     if peer.cache is not None and node in peer.cache:
         return Relationship.CACHED
@@ -90,7 +90,9 @@ def audit_peer(peer) -> Dict[Relationship, int]:
     any live node's maintained state deviates from the paper's matrix.
     """
     counts: Dict[Relationship, int] = {r: 0 for r in Relationship}
-    seen = set(peer.owned) | set(peer.replicas) | set(peer.pin_refs)
+    # hosted nodes and everything they pin (their namespace neighbours)
+    hosted = peer.hosted_list
+    seen = set(hosted) | set(peer.ns.contexts(hosted))
     if peer.cache is not None:
         seen |= set(peer.cache.nodes())
     for node in seen:

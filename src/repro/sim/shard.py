@@ -782,9 +782,11 @@ class WindowedCoordinator:
                 # stays undelivered, exactly like serial in-flight mail.
                 stepper.step_all(until, True, inboxes)
             results = stepper.finish_all()
+            # process workers exit on their own once finished: replay
+            # while they tear down, join them after
+            stats = replay_stats([r.log for r in results], self.ns.max_depth)
         finally:
             stepper.close()
-        stats = replay_stats([r.log for r in results], self.ns.max_depth)
         self.data_plane = {
             "backend": self.backend,
             "codec": self.codec,
@@ -1036,6 +1038,10 @@ def _shard_worker_main(conn: "Connection") -> None:
                 conn.send_bytes(
                     bytes((ST_PAYLOAD,)) + pickle.dumps(runner.finish())
                 )
+                # the last frame of a run: exit without waiting for
+                # OP_EXIT, so interpreter teardown overlaps the
+                # coordinator's replay instead of following it
+                return
             elif op == OP_EXIT:
                 return
             else:  # pragma: no cover - protocol misuse

@@ -5,7 +5,9 @@ Since issue 24 the builder wires a server's whole share in one pass
 The per-node wiring it replaced is kept here as the reference --
 :func:`rewire_per_node` -- and every batch body must leave, peer for
 peer, the state that reference leaves: the pinned fingerprints encode
-the insertion order of ``maps``, ``pin_refs`` and the ranking.
+the insertion order of ``maps`` and the ranking.  Map values are
+compared as lists: the build stores shared tuples
+(:class:`TestSharedSingleServerMaps`).
 """
 
 import sys
@@ -154,7 +156,6 @@ def wiring_state(peer):
     bloom, index = peer.digest.bloom, peer.store.index
     return {
         "maps": [(node, list(servers)) for node, servers in peer.maps.items()],
-        "pin_refs": list(peer.pin_refs.items()),
         "ranking": list(peer.ranking._weight),
         "owned": set(peer.owned),
         "hosted_list": list(peer.hosted_list),
@@ -185,7 +186,7 @@ def adopt_per_node(peer, node):
     if entry is None:
         peer.maps[node] = [peer.sid]
     elif peer.sid not in entry:
-        entry.insert(0, peer.sid)
+        peer.maps[node] = [peer.sid, *entry]
     digest_add_per_key(peer.digest, node)
 
 
@@ -195,7 +196,6 @@ def strip_wiring(peer):
     nodes = sorted(peer.owned)
     peer.owned.clear()
     peer.maps.clear()
-    peer.pin_refs.clear()
     peer.ranking._weight.clear()
     del peer.store.hosted_list[:]
     peer.store.index = AncestorIndex(peer.ns)
@@ -273,16 +273,18 @@ class TestBatchWiringEqualsPerNodeWiring:
         ns = random_tree(90, seed=8)
         system = build_system(ns, SystemConfig(n_servers=3, seed=8))
         system.cfg.rmap = 0
+        solo = [(s,) for s in range(3)]
         for peer in system.peers:
             nodes = strip_wiring(peer)
             peer.adopt_nodes(nodes)
-            peer.pin_contexts(nodes, system.owner)
+            peer.pin_contexts(nodes, system.owner, solo)
         got = [wiring_state(p) for p in system.peers]
         rewire_per_node(system)
         assert got == [wiring_state(p) for p in system.peers]
         peer = system.peers[0]
-        pinned_only = [v for v in peer.pin_refs if v not in peer.owned]
-        assert pinned_only and all(peer.maps[v] == [] for v in pinned_only)
+        pinned_only = [v for v in peer.maps if v not in peer.owned]
+        assert pinned_only and all(peer.pinned(v) for v in pinned_only)
+        assert all(len(peer.maps[v]) == 0 for v in pinned_only)
 
     def test_cross_links_are_pinned(self):
         """A bulk context read off the tree arenas alone would drop them."""
@@ -437,3 +439,43 @@ class TestBuildCost:
         finally:
             sys.setprofile(None)
         assert calls / len(ns) <= self.MAX_CALLS_PER_NODE, calls
+
+
+class TestSharedSingleServerMaps:
+    """A map value is read-only, so the build stores one ``(sid,)``
+    tuple per server for every single-server map of the fleet.
+
+    ``deep_sizeof`` of all peers' ``maps`` beyond the namespace reads
+    75 bytes per entry on this fleet (the dict slot and the key); with
+    a one-element list per entry it read 139.
+    """
+
+    MAX_BYTES_PER_ENTRY = 100
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return build_system(balanced_tree(10), SystemConfig(n_servers=32, seed=1))
+
+    def test_single_server_maps_are_one_object_per_server(self, system):
+        solo = {}
+        n_single = 0
+        for peer in system.peers:
+            for servers in peer.maps.values():
+                if len(servers) == 1:
+                    n_single += 1
+                    assert solo.setdefault(servers[0], servers) is servers
+        assert n_single > len(system.ns)  # owned maps plus most contexts
+        assert len(solo) == len(system.peers)
+
+    def test_no_map_value_is_a_list_after_build(self, system):
+        for peer in system.peers:
+            assert not any(isinstance(v, list) for v in peer.maps.values())
+
+    def test_bytes_per_map_entry(self, system):
+        from repro.sim.memsize import deep_sizeof
+
+        seen: set = set()
+        deep_sizeof(system.ns, seen)
+        total = sum(deep_sizeof(p.maps, seen) for p in system.peers)
+        entries = sum(len(p.maps) for p in system.peers)
+        assert total / entries <= self.MAX_BYTES_PER_ENTRY, (total, entries)

@@ -15,23 +15,42 @@ def make(n_servers=6, levels=5, **over):
 
 
 class TestPinning:
-    def test_pin_refcounts(self):
+    def test_pin_lasts_while_a_hosted_neighbour_does(self):
+        """A map two hosted neighbours pin survives the first one's
+        eviction and demotes with the second's: ``pinned`` is derived
+        from the hosted set, where a refcount used to count it."""
         ns, system = make()
         p = system.peers[0]
-        free = next(v for v in range(len(ns)) if v not in p.pin_refs
+        free = next(v for v in range(len(ns)) if not p.pinned(v)
+                    and not p.hosts(v) and len(ns.neighbors(v)) >= 2)
+        a, b = ns.neighbors(free)[:2]
+        for r in (a, b):
+            src = system.peers[system.owner[r]]
+            p.install_replica(src.build_replica_payload(r), 0.0)
+        assert p.pinned(free) and free in p.maps
+        p.evict_replica(a, 1.0)
+        assert p.pinned(free) and free in p.maps
+        p.evict_replica(b, 1.0)
+        assert not p.pinned(free) and free not in p.maps
+        assert free in p.cache  # demoted, not dropped
+
+    def test_pin_does_not_count(self):
+        """``pin`` keeps a map, ``unpin`` drops it unless the hosted set
+        pins it: pinning twice no longer takes two unpins."""
+        ns, system = make()
+        p = system.peers[0]
+        free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v))
         p.pin(free, [1])
         p.pin(free, [2])
-        assert p.pin_refs[free] == 2
-        p.unpin(free)
-        assert free in p.maps
+        assert p.maps[free] == (1, 2)
         p.unpin(free)
         assert free not in p.maps
 
     def test_unpin_demotes_to_cache(self):
         ns, system = make()
         p = system.peers[0]
-        free = next(v for v in range(len(ns)) if v not in p.pin_refs
+        free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v))
         p.pin(free, [3])
         p.unpin(free)
@@ -40,7 +59,7 @@ class TestPinning:
     def test_unpin_no_cache_when_disabled(self):
         ns, system = make(caching_enabled=False)
         p = system.peers[0]
-        free = next(v for v in range(len(ns)) if v not in p.pin_refs
+        free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v))
         p.pin(free, [3])
         p.unpin(free)
@@ -49,7 +68,7 @@ class TestPinning:
     def test_pin_respects_rmap(self):
         ns, system = make(rmap=2)
         p = system.peers[0]
-        free = next(v for v in range(len(ns)) if v not in p.pin_refs
+        free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v))
         p.pin(free, [1, 2, 3, 4])
         assert len(p.maps[free]) == 2
@@ -94,7 +113,7 @@ class TestMergeMapFiltering:
     def test_merge_into_cache_entry(self):
         ns, system = make()
         p = system.peers[0]
-        free = next(v for v in range(len(ns)) if v not in p.pin_refs
+        free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v))
         p.cache.put(free, [2])
         p.merge_map(free, [3])
@@ -133,10 +152,24 @@ class TestAdvertAbsorption:
             p.deliver(AdvertMessage(node, [s]))
         assert p.sid in p.maps[node]
 
+    def test_advert_replaces_a_shared_map(self):
+        """The build shares one ``(sid,)`` per server across the fleet:
+        an advert at the owner must not reach a context holder's map."""
+        ns, system = make()
+        p = system.peers[0]
+        node = next(v for v in p.owned
+                    if any(system.owner[n] != 0 for n in ns.neighbors(v)))
+        holder = system.peers[next(system.owner[n] for n in ns.neighbors(node)
+                                   if system.owner[n] != 0)]
+        assert holder.maps[node] is p.maps[node] == (0,)
+        p.deliver(AdvertMessage(node, [4]))
+        assert list(p.maps[node]) == [4, 0]
+        assert holder.maps[node] == (0,)
+
     def test_advert_to_cached_entry(self):
         ns, system = make()
         p = system.peers[0]
-        free = next(v for v in range(len(ns)) if v not in p.pin_refs
+        free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v))
         p.cache.put(free, [1])
         p.deliver(AdvertMessage(free, [2]))
@@ -145,7 +178,7 @@ class TestAdvertAbsorption:
     def test_advert_for_unknown_node_ignored(self):
         ns, system = make()
         p = system.peers[0]
-        free = next(v for v in range(len(ns)) if v not in p.pin_refs
+        free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v) and v not in p.cache)
         p.deliver(AdvertMessage(free, [2]))
         assert free not in p.maps

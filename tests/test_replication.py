@@ -241,10 +241,16 @@ class TestEviction:
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
         hot = next(iter(src.owned))
-        pins_before = dict(dst.pin_refs)
+
+        def pinned():
+            return [v for v in range(len(ns)) if dst.pinned(v)]
+
+        pins_before, maps_before = pinned(), set(dst.maps)
         dst.install_replica(src.build_replica_payload(hot), 0.0)
+        assert set(pinned()) >= set(pins_before) | {hot}
         dst.evict_replica(hot, 1.0)
-        assert dict(dst.pin_refs) == pins_before
+        assert pinned() == pins_before
+        assert set(dst.maps) == maps_before
         assert not dst.hosts(hot)
 
     def test_eviction_rebuilds_digest(self):

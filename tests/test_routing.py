@@ -307,7 +307,7 @@ class TestSelectionFiltering:
         peer = system.peers[src]
         phantom = system.peers[ns.id_of("/university/private")]
         # the direct map for dst gains a phantom host; its digest says no
-        peer.maps[dst].append(phantom.sid)
+        peer.maps[dst] = (*peer.maps[dst], phantom.sid)
         peer.digest_dir.observe(phantom.sid, phantom.digest.snapshot())
         for _ in range(30):
             d = decide(peer, dst)
@@ -318,7 +318,7 @@ class TestSelectionFiltering:
         src = ns.id_of("/university/public/people/students")
         dst = ns.id_of("/university/public/people")
         peer = system.peers[src]
-        peer.maps[dst].append(7)  # no digest known for server 7
+        peer.maps[dst] = (*peer.maps[dst], 7)  # no digest for server 7
         chosen = {decide(peer, dst).next_server for _ in range(50)}
         assert 7 in chosen
 

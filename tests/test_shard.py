@@ -502,6 +502,42 @@ class TestPackedDataPlane:
         finally:
             stepper.close()
 
+    def test_workers_exit_on_their_own_after_finish(self, monkeypatch, caplog):
+        """A worker returns once it has answered OP_FINISH, so its
+        interpreter teardown overlaps the coordinator's replay: when
+        ``run`` returns both workers have exited with code 0, and none
+        had to be terminated."""
+        import logging
+
+        from repro.experiments import parallel
+        from repro.sim.shard import _ProcessStepper
+
+        spawned = []
+
+        class Recorded(parallel.PersistentWorker):
+            __slots__ = ()
+
+            def __init__(self, target):
+                super().__init__(target)
+                spawned.append(self)
+
+        monkeypatch.setattr(parallel, "PersistentWorker", Recorded)
+        ns, cfg, spec, until = fig3_style()
+        with caplog.at_level(logging.WARNING):
+            WindowedCoordinator(ns, cfg, spec, 2, backend="process").run(until)
+        assert [w.proc.exitcode for w in spawned] == [0, 0]
+        assert "terminating it" not in caplog.text
+        # no OP_EXIT needed: a finished worker is gone before close()
+        stepper = _ProcessStepper(
+            WindowedCoordinator(ns, cfg, spec, 2, backend="process"))
+        try:
+            stepper.finish_all()
+            for w in stepper.workers:
+                w.proc.join(timeout=30)
+                assert w.proc.exitcode == 0
+        finally:
+            stepper.close()
+
     @pytest.mark.parametrize("src, dest", [(0, -1), (1, 4), (3, 9), (2, 2)])
     def test_route_refuses_bad_destination_shards(self, src, dest):
         ns, cfg, spec, _ = fig3_style()

@@ -65,7 +65,7 @@ class TestClassification:
         ns, sys_ = system
         p = sys_.peers[0]
         free = next(v for v in range(len(ns))
-                    if not p.hosts(v) and v not in p.pin_refs)
+                    if not p.hosts(v) and not p.pinned(v))
         p.cache.put(free, [1])
         assert relationship_of(p, free) is Relationship.CACHED
 
@@ -73,7 +73,7 @@ class TestClassification:
         ns, sys_ = system
         p = sys_.peers[0]
         free = next(v for v in range(len(ns))
-                    if not p.hosts(v) and v not in p.pin_refs
+                    if not p.hosts(v) and not p.pinned(v)
                     and v not in p.cache)
         assert relationship_of(p, free) is Relationship.NONE
 
@@ -108,7 +108,7 @@ class TestStateKinds:
         ns, sys_ = system
         p = sys_.peers[0]
         free = next(v for v in range(len(ns))
-                    if not p.hosts(v) and v not in p.pin_refs)
+                    if not p.hosts(v) and not p.pinned(v))
         p.cache.put(free, [1])
         assert state_kinds(p, free) == {"name", "map"}
 

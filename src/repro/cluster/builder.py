@@ -38,10 +38,9 @@ def _resolve_owner(
     """Validate or default the node-to-server assignment.
 
     An explicit ``owner`` is validated *in place* and returned as-is:
-    shard workers pass a read-only ``memoryview`` into the shared
-    arena block, and copying it to a list would re-materialise one
-    boxed int per node per worker -- exactly the per-worker RSS the
-    shared arenas exist to eliminate.
+    forked shard workers pass the coordinator's assignment, which they
+    share with it copy-on-write, and copying it to a list would
+    re-materialise one boxed int per node per worker.
     """
     if cfg.n_servers > len(ns):
         raise ValueError(

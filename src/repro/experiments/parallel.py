@@ -24,7 +24,11 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence
+import weakref
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 _log = logging.getLogger(__name__)
 
@@ -131,24 +135,49 @@ def shard_process_budget(workers: Optional[int] = None) -> int:
     return max(1, cpus // max(1, workers))
 
 
+def fork_available() -> bool:
+    """Whether this platform can fork a :class:`PersistentWorker`
+    (not on Windows)."""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+#: the coordinator's end of every live worker pipe; a forked child
+#: closes its inherited copies, so that each worker sees EOF when the
+#: coordinator goes away, not only when every sibling has gone too
+_PARENT_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
+
+
+def _forked_main(
+    target: Callable[..., None], conn: Connection, args: Tuple[Any, ...]
+) -> None:
+    for end in list(_PARENT_ENDS):
+        end.close()
+    target(conn, *args)
+
+
 class PersistentWorker:
-    """A long-lived spawn-context subprocess driven over a duplex pipe.
+    """A long-lived fork-context subprocess driven over a duplex pipe.
 
     ``parallel_map``'s pool fits stateless fan-out; sharded simulation
     needs the opposite -- each worker holds an engine heap and peer
     state across many request/response rounds (one per time window).
-    The target must be a module-level callable taking the child end of
-    the pipe.  Both directions carry raw bytes frames whose meaning is
-    the caller's protocol (:mod:`repro.sim.shard`'s opcode-prefixed
-    frames); nothing here pickles.
+    The child runs ``target(conn, *args)`` with the child end of the
+    pipe.  It is forked, so ``args`` are inherited as they are in
+    memory -- never pickled, however large -- and it starts no
+    interpreter and imports nothing.  Both directions carry raw bytes
+    frames whose meaning is the caller's protocol
+    (:mod:`repro.sim.shard`'s opcode-prefixed frames).
     """
 
     __slots__ = ("proc", "_conn")
 
-    def __init__(self, target: Callable[..., None]) -> None:
-        ctx = multiprocessing.get_context("spawn")
+    def __init__(self, target: Callable[..., None], *args: Any) -> None:
+        ctx = multiprocessing.get_context("fork")
         self._conn, child = ctx.Pipe()
-        self.proc = ctx.Process(target=target, args=(child,), daemon=True)
+        _PARENT_ENDS.add(self._conn)
+        self.proc = ctx.Process(
+            target=_forked_main, args=(target, child, args), daemon=True
+        )
         self.proc.start()
         child.close()
 

@@ -92,14 +92,6 @@ class GraphNamespace(Namespace):
             out.extend(self.neighbors(v))
         return out
 
-    def _arena_extra_state(self) -> Dict[str, object]:
-        """Cross links ride in the arena handle (small, picklable)."""
-        return {"cross": self.cross, "n_cross_links": self.n_cross_links}
-
-    def _arena_restore_extra(self, extra: Dict[str, object]) -> None:
-        self.cross = extra["cross"]  # type: ignore[assignment]
-        self.n_cross_links = extra["n_cross_links"]  # type: ignore[assignment]
-
     def graph_distance(self, a: int, b: int, max_depth: int = 64) -> int:
         """True shortest-path distance using all edges (BFS).
 

@@ -27,9 +27,8 @@ name strings, and nothing on the hot path touches strings.
 
 from __future__ import annotations
 
-import os
 from array import array
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.namespace.name import ROOT_NAME, join, split, validate_name
 
@@ -453,316 +452,3 @@ class Namespace:
         for nm in names:
             b.add_path(nm)
         return b.build()
-
-    # ------------------------------------------------------------------
-    # shared-memory arena export (subclass hooks)
-    # ------------------------------------------------------------------
-
-    def _arena_extra_state(self) -> Dict[str, Any]:
-        """Non-arena state a subclass needs to survive export/attach.
-
-        Must be small and picklable -- it rides in the
-        :class:`ArenaHandle`, not in shared memory.
-        """
-        return {}
-
-    def _arena_restore_extra(self, extra: Dict[str, Any]) -> None:
-        """Restore the state captured by :meth:`_arena_extra_state`."""
-
-
-class _LabelTable:
-    """Lazy per-node label sequence over a packed label-id column.
-
-    Balanced and Coda-like trees repeat a handful of distinct labels
-    across millions of nodes; in shared memory each node stores a
-    4-byte index into the (tiny, pickled) unique-label tuple instead of
-    a Python string reference, so the attached namespace materialises
-    no per-node string objects at all.
-    """
-
-    __slots__ = ("_uniques", "_ids")
-
-    def __init__(self, uniques: Tuple[str, ...], ids: Sequence[int]) -> None:
-        self._uniques = uniques
-        self._ids = ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __getitem__(self, v: int) -> str:
-        return self._uniques[self._ids[v]]
-
-    def __iter__(self) -> Iterator[str]:
-        uniques = self._uniques
-        for i in self._ids:
-            yield uniques[i]
-
-    def __repr__(self) -> str:
-        return f"_LabelTable(n={len(self._ids)}, uniques={len(self._uniques)})"
-
-
-def _nbytes(a: Any) -> int:
-    return len(a) * a.itemsize
-
-
-class ArenaError(Exception):
-    """A shared arena segment is missing, or too small for its handle."""
-
-
-class ArenaHandle:
-    """Picklable descriptor of a namespace's shared-memory arenas.
-
-    The handle is what crosses the worker pipe: the shm segment name,
-    the section lengths, the unique-label table, the namespace class,
-    and any subclass extra state. :meth:`attach` maps the segment
-    read-only and rebuilds a fully functional namespace whose arena
-    slots are zero-copy ``memoryview`` casts into the shared block --
-    O(1) time and O(1) per-worker memory regardless of namespace size.
-    """
-
-    __slots__ = (
-        "shm_name", "cls", "n", "n_anc", "n_child", "n_owner",
-        "uniques", "n_leaves", "max_depth", "extra",
-    )
-
-    def __init__(
-        self,
-        shm_name: str,
-        cls: type,
-        n: int,
-        n_anc: int,
-        n_child: int,
-        n_owner: int,
-        uniques: Tuple[str, ...],
-        n_leaves: int,
-        max_depth: int,
-        extra: Dict[str, Any],
-    ) -> None:
-        self.shm_name = shm_name
-        self.cls = cls
-        self.n = n
-        self.n_anc = n_anc
-        self.n_child = n_child
-        self.n_owner = n_owner
-        self.uniques = uniques
-        self.n_leaves = n_leaves
-        self.max_depth = max_depth
-        self.extra = extra
-
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (ArenaHandle, (
-            self.shm_name, self.cls, self.n, self.n_anc, self.n_child,
-            self.n_owner, self.uniques, self.n_leaves, self.max_depth,
-            self.extra,
-        ))
-
-    def attach(self) -> "AttachedArenas":
-        """Map the shared block and rebuild the namespace (zero-copy).
-
-        The returned :class:`AttachedArenas` must stay alive as long as
-        the namespace is in use -- its views pin the mapping.
-        """
-        from multiprocessing import resource_tracker, shared_memory
-
-        # Pre-3.13 attaches register with the resource tracker, which
-        # would unlink the segment when this worker exits even though
-        # the parent still owns it (bpo-39959).  Suppress registration
-        # during the attach (single-threaded worker init) rather than
-        # unregistering afterwards: workers share the parent's tracker
-        # process, and N unregisters of the same name make it log
-        # KeyErrors.
-        _orig_register = resource_tracker.register
-
-        def _no_shm_register(name: str, rtype: str) -> None:
-            if rtype != "shared_memory":
-                _orig_register(name, rtype)
-
-        resource_tracker.register = _no_shm_register  # type: ignore[assignment]
-        try:
-            shm = shared_memory.SharedMemory(name=self.shm_name)
-        except FileNotFoundError as exc:
-            raise ArenaError(
-                f"arena segment {self.shm_name!r} does not exist"
-            ) from exc
-        finally:
-            resource_tracker.register = _orig_register  # type: ignore[assignment]
-        n = self.n
-        # a truncated or foreign block would otherwise surface as a
-        # TypeError from a cast below, or an IndexError hops later
-        needed = 16 * (n + 1) + 4 * (
-            3 * n + self.n_anc + self.n_child + self.n_owner)
-        if shm.size < needed:
-            found = shm.size
-            shm.close()
-            raise ArenaError(
-                f"arena segment {self.shm_name!r} holds {found} bytes; "
-                f"its handle needs {needed}"
-            )
-        buf = memoryview(shm.buf)
-        off = 0
-
-        def take(typecode: str, count: int) -> memoryview:
-            nonlocal off
-            size = count * (8 if typecode == "q" else 4)
-            # read-only: an accidental write would corrupt every worker
-            view = buf[off:off + size].cast(typecode).toreadonly()
-            off += size
-            return view
-
-        # q-sized offset arrays first (8-byte aligned at offset 0)
-        anc_off = take("q", n + 1)
-        child_off = take("q", n + 1)
-        parent = take("i", n)
-        depth = take("i", n)
-        anc_arena = take("i", self.n_anc)
-        child_arena = take("i", self.n_child)
-        label_ids = take("i", n)
-        owner = take("i", self.n_owner) if self.n_owner else None
-
-        ns = self.cls.__new__(self.cls)
-        ns.parent = parent
-        ns.depth = depth
-        ns.anc_arena = anc_arena
-        ns.anc_off = anc_off
-        ns.anc = _ArenaView(anc_arena, anc_off)
-        ns.child_arena = child_arena
-        ns.child_off = child_off
-        ns.children = _ArenaView(child_arena, child_off)
-        ns._label = _LabelTable(self.uniques, label_ids)
-        ns._levels = None
-        ns._preorder = None
-        ns.n_leaves = self.n_leaves
-        ns.max_depth = self.max_depth
-        ns._arena_restore_extra(self.extra)
-        return AttachedArenas(shm, ns, owner)
-
-
-class AttachedArenas:
-    """A worker-side attachment: keeps the shm mapping alive.
-
-    Workers ``close()`` (never unlink) when done; the exporting parent
-    owns the segment's lifetime via :class:`SharedArenas`.
-    """
-
-    __slots__ = ("shm", "ns", "owner")
-
-    def __init__(self, shm: Any, ns: Namespace, owner: Optional[memoryview]) -> None:
-        self.shm = shm
-        self.ns = ns
-        self.owner = owner
-
-    def close(self) -> None:
-        # the namespace's arena views pin the mapping; when callers
-        # still hold them the unmap is deferred to process exit
-        self.owner = None
-        self.ns = None  # type: ignore[assignment]
-        shm = self.shm
-        if shm is None:
-            return
-        self.shm = None
-        try:
-            shm.close()
-        except BufferError:
-            # Views exported from the mapping keep it alive.  Disarm
-            # the SharedMemory finalizer (it would retry close() at
-            # interpreter shutdown and print "Exception ignored"
-            # noise) by dropping its mmap reference and closing the fd
-            # ourselves; the mmap itself is freed when the last arena
-            # view dies.
-            try:
-                shm._mmap = None
-                fd = shm._fd
-                if fd >= 0:
-                    shm._fd = -1
-                    os.close(fd)
-            except (AttributeError, OSError):  # pragma: no cover
-                pass
-
-
-class SharedArenas:
-    """The parent-side owner of an exported arena block.
-
-    Hands out the picklable :attr:`handle`; :meth:`close` both closes
-    and unlinks the segment (the owner is the only unlinker).
-    """
-
-    __slots__ = ("shm", "handle")
-
-    def __init__(self, shm: Any, handle: ArenaHandle) -> None:
-        self.shm = shm
-        self.handle = handle
-
-    @property
-    def nbytes(self) -> int:
-        return self.shm.size
-
-    def close(self) -> None:
-        self.shm.close()
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def export_arenas(
-    ns: Namespace, owner: Optional[Sequence[int]] = None
-) -> SharedArenas:
-    """Copy a namespace's flat arenas into one shared-memory block.
-
-    Layout (little-endian, q-arrays first so every section is
-    naturally aligned)::
-
-        anc_off  (n+1) x q | child_off (n+1) x q | parent n x i |
-        depth n x i | anc_arena x i | child_arena x i |
-        label_id n x i | [owner x i]
-
-    ``owner`` optionally co-locates the node->server assignment so
-    workers never materialise their own copy. Returns the owning
-    :class:`SharedArenas`; ship ``shared.handle`` to workers.
-    """
-    from multiprocessing import shared_memory
-
-    n = len(ns)
-    idmap: Dict[str, int] = {}
-    uniques: List[str] = []
-    label_ids = array("i", bytes(4 * n))
-    for v in range(n):
-        lab = ns.label_of(v)
-        i = idmap.get(lab)
-        if i is None:
-            i = idmap[lab] = len(uniques)
-            uniques.append(lab)
-        label_ids[v] = i
-
-    owner_arr: Optional[array] = None
-    if owner is not None:
-        owner_arr = owner if isinstance(owner, array) and owner.typecode == "i" \
-            else array("i", owner)
-
-    sections: List[Any] = [
-        ns.anc_off, ns.child_off, ns.parent, ns.depth,
-        ns.anc_arena, ns.child_arena, label_ids,
-    ]
-    if owner_arr is not None:
-        sections.append(owner_arr)
-    total = sum(_nbytes(s) for s in sections)
-    shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    off = 0
-    for s in sections:
-        nb = _nbytes(s)
-        shm.buf[off:off + nb] = memoryview(s).cast("B")
-        off += nb
-
-    handle = ArenaHandle(
-        shm.name,
-        type(ns),
-        n,
-        len(ns.anc_arena),
-        len(ns.child_arena),
-        len(owner_arr) if owner_arr is not None else 0,
-        tuple(uniques),
-        ns.n_leaves,
-        ns.max_depth,
-        ns._arena_extra_state(),
-    )
-    return SharedArenas(shm, handle)

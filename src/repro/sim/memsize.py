@@ -92,24 +92,6 @@ def deep_sizeof(obj: Any, seen: Optional[set] = None) -> int:
     return total
 
 
-def arena_bytes(obj: Any) -> int:
-    """Bytes of flat arena payload behind ``obj``.
-
-    ``deep_sizeof`` charges a ``memoryview`` its header only -- correct
-    for per-worker accounting (the mapping is shared), but the shared
-    block itself still costs real memory once.  This helper reports
-    that payload for an ``array`` (``len * itemsize``) or a
-    ``memoryview`` (``nbytes``), so before/after RSS notes can separate
-    "per-worker copies" from "one shared mapping".
-    """
-    if isinstance(obj, array):
-        return len(obj) * obj.itemsize
-    if isinstance(obj, memoryview):
-        return obj.nbytes
-    raise TypeError(f"arena_bytes wants an array or memoryview, got "
-                    f"{type(obj).__name__}")
-
-
 def rss_bytes() -> int:
     """Current resident set size of this process in bytes (best effort)."""
     return _read_status("VmRSS:")

@@ -42,9 +42,10 @@ serial against 1/2/4/8 shards).  Three mechanisms carry the proof:
   e.g. maintenance load samples, come out in serial's ascending-sid
   order).
 
-Process-backed execution (one worker process per shard, persistent
-pipes, one round-trip per window) gives the multi-core win; the inline
-backend runs every shard in-process for debugging and profiling.
+Process-backed execution (one forked worker process per shard,
+persistent pipes, one round-trip per window) gives the multi-core win;
+the inline backend runs every shard in-process for debugging and
+profiling.
 Configs without constant lookahead (``net_jitter > 0``,
 ``net_delay == 0``) or with cross-shard state reads (``oracle_maps``)
 raise :class:`ShardError`; :func:`run_sharded_workload` then warns and
@@ -76,14 +77,13 @@ if TYPE_CHECKING:
 
 from repro.cluster.builder import _resolve_owner, build_shard_system, build_system
 from repro.cluster.config import SystemConfig
-from repro.namespace.tree import Namespace, export_arenas
+from repro.namespace.tree import Namespace
 from repro.net.codec import require_encodable
 from repro.net.transport import shard_of_sid
 from repro.sim.engine import ShardError
 from repro.sim.shardcodec import (
     OP_EXIT,
     OP_FINISH,
-    OP_INIT,
     OP_STEP,
     ST_ERROR,
     ST_OK,
@@ -628,11 +628,12 @@ def resolve_backend(requested: Optional[str] = None, n_shards: int = 1) -> str:
     ``auto``.  ``auto`` chooses processes only when the CPU budget
     (:func:`repro.experiments.parallel.shard_process_budget`, which
     already accounts for campaign-level ``REPRO_WORKERS``) covers every
-    shard -- it never oversubscribes.  An explicit ``process`` request
-    always gets processes, with a warning when that oversubscribes the
-    machine.
+    shard, and the platform can fork -- it never oversubscribes.  An
+    explicit ``process`` request always gets processes, with a warning
+    when that oversubscribes the machine (and, where there is no
+    ``fork``, a :class:`ShardError` from the coordinator).
     """
-    from repro.experiments.parallel import shard_process_budget
+    from repro.experiments.parallel import fork_available, shard_process_budget
 
     b = requested or os.environ.get("REPRO_SHARD_BACKEND", "").strip().lower()
     b = b or "auto"
@@ -644,7 +645,10 @@ def resolve_backend(requested: Optional[str] = None, n_shards: int = 1) -> str:
         return "inline"
     budget = shard_process_budget()
     if b == "auto":
-        return "process" if budget >= n_shards else "inline"
+        return (
+            "process" if budget >= n_shards and fork_available()
+            else "inline"
+        )
     if budget < n_shards:
         warnings.warn(
             f"REPRO_SHARD_BACKEND=process with {n_shards} shards "
@@ -700,6 +704,14 @@ class WindowedCoordinator:
             )
         if backend not in ("inline", "process"):
             raise ValueError(f"unknown backend {backend!r}")
+        if backend == "process":
+            from repro.experiments.parallel import fork_available
+
+            if not fork_available():
+                raise ShardError(
+                    "the process backend forks its shard workers, and "
+                    "this platform has no 'fork' start method"
+                )
         self.ns = ns
         self.cfg = cfg
         self.spec = spec
@@ -872,56 +884,59 @@ class _InlineStepper:
 
 
 class _ProcessStepper:
-    """One persistent worker process per shard, pure-bytes pipes.
+    """One persistent forked worker process per shard, pure-bytes pipes.
 
-    Workers are long-lived (spawned once, one pipe round-trip per
+    Workers are long-lived (forked once, one pipe round-trip per
     window) because shard state -- the engine heap, every peer --
     cannot cross process boundaries between windows.  All sends go out
     before any receive so shards genuinely run their windows in
     parallel.
 
-    Pickle appears exactly twice in a worker's lifetime: the init
-    arguments and the final :class:`ShardResult`.  Everything else --
-    every window request, every egress batch, the final stats log
-    inside the result -- is flat packed bytes
-    (:mod:`repro.sim.shardcodec`), and the namespace arenas plus the
-    owner assignment arrive as an :class:`~repro.namespace.tree.ArenaHandle`
-    into one shared read-only memory block instead of per-worker
-    copies.
+    A worker inherits its :meth:`WindowedCoordinator._runner_args` --
+    the namespace, the owner map, its arrival batch -- at fork, copy on
+    write, and builds its :class:`ShardRunner` from them.  Pickle
+    appears once in a worker's lifetime, for the final
+    :class:`ShardResult`; every window request, every egress batch and
+    the stats log inside the result is flat packed bytes
+    (:mod:`repro.sim.shardcodec`).
     """
 
     def __init__(self, coord: WindowedCoordinator) -> None:
-        import pickle
-
         from repro.experiments.parallel import PersistentWorker
 
         self.coord = coord
         self.workers: List[PersistentWorker] = []
-        self.arenas = None
         self._window = 0
         try:
-            self.arenas = export_arenas(coord.ns, owner=coord.owner)
-            handle = self.arenas.handle
             for i in range(coord.n_shards):
-                self.workers.append(PersistentWorker(_shard_worker_main))
-            for i, w in enumerate(self.workers):
-                w.send_frame(bytes((OP_INIT,)) + pickle.dumps(
-                    (handle, coord.cfg, i, coord.n_shards,
-                     coord.arrivals[i])
+                self.workers.append(PersistentWorker(
+                    _shard_worker_main, *coord._runner_args(i)
                 ))
-            for i, w in enumerate(self.workers):
-                self._check(i, w.recv_frame(), ST_OK)
+            # the handshake: a failed build is an ST_ERROR naming its shard
+            for i in range(coord.n_shards):
+                self._recv(i, ST_OK, "while building its shard")
         except BaseException:
             self.close()
             raise
 
-    def _check(self, shard_id: int, payload: bytes, want: int) -> bytes:
-        """Validate a reply's status byte; surface worker tracebacks."""
+    def _died(self, shard_id: int, where: str, exc: Exception) -> ShardError:
+        self.close()
+        return ShardError(f"shard {shard_id} worker died {where}: {exc}")
+
+    def _recv(self, shard_id: int, want: int, where: str) -> bytes:
+        """One reply from a worker, its status byte checked; a worker
+        traceback surfaces in the ``ShardError``."""
+        from repro.experiments.parallel import ParallelTaskError
+
+        try:
+            payload = self.workers[shard_id].recv_frame()
+        except ParallelTaskError as exc:
+            raise self._died(shard_id, where, exc) from None
         if not payload or payload[0] != want:
             detail = (
                 payload[1:].decode("utf-8", "replace") if payload else "EOF"
             )
-            self._teardown()
+            self.close()
             raise ShardError(
                 f"shard {shard_id} worker failed at window "
                 f"{self._window}:\n{detail}"
@@ -934,28 +949,17 @@ class _ProcessStepper:
         from repro.experiments.parallel import ParallelTaskError
 
         self._window += 1
+        where = f"at window {self._window} (end={end})"
         for i, w in enumerate(self.workers):
             try:
                 w.send_frame(encode_step_request(end, inclusive, inboxes[i]))
             except ParallelTaskError as exc:
-                self._teardown()
-                raise ShardError(
-                    f"shard {i} worker died at window {self._window} "
-                    f"(end={end}): {exc}"
-                ) from None
+                raise self._died(i, where, exc) from None
         outs: List[Dict[int, Any]] = []
         next_min = math.inf
         t0 = perf_counter()
-        for i, w in enumerate(self.workers):
-            try:
-                payload = w.recv_frame()
-            except ParallelTaskError as exc:
-                self._teardown()
-                raise ShardError(
-                    f"shard {i} worker died at window {self._window} "
-                    f"(end={end}): {exc}"
-                ) from None
-            self._check(i, payload, ST_STEP)
+        for i in range(len(self.workers)):
+            payload = self._recv(i, ST_STEP, where)
             nt, dest_frames = decode_step_reply(memoryview(payload)[1:])
             # frames stay zero-copy views into the reply payload; the
             # routed inbox holds them alive until the next send
@@ -968,79 +972,56 @@ class _ProcessStepper:
     def finish_all(self) -> List[ShardResult]:
         import pickle
 
-        from repro.experiments.parallel import ParallelTaskError
-
-        results: List[ShardResult] = []
         for w in self.workers:
             w.send_frame(bytes((OP_FINISH,)))
-        for i, w in enumerate(self.workers):
-            try:
-                payload = w.recv_frame()
-            except ParallelTaskError as exc:
-                self._teardown()
-                raise ShardError(
-                    f"shard {i} worker died during finish: {exc}"
-                ) from None
-            self._check(i, payload, ST_PAYLOAD)
-            results.append(pickle.loads(memoryview(payload)[1:]))
-        return results
+        return [
+            pickle.loads(
+                memoryview(self._recv(i, ST_PAYLOAD, "during finish"))[1:]
+            )
+            for i in range(len(self.workers))
+        ]
 
-    def _teardown(self) -> None:
-        """Kill remaining workers after one died; idempotent."""
+    def close(self) -> None:
+        """Stop every remaining worker (after a failure too); idempotent."""
         for w in self.workers:
             w.close(sentinel=bytes((OP_EXIT,)))
         self.workers = []
 
-    def close(self) -> None:
-        self._teardown()
-        if self.arenas is not None:
-            self.arenas.close()
-            self.arenas = None
 
+def _shard_worker_main(conn: "Connection", *runner_args: Any) -> None:
+    """Worker-process loop: build the shard once, step per barrier.
 
-def _shard_worker_main(conn: "Connection") -> None:
-    """Worker-process loop: attach arenas, init once, step per barrier.
-
-    The protocol is bytes frames in both directions: request op byte +
-    body, reply status byte + body (:mod:`repro.sim.shardcodec`).
+    Runs in a child forked by :class:`_ProcessStepper`, so
+    ``runner_args`` are the coordinator's own objects.  The protocol is
+    bytes frames in both directions: request op byte + body, reply
+    status byte + body (:mod:`repro.sim.shardcodec`); the first reply
+    is ``ST_OK`` once the shard is built.
     """
     import pickle
     import traceback
 
-    runner: Optional[ShardRunner] = None
-    attached = None
     try:
+        runner = ShardRunner(*runner_args)
+        conn.send_bytes(bytes((ST_OK,)))
         while True:
             try:
                 payload = conn.recv_bytes()
             except EOFError:  # parent went away
                 return
             op = payload[0]
-            body = memoryview(payload)[1:]
             if op == OP_STEP:
-                end, inclusive, frames = decode_step_request(body)
-                assert runner is not None
+                end, inclusive, frames = decode_step_request(
+                    memoryview(payload)[1:]
+                )
                 dest_frames, nt = runner.step_packed(end, inclusive, frames)
                 conn.send_bytes(encode_step_reply(nt, dest_frames))
-            elif op == OP_INIT:
-                handle, cfg, shard_id, n_shards, arrivals = \
-                    pickle.loads(body)
-                # attach the shared arenas; `attached` pins the mapping
-                # (and the owner view) for the worker's whole life
-                attached = handle.attach()
-                runner = ShardRunner(
-                    attached.ns, cfg, shard_id, n_shards,
-                    attached.owner, arrivals,
-                )
-                conn.send_bytes(bytes((ST_OK,)))
             elif op == OP_FINISH:
-                assert runner is not None
                 conn.send_bytes(
                     bytes((ST_PAYLOAD,)) + pickle.dumps(runner.finish())
                 )
                 # the last frame of a run: exit without waiting for
-                # OP_EXIT, so interpreter teardown overlaps the
-                # coordinator's replay instead of following it
+                # OP_EXIT, so the exit overlaps the coordinator's replay
+                # instead of following it
                 return
             elif op == OP_EXIT:
                 return
@@ -1057,8 +1038,6 @@ def _shard_worker_main(conn: "Connection") -> None:
         except OSError:  # pragma: no cover - pipe already closed
             pass
     finally:
-        if attached is not None:
-            attached.close()
         conn.close()
 
 

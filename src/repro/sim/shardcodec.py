@@ -166,7 +166,6 @@ def decode_batch(frame: Buf) -> List[Entry]:
 # ----------------------------------------------------------------------
 
 #: request opcodes (first byte of every parent->worker frame)
-OP_INIT = 0x01
 OP_STEP = 0x02
 OP_FINISH = 0x03
 OP_EXIT = 0x04
@@ -174,7 +173,7 @@ OP_EXIT = 0x04
 #: reply status codes (first byte of every worker->parent frame)
 ST_OK = 0x01        # bare acknowledgement
 ST_STEP = 0x02      # step reply: next-event time + egress frames
-ST_PAYLOAD = 0x03   # pickled payload follows (init/finish results)
+ST_PAYLOAD = 0x03   # pickled payload follows (the finish result)
 ST_ERROR = 0x7F     # utf-8 traceback follows
 
 _STEP_REQ = struct.Struct("<dBI")    # end, inclusive, n_frames
@@ -347,9 +346,8 @@ class ArrivalBatch:
 
     Indexing yields the exact ``(t, src, dest, qid)`` tuples
     :meth:`repro.cluster.system.ShardSystem.feed` schedules from, so
-    the feeder code path is unchanged -- only the storage (and the
-    worker-init pickle) shrinks from one tuple + four boxed values per
-    arrival to 24 packed bytes.
+    the feeder code path is unchanged -- only the storage shrinks from
+    one tuple + four boxed values per arrival to 24 packed bytes.
     """
 
     __slots__ = ("t", "src", "dest", "qid")
@@ -377,22 +375,6 @@ class ArrivalBatch:
         for i in range(len(self.t)):
             yield (self.t[i], self.src[i], self.dest[i], self.qid[i])
 
-    def __reduce__(self) -> Tuple[Any, ...]:
-        return (_rebuild_arrivals, (
-            self.t.tobytes(), self.src.tobytes(), self.dest.tobytes(),
-            self.qid.tobytes(),
-        ))
-
     def __repr__(self) -> str:
         return f"ArrivalBatch(n={len(self.t)})"
 
-
-def _rebuild_arrivals(
-    t: bytes, src: bytes, dest: bytes, qid: bytes
-) -> ArrivalBatch:
-    batch = ArrivalBatch()
-    batch.t.frombytes(t)
-    batch.src.frombytes(src)
-    batch.dest.frombytes(dest)
-    batch.qid.frombytes(qid)
-    return batch

@@ -22,12 +22,19 @@ def boom(x):
     raise RuntimeError("task failure")
 
 
-def echo_until_exit(conn):
+def echo_until_exit(conn, prefix=b""):
     while True:
         frame = conn.recv_bytes()
         if frame == b"exit":
             return
-        conn.send_bytes(frame)
+        conn.send_bytes(prefix + frame)
+
+
+def wait_for_eof(conn):
+    try:
+        conn.recv_bytes()
+    except EOFError:
+        pass
 
 
 def deaf(conn):
@@ -138,6 +145,31 @@ class TestPersistentWorker:
             worker.close(sentinel=b"exit")
         assert not worker.proc.is_alive()
         assert not caplog.records
+
+    def test_target_gets_its_arguments_unpickled(self):
+        """The worker is forked: its arguments are the caller's objects,
+        inherited, so even a closure (which pickle refuses) works."""
+        suffix = b"!"
+        worker = PersistentWorker(
+            lambda conn, tag: echo_until_exit(conn, tag + suffix), b"echo:"
+        )
+        worker.send_frame(b"ping")
+        assert worker.recv_frame() == b"echo:!ping"
+        worker.close(sentinel=b"exit")
+        assert worker.proc.exitcode == 0
+
+    def test_worker_sees_eof_when_the_parent_end_closes(self):
+        """A forked worker holds no copy of the coordinator's pipe ends,
+        its own or an earlier sibling's, so closing one is its EOF."""
+        first = PersistentWorker(wait_for_eof)
+        second = PersistentWorker(wait_for_eof)
+        first._conn.close()
+        first.proc.join(timeout=10)
+        assert first.proc.exitcode == 0
+        assert second.proc.is_alive()
+        second._conn.close()
+        second.proc.join(timeout=10)
+        assert second.proc.exitcode == 0
 
     def test_terminating_a_hung_worker_is_logged(self, caplog, monkeypatch):
         worker = PersistentWorker(deaf)

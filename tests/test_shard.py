@@ -413,12 +413,12 @@ class TestHopAllocations:
 
 
 class TestPackedDataPlane:
-    """The zero-copy data plane: packed codec, shm arenas, coalescing.
+    """The zero-copy data plane: packed codec, forked workers, coalescing.
 
     Same bit-identity contract as above, with every cross-shard
     barrier round-tripped through :mod:`repro.sim.shardcodec` frames
-    (inline ``codec=True``) or through real worker pipes + shared
-    arenas (process backend, codec always on).
+    (inline ``codec=True``) or through real worker pipes to forked
+    workers (process backend, codec always on).
     """
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
@@ -517,8 +517,8 @@ class TestPackedDataPlane:
         class Recorded(parallel.PersistentWorker):
             __slots__ = ()
 
-            def __init__(self, target):
-                super().__init__(target)
+            def __init__(self, target, *args):
+                super().__init__(target, *args)
                 spawned.append(self)
 
         monkeypatch.setattr(parallel, "PersistentWorker", Recorded)
@@ -550,6 +550,47 @@ class TestPackedDataPlane:
             match=rf"shard {src} sent egress to shard {dest} at window 7",
         ):
             coord._route(outs)
+
+    @pytest.mark.parametrize("kind", ["tree", "graph"])
+    def test_process_run_uses_no_shared_memory(self, monkeypatch, kind):
+        """Forked workers inherit the namespace (a graph namespace's
+        cross links too) and the owner map: a process run makes no
+        shared-memory block and equals the serial run."""
+        from multiprocessing import shared_memory
+
+        from repro.namespace.graph import mesh_of_trees
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the process backend made a SharedMemory")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        ns, cfg, spec, until = fig3_style()
+        if kind == "graph":
+            ns = mesh_of_trees(levels=7, link_depth=3)
+        ref = run_fingerprint(serial_run(ns, cfg, spec, until))
+        run = WindowedCoordinator(ns, cfg, spec, 2,
+                                  backend="process").run(until)
+        assert json.dumps(run_fingerprint(run), sort_keys=True) == \
+            json.dumps(ref, sort_keys=True)
+
+    def test_build_error_names_the_shard(self, monkeypatch):
+        """A worker whose shard fails to build answers the handshake
+        with its traceback, raised here as a ShardError."""
+        from repro.sim import shard as shard_mod
+
+        real = shard_mod.ShardRunner
+
+        def flaky(ns, cfg, shard_id, *rest):
+            if shard_id == 1:
+                raise RuntimeError("no build for shard 1")
+            return real(ns, cfg, shard_id, *rest)
+
+        monkeypatch.setattr(shard_mod, "ShardRunner", flaky)
+        ns, cfg, spec, until = fig3_style()
+        coord = WindowedCoordinator(ns, cfg, spec, 2, backend="process")
+        with pytest.raises(ShardError, match=r"(?s)shard 1 worker failed"
+                           r".*no build for shard 1"):
+            coord.run(until)
 
     def test_shard_result_pickles_natively(self):
         ns, cfg, spec, _ = fig3_style()
@@ -621,6 +662,41 @@ class TestFallback:
         run = run_sharded_workload(ns, cfg, spec, until)
         assert isinstance(run, MergedRun)
         assert run.n_shards == 2
+
+
+class TestWithoutFork:
+    """Where ``fork`` is missing (Windows), ``auto`` runs shards
+    inline and an explicit ``process`` falls back to serial."""
+
+    @pytest.fixture(autouse=True)
+    def spawn_only(self, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+
+    def test_auto_resolves_inline(self, monkeypatch):
+        from repro.experiments import parallel
+
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        assert resolve_backend(None, 2) == "inline"
+
+    def test_explicit_process_refused_at_construction(self):
+        ns, cfg, spec, _ = fig3_style()
+        with pytest.raises(ShardError, match="fork"):
+            WindowedCoordinator(ns, cfg, spec, 2, backend="process")
+
+    def test_run_sharded_workload_falls_back_to_serial(self):
+        ns, cfg, spec, until = fig3_style()
+        with pytest.warns(RuntimeWarning, match="fork"):
+            run = run_sharded_workload(ns, cfg, spec, until, shards=2,
+                                       backend="process")
+        assert not isinstance(run, MergedRun)
+        ref = run_fingerprint(serial_run(ns, cfg, spec, until))
+        assert json.dumps(run_fingerprint(run), sort_keys=True) == \
+            json.dumps(ref, sort_keys=True)
 
 
 class TestResolution:

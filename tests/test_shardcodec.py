@@ -440,14 +440,3 @@ class TestArrivalBatch:
         assert list(batch) == rows
         for i, row in enumerate(rows):
             assert batch[i] == row
-
-    def test_pickle_is_flat_and_faithful(self):
-        rows = [(0.25 * i, i, i + 1, 100 + i) for i in range(50)]
-        batch = ArrivalBatch(rows)
-        clone = pickle.loads(pickle.dumps(batch))
-        assert list(clone) == rows
-        # the pickle carries four flat column byte-strings, not one
-        # tuple + four boxed values per arrival
-        _, args = batch.__reduce__()
-        assert all(isinstance(a, bytes) for a in args)
-        assert sum(len(a) for a in args) == 24 * len(rows)

@@ -1,4 +1,4 @@
-"""The assembled simulated TerraDir system.
+"""The assembled TerraDir system.
 
 :class:`System` owns the engine, transport, namespace, peers, and the
 stats sink every component reports into -- a full
@@ -9,6 +9,13 @@ benchmark runs; a shard's system records into a
 periodic maintenance (load-window rolls, ranking rescales, load
 sampling, idle-replica eviction) as a single global process to keep
 event-heap pressure low.
+
+Maintenance, name lookup and introspection are written against
+``self.runtime`` only, so the live
+:class:`~repro.runtime.async_service.LiveSystem` inherits them and
+runs the same schedule on an event loop.  On the simulator,
+``runtime.schedule_after`` *is* ``engine.schedule_after`` and
+``runtime.now`` reads ``engine.now``.
 """
 
 from __future__ import annotations
@@ -59,8 +66,6 @@ class System:
         owner: List[int],
         stats: Optional[StatsSink] = None,
     ) -> None:
-        self.ns = ns
-        self.cfg = cfg
         self.engine = engine
         self.transport = self._build_transport(engine, cfg)
         # cancel-heavy timers (client lookup timeouts) stay off the heap
@@ -69,12 +74,22 @@ class System:
         # methods *are* the engine/transport/wheel bound methods, so
         # nothing observable changes versus the old direct reach-through
         self.runtime = SimRuntime(engine, self.transport, self.timers)
+        self._init_state(ns, cfg, owner, stats)
+
+    def _init_state(
+        self, ns: Namespace, cfg: SystemConfig, owner: List[int],
+        stats: Optional[StatsSink],
+    ) -> None:
+        """Everything but the runtime, transport and timers."""
+        self.ns = ns
+        self.cfg = cfg
         self.stats = stats if stats is not None else SystemStats(ns.max_depth)
         self.rng_streams = RngStreams(cfg.seed)
         self.peers: List = []
         # the peers this engine runs, in ascending sid order: every
         # maintenance and introspection loop iterates this.  Here it
-        # *is* ``peers``; a :class:`ShardSystem` holds a subset
+        # *is* ``peers``; a :class:`ShardSystem` or a live system holds
+        # a subset
         self.local_peers: List = self.peers
         self.owner = owner
         self._qid = 0
@@ -113,17 +128,16 @@ class System:
         if self._maintenance_scheduled:
             return
         self._maintenance_scheduled = True
-        self.engine.schedule_after(self.cfg.load_window, self._tick_windows)
-        self.engine.schedule_after(
-            self.cfg.rank_rescale_interval, self._tick_ranking
-        )
+        rt = self.runtime
+        rt.schedule_after(self.cfg.load_window, self._tick_windows)
+        rt.schedule_after(self.cfg.rank_rescale_interval, self._tick_ranking)
         if self.cfg.replica_idle_timeout > 0:
-            self.engine.schedule_after(
+            rt.schedule_after(
                 self.cfg.replica_idle_timeout, self._tick_idle_eviction
             )
 
     def _tick_windows(self) -> None:
-        now = self.engine.now
+        now = self.runtime.now
         sample = (
             self.cfg.sample_loads_every > 0
             and int(now / self.cfg.load_window)
@@ -137,20 +151,20 @@ class System:
             load = peer.roll_window(now)
             if sample:
                 stats.sample_load(now, load)
-        self.engine.schedule_after(self.cfg.load_window, self._tick_windows)
+        self.runtime.schedule_after(self.cfg.load_window, self._tick_windows)
 
     def _tick_ranking(self) -> None:
         for peer in self.local_peers:
             peer.rescale_ranking()
-        self.engine.schedule_after(
+        self.runtime.schedule_after(
             self.cfg.rank_rescale_interval, self._tick_ranking
         )
 
     def _tick_idle_eviction(self) -> None:
-        now = self.engine.now
+        now = self.runtime.now
         for peer in self.local_peers:
             peer.evict_idle_replicas(now)
-        self.engine.schedule_after(
+        self.runtime.schedule_after(
             self.cfg.replica_idle_timeout, self._tick_idle_eviction
         )
 
@@ -195,7 +209,7 @@ class System:
         return sum(len(p.replicas) for p in self.local_peers)
 
     def loads(self, now: Optional[float] = None) -> List[float]:
-        t = self.engine.now if now is None else now
+        t = self.runtime.now if now is None else now
         return [p.meter.load(t) for p in self.local_peers]
 
     def hosted_counts(self) -> List[int]:
@@ -207,8 +221,8 @@ class System:
 
     def __repr__(self) -> str:
         return (
-            f"System(servers={len(self.peers)}, nodes={len(self.ns)}, "
-            f"t={self.engine.now:.2f})"
+            f"{type(self).__name__}(servers={len(self.local_peers)}, "
+            f"nodes={len(self.ns)}, t={self.runtime.now:.2f})"
         )
 
 

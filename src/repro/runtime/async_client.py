@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.frame import FrameError, FrameReader, decode_message, encode_frame
 from repro.net.message import ClientLookup, ClientLookupReply
-from repro.runtime.async_runtime import DeadlineQueue
+from repro.runtime.async_runtime import AsyncRuntime
 from repro.sim.rng import ZipfSampler, exponential
 from repro.workload.streams import WorkloadSpec
 
@@ -55,11 +55,11 @@ class HomeConnection(asyncio.BufferedProtocol):
     the connection's own buffer (no allocation per read, see
     :class:`repro.runtime.async_wire._Inbound`), replies are decoded in
     ``buffer_updated`` and resolve their lookup's future directly, a
-    lookup's timeout is an entry in the connection's
-    :class:`~repro.runtime.async_runtime.DeadlineQueue` (one armed
-    timer for all of them) that resolves the same future with ``None``,
-    and ``connection_lost`` fails whatever is still in flight -- so a
-    lookup never waits out its timeout against a socket that is gone.
+    lookup's timeout is a timer on the connection's runtime wheel
+    (``runtime.timer_after``, cancelled however the attempt ends) that
+    resolves the same future with ``None``, and ``connection_lost``
+    fails whatever is still in flight -- so a lookup never waits out
+    its timeout against a socket that is gone.
     The client plane is stateless on the wire: frames are encoded and
     decoded without a link table.
     """
@@ -71,9 +71,7 @@ class HomeConnection(asyncio.BufferedProtocol):
         self._frames = FrameReader()
         self._recv_view = memoryview(bytearray(_RECV_BUFFER))
         self._pending: Dict[int, "asyncio.Future[Optional[ClientLookupReply]]"] = {}
-        self._deadlines = DeadlineQueue(
-            loop, self._pending.__contains__, self._on_timeout
-        )
+        self.runtime = AsyncRuntime(loop)
         self._cqid = 0
         self.n_sent = 0
         self.n_replies = 0
@@ -123,7 +121,6 @@ class HomeConnection(asyncio.BufferedProtocol):
                 if fut is not None and not fut.done():
                     self.n_replies += 1
                     fut.set_result(msg)
-            self._deadlines.settle()
         except FrameError:
             # corrupt stream: drop it; connection_lost fails what waits
             if self.transport is not None:
@@ -132,7 +129,6 @@ class HomeConnection(asyncio.BufferedProtocol):
     def connection_lost(self, exc: Optional[Exception]) -> None:
         pending = list(self._pending.values())
         self._pending.clear()
-        self._deadlines.clear()
         for fut in pending:
             if not fut.done():
                 self.n_disconnects += 1
@@ -171,13 +167,13 @@ class HomeConnection(asyncio.BufferedProtocol):
         self._pending[cqid] = fut
         self.n_sent += 1
         transport.write(encode_frame(ClientLookup(cqid, node)))
-        self._deadlines.push(timeout, cqid)
+        timer = self.runtime.timer_after(timeout, self._on_timeout, cqid)
         try:
             return await fut
         finally:
-            # still pending only if this task was cancelled
-            if self._pending.pop(cqid, None) is not None:
-                self._deadlines.settle()
+            # answered, timed out, disconnected or cancelled alike
+            timer.cancel()
+            self._pending.pop(cqid, None)
 
     def _on_timeout(self, cqid: int) -> None:
         fut = self._pending.pop(cqid, None)

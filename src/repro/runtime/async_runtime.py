@@ -7,13 +7,13 @@ clock zeroed at runtime construction, so protocol timestamps are small
 non-negative floats directly comparable to simulated seconds (latency
 arithmetic, load windows, and idle timeouts all behave identically).
 
-Scheduling maps onto ``loop.call_at`` / ``loop.call_later``.  There is
-no timer-wheel: asyncio's timer heap already handles cancelled entries
-lazily, and live clusters arm orders of magnitude fewer concurrent
-timers than paper-scale simulations, so ``timer_after`` is plain
-``call_later`` with a cancel handle.  The one cancel-heavy user, a
-deadline per client lookup, does not arm a timer per lookup at all:
-:class:`DeadlineQueue` keeps them in expiry order behind one timer.
+Scheduling maps onto ``loop.call_at`` / ``loop.call_later``.
+``timer_after`` arms the runtime's :class:`~repro.sim.timerwheel
+.TimerWheel` -- the simulator's wheel, unchanged, over this runtime's
+clock and ``schedule``.  A lookup deadline is armed and cancelled
+within milliseconds almost every time; on the wheel that cancel is a
+dict pop, and asyncio's heap holds one timer per non-empty bucket
+instead of one lazily cancelled handle per lookup.
 
 Determinism caveat (see DESIGN.md section 14): under AsyncRuntime the
 *interleaving* of peers is whatever the loop and the kernel produce --
@@ -26,12 +26,12 @@ sequential traffic.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.runtime.base import Wire
+from repro.sim.timerwheel import TimerHandle, TimerWheel
 
-__all__ = ["AsyncHandle", "AsyncRuntime", "DeadlineQueue"]
+__all__ = ["AsyncHandle", "AsyncRuntime"]
 
 
 class AsyncHandle:
@@ -64,9 +64,10 @@ class AsyncRuntime:
     The wire is attached after construction (``rt.wire = ...``): the
     transport needs the runtime's loop to spawn connector tasks, so
     the two reference each other and the runtime is built first.
+    ``timers`` is the runtime's own timer wheel (one-second ticks).
     """
 
-    __slots__ = ("loop", "wire", "_t0")
+    __slots__ = ("loop", "wire", "timers", "_t0")
 
     def __init__(
         self,
@@ -80,6 +81,7 @@ class AsyncRuntime:
         self.loop = loop if loop is not None else asyncio.get_running_loop()
         self.wire = wire
         self._t0 = self.loop.time()
+        self.timers = TimerWheel(self)
 
     # ------------------------------------------------------------------
     # Clock
@@ -110,9 +112,10 @@ class AsyncRuntime:
 
     def timer_after(
         self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> AsyncHandle:
-        timer = self.loop.call_later(delay if delay > 0.0 else 0.0, fn, *args)
-        return AsyncHandle(timer)
+    ) -> TimerHandle:
+        return self.timers.schedule_after(
+            delay if delay > 0.0 else 0.0, fn, *args
+        )
 
     # ------------------------------------------------------------------
     # Wire
@@ -126,89 +129,3 @@ class AsyncRuntime:
 
     def __repr__(self) -> str:
         return f"AsyncRuntime(t={self.now:.3f})"
-
-
-class DeadlineQueue:
-    """Pending deadlines in expiry order behind one armed timer.
-
-    A lookup used to arm a ``call_later`` handle and cancel it
-    microseconds later, and the cancelled handles kept asyncio's heap
-    large.  The callers of one queue share one timeout, so arrival
-    order is expiry order: :meth:`push` appends (a shorter timeout
-    behind a longer one is inserted where it belongs) and only the head
-    has a timer.  :meth:`settle`, called after every completion, and
-    the timer drop heads that are no longer waited for -- so the queue
-    holds the open deadlines plus whatever completed behind the oldest
-    open one, and a timer is armed exactly while it is non-empty.
-    ``expire(key)`` runs once for a key that ``is_open(key)`` still
-    holds at its expiry, at the first loop pass at or after it.
-    """
-
-    __slots__ = ("_loop", "_is_open", "_expire", "_queue", "_timer")
-
-    def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        is_open: Callable[[Any], bool],
-        expire: Callable[[Any], None],
-    ) -> None:
-        self._loop = loop
-        self._is_open = is_open
-        self._expire = expire
-        self._queue: Deque[Tuple[float, Any]] = deque()
-        self._timer: Optional[asyncio.TimerHandle] = None
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def armed(self) -> bool:
-        return self._timer is not None
-
-    def push(self, timeout: float, key: Any) -> None:
-        """Queue ``key`` to expire ``timeout`` seconds from now."""
-        queue = self._queue
-        expiry = self._loop.time() + timeout
-        i = len(queue)
-        while i and queue[i - 1][0] > expiry:
-            i -= 1
-        queue.insert(i, (expiry, key))
-        if i == 0:
-            self._arm()
-
-    def settle(self) -> None:
-        """Drop the heads that were answered; disarm on an empty queue."""
-        queue = self._queue
-        while queue and not self._is_open(queue[0][1]):
-            queue.popleft()
-        if not queue:
-            self.clear()
-
-    def clear(self) -> None:
-        """Forget every deadline (what they waited on is gone)."""
-        self._queue.clear()
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _arm(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-        self._timer = self._loop.call_at(self._queue[0][0], self._fire)
-
-    def _fire(self) -> None:
-        self._timer = None
-        queue = self._queue
-        now = self._loop.time()
-        while queue:
-            expiry, key = queue[0]
-            if self._is_open(key):
-                if expiry > now:
-                    # also the head a stale timer finds: it was armed
-                    # for a deadline answered since
-                    self._arm()
-                    return
-                queue.popleft()
-                self._expire(key)
-            else:
-                queue.popleft()

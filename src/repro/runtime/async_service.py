@@ -1,12 +1,11 @@
 """Live peer hosting: a TerraDir cluster over real sockets.
 
-:class:`LiveSystem` is the event-loop counterpart of
-:class:`repro.cluster.system.System`: it owns the namespace, config,
-stats sink, RNG streams, and the peers hosted *in this process*, and
-exposes the exact attribute surface the builder and the Peer pipeline
-consume (``cfg``/``ns``/``rng_streams``/``stats``/``runtime``/
-``peers``/``transport.register``).  Peer construction and wiring are
-therefore **shared with the simulator** -- both paths call
+:class:`LiveSystem` is :class:`repro.cluster.system.System` on an
+:class:`~repro.runtime.async_runtime.AsyncRuntime`: it owns the
+namespace, config, stats sink, RNG streams, and the peers hosted *in
+this process*, and inherits the simulator's maintenance ticks, name
+lookup and introspection unchanged.  Peer construction and wiring are
+**shared with the simulator** too -- both paths call
 :func:`repro.cluster.builder._populate_system`, so ownership maps,
 neighbor pins, digest geometry, heterogeneity draws, and bootstrap
 load knowledge are built by the same code with the same seeded draws.
@@ -21,33 +20,41 @@ contiguous sid range (multi-process deployments); remote peers stay
 :class:`~repro.net.message.ClientLookup` frames arriving on a hosted
 peer's listener by injecting the query locally, parking a completion
 hook, and framing a :class:`~repro.net.message.ClientLookupReply` back
-on the same connection -- with a server-side deadline (one
-:class:`~repro.runtime.async_runtime.DeadlineQueue` per service) so a
-dropped query answers ``ok=False`` instead of leaking the hook.
+on the same connection -- with a server-side deadline (a timer on the
+runtime's wheel, cancelled by the response) so a dropped query answers
+``ok=False`` instead of leaking the hook.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence
 
+from repro.cluster.builder import _populate_system, _resolve_owner
 from repro.cluster.config import SystemConfig
+from repro.cluster.system import System
 from repro.namespace.tree import Namespace
 from repro.net.frame import encode_frame
 from repro.net.message import ClientLookup, ClientLookupReply
-from repro.runtime.async_runtime import AsyncRuntime, DeadlineQueue
+from repro.runtime.async_runtime import AsyncRuntime
 from repro.runtime.async_wire import AsyncWire
-from repro.sim.rng import RngStreams
-from repro.sim.stats import StatsSink, SystemStats
+from repro.sim.stats import StatsSink
 
 __all__ = ["LiveService", "LiveSystem", "build_live_system"]
 
 _log = logging.getLogger(__name__)
 
 
-class LiveSystem:
-    """A live (event-loop) TerraDir deployment, or one process's slice."""
+class LiveSystem(System):
+    """A live (event-loop) TerraDir deployment, or one process's slice.
+
+    Maintenance, name lookup and introspection are :class:`System`'s
+    own, run on the :class:`AsyncRuntime`; only construction and
+    :meth:`inject` (which refuses a peer hosted elsewhere) are live.
+    """
+
+    __slots__ = ()
 
     def __init__(
         self,
@@ -58,25 +65,15 @@ class LiveSystem:
         owner: List[int],
         stats: Optional[StatsSink] = None,
     ) -> None:
-        self.ns = ns
-        self.cfg = cfg
         self.runtime = runtime
         self.transport = wire
-        self.stats = stats if stats is not None else SystemStats(ns.max_depth)
-        self.rng_streams = RngStreams(cfg.seed)
+        self.timers = runtime.timers
+        self._init_state(ns, cfg, owner, stats)
         # full-length sid-indexed list; None marks peers hosted by
         # other processes (the ShardSystem convention: the builder
         # fills ``peers`` by sid and appends to ``local_peers``)
-        self.peers: List[Any] = [None] * cfg.n_servers
-        self.local_peers: List[Any] = []
-        self.owner = owner
-        self._qid = 0
-        self._maintenance_scheduled = False
-        self.on_inject = None  # optional (now, src, dest) tap for tracing
-
-    # ------------------------------------------------------------------
-    # client API (local peers only)
-    # ------------------------------------------------------------------
+        self.peers = [None] * cfg.n_servers
+        self.local_peers = []
 
     def inject(self, src_server: int, dest_node: int) -> int:
         """Initiate a lookup for ``dest_node`` at local peer ``src_server``."""
@@ -88,73 +85,6 @@ class LiveSystem:
             self.on_inject(self.runtime.now, src_server, dest_node)
         peer.inject(dest_node, self._qid)
         return self._qid
-
-    def lookup_name(self, src_server: int, name: str) -> int:
-        return self.inject(src_server, self.ns.id_of(name))
-
-    # ------------------------------------------------------------------
-    # maintenance (wall-clock ticks over local peers)
-    # ------------------------------------------------------------------
-
-    def start_maintenance(self) -> None:
-        """Schedule the recurring maintenance ticks (idempotent)."""
-        if self._maintenance_scheduled:
-            return
-        self._maintenance_scheduled = True
-        rt = self.runtime
-        rt.schedule_after(self.cfg.load_window, self._tick_windows)
-        rt.schedule_after(self.cfg.rank_rescale_interval, self._tick_ranking)
-        if self.cfg.replica_idle_timeout > 0:
-            rt.schedule_after(
-                self.cfg.replica_idle_timeout, self._tick_idle_eviction
-            )
-
-    def _tick_windows(self) -> None:
-        now = self.runtime.now
-        stats = self.stats
-        sample = self.cfg.sample_loads_every > 0
-        for peer in self.local_peers:
-            if peer.failed:
-                continue
-            load = peer.roll_window(now)
-            if sample:
-                stats.sample_load(now, load)
-        self.runtime.schedule_after(self.cfg.load_window, self._tick_windows)
-
-    def _tick_ranking(self) -> None:
-        for peer in self.local_peers:
-            peer.rescale_ranking()
-        self.runtime.schedule_after(
-            self.cfg.rank_rescale_interval, self._tick_ranking
-        )
-
-    def _tick_idle_eviction(self) -> None:
-        now = self.runtime.now
-        for peer in self.local_peers:
-            peer.evict_idle_replicas(now)
-        self.runtime.schedule_after(
-            self.cfg.replica_idle_timeout, self._tick_idle_eviction
-        )
-
-    # ------------------------------------------------------------------
-    # introspection (local slice)
-    # ------------------------------------------------------------------
-
-    def total_replicas(self) -> int:
-        return sum(len(p.replicas) for p in self.local_peers)
-
-    def hosted_counts(self) -> List[int]:
-        return [p.n_hosted for p in self.local_peers]
-
-    def hosts_of(self, node: int) -> List[int]:
-        return [p.sid for p in self.local_peers if p.hosts(node)]
-
-    def __repr__(self) -> str:
-        return (
-            f"LiveSystem(servers={len(self.local_peers)}/"
-            f"{self.cfg.n_servers}, nodes={len(self.ns)}, "
-            f"t={self.runtime.now:.2f})"
-        )
 
 
 class LiveService:
@@ -168,11 +98,6 @@ class LiveService:
         self.n_lookups = 0
         self.n_completed = 0
         self.n_deadline_failures = 0
-        # one deadline per lookup, all of one length: a FIFO behind one
-        # timer, keyed (peer, hook key, request, connection)
-        self._deadlines = DeadlineQueue(
-            system.runtime.loop, self._is_waiting, self._on_deadline
-        )
 
     def attach(self, wire: AsyncWire) -> None:
         """Install this service as the wire's client-plane handler."""
@@ -188,9 +113,12 @@ class LiveService:
         rt = system.runtime
         self.n_lookups += 1
         hook_key = ("lookup", system.inject(sid, msg.node))
-        settle = self._deadlines.settle
+        deadline = rt.timer_after(
+            self.lookup_deadline, self._on_deadline, peer, hook_key, msg, writer
+        )
 
         def on_response(resp: Any) -> None:
+            deadline.cancel()
             self.n_completed += 1
             self._reply(
                 writer,
@@ -202,21 +130,15 @@ class LiveService:
                     latency=rt.now - resp.created_at,
                 ),
             )
-            settle()
 
         peer.client_hooks[hook_key] = on_response
-        self._deadlines.push(
-            self.lookup_deadline, (peer, hook_key, msg, writer)
-        )
 
-    @staticmethod
-    def _is_waiting(entry: Tuple[Any, Any, ClientLookup, Any]) -> bool:
-        return entry[1] in entry[0].client_hooks
-
-    def _on_deadline(self, entry: Tuple[Any, Any, ClientLookup, Any]) -> None:
+    def _on_deadline(
+        self, peer: Any, hook_key: Any, msg: ClientLookup,
+        writer: asyncio.WriteTransport,
+    ) -> None:
         """The query died inside the cluster (queue drop, lost frame):
         fail the lookup instead of leaking its completion hook."""
-        peer, hook_key, msg, writer = entry
         if peer.client_hooks.pop(hook_key, None) is None:
             return  # answered meanwhile
         self.n_deadline_failures += 1
@@ -254,10 +176,6 @@ def build_live_system(
     Args:
         host_sids: the sids this process hosts (default: all of them).
     """
-    # imported here, not at module top: the builder pulls in the sim
-    # engine stack, which live-only deployments never tick
-    from repro.cluster.builder import _populate_system, _resolve_owner
-
     if cfg.oracle_maps:
         raise ValueError(
             "oracle_maps reads ground-truth peer state across the "
@@ -269,7 +187,3 @@ def build_live_system(
     _populate_system(system, owner_list, sids)
     runtime.wire = wire
     return system
-
-
-# typing helper for callers that want the full dict of addresses
-AddressMap = Dict[int, Any]

@@ -11,11 +11,11 @@ capabilities:
 * :class:`Scheduler` -- ``rt.schedule(at, fn, *args)`` /
   ``rt.schedule_after(delay, fn, *args)`` for ordinary callbacks, and
   ``rt.timer_after(delay, fn, *args)`` for cancel-heavy timeouts
-  (lookup timers, session liveness).  The split matters in the
-  simulator, where ``timer_after`` routes through the
-  :class:`~repro.sim.timerwheel.TimerWheel` to keep dead timeout
-  entries off the event heap; an event loop maps both onto
-  ``call_at``/``call_later``.
+  (lookup deadlines, session liveness).  Both runtimes route
+  ``timer_after`` through a :class:`~repro.sim.timerwheel.TimerWheel`
+  over their own clock and ``schedule``, so a cancelled timeout is a
+  dict pop and never a dead entry on the engine's event heap or on
+  asyncio's timer heap.
 * :class:`Wire` -- ``rt.send(dest, msg, control=False)``, one-way
   message delivery to server ``dest``.  The simulator's delivery ring
   and the framed asyncio transport both sit behind this call.
@@ -94,7 +94,7 @@ class Scheduler(Protocol):
 
         Semantically identical to ``schedule_after(..., handle=True)``
         but always returns a handle, and implementations route it
-        through their cancel-cheap path (the sim timer-wheel)."""
+        through their cancel-cheap path (the runtime's timer wheel)."""
         ...
 
 

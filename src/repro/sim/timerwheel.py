@@ -2,19 +2,20 @@
 
 The client arms one lookup timeout per issued lookup and cancels it
 when the response arrives -- which is almost always.  Routing those
-timeouts through :meth:`Engine.schedule` leaves one lazily-cancelled
-heap entry per *completed* lookup for the full timeout duration
-(millions of dead entries at paper scale), inflating every heap
-operation's ``log n``.
+timeouts through a scheduler's heap (the simulator's
+:class:`~repro.sim.engine.Engine` or asyncio's timer heap) leaves one
+lazily-cancelled heap entry per *completed* lookup for the full
+timeout duration (millions of dead entries at paper scale), inflating
+every heap operation's ``log n``.
 
 The wheel instead buckets timers by coarse tick
 (``bucket = floor(deadline / tick)``).  Each non-empty bucket costs the
-engine exactly **one** event, scheduled at the bucket's start;
+host exactly **one** scheduled callback, at the bucket's start;
 cancellation removes the timer from its bucket dict immediately, so
 cancelled timers free their memory and never touch the heap at all.
 
 Exactness is preserved: when a bucket fires, every timer still armed is
-*promoted* to a real engine event at its exact deadline (with a
+*promoted* to a real scheduled callback at its exact deadline (with a
 cancellation handle, so late cancels still work).  A timer therefore
 fires at precisely ``now + delay`` -- never rounded to a tick boundary
 -- and a fixed-seed run behaves bit-identically to the per-timer heap
@@ -22,17 +23,35 @@ pattern it replaces.  Only timers that survive into the last tick
 before their deadline ever reach the heap, and those are the rare ones
 that are actually about to fire.
 
-Pending-event bound: the engine carries at most one event per distinct
-non-empty bucket (``horizon / tick``) plus the promoted timers of the
-current tick -- independent of how many timers were armed and
+The host is anything with the seam's clock and absolute scheduling
+(:mod:`repro.runtime.base`): ``.now`` and ``.schedule(at, fn, *args,
+handle=True)``.  The simulator's :class:`~repro.sim.engine.Engine`
+and :class:`~repro.runtime.async_runtime.AsyncRuntime` both are, so
+one wheel serves both runtimes.
+
+Pending-callback bound: the host carries at most one callback per
+distinct non-empty bucket (``horizon / tick``) plus the promoted timers
+of the current tick -- independent of how many timers were armed and
 cancelled.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
-from repro.sim.engine import Engine, EventHandle, SimError
+from repro.runtime.base import CancelHandle, Clock
+from repro.sim.engine import SimError
+
+
+class WheelHost(Clock, Protocol):
+    """What a wheel asks of its host: the seam's clock and absolute
+    scheduling with a cancel handle."""
+
+    def schedule(
+        self, at: float, fn: Callable[..., None], *args: Any,
+        handle: bool = False,
+    ) -> Optional[CancelHandle]:
+        ...
 
 
 class TimerHandle:
@@ -44,7 +63,7 @@ class TimerHandle:
         self._wheel = wheel
         self._bucket = bucket
         self._token = token
-        self._promoted: Optional[EventHandle] = None
+        self._promoted: Optional[CancelHandle] = None
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -68,15 +87,15 @@ class TimerHandle:
 
 
 class TimerWheel:
-    """Coarse-bucketed timers over a shared :class:`Engine`."""
+    """Coarse-bucketed timers over a shared clock and scheduler."""
 
-    __slots__ = ("engine", "tick", "_buckets", "_token", "n_armed",
+    __slots__ = ("host", "tick", "_buckets", "_token", "n_armed",
                  "n_cancelled", "n_fired")
 
-    def __init__(self, engine: Engine, tick: float = 1.0) -> None:
+    def __init__(self, host: WheelHost, tick: float = 1.0) -> None:
         if tick <= 0:
             raise ValueError("tick must be > 0")
-        self.engine = engine
+        self.host = host
         self.tick = tick
         # bucket index -> {token: (deadline, fn, args, handle)}; dicts
         # preserve insertion order, which is arming order within a bucket
@@ -94,7 +113,7 @@ class TimerWheel:
 
     @property
     def n_buckets(self) -> int:
-        """Non-empty buckets, each owning exactly one engine event."""
+        """Non-empty buckets, each owning exactly one host callback."""
         return len(self._buckets)
 
     def schedule_after(
@@ -103,18 +122,19 @@ class TimerWheel:
         """Arm ``fn(*args)`` to fire exactly ``delay`` from now."""
         if delay < 0:
             raise SimError(f"negative delay {delay}")
-        engine = self.engine
-        deadline = engine.now + delay
+        host = self.host
+        now = host.now
+        deadline = now + delay
         idx = int(deadline / self.tick)
         bucket = self._buckets.get(idx)
         if bucket is None:
             bucket = self._buckets[idx] = {}
-            # the bucket event must not precede ``now`` (possible when
+            # the bucket callback must not precede ``now`` (possible when
             # ``delay < tick``) nor follow any deadline it covers
             at = idx * self.tick
-            if at < engine.now:
-                at = engine.now
-            engine.schedule(at, self._fire_bucket, idx)
+            if at < now:
+                at = now
+            host.schedule(at, self._fire_bucket, idx)
         self._token += 1
         handle = TimerHandle(self, idx, self._token)
         bucket[self._token] = (deadline, fn, args, handle)
@@ -122,20 +142,20 @@ class TimerWheel:
         return handle
 
     def _fire_bucket(self, idx: int) -> None:
-        """Promote every survivor to an exact-deadline engine event."""
+        """Promote every survivor to an exact-deadline host callback."""
         bucket = self._buckets.pop(idx, None)
         if not bucket:
             return
-        engine = self.engine
-        now = engine.now
+        host = self.host
+        now = host.now
         for deadline, fn, args, handle in bucket.values():
             self.n_fired += 1
             if deadline <= now:
-                # deadline exactly on the bucket boundary: fire inline,
-                # the engine clock is already there
+                # deadline on the bucket boundary (or, on a wall clock,
+                # already passed): fire inline, the clock is there
                 fn(*args)
             else:
-                handle._promoted = engine.schedule(
+                handle._promoted = host.schedule(
                     deadline, fn, *args, handle=True
                 )
 

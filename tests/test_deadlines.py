@@ -1,14 +1,15 @@
-"""Lookup deadlines: one FIFO and one armed timer per service and per
-home connection, instead of one armed-and-cancelled ``call_later`` per
-lookup (DESIGN.md section 14.3).
+"""Lookup deadlines: a timer per lookup on the runtime's wheel, for
+the service and for each home connection, instead of one armed and
+cancelled asyncio ``call_later`` per lookup (DESIGN.md section 14.3).
 
-What must hold: a deadline fires at its expiry, never before, and in
-order; a response after the deadline is ignored; a lost connection
-fails what waits; the queue stays within the in-flight count once the
-lookups behind its head are answered; and no timer stays armed on an
-empty queue.  Also here: the silent failure sites the live path used to
-have (deadline expiry, a dial given up, a client frame with no client
-plane) each log one warning, and ``AsyncRuntime``'s loop rule.
+What must hold: a response after the deadline is ignored; a lost
+connection fails what waits; a lookup that ends in any way leaves
+nothing in the wheel; and asyncio's timer heap holds one timer per
+bucket, not one per lookup in flight.  Also here: the silent failure
+sites the live path used to have (deadline expiry, a dial given up, a
+client frame with no client plane) each log one warning, and
+``AsyncRuntime``'s loop rule.  The wheel itself is tested on both
+runtimes in ``tests/test_timerwheel.py``.
 """
 
 import asyncio
@@ -21,94 +22,11 @@ import pytest
 from repro.net.frame import FrameReader, decode_message, encode_frame
 from repro.net.message import ClientLookup, ClientLookupReply
 from repro.runtime.async_client import HomeConnection
-from repro.runtime.async_runtime import AsyncRuntime, DeadlineQueue
+from repro.runtime.async_runtime import AsyncRuntime
 from repro.runtime.async_service import LiveService
 from repro.runtime.async_wire import AsyncWire
 from tests.test_live_conformance import _start_scripted_peer
 from tests.test_wire_links import bare_wire, in_sock_dir, query, until
-
-
-# ----------------------------------------------------------------------
-# the queue alone
-# ----------------------------------------------------------------------
-
-class Waiting:
-    """Keys still open, and when each one expired."""
-
-    def __init__(self, loop):
-        self.loop = loop
-        self.open = set()
-        self.expired = []  # (key, loop time)
-        self.queue = DeadlineQueue(loop, self.open.__contains__, self.expire)
-
-    def push(self, timeout, key):
-        """Queue ``key``; a time no later than its expiry."""
-        earliest = self.loop.time() + timeout
-        self.open.add(key)
-        self.queue.push(timeout, key)
-        return earliest
-
-    def expire(self, key):
-        self.open.discard(key)
-        self.expired.append((key, self.loop.time()))
-
-    def answer(self, key):
-        self.open.discard(key)
-        self.queue.settle()
-
-
-def test_deadlines_fire_at_their_expiry_and_in_order():
-    async def go():
-        w = Waiting(asyncio.get_running_loop())
-        expiry = {}
-        for key in "abc":
-            expiry[key] = w.push(0.05, key)
-            await asyncio.sleep(0.01)
-        w.answer("b")
-        assert w.queue.armed and len(w.queue) == 3  # b waits behind a
-        await asyncio.sleep(0.12)
-        return w, expiry
-
-    w, expiry = asyncio.run(go())
-    assert [key for key, _ in w.expired] == ["a", "c"]
-    for key, at in w.expired:
-        assert expiry[key] <= at < expiry[key] + 0.1
-    assert len(w.queue) == 0 and not w.queue.armed
-
-
-def test_a_shorter_timeout_behind_a_longer_one_keeps_its_own_expiry():
-    async def go():
-        w = Waiting(asyncio.get_running_loop())
-        expiry = {"slow": w.push(0.32, "slow"), "fast": w.push(0.02, "fast"),
-                  "mid": w.push(0.17, "mid")}
-        await asyncio.sleep(0.45)
-        return w, expiry
-
-    w, expiry = asyncio.run(go())
-    assert [key for key, _ in w.expired] == ["fast", "mid", "slow"]
-    for key, at in w.expired:
-        assert expiry[key] <= at < expiry[key] + 0.1
-
-
-def test_answering_everything_leaves_no_timer_armed():
-    async def go():
-        loop = asyncio.get_running_loop()
-        w = Waiting(loop)
-        for key in range(5):
-            w.push(5.0, key)
-        for key in (3, 1, 4, 2):
-            w.answer(key)
-        # nothing can leave before the head does
-        assert len(w.queue) == 5 and w.queue.armed
-        w.answer(0)
-        assert len(w.queue) == 0 and not w.queue.armed
-        w.push(5.0, "next")
-        assert w.queue.armed
-        w.queue.clear()
-        assert len(w.queue) == 0 and not w.queue.armed
-        return w
-
-    assert asyncio.run(go()).expired == []
 
 
 # ----------------------------------------------------------------------
@@ -123,17 +41,20 @@ def test_a_response_after_the_deadline_is_ignored():
 
             async def handle(reader, writer):
                 frames = FrameReader()
-                while True:
-                    data = await reader.read(65536)
-                    if not data:
-                        return
-                    for msg in map(decode_message, frames.feed(data)):
-                        if msg.node == 42:
-                            held.append((writer, msg))
-                        else:
-                            writer.write(encode_frame(ClientLookupReply(
-                                msg.cqid, msg.node, True, servers=[2]
-                            )))
+                try:
+                    while True:
+                        data = await reader.read(65536)
+                        if not data:
+                            return
+                        for msg in map(decode_message, frames.feed(data)):
+                            if msg.node == 42:
+                                held.append((writer, msg))
+                            else:
+                                writer.write(encode_frame(ClientLookupReply(
+                                    msg.cqid, msg.node, True, servers=[2]
+                                )))
+                finally:
+                    writer.close()
 
             server = await asyncio.start_unix_server(handle, path=path)
             conn = HomeConnection(asyncio.get_running_loop(), ("uds", path))
@@ -153,7 +74,7 @@ def test_a_response_after_the_deadline_is_ignored():
     assert reply is None and conn.n_timeouts == 1
     assert second is not None and second.node == 43 and second.servers == [2]
     assert conn.n_replies == 1  # the late one was never counted
-    assert len(conn._deadlines) == 0 and not conn._deadlines.armed
+    assert len(conn.runtime.timers) == 0
 
 
 def test_connection_lost_fails_what_waits_and_disarms():
@@ -169,7 +90,7 @@ def test_connection_lost_fails_what_waits_and_disarms():
                 for n in (1, 2, 3)
             ]
             await until(lambda: len(seen) == 3)
-            assert len(conn._deadlines) == 3 and conn._deadlines.armed
+            assert len(conn.runtime.timers) == 3
             conn.transport.abort()
             replies = await asyncio.wait_for(asyncio.gather(*lookups), 1.0)
             server.close()
@@ -179,7 +100,7 @@ def test_connection_lost_fails_what_waits_and_disarms():
     replies, conn = asyncio.run(go())
     assert replies == [None, None, None]
     assert conn.n_disconnects == 3 and conn.n_timeouts == 0
-    assert len(conn._deadlines) == 0 and not conn._deadlines.armed
+    assert len(conn.runtime.timers) == 0
 
 
 def test_a_cancelled_lookup_leaves_the_queue():
@@ -195,14 +116,13 @@ def test_a_cancelled_lookup_leaves_the_queue():
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
-            state = (len(conn._deadlines), conn._deadlines.armed,
-                     len(conn._pending))
+            state = (len(conn.runtime.timers), len(conn._pending))
             await conn.close()
             server.close()
             await server.wait_closed()
             return state
 
-    assert asyncio.run(go()) == (0, False, 0)
+    assert asyncio.run(go()) == (0, 0)
 
 
 class _Echo(asyncio.Protocol):
@@ -218,7 +138,7 @@ class _Echo(asyncio.Protocol):
         ))
 
 
-def test_queue_stays_within_the_in_flight_count_over_a_closed_loop():
+def test_armed_timers_stay_within_the_buckets_over_a_closed_loop():
     in_flight, total = 16, 10_000
 
     async def go():
@@ -228,28 +148,34 @@ def test_queue_stays_within_the_in_flight_count_over_a_closed_loop():
             server = await loop.create_unix_server(_Echo, path=path)
             conn = HomeConnection(loop, ("uds", path))
             await conn.connect()
+            wheel = conn.runtime.timers
+            t0 = loop.time()
             sent = 0
-            longest = 0
+            heap = buckets = 0
 
             async def caller():
-                nonlocal sent, longest
+                nonlocal sent, heap, buckets
                 while sent < total:
                     sent += 1
                     reply = await conn.lookup(sent, timeout=30.0)
                     assert reply is not None and reply.node > 0
-                    longest = max(longest, len(conn._deadlines))
+                    # asyncio's armed timers, cancelled ones included
+                    heap = max(heap, len(loop._scheduled))
+                    buckets = max(buckets, wheel.n_buckets)
 
             await asyncio.gather(*(caller() for _ in range(in_flight)))
-            state = (longest, len(conn._deadlines), conn._deadlines.armed)
+            state = (heap, buckets, loop.time() - t0, len(wheel))
             await conn.close()
             server.close()
             await server.wait_closed()
             return state, conn
 
-    (longest, left, armed), conn = asyncio.run(go())
+    (heap, buckets, elapsed, left), conn = asyncio.run(go())
     assert conn.n_replies == conn.n_sent >= total and conn.n_timeouts == 0
-    assert longest <= 2 * in_flight
-    assert left == 0 and not armed
+    # one asyncio timer per wheel bucket, one bucket per tick the run
+    # spans: not one per lookup, and nothing for a cancelled lookup
+    assert heap <= buckets <= elapsed / conn.runtime.timers.tick + 2
+    assert left == 0
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +236,7 @@ def test_service_deadline_fails_the_lookup_and_says_so(caplog):
     assert (service.n_lookups, service.n_completed,
             service.n_deadline_failures) == (2, 1, 1)
     assert hooks == {}
-    assert len(service._deadlines) == 0 and not service._deadlines.armed
+    assert len(service.system.runtime.timers) == 0
     (record,) = caplog.records
     text = record.getMessage()
     assert "peer 0" in text and "qid=1" in text and "node 9" in text

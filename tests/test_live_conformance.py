@@ -30,6 +30,7 @@ from repro.runtime.async_client import HomeConnection
 from repro.runtime.async_runtime import AsyncRuntime
 from repro.runtime.async_service import LiveService, build_live_system
 from repro.runtime.async_wire import AsyncWire, uds_addresses
+from repro.sim.stats import SystemStats
 
 LEVELS = 6
 N_SERVERS = 4
@@ -183,6 +184,54 @@ def test_sim_trace_is_self_consistent():
 
 
 # ----------------------------------------------------------------------
+# one maintenance schedule
+# ----------------------------------------------------------------------
+
+class CountingStats(SystemStats):
+    """Counts ``sample_load`` calls."""
+
+    def __init__(self, max_depth):
+        super().__init__(max_depth)
+        self.n_samples = 0
+
+    def sample_load(self, now, load):
+        self.n_samples += 1
+        super().sample_load(now, load)
+
+
+def test_live_and_sim_sample_loads_at_the_same_rate():
+    """Both runtimes run one ``_tick_windows``: a load sample every
+    ``sample_loads_every``, not every ``load_window`` roll.  The config
+    is the default's 1:2 ratio at an eighth of the scale (binary
+    fractions, so the simulator's tick times are exact), the live half
+    takes 0.78 s, and the run ends between two ticks."""
+    cfg = make_cfg().replace(load_window=1 / 16, sample_loads_every=1 / 8)
+    duration = 0.78
+    ns = balanced_tree(levels=LEVELS)
+
+    sim = build_system(ns, cfg, stats=CountingStats(ns.max_depth))
+    sim.run_until(duration)
+
+    async def live():
+        with tempfile.TemporaryDirectory() as sock_dir:
+            loop = asyncio.get_running_loop()
+            wire = AsyncWire(loop, uds_addresses(sock_dir, N_SERVERS))
+            system = build_live_system(
+                ns, cfg, AsyncRuntime(loop), wire,
+                stats=CountingStats(ns.max_depth),
+            )
+            system.start_maintenance()
+            await asyncio.sleep(duration)
+            await wire.close()
+        return system.stats.n_samples
+
+    n_live = asyncio.run(live())
+    assert sim.stats.n_samples == 6 * N_SERVERS  # at 1/8, 2/8, ..., 6/8
+    # a late tick may slip past the end: one sampling round of slack
+    assert sim.stats.n_samples - N_SERVERS <= n_live <= sim.stats.n_samples
+
+
+# ----------------------------------------------------------------------
 # client robustness: stalled peers
 # ----------------------------------------------------------------------
 
@@ -193,18 +242,23 @@ async def _start_scripted_peer(path, script):
 
     async def handle(reader, writer):
         frames = FrameReader()
-        while True:
-            data = await reader.read(65536)
-            if not data:
-                return
-            for payload in frames.feed(data):
-                msg = decode_message(payload)
-                i = len(seen)
-                seen.append(msg)
-                fn = script[min(i, len(script) - 1)]
-                reply = fn(msg)
-                if reply is not None:
-                    writer.write(encode_frame(reply))
+        try:
+            while True:
+                data = await reader.read(65536)
+                if not data:
+                    return
+                for payload in frames.feed(data):
+                    msg = decode_message(payload)
+                    i = len(seen)
+                    seen.append(msg)
+                    fn = script[min(i, len(script) - 1)]
+                    reply = fn(msg)
+                    if reply is not None:
+                        writer.write(encode_frame(reply))
+        finally:
+            # the accepted socket is the handler's to close, on EOF and
+            # when the test's loop cancels a stalled handler alike
+            writer.close()
 
     server = await asyncio.start_unix_server(handle, path=path)
     return server, seen

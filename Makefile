@@ -36,7 +36,7 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 experiments:
-	$(PYTHON) -m repro.experiments.runner
+	$(PYTHON) -m repro
 
 campaign:
 	$(PYTHON) -m repro run --out results

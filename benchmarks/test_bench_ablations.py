@@ -142,14 +142,13 @@ def test_ablation_high_water_threshold(benchmark, scale):
     """l_high is the aggressiveness dial (section 3.1: 'a measure of
     the load-imbalance we are willing to tolerate'): lowering it buys
     fewer drops with more replication; raising it does the reverse."""
-    from repro.experiments.sweeps import sweep
+    from repro.analysis.summary import run_summary
 
     def campaign():
-        return sweep("l_high", [0.5, 0.9], scale=scale,
-                     utilization=0.4, alpha=1.0, seed=1)
+        return [run_summary(_run(scale, alpha=1.0, l_high=l_high))
+                for l_high in (0.5, 0.9)]
 
-    results = run_once(benchmark, campaign)
-    aggressive, lazy = results[0.5], results[0.9]
+    aggressive, lazy = run_once(benchmark, campaign)
     assert aggressive["replicas_created"] > lazy["replicas_created"]
     assert aggressive["drop_fraction"] <= lazy["drop_fraction"] + 0.01
 

@@ -10,12 +10,12 @@ information.
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.churn_digests import run_churn
+from repro.experiments.churn_digests import EXPERIMENT
 
 
 @pytest.mark.benchmark(group="churn")
 def test_churn_digest_accuracy(benchmark, scale):
-    results = run_once(benchmark, run_churn, scale=scale, seed=1)
+    results = run_once(benchmark, EXPERIMENT.run, scale=scale, seed=1)
 
     assert set(results) == {0.125, 0.25, 0.5}
     for rfact, per_mode in results.items():

@@ -13,12 +13,12 @@ Paper shapes asserted:
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig3_drops import reshuffle_times, run_fig3
+from repro.experiments.fig3_drops import EXPERIMENT, reshuffle_times
 
 
 @pytest.mark.benchmark(group="fig3")
 def test_fig3_drops_over_time(benchmark, scale):
-    results = run_once(benchmark, run_fig3, scale=scale, seed=1)
+    results = run_once(benchmark, EXPERIMENT.run, scale=scale, seed=1)
 
     assert set(results) == {
         "unif", "uzipf0.75", "uzipf1.00", "uzipf1.25", "uzipf1.50"

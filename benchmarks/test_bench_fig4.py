@@ -12,12 +12,12 @@ Paper shapes asserted:
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig4_replicas import run_fig4
+from repro.experiments.fig4_replicas import EXPERIMENT
 
 
 @pytest.mark.benchmark(group="fig4")
 def test_fig4_replica_creation_over_time(benchmark, scale):
-    results = run_once(benchmark, run_fig4, scale=scale, seed=1)
+    results = run_once(benchmark, EXPERIMENT.run, scale=scale, seed=1)
 
     assert len(results) == 5
     for name, series in results.items():

@@ -12,12 +12,12 @@ Paper shapes asserted:
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig5_ablation import drop_table, run_fig5
+from repro.experiments.fig5_ablation import EXPERIMENT, drop_table
 
 
 @pytest.mark.benchmark(group="fig5")
 def test_fig5_system_comparison(benchmark, scale):
-    results = run_once(benchmark, run_fig5, scale=scale, seed=1)
+    results = run_once(benchmark, EXPERIMENT.run, scale=scale, seed=1)
     table = drop_table(results)
 
     assert set(table) == {"B", "BC", "BCR"}

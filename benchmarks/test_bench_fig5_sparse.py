@@ -11,12 +11,12 @@ With thin per-server ownership the paper's two sharpest claims appear:
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig5_ablation import run_fig5_sparse
+from repro.experiments.fig5_ablation import SPARSE
 
 
 @pytest.mark.benchmark(group="fig5")
 def test_fig5_sparse_ownership(benchmark):
-    results = run_once(benchmark, run_fig5_sparse, seed=1)
+    results = run_once(benchmark, SPARSE.run, seed=1)
 
     assert set(results) == {"B", "BC", "BCR"}
     for preset in results:

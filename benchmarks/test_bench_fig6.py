@@ -13,12 +13,12 @@ Paper shapes asserted:
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig6_load import run_fig6
+from repro.experiments.fig6_load import EXPERIMENT
 
 
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_load_balance(benchmark, scale):
-    results = run_once(benchmark, run_fig6, scale=scale, seed=1)
+    results = run_once(benchmark, EXPERIMENT.run, scale=scale, seed=1)
 
     labels = list(results)
     assert labels == ["util0.08", "util0.2", "util0.4"]

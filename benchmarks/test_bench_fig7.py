@@ -14,13 +14,13 @@ Paper shapes asserted:
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig7_levels import run_fig7
+from repro.experiments.fig7_levels import EXPERIMENT
 
 
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_replicas_per_level(benchmark, scale):
     results = run_once(
-        benchmark, run_fig7, scale=scale, utilizations=(0.2, 0.4), seed=1
+        benchmark, EXPERIMENT.run, scale=scale, utilizations=(0.2, 0.4), seed=1
     )
 
     assert set(results) == {"unif@0.2", "uzipf@0.2", "unif@0.4", "uzipf@0.4"}

@@ -14,12 +14,12 @@ Paper shapes asserted:
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig8_stabilization import decay_ratio, run_fig8
+from repro.experiments.fig8_stabilization import EXPERIMENT, decay_ratio
 
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8_stabilization(benchmark, scale):
-    results = run_once(benchmark, run_fig8, scale=scale, seed=1)
+    results = run_once(benchmark, EXPERIMENT.run, scale=scale, seed=1)
 
     assert set(results) == {"unifS", "uzipfS1.00", "unifC", "uzipfC1.00"}
 

@@ -16,12 +16,12 @@ import math
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig9_scalability import run_fig9
+from repro.experiments.fig9_scalability import EXPERIMENT
 
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_scalability(benchmark, scale):
-    results = run_once(benchmark, run_fig9, scale=scale, seed=1)
+    results = run_once(benchmark, EXPERIMENT.run, scale=scale, seed=1)
 
     sizes = list(results)
     assert len(sizes) >= 3

@@ -11,12 +11,12 @@ Asserted shapes with half the servers 2.5x slower:
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.heterogeneity import run_heterogeneity
+from repro.experiments.heterogeneity import EXPERIMENT
 
 
 @pytest.mark.benchmark(group="heterogeneity")
 def test_heterogeneity_adaptation(benchmark, scale):
-    results = run_once(benchmark, run_heterogeneity, scale=scale, seed=1)
+    results = run_once(benchmark, EXPERIMENT.run, scale=scale, seed=1)
 
     homo = results["homogeneous-BCR"]
     bc = results["heterogeneous-BC"]

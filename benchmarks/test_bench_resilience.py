@@ -12,12 +12,12 @@ Paper claims asserted (sections 1, 2.4, 3.1):
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.resilience import run_resilience
+from repro.experiments.resilience import EXPERIMENT
 
 
 @pytest.mark.benchmark(group="resilience")
 def test_resilience_fail_and_recover(benchmark, scale):
-    r = run_once(benchmark, run_resilience, scale=scale, seed=1)
+    r = run_once(benchmark, EXPERIMENT.run, scale=scale, seed=1)
 
     assert r["n_failed"] >= 1
     # healthy before

@@ -12,12 +12,12 @@ Asserted shapes:
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.static_vs_adaptive import run_static_vs_adaptive
+from repro.experiments.static_vs_adaptive import EXPERIMENT
 
 
 @pytest.mark.benchmark(group="static-vs-adaptive")
 def test_static_vs_adaptive(benchmark, scale):
-    results = run_once(benchmark, run_static_vs_adaptive, scale=scale, seed=1)
+    results = run_once(benchmark, EXPERIMENT.run, scale=scale, seed=1)
 
     assert set(results) == {"static", "adaptive", "both"}
 

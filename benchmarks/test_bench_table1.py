@@ -10,12 +10,12 @@ check the population makes sense.
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.table1_state import run_table1
+from repro.experiments.table1_state import EXPERIMENT
 
 
 @pytest.mark.benchmark(group="table1")
 def test_table1_state_audit(benchmark, scale):
-    counts = run_once(benchmark, run_table1, scale=scale, seed=1)
+    counts = run_once(benchmark, EXPERIMENT.run, scale=scale, seed=1)
 
     n_nodes = 2 ** (scale.ns_levels + 1) - 1
     # every node owned exactly once across the system

@@ -10,7 +10,7 @@ and drops scale.
 
 
 from repro.experiments.common import Scale
-from repro.experiments.fig9_scalability import run_fig9
+from repro.experiments.fig9_scalability import EXPERIMENT as FIG9
 
 EXAMPLE = Scale(
     name="tiny", ns_levels=0, nc_nodes=0,  # unused by fig9
@@ -20,7 +20,7 @@ EXAMPLE = Scale(
 
 
 def main() -> None:
-    results = run_fig9(scale=EXAMPLE, duration=9.0, seed=4)
+    results = FIG9.run(EXAMPLE, seed=4, duration=9.0)
     print(f"{'servers':>8} {'nodes':>7} {'rate/s':>8} {'hops':>6} "
           f"{'latency(ms)':>12} {'replications':>13} {'drops':>7}")
     for n, s in results.items():

@@ -1,7 +1,8 @@
 """``python -m repro`` -- run experiments, campaigns, and checks.
 
-* ``python -m repro [fig ...]`` -- the experiment suite
-  (see :mod:`repro.experiments.runner`);
+* ``python -m repro [fig ...]`` -- the experiment suite, run in memory
+  and printed as one combined report
+  (see :func:`repro.experiments.campaign.report`);
 * ``python -m repro run [fig ...] [--jobs N] [--resume] [--no-cache]
   [--out DIR]`` -- the same experiments as a cached, resumable campaign
   writing per-run artifacts (see :mod:`repro.experiments.campaign`);
@@ -44,9 +45,9 @@ def main(argv) -> int:
         from repro.runtime.async_serve import main as serve_main
 
         return serve_main(argv[1:])
-    from repro.experiments.runner import main as runner_main
+    from repro.experiments.campaign import report
 
-    runner_main(argv)
+    report(argv)
     return 0
 
 

@@ -84,7 +84,7 @@ def matrix_to_csv(
 
 
 def fig5_to_csv(fh: TextIO, drop_table: Mapping[str, Mapping[str, float]]) -> None:
-    """Write a ``{preset: {stream: drop}}`` table (run_fig5 output)."""
+    """Write a ``{preset: {stream: drop}}`` table (Fig. 5's drop table)."""
     presets = list(drop_table)
     streams = list(next(iter(drop_table.values())).keys())
     matrix_to_csv(

@@ -18,12 +18,14 @@ every experiment's run list into *data* instead of ad-hoc loops:
   :func:`get_experiment`) behind ``python -m repro`` and
   ``python -m repro run``.
 
-Each experiment module declares an :class:`Experiment`: a *spec
-builder* (parameters -> list of :class:`RunSpec`), an *assembler*
-(stored payloads -> the figure's data structure), and a *renderer*
-(data structure -> printed report).  Every payload is JSON
-round-tripped before assembly, so a cold run, a partially resumed run,
-and a fully cached re-run assemble bit-identical results.
+Each experiment module is one :class:`Experiment` declaration: a
+*point* function (one picklable run), a *grid* (parameters -> one
+``(task, params)`` per run), an *assembler* (stored payloads -> the
+figure's data structure), and a *renderer* (data structure -> printed
+report).  :meth:`Experiment.run` is the one way to run it, in memory or
+against a store.  Every payload is JSON round-tripped before assembly,
+so a cold run, a partially resumed run, and a fully cached re-run
+assemble bit-identical results.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -316,20 +319,9 @@ def run_spec(spec: RunSpec, store_dir: Optional[str] = None) -> Dict[str, Any]:
 
 
 def _call_spec(spec: RunSpec) -> Any:
-    """Raising variant used by the in-memory ``run_*`` entry points."""
+    """Raising variant used by the in-memory :meth:`Experiment.run`."""
     fn = resolve_task(spec.fn)
     return to_jsonable(fn(**dict(spec.params)))
-
-
-def execute_specs(
-    specs: Sequence[RunSpec], workers: Optional[int] = None
-) -> List[Any]:
-    """Run specs in order with no cache; exceptions propagate.
-
-    This is the direct path behind every ``run_*`` function: identical
-    computation to a :class:`Campaign` run, minus the artifact store.
-    """
-    return parallel_map(_call_spec, [dict(spec=s) for s in specs], workers)
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +425,7 @@ class Campaign:
 
         Specs sharing a fingerprint execute once.  Payloads come back
         in spec order regardless of completion order, so campaign runs
-        assemble exactly like direct :func:`execute_specs` runs.
+        assemble exactly like in-memory :meth:`Experiment.run` runs.
         """
         t0 = time.perf_counter()
         specs = list(specs)
@@ -504,26 +496,90 @@ class Campaign:
 # Experiment registry
 # ----------------------------------------------------------------------
 
+def pairs(specs: Sequence[RunSpec], payloads: Sequence[Any]) -> Dict[Any, Any]:
+    """The default assembler: ``{key: value}`` from ``(key, value)`` payloads."""
+    return dict(payloads)
+
+
+def nested(
+    specs: Sequence[RunSpec], payloads: Sequence[Any]
+) -> Dict[Any, Dict[Any, Any]]:
+    """``{outer: {inner: value}}`` from ``(outer, inner, value)`` payloads."""
+    out: Dict[Any, Dict[Any, Any]] = {}
+    for outer, inner, value in payloads:
+        out.setdefault(outer, {})[inner] = value
+    return out
+
+
+def only(specs: Sequence[RunSpec], payloads: Sequence[Any]) -> Any:
+    """The assembler of a single-run experiment: its one payload."""
+    (payload,) = payloads
+    return payload
+
+
 @dataclasses.dataclass(frozen=True)
 class Experiment:
-    """One registered experiment: declarative specs in, report out.
+    """One experiment, declared once: its point, its grid, its report.
 
     Attributes:
         name: registry key (also the CLI argument).
         title: one-line description shown by the CLI.
-        specs: builder ``(scale, seed, **kw) -> List[RunSpec]``.
+        point: the picklable task unit; a run executes ``point(**params)``.
+        grid: ``(scale, seed, **kw) -> [(task, params), ...]``, one entry
+            per run, ``task`` unique within the experiment.
+        render: prints the combined-report block for an assembled
+            result (exactly what ``python -m repro <name>`` shows).
         assemble: ``(specs, payloads) -> result`` -- rebuilds the
             figure's data structure from stored payloads (in spec
             order); must only use spec params and payload contents.
-        render: prints the combined-report block for an assembled
-            result (exactly what ``python -m repro <name>`` shows).
     """
 
     name: str
     title: str
-    specs: Callable[..., List[RunSpec]]
-    assemble: Callable[[Sequence[RunSpec], Sequence[Any]], Any]
+    point: Callable[..., Any]
+    grid: Callable[..., Iterable[Tuple[str, Dict[str, Any]]]]
     render: Callable[[Any], None]
+    assemble: Callable[[Sequence[RunSpec], Sequence[Any]], Any] = pairs
+
+    def specs(self, scale, seed: int = 0, **kw: Any) -> List[RunSpec]:
+        """The experiment's run list at ``scale``."""
+        fn = f"{self.point.__module__}:{self.point.__qualname__}"
+        return [
+            RunSpec(self.name, task, fn, params)
+            for task, params in self.grid(scale, seed, **kw)
+        ]
+
+    def run(
+        self,
+        scale=None,
+        seed: Optional[int] = None,
+        store: Optional[ResultStore] = None,
+        workers: Optional[int] = None,
+        use_cache: bool = True,
+        **kw: Any,
+    ) -> Any:
+        """Build, execute, and assemble the experiment.
+
+        ``scale`` and ``seed`` default to ``$REPRO_SCALE`` /
+        ``$REPRO_SEED``; ``kw`` reaches :attr:`grid`.  With no
+        ``store`` the runs execute in memory and a failing run raises;
+        with a store this is a cached, resumable campaign (failures
+        raise after bounded retries).
+        """
+        from repro.experiments.common import get_scale, get_seed
+
+        specs = self.specs(scale or get_scale(), seed=get_seed(seed), **kw)
+        if store is None:
+            payloads = parallel_map(
+                _call_spec, [dict(spec=s) for s in specs], workers
+            )
+        else:
+            result = Campaign(
+                store=store, workers=workers, use_cache=use_cache
+            ).run(specs)
+            result.raise_on_failure()
+            payloads = result.payloads
+        return self.assemble(specs, payloads)
 
 
 _MODULES: Dict[str, str] = {
@@ -560,41 +616,35 @@ def get_experiment(name: str) -> Experiment:
     return importlib.import_module(mod_name).EXPERIMENT
 
 
-def run_experiment(
-    name: str,
-    scale=None,
-    seed: Optional[int] = None,
-    store: Optional[ResultStore] = None,
-    workers: Optional[int] = None,
-    use_cache: bool = True,
-    **spec_kwargs: Any,
-) -> Any:
-    """Build, execute, and assemble one experiment.
+# ----------------------------------------------------------------------
+# CLI: python -m repro [experiments...] and python -m repro run ...
+# ----------------------------------------------------------------------
 
-    With no ``store`` this is the plain in-memory path every ``run_*``
-    function uses; with a store it becomes a cached, resumable campaign
-    (failures raise after bounded retries).
+def report(argv: List[str]) -> None:
+    """``python -m repro [exp ...]`` -- print the combined report.
+
+    Runs the requested experiments (default: all) in memory at
+    ``$REPRO_SCALE`` under ``$REPRO_SEED``, one block per experiment,
+    each followed by its wall time.
     """
-    from repro.experiments.common import get_scale, get_seed
+    from repro.experiments.common import get_scale
 
-    exp = get_experiment(name)
-    scale = scale or get_scale()
-    seed = get_seed(seed)
-    specs = exp.specs(scale, seed=seed, **spec_kwargs)
-    if store is None:
-        payloads = execute_specs(specs, workers=workers)
-    else:
-        result = Campaign(
-            store=store, workers=workers, use_cache=use_cache
-        ).run(specs)
-        result.raise_on_failure()
-        payloads = result.payloads
-    return exp.assemble(specs, payloads)
+    wanted = argv or list(EXPERIMENT_NAMES)
+    unknown = [w for w in wanted if w not in _MODULES]
+    if unknown:
+        raise SystemExit(
+            f"unknown experiments {unknown}; choose from {list(_MODULES)}"
+        )
+    scale = get_scale()
+    print(f"scale={scale.name}  servers={scale.n_servers}  "
+          f"N_S=2^{scale.ns_levels + 1}-1 nodes  N_C={scale.nc_nodes} nodes")
+    for name in wanted:
+        t0 = time.perf_counter()
+        print(f"\n=== {name} ===")
+        exp = get_experiment(name)
+        exp.render(exp.run(scale))
+        print(f"  [{time.perf_counter() - t0:.1f}s]")
 
-
-# ----------------------------------------------------------------------
-# CLI: python -m repro run <experiments...>
-# ----------------------------------------------------------------------
 
 def main(argv: List[str]) -> int:
     """``python -m repro run [exp ...] [--jobs N] [--resume] [--no-cache]

@@ -15,20 +15,11 @@ landing on a server that no longer hosts the node it was selected for.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict
 
 from repro.analysis.summary import run_summary
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
-from repro.experiments.common import (
-    Scale,
-    build,
-    get_scale,
-    get_seed,
-    make_ns,
-    rate_for_utilization,
-    run_workload,
-)
-from repro.workload.streams import cuzipf_stream
+from repro.experiments.campaign import Experiment, nested
+from repro.experiments.common import Scale, run_point
 
 RFACTS = (0.125, 0.25, 0.5)
 MODES = ("digests", "no-digests", "oracle")
@@ -36,76 +27,24 @@ MODES = ("digests", "no-digests", "oracle")
 
 def churn_cell(scale, spec, rfact: float, mode: str, seed: int) -> tuple:
     """One (rfact, mode) run of the churn study -- picklable task unit."""
-    ns = make_ns(scale)
     overrides = dict(rfact=rfact)
     if mode == "no-digests":
         overrides["digests_enabled"] = False
     elif mode == "oracle":
         overrides["oracle_maps"] = True
-    system = build(ns, scale, preset="BCR", seed=seed, **overrides)
-    run_workload(system, spec, drain=scale.drain)
+    system = run_point(scale, spec, seed=seed, **overrides)
     return rfact, mode, run_summary(system)
 
 
-def churn_specs(
-    scale: Scale,
-    seed: int = 0,
-    rfacts=RFACTS,
-    modes=MODES,
-    utilization: float = 0.4,
-    alpha: float = 1.5,
-) -> List[RunSpec]:
-    """Declare the churn study's run list: one spec per (rfact, mode)."""
-    rate = rate_for_utilization(
-        utilization, scale.n_servers, hops_estimate=scale.hops_estimate
-    )
-    stream = cuzipf_stream(
-        rate, alpha, warmup=scale.warmup, phase=scale.phase,
-        n_phases=scale.n_phases, seed=seed,
-    )
-    return [
-        RunSpec(
-            experiment="churn",
-            task=f"rfact{rfact:g}:{mode}",
-            fn="repro.experiments.churn_digests:churn_cell",
-            params=dict(scale=scale, spec=stream, rfact=rfact, mode=mode,
-                        seed=seed),
-        )
-        for rfact in rfacts
-        for mode in modes
-    ]
-
-
-def assemble_churn(
-    specs: Sequence[RunSpec], payloads: Sequence[Any]
-) -> Dict[float, Dict[str, Dict[str, float]]]:
-    """Rebuild ``{rfact: {mode: summary}}`` from run payloads."""
-    results: Dict[float, Dict[str, Dict[str, float]]] = {
-        r: {} for r in dict.fromkeys(s.params["rfact"] for s in specs)
-    }
-    for rfact, mode, summary in payloads:
-        results[rfact][mode] = summary
-    return results
-
-
-def run_churn(
-    scale: Optional[Scale] = None,
-    rfacts=RFACTS,
-    modes=MODES,
-    utilization: float = 0.4,
-    alpha: float = 1.5,
-    seed: Optional[int] = None,
-) -> Dict[float, Dict[str, Dict[str, float]]]:
-    """Reproduce the section 4.4 churn study.
-
-    Returns:
-        ``{rfact: {mode: summary}}`` where each summary includes
-        ``stale_hop_rate`` and ``drop_fraction``.
-    """
-    scale = scale or get_scale()
-    specs = churn_specs(scale, seed=get_seed(seed), rfacts=rfacts,
-                        modes=modes, utilization=utilization, alpha=alpha)
-    return assemble_churn(specs, execute_specs(specs))
+def churn_grid(scale: Scale, seed: int, rfacts=RFACTS, modes=MODES,
+               utilization: float = 0.4, alpha: float = 1.5):
+    """One run per (rfact, mode), all on one cuzipf stream."""
+    stream = scale.stream(scale.rate(utilization), alpha, seed)
+    for rfact in rfacts:
+        for mode in modes:
+            yield f"rfact{rfact:g}:{mode}", dict(
+                scale=scale, spec=stream, rfact=rfact, mode=mode, seed=seed,
+            )
 
 
 def render_churn(results: Dict[float, Dict[str, Dict[str, float]]]) -> None:
@@ -121,22 +60,10 @@ def render_churn(results: Dict[float, Dict[str, Dict[str, float]]]) -> None:
 EXPERIMENT = Experiment(
     name="churn",
     title="digests vs oracle routing accuracy under replica churn",
-    specs=churn_specs,
-    assemble=assemble_churn,
+    point=churn_cell,
+    grid=churn_grid,
     render=render_churn,
+    assemble=nested,
 )
-
-
-def main() -> None:  # pragma: no cover
-    results = run_churn()
-    print("Section 4.4 -- routing accuracy under churn (stale-hop rate)")
-    print(f"{'rfact':>7} " + " ".join(f"{m:>12}" for m in MODES))
-    for rfact, per_mode in results.items():
-        row = " ".join(
-            f"{per_mode[m]['stale_hop_rate']:12.4f}" for m in MODES
-        )
-        print(f"{rfact:>7} {row}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+"""``{rfact: {mode: run_summary}}``; each summary carries
+``stale_hop_rate`` and ``drop_fraction``."""

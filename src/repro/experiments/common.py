@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
@@ -30,7 +30,7 @@ from repro.cluster.system import System
 from repro.namespace.generators import balanced_tree, coda_like_tree
 from repro.namespace.tree import Namespace
 from repro.workload.arrivals import WorkloadDriver
-from repro.workload.streams import WorkloadSpec
+from repro.workload.streams import WorkloadSpec, cuzipf_stream, unif_stream
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,6 +81,26 @@ class Scale:
     def smooth_window(self) -> int:
         """Fig. 6 right-panel smoothing window (paper: 11 s at phase 50)."""
         return max(3, int(round(self.phase * 11.0 / 50.0)) | 1)
+
+    def rate(self, util: float) -> float:
+        """The arrival rate that loads this scale's fleet to ``util``."""
+        return rate_for_utilization(
+            util, self.n_servers, hops_estimate=self.hops_estimate
+        )
+
+    def stream(self, rate: float, alpha: float, seed: int) -> WorkloadSpec:
+        """The standard stream: ``cuzipf{alpha}``, or ``unif`` at alpha 0.
+
+        Both last ``warmup + n_phases * phase`` seconds.
+        """
+        if alpha == 0.0:
+            return unif_stream(
+                rate, self.warmup + self.n_phases * self.phase, seed=seed
+            )
+        return cuzipf_stream(
+            rate, alpha, warmup=self.warmup, phase=self.phase,
+            n_phases=self.n_phases, seed=seed,
+        )
 
 
 TINY = Scale(
@@ -167,6 +187,14 @@ def make_nc(scale: Scale) -> Namespace:
     return coda_like_tree(n_nodes=scale.nc_nodes)
 
 
+PRESET_CONFIGS = {
+    "B": SystemConfig.base,
+    "BC": SystemConfig.caching,
+    "BCR": SystemConfig.replicated,
+}
+"""The Fig. 5 presets: base, +caching, +caching and replication."""
+
+
 def build(
     ns: Namespace,
     scale: Scale,
@@ -175,11 +203,7 @@ def build(
     **overrides,
 ) -> System:
     """Build a system under one of the Fig. 5 presets (B, BC, BCR)."""
-    factory = {
-        "B": SystemConfig.base,
-        "BC": SystemConfig.caching,
-        "BCR": SystemConfig.replicated,
-    }[preset]
+    factory = PRESET_CONFIGS[preset]
     merged = dict(
         n_servers=scale.n_servers,
         seed=seed,
@@ -201,9 +225,46 @@ def run_workload(
     return driver
 
 
+def run_point(
+    scale: Scale,
+    spec: WorkloadSpec,
+    namespace: str = "S",
+    preset: str = "BCR",
+    seed: int = 0,
+    **overrides,
+) -> System:
+    """One experiment point: build on N_S or N_C, drive ``spec``, drain.
+
+    Returns the drained system for the point function to summarise.
+    """
+    ns = make_ns(scale) if namespace == "S" else make_nc(scale)
+    system = build(ns, scale, preset=preset, seed=seed, **overrides)
+    run_workload(system, spec, drain=scale.drain)
+    return system
+
+
 ZIPF_ORDERS: Tuple[float, ...] = (0.75, 1.00, 1.25, 1.50)
 """The Zipf orders the paper sweeps ("covering the whole domain of
 interest: 0.75, 1.00, 1.25, and 1.50 for heavily skewed requests")."""
 
 UTILIZATION_TARGETS: Tuple[float, ...] = (0.08, 0.2, 0.4)
 """The three utilisation factors of section 4.3."""
+
+
+def staggered_streams(scale: Scale, rate: float, seed: int) -> List[WorkloadSpec]:
+    """Figs. 3 and 4's streams: ``unif``, then one cuzipf per Zipf order.
+
+    The paper lets the unif prefix "run longer in increments" per Zipf
+    order so the reshuffle spikes of the curves interleave; every
+    stream lasts as long as the ``unif`` one.
+    """
+    stagger = scale.warmup / 5.0
+    duration = scale.warmup + 4 * stagger + scale.n_phases * scale.phase
+    return [unif_stream(rate, duration, seed=seed, name="unif")] + [
+        cuzipf_stream(
+            rate, alpha, warmup=scale.warmup + (i + 1) * stagger,
+            phase=scale.phase, n_phases=scale.n_phases, seed=seed,
+            name=f"uzipf{alpha:.2f}",
+        )
+        for i, alpha in enumerate(ZIPF_ORDERS)
+    ]

@@ -11,21 +11,12 @@ the replication protocol adapts.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.analysis.series import drop_fraction_series
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
-from repro.experiments.common import (
-    Scale,
-    ZIPF_ORDERS,
-    build,
-    get_scale,
-    get_seed,
-    make_ns,
-    rate_for_utilization,
-    run_workload,
-)
-from repro.workload.streams import WorkloadSpec, cuzipf_stream, unif_stream
+from repro.experiments.campaign import Experiment
+from repro.experiments.common import Scale, run_point, staggered_streams
+from repro.workload.streams import WorkloadSpec
 
 
 def fig3_stream(
@@ -37,79 +28,19 @@ def fig3_stream(
     seed: int,
 ) -> tuple:
     """One stream of Fig. 3 -- picklable task unit."""
-    ns = make_ns(scale)
-    system = build(ns, scale, preset=preset, seed=seed)
-    run_workload(system, spec, drain=scale.drain)
+    system = run_point(scale, spec, preset=preset, seed=seed)
     return spec.name, drop_fraction_series(system, rate, n_bins)
 
 
-def fig3_specs(
-    scale: Scale,
-    seed: int = 0,
-    utilization: float = 0.4,
-    preset: str = "BCR",
-) -> List[RunSpec]:
-    """Declare Fig. 3's run list: one spec per query stream."""
-    rate = rate_for_utilization(
-        utilization, scale.n_servers, hops_estimate=scale.hops_estimate
-    )
-    stagger = scale.warmup / 5.0
-    duration = scale.warmup + 4 * stagger + scale.n_phases * scale.phase
-
-    streams: List[WorkloadSpec] = [
-        unif_stream(rate, duration, seed=seed, name="unif")
-    ]
-    for i, alpha in enumerate(ZIPF_ORDERS):
-        # the paper lets the unif prefix "run longer in increments" per
-        # Zipf order so the reshuffle spikes of the curves interleave
-        streams.append(
-            cuzipf_stream(
-                rate,
-                alpha,
-                warmup=scale.warmup + (i + 1) * stagger,
-                phase=scale.phase,
-                n_phases=scale.n_phases,
-                seed=seed,
-                name=f"uzipf{alpha:.2f}",
-            )
-        )
-
-    n_bins = int(duration) + 1
-    return [
-        RunSpec(
-            experiment="fig3",
-            task=stream.name,
-            fn="repro.experiments.fig3_drops:fig3_stream",
-            params=dict(scale=scale, spec=stream, rate=rate, n_bins=n_bins,
-                        preset=preset, seed=seed),
-        )
-        for stream in streams
-    ]
-
-
-def assemble_fig3(
-    specs: Sequence[RunSpec], payloads: Sequence[Any]
-) -> Dict[str, List[float]]:
-    """Rebuild the ``{stream: series}`` mapping from run payloads."""
-    return {name: series for name, series in payloads}
-
-
-def run_fig3(
-    scale: Optional[Scale] = None,
-    utilization: float = 0.4,
-    seed: Optional[int] = None,
-    preset: str = "BCR",
-) -> Dict[str, List[float]]:
-    """Reproduce Fig. 3's per-second drop-fraction series.
-
-    Returns:
-        Mapping from stream label (``unif``, ``uzipf0.75``...) to the
-        per-second fraction of dropped queries relative to the rate.
-    """
-    scale = scale or get_scale()
-    specs = fig3_specs(scale, seed=get_seed(seed), utilization=utilization,
-                       preset=preset)
-    return assemble_fig3(specs, execute_specs(specs))
+def fig3_grid(scale: Scale, seed: int, utilization: float = 0.4,
+              preset: str = "BCR"):
+    """One run per query stream."""
+    rate = scale.rate(utilization)
+    streams = staggered_streams(scale, rate, seed)
+    n_bins = int(streams[0].duration) + 1
+    for stream in streams:
+        yield stream.name, dict(scale=scale, spec=stream, rate=rate,
+                                n_bins=n_bins, preset=preset, seed=seed)
 
 
 def render_fig3(results: Dict[str, List[float]]) -> None:
@@ -125,10 +56,12 @@ def render_fig3(results: Dict[str, List[float]]) -> None:
 EXPERIMENT = Experiment(
     name="fig3",
     title="fraction of queries dropped every second over time (N_S)",
-    specs=fig3_specs,
-    assemble=assemble_fig3,
+    point=fig3_stream,
+    grid=fig3_grid,
     render=render_fig3,
 )
+"""``{stream: per-second drop fraction vs rate}``; streams ``unif``,
+``uzipf0.75`` .. ``uzipf1.50``."""
 
 
 def reshuffle_times(scale: Scale, alpha_index: int) -> List[float]:
@@ -136,15 +69,3 @@ def reshuffle_times(scale: Scale, alpha_index: int) -> List[float]:
     stagger = scale.warmup / 5.0
     start = scale.warmup + (alpha_index + 1) * stagger
     return [start + i * scale.phase for i in range(1, scale.n_phases)]
-
-
-def main() -> None:  # pragma: no cover - exercised via examples
-    from repro.experiments.report import print_series_table
-
-    results = run_fig3()
-    print("Fig. 3 -- fraction of queries dropped every second (vs rate)")
-    print_series_table(results, bin_label="t(s)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

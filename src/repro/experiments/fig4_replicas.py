@@ -8,21 +8,12 @@ reshuffle, decaying as coverage is reached.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.analysis.series import replica_fraction_series
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
-from repro.experiments.common import (
-    Scale,
-    ZIPF_ORDERS,
-    build,
-    get_scale,
-    get_seed,
-    make_nc,
-    rate_for_utilization,
-    run_workload,
-)
-from repro.workload.streams import WorkloadSpec, cuzipf_stream, unif_stream
+from repro.experiments.campaign import Experiment
+from repro.experiments.common import Scale, run_point, staggered_streams
+from repro.workload.streams import WorkloadSpec
 
 
 def fig4_stream(
@@ -33,73 +24,18 @@ def fig4_stream(
     seed: int,
 ) -> tuple:
     """One stream of Fig. 4 -- picklable task unit."""
-    ns = make_nc(scale)
-    system = build(ns, scale, preset="BCR", seed=seed)
-    run_workload(system, spec, drain=scale.drain)
+    system = run_point(scale, spec, namespace="C", seed=seed)
     return spec.name, replica_fraction_series(system, rate, n_bins)
 
 
-def fig4_specs(
-    scale: Scale,
-    seed: int = 0,
-    utilization: float = 0.4,
-) -> List[RunSpec]:
-    """Declare Fig. 4's run list: one spec per query stream (on N_C)."""
-    rate = rate_for_utilization(
-        utilization, scale.n_servers, hops_estimate=scale.hops_estimate
-    )
-    stagger = scale.warmup / 5.0
-    duration = scale.warmup + 4 * stagger + scale.n_phases * scale.phase
-    streams: List[WorkloadSpec] = [
-        unif_stream(rate, duration, seed=seed, name="unif")
-    ]
-    for i, alpha in enumerate(ZIPF_ORDERS):
-        streams.append(
-            cuzipf_stream(
-                rate,
-                alpha,
-                warmup=scale.warmup + (i + 1) * stagger,
-                phase=scale.phase,
-                n_phases=scale.n_phases,
-                seed=seed,
-                name=f"uzipf{alpha:.2f}",
-            )
-        )
-
-    n_bins = int(duration) + 1
-    return [
-        RunSpec(
-            experiment="fig4",
-            task=stream.name,
-            fn="repro.experiments.fig4_replicas:fig4_stream",
-            params=dict(scale=scale, spec=stream, rate=rate, n_bins=n_bins,
-                        seed=seed),
-        )
-        for stream in streams
-    ]
-
-
-def assemble_fig4(
-    specs: Sequence[RunSpec], payloads: Sequence[Any]
-) -> Dict[str, List[float]]:
-    """Rebuild the ``{stream: series}`` mapping from run payloads."""
-    return {name: series for name, series in payloads}
-
-
-def run_fig4(
-    scale: Optional[Scale] = None,
-    utilization: float = 0.4,
-    seed: Optional[int] = None,
-) -> Dict[str, List[float]]:
-    """Reproduce Fig. 4's per-second replica-creation series on N_C.
-
-    Returns:
-        Mapping from stream label to replicas created per second
-        relative to the insertion rate.
-    """
-    scale = scale or get_scale()
-    specs = fig4_specs(scale, seed=get_seed(seed), utilization=utilization)
-    return assemble_fig4(specs, execute_specs(specs))
+def fig4_grid(scale: Scale, seed: int, utilization: float = 0.4):
+    """One run per query stream (on N_C)."""
+    rate = scale.rate(utilization)
+    streams = staggered_streams(scale, rate, seed)
+    n_bins = int(streams[0].duration) + 1
+    for stream in streams:
+        yield stream.name, dict(scale=scale, spec=stream, rate=rate,
+                                n_bins=n_bins, seed=seed)
 
 
 def render_fig4(results: Dict[str, List[float]]) -> None:
@@ -115,19 +51,8 @@ def render_fig4(results: Dict[str, List[float]]) -> None:
 EXPERIMENT = Experiment(
     name="fig4",
     title="replicas created every second over time (N_C)",
-    specs=fig4_specs,
-    assemble=assemble_fig4,
+    point=fig4_stream,
+    grid=fig4_grid,
     render=render_fig4,
 )
-
-
-def main() -> None:  # pragma: no cover
-    from repro.experiments.report import print_series_table
-
-    results = run_fig4()
-    print("Fig. 4 -- replicas created every second (vs rate), namespace N_C")
-    print_series_table(results, bin_label="t(s)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+"""``{stream: replicas created per second vs rate}``."""

@@ -14,22 +14,20 @@ across cores (see :mod:`repro.experiments.parallel`).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.summary import run_summary
-from repro.cluster.config import SystemConfig
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
+from repro.cluster.builder import build_system
+from repro.experiments.campaign import Experiment, nested
 from repro.experiments.common import (
+    PRESET_CONFIGS,
     Scale,
     ZIPF_ORDERS,
-    build,
-    get_scale,
-    get_seed,
-    make_nc,
-    make_ns,
     rate_for_utilization,
-    run_workload,
+    run_point,
 )
+from repro.namespace.generators import balanced_tree
+from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import cuzipf_stream, unif_stream
 
 PRESETS = ("B", "BC", "BCR")
@@ -54,147 +52,35 @@ def fig5_cell(
     seed: int,
 ) -> Tuple[str, str, Dict[str, float]]:
     """One (preset, stream) cell of Fig. 5 -- picklable task unit."""
-    ns = make_ns(scale) if ns_kind == "S" else make_nc(scale)
-    rate = rate_for_utilization(
-        utilization, scale.n_servers, hops_estimate=scale.hops_estimate
-    )
-    duration = scale.warmup + scale.n_phases * scale.phase
-    if alpha == 0.0:
-        spec = unif_stream(rate, duration, seed=seed)
-    else:
-        spec = cuzipf_stream(
-            rate, alpha, warmup=scale.warmup, phase=scale.phase,
-            n_phases=scale.n_phases, seed=seed,
-        )
-    system = build(ns, scale, preset=preset, seed=seed)
-    run_workload(system, spec, drain=scale.drain)
+    spec = scale.stream(scale.rate(utilization), alpha, seed)
+    system = run_point(scale, spec, namespace=ns_kind, preset=preset,
+                       seed=seed)
     return preset, label, run_summary(system)
 
 
-def fig5_specs(
-    scale: Scale,
-    seed: int = 0,
-    utilization: float = 0.4,
-    presets=PRESETS,
-) -> List[RunSpec]:
-    """Declare Fig. 5's run list: one spec per (preset, stream) cell."""
-    return [
-        RunSpec(
-            experiment="fig5",
-            task=f"{preset}:{label}",
-            fn="repro.experiments.fig5_ablation:fig5_cell",
-            params=dict(
+def fig5_grid(scale: Scale, seed: int, utilization: float = 0.4,
+              presets=PRESETS):
+    """One run per (preset, stream) cell."""
+    for preset in presets:
+        for label, kind, alpha in STREAMS:
+            yield f"{preset}:{label}", dict(
                 scale=scale, preset=preset, label=label, ns_kind=kind,
                 alpha=alpha, utilization=utilization, seed=seed,
-            ),
-        )
-        for preset in presets
-        for (label, kind, alpha) in STREAMS
-    ]
-
-
-def assemble_fig5(
-    specs: Sequence[RunSpec], payloads: Sequence[Any]
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Rebuild ``{preset: {stream: summary}}`` from run payloads."""
-    results: Dict[str, Dict[str, Dict[str, float]]] = {
-        p: {} for p in dict.fromkeys(s.params["preset"] for s in specs)
-    }
-    for preset, label, summary in payloads:
-        results[preset][label] = summary
-    return results
-
-
-def run_fig5(
-    scale: Optional[Scale] = None,
-    utilization: float = 0.4,
-    seed: Optional[int] = None,
-    presets=PRESETS,
-    workers: Optional[int] = None,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Reproduce Fig. 5.
-
-    Returns:
-        ``{preset: {stream: run_summary_dict}}`` -- the drop fractions
-        inside are what the paper's bar chart plots.
-    """
-    scale = scale or get_scale()
-    specs = fig5_specs(scale, seed=get_seed(seed), utilization=utilization,
-                       presets=presets)
-    return assemble_fig5(specs, execute_specs(specs, workers=workers))
-
-
-def run_fig5_sparse(
-    n_servers: int = 256,
-    levels: int = 10,
-    utilization: float = 0.3,
-    duration: float = 20.0,
-    seed: int = 1,
-    presets=PRESETS,
-    alphas=(0.0, 1.25),
-) -> Dict[str, Dict[str, float]]:
-    """Fig. 5 on N_S with *sparse* ownership (8 nodes per server).
-
-    The paper's two sharpest Fig. 5 effects need thin per-server
-    ownership (1,000 servers for 32,767 nodes) to show: (i) the base
-    system drops a large fraction of queries from the hierarchical
-    bottleneck alone, and (ii) caching *aggravates* N_S -- cached
-    pointers to the top of the tree concentrate traffic onto those
-    nodes' owners.  At the dense tiny/small scales those owners also
-    own dozens of other nodes and absorb the load, so this entry point
-    rebuilds the paper's ownership ratio directly (compare Fig. 9's
-    8-nodes-per-server setup).
-
-    Returns:
-        ``{preset: {stream: drop_fraction}}``.
-    """
-    from repro.cluster.builder import build_system
-    from repro.namespace.generators import balanced_tree
-    from repro.workload.arrivals import WorkloadDriver
-
-    ns = balanced_tree(levels=levels)
-    rate = rate_for_utilization(utilization, n_servers, hops_estimate=5.0)
-    results: Dict[str, Dict[str, float]] = {}
-    factories = {
-        "B": SystemConfig.base,
-        "BC": SystemConfig.caching,
-        "BCR": SystemConfig.replicated,
-    }
-    for preset in presets:
-        per_stream: Dict[str, float] = {}
-        for alpha in alphas:
-            label = "unifS" if alpha == 0.0 else f"uzipfS{alpha:.2f}"
-            cfg = factories[preset](
-                n_servers=n_servers, seed=seed, cache_slots=12,
-                digest_probe_limit=1,
             )
-            system = build_system(ns, cfg)
-            if alpha == 0.0:
-                spec = unif_stream(rate, duration, seed=seed)
-            else:
-                spec = cuzipf_stream(
-                    rate, alpha, warmup=duration / 2, phase=duration / 4,
-                    n_phases=2, seed=seed,
-                )
-            WorkloadDriver(system, spec).run(extra_time=3.0)
-            per_stream[label] = system.stats.drop_fraction
-        results[preset] = per_stream
-    return results
 
 
 def drop_table(results) -> Dict[str, Dict[str, float]]:
-    """Collapse :func:`run_fig5` output to ``{preset: {stream: drop%}}``."""
+    """Collapse Fig. 5's result to ``{preset: {stream: drop fraction}}``."""
     return {
         preset: {s: summ["drop_fraction"] for s, summ in streams.items()}
         for preset, streams in results.items()
     }
 
 
-def render_fig5(results: Dict[str, Dict[str, Dict[str, float]]]) -> None:
-    """The combined-report block (``python -m repro fig5``)."""
+def print_drops(table: Dict[str, Dict[str, float]]) -> None:
+    """A ``{preset: {stream: drop fraction}}`` table as a matrix."""
     from repro.experiments.report import format_matrix
 
-    table = drop_table(results)
     streams = list(next(iter(table.values())).keys())
     print(format_matrix(
         row_labels=list(table),
@@ -204,28 +90,81 @@ def render_fig5(results: Dict[str, Dict[str, Dict[str, float]]]) -> None:
     ))
 
 
+def render_fig5(results: Dict[str, Dict[str, Dict[str, float]]]) -> None:
+    """The combined-report block (``python -m repro fig5``)."""
+    print_drops(drop_table(results))
+
+
 EXPERIMENT = Experiment(
     name="fig5",
     title="dropped queries: base (B) vs +caching (BC) vs +replication (BCR)",
-    specs=fig5_specs,
-    assemble=assemble_fig5,
+    point=fig5_cell,
+    grid=fig5_grid,
     render=render_fig5,
+    assemble=nested,
 )
+"""``{preset: {stream: run_summary}}``; the drop fractions inside are
+what the paper's bar chart plots."""
 
 
-def main() -> None:  # pragma: no cover
-    from repro.experiments.report import print_matrix
-
-    results = run_fig5()
-    print("Fig. 5 -- fraction of dropped queries (B / BC / BCR)")
-    table = drop_table(results)
-    streams = list(next(iter(table.values())).keys())
-    print_matrix(
-        row_labels=list(table.keys()),
-        col_labels=streams,
-        values=[[table[p][s] for s in streams] for p in table],
+def sparse_cell(
+    n_servers: int,
+    levels: int,
+    preset: str,
+    alpha: float,
+    utilization: float,
+    duration: float,
+    seed: int,
+) -> Tuple[str, str, float]:
+    """One (preset, stream) cell at sparse ownership -- task unit."""
+    cfg = PRESET_CONFIGS[preset](
+        n_servers=n_servers, seed=seed, cache_slots=12, digest_probe_limit=1,
     )
+    system = build_system(balanced_tree(levels=levels), cfg)
+    rate = rate_for_utilization(utilization, n_servers, hops_estimate=5.0)
+    if alpha == 0.0:
+        label, spec = "unifS", unif_stream(rate, duration, seed=seed)
+    else:
+        label = f"uzipfS{alpha:.2f}"
+        spec = cuzipf_stream(
+            rate, alpha, warmup=duration / 2, phase=duration / 4,
+            n_phases=2, seed=seed,
+        )
+    WorkloadDriver(system, spec).run(extra_time=3.0)
+    return preset, label, system.stats.drop_fraction
 
 
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def sparse_grid(scale, seed: int, n_servers: int = 256, levels: int = 10,
+                utilization: float = 0.3, duration: float = 20.0,
+                presets=PRESETS, alphas=(0.0, 1.25)):
+    """One run per (preset, alpha); ``scale`` is not used."""
+    for preset in presets:
+        for alpha in alphas:
+            yield f"{preset}:{alpha:g}", dict(
+                n_servers=n_servers, levels=levels, preset=preset,
+                alpha=alpha, utilization=utilization, duration=duration,
+                seed=seed,
+            )
+
+
+SPARSE = Experiment(
+    name="fig5_sparse",
+    title="Fig. 5 on N_S at the paper's ownership ratio (8 nodes/server)",
+    point=sparse_cell,
+    grid=sparse_grid,
+    render=print_drops,
+    assemble=nested,
+)
+"""Fig. 5 on N_S with *sparse* ownership: ``{preset: {stream: drop
+fraction}}``.
+
+The paper's two sharpest Fig. 5 effects need thin per-server ownership
+(1,000 servers for 32,767 nodes) to show: (i) the base system drops a
+large fraction of queries from the hierarchical bottleneck alone, and
+(ii) caching *aggravates* N_S -- cached pointers to the top of the tree
+concentrate traffic onto those nodes' owners.  At the dense tiny/small
+scales those owners also own dozens of other nodes and absorb the load,
+so this variant rebuilds the paper's ownership ratio directly (compare
+Fig. 9's 8-nodes-per-server setup) and ignores the scale.  It is not in
+the combined report.
+"""

@@ -9,56 +9,29 @@ load balance defined over larger intervals approaches the mean.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.analysis.series import load_series
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
-from repro.experiments.common import (
-    Scale,
-    UTILIZATION_TARGETS,
-    build,
-    get_scale,
-    get_seed,
-    make_ns,
-    rate_for_utilization,
-    run_workload,
-)
+from repro.experiments.campaign import Experiment, RunSpec
+from repro.experiments.common import Scale, UTILIZATION_TARGETS, run_point
 from repro.sim.stats import WindowAverager
-from repro.workload.streams import cuzipf_stream
 
 
 def fig6_point(scale: Scale, util: float, alpha: float, seed: int) -> tuple:
     """One utilisation point of Fig. 6 -- picklable task unit."""
-    ns = make_ns(scale)
-    rate = rate_for_utilization(
-        util, scale.n_servers, hops_estimate=scale.hops_estimate
-    )
-    spec = cuzipf_stream(
-        rate, alpha, warmup=scale.warmup, phase=scale.phase,
-        n_phases=scale.n_phases, seed=seed,
-    )
-    system = build(ns, scale, preset="BCR", seed=seed)
-    run_workload(system, spec, drain=scale.drain)
+    rate = scale.rate(util)
+    spec = scale.stream(rate, alpha, seed)
+    system = run_point(scale, spec, seed=seed)
     mean, mx = load_series(system, n_bins=int(spec.duration) + 1)
     return util, rate, mean, mx
 
 
-def fig6_specs(
-    scale: Scale,
-    seed: int = 0,
-    utilizations=UTILIZATION_TARGETS,
-    alpha: float = 1.0,
-) -> List[RunSpec]:
-    """Declare Fig. 6's run list: one spec per utilisation target."""
-    return [
-        RunSpec(
-            experiment="fig6",
-            task=f"util{util:g}",
-            fn="repro.experiments.fig6_load:fig6_point",
-            params=dict(scale=scale, util=util, alpha=alpha, seed=seed),
-        )
-        for util in utilizations
-    ]
+def fig6_grid(scale: Scale, seed: int, utilizations=UTILIZATION_TARGETS,
+              alpha: float = 1.0):
+    """One run per utilisation target."""
+    for util in utilizations:
+        yield f"util{util:g}", dict(scale=scale, util=util, alpha=alpha,
+                                    seed=seed)
 
 
 def assemble_fig6(
@@ -77,24 +50,6 @@ def assemble_fig6(
     return results
 
 
-def run_fig6(
-    scale: Optional[Scale] = None,
-    utilizations=UTILIZATION_TARGETS,
-    alpha: float = 1.0,
-    seed: Optional[int] = None,
-) -> Dict[str, Dict[str, List[float]]]:
-    """Reproduce Fig. 6.
-
-    Returns:
-        ``{label: {"mean": [...], "max": [...], "smoothed_max": [...]}}``
-        keyed by utilisation label; each inner list is per-second.
-    """
-    scale = scale or get_scale()
-    specs = fig6_specs(scale, seed=get_seed(seed), utilizations=utilizations,
-                       alpha=alpha)
-    return assemble_fig6(specs, execute_specs(specs))
-
-
 def render_fig6(results: Dict[str, Dict[str, List[float]]]) -> None:
     """The combined-report block (``python -m repro fig6``)."""
     for label, series in results.items():
@@ -108,25 +63,10 @@ def render_fig6(results: Dict[str, Dict[str, List[float]]]) -> None:
 EXPERIMENT = Experiment(
     name="fig6",
     title="utilisation and load balance over time",
-    specs=fig6_specs,
-    assemble=assemble_fig6,
+    point=fig6_point,
+    grid=fig6_grid,
     render=render_fig6,
+    assemble=assemble_fig6,
 )
-
-
-def main() -> None:  # pragma: no cover
-    results = run_fig6()
-    for label, series in results.items():
-        n = len(series["mean"])
-        mean_avg = sum(series["mean"]) / n
-        max_avg = sum(series["max"]) / n
-        smooth_peak = max(series["smoothed_max"])
-        print(
-            f"{label}: rate={series['rate'][0]:.0f}/s  "
-            f"mean-load(avg)={mean_avg:.3f}  max-load(avg)={max_avg:.3f}  "
-            f"smoothed-max(peak)={smooth_peak:.3f}"
-        )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+"""``{util label: {"mean", "max", "smoothed_max": per-second series,
+"rate": [rate]}}``."""

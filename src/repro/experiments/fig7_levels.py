@@ -11,85 +11,29 @@ traffic to overload their hosts.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.analysis.levels import replicas_per_level
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
-from repro.experiments.common import (
-    Scale,
-    build,
-    get_scale,
-    get_seed,
-    make_ns,
-    rate_for_utilization,
-    run_workload,
-)
-from repro.workload.streams import cuzipf_stream, unif_stream
+from repro.experiments.campaign import Experiment
+from repro.experiments.common import Scale, run_point
 
 
 def fig7_point(scale: Scale, util: float, kind: str, alpha: float,
                seed: int) -> tuple:
     """One (rate, stream-kind) cell of Fig. 7 -- picklable task unit."""
-    ns = make_ns(scale)
-    duration = scale.warmup + scale.n_phases * scale.phase
-    rate = rate_for_utilization(
-        util, scale.n_servers, hops_estimate=scale.hops_estimate
-    )
-    if kind == "unif":
-        spec = unif_stream(rate, duration, seed=seed)
-    else:
-        spec = cuzipf_stream(
-            rate, alpha, warmup=scale.warmup, phase=scale.phase,
-            n_phases=scale.n_phases, seed=seed,
-        )
-    system = build(ns, scale, preset="BCR", seed=seed)
-    run_workload(system, spec, drain=scale.drain)
+    spec = scale.stream(scale.rate(util), alpha if kind == "uzipf" else 0.0,
+                        seed)
+    system = run_point(scale, spec, seed=seed)
     return f"{kind}@{util:g}", replicas_per_level(system)
 
 
-def fig7_specs(
-    scale: Scale,
-    seed: int = 0,
-    utilizations=(0.1, 0.2, 0.4),
-    alpha: float = 1.0,
-) -> List[RunSpec]:
-    """Declare Fig. 7's run list: one spec per (rate, stream kind)."""
-    return [
-        RunSpec(
-            experiment="fig7",
-            task=f"{kind}@{util:g}",
-            fn="repro.experiments.fig7_levels:fig7_point",
-            params=dict(scale=scale, util=util, kind=kind, alpha=alpha,
-                        seed=seed),
-        )
-        for util in utilizations
-        for kind in ("unif", "uzipf")
-    ]
-
-
-def assemble_fig7(
-    specs: Sequence[RunSpec], payloads: Sequence[Any]
-) -> Dict[str, List[float]]:
-    """Rebuild the ``{label: per-level series}`` mapping."""
-    return {label: series for label, series in payloads}
-
-
-def run_fig7(
-    scale: Optional[Scale] = None,
-    utilizations=(0.1, 0.2, 0.4),
-    alpha: float = 1.0,
-    seed: Optional[int] = None,
-) -> Dict[str, List[float]]:
-    """Reproduce Fig. 7.
-
-    Returns:
-        Mapping ``"{unif|uzipf}@util"`` -> average replicas created per
-        level (index = tree depth, 0 = root).
-    """
-    scale = scale or get_scale()
-    specs = fig7_specs(scale, seed=get_seed(seed), utilizations=utilizations,
-                       alpha=alpha)
-    return assemble_fig7(specs, execute_specs(specs))
+def fig7_grid(scale: Scale, seed: int, utilizations=(0.1, 0.2, 0.4),
+              alpha: float = 1.0):
+    """One run per (rate, stream kind)."""
+    for util in utilizations:
+        for kind in ("unif", "uzipf"):
+            yield f"{kind}@{util:g}", dict(scale=scale, util=util, kind=kind,
+                                           alpha=alpha, seed=seed)
 
 
 def render_fig7(results: Dict[str, List[float]]) -> None:
@@ -104,22 +48,9 @@ def render_fig7(results: Dict[str, List[float]]) -> None:
 EXPERIMENT = Experiment(
     name="fig7",
     title="average replicas created per namespace level (N_S)",
-    specs=fig7_specs,
-    assemble=assemble_fig7,
+    point=fig7_point,
+    grid=fig7_grid,
     render=render_fig7,
 )
-
-
-def main() -> None:  # pragma: no cover
-    results = run_fig7()
-    levels = len(next(iter(results.values())))
-    header = "level " + " ".join(f"{k:>12}" for k in results)
-    print("Fig. 7 -- average replicas created per namespace level")
-    print(header)
-    for lvl in range(levels):
-        row = " ".join(f"{results[k][lvl]:12.2f}" for k in results)
-        print(f"{lvl:>5} {row}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+"""``{"{unif|uzipf}@util": average replicas created per level}`` (index
+= tree depth, 0 = root)."""

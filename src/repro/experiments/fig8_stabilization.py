@@ -9,20 +9,11 @@ the protocol stabilises rather than churning forever.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.analysis.series import minute_buckets, rate_series
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
-from repro.experiments.common import (
-    Scale,
-    build,
-    get_scale,
-    get_seed,
-    make_nc,
-    make_ns,
-    rate_for_utilization,
-    run_workload,
-)
+from repro.experiments.campaign import Experiment
+from repro.experiments.common import Scale, run_point
 from repro.workload.streams import StreamSegment, WorkloadSpec, unif_stream
 
 
@@ -34,9 +25,7 @@ def fig8_stream(
     seed: int,
 ) -> tuple:
     """One long-run stream of Fig. 8 -- picklable task unit."""
-    ns = make_ns(scale) if suffix == "S" else make_nc(scale)
-    system = build(ns, scale, preset="BCR", seed=seed)
-    run_workload(system, spec, drain=scale.drain)
+    system = run_point(scale, spec, namespace=suffix, seed=seed)
     per_second = rate_series(system, "replicas_created", n_bins=int(total) + 1)
     return spec.name, minute_buckets(per_second,
                                      seconds_per_bucket=scale.long_bucket)
@@ -56,61 +45,19 @@ def _long_cuzipf(rate: float, alpha: float, warmup: float, total: float,
     )
 
 
-def fig8_specs(
-    scale: Scale,
-    seed: int = 0,
-    utilization: float = 0.35,
-    alpha: float = 1.0,
-) -> List[RunSpec]:
-    """Declare Fig. 8's run list: one long run per (namespace, stream)."""
-    rate = rate_for_utilization(
-        utilization, scale.n_servers, hops_estimate=scale.hops_estimate
-    )
+def fig8_grid(scale: Scale, seed: int, utilization: float = 0.35,
+              alpha: float = 1.0):
+    """One long run per (namespace, stream)."""
+    rate = scale.rate(utilization)
     total = scale.long_run
-    specs: List[RunSpec] = []
     for suffix in ("S", "C"):
-        for kind in ("unif", "uzipf"):
-            if kind == "unif":
-                stream = unif_stream(rate, total, seed=seed,
-                                     name=f"unif{suffix}")
-            else:
-                stream = _long_cuzipf(
-                    rate, alpha, warmup=scale.warmup, total=total,
-                    seed=seed, name=f"uzipf{suffix}{alpha:.2f}",
-                )
-            specs.append(RunSpec(
-                experiment="fig8",
-                task=stream.name,
-                fn="repro.experiments.fig8_stabilization:fig8_stream",
-                params=dict(scale=scale, suffix=suffix, spec=stream,
-                            total=total, seed=seed),
-            ))
-    return specs
-
-
-def assemble_fig8(
-    specs: Sequence[RunSpec], payloads: Sequence[Any]
-) -> Dict[str, List[float]]:
-    """Rebuild the ``{stream: per-bucket counts}`` mapping."""
-    return {name: buckets for name, buckets in payloads}
-
-
-def run_fig8(
-    scale: Optional[Scale] = None,
-    utilization: float = 0.35,
-    alpha: float = 1.0,
-    seed: Optional[int] = None,
-) -> Dict[str, List[float]]:
-    """Reproduce Fig. 8.
-
-    Returns:
-        Mapping stream label (unifS/unifC/uzipfS1.00/uzipfC1.00) to
-        replicas created per bucket (paper: per minute).
-    """
-    scale = scale or get_scale()
-    specs = fig8_specs(scale, seed=get_seed(seed), utilization=utilization,
-                       alpha=alpha)
-    return assemble_fig8(specs, execute_specs(specs))
+        for stream in (
+            unif_stream(rate, total, seed=seed, name=f"unif{suffix}"),
+            _long_cuzipf(rate, alpha, warmup=scale.warmup, total=total,
+                         seed=seed, name=f"uzipf{suffix}{alpha:.2f}"),
+        ):
+            yield stream.name, dict(scale=scale, suffix=suffix, spec=stream,
+                                    total=total, seed=seed)
 
 
 def decay_ratio(buckets: List[float]) -> float:
@@ -138,19 +85,9 @@ def render_fig8(results: Dict[str, List[float]]) -> None:
 EXPERIMENT = Experiment(
     name="fig8",
     title="stabilisation: replicas created per bucket over a long run",
-    specs=fig8_specs,
-    assemble=assemble_fig8,
+    point=fig8_stream,
+    grid=fig8_grid,
     render=render_fig8,
 )
-
-
-def main() -> None:  # pragma: no cover
-    results = run_fig8()
-    print("Fig. 8 -- replicas created per bucket over a long run")
-    for name, buckets in results.items():
-        tail = " ".join(f"{b:.0f}" for b in buckets)
-        print(f"{name:>12}: {tail}  (decay ratio {decay_ratio(buckets):.2f})")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+"""``{stream: replicas created per bucket}`` (paper: per minute);
+streams ``unifS``, ``uzipfS1.00``, ``unifC``, ``uzipfC1.00``."""

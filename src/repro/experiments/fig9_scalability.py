@@ -16,13 +16,8 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analysis.series import rate_series
 from repro.analysis.summary import run_summary
 from repro.cluster.config import SystemConfig
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
-from repro.experiments.common import (
-    Scale,
-    get_scale,
-    get_seed,
-    rate_for_utilization,
-)
+from repro.experiments.campaign import Experiment, RunSpec
+from repro.experiments.common import Scale, rate_for_utilization
 from repro.namespace.generators import balanced_tree
 from repro.sim.shard import run_sharded_workload
 from repro.workload.streams import cuzipf_stream
@@ -94,27 +89,17 @@ def fig9_point(
     return summary
 
 
-def fig9_specs(
-    scale: Scale,
-    seed: int = 0,
-    utilization: float = 0.3,
-    alpha: float = 1.0,
-    duration: Optional[float] = None,
-) -> List[RunSpec]:
-    """Declare Fig. 9's run list: one spec per system size."""
+def fig9_grid(scale: Scale, seed: int, utilization: float = 0.3,
+              alpha: float = 1.0, duration: Optional[float] = None):
+    """One run per system size."""
     sizes = sweep_sizes(scale)
     base_k = int(math.log2(sizes[0]))
-    return [
-        RunSpec(
-            experiment="fig9",
-            task=f"n{n_servers}",
-            fn="repro.experiments.fig9_scalability:fig9_point",
-            params=dict(scale=scale, n_servers=n_servers, base_k=base_k,
-                        utilization=utilization, alpha=alpha,
-                        duration=duration, seed=seed),
+    for n_servers in sizes:
+        yield f"n{n_servers}", dict(
+            scale=scale, n_servers=n_servers, base_k=base_k,
+            utilization=utilization, alpha=alpha, duration=duration,
+            seed=seed,
         )
-        for n_servers in sizes
-    ]
 
 
 def assemble_fig9(
@@ -125,28 +110,6 @@ def assemble_fig9(
         spec.params["n_servers"]: summary
         for spec, summary in zip(specs, payloads)
     }
-
-
-def run_fig9(
-    scale: Optional[Scale] = None,
-    utilization: float = 0.3,
-    alpha: float = 1.0,
-    duration: Optional[float] = None,
-    seed: Optional[int] = None,
-) -> Dict[int, Dict[str, float]]:
-    """Reproduce Fig. 9.
-
-    For each system size: mean query latency (seconds and hops), total
-    replication events, and total dropped queries.
-
-    Returns:
-        ``{n_servers: summary_dict}`` with added keys ``latency_hops``,
-        ``rate``, ``nodes``.
-    """
-    scale = scale or get_scale()
-    specs = fig9_specs(scale, seed=get_seed(seed), utilization=utilization,
-                       alpha=alpha, duration=duration)
-    return assemble_fig9(specs, execute_specs(specs))
 
 
 def render_fig9(results: Dict[int, Dict[str, float]]) -> None:
@@ -163,26 +126,10 @@ def render_fig9(results: Dict[int, Dict[str, float]]) -> None:
 EXPERIMENT = Experiment(
     name="fig9",
     title="scalability with system size (latency, replication, drops)",
-    specs=fig9_specs,
-    assemble=assemble_fig9,
+    point=fig9_point,
+    grid=fig9_grid,
     render=render_fig9,
+    assemble=assemble_fig9,
 )
-
-
-def main() -> None:  # pragma: no cover
-    results = run_fig9()
-    print("Fig. 9 -- scalability (latency, replications, drops)")
-    print(f"{'servers':>8} {'latency(s)':>11} {'hops':>6} "
-          f"{'log2(repl)':>11} {'log2(drops)':>12}")
-    for n, s in results.items():
-        repl = s["replicas_created"]
-        drops = s["dropped"]
-        print(
-            f"{n:>8} {s['mean_latency']:>11.3f} {s['mean_hops']:>6.2f} "
-            f"{math.log2(repl) if repl else 0:>11.2f} "
-            f"{math.log2(drops) if drops else 0:>12.2f}"
-        )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+"""``{n_servers: run_summary}`` with added keys ``latency_hops``,
+``rate``, ``nodes`` and ``drop_fraction_steady``."""

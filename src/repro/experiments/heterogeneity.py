@@ -16,20 +16,11 @@ high-water threshold sooner and shed their hot nodes toward fast ones
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.summary import run_summary
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
-from repro.experiments.common import (
-    Scale,
-    build,
-    get_scale,
-    get_seed,
-    make_ns,
-    rate_for_utilization,
-    run_workload,
-)
-from repro.workload.streams import cuzipf_stream
+from repro.experiments.campaign import Experiment
+from repro.experiments.common import Scale, run_point
 
 
 def heterogeneity_case(
@@ -46,20 +37,12 @@ def heterogeneity_case(
 
     ``slow_fraction == 0`` is the homogeneous control (no overrides).
     """
-    ns = make_ns(scale)
-    rate = rate_for_utilization(
-        utilization, scale.n_servers, hops_estimate=scale.hops_estimate
-    )
-    spec = cuzipf_stream(
-        rate, alpha, warmup=scale.warmup, phase=scale.phase,
-        n_phases=scale.n_phases, seed=seed,
-    )
+    spec = scale.stream(scale.rate(utilization), alpha, seed)
     overrides: Dict[str, float] = {}
     if slow_fraction > 0.0:
         overrides = dict(slow_server_fraction=slow_fraction,
                          slow_factor=slow_factor)
-    system = build(ns, scale, preset=preset, seed=seed, **overrides)
-    run_workload(system, spec, drain=scale.drain)
+    system = run_point(scale, spec, preset=preset, seed=seed, **overrides)
     summary = run_summary(system)
     slow = [p for p in system.peers
             if p.service_mean > system.cfg.service_mean]
@@ -72,62 +55,18 @@ def heterogeneity_case(
     return label, summary
 
 
-def heterogeneity_specs(
-    scale: Scale,
-    seed: int = 0,
-    slow_fraction: float = 0.5,
-    slow_factor: float = 2.5,
-    utilization: float = 0.35,
-    alpha: float = 1.0,
-) -> List[RunSpec]:
-    """Declare the run list: homogeneous control plus two mixed fleets."""
-    cases = (
+def heterogeneity_grid(scale: Scale, seed: int, slow_fraction: float = 0.5,
+                       slow_factor: float = 2.5, utilization: float = 0.35,
+                       alpha: float = 1.0):
+    """The homogeneous control plus two mixed fleets."""
+    for label, preset, fraction in (
         ("homogeneous-BCR", "BCR", 0.0),
         ("heterogeneous-BC", "BC", slow_fraction),
         ("heterogeneous-BCR", "BCR", slow_fraction),
-    )
-    return [
-        RunSpec(
-            experiment="heterogeneity",
-            task=label,
-            fn="repro.experiments.heterogeneity:heterogeneity_case",
-            params=dict(scale=scale, label=label, preset=preset,
-                        slow_fraction=fraction, slow_factor=slow_factor,
-                        utilization=utilization, alpha=alpha, seed=seed),
-        )
-        for label, preset, fraction in cases
-    ]
-
-
-def assemble_heterogeneity(
-    specs: Sequence[RunSpec], payloads: Sequence[Any]
-) -> Dict[str, Dict[str, float]]:
-    """Rebuild the ``{case: summary}`` mapping from run payloads."""
-    return {label: summary for label, summary in payloads}
-
-
-def run_heterogeneity(
-    scale: Optional[Scale] = None,
-    slow_fraction: float = 0.5,
-    slow_factor: float = 2.5,
-    utilization: float = 0.35,
-    alpha: float = 1.0,
-    seed: Optional[int] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Compare BC vs BCR on a heterogeneous server population.
-
-    Returns ``{mode: summary}`` for modes ``homogeneous-BCR``,
-    ``heterogeneous-BC``, ``heterogeneous-BCR``, each including
-    ``slow_hosted_share`` -- the fraction of hosted node instances
-    sitting on slow servers at the end (adaptive replication should
-    push it below the static share).
-    """
-    scale = scale or get_scale()
-    specs = heterogeneity_specs(
-        scale, seed=get_seed(seed), slow_fraction=slow_fraction,
-        slow_factor=slow_factor, utilization=utilization, alpha=alpha,
-    )
-    return assemble_heterogeneity(specs, execute_specs(specs))
+    ):
+        yield label, dict(scale=scale, label=label, preset=preset,
+                          slow_fraction=fraction, slow_factor=slow_factor,
+                          utilization=utilization, alpha=alpha, seed=seed)
 
 
 def render_heterogeneity(results: Dict[str, Dict[str, float]]) -> None:
@@ -141,23 +80,11 @@ def render_heterogeneity(results: Dict[str, Dict[str, float]]) -> None:
 EXPERIMENT = Experiment(
     name="heterogeneity",
     title="adaptive replication on a half-slow fleet",
-    specs=heterogeneity_specs,
-    assemble=assemble_heterogeneity,
+    point=heterogeneity_case,
+    grid=heterogeneity_grid,
     render=render_heterogeneity,
 )
-
-
-def main() -> None:  # pragma: no cover
-    results = run_heterogeneity()
-    print("Heterogeneity -- half the servers 2.5x slower")
-    print(f"{'case':>20} {'drop%':>7} {'latency(ms)':>12} {'replicas':>9} "
-          f"{'slow hosted %':>14}")
-    for label, s in results.items():
-        print(f"{label:>20} {100 * s['drop_fraction']:>7.2f} "
-              f"{1000 * s['mean_latency']:>12.1f} "
-              f"{s['replicas_created']:>9.0f} "
-              f"{100 * s['slow_hosted_share']:>14.1f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+"""``{case: run_summary}`` for ``homogeneous-BCR``, ``heterogeneous-BC``
+and ``heterogeneous-BCR``, each with ``slow_hosted_share`` -- the
+fraction of hosted node instances sitting on slow servers at the end
+(adaptive replication should push it below the static share)."""

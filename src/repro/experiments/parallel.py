@@ -10,7 +10,7 @@ Select the worker count with the ``REPRO_WORKERS`` environment variable
 (``0``/unset = serial; ``N`` = pool of N processes; ``auto`` = one per
 core, capped by the task count)::
 
-    REPRO_WORKERS=auto python -m repro.experiments.runner fig5
+    REPRO_WORKERS=auto python -m repro fig5
     REPRO_WORKERS=8 pytest benchmarks/test_bench_fig5.py --benchmark-only
 
 The task function must be importable (module-level, not a closure) and

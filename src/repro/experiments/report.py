@@ -21,37 +21,6 @@ def format_matrix(
     return "\n".join(lines)
 
 
-def print_matrix(row_labels, col_labels, values, **kw) -> None:
-    print(format_matrix(row_labels, col_labels, values, **kw))
-
-
-def format_series_table(
-    series: Mapping[str, Sequence[float]],
-    bin_label: str = "bin",
-    max_rows: int = 40,
-    precision: int = 4,
-) -> str:
-    """Aligned columns, one per named series, downsampled to fit."""
-    names = list(series)
-    n = max(len(v) for v in series.values())
-    step = max(1, n // max_rows)
-    head = f"{bin_label:>6} " + " ".join(f"{nm:>12}" for nm in names)
-    lines = [head]
-    for i in range(0, n, step):
-        cells = []
-        for nm in names:
-            vals = series[nm]
-            cells.append(
-                f"{vals[i]:>12.{precision}f}" if i < len(vals) else " " * 12
-            )
-        lines.append(f"{i:>6} " + " ".join(cells))
-    return "\n".join(lines)
-
-
-def print_series_table(series, **kw) -> None:
-    print(format_series_table(series, **kw))
-
-
 def sparkline(values: Sequence[float], width: int = 60) -> str:
     """A coarse one-line chart (useful in terminal reports)."""
     blocks = " ▁▂▃▄▅▆▇█"

@@ -17,21 +17,13 @@ at a known instant, optionally recover them later, and measure
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
-
 import random
+from typing import Dict
 
 from repro.analysis.series import rate_series
 from repro.cluster.failures import FailureInjector, unreachable_nodes
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
-from repro.experiments.common import (
-    Scale,
-    build,
-    get_scale,
-    get_seed,
-    make_ns,
-    rate_for_utilization,
-)
+from repro.experiments.campaign import Experiment, only
+from repro.experiments.common import Scale, build, make_ns
 from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import uzipf_stream
 
@@ -48,9 +40,7 @@ def resilience_run(
     ns = make_ns(scale)
     system = build(ns, scale, preset="BCR", seed=seed)
     injector = FailureInjector(system)
-    rate = rate_for_utilization(
-        utilization, scale.n_servers, hops_estimate=scale.hops_estimate
-    )
+    rate = scale.rate(utilization)
     phase = scale.phase
     total = 4 * phase
     spec = uzipf_stream(rate, total, alpha=alpha, seed=seed)
@@ -91,15 +81,10 @@ def resilience_run(
     }
 
 
-def resilience_specs(
-    scale: Scale,
-    seed: int = 0,
-    fail_fraction: float = 0.25,
-    utilization: float = 0.3,
-    alpha: float = 1.0,
-    recover: bool = True,
-) -> List[RunSpec]:
-    """Declare the (single-run) resilience campaign.
+def resilience_grid(scale: Scale, seed: int, fail_fraction: float = 0.25,
+                    utilization: float = 0.3, alpha: float = 1.0,
+                    recover: bool = True):
+    """A single failure/recovery run.
 
     Raises:
         ValueError: for ``fail_fraction`` outside (0, 1).
@@ -107,46 +92,10 @@ def resilience_specs(
     if not 0.0 < fail_fraction < 1.0:
         raise ValueError("fail_fraction must be in (0, 1)")
     label = "recover" if recover else "no-recovery"
-    return [RunSpec(
-        experiment="resilience",
-        task=f"fail{fail_fraction:g}:{label}",
-        fn="repro.experiments.resilience:resilience_run",
-        params=dict(scale=scale, fail_fraction=fail_fraction,
-                    utilization=utilization, alpha=alpha, recover=recover,
-                    seed=seed),
-    )]
-
-
-def assemble_resilience(
-    specs: Sequence[RunSpec], payloads: Sequence[Any]
-) -> Dict[str, float]:
-    """The single run's flat metric dict."""
-    return payloads[0]
-
-
-def run_resilience(
-    scale: Optional[Scale] = None,
-    fail_fraction: float = 0.25,
-    utilization: float = 0.3,
-    alpha: float = 1.0,
-    recover: bool = True,
-    seed: Optional[int] = None,
-) -> Dict[str, float]:
-    """Fail ``fail_fraction`` of servers mid-run; measure the reaction.
-
-    Timeline (in units of ``scale.phase``): steady traffic for 2
-    phases, failure at t=2 phases, (optional) recovery at 3 phases,
-    end at 4 phases.
-
-    Returns a flat dict: completion rates per epoch, replica creations
-    per epoch, black-hole node count at the failure instant.
-    """
-    scale = scale or get_scale()
-    specs = resilience_specs(
-        scale, seed=get_seed(seed), fail_fraction=fail_fraction,
-        utilization=utilization, alpha=alpha, recover=recover,
+    yield f"fail{fail_fraction:g}:{label}", dict(
+        scale=scale, fail_fraction=fail_fraction, utilization=utilization,
+        alpha=alpha, recover=recover, seed=seed,
     )
-    return assemble_resilience(specs, execute_specs(specs))
 
 
 def render_resilience(results: Dict[str, float]) -> None:
@@ -158,18 +107,14 @@ def render_resilience(results: Dict[str, float]) -> None:
 EXPERIMENT = Experiment(
     name="resilience",
     title="fail a quarter of the fleet mid-run; measure the reaction",
-    specs=resilience_specs,
-    assemble=assemble_resilience,
+    point=resilience_run,
+    grid=resilience_grid,
     render=render_resilience,
+    assemble=only,
 )
+"""A flat dict: completion rates per epoch, replica creations per epoch,
+and the black-hole node count at the failure instant.
 
-
-def main() -> None:  # pragma: no cover
-    results = run_resilience()
-    print("Resilience -- fail 25% of servers mid-run, recover one phase later")
-    for k, v in results.items():
-        print(f"  {k:<20} {v:,.3f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+Timeline (in units of ``scale.phase``): steady traffic for 2 phases,
+failure at 2 phases, (optional) recovery at 3 phases, end at 4 phases.
+"""

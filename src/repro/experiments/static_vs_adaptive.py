@@ -16,22 +16,13 @@ tree-top bottleneck) and falls behind once hot-spots start moving.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.series import rate_series
 from repro.analysis.summary import run_summary
 from repro.core.static_replication import replicate_top_levels
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
-from repro.experiments.common import (
-    Scale,
-    build,
-    get_scale,
-    get_seed,
-    make_ns,
-    rate_for_utilization,
-)
-from repro.workload.arrivals import WorkloadDriver
-from repro.workload.streams import cuzipf_stream
+from repro.experiments.campaign import Experiment
+from repro.experiments.common import Scale, build, make_ns, run_workload
 
 MODES = ("static", "adaptive", "both")
 
@@ -46,25 +37,17 @@ def static_mode_run(
     seed: int,
 ) -> Tuple[str, Dict[str, float]]:
     """One replication mode against the shared workload -- task unit."""
-    ns = make_ns(scale)
-    rate = rate_for_utilization(
-        utilization, scale.n_servers, hops_estimate=scale.hops_estimate
-    )
-    spec = cuzipf_stream(
-        rate, alpha, warmup=scale.warmup, phase=scale.phase,
-        n_phases=scale.n_phases, seed=seed,
-    )
+    spec = scale.stream(scale.rate(utilization), alpha, seed)
     overrides = {}
     if mode == "static":
         overrides["replication_enabled"] = False
-    system = build(ns, scale, preset="BCR", seed=seed, **overrides)
+    system = build(make_ns(scale), scale, preset="BCR", seed=seed,
+                   **overrides)
     if mode in ("static", "both"):
         replicate_top_levels(
             system, depth_limit=depth_limit, copies=copies, seed=seed
         )
-    driver = WorkloadDriver(system, spec)
-    driver.start()
-    system.run_until(spec.duration + scale.drain)
+    run_workload(system, spec, drain=scale.drain)
 
     summary = run_summary(system)
     n_bins = int(spec.duration) + 1
@@ -78,54 +61,14 @@ def static_mode_run(
     return mode, summary
 
 
-def static_vs_adaptive_specs(
-    scale: Scale,
-    seed: int = 0,
-    utilization: float = 0.4,
-    alpha: float = 1.25,
-    depth_limit: int = 2,
-    copies: int = 4,
-    modes=MODES,
-) -> List[RunSpec]:
-    """Declare the run list: one spec per replication mode."""
-    return [
-        RunSpec(
-            experiment="static",
-            task=mode,
-            fn="repro.experiments.static_vs_adaptive:static_mode_run",
-            params=dict(scale=scale, mode=mode, utilization=utilization,
-                        alpha=alpha, depth_limit=depth_limit, copies=copies,
-                        seed=seed),
-        )
-        for mode in modes
-    ]
-
-
-def assemble_static_vs_adaptive(
-    specs: Sequence[RunSpec], payloads: Sequence[Any]
-) -> Dict[str, Dict[str, float]]:
-    """Rebuild the ``{mode: summary}`` mapping from run payloads."""
-    return {mode: summary for mode, summary in payloads}
-
-
-def run_static_vs_adaptive(
-    scale: Optional[Scale] = None,
-    utilization: float = 0.4,
-    alpha: float = 1.25,
-    depth_limit: int = 2,
-    copies: int = 4,
-    seed: Optional[int] = None,
-    modes=MODES,
-) -> Dict[str, Dict[str, float]]:
-    """Returns ``{mode: summary}`` with per-epoch drop fractions added
-    (``drop_warmup`` for the uniform prefix, ``drop_shifting`` for the
-    Zipf phases)."""
-    scale = scale or get_scale()
-    specs = static_vs_adaptive_specs(
-        scale, seed=get_seed(seed), utilization=utilization, alpha=alpha,
-        depth_limit=depth_limit, copies=copies, modes=modes,
-    )
-    return assemble_static_vs_adaptive(specs, execute_specs(specs))
+def static_vs_adaptive_grid(scale: Scale, seed: int, utilization: float = 0.4,
+                            alpha: float = 1.25, depth_limit: int = 2,
+                            copies: int = 4, modes=MODES):
+    """One run per replication mode."""
+    for mode in modes:
+        yield mode, dict(scale=scale, mode=mode, utilization=utilization,
+                         alpha=alpha, depth_limit=depth_limit, copies=copies,
+                         seed=seed)
 
 
 def render_static_vs_adaptive(results: Dict[str, Dict[str, float]]) -> None:
@@ -139,22 +82,10 @@ def render_static_vs_adaptive(results: Dict[str, Dict[str, float]]) -> None:
 EXPERIMENT = Experiment(
     name="static",
     title="static vs adaptive replication under shifting hot-spots",
-    specs=static_vs_adaptive_specs,
-    assemble=assemble_static_vs_adaptive,
+    point=static_mode_run,
+    grid=static_vs_adaptive_grid,
     render=render_static_vs_adaptive,
 )
-
-
-def main() -> None:  # pragma: no cover
-    results = run_static_vs_adaptive()
-    print("Static vs adaptive replication (drop fraction)")
-    print(f"{'mode':>10} {'warm-up':>9} {'shifting':>9} {'overall':>9} "
-          f"{'replicas':>9}")
-    for mode, s in results.items():
-        print(f"{mode:>10} {s['drop_warmup']:>9.4f} "
-              f"{s['drop_shifting']:>9.4f} {s['drop_fraction']:>9.4f} "
-              f"{s['replicas_created']:>9.0f}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+"""``{mode: run_summary}`` with per-epoch drop fractions added:
+``drop_warmup`` for the uniform prefix, ``drop_shifting`` for the Zipf
+phases."""

@@ -8,18 +8,10 @@ checked against the paper's Table 1.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict
 
-from repro.experiments.campaign import Experiment, RunSpec, execute_specs
-from repro.experiments.common import (
-    Scale,
-    build,
-    get_scale,
-    get_seed,
-    make_ns,
-    rate_for_utilization,
-    run_workload,
-)
+from repro.experiments.campaign import Experiment, only
+from repro.experiments.common import Scale, run_point
 from repro.server.state import Relationship, audit_peer
 from repro.workload.streams import cuzipf_stream
 
@@ -33,17 +25,11 @@ def table1_audit(
         AssertionError: if any peer maintains state deviating from
             Table 1 (too much or missing mandatory columns).
     """
-    ns = make_ns(scale)
-    rate = rate_for_utilization(
-        utilization, scale.n_servers, hops_estimate=scale.hops_estimate
-    )
     spec = cuzipf_stream(
-        rate, 1.0, warmup=scale.warmup, phase=scale.phase,
-        n_phases=2, seed=seed,
+        scale.rate(utilization), 1.0, warmup=scale.warmup,
+        phase=scale.phase, n_phases=2, seed=seed,
     )
-    system = build(ns, scale, preset="BCR", seed=seed)
-    run_workload(system, spec, drain=scale.drain)
-
+    system = run_point(scale, spec, seed=seed)
     totals: Dict[Relationship, int] = {r: 0 for r in Relationship}
     for peer in system.peers:
         for rel, count in audit_peer(peer).items():
@@ -51,39 +37,9 @@ def table1_audit(
     return {rel.value: count for rel, count in totals.items()}
 
 
-def table1_specs(
-    scale: Scale, seed: int = 0, utilization: float = 0.4
-) -> List[RunSpec]:
-    """Declare the (single-run) Table 1 audit campaign."""
-    return [RunSpec(
-        experiment="table1",
-        task="audit",
-        fn="repro.experiments.table1_state:table1_audit",
-        params=dict(scale=scale, utilization=utilization, seed=seed),
-    )]
-
-
-def assemble_table1(
-    specs: Sequence[RunSpec], payloads: Sequence[Any]
-) -> Dict[str, int]:
-    """The single audit's relationship counts."""
-    return payloads[0]
-
-
-def run_table1(
-    scale: Optional[Scale] = None,
-    utilization: float = 0.4,
-    seed: Optional[int] = None,
-) -> Dict[str, int]:
-    """Audit all peers; returns aggregate node counts per relationship.
-
-    Raises:
-        AssertionError: if any peer maintains state deviating from
-            Table 1 (too much or missing mandatory columns).
-    """
-    scale = scale or get_scale()
-    specs = table1_specs(scale, seed=get_seed(seed), utilization=utilization)
-    return assemble_table1(specs, execute_specs(specs))
+def table1_grid(scale: Scale, seed: int, utilization: float = 0.4):
+    """A single audit run."""
+    yield "audit", dict(scale=scale, utilization=utilization, seed=seed)
 
 
 def render_table1(counts: Dict[str, int]) -> None:
@@ -95,18 +51,10 @@ def render_table1(counts: Dict[str, int]) -> None:
 EXPERIMENT = Experiment(
     name="table1",
     title="audit live server state against the Table 1 matrix",
-    specs=table1_specs,
-    assemble=assemble_table1,
+    point=table1_audit,
+    grid=table1_grid,
     render=render_table1,
+    assemble=only,
 )
-
-
-def main() -> None:  # pragma: no cover
-    counts = run_table1()
-    print("Table 1 audit -- nodes per server-node relationship (all servers)")
-    for rel, count in counts.items():
-        print(f"{rel:>12}: {count}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+"""``{relationship: node count over all peers}``; the audit raises
+``AssertionError`` on any peer deviating from Table 1."""

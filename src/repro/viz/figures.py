@@ -2,8 +2,8 @@
 
 Runs the experiment harness (at the ``REPRO_SCALE`` size) and renders
 each figure with the chart primitives of :mod:`repro.viz.svg`.  Every
-registered figure is produced through the campaign layer
-(:func:`repro.experiments.campaign.run_experiment`), so pointing
+figure is produced through its experiment's
+:meth:`~repro.experiments.campaign.Experiment.run`, so pointing
 ``--results`` at an existing artifact directory assembles figures from
 stored runs instead of re-simulating::
 
@@ -16,59 +16,67 @@ from __future__ import annotations
 import math
 import pathlib
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.experiments.campaign import ResultStore, run_experiment
+from repro.experiments.campaign import ResultStore, get_experiment
 from repro.experiments.common import Scale, get_scale
 from repro.viz.svg import BarChart, LineChart
 
 Store = Optional[ResultStore]
 
 
-def fig3_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
-    """Fig. 3 line chart: drop fraction per second, per stream."""
-    results = run_experiment("fig3", scale=scale, seed=seed, store=store)
-    chart = LineChart(
-        "Fig. 3 — fraction of queries dropped every second",
-        x_label="time (s)", y_label="drop fraction (vs rate)",
-    )
+def _run(name: str, scale: Scale, seed: int, store: Store) -> Any:
+    return get_experiment(name).run(scale, seed, store=store)
+
+
+def _series_chart(title: str, x_label: str, y_label: str,
+                  results: Dict[str, List[float]]) -> str:
+    """One line per named series, x = position in the series."""
+    chart = LineChart(title, x_label=x_label, y_label=y_label)
     for name, series in results.items():
         chart.add_series(name, list(enumerate(series)))
     return chart.render()
+
+
+def _drops_chart(title: str, table: Dict[str, Dict[str, float]]) -> str:
+    """One bar group per stream, one bar per preset."""
+    streams = list(next(iter(table.values())).keys())
+    chart = BarChart(title, categories=streams,
+                     y_label="fraction of dropped queries")
+    for preset, per_stream in table.items():
+        chart.add_series(preset, [per_stream[s] for s in streams])
+    return chart.render()
+
+
+def fig3_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
+    """Fig. 3 line chart: drop fraction per second, per stream."""
+    return _series_chart(
+        "Fig. 3 — fraction of queries dropped every second",
+        "time (s)", "drop fraction (vs rate)", _run("fig3", scale, seed, store),
+    )
 
 
 def fig4_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
     """Fig. 4 line chart: replica creations per second, per stream."""
-    results = run_experiment("fig4", scale=scale, seed=seed, store=store)
-    chart = LineChart(
+    return _series_chart(
         "Fig. 4 — replicas created every second (namespace N_C)",
-        x_label="time (s)", y_label="creations (vs rate)",
+        "time (s)", "creations (vs rate)", _run("fig4", scale, seed, store),
     )
-    for name, series in results.items():
-        chart.add_series(name, list(enumerate(series)))
-    return chart.render()
 
 
 def fig5_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
     """Fig. 5 bar chart: drop fraction per (preset, stream) cell."""
     from repro.experiments.fig5_ablation import drop_table
 
-    table = drop_table(
-        run_experiment("fig5", scale=scale, seed=seed, store=store)
-    )
-    streams = list(next(iter(table.values())).keys())
-    chart = BarChart(
+    return _drops_chart(
         "Fig. 5 — dropped queries: base (B), +caching (BC), +replication (BCR)",
-        categories=streams, y_label="fraction of dropped queries",
+        drop_table(_run("fig5", scale, seed, store)),
     )
-    for preset, per_stream in table.items():
-        chart.add_series(preset, [per_stream[s] for s in streams])
-    return chart.render()
 
 
 def fig6_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
     """Fig. 6 line chart: mean and max server load over time."""
-    results = run_experiment("fig6", scale=scale, seed=seed, store=store)
+    results = _run("fig6", scale, seed, store)
     chart = LineChart(
         "Fig. 6 — mean and max server load over time",
         x_label="time (s)", y_label="load (utilisation)",
@@ -86,32 +94,25 @@ def fig6_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
 
 def fig7_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
     """Fig. 7 line chart: average replicas created per tree level."""
-    results = run_experiment("fig7", scale=scale, seed=seed, store=store)
-    chart = LineChart(
+    return _series_chart(
         "Fig. 7 — average replicas created per namespace level",
-        x_label="namespace tree level (0 = root)",
-        y_label="avg replicas per node",
+        "namespace tree level (0 = root)", "avg replicas per node",
+        _run("fig7", scale, seed, store),
     )
-    for name, series in results.items():
-        chart.add_series(name, list(enumerate(series)))
-    return chart.render()
 
 
 def fig8_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
     """Fig. 8 line chart: replica creations per bucket, long run."""
-    results = run_experiment("fig8", scale=scale, seed=seed, store=store)
-    chart = LineChart(
+    return _series_chart(
         "Fig. 8 — replicas created per bucket over a long run",
-        x_label=f"bucket ({scale.long_bucket}s)", y_label="replicas created",
+        f"bucket ({scale.long_bucket}s)", "replicas created",
+        _run("fig8", scale, seed, store),
     )
-    for name, buckets in results.items():
-        chart.add_series(name, list(enumerate(buckets)))
-    return chart.render()
 
 
 def fig9_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
     """Fig. 9 line chart: latency, replication, drops vs system size."""
-    results = run_experiment("fig9", scale=scale, seed=seed, store=store)
+    results = _run("fig9", scale, seed, store)
     sizes = list(results)
     chart = LineChart(
         "Fig. 9 — scalability of latency, replication, and drops",
@@ -136,25 +137,18 @@ def fig9_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
 
 
 def fig5_sparse_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
-    """Sparse-ownership Fig. 5 variant (not a registered experiment)."""
-    from repro.experiments.fig5_ablation import run_fig5_sparse
+    """Sparse-ownership Fig. 5 variant (not in the combined report)."""
+    from repro.experiments.fig5_ablation import SPARSE
 
-    table = run_fig5_sparse(seed=seed)
-    streams = list(next(iter(table.values())).keys())
-    chart = BarChart(
+    return _drops_chart(
         "Fig. 5 (sparse ownership) — caching aggravates N_S; replication rescues",
-        categories=streams, y_label="fraction of dropped queries",
+        SPARSE.run(scale, seed, store=store),
     )
-    for preset, per_stream in table.items():
-        chart.add_series(preset, [per_stream[s] for s in streams])
-    return chart.render()
 
 
 def heterogeneity_svg(scale: Scale, seed: int = 1, store: Store = None) -> str:
     """Heterogeneity bar chart: drop fraction per population case."""
-    results = run_experiment(
-        "heterogeneity", scale=scale, seed=seed, store=store
-    )
+    results = _run("heterogeneity", scale, seed, store)
     cases = list(results)
     chart = BarChart(
         "Heterogeneity — half the fleet 2.5× slower (§5 claim)",
@@ -169,7 +163,7 @@ def static_vs_adaptive_svg(
     scale: Scale, seed: int = 1, store: Store = None
 ) -> str:
     """Static-vs-adaptive bar chart: per-epoch drop fraction per mode."""
-    results = run_experiment("static", scale=scale, seed=seed, store=store)
+    results = _run("static", scale, seed, store)
     modes = list(results)
     chart = BarChart(
         "Static vs adaptive replication (§2.3 argument)",

@@ -1,9 +1,71 @@
-"""Tests for utilisation calibration."""
+"""Utilisation calibration, and its tests.
+
+Experiments convert a target mean utilisation into an arrival rate via
+``rate = util * N / (T_hop * E[hops])``, with ``E[hops]`` guessed by the
+:class:`~repro.experiments.common.Scale`.  :func:`calibrate_rate` runs
+short probe simulations, measures the *achieved* mean utilisation, and
+iterates the rate until the measurement lands within tolerance -- the
+check that the guess is close.
+"""
 
 import pytest
 
-from repro.experiments.calibration import calibrate_rate, measure_utilization
-from repro.experiments.common import Scale
+from repro.experiments.common import Scale, build, make_ns, run_workload
+from repro.workload.streams import unif_stream
+
+
+def measure_utilization(scale, rate, probe_duration=10.0, seed=0,
+                        preset="BCR"):
+    """One probe run; returns measured mean utilisation and mean hops."""
+    system = build(make_ns(scale), scale, preset=preset, seed=seed)
+    run_workload(system, unif_stream(rate, probe_duration, seed=seed),
+                 drain=2.0)
+    means = system.stats.loads.means()
+    steady = means[max(1, len(means) // 4):] or means  # skip warm-up
+    return {
+        "utilization": sum(steady) / len(steady),
+        "mean_hops": system.stats.mean_hops,
+        "drop_fraction": system.stats.drop_fraction,
+    }
+
+
+def calibrate_rate(target_util, scale, tolerance=0.05, max_iterations=5,
+                   probe_duration=10.0, seed=0, preset="BCR"):
+    """Find the arrival rate achieving ``target_util`` mean utilisation.
+
+    Iterates ``rate *= target / measured`` (utilisation is close to
+    linear in rate below saturation) until within relative
+    ``tolerance`` or ``max_iterations``.
+    """
+    if not 0.0 < target_util < 0.9:
+        raise ValueError("target_util must be in (0, 0.9)")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be > 0")
+    rate = scale.rate(target_util)
+    measured = measure_utilization(scale, rate, probe_duration, seed, preset)
+    iterations = 1
+    while (
+        abs(measured["utilization"] - target_util) > tolerance * target_util
+        and iterations < max_iterations
+    ):
+        if measured["utilization"] <= 0:
+            rate *= 2.0
+        else:
+            rate *= target_util / measured["utilization"]
+        measured = measure_utilization(
+            scale, rate, probe_duration, seed, preset
+        )
+        iterations += 1
+    return {
+        "rate": rate,
+        "utilization": measured["utilization"],
+        "mean_hops": measured["mean_hops"],
+        "iterations": float(iterations),
+        "converged": float(
+            abs(measured["utilization"] - target_util)
+            <= tolerance * target_util
+        ),
+    }
 
 MICRO = Scale(
     name="tiny", ns_levels=7, nc_nodes=500, n_servers=8,

@@ -17,7 +17,6 @@ from repro.experiments.campaign import (
     RunSpec,
     canonical,
     get_experiment,
-    run_experiment,
     run_spec,
 )
 from repro.experiments.common import Scale
@@ -105,6 +104,31 @@ class TestFingerprint:
 
     def test_stable_within_process(self):
         assert self.spec().fingerprint == self.spec().fingerprint
+
+    def test_registry_fingerprints_pinned(self):
+        """Every registered run at every scale keeps its fingerprint.
+
+        A refactor of the experiment declarations that changes a task
+        label, a point path or a parameter invalidates every cached
+        artifact; this digest names that before a campaign finds out.
+        """
+        import hashlib
+
+        from repro.experiments.campaign import EXPERIMENT_NAMES
+        from repro.experiments.common import SCALES
+
+        digest = hashlib.sha256()
+        for scale in SCALES.values():
+            for seed in (0, 7):
+                for name in EXPERIMENT_NAMES:
+                    for s in get_experiment(name).specs(scale, seed=seed):
+                        digest.update(
+                            (s.experiment + s.task + s.fn + s.fingerprint)
+                            .encode()
+                        )
+        assert digest.hexdigest() == (
+            "e87c128f39165525888522bc25afc6f8455094826279f390b2f48550eaba7bcc"
+        )
 
     def test_deterministic_across_processes(self):
         """Same spec, different interpreter (and hash seed), same hash."""
@@ -298,23 +322,22 @@ class TestColdVsCached:
     def test_fig3_cold_resumed_and_cached_agree(self, tmp_path):
         """The acceptance bar: one figure, fixed seed, three paths."""
         store = ResultStore(tmp_path / "results")
-        direct = run_experiment("fig3", scale=MICRO, seed=3)
-        cold = run_experiment("fig3", scale=MICRO, seed=3, store=store)
-        assert len(store) == len(
-            get_experiment("fig3").specs(MICRO, seed=3)
-        )
-        cached = run_experiment("fig3", scale=MICRO, seed=3, store=store)
+        fig3 = get_experiment("fig3")
+        direct = fig3.run(MICRO, seed=3)
+        cold = fig3.run(MICRO, seed=3, store=store)
+        assert len(store) == len(fig3.specs(MICRO, seed=3))
+        cached = fig3.run(MICRO, seed=3, store=store)
         assert direct == cold == cached
         # stored payloads really are the source: corrupt one and the
         # cache rejects it instead of assembling garbage
         fp = store.fingerprints()[0]
         store.path(fp).write_text("{}")
-        healed = run_experiment("fig3", scale=MICRO, seed=3, store=store)
+        healed = fig3.run(MICRO, seed=3, store=store)
         assert healed == direct
 
     def test_artifact_payloads_json_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path / "results")
-        run_experiment("table1", scale=MICRO, seed=3, store=store)
+        get_experiment("table1").run(MICRO, seed=3, store=store)
         (record_path,) = [
             store.path(fp) for fp in store.fingerprints()
         ]

@@ -1,12 +1,13 @@
 """Smoke tests for the experiment harness at micro scale.
 
-Each figure's ``run_*`` function is executed on a deliberately tiny
+Each experiment's ``Experiment.run`` is executed on a deliberately tiny
 Scale so the whole module stays fast; shape assertions at real scales
 live in benchmarks/.
 """
 
 import pytest
 
+from repro.experiments.campaign import get_experiment
 from repro.experiments.common import (
     SCALES,
     Scale,
@@ -64,9 +65,7 @@ class TestCommon:
 
 class TestFig3:
     def test_runs_and_shapes(self):
-        from repro.experiments.fig3_drops import run_fig3
-
-        results = run_fig3(scale=MICRO, seed=1)
+        results = get_experiment("fig3").run(MICRO, seed=1)
         assert set(results) == {
             "unif", "uzipf0.75", "uzipf1.00", "uzipf1.25", "uzipf1.50"
         }
@@ -82,18 +81,16 @@ class TestFig3:
 
 class TestFig4:
     def test_runs(self):
-        from repro.experiments.fig4_replicas import run_fig4
-
-        results = run_fig4(scale=MICRO, seed=1)
+        results = get_experiment("fig4").run(MICRO, seed=1)
         assert len(results) == 5
         assert all(all(v >= 0.0 for v in s) for s in results.values())
 
 
 class TestFig5:
     def test_runs_with_subset(self):
-        from repro.experiments.fig5_ablation import drop_table, run_fig5
+        from repro.experiments.fig5_ablation import drop_table
 
-        results = run_fig5(scale=MICRO, seed=1, presets=("B", "BCR"))
+        results = get_experiment("fig5").run(MICRO, seed=1, presets=("B", "BCR"))
         table = drop_table(results)
         assert set(table) == {"B", "BCR"}
         assert len(table["B"]) == 10  # 2 namespaces x 5 streams
@@ -103,9 +100,7 @@ class TestFig5:
 
 class TestFig6:
     def test_runs(self):
-        from repro.experiments.fig6_load import run_fig6
-
-        results = run_fig6(scale=MICRO, utilizations=(0.3,), seed=1)
+        results = get_experiment("fig6").run(MICRO, utilizations=(0.3,), seed=1)
         (label, series), = results.items()
         assert label == "util0.3"
         assert len(series["mean"]) == len(series["max"])
@@ -116,9 +111,7 @@ class TestFig6:
 
 class TestFig7:
     def test_runs(self):
-        from repro.experiments.fig7_levels import run_fig7
-
-        results = run_fig7(scale=MICRO, utilizations=(0.4,), seed=1)
+        results = get_experiment("fig7").run(MICRO, utilizations=(0.4,), seed=1)
         assert set(results) == {"unif@0.4", "uzipf@0.4"}
         for series in results.values():
             assert len(series) == MICRO.ns_levels + 1
@@ -126,9 +119,9 @@ class TestFig7:
 
 class TestFig8:
     def test_runs_and_decay_metric(self):
-        from repro.experiments.fig8_stabilization import decay_ratio, run_fig8
+        from repro.experiments.fig8_stabilization import decay_ratio
 
-        results = run_fig8(scale=MICRO, seed=1)
+        results = get_experiment("fig8").run(MICRO, seed=1)
         assert set(results) == {"unifS", "uzipfS1.00", "unifC", "uzipfC1.00"}
         for buckets in results.values():
             assert len(buckets) >= 4
@@ -144,10 +137,10 @@ class TestFig8:
 
 class TestFig9:
     def test_runs(self):
-        from repro.experiments.fig9_scalability import run_fig9, sweep_sizes
+        from repro.experiments.fig9_scalability import sweep_sizes
 
         sizes = sweep_sizes(MICRO)
-        results = run_fig9(scale=MICRO, duration=4.0, seed=1)
+        results = get_experiment("fig9").run(MICRO, duration=4.0, seed=1)
         assert list(results) == sizes
         for n, summary in results.items():
             assert summary["nodes"] >= 8 * n - 1
@@ -163,10 +156,9 @@ class TestFig9:
 
 class TestChurn:
     def test_runs_with_subset(self):
-        from repro.experiments.churn_digests import run_churn
-
-        results = run_churn(scale=MICRO, rfacts=(0.25,),
-                            modes=("digests", "oracle"), seed=1)
+        results = get_experiment("churn").run(
+            MICRO, rfacts=(0.25,), modes=("digests", "oracle"), seed=1
+        )
         per_mode = results[0.25]
         assert set(per_mode) == {"digests", "oracle"}
         for summary in per_mode.values():
@@ -175,9 +167,7 @@ class TestChurn:
 
 class TestTable1:
     def test_audit_clean(self):
-        from repro.experiments.table1_state import run_table1
-
-        counts = run_table1(scale=MICRO, seed=1)
+        counts = get_experiment("table1").run(MICRO, seed=1)
         assert counts["owned"] == 2**8 - 1  # every node owned once
         assert counts["none"] == 0
 
@@ -188,12 +178,6 @@ class TestReport:
 
         out = format_matrix(["a"], ["x", "y"], [[1.0, 2.0]])
         assert "x" in out and "a" in out
-
-    def test_format_series_table(self):
-        from repro.experiments.report import format_series_table
-
-        out = format_series_table({"s": [0.1, 0.2]}, max_rows=2)
-        assert "s" in out
 
     def test_sparkline(self):
         from repro.experiments.report import sparkline
@@ -211,32 +195,25 @@ class TestReport:
 
 class TestResilience:
     def test_runs(self):
-        from repro.experiments.resilience import run_resilience
-
-        r = run_resilience(scale=MICRO, seed=1)
+        r = get_experiment("resilience").run(MICRO, seed=1)
         assert r["n_failed"] >= 1
         assert 0.0 <= r["completion_during"] <= 1.0
         assert r["completion_before"] > 0.5
 
     def test_validation(self):
-        from repro.experiments.resilience import run_resilience
-
         with pytest.raises(ValueError):
-            run_resilience(scale=MICRO, fail_fraction=0.0)
+            get_experiment("resilience").run(MICRO, fail_fraction=0.0)
 
     def test_no_recovery_mode(self):
-        from repro.experiments.resilience import run_resilience
-
-        r = run_resilience(scale=MICRO, seed=1, recover=False)
+        r = get_experiment("resilience").run(MICRO, seed=1, recover=False)
         assert r["recovered"] == 0.0
 
 
 class TestStaticVsAdaptive:
     def test_runs(self):
-        from repro.experiments.static_vs_adaptive import run_static_vs_adaptive
-
-        r = run_static_vs_adaptive(scale=MICRO, seed=1,
-                                   modes=("static", "adaptive"))
+        r = get_experiment("static").run(
+            MICRO, seed=1, modes=("static", "adaptive")
+        )
         assert set(r) == {"static", "adaptive"}
         assert r["static"]["replicas_created"] == 0
         for mode in r:
@@ -245,9 +222,7 @@ class TestStaticVsAdaptive:
 
 class TestHeterogeneity:
     def test_runs(self):
-        from repro.experiments.heterogeneity import run_heterogeneity
-
-        r = run_heterogeneity(scale=MICRO, seed=1)
+        r = get_experiment("heterogeneity").run(MICRO, seed=1)
         assert set(r) == {
             "homogeneous-BCR", "heterogeneous-BC", "heterogeneous-BCR"
         }

@@ -9,22 +9,71 @@ end-to-end check.
 """
 
 import math
+from typing import List
 
 import pytest
 
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
-from repro.sim.queueing_theory import (
-    mm1k_blocking_probability,
-    mm1k_mean_number_in_system,
-    mm1k_mean_response_time,
-    mm1k_state_probabilities,
-    mm1k_throughput,
-    mm1k_utilization,
-)
 from repro.sim.rng import exponential
 import random
+
+
+# ----------------------------------------------------------------------
+# Closed-form M/M/1/K results: Poisson arrivals, exponential service,
+# one server, K total slots (1 in service + queue_size waiting),
+# arrivals beyond K dropped.
+# ----------------------------------------------------------------------
+
+def mm1k_state_probabilities(rho: float, k: int) -> List[float]:
+    """Stationary probabilities P0..PK of an M/M/1/K queue.
+
+    Args:
+        rho: offered load lambda/mu (any positive value; rho >= 1 is
+            fine for a finite queue).
+        k: total capacity (in service + waiting).
+    """
+    if rho < 0:
+        raise ValueError("rho must be >= 0")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if abs(rho - 1.0) < 1e-12:
+        p = 1.0 / (k + 1)
+        return [p] * (k + 1)
+    norm = (1.0 - rho) / (1.0 - rho ** (k + 1))
+    return [norm * rho**n for n in range(k + 1)]
+
+
+def mm1k_blocking_probability(rho: float, k: int) -> float:
+    """P(arrival dropped) = P(system full) = P_K."""
+    return mm1k_state_probabilities(rho, k)[-1]
+
+
+def mm1k_utilization(rho: float, k: int) -> float:
+    """Fraction of time the server is busy = 1 - P_0."""
+    return 1.0 - mm1k_state_probabilities(rho, k)[0]
+
+
+def mm1k_mean_number_in_system(rho: float, k: int) -> float:
+    """E[N], the mean number of requests in the system."""
+    probs = mm1k_state_probabilities(rho, k)
+    return sum(n * p for n, p in enumerate(probs))
+
+
+def mm1k_throughput(lam: float, mu: float, k: int) -> float:
+    """Accepted-arrival rate = lambda * (1 - P_K)."""
+    if lam < 0 or mu <= 0:
+        raise ValueError("need lam >= 0 and mu > 0")
+    return lam * (1.0 - mm1k_blocking_probability(lam / mu, k))
+
+
+def mm1k_mean_response_time(lam: float, mu: float, k: int) -> float:
+    """E[T] for accepted requests, by Little's law: E[N]/throughput."""
+    thr = mm1k_throughput(lam, mu, k)
+    if thr == 0:
+        return 0.0
+    return mm1k_mean_number_in_system(lam / mu, k) / thr
 
 
 class TestClosedForms:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import campaign, common
 from repro.experiments.campaign import EXPERIMENT_NAMES, get_experiment
 from repro.experiments.common import Scale
 
@@ -13,18 +13,29 @@ MICRO = Scale(
 )
 
 
+def report_block(name, scale):
+    """Run one experiment in memory and print its report block."""
+    exp = get_experiment(name)
+    exp.render(exp.run(scale))
+
+
 class TestRegistry:
     def test_every_experiment_registered(self):
-        assert set(runner.EXPERIMENTS) == set(EXPERIMENT_NAMES)
+        assert set(EXPERIMENT_NAMES) == {
+            "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
+            "fig9", "churn", "heterogeneity", "resilience", "static",
+        }
 
     def test_registry_entries_are_complete(self):
         for name in EXPERIMENT_NAMES:
             exp = get_experiment(name)
             assert exp.name == name
             assert exp.title
-            assert callable(exp.specs)
-            assert callable(exp.assemble)
-            assert callable(exp.render)
+            for part in (exp.point, exp.grid, exp.assemble, exp.render):
+                assert callable(part)
+            # the point is found again by its path, in a pool worker
+            (spec, *_) = exp.specs(MICRO, seed=1)
+            assert campaign.resolve_task(spec.fn) is exp.point
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
@@ -33,33 +44,33 @@ class TestRegistry:
 
 class TestPrinters:
     def test_table1_printer(self, capsys):
-        runner.EXPERIMENTS["table1"](MICRO)
+        report_block("table1", MICRO)
         out = capsys.readouterr().out
         assert "owned" in out and "cached" in out
 
     def test_fig6_printer(self, capsys):
-        runner.EXPERIMENTS["fig6"](MICRO)
+        report_block("fig6", MICRO)
         out = capsys.readouterr().out
         assert "util0.4" in out
         assert "smoothed-max" in out
 
     def test_fig9_printer(self, capsys):
-        runner.EXPERIMENTS["fig9"](MICRO)
+        report_block("fig9", MICRO)
         out = capsys.readouterr().out
         assert "servers" in out and "latency" in out
 
     def test_heterogeneity_printer(self, capsys):
-        runner.EXPERIMENTS["heterogeneity"](MICRO)
+        report_block("heterogeneity", MICRO)
         out = capsys.readouterr().out
         assert "heterogeneous-BCR" in out
 
     def test_resilience_printer(self, capsys):
-        runner.EXPERIMENTS["resilience"](MICRO)
+        report_block("resilience", MICRO)
         out = capsys.readouterr().out
         assert "completion_during" in out
 
     def test_static_printer(self, capsys):
-        runner.EXPERIMENTS["static"](MICRO)
+        report_block("static", MICRO)
         out = capsys.readouterr().out
         assert "adaptive" in out
 
@@ -67,12 +78,12 @@ class TestPrinters:
 class TestMain:
     def test_main_runs_a_subset(self, capsys, monkeypatch):
         # force the micro scale through the registry path
-        monkeypatch.setattr(runner, "get_scale", lambda: MICRO)
-        runner.main(["table1"])
+        monkeypatch.setattr(common, "get_scale", lambda name=None: MICRO)
+        campaign.report(["table1"])
         out = capsys.readouterr().out
         assert "=== table1 ===" in out
         assert "scale=tiny" in out
 
     def test_main_rejects_unknown(self):
         with pytest.raises(SystemExit):
-            runner.main(["bogus"])
+            campaign.report(["bogus"])

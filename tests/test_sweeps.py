@@ -1,9 +1,37 @@
-"""Tests for the generic parameter-sweep harness."""
+"""A generic parameter sweep over the protocol's knobs, and its tests.
+
+The paper hand-picks a handful of parameter points (Rfact in the churn
+study, cache/Rmap growth in Fig. 9).  :func:`sweep` generalises that:
+run the same workload across any set of :class:`SystemConfig` field
+values and collect the summaries.
+"""
+
+import dataclasses
 
 import pytest
 
-from repro.experiments.common import Scale
-from repro.experiments.sweeps import sweep
+from repro.analysis.summary import run_summary
+from repro.cluster.config import SystemConfig
+from repro.experiments.common import Scale, run_point
+
+
+def sweep(field, values, scale, preset="BCR", utilization=0.4, alpha=1.0,
+          seed=0):
+    """Run the standard workload once per value of ``field``.
+
+    Returns ``{value: run_summary}`` in the order given; raises
+    ``ValueError`` for an unknown config field or empty values.
+    """
+    if field not in {f.name for f in dataclasses.fields(SystemConfig)}:
+        raise ValueError(f"unknown SystemConfig field {field!r}")
+    if not values:
+        raise ValueError("values must be non-empty")
+    spec = scale.stream(scale.rate(utilization), alpha, seed)
+    return {
+        value: run_summary(run_point(scale, spec, preset=preset, seed=seed,
+                                     **{field: value}))
+        for value in values
+    }
 
 MICRO = Scale(
     name="tiny", ns_levels=7, nc_nodes=500, n_servers=8,

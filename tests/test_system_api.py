@@ -1,4 +1,4 @@
-"""Tests for System-level convenience APIs and the experiments runner."""
+"""Tests for System-level convenience APIs and the experiment CLI."""
 
 import pytest
 
@@ -66,15 +66,15 @@ class TestSystemAPI:
 
 class TestRunnerRegistry:
     def test_all_experiments_registered(self):
-        from repro.experiments.runner import EXPERIMENTS
+        from repro.experiments.campaign import EXPERIMENT_NAMES
 
-        assert set(EXPERIMENTS) >= {
+        assert set(EXPERIMENT_NAMES) >= {
             "table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
             "fig9", "churn", "heterogeneity", "resilience", "static",
         }
 
     def test_unknown_experiment_rejected(self, monkeypatch):
-        from repro.experiments.runner import main
+        from repro.__main__ import main
 
         with pytest.raises(SystemExit):
             main(["nope"])

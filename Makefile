@@ -16,7 +16,7 @@
 #   make mem          build both 10^6-node namespaces under the 2 GB RSS budget,
 #                     and a 131 071-node / 256-server fleet under 125 MB
 #   make shard-check  sharded runs bit-identical to serial, events within 5 %
-#                     (the CI sharded-determinism job's three invocations)
+#                     (the CI sharded-determinism job's two invocations)
 #   make serve-smoke  live 5-peer UDS cluster + AIMD client (capacity.json)
 #   make det-lint     determinism/shard-safety AST lint (python -m repro lint)
 #   make typecheck    mypy strict gate over sim/, net/, core/, tools/
@@ -59,9 +59,8 @@ mem:
 	$(PYTHON) -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 125
 
 shard-check:
-	$(PYTHON) -m repro shard-check --shards 1,4
-	$(PYTHON) -m repro shard-check --shards 1,2,4 --codec
-	$(PYTHON) -m repro shard-check --shards 2,4 --backend process
+	$(PYTHON) -m repro shard-check --shards 1,2,4
+	$(PYTHON) -W error::DeprecationWarning -m repro shard-check --shards 2,4 --backend process
 
 serve-smoke:
 	$(PYTHON) -m repro serve --servers 5 --duration 10 \

@@ -27,8 +27,9 @@ from repro.cluster.system import ShardSystem, System
 from repro.filters.digest import Digest, DigestDirectory
 from repro.namespace.generators import assign_nodes_to_servers
 from repro.namespace.tree import Namespace
+from repro.net.transport import check_shardable
 from repro.server.peer import Peer
-from repro.sim.engine import Engine, ShardError
+from repro.sim.engine import Engine
 from repro.sim.stats import StatsSink
 
 
@@ -189,10 +190,8 @@ def build_shard_system(
     shard's servers are constructed.
 
     Raises:
-        ShardError: when the config cannot run sharded --
-            ``oracle_maps`` reads other peers' state directly, and the
-            transport additionally rejects ``net_jitter > 0`` and
-            ``net_delay == 0`` (no constant lookahead).
+        ShardError: when the config cannot run sharded
+            (:func:`repro.net.transport.check_shardable`).
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")
@@ -200,11 +199,7 @@ def build_shard_system(
         raise ValueError(
             f"n_shards ({n_shards}) exceeds n_servers ({cfg.n_servers})"
         )
-    if cfg.oracle_maps:
-        raise ShardError(
-            "oracle_maps consults ground-truth peer state across shards; "
-            "run oracle comparisons on the serial engine"
-        )
+    check_shardable(cfg)
     owner_list = _resolve_owner(ns, cfg, owner)
     system = ShardSystem(
         ns, cfg, Engine(), owner_list, shard_id, n_shards, stats=stats

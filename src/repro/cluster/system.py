@@ -279,7 +279,6 @@ class ShardSystem(System):
         return ShardTransport(
             engine, cfg.net_delay, shard_id=self.shard_id,
             n_shards=self.n_shards, n_servers=cfg.n_servers,
-            net_jitter=cfg.net_jitter, jitter_seed=cfg.seed,
         )
 
     # ------------------------------------------------------------------

@@ -42,10 +42,13 @@ import heapq
 import random
 from collections import deque
 from math import inf
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.sim.engine import Engine, EventHandle, ShardError
 from repro.sim.rng import exponential
+
+if TYPE_CHECKING:
+    from repro.cluster.config import SystemConfig
 
 
 def shard_of_sid(sid: int, n_servers: int, n_shards: int) -> int:
@@ -59,6 +62,24 @@ def shard_of_sid(sid: int, n_servers: int, n_shards: int) -> int:
     all-sids-ascending order exactly.
     """
     return sid * n_shards // n_servers
+
+
+def check_shardable(cfg: SystemConfig) -> None:
+    """Raise :class:`~repro.sim.engine.ShardError` unless ``cfg`` can
+    run on windowed shards: the window width is a constant, non-zero
+    delivery delay, and no peer reads another's state (which may live
+    on another shard)."""
+    if cfg.net_jitter > 0:
+        raise ShardError(
+            "sharded execution requires constant delivery delay "
+            f"(net_jitter={cfg.net_jitter}); run on the serial engine"
+        )
+    if cfg.net_delay <= 0:
+        raise ShardError("sharded execution requires net_delay > 0 "
+                         "(the window width equals the delivery delay)")
+    if cfg.oracle_maps:
+        raise ShardError("oracle_maps reads peer state across shards; "
+                         "run oracle comparisons on the serial engine")
 
 
 def shard_sids(shard_id: int, n_servers: int, n_shards: int) -> List[int]:
@@ -226,11 +247,8 @@ class ShardTransport(Transport):
     ties in ``deliver_at`` across shards break by ``(src_shard,
     send_seq)``, which is the documented merge rule.
 
-    Constant lookahead is load-bearing: with ``net_jitter > 0``
-    delivery times are not ``now + net_delay`` and the window argument
-    collapses, and with ``net_delay == 0`` the window width would be
-    zero -- both raise :class:`~repro.sim.engine.ShardError` so callers
-    fall back to the serial engine loudly, never silently diverge.
+    Constant lookahead is load-bearing; :func:`check_shardable` checks
+    it once, before any shard is built, so this transport has no jitter.
     """
 
     __slots__ = ("shard_id", "n_shards", "total_servers", "_egress")
@@ -243,24 +261,10 @@ class ShardTransport(Transport):
         shard_id: int,
         n_shards: int,
         n_servers: int,
-        net_jitter: float = 0.0,
-        jitter_seed: int = 0,
     ) -> None:
-        if net_jitter > 0:
-            raise ShardError(
-                "sharded execution requires constant delivery delay "
-                f"(net_jitter={net_jitter} breaks the conservative "
-                "lookahead); run with net_jitter=0 or on the serial engine"
-            )
-        if net_delay <= 0:
-            raise ShardError(
-                "sharded execution requires net_delay > 0 "
-                "(the window width equals the delivery delay)"
-            )
         if not 0 <= shard_id < n_shards:
             raise ValueError(f"shard_id {shard_id} out of range for {n_shards}")
-        super().__init__(engine, net_delay, net_jitter=0.0,
-                         jitter_seed=jitter_seed)
+        super().__init__(engine, net_delay)
         self.shard_id = shard_id
         self.n_shards = n_shards
         self.total_servers = n_servers

@@ -42,14 +42,16 @@ serial against 1/2/4/8 shards).  Three mechanisms carry the proof:
   e.g. maintenance load samples, come out in serial's ascending-sid
   order).
 
-Process-backed execution (one forked worker process per shard,
-persistent pipes, one round-trip per window) gives the multi-core win;
-the inline backend runs every shard in-process for debugging and
-profiling.
+Every barrier is one request frame to each shard and one reply frame
+back (:mod:`repro.sim.shardcodec`); the backend decides only where a
+shard answers them.  ``process`` forks one persistent worker per shard
+(one pipe round-trip per window: the multi-core win); ``inline`` answers
+the same frames in this process, for debugging and tracing.
 Configs without constant lookahead (``net_jitter > 0``,
 ``net_delay == 0``) or with cross-shard state reads (``oracle_maps``)
-raise :class:`ShardError`; :func:`run_sharded_workload` then warns and
-falls back to the serial engine rather than silently diverging.
+raise :class:`ShardError` (:func:`repro.net.transport.check_shardable`);
+:func:`run_sharded_workload` then warns and falls back to the serial
+engine rather than silently diverging.
 """
 
 from __future__ import annotations
@@ -57,8 +59,12 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import pickle
+import traceback
 import warnings
+from functools import partial
 from time import perf_counter
+from types import SimpleNamespace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -69,7 +75,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 if TYPE_CHECKING:
@@ -79,7 +84,7 @@ from repro.cluster.builder import _resolve_owner, build_shard_system, build_syst
 from repro.cluster.config import SystemConfig
 from repro.namespace.tree import Namespace
 from repro.net.codec import require_encodable
-from repro.net.transport import shard_of_sid
+from repro.net.transport import check_shardable, shard_of_sid
 from repro.sim.engine import ShardError
 from repro.sim.shardcodec import (
     OP_EXIT,
@@ -112,6 +117,7 @@ __all__ = [
     "ShardResult",
     "ShardRunner",
     "WindowedCoordinator",
+    "per_sid_state",
     "replay_stats",
     "resolve_backend",
     "resolve_shards",
@@ -221,12 +227,24 @@ def replay_stats(logs: Sequence[PackedLog], max_depth: int) -> SystemStats:
 # ----------------------------------------------------------------------
 
 
+def per_sid_state(peers: Sequence[Any]) -> Dict[str, List[Any]]:
+    """The simulation-owned per-server state of ``peers`` (ascending
+    sid), one list per quantity -- what a fingerprint compares and a
+    finished shard ships back."""
+    return {
+        "processed": [p.n_processed for p in peers],
+        "queue_drops": [p.n_queue_drops for p in peers],
+        "replicas": [sorted(p.replicas) for p in peers],
+        "hosted": [sorted(p.hosted_list) for p in peers],
+    }
+
+
 class ShardResult:
     """Everything a finished shard ships back to the coordinator.
 
-    Plain picklable payload (the process backend sends one per shard
-    over a pipe): the stats event log plus per-server simulation-owned
-    state, in ascending-sid order.
+    Plain picklable payload (one per shard, pickled once at finish):
+    the stats event log, the engine and transport counters, and
+    :func:`per_sid_state` of the shard's servers.
     """
 
     __slots__ = (
@@ -235,13 +253,8 @@ class ShardResult:
         "n_sent",
         "n_control_sent",
         "n_lost",
-        "now",
         "n_dispatched",
-        "local_sids",
-        "processed_by_sid",
-        "queue_drops_by_sid",
-        "replicas_by_sid",
-        "hosted_by_sid",
+        "per_sid",
         "data_plane",
     )
 
@@ -280,8 +293,6 @@ class ShardRunner:
         # part of any fingerprint)
         self.encode_s = 0.0
         self.decode_s = 0.0
-        self.bytes_in = 0
-        self.bytes_out = 0
 
     def next_time(self) -> float:
         """Earliest pending local event (+inf when the heap is empty).
@@ -295,30 +306,19 @@ class ShardRunner:
         return math.inf if t is None else t
 
     def step(
-        self, end: float, inclusive: bool, batches: List[List[tuple]]
-    ) -> Tuple[Dict[int, List[tuple]], float]:
-        """Ingest the barrier's batches, run one window, return egress
-        plus this shard's next pending event time."""
-        transport = self.system.transport
-        transport.ingest(batches)
-        self.system.engine.run_window(end, inclusive)
-        return transport.collect_egress(), self.next_time()
-
-    def step_packed(
         self, end: float, inclusive: bool, frames: Sequence[Any]
     ) -> Tuple[List[Tuple[int, bytes]], float]:
-        """The packed-codec variant of :meth:`step`.
+        """Ingest the barrier's frames, run one window, return egress
+        frames plus this shard's next pending event time.
 
         Ingress and egress are codec frames
         (:mod:`repro.sim.shardcodec`); message objects exist only
-        inside this shard, never on the pipe.  Egress frames come back
-        in ascending destination-shard order (the same order
-        ``collect_egress`` + sorted routing produces).
+        inside this shard, never between shards.  Egress frames come
+        back in ascending destination-shard order.
         """
         t0 = perf_counter()
         batches = [decode_batch(f) for f in frames]
         self.decode_s += perf_counter() - t0
-        self.bytes_in += sum(len(f) for f in frames)
         transport = self.system.transport
         transport.ingest(batches)
         self.system.engine.run_window(end, inclusive)
@@ -328,56 +328,29 @@ class ShardRunner:
             (dest, encode_batch(out[dest])) for dest in sorted(out)
         ]
         self.encode_s += perf_counter() - t1
-        self.bytes_out += sum(len(f) for _, f in dest_frames)
         return dest_frames, self.next_time()
+
+    # the benchmark's tracer looks both names up in this class's dict
+    step_packed = step
 
     def finish(self) -> ShardResult:
         system = self.system
         transport = system.transport
-        engine = system.engine
-        peers = system.local_peers
         return ShardResult(
             shard_id=system.shard_id,
             log=self.recorder.packed(),
             n_sent=transport.n_sent,
             n_control_sent=transport.n_control_sent,
             n_lost=transport.n_lost,
-            now=engine.now,
-            n_dispatched=engine.n_dispatched,
-            local_sids=list(system.local_sids),
-            processed_by_sid=[p.n_processed for p in peers],
-            queue_drops_by_sid=[p.n_queue_drops for p in peers],
-            replicas_by_sid=[sorted(p.replicas) for p in peers],
-            hosted_by_sid=[sorted(p.hosted_list) for p in peers],
-            data_plane={
-                "encode_s": self.encode_s,
-                "decode_s": self.decode_s,
-                "bytes_in": self.bytes_in,
-                "bytes_out": self.bytes_out,
-            },
+            n_dispatched=system.engine.n_dispatched,
+            per_sid=per_sid_state(system.local_peers),
+            data_plane={"encode_s": self.encode_s, "decode_s": self.decode_s},
         )
 
 
 # ----------------------------------------------------------------------
 # the merged outcome: a read-only stand-in for a finished System
 # ----------------------------------------------------------------------
-
-
-class _EngineView:
-    __slots__ = ("now", "n_dispatched")
-
-    def __init__(self, now: float, n_dispatched: int) -> None:
-        self.now = now
-        self.n_dispatched = n_dispatched
-
-
-class _TransportView:
-    __slots__ = ("n_sent", "n_control_sent", "n_lost")
-
-    def __init__(self, n_sent: int, n_control_sent: int, n_lost: int) -> None:
-        self.n_sent = n_sent
-        self.n_control_sent = n_control_sent
-        self.n_lost = n_lost
 
 
 class MergedRun:
@@ -389,8 +362,8 @@ class MergedRun:
     :meth:`total_replicas`, :meth:`hosted_counts`), so
     :func:`repro.analysis.summary.run_summary` and
     :func:`repro.analysis.series.rate_series` work on it unchanged.
-    Per-sid lists are global (all shards concatenated in shard order,
-    which is ascending sid).
+    ``per_sid`` is :func:`per_sid_state` of every server (all shards
+    concatenated in shard order, which is ascending sid).
     """
 
     __slots__ = (
@@ -401,10 +374,7 @@ class MergedRun:
         "transport",
         "n_shards",
         "n_windows",
-        "processed_by_sid",
-        "queue_drops_by_sid",
-        "replicas_by_sid",
-        "hosted_by_sid",
+        "per_sid",
         "data_plane",
     )
 
@@ -425,34 +395,29 @@ class MergedRun:
         # barriers the coordinator stepped; its extra pass for mail
         # landing exactly on the horizon is not a window of the plan
         self.n_windows: int = data_plane["n_barriers"]
-        self.engine = _EngineView(
-            until, sum(r.n_dispatched for r in results)
+        self.engine = SimpleNamespace(
+            now=until, n_dispatched=sum(r.n_dispatched for r in results)
         )
-        self.transport = _TransportView(
-            sum(r.n_sent for r in results),
-            sum(r.n_control_sent for r in results),
-            sum(r.n_lost for r in results),
+        self.transport = SimpleNamespace(
+            n_sent=sum(r.n_sent for r in results),
+            n_control_sent=sum(r.n_control_sent for r in results),
+            n_lost=sum(r.n_lost for r in results),
         )
-        self.processed_by_sid: List[int] = []
-        self.queue_drops_by_sid: List[int] = []
-        self.replicas_by_sid: List[List[int]] = []
-        self.hosted_by_sid: List[List[int]] = []
-        for r in results:
-            self.processed_by_sid.extend(r.processed_by_sid)
-            self.queue_drops_by_sid.extend(r.queue_drops_by_sid)
-            self.replicas_by_sid.extend(r.replicas_by_sid)
-            self.hosted_by_sid.extend(r.hosted_by_sid)
+        self.per_sid = {
+            key: [v for r in results for v in r.per_sid[key]]
+            for key in results[0].per_sid
+        }
 
     def total_replicas(self) -> int:
-        return sum(len(r) for r in self.replicas_by_sid)
+        return sum(len(r) for r in self.per_sid["replicas"])
 
     def hosted_counts(self) -> List[int]:
-        return [len(h) for h in self.hosted_by_sid]
+        return [len(h) for h in self.per_sid["hosted"]]
 
     def __repr__(self) -> str:
         return (
             f"MergedRun(shards={self.n_shards}, "
-            f"servers={len(self.processed_by_sid)}, "
+            f"servers={len(self.per_sid['processed'])}, "
             f"t={self.engine.now:.2f}, windows={self.n_windows})"
         )
 
@@ -515,21 +480,10 @@ def run_fingerprint(run: Any) -> Dict[str, Any]:
     state.  Equal fingerprints therefore say nothing about cost: the
     event count is bounded separately (:data:`MAX_EVENT_OVERHEAD`).
     """
-    if isinstance(run, MergedRun):
-        per_sid = {
-            "processed": list(run.processed_by_sid),
-            "queue_drops": list(run.queue_drops_by_sid),
-            "replicas": [list(r) for r in run.replicas_by_sid],
-            "hosted": [list(h) for h in run.hosted_by_sid],
-        }
-    else:
-        per_sid = {
-            "processed": [p.n_processed for p in run.peers],
-            "queue_drops": [p.n_queue_drops for p in run.peers],
-            "replicas": [sorted(p.replicas) for p in run.peers],
-            "hosted": [sorted(p.hosted_list) for p in run.peers],
-        }
-    fp = dict(per_sid)
+    fp = dict(
+        run.per_sid if isinstance(run, MergedRun)
+        else per_sid_state(run.peers)
+    )
     fp["now"] = run.engine.now
     fp["transport"] = [
         run.transport.n_sent, run.transport.n_control_sent,
@@ -670,11 +624,12 @@ class WindowedCoordinator:
 
     Owns the global pieces of a sharded run: the pre-generated arrival
     schedule (global query ids, partitioned by source shard), the
-    window plan, the per-barrier egress exchange, and the final merge
-    into a :class:`MergedRun`.  Backends: ``inline`` steps every shard
-    in this process (debugging, tracing, tests); ``process`` keeps
-    one persistent worker process per shard with a single pipe
-    round-trip per window.
+    window plan, the per-barrier frame exchange, and the final merge
+    into a :class:`MergedRun`.  ``backend`` says where the shards run:
+    ``process`` keeps one persistent forked worker per shard,
+    ``inline`` answers the same frames in this process (debugging,
+    tracing, tests).  ``codec`` is accepted and ignored: every barrier
+    is packed frames on both backends.
     """
 
     def __init__(
@@ -684,24 +639,9 @@ class WindowedCoordinator:
         spec: WorkloadSpec,
         n_shards: int,
         backend: str = "inline",
-        codec: bool = False,
+        codec: bool = True,
     ) -> None:
-        if cfg.net_jitter > 0:
-            raise ShardError(
-                "sharded execution requires constant delivery delay "
-                f"(net_jitter={cfg.net_jitter}); run with net_jitter=0 "
-                "or on the serial engine"
-            )
-        if cfg.net_delay <= 0:
-            raise ShardError(
-                "sharded execution requires net_delay > 0 "
-                "(the window width equals the delivery delay)"
-            )
-        if cfg.oracle_maps:
-            raise ShardError(
-                "oracle_maps consults ground-truth peer state across "
-                "shards; run oracle comparisons on the serial engine"
-            )
+        check_shardable(cfg)
         if backend not in ("inline", "process"):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == "process":
@@ -712,24 +652,15 @@ class WindowedCoordinator:
                     "the process backend forks its shard workers, and "
                     "this platform has no 'fork' start method"
                 )
+        from repro.server.peer import PEER_DISPATCH
+
+        require_encodable(PEER_DISPATCH.types())
         self.ns = ns
         self.cfg = cfg
         self.spec = spec
         self.n_shards = resolve_shards(n_shards, cfg.n_servers)
         self.backend = backend
-        # the process backend always runs the packed data plane (that
-        # is its whole point); `codec=True` makes the inline backend
-        # round-trip every barrier through the codec too, which is how
-        # tests and the bench pin frame-level determinism in-process
-        self.codec = bool(codec) or backend == "process"
-        if self.codec:
-            from repro.server.peer import PEER_DISPATCH
-
-            require_encodable(PEER_DISPATCH.types())
-        self.n_windows = 0
-        self.n_coalesced = 0
-        self.barrier_wait_s = 0.0
-        self.bytes_exchanged = 0
+        #: the last run's barrier accounting (see :meth:`run`)
         self.data_plane: Dict[str, Any] = {}
         self.owner = _resolve_owner(ns, cfg, None)
         # pre-generate the arrival schedule: global qids in arrival
@@ -764,11 +695,12 @@ class WindowedCoordinator:
         at or after that window's end, exactly as if each empty window
         had been stepped individually.  The final inclusive window is
         never skipped (it must land every clock on ``until``).
+
+        Each call builds its shards afresh and counts only its own
+        barriers into :attr:`data_plane`.
         """
-        stepper: Union[_ProcessStepper, _InlineStepper] = (
-            _ProcessStepper(self) if self.backend == "process"
-            else _InlineStepper(self)
-        )
+        stepper = _Stepper(self)
+        n_barriers = n_coalesced = bytes_exchanged = 0
         try:
             inboxes: List[List[Any]] = [[] for _ in range(self.n_shards)]
             pending = False  # any cross-shard mail at the last barrier?
@@ -780,11 +712,12 @@ class WindowedCoordinator:
                     and next_min is not None
                     and end <= next_min
                 ):
-                    self.n_coalesced += 1
+                    n_coalesced += 1
                     continue
                 outs, next_min = stepper.step_all(end, inclusive, inboxes)
-                self.n_windows += 1
-                inboxes = self._route(outs)
+                n_barriers += 1
+                inboxes = self._route(outs, n_barriers)
+                bytes_exchanged += sum(len(f) for box in inboxes for f in box)
                 pending = any(inboxes)
             if pending:
                 # cross-shard messages landing at exactly `until` (sent
@@ -801,11 +734,10 @@ class WindowedCoordinator:
             stepper.close()
         self.data_plane = {
             "backend": self.backend,
-            "codec": self.codec,
-            "n_barriers": self.n_windows,
-            "n_coalesced": self.n_coalesced,
-            "barrier_wait_s": self.barrier_wait_s,
-            "bytes_exchanged": self.bytes_exchanged,
+            "n_barriers": n_barriers,
+            "n_coalesced": n_coalesced,
+            "barrier_wait_s": stepper.barrier_wait_s,
+            "bytes_exchanged": bytes_exchanged,
             "encode_s": sum(r.data_plane["encode_s"] for r in results),
             "decode_s": sum(r.data_plane["decode_s"] for r in results),
         }
@@ -813,15 +745,17 @@ class WindowedCoordinator:
             self.ns, self.cfg, results, stats, until, self.data_plane
         )
 
-    def _route(self, outs: Sequence[Dict[int, Any]]) -> List[List[Any]]:
-        """Turn per-shard egress dicts into per-shard ingest batches.
+    def _route(
+        self, outs: Sequence[Dict[int, Any]], window: int
+    ) -> List[List[Any]]:
+        """Turn per-shard egress frames into per-shard ingest lists.
 
-        Batches are appended in ascending source-shard order so every
+        Frames are appended in ascending source-shard order so every
         shard merges the same barrier the same way no matter which
-        backend delivered it.  With the codec on, a batch is a packed
-        frame (bytes) the coordinator routes without decoding; the
-        canonical merge key rides in each record's header.  Egress a
-        shard addressed to itself or to no shard raises ``ShardError``.
+        backend delivered it.  The coordinator routes them without
+        decoding; the canonical merge key rides in each record's
+        header.  Egress a shard addressed to itself or to no shard
+        raises ``ShardError`` naming ``window``.
         """
         n = self.n_shards
         inboxes: List[List[Any]] = [[] for _ in range(n)]
@@ -831,12 +765,9 @@ class WindowedCoordinator:
                 if not 0 <= dest < n or dest == src:
                     raise ShardError(
                         f"shard {src} sent egress to shard {dest} at "
-                        f"window {self.n_windows} ({n} shards)"
+                        f"window {window} ({n} shards)"
                     )
-                batch = out[dest]
-                if not isinstance(batch, list):
-                    self.bytes_exchanged += len(batch)
-                inboxes[dest].append(batch)
+                inboxes[dest].append(out[dest])
         return inboxes
 
     def _runner_args(self, shard_id: int) -> tuple:
@@ -846,72 +777,43 @@ class WindowedCoordinator:
         )
 
 
-class _InlineStepper:
-    """All shards in this process, stepped round-robin.
+class _Stepper:
+    """One worker per shard, driven by request and reply frames.
 
-    With ``codec`` on, every barrier's egress is round-tripped through
-    the packed frames (encode on collect, decode on ingest) even though
-    no pipe is involved -- the in-process way to pin codec determinism.
+    Workers are long-lived (one request per window) because shard state
+    -- the engine heap, every peer -- cannot cross a process boundary
+    between windows.  On the process backend each is a forked
+    :class:`~repro.experiments.parallel.PersistentWorker`: it inherits
+    its :meth:`WindowedCoordinator._runner_args` (the namespace, the
+    owner map, its arrival batch) at fork, copy on write, and all sends
+    go out before any receive so shards run their windows in parallel.
+    On the inline backend each is an :class:`_InProcessWorker` that
+    answers the same frames in this process.  Pickle appears once per
+    shard, for the final :class:`ShardResult`; every window request,
+    every egress batch and the stats log inside the result is flat
+    packed bytes (:mod:`repro.sim.shardcodec`).
     """
 
     def __init__(self, coord: WindowedCoordinator) -> None:
-        self.codec = coord.codec
-        self.runners = [
-            ShardRunner(*coord._runner_args(i))
-            for i in range(coord.n_shards)
-        ]
+        start: Callable[..., Any] = _InProcessWorker
+        # what a worker's channel raises when the worker has died; an
+        # in-process worker cannot die (and inline runs never import
+        # multiprocessing)
+        self._lost: Any = ()
+        if coord.backend == "process":
+            from repro.experiments.parallel import (
+                ParallelTaskError,
+                PersistentWorker,
+            )
 
-    def step_all(
-        self, end: float, inclusive: bool, inboxes: Sequence[List[Any]]
-    ) -> Tuple[List[Dict[int, Any]], float]:
-        outs: List[Dict[int, Any]] = []
-        next_min = math.inf
-        for i, r in enumerate(self.runners):
-            if self.codec:
-                dest_frames, nt = r.step_packed(end, inclusive, inboxes[i])
-                outs.append(dict(dest_frames))
-            else:
-                out, nt = r.step(end, inclusive, inboxes[i])
-                outs.append(out)
-            next_min = min(next_min, nt)
-        return outs, next_min
-
-    def finish_all(self) -> List[ShardResult]:
-        return [r.finish() for r in self.runners]
-
-    def close(self) -> None:
-        pass
-
-
-class _ProcessStepper:
-    """One persistent forked worker process per shard, pure-bytes pipes.
-
-    Workers are long-lived (forked once, one pipe round-trip per
-    window) because shard state -- the engine heap, every peer --
-    cannot cross process boundaries between windows.  All sends go out
-    before any receive so shards genuinely run their windows in
-    parallel.
-
-    A worker inherits its :meth:`WindowedCoordinator._runner_args` --
-    the namespace, the owner map, its arrival batch -- at fork, copy on
-    write, and builds its :class:`ShardRunner` from them.  Pickle
-    appears once in a worker's lifetime, for the final
-    :class:`ShardResult`; every window request, every egress batch and
-    the stats log inside the result is flat packed bytes
-    (:mod:`repro.sim.shardcodec`).
-    """
-
-    def __init__(self, coord: WindowedCoordinator) -> None:
-        from repro.experiments.parallel import PersistentWorker
-
-        self.coord = coord
-        self.workers: List[PersistentWorker] = []
+            start = partial(PersistentWorker, _shard_worker_main)
+            self._lost = ParallelTaskError
+        self.workers: List[Any] = []
+        self.barrier_wait_s = 0.0
         self._window = 0
         try:
             for i in range(coord.n_shards):
-                self.workers.append(PersistentWorker(
-                    _shard_worker_main, *coord._runner_args(i)
-                ))
+                self.workers.append(start(*coord._runner_args(i)))
             # the handshake: a failed build is an ST_ERROR naming its shard
             for i in range(coord.n_shards):
                 self._recv(i, ST_OK, "while building its shard")
@@ -923,14 +825,18 @@ class _ProcessStepper:
         self.close()
         return ShardError(f"shard {shard_id} worker died {where}: {exc}")
 
+    def _send(self, shard_id: int, frame: bytes, where: str) -> None:
+        try:
+            self.workers[shard_id].send_frame(frame)
+        except self._lost as exc:
+            raise self._died(shard_id, where, exc) from None
+
     def _recv(self, shard_id: int, want: int, where: str) -> bytes:
         """One reply from a worker, its status byte checked; a worker
         traceback surfaces in the ``ShardError``."""
-        from repro.experiments.parallel import ParallelTaskError
-
         try:
             payload = self.workers[shard_id].recv_frame()
-        except ParallelTaskError as exc:
+        except self._lost as exc:
             raise self._died(shard_id, where, exc) from None
         if not payload or payload[0] != want:
             detail = (
@@ -946,19 +852,14 @@ class _ProcessStepper:
     def step_all(
         self, end: float, inclusive: bool, inboxes: Sequence[List[Any]]
     ) -> Tuple[List[Dict[int, Any]], float]:
-        from repro.experiments.parallel import ParallelTaskError
-
         self._window += 1
         where = f"at window {self._window} (end={end})"
-        for i, w in enumerate(self.workers):
-            try:
-                w.send_frame(encode_step_request(end, inclusive, inboxes[i]))
-            except ParallelTaskError as exc:
-                raise self._died(i, where, exc) from None
+        for i, frames in enumerate(inboxes):
+            self._send(i, encode_step_request(end, inclusive, frames), where)
         outs: List[Dict[int, Any]] = []
         next_min = math.inf
         t0 = perf_counter()
-        for i in range(len(self.workers)):
+        for i in range(len(inboxes)):
             payload = self._recv(i, ST_STEP, where)
             nt, dest_frames = decode_step_reply(memoryview(payload)[1:])
             # frames stay zero-copy views into the reply payload; the
@@ -966,19 +867,18 @@ class _ProcessStepper:
             outs.append(dict(dest_frames))
             if nt < next_min:
                 next_min = nt
-        self.coord.barrier_wait_s += perf_counter() - t0
+        self.barrier_wait_s += perf_counter() - t0
         return outs, next_min
 
     def finish_all(self) -> List[ShardResult]:
-        import pickle
-
-        for w in self.workers:
-            w.send_frame(bytes((OP_FINISH,)))
+        n = len(self.workers)
+        for i in range(n):
+            self._send(i, bytes((OP_FINISH,)), "during finish")
         return [
             pickle.loads(
                 memoryview(self._recv(i, ST_PAYLOAD, "during finish"))[1:]
             )
-            for i in range(len(self.workers))
+            for i in range(n)
         ]
 
     def close(self) -> None:
@@ -988,55 +888,92 @@ class _ProcessStepper:
         self.workers = []
 
 
-def _shard_worker_main(conn: "Connection", *runner_args: Any) -> None:
-    """Worker-process loop: build the shard once, step per barrier.
+def _error_reply() -> bytes:
+    """``ST_ERROR`` and the traceback of the exception being handled."""
+    return bytes((ST_ERROR,)) + traceback.format_exc().encode("utf-8")
 
-    Runs in a child forked by :class:`_ProcessStepper`, so
-    ``runner_args`` are the coordinator's own objects.  The protocol is
-    bytes frames in both directions: request op byte + body, reply
-    status byte + body (:mod:`repro.sim.shardcodec`); the first reply
-    is ``ST_OK`` once the shard is built.
-    """
-    import pickle
-    import traceback
 
+def _open(runner_args: tuple) -> Tuple[Optional[ShardRunner], bytes]:
+    """Build one shard: its runner (None if the build failed) and the
+    handshake reply, ``ST_OK`` or ``ST_ERROR``."""
     try:
-        runner = ShardRunner(*runner_args)
-        conn.send_bytes(bytes((ST_OK,)))
+        return ShardRunner(*runner_args), bytes((ST_OK,))
+    except Exception:
+        return None, _error_reply()
+
+
+def _answer(runner: Optional[ShardRunner], payload: bytes) -> bytes:
+    """A shard's reply to one request frame.
+
+    ``OP_STEP`` runs one window and replies ``ST_STEP`` with the egress
+    frames; ``OP_FINISH`` replies ``ST_PAYLOAD`` with the pickled
+    :class:`ShardResult`.  Any exception becomes ``ST_ERROR`` plus its
+    traceback, which the coordinator raises as a :class:`ShardError`
+    naming the shard and the window.
+    """
+    try:
+        if runner is None:
+            raise ShardError("the shard was never built")
+        op = payload[0]
+        if op == OP_STEP:
+            end, inclusive, frames = decode_step_request(
+                memoryview(payload)[1:]
+            )
+            dest_frames, nt = runner.step(end, inclusive, frames)
+            return encode_step_reply(nt, dest_frames)
+        if op == OP_FINISH:
+            return bytes((ST_PAYLOAD,)) + pickle.dumps(runner.finish())
+        raise ShardError(f"unknown op {op}")
+    except Exception:
+        return _error_reply()
+
+
+class _InProcessWorker:
+    """A shard answered in this process, behind
+    :class:`~repro.experiments.parallel.PersistentWorker`'s surface:
+    the same request and reply frames as a forked worker, with a call
+    where the pipe would be."""
+
+    __slots__ = ("_runner", "_reply")
+
+    def __init__(self, *runner_args: Any) -> None:
+        self._runner, self._reply = _open(runner_args)
+
+    def send_frame(self, frame: bytes) -> None:
+        self._reply = _answer(self._runner, frame)
+
+    def recv_frame(self) -> bytes:
+        return self._reply
+
+    def close(self, sentinel: bytes) -> None:
+        self._runner = None
+
+
+def _shard_worker_main(conn: "Connection", *runner_args: Any) -> None:
+    """Worker-process loop: build the shard once, answer per barrier.
+
+    Runs in a child forked by :class:`_Stepper`, so ``runner_args`` are
+    the coordinator's own objects.  The first reply is the build's
+    handshake; every later one is :func:`_answer`'s.  After a finish
+    (or a failure) the worker exits without waiting for ``OP_EXIT``,
+    so its exit overlaps the coordinator's replay instead of following
+    it.
+    """
+    runner, reply = _open(runner_args)
+    try:
         while True:
+            conn.send_bytes(reply)
+            if reply[0] not in (ST_OK, ST_STEP):
+                return
             try:
                 payload = conn.recv_bytes()
             except EOFError:  # parent went away
                 return
-            op = payload[0]
-            if op == OP_STEP:
-                end, inclusive, frames = decode_step_request(
-                    memoryview(payload)[1:]
-                )
-                dest_frames, nt = runner.step_packed(end, inclusive, frames)
-                conn.send_bytes(encode_step_reply(nt, dest_frames))
-            elif op == OP_FINISH:
-                conn.send_bytes(
-                    bytes((ST_PAYLOAD,)) + pickle.dumps(runner.finish())
-                )
-                # the last frame of a run: exit without waiting for
-                # OP_EXIT, so the exit overlaps the coordinator's replay
-                # instead of following it
+            if payload[0] == OP_EXIT:
                 return
-            elif op == OP_EXIT:
-                return
-            else:  # pragma: no cover - protocol misuse
-                conn.send_bytes(
-                    bytes((ST_ERROR,)) + f"unknown op {op}".encode("utf-8")
-                )
-                return
-    except BaseException:
-        try:
-            conn.send_bytes(
-                bytes((ST_ERROR,)) + traceback.format_exc().encode("utf-8")
-            )
-        except OSError:  # pragma: no cover - pipe already closed
-            pass
+            reply = _answer(runner, payload)
+    except OSError:  # pragma: no cover - pipe closed under us
+        pass
     finally:
         conn.close()
 
@@ -1108,7 +1045,7 @@ def main(argv: List[str]) -> int:
     requested shard count, compares full-run fingerprints byte for
     byte, and fails a sharded run that dispatches more than
     :data:`MAX_EVENT_OVERHEAD` over the serial engine's events (CI runs
-    this with ``--shards 1,4``).  The default point is loaded enough to
+    this with ``--shards 1,2,4``).  The default point is loaded enough to
     replicate: probe replies and transfer acks are the sends a delivery
     makes synchronously, which is where a transport that mis-arms its
     drain spends events; a cold stream would pass it.
@@ -1144,11 +1081,6 @@ def main(argv: List[str]) -> int:
         "--backend", default="inline", choices=("inline", "process"),
         help="shard backend to exercise (default: inline)",
     )
-    parser.add_argument(
-        "--codec", action="store_true",
-        help="force the packed egress codec on the inline backend "
-        "(the process backend always uses it)",
-    )
     args = parser.parse_args(argv)
     counts = [int(c) for c in args.shards.split(",") if c.strip()]
 
@@ -1178,18 +1110,16 @@ def main(argv: List[str]) -> int:
 
     failed = False
     for n in counts:
-        coord = WindowedCoordinator(
-            ns, cfg, spec, n, backend=args.backend, codec=args.codec
-        )
-        run = coord.run(until)
+        run = WindowedCoordinator(
+            ns, cfg, spec, n, backend=args.backend
+        ).run(until)
         got = json.dumps(run_fingerprint(run), sort_keys=True)
         ok = got == ref
         over = run.engine.n_dispatched / ref_events - 1.0
         cheap = over <= MAX_EVENT_OVERHEAD
-        tag = f"{args.backend}, codec" if coord.codec else args.backend
         failed = failed or not ok or not cheap
         print(
-            f"shards={n} ({tag}): windows={run.n_windows} "
+            f"shards={n} ({args.backend}): windows={run.n_windows} "
             f"coalesced={run.data_plane['n_coalesced']} "
             f"{_cost_text(run)} ({over:+.1%} vs serial) "
             f"{'OK: bit-identical to serial' if ok else 'FAIL: diverged'}"

@@ -24,7 +24,12 @@ from repro.cluster.config import SystemConfig
 from repro.core import maps, routing
 from repro.experiments.common import rate_for_utilization
 from repro.namespace.generators import balanced_tree
-from repro.net.transport import ShardTransport, shard_of_sid, shard_sids
+from repro.net.transport import (
+    ShardTransport,
+    check_shardable,
+    shard_of_sid,
+    shard_sids,
+)
 from repro.server import routing_core
 from repro.sim.engine import Engine, ShardError
 from repro.sim.shard import (
@@ -223,12 +228,13 @@ class TestShardTransport:
             tr.ingest([[(0.5, 1, 1, 0, "too-old")]])
 
     def test_jitter_and_zero_delay_are_rejected(self):
-        with pytest.raises(ShardError):
-            ShardTransport(Engine(), 0.025, shard_id=0, n_shards=2,
-                           n_servers=4, net_jitter=0.01)
-        with pytest.raises(ShardError):
-            ShardTransport(Engine(), 0.0, shard_id=0, n_shards=2,
-                           n_servers=4)
+        # the one shardability check, which every sharded build runs
+        # before a ShardTransport exists
+        check_shardable(SystemConfig(n_servers=4))
+        for bad in ({"net_jitter": 0.01}, {"net_delay": 0.0},
+                    {"oracle_maps": True}):
+            with pytest.raises(ShardError):
+                check_shardable(SystemConfig(n_servers=4, **bad))
 
     def test_remote_failure_injection_is_rejected(self):
         _, tr, _ = self._pair()
@@ -295,9 +301,9 @@ class TestShardedDeterminism:
         assert run.n_shards == 4
         assert run.n_windows > 0
         assert run.engine.now == until
-        assert len(run.processed_by_sid) == cfg.n_servers
+        assert len(run.per_sid["processed"]) == cfg.n_servers
         assert run.total_replicas() == sum(
-            len(r) for r in run.replicas_by_sid
+            len(r) for r in run.per_sid["replicas"]
         )
 
 
@@ -324,6 +330,8 @@ class TestCostModel:
         ref = json.dumps(run_fingerprint(system), sort_keys=True)
         return ns, cfg, spec, until, system.engine.n_dispatched, ref
 
+    # ``codec`` is a documented no-op: both values must give the one
+    # framed data plane, so the grid keeps it as a check of exactly that
     @pytest.mark.parametrize("n_shards, backend, codec", [
         (1, "inline", False), (2, "inline", False), (4, "inline", False),
         (1, "inline", True), (2, "inline", True), (4, "inline", True),
@@ -415,14 +423,15 @@ class TestHopAllocations:
 class TestPackedDataPlane:
     """The zero-copy data plane: packed codec, forked workers, coalescing.
 
-    Same bit-identity contract as above, with every cross-shard
-    barrier round-tripped through :mod:`repro.sim.shardcodec` frames
-    (inline ``codec=True``) or through real worker pipes to forked
-    workers (process backend, codec always on).
+    Every barrier is :mod:`repro.sim.shardcodec` frames on both
+    backends: answered in this process (inline) or through real worker
+    pipes by forked workers (process).  The backend decides where a
+    shard runs, never what a barrier exchanges.
     """
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
     def test_codec_inline_bit_identical(self, n_shards):
+        # ``codec=`` is a documented no-op kept for existing callers
         ns, cfg, spec, until = fig3_style()
         ref = run_fingerprint(serial_run(ns, cfg, spec, until))
         run = WindowedCoordinator(ns, cfg, spec, n_shards,
@@ -472,25 +481,43 @@ class TestPackedDataPlane:
         run = coord.run(until)
         dp = run.data_plane
         assert dp["backend"] == "process"
-        assert dp["codec"] is True
         assert dp["bytes_exchanged"] > 0
         assert dp["barrier_wait_s"] > 0.0
         assert dp["encode_s"] >= 0.0 and dp["decode_s"] >= 0.0
 
-    def test_inline_without_codec_exchanges_no_bytes(self):
+    @pytest.mark.parametrize("n_shards", [2, 4])
+    def test_inline_and_process_exchange_the_same_barriers(self, n_shards):
         ns, cfg, spec, until = fig3_style()
-        run = WindowedCoordinator(ns, cfg, spec, 2,
-                                  backend="inline").run(until)
-        dp = run.data_plane
-        assert dp["codec"] is False
-        assert dp["bytes_exchanged"] == 0
+        inline, process = (
+            WindowedCoordinator(ns, cfg, spec, n_shards,
+                                backend=backend).run(until)
+            for backend in ("inline", "process")
+        )
+        assert json.dumps(run_fingerprint(inline), sort_keys=True) == \
+            json.dumps(run_fingerprint(process), sort_keys=True)
+        keys = ("n_barriers", "n_coalesced", "bytes_exchanged")
+        assert [inline.data_plane[k] for k in keys] == \
+            [process.data_plane[k] for k in keys]
+        assert inline.data_plane["bytes_exchanged"] > 0
+
+    def test_a_second_run_counts_only_its_own_barriers(self):
+        ns, cfg, spec, until = fig3_style()
+        coord = WindowedCoordinator(ns, cfg, spec, 2, backend="inline")
+        first = coord.run(until)
+        second = coord.run(until)
+        assert json.dumps(run_fingerprint(first), sort_keys=True) == \
+            json.dumps(run_fingerprint(second), sort_keys=True)
+        for key in ("n_barriers", "n_coalesced", "bytes_exchanged"):
+            assert second.data_plane[key] == first.data_plane[key], key
+        assert second.n_windows == first.n_windows
+        assert coord.data_plane is second.data_plane
 
     def test_worker_crash_raises_shard_error_naming_shard(self):
-        from repro.sim.shard import _ProcessStepper
+        from repro.sim.shard import _Stepper
 
         ns, cfg, spec, _ = fig3_style()
         coord = WindowedCoordinator(ns, cfg, spec, 2, backend="process")
-        stepper = _ProcessStepper(coord)
+        stepper = _Stepper(coord)
         try:
             victim = stepper.workers[1].proc
             victim.kill()
@@ -498,6 +525,24 @@ class TestPackedDataPlane:
             with pytest.raises(ShardError, match=r"shard 1 worker"):
                 stepper.step_all(cfg.net_delay, False, [[], []])
             # the crash tore down the surviving workers too
+            assert stepper.workers == []
+        finally:
+            stepper.close()
+
+    def test_worker_death_before_finish_names_the_shard(self):
+        from repro.sim.shard import _Stepper
+
+        ns, cfg, spec, _ = fig3_style()
+        coord = WindowedCoordinator(ns, cfg, spec, 2, backend="process")
+        stepper = _Stepper(coord)
+        try:
+            stepper.step_all(cfg.net_delay, False, [[], []])
+            victim = stepper.workers[1].proc
+            victim.kill()
+            victim.join(timeout=10)
+            with pytest.raises(ShardError,
+                               match=r"shard 1 worker died during finish"):
+                stepper.finish_all()
             assert stepper.workers == []
         finally:
             stepper.close()
@@ -510,7 +555,7 @@ class TestPackedDataPlane:
         import logging
 
         from repro.experiments import parallel
-        from repro.sim.shard import _ProcessStepper
+        from repro.sim.shard import _Stepper
 
         spawned = []
 
@@ -528,7 +573,7 @@ class TestPackedDataPlane:
         assert [w.proc.exitcode for w in spawned] == [0, 0]
         assert "terminating it" not in caplog.text
         # no OP_EXIT needed: a finished worker is gone before close()
-        stepper = _ProcessStepper(
+        stepper = _Stepper(
             WindowedCoordinator(ns, cfg, spec, 2, backend="process"))
         try:
             stepper.finish_all()
@@ -542,14 +587,13 @@ class TestPackedDataPlane:
     def test_route_refuses_bad_destination_shards(self, src, dest):
         ns, cfg, spec, _ = fig3_style()
         coord = WindowedCoordinator(ns, cfg, spec, 4, backend="inline")
-        coord.n_windows = 7
         outs = [{} for _ in range(4)]
-        outs[src] = {dest: [(1.0, src, 1, 0, None)]}
+        outs[src] = {dest: b"frame"}
         with pytest.raises(
             ShardError,
             match=rf"shard {src} sent egress to shard {dest} at window 7",
         ):
-            coord._route(outs)
+            coord._route(outs, 7)
 
     @pytest.mark.parametrize("kind", ["tree", "graph"])
     def test_process_run_uses_no_shared_memory(self, monkeypatch, kind):
@@ -575,7 +619,8 @@ class TestPackedDataPlane:
 
     def test_build_error_names_the_shard(self, monkeypatch):
         """A worker whose shard fails to build answers the handshake
-        with its traceback, raised here as a ShardError."""
+        with its traceback, raised here as a ShardError, on both
+        backends."""
         from repro.sim import shard as shard_mod
 
         real = shard_mod.ShardRunner
@@ -587,9 +632,29 @@ class TestPackedDataPlane:
 
         monkeypatch.setattr(shard_mod, "ShardRunner", flaky)
         ns, cfg, spec, until = fig3_style()
-        coord = WindowedCoordinator(ns, cfg, spec, 2, backend="process")
-        with pytest.raises(ShardError, match=r"(?s)shard 1 worker failed"
-                           r".*no build for shard 1"):
+        for backend in ("inline", "process"):
+            coord = WindowedCoordinator(ns, cfg, spec, 2, backend=backend)
+            with pytest.raises(ShardError, match=r"(?s)shard 1 worker "
+                               r"failed.*no build for shard 1"):
+                coord.run(until)
+
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_step_error_names_the_shard_and_window(self, monkeypatch,
+                                                   backend):
+        """An exception inside a window comes back as the worker's
+        traceback, raised as a ShardError naming shard and window."""
+        real = ShardRunner.step
+
+        def flaky(self, end, inclusive, frames):
+            if self.system.shard_id == 1 and end > 1.0:
+                raise RuntimeError("no step for shard 1")
+            return real(self, end, inclusive, frames)
+
+        monkeypatch.setattr(ShardRunner, "step", flaky)
+        ns, cfg, spec, until = fig3_style()
+        coord = WindowedCoordinator(ns, cfg, spec, 2, backend=backend)
+        with pytest.raises(ShardError, match=r"(?s)shard 1 worker failed "
+                           r"at window [1-9]\d*:.*no step for shard 1"):
             coord.run(until)
 
     def test_shard_result_pickles_natively(self):

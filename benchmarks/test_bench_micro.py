@@ -77,7 +77,7 @@ def test_micro_namespace_distance(benchmark):
 @pytest.mark.benchmark(group="micro")
 def test_micro_bloom_snapshot_test(benchmark):
     bf = BloomFilter.with_capacity(128, fp_rate=0.02)
-    bf.update(range(0, 256, 2))
+    bf.add_many(range(0, 256, 2))
     snap = bf.snapshot()
     it = iter(range(1 << 30))
 

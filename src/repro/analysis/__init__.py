@@ -1,40 +1,1 @@
 """Post-run analysis: series shaping, per-level aggregation, summaries."""
-
-from repro.analysis.export import (
-    fig5_to_csv,
-    matrix_to_csv,
-    series_to_csv,
-    summary_to_json,
-    system_series_to_csv,
-)
-from repro.analysis.fairness import (
-    jain_index,
-    load_imbalance,
-    spike_recovery_times,
-    utilization_fairness,
-)
-from repro.analysis.levels import replicas_per_level
-from repro.analysis.series import (
-    drop_fraction_series,
-    minute_buckets,
-    rate_series,
-)
-from repro.analysis.summary import compare_drop_fractions, run_summary
-
-__all__ = [
-    "compare_drop_fractions",
-    "fig5_to_csv",
-    "matrix_to_csv",
-    "series_to_csv",
-    "summary_to_json",
-    "system_series_to_csv",
-    "jain_index",
-    "load_imbalance",
-    "spike_recovery_times",
-    "utilization_fairness",
-    "drop_fraction_series",
-    "minute_buckets",
-    "rate_series",
-    "replicas_per_level",
-    "run_summary",
-]

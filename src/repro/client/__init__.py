@@ -1,17 +1,1 @@
 """Application-facing client API: lookup, two-step retrieval, search."""
-
-from repro.client.client import TerraDirClient
-from repro.client.results import (
-    Future,
-    LookupResult,
-    RetrievalResult,
-    SearchResult,
-)
-
-__all__ = [
-    "Future",
-    "LookupResult",
-    "RetrievalResult",
-    "SearchResult",
-    "TerraDirClient",
-]

@@ -1,7 +1,1 @@
 """System assembly: configuration, builder, and the simulated system."""
-
-from repro.cluster.config import SystemConfig
-from repro.cluster.builder import build_system
-from repro.cluster.system import System, SystemStats
-
-__all__ = ["System", "SystemConfig", "SystemStats", "build_system"]

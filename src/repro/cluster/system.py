@@ -31,7 +31,7 @@ from repro.sim.rng import RngStreams
 from repro.sim.stats import StatsSink, SystemStats
 from repro.sim.timerwheel import TimerWheel
 
-__all__ = ["ShardSystem", "System", "SystemStats"]
+__all__ = ["ShardSystem", "System"]
 
 
 class System:

@@ -1,17 +1,1 @@
 """The paper's primary contribution: routing + adaptive soft-state replication."""
-
-from repro.core.load import BusyWindowLoadMeter
-from repro.core.maps import NodeMap, merge_maps
-from repro.core.ranking import NodeRanking
-from repro.core.replication import ReplicationManager
-from repro.core.routing import RouteDecision, RouteAction
-
-__all__ = [
-    "BusyWindowLoadMeter",
-    "NodeMap",
-    "NodeRanking",
-    "ReplicationManager",
-    "RouteAction",
-    "RouteDecision",
-    "merge_maps",
-]

@@ -11,23 +11,3 @@ All experiments accept a :class:`~repro.experiments.common.Scale` so
 the same code runs at paper size (hours of CPU) or at the scaled-down
 defaults recorded in EXPERIMENTS.md.
 """
-
-from repro.experiments.common import (
-    PAPER,
-    SCALES,
-    SMALL,
-    TINY,
-    Scale,
-    get_scale,
-    rate_for_utilization,
-)
-
-__all__ = [
-    "PAPER",
-    "SCALES",
-    "SMALL",
-    "TINY",
-    "Scale",
-    "get_scale",
-    "rate_for_utilization",
-]

@@ -1,12 +1,1 @@
 """Bloom filters and inverse-mapping digests (paper section 3.6)."""
-
-from repro.filters.bloom import BloomFilter, optimal_bits, optimal_hashes
-from repro.filters.digest import Digest, DigestDirectory
-
-__all__ = [
-    "BloomFilter",
-    "Digest",
-    "DigestDirectory",
-    "optimal_bits",
-    "optimal_hashes",
-]

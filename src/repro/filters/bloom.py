@@ -152,8 +152,6 @@ class BloomFilter:
             n += 1
         self.n_items += n
 
-    update = add_many
-
     def __contains__(self, key: int) -> bool:
         return self.test_snapshot(self._buf, key)
 

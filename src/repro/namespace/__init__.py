@@ -6,46 +6,3 @@ integer identifiers (the root is always ``0``) so that the hot routing
 path never touches strings; :class:`~repro.namespace.tree.Namespace`
 maps between the two representations.
 """
-
-from repro.namespace.name import (
-    ROOT_NAME,
-    ancestors_of_name,
-    basename,
-    is_prefix,
-    join,
-    parent_name,
-    split,
-    validate_name,
-)
-from repro.namespace.graph import GraphNamespace, mesh_of_trees
-from repro.namespace.meta import MetaStore, NodeMeta
-from repro.namespace.tree import Namespace, NamespaceBuilder
-from repro.namespace.generators import (
-    balanced_tree,
-    coda_like_tree,
-    path_tree,
-    random_tree,
-    university_tree,
-)
-
-__all__ = [
-    "GraphNamespace",
-    "MetaStore",
-    "NodeMeta",
-    "ROOT_NAME",
-    "Namespace",
-    "NamespaceBuilder",
-    "ancestors_of_name",
-    "balanced_tree",
-    "basename",
-    "coda_like_tree",
-    "is_prefix",
-    "join",
-    "mesh_of_trees",
-    "parent_name",
-    "path_tree",
-    "random_tree",
-    "split",
-    "university_tree",
-    "validate_name",
-]

@@ -10,8 +10,9 @@ Nodes export two types of optional application-supplied information:
 Only the owner may modify meta-data; replicas keep the newest version
 they have encountered (no freshness guarantees -- soft state).  The
 :class:`MetaStore` is the owner-side container; replica sides carry
-only the version counter (see :class:`repro.server.peer.Replica`) plus
-whatever the application chooses to piggyback.
+only the version counter (see
+:class:`repro.server.replica_store.Replica`) plus whatever the
+application chooses to piggyback.
 """
 
 from __future__ import annotations

@@ -11,38 +11,7 @@ and runs unchanged under either implementation:
   (:mod:`repro.runtime.async_wire`), hosting live peers via
   :mod:`repro.runtime.async_service` (``python -m repro serve``).
 
-The async modules import lazily so simulation-only users never pay the
-asyncio import (and so the determinism linter's wall-clock chokepoint
-stays a leaf of the import graph).
+This package imports no module of its own: simulation-only users never
+pay the asyncio import (and the determinism linter's wall-clock
+chokepoint stays a leaf of the import graph).
 """
-
-from __future__ import annotations
-
-from typing import TYPE_CHECKING, Any
-
-from repro.runtime.base import CancelHandle, Clock, Runtime, Scheduler, Wire
-from repro.runtime.sim_runtime import SimRuntime
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only re-exports
-    from repro.runtime.async_runtime import AsyncRuntime
-
-__all__ = [
-    "AsyncRuntime",
-    "CancelHandle",
-    "Clock",
-    "Runtime",
-    "Scheduler",
-    "SimRuntime",
-    "Wire",
-]
-
-_LAZY = {"AsyncRuntime": "repro.runtime.async_runtime"}
-
-
-def __getattr__(name: str) -> Any:
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), name)

@@ -5,25 +5,3 @@
 (piggyback intake), ``RoutingCore`` (decision + forward), and
 ``ReplicaStore`` (replica lifecycle).
 """
-
-from repro.server.cache import LRUCache
-from repro.server.ingress import IngressQueue
-from repro.server.peer import PEER_DISPATCH, Peer
-from repro.server.replica_store import Replica, ReplicaStore
-from repro.server.routing_core import RoutingCore
-from repro.server.softstate import SoftStateAbsorber
-from repro.server.state import Relationship, relationship_of, state_kinds
-
-__all__ = [
-    "IngressQueue",
-    "LRUCache",
-    "PEER_DISPATCH",
-    "Peer",
-    "Relationship",
-    "Replica",
-    "ReplicaStore",
-    "RoutingCore",
-    "SoftStateAbsorber",
-    "relationship_of",
-    "state_kinds",
-]

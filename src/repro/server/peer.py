@@ -70,12 +70,7 @@ from repro.server.routing_core import RoutingCore
 from repro.server.softstate import SoftStateAbsorber
 from repro.sim.rng import exponential
 
-__all__ = [
-    "AdvertMessage",  # moved to repro.net.message; re-exported for compat
-    "PEER_DISPATCH",
-    "Peer",
-    "Replica",
-]
+__all__ = ["PEER_DISPATCH", "Peer"]
 
 
 #: The default message-type -> handler registry for :class:`Peer`.

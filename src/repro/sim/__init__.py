@@ -1,19 +1,1 @@
 """Discrete-event simulation substrate (engine, RNG streams, stats)."""
-
-from repro.sim.engine import Engine, SimError
-from repro.sim.memsize import deep_sizeof, peak_rss_bytes, rss_bytes
-from repro.sim.rng import RngStreams, ZipfSampler
-from repro.sim.stats import Counter, TimeSeries, WindowAverager
-
-__all__ = [
-    "Counter",
-    "Engine",
-    "RngStreams",
-    "SimError",
-    "TimeSeries",
-    "WindowAverager",
-    "ZipfSampler",
-    "deep_sizeof",
-    "peak_rss_bytes",
-    "rss_bytes",
-]

@@ -43,7 +43,9 @@ nothing mutates the path after send.
 
 Everything is little-endian with explicit ``struct`` formats; no
 record is ever silently truncated -- malformed frames raise
-:class:`ShardCodecError`.
+:class:`~repro.net.codec.CodecError`, the body codec's own class, so a
+body's overflow or truncation surfaces from :func:`encode_batch` /
+:func:`decode_batch` unwrapped.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ __all__ = [
     "MAGIC",
     "PackedLog",
     "STATS_RECORDS",
-    "ShardCodecError",
     "decode_batch",
     "decode_stats_log",
     "decode_step_reply",
@@ -71,11 +72,6 @@ __all__ = [
     "encode_step_request",
     "stats_records",
 ]
-
-#: what every function here raises on a frame it cannot write or read;
-#: one class with the body codec, so a body's overflow or truncation
-#: surfaces from ``encode_batch``/``decode_batch`` unwrapped
-ShardCodecError = CodecError
 
 #: frame magic: "Sharded Data Plane v1"
 MAGIC = b"SDP1"
@@ -104,7 +100,7 @@ def encode_batch(entries: Sequence[Entry]) -> bytes:
         try:
             tid, enc = ENCODERS[msg.__class__]
         except KeyError:
-            raise ShardCodecError(
+            raise CodecError(
                 f"no packed codec for message type {type(msg).__name__}"
             ) from None
         hdr_at = len(out)
@@ -120,12 +116,12 @@ def decode_batch(frame: Buf) -> List[Entry]:
     """Unpack one egress frame back into entry tuples.
 
     Raises:
-        ShardCodecError: bad magic, truncated records, unknown type
+        CodecError: bad magic, truncated records, unknown type
             ids, body-length mismatches, or trailing garbage.
     """
     view = memoryview(frame)
     if bytes(view[:4]) != MAGIC:
-        raise ShardCodecError(
+        raise CodecError(
             f"bad frame magic {bytes(view[:4])!r} (expected {MAGIC!r})"
         )
     try:
@@ -139,23 +135,23 @@ def decode_batch(frame: Buf) -> List[Entry]:
             off += _HDR.size
             dec = DECODERS.get(tid)
             if dec is None:
-                raise ShardCodecError(f"unknown message type id {tid}")
+                raise CodecError(f"unknown message type id {tid}")
             if off + body_len > len(view):
-                raise ShardCodecError("truncated record body")
+                raise CodecError("truncated record body")
             msg, end = dec(view, off, None)
             if end - off != body_len:
-                raise ShardCodecError(
+                raise CodecError(
                     f"body length mismatch for type id {tid}: "
                     f"header says {body_len}, decoder read {end - off}"
                 )
             off = end
             entries.append((at, src_shard, send_seq, dest, msg))
-    except ShardCodecError:
+    except CodecError:
         raise
     except DECODE_ERRORS as exc:
-        raise ShardCodecError(f"truncated frame: {exc}") from None
+        raise CodecError(f"truncated frame: {exc}") from None
     if off != len(view):
-        raise ShardCodecError(
+        raise CodecError(
             f"trailing garbage: {len(view) - off} bytes after last record"
         )
     return entries
@@ -203,13 +199,13 @@ def decode_step_request(payload: Buf) -> Tuple[float, bool, List[memoryview]]:
             (flen,) = _U32.unpack_from(view, off)
             off += 4
             if off + flen > len(view):
-                raise ShardCodecError("truncated step-request frame")
+                raise CodecError("truncated step-request frame")
             frames.append(view[off:off + flen])
             off += flen
     except struct.error as exc:
-        raise ShardCodecError(f"truncated step request: {exc}") from None
+        raise CodecError(f"truncated step request: {exc}") from None
     if off != len(view):
-        raise ShardCodecError("trailing garbage in step request")
+        raise CodecError("trailing garbage in step request")
     return end, bool(inclusive), frames
 
 
@@ -235,13 +231,13 @@ def decode_step_reply(payload: Buf) -> Tuple[float, List[Tuple[int, memoryview]]
             dest, flen = _DEST_FRAME.unpack_from(view, off)
             off += _DEST_FRAME.size
             if off + flen > len(view):
-                raise ShardCodecError("truncated step-reply frame")
+                raise CodecError("truncated step-reply frame")
             dest_frames.append((dest, view[off:off + flen]))
             off += flen
     except struct.error as exc:
-        raise ShardCodecError(f"truncated step reply: {exc}") from None
+        raise CodecError(f"truncated step reply: {exc}") from None
     if off != len(view):
-        raise ShardCodecError("trailing garbage in step reply")
+        raise CodecError("trailing garbage in step reply")
     return next_time, dest_frames
 
 
@@ -320,7 +316,7 @@ def decode_stats_log(log: PackedLog) -> List[Tuple[Any, ...]]:
         for _ in range(log.n):
             code = data[off + 8]  # the opcode byte after the timestamp
             if code >= len(records):
-                raise ShardCodecError(f"unknown stats opcode {code}")
+                raise CodecError(f"unknown stats opcode {code}")
             _, layout, str_at = records[code]
             rec = layout.unpack_from(data, off)
             off += layout.size
@@ -331,9 +327,9 @@ def decode_stats_log(log: PackedLog) -> List[Tuple[Any, ...]]:
                 rec = tuple(vals)
             out.append(rec)
     except (struct.error, IndexError) as exc:
-        raise ShardCodecError(f"corrupt packed stats log: {exc}") from None
+        raise CodecError(f"corrupt packed stats log: {exc}") from None
     if off != len(data):
-        raise ShardCodecError("trailing garbage in packed stats log")
+        raise CodecError("trailing garbage in packed stats log")
     return out
 
 

@@ -16,15 +16,9 @@ section 13 for the rationale, and docs/API.md for the API.
 
 Public API::
 
-    from repro.tools.detlint import lint_paths, LintResult, Violation
+    from repro.tools.detlint.engine import lint_paths
 
     result = lint_paths(["src"])
     for v in result.violations:
         print(v.format())
 """
-
-from repro.tools.detlint.engine import LintResult, lint_paths
-from repro.tools.detlint.model import Rule, Violation
-from repro.tools.detlint.rules import RULES
-
-__all__ = ["LintResult", "RULES", "Rule", "Violation", "lint_paths"]

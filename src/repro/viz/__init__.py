@@ -4,7 +4,3 @@
 of the evaluation section as an SVG from a fresh experiment run; the
 chart primitives live in :mod:`repro.viz.svg`.
 """
-
-from repro.viz.svg import BarChart, LineChart, PALETTE
-
-__all__ = ["BarChart", "LineChart", "PALETTE"]

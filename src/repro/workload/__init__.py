@@ -1,19 +1,1 @@
 """Query workloads: uniform / Zipf streams with shifting hot-spots."""
-
-from repro.workload.streams import (
-    StreamSegment,
-    WorkloadSpec,
-    cuzipf_stream,
-    unif_stream,
-    uzipf_stream,
-)
-from repro.workload.arrivals import WorkloadDriver
-
-__all__ = [
-    "StreamSegment",
-    "WorkloadDriver",
-    "WorkloadSpec",
-    "cuzipf_stream",
-    "unif_stream",
-    "uzipf_stream",
-]

@@ -170,7 +170,7 @@ class TestMembership:
     def test_no_false_negatives(self):
         bf = BloomFilter.with_capacity(200, fp_rate=0.01)
         keys = list(range(0, 2000, 10))
-        bf.update(keys)
+        bf.add_many(keys)
         for k in keys:
             assert k in bf
 
@@ -180,7 +180,7 @@ class TestMembership:
 
     def test_fp_rate_reasonable(self):
         bf = BloomFilter.with_capacity(500, fp_rate=0.01)
-        bf.update(range(500))
+        bf.add_many(range(500))
         fps = sum(1 for k in range(10_000, 30_000) if k in bf)
         assert fps / 20_000 < 0.05  # generous bound on the 1% design point
 
@@ -261,12 +261,12 @@ class TestDiagnostics:
     def test_fill_ratio_grows(self):
         bf = BloomFilter.with_capacity(100)
         assert bf.fill_ratio == 0.0
-        bf.update(range(50))
+        bf.add_many(range(50))
         assert 0.0 < bf.fill_ratio < 1.0
 
     def test_expected_fp_rate_bounds(self):
         bf = BloomFilter.with_capacity(100, fp_rate=0.01)
-        bf.update(range(100))
+        bf.add_many(range(100))
         assert 0.0 < bf.expected_fp_rate() < 0.1
 
     def test_rejects_bad_construction(self):

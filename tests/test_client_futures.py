@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.client import TerraDirClient
+from repro.client.client import TerraDirClient
 from repro.client.results import Future
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig

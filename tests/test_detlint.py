@@ -14,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.tools.detlint import RULES, lint_paths
 from repro.tools.detlint.classify import classify, is_wallclock_chokepoint
 from repro.tools.detlint.cli import main as lint_main
 from repro.tools.detlint.cli import text_report
-from repro.tools.detlint.engine import lint_file
+from repro.tools.detlint.engine import lint_file, lint_paths
+from repro.tools.detlint.rules import RULES
 
 TESTS_DIR = Path(__file__).resolve().parent
 FIXTURES = TESTS_DIR / "detlint_fixtures"

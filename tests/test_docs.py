@@ -1,12 +1,15 @@
 """Documentation stays truthful: tutorial code runs, README structure
 matches the repository, every public module has a docstring."""
 
+import ast
 import contextlib
 import importlib
 import io
 import pathlib
 import pkgutil
 import re
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -64,6 +67,24 @@ class TestDocstrings:
                 undocumented.append(name)
         assert not undocumented, undocumented
 
+    def test_public_api_table_names_defining_modules(self):
+        import repro
+
+        # a re-exporting module (SystemStats via repro.cluster.system)
+        # is a second path to the name; the table holds the first one
+        drift = {
+            name: (module, getattr(repro, name).__module__)
+            for name, module in repro._API.items()
+            if getattr(repro, name).__module__ != module
+        }
+        assert not drift, drift
+        assert set(repro.__all__) <= set(dir(repro))
+        env = {}
+        exec("from repro import *", env)
+        assert set(repro.__all__) <= set(env)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+
 
 class TestQuotedCommands:
     """Every ``python -m repro <subcommand>`` and ``make <target>`` the
@@ -98,13 +119,21 @@ class TestQuotedCommands:
 
 
 class TestQuotedNames:
-    """Every backticked ``repro.x.y`` name in the API reference, the
-    design document and the verify skill resolves by import: the
-    longest importable module prefix, then attributes.  Names the docs
-    quote *as removed* are listed here, and must stay unresolvable."""
+    """Every backticked ``repro.x.y`` name in the docs and the verify
+    skill resolves by import: the longest importable module prefix, then
+    attributes.  Names the docs quote *as removed* are listed here, and
+    must stay unresolvable."""
 
-    DOCS = ("docs/API.md", "DESIGN.md", ".claude/skills/verify/SKILL.md")
-    REMOVED = frozenset({"repro.experiments.runner", "repro.sim.profile"})
+    DOCS = (
+        "README.md", "docs/API.md", "docs/TUTORIAL.md", "DESIGN.md",
+        "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md",
+    )
+    REMOVED = frozenset({
+        "repro.client.TerraDirClient",
+        "repro.experiments.runner",
+        "repro.sim.profile",
+        "repro.sim.shardcodec.ShardCodecError",
+    })
 
     @staticmethod
     def _resolves(name):
@@ -136,3 +165,23 @@ class TestQuotedNames:
         )
         assert not stale, stale
         assert not [n for n in self.REMOVED if self._resolves(n)]
+
+
+class TestScriptImports:
+    """Every ``from repro... import name`` in the example scripts and the
+    figure benchmarks resolves: neither runs in tier-1, so a name moved
+    or deleted would otherwise only fail the next reader."""
+
+    def test_imported_names_resolve(self):
+        scripts = sorted((REPO / "examples").glob("*.py"))
+        scripts += sorted((REPO / "benchmarks").glob("*.py"))
+        names = []
+        for path in scripts:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and (
+                    node.module or ""
+                ).partition(".")[0] == "repro":
+                    names += [f"{node.module}.{a.name}" for a in node.names]
+        assert len(names) > 50
+        stale = [n for n in names if not TestQuotedNames._resolves(n)]
+        assert not stale, stale

@@ -6,7 +6,7 @@ import io
 import pytest
 
 from repro.analysis.export import system_series_to_csv
-from repro.client import TerraDirClient
+from repro.client.client import TerraDirClient
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.workload.trace import (

@@ -7,7 +7,10 @@ the live generator's :class:`SegmentSampler` -- and then reads
 used to arrive with the first Zipf arrival, mid-run) fails here even on
 a host that has the module installed.  The same probe keeps the
 developer tooling (``repro.tools``, the determinism linter) off the
-runtime path.
+runtime path, and checks that a start-up loads only the modules it runs:
+``import repro`` alone loads no other module, the probe's paths load
+none of the modules in ``UNUSED_ON_RUNS``, and the linter's CLI loads
+no simulator module.
 """
 
 import os
@@ -17,9 +20,25 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+#: modules no benchmark workload calls: a run that loads one pays for
+#: compiling it and nothing else
+UNUSED_ON_RUNS = (
+    "repro.client.client",
+    "repro.client.results",
+    "repro.cluster.failures",
+    "repro.core.static_replication",
+    "repro.workload.trace",
+    "repro.sim.memsize",
+    "repro.namespace.graph",
+    "repro.server.state",
+)
+
 PROBE = """
 import random, sys
 at_startup = set(sys.modules)  # site's .pth hooks import their own
+import repro
+added = sorted(set(sys.modules) - at_startup)
+assert [m for m in added if m.startswith("repro")] == ["repro"], added
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
@@ -44,6 +63,8 @@ assert 0 <= sampler.dest(0.75) < len(ns)
 
 assert "numpy" not in sys.modules
 assert "repro.tools" not in sys.modules  # the linter stays off runs
+unused = [m for m in UNUSED_ON_RUNS if m in sys.modules]
+assert not unused, unused
 stdlib = getattr(sys, "stdlib_module_names", None)  # 3.10+
 if stdlib is not None:
     tops = {name.partition(".")[0] for name in set(sys.modules) - at_startup}
@@ -53,11 +74,29 @@ print("clean")
 """
 
 
-def test_runs_import_nothing_outside_the_stdlib():
+LINT_PROBE = """
+import sys
+import repro.tools.detlint.cli
+loaded = sorted(m for m in sys.modules
+                if m.startswith(("repro.sim", "repro.server", "repro.cluster")))
+assert not loaded, loaded
+print("clean")
+"""
+
+
+def _run_probe(source):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE],
+        [sys.executable, "-c", source],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "clean"
+
+
+def test_runs_import_nothing_outside_the_stdlib():
+    _run_probe(f"UNUSED_ON_RUNS = {UNUSED_ON_RUNS!r}\n{PROBE}")
+
+
+def test_lint_cli_loads_no_simulator_module():
+    _run_probe(LINT_PROBE)

@@ -3,8 +3,7 @@
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
-from repro.net.message import QueryMessage
-from repro.server.peer import AdvertMessage
+from repro.net.message import AdvertMessage, QueryMessage
 
 
 def make(n_servers=6, levels=5, **over):

@@ -118,7 +118,7 @@ def test_ancestors_are_prefixes(comps):
 @settings(max_examples=40)
 def test_bloom_no_false_negatives(keys, bits, hashes):
     bf = BloomFilter(bits, hashes)
-    bf.update(keys)
+    bf.add_many(keys)
     for k in keys:
         assert k in bf
 
@@ -126,7 +126,7 @@ def test_bloom_no_false_negatives(keys, bits, hashes):
 @given(st.lists(st.integers(min_value=0, max_value=2**62), max_size=100))
 def test_bloom_snapshot_equivalent_to_filter(keys):
     bf = BloomFilter(512, 4)
-    bf.update(keys)
+    bf.add_many(keys)
     snap = bf.snapshot()
     for k in list(keys) + [1, 2, 3]:
         assert bf.test_snapshot(snap, k) == (k in bf)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.codec import require_encodable, supported_types
+from repro.net.codec import CodecError, require_encodable, supported_types
 from repro.net.message import (
     AdvertMessage,
     ProbeMessage,
@@ -28,7 +28,6 @@ from repro.sim.shardcodec import (
     STATS_RECORDS,
     ArrivalBatch,
     PackedLog,
-    ShardCodecError,
     decode_batch,
     decode_stats_log,
     decode_step_reply,
@@ -93,7 +92,7 @@ class TestRoundTrip:
         class Rogue:
             pass
 
-        with pytest.raises(ShardCodecError, match="Rogue"):
+        with pytest.raises(CodecError, match="Rogue"):
             require_encodable([QueryMessage, Rogue])
 
     def test_response_path_no_longer_aliases_query(self):
@@ -117,20 +116,20 @@ class TestRejection:
     def test_bad_magic(self):
         frame = bytearray(self._one_frame())
         frame[:4] = b"XXXX"
-        with pytest.raises(ShardCodecError, match="magic"):
+        with pytest.raises(CodecError, match="magic"):
             decode_batch(bytes(frame))
 
     def test_truncated_header(self):
-        with pytest.raises(ShardCodecError):
+        with pytest.raises(CodecError):
             decode_batch(MAGIC + b"\x01")
 
     def test_truncated_tail(self):
         frame = self._one_frame()
-        with pytest.raises(ShardCodecError):
+        with pytest.raises(CodecError):
             decode_batch(frame[:-1])
 
     def test_trailing_garbage(self):
-        with pytest.raises(ShardCodecError, match="trailing"):
+        with pytest.raises(CodecError, match="trailing"):
             decode_batch(self._one_frame() + b"\x00")
 
     def test_unknown_type_id(self):
@@ -139,7 +138,7 @@ class TestRejection:
         tid_at = 4 + 4 + 8 + 2 + 8 + 4
         assert frame[tid_at] != 0xEE
         frame[tid_at] = 0xEE
-        with pytest.raises(ShardCodecError, match="type id"):
+        with pytest.raises(CodecError, match="type id"):
             decode_batch(bytes(frame))
 
     def test_body_length_mismatch(self):
@@ -147,26 +146,26 @@ class TestRejection:
         blen_at = 4 + 4 + 8 + 2 + 8 + 4 + 1  # body_len field
         (blen,) = struct.unpack_from("<I", frame, blen_at)
         struct.pack_into("<I", frame, blen_at, blen + 1)
-        with pytest.raises(ShardCodecError):
+        with pytest.raises(CodecError):
             decode_batch(bytes(frame))
 
     def test_unencodable_message_class(self):
-        with pytest.raises(ShardCodecError, match="object"):
+        with pytest.raises(CodecError, match="object"):
             encode_batch([(0.0, 0, 0, 0, object())])
 
     def test_int32_overflow_fails_loudly(self):
         m = AdvertMessage(node=0, servers=[2 ** 40])
-        with pytest.raises(ShardCodecError, match="overflow"):
+        with pytest.raises(CodecError, match="overflow"):
             encode_batch([(0.0, 0, 0, 0, m)])
 
     def test_garbage_bytes(self):
-        with pytest.raises(ShardCodecError):
+        with pytest.raises(CodecError):
             decode_batch(b"\xde\xad\xbe\xef" * 8)
 
 
 class TestDigestBearingBatch:
     """A batch record whose body carries a digest vector: the bytes the
-    parent of issue 19 wrote, and nothing but ``ShardCodecError`` out of
+    parent of issue 19 wrote, and nothing but ``CodecError`` out of
     any damaged copy."""
 
     #: ``encode_batch([(0.5, 1, 2, 3, make_query())])`` on that parent
@@ -191,9 +190,9 @@ class TestDigestBearingBatch:
     def test_truncation_at_every_offset(self):
         frame = self._batch()
         for cut in range(len(frame)):
-            with pytest.raises(ShardCodecError):
+            with pytest.raises(CodecError):
                 decode_batch(frame[:cut])
-            with pytest.raises(ShardCodecError):
+            with pytest.raises(CodecError):
                 decode_batch(memoryview(frame)[:cut])
 
     def test_n_words_field_mutations(self):
@@ -202,7 +201,7 @@ class TestDigestBearingBatch:
         assert frame[at:at + 4] == (3).to_bytes(4, "little")
         for n in (0, 1, 2, 4, 5, 6, 255, 2 ** 31, 2 ** 32 - 1):
             mutant = frame[:at] + n.to_bytes(4, "little") + frame[at + 4:]
-            with pytest.raises(ShardCodecError):
+            with pytest.raises(CodecError):
                 decode_batch(mutant)
 
     def test_every_byte_flipped_decodes_or_raises_its_own_error(self):
@@ -216,7 +215,7 @@ class TestDigestBearingBatch:
                         snap = getattr(entry[4], "sender_digest", None)
                         if snap is not None:
                             assert len(snap[1]) % 8 == 0
-                except ShardCodecError:
+                except CodecError:
                     pass  # any other type propagates and fails the test
 
 
@@ -252,12 +251,12 @@ class TestStepFrames:
 
     def test_truncated_request(self):
         payload = encode_step_request(1.0, False, [b"abcd"])
-        with pytest.raises(ShardCodecError):
+        with pytest.raises(CodecError):
             decode_step_request(memoryview(payload)[1:-1])
 
     def test_truncated_reply(self):
         payload = encode_step_reply(1.0, [(1, b"abcd")])
-        with pytest.raises(ShardCodecError):
+        with pytest.raises(CodecError):
             decode_step_reply(memoryview(payload)[1:-1])
 
 
@@ -336,14 +335,14 @@ class TestPackedLog:
 
     def test_corrupt_log_rejected(self):
         log = self._recorded().packed()
-        with pytest.raises(ShardCodecError):
+        with pytest.raises(CodecError):
             decode_stats_log(PackedLog(log.data[:-1], log.strings, log.n))
-        with pytest.raises(ShardCodecError):
+        with pytest.raises(CodecError):
             decode_stats_log(
                 PackedLog(log.data + b"\x00" * 9, log.strings, log.n)
             )
         bad_opcode = log.data[:8] + bytes((len(STATS_RECORDS),))
-        with pytest.raises(ShardCodecError, match="opcode"):
+        with pytest.raises(CodecError, match="opcode"):
             decode_stats_log(PackedLog(bad_opcode, (), 1))
 
 

@@ -102,15 +102,26 @@ def decode_message(payload: bytes, seen: Optional[DigestTable] = None) -> Any:
     return msg
 
 
-def encode_frame(msg: Any, sent: Optional[DigestTable] = None) -> bytes:
-    """One complete frame (header + payload) for ``msg``."""
-    payload = encode_message(msg, sent)
-    if len(payload) > MAX_FRAME:
+def encode_frame(msg: Any, sent: Optional[DigestTable] = None) -> bytearray:
+    """One complete frame (header + payload) for ``msg``, in one buffer:
+    the payload is encoded behind a reserved header, then its length is
+    packed in place."""
+    try:
+        tid, enc = ENCODERS[msg.__class__]
+    except KeyError:
         raise FrameError(
-            f"frame payload {len(payload)} bytes exceeds MAX_FRAME "
-            f"({MAX_FRAME})"
+            f"{type(msg).__name__} is not a registered wire type"
+        ) from None
+    out = bytearray(HEADER_SIZE + 1)  # the header to come, the type id
+    out[HEADER_SIZE] = tid
+    enc(out, msg, sent)
+    length = len(out) - HEADER_SIZE
+    if length > MAX_FRAME:
+        raise FrameError(
+            f"frame payload {length} bytes exceeds MAX_FRAME ({MAX_FRAME})"
         )
-    return _HEADER.pack(len(payload)) + payload
+    _HEADER.pack_into(out, 0, length)
+    return out
 
 
 class FrameReader:
@@ -128,8 +139,12 @@ class FrameReader:
         self.max_frame = max_frame
         self.n_frames = 0
 
-    def feed(self, data: bytes) -> List[bytes]:
-        """Absorb ``data``; return every payload completed by it."""
+    def feed(self, data: Buf) -> List[bytes]:
+        """Absorb ``data``; return every payload completed by it.
+
+        ``data`` may be a view of a buffer the caller reuses: every
+        payload returned and the partial tail kept are copies, so
+        overwriting the buffer afterwards changes neither."""
         buf = self._buf
         src: Buf = data
         if buf:
@@ -148,7 +163,8 @@ class FrameReader:
             end = offset + HEADER_SIZE + length
             if end > size:
                 break
-            # a slice of a bytes chunk already is the payload object
+            # one copy: of a bytes chunk the slice already is the
+            # payload, of a view ``bytes`` copies the viewed bytes
             out.append(bytes(src[offset + HEADER_SIZE:end]))
             offset = end
         self.n_frames += len(out)

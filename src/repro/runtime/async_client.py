@@ -111,7 +111,7 @@ class HomeConnection(asyncio.BufferedProtocol):
 
     def buffer_updated(self, nbytes: int) -> None:
         try:
-            for payload in self._frames.feed(bytes(self._recv_view[:nbytes])):
+            for payload in self._frames.feed(self._recv_view[:nbytes]):
                 msg = decode_message(payload)
                 if type(msg) is not ClientLookupReply:
                     raise FrameError(

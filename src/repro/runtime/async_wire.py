@@ -127,11 +127,11 @@ class _Inbound(asyncio.BufferedProtocol):
     def buffer_updated(self, nbytes: int) -> None:
         wire = self.wire
         seen = self.seen
-        # copy out first: the buffer is shared by every connection of
-        # the wire, and the next read on any of them overwrites it
-        data = bytes(wire._recv_view[:nbytes])
         try:
-            for payload in self.frames.feed(data):
+            # the buffer is shared by every connection of the wire and
+            # the next read on any of them overwrites it; feed copies
+            # out each payload and the partial tail it keeps
+            for payload in self.frames.feed(wire._recv_view[:nbytes]):
                 msg = decode_message(payload, seen)
                 wire.n_delivered += 1
                 if type(msg) is ClientLookup:
@@ -230,7 +230,8 @@ class AsyncWire:
         self._digest_counts = [0, 0]
         # the one receive buffer of every inbound connection: the loop
         # runs get_buffer -> recv_into -> buffer_updated back to back,
-        # and buffer_updated copies the bytes out before it returns
+        # and the frame reader copies out what it keeps before
+        # buffer_updated returns
         self._recv_view = memoryview(bytearray(_RECV_BUFFER))
 
     # ------------------------------------------------------------------

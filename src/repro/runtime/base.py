@@ -14,8 +14,7 @@ capabilities:
   (lookup deadlines, session liveness).  Both runtimes route
   ``timer_after`` through a :class:`~repro.sim.timerwheel.TimerWheel`
   over their own clock and ``schedule``, so a cancelled timeout is a
-  dict pop and never a dead entry on the engine's event heap or on
-  asyncio's timer heap.
+  dict pop and never a dead entry on either runtime's event heap.
 * :class:`Wire` -- ``rt.send(dest, msg, control=False)``, one-way
   message delivery to server ``dest``.  The simulator's delivery ring
   and the framed asyncio transport both sit behind this call.
@@ -50,8 +49,10 @@ __all__ = [
 
 @runtime_checkable
 class CancelHandle(Protocol):
-    """A cancellable scheduled callback (engine event, wheel timer, or
-    asyncio timer).  ``cancel`` is idempotent and safe after firing."""
+    """A cancellable scheduled callback: an event-heap entry's
+    :class:`~repro.sim.engine.EventHandle` (the engine's heap, or the
+    live runtime's) or a wheel timer.  ``cancel`` is idempotent and safe
+    after firing."""
 
     cancelled: bool
 

@@ -4,8 +4,9 @@ cancelled asyncio ``call_later`` per lookup (DESIGN.md section 14.3).
 
 What must hold: a response after the deadline is ignored; a lost
 connection fails what waits; a lookup that ends in any way leaves
-nothing in the wheel; and asyncio's timer heap holds one timer per
-bucket, not one per lookup in flight.  Also here: the silent failure
+nothing in the wheel; and asyncio's timer heap holds no more timers
+than the wheel has buckets (the runtime's one timer for its own heap),
+not one per lookup in flight.  Also here: the silent failure
 sites the live path used to have (deadline expiry, a dial given up, a
 client frame with no client plane) each log one warning, and
 ``AsyncRuntime``'s loop rule.  The wheel itself is tested on both
@@ -172,8 +173,9 @@ def test_armed_timers_stay_within_the_buckets_over_a_closed_loop():
 
     (heap, buckets, elapsed, left), conn = asyncio.run(go())
     assert conn.n_replies == conn.n_sent >= total and conn.n_timeouts == 0
-    # one asyncio timer per wheel bucket, one bucket per tick the run
-    # spans: not one per lookup, and nothing for a cancelled lookup
+    # one asyncio timer for the runtime's heap, which holds one entry
+    # per wheel bucket, one bucket per tick the run spans: not one per
+    # lookup, and nothing for a cancelled lookup
     assert heap <= buckets <= elapsed / conn.runtime.timers.tick + 2
     assert left == 0
 

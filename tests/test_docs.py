@@ -131,6 +131,7 @@ class TestQuotedNames:
     REMOVED = frozenset({
         "repro.client.TerraDirClient",
         "repro.experiments.runner",
+        "repro.runtime.async_runtime.AsyncHandle",
         "repro.sim.profile",
         "repro.sim.shardcodec.ShardCodecError",
     })

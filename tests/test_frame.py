@@ -744,6 +744,41 @@ def test_reader_whole_frames_buffer_nothing():
     assert all(type(p) is bytes for p in payloads)
 
 
+def test_reader_keeps_nothing_of_a_reused_receive_buffer():
+    """The live protocols feed a view of one receive buffer, which the
+    next read overwrites: what ``feed`` returns and what it buffers
+    must be copies."""
+    frames = [encode_frame(m) for m in corpus_messages()]
+    stream = b"".join(frames)
+    cut = len(stream) - len(frames[-1]) // 2  # the last frame half in
+    recv = bytearray(len(stream))
+    recv[:cut] = stream[:cut]
+    reader = FrameReader()
+    payloads = reader.feed(memoryview(recv)[:cut])
+    assert reader.pending() == cut - (len(stream) - len(frames[-1]))
+    recv[:] = b"\xff" * len(recv)  # the next read lands
+    assert payloads == [bytes(f[HEADER_SIZE:]) for f in frames[:-1]]
+    assert all(type(p) is bytes for p in payloads)
+    rest = bytearray(stream[cut:])
+    last = reader.feed(memoryview(rest))
+    rest[:] = b"\x00" * len(rest)
+    assert last == [bytes(frames[-1][HEADER_SIZE:])]
+    assert payloads == [bytes(f[HEADER_SIZE:]) for f in frames[:-1]]
+
+
+def test_frame_is_header_then_message_for_every_golden_class():
+    for m in corpus_messages():
+        p = encode_message(m)
+        assert encode_frame(m) == struct.pack(">I", len(p)) + p
+    # and the interned form, each through its own link table
+    sent, mirror = DigestTable(), DigestTable()
+    encode_frame(make_query(), sent)
+    encode_message(make_query(), mirror)
+    p = encode_message(make_query(), mirror)
+    assert p == GOLDEN_CORPUS[-1]
+    assert encode_frame(make_query(), sent) == struct.pack(">I", len(p)) + p
+
+
 def test_reader_rejects_oversized_header():
     bogus = (MAX_FRAME + 1).to_bytes(4, "big") + b"x"
     with pytest.raises(FrameError):

@@ -3,7 +3,7 @@
 * ``python -m repro [fig ...]`` -- the experiment suite, run in memory
   and printed as one combined report
   (see :func:`repro.experiments.campaign.report`);
-* ``python -m repro run [fig ...] [--jobs N] [--resume] [--no-cache]
+* ``python -m repro run [fig ...] [--jobs N] [--no-cache]
   [--out DIR]`` -- the same experiments as a cached, resumable campaign
   writing per-run artifacts (see :mod:`repro.experiments.campaign`);
 * ``python -m repro mem-smoke [--nodes N] [--servers N] [--budget-mb MB]``
@@ -42,9 +42,10 @@ def main(argv) -> int:
 
         return lint_main(argv[1:])
     if argv and argv[0] == "serve":
+        from repro.experiments.campaign import ResultStore
         from repro.runtime.async_serve import main as serve_main
 
-        return serve_main(argv[1:])
+        return serve_main(argv[1:], ResultStore)
     from repro.experiments.campaign import report
 
     report(argv)

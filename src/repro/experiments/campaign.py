@@ -50,7 +50,7 @@ from typing import (
     Tuple,
 )
 
-from repro.experiments.parallel import parallel_map, worker_count
+from repro.experiments.parallel import env_count, parallel_map, worker_count
 
 FINGERPRINT_VERSION = 1
 """Bumped whenever the canonical spec encoding changes (invalidates
@@ -647,10 +647,11 @@ def report(argv: List[str]) -> None:
 
 
 def main(argv: List[str]) -> int:
-    """``python -m repro run [exp ...] [--jobs N] [--resume] [--no-cache]
+    """``python -m repro run [exp ...] [--jobs N] [--no-cache]
     [--out DIR] [--retries N]`` -- run experiments as a cached campaign.
 
-    Scale and base seed come from ``REPRO_SCALE`` / ``REPRO_SEED``.
+    Scale and base seed come from ``REPRO_SCALE`` / ``REPRO_SEED``, the
+    shard count of each run from ``REPRO_SHARDS``.
     Artifacts land in ``--out`` (default ``results/``); a re-run skips
     every fingerprint hit, so an interrupted campaign resumes where it
     stopped.  ``--no-cache`` forces re-execution (artifacts are still
@@ -677,11 +678,6 @@ def main(argv: List[str]) -> int:
         help="artifact directory (default: results/)",
     )
     parser.add_argument(
-        "--resume", action="store_true",
-        help="skip runs whose artifacts already exist (the default; "
-        "spelled out for scripts that want to be explicit)",
-    )
-    parser.add_argument(
         "--no-cache", action="store_true",
         help="ignore existing artifacts and re-execute every run",
     )
@@ -689,15 +685,7 @@ def main(argv: List[str]) -> int:
         "--retries", type=int, default=1, metavar="N",
         help="extra attempts per failing run (default: 1)",
     )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="shard engines per run (default: $REPRO_SHARDS, serial if "
-        "unset); composes with --jobs campaign-first -- each run only "
-        "spawns shard processes out of the CPUs --jobs leaves free",
-    )
     args = parser.parse_args(argv)
-    if args.resume and args.no_cache:
-        parser.error("--resume and --no-cache are mutually exclusive")
 
     wanted = list(args.experiments) or list(EXPERIMENT_NAMES)
     unknown = [w for w in wanted if w not in _MODULES]
@@ -706,16 +694,9 @@ def main(argv: List[str]) -> int:
             f"unknown experiments {unknown}; choose from {list(_MODULES)}"
         )
 
-    if args.shards is not None:
-        if args.shards < 1:
-            parser.error("--shards must be >= 1")
-        # run-level sharding travels by environment so campaign worker
-        # processes (and their run functions) pick it up uniformly
-        os.environ["REPRO_SHARDS"] = str(args.shards)
-
     scale = get_scale()
     seed = get_seed()
-    shards = os.environ.get("REPRO_SHARDS", "").strip() or "1"
+    shards = env_count("REPRO_SHARDS") or 1
     print(
         f"scale={scale.name}  seed={seed}  out={args.out}  "
         f"cache={'off' if args.no_cache else 'on'}  shards={shards}"

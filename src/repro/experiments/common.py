@@ -22,13 +22,17 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, List, Optional, Tuple
+import warnings
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.cluster.system import System
+from repro.experiments.parallel import env_count, shard_backend
 from repro.namespace.generators import balanced_tree, coda_like_tree
 from repro.namespace.tree import Namespace
+from repro.sim.engine import ShardError
+from repro.sim.shard import WindowedCoordinator
 from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import WorkloadSpec, cuzipf_stream, unif_stream
 
@@ -240,6 +244,51 @@ def run_point(
     ns = make_ns(scale) if namespace == "S" else make_nc(scale)
     system = build(ns, scale, preset=preset, seed=seed, **overrides)
     run_workload(system, spec, drain=scale.drain)
+    return system
+
+
+def run_sharded_workload(
+    ns: Namespace,
+    cfg: SystemConfig,
+    spec: WorkloadSpec,
+    until: float,
+    shards: Optional[int] = None,
+) -> Any:
+    """Run one workload to ``until``, sharded when asked and possible.
+
+    The shard count is ``shards``, else ``REPRO_SHARDS`` (default 1 =
+    the plain serial engine, zero new machinery on that path), clamped
+    to ``cfg.n_servers``; :func:`~repro.experiments.parallel.shard_backend`
+    derives where the shards run.  Configs the windowed protocol cannot
+    handle (jitter, zero delay, oracle maps) raise :class:`ShardError`
+    inside the coordinator; this wrapper warns and falls back to the
+    serial engine, which handles everything.
+
+    Returns the finished :class:`~repro.cluster.system.System` (serial)
+    or :class:`~repro.sim.shard.MergedRun` (sharded); both carry the
+    full analysis read surface, and fixed-seed fingerprints are
+    bit-identical either way.
+    """
+    if shards is None:
+        shards = env_count("REPRO_SHARDS") or 1
+    n = min(shards, cfg.n_servers)
+    if n != 1:  # the coordinator rejects a count below 1
+        try:
+            coord = WindowedCoordinator(
+                ns, cfg, spec, n, backend=shard_backend(n)
+            )
+        except ShardError as exc:
+            warnings.warn(
+                f"sharded run unavailable ({exc}); falling back to the "
+                "serial engine",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        else:
+            return coord.run(until)
+    system = build_system(ns, cfg)
+    WorkloadDriver(system, spec).start()
+    system.run_until(until)
     return system
 
 

@@ -17,9 +17,12 @@ from repro.analysis.series import rate_series
 from repro.analysis.summary import run_summary
 from repro.cluster.config import SystemConfig
 from repro.experiments.campaign import Experiment, RunSpec
-from repro.experiments.common import Scale, rate_for_utilization
+from repro.experiments.common import (
+    Scale,
+    rate_for_utilization,
+    run_sharded_workload,
+)
 from repro.namespace.generators import balanced_tree
-from repro.sim.shard import run_sharded_workload
 from repro.workload.streams import cuzipf_stream
 
 
@@ -70,8 +73,8 @@ def fig9_point(
         rate, alpha, warmup=run_time / 3, phase=run_time / 3,
         n_phases=2, seed=seed,
     )
-    # honours REPRO_SHARDS (--shards): >1 runs this point on the
-    # windowed multi-engine coordinator, bit-identical to serial
+    # honours REPRO_SHARDS: >1 runs this point on the windowed
+    # multi-engine coordinator, bit-identical to serial
     system = run_sharded_workload(ns, cfg, spec, spec.duration + scale.drain)
     summary = run_summary(system)
     summary["latency_hops"] = summary["mean_hops"]

@@ -6,8 +6,8 @@ and -- with ``--drive adaptive`` -- runs the closed-loop AIMD load
 client against it to discover the deployment's maximum sustainable
 QPS.  The capacity curve (one point per control epoch) is printed,
 optionally written to ``--out`` as JSON, and optionally stored as a
-campaign artifact via :class:`~repro.experiments.campaign.ResultStore`
-with ``--results DIR``.
+campaign artifact with ``--results DIR`` (through the store
+``python -m repro serve`` hands to :func:`main`).
 
 This module runs in real time by design: it is part of the sanctioned
 wall-clock chokepoint (see :mod:`repro.runtime.async_runtime`).
@@ -30,7 +30,7 @@ import hashlib
 import json
 import tempfile
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
@@ -169,7 +169,10 @@ def _report(curve: Dict[str, Any]) -> None:
           f"{curve.get('n_dropped', 0)} dropped)")
 
 
-def main(argv) -> int:
+def main(argv, store: Callable[[str], Any]) -> int:
+    """Run the ``serve`` CLI; ``store(root)`` opens the artifact store
+    ``--results`` puts its record in (the campaign's ``ResultStore``,
+    passed in because this package sits below the experiments layer)."""
     args = _parse_args(argv)
     started = time.time()
     try:
@@ -206,9 +209,7 @@ def main(argv) -> int:
             json.dump(record, fh, indent=1)
         print(f"capacity curve written to {args.out}")
     if args.results:
-        from repro.experiments.campaign import ResultStore
-
-        ResultStore(args.results).put(record)
+        store(args.results).put(record)
         print(f"artifact {record['fingerprint']} stored in {args.results}")
     # a capacity run that completed zero lookups is a failed run
     return 0 if curve.get("n_completed", 0) > 0 else 1

@@ -44,24 +44,28 @@ serial against 1/2/4/8 shards).  Three mechanisms carry the proof:
 
 Every barrier is one request frame to each shard and one reply frame
 back (:mod:`repro.sim.shardcodec`); the backend decides only where a
-shard answers them.  ``process`` forks one persistent worker per shard
-(one pipe round-trip per window: the multi-core win); ``inline`` answers
-the same frames in this process, for debugging and tracing.
-Configs without constant lookahead (``net_jitter > 0``,
+shard answers them.  ``process`` forks one :class:`PersistentWorker`
+per shard (one pipe round-trip per window: the multi-core win);
+``inline`` answers the same frames in this process, for debugging and
+tracing.  Configs without constant lookahead (``net_jitter > 0``,
 ``net_delay == 0``) or with cross-shard state reads (``oracle_maps``)
-raise :class:`ShardError` (:func:`repro.net.transport.check_shardable`);
-:func:`run_sharded_workload` then warns and falls back to the serial
-engine rather than silently diverging.
+raise :class:`ShardError` (:func:`repro.net.transport.check_shardable`).
+
+This module is mechanism only: it reads no environment and takes its
+shard count and backend as arguments.  How many shards a run gets and
+where they run is decided by the experiments layer
+(``repro.experiments.common.run_sharded_workload``), which also falls
+back to the serial engine on a :class:`ShardError`.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 import math
-import os
 import pickle
 import traceback
-import warnings
+import weakref
 from functools import partial
 from time import perf_counter
 from types import SimpleNamespace
@@ -113,19 +117,20 @@ from repro.workload.streams import WorkloadSpec
 __all__ = [
     "MAX_EVENT_OVERHEAD",
     "MergedRun",
+    "PersistentWorker",
     "ShardRecorder",
     "ShardResult",
     "ShardRunner",
     "WindowedCoordinator",
+    "fork_available",
     "per_sid_state",
     "replay_stats",
-    "resolve_backend",
-    "resolve_shards",
     "run_fingerprint",
-    "run_sharded_workload",
     "stats_fingerprint",
     "window_plan",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 # ----------------------------------------------------------------------
@@ -540,81 +545,6 @@ def window_plan(
 
 
 # ----------------------------------------------------------------------
-# shard-count / backend resolution
-# ----------------------------------------------------------------------
-
-
-def resolve_shards(
-    requested: Optional[int] = None, n_servers: Optional[int] = None
-) -> int:
-    """Effective shard count: explicit argument, else ``REPRO_SHARDS``.
-
-    ``REPRO_SHARDS`` accepts a positive integer, ``auto`` (cpu count),
-    or unset/``0``/``none`` for serial.  The count is clamped to
-    ``n_servers`` when given -- more shards than servers would leave
-    empty engines whose barriers cost time and buy nothing.
-    """
-    n = requested
-    if n is None:
-        raw = os.environ.get("REPRO_SHARDS", "").strip().lower()
-        if raw in ("", "0", "none", "off"):
-            n = 1
-        elif raw == "auto":
-            n = os.cpu_count() or 1
-        else:
-            try:
-                n = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_SHARDS={raw!r} is not an integer, 'auto', or unset"
-                ) from None
-    if n < 1:
-        raise ValueError(f"shard count must be >= 1, got {n}")
-    if n_servers is not None:
-        n = min(n, n_servers)
-    return n
-
-
-def resolve_backend(requested: Optional[str] = None, n_shards: int = 1) -> str:
-    """Pick ``inline`` or ``process`` for a sharded run.
-
-    Explicit argument wins, else ``REPRO_SHARD_BACKEND``, else
-    ``auto``.  ``auto`` chooses processes only when the CPU budget
-    (:func:`repro.experiments.parallel.shard_process_budget`, which
-    already accounts for campaign-level ``REPRO_WORKERS``) covers every
-    shard, and the platform can fork -- it never oversubscribes.  An
-    explicit ``process`` request always gets processes, with a warning
-    when that oversubscribes the machine (and, where there is no
-    ``fork``, a :class:`ShardError` from the coordinator).
-    """
-    from repro.experiments.parallel import fork_available, shard_process_budget
-
-    b = requested or os.environ.get("REPRO_SHARD_BACKEND", "").strip().lower()
-    b = b or "auto"
-    if b not in ("auto", "inline", "process"):
-        raise ValueError(
-            f"unknown shard backend {b!r}; choose auto, inline, or process"
-        )
-    if b == "inline" or n_shards <= 1:
-        return "inline"
-    budget = shard_process_budget()
-    if b == "auto":
-        return (
-            "process" if budget >= n_shards and fork_available()
-            else "inline"
-        )
-    if budget < n_shards:
-        warnings.warn(
-            f"REPRO_SHARD_BACKEND=process with {n_shards} shards "
-            f"oversubscribes the CPU budget ({budget} free after "
-            "campaign workers); expect contention, not speedup",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return "process"
-
-
-# ----------------------------------------------------------------------
 # the coordinator
 # ----------------------------------------------------------------------
 
@@ -628,8 +558,10 @@ class WindowedCoordinator:
     into a :class:`MergedRun`.  ``backend`` says where the shards run:
     ``process`` keeps one persistent forked worker per shard,
     ``inline`` answers the same frames in this process (debugging,
-    tracing, tests).  ``codec`` is accepted and ignored: every barrier
-    is packed frames on both backends.
+    tracing, tests).  ``n_shards`` is clamped to ``cfg.n_servers``
+    (more shards than servers would leave empty engines whose barriers
+    cost time and buy nothing).  ``codec`` is accepted and ignored:
+    every barrier is packed frames on both backends.
     """
 
     def __init__(
@@ -644,21 +576,20 @@ class WindowedCoordinator:
         check_shardable(cfg)
         if backend not in ("inline", "process"):
             raise ValueError(f"unknown backend {backend!r}")
-        if backend == "process":
-            from repro.experiments.parallel import fork_available
-
-            if not fork_available():
-                raise ShardError(
-                    "the process backend forks its shard workers, and "
-                    "this platform has no 'fork' start method"
-                )
+        if n_shards < 1:
+            raise ValueError(f"shard count must be >= 1, got {n_shards}")
+        if backend == "process" and not fork_available():
+            raise ShardError(
+                "the process backend forks its shard workers, and "
+                "this platform has no 'fork' start method"
+            )
         from repro.server.peer import PEER_DISPATCH
 
         require_encodable(PEER_DISPATCH.types())
         self.ns = ns
         self.cfg = cfg
         self.spec = spec
-        self.n_shards = resolve_shards(n_shards, cfg.n_servers)
+        self.n_shards = min(n_shards, cfg.n_servers)
         self.backend = backend
         #: the last run's barrier accounting (see :meth:`run`)
         self.data_plane: Dict[str, Any] = {}
@@ -783,7 +714,7 @@ class _Stepper:
     Workers are long-lived (one request per window) because shard state
     -- the engine heap, every peer -- cannot cross a process boundary
     between windows.  On the process backend each is a forked
-    :class:`~repro.experiments.parallel.PersistentWorker`: it inherits
+    :class:`PersistentWorker`: it inherits
     its :meth:`WindowedCoordinator._runner_args` (the namespace, the
     owner map, its arrival batch) at fork, copy on write, and all sends
     go out before any receive so shards run their windows in parallel.
@@ -796,18 +727,8 @@ class _Stepper:
 
     def __init__(self, coord: WindowedCoordinator) -> None:
         start: Callable[..., Any] = _InProcessWorker
-        # what a worker's channel raises when the worker has died; an
-        # in-process worker cannot die (and inline runs never import
-        # multiprocessing)
-        self._lost: Any = ()
         if coord.backend == "process":
-            from repro.experiments.parallel import (
-                ParallelTaskError,
-                PersistentWorker,
-            )
-
             start = partial(PersistentWorker, _shard_worker_main)
-            self._lost = ParallelTaskError
         self.workers: List[Any] = []
         self.barrier_wait_s = 0.0
         self._window = 0
@@ -825,10 +746,12 @@ class _Stepper:
         self.close()
         return ShardError(f"shard {shard_id} worker died {where}: {exc}")
 
+    # only a forked worker's channel raises ShardError (its pipe is
+    # gone); an in-process worker answers every frame
     def _send(self, shard_id: int, frame: bytes, where: str) -> None:
         try:
             self.workers[shard_id].send_frame(frame)
-        except self._lost as exc:
+        except ShardError as exc:
             raise self._died(shard_id, where, exc) from None
 
     def _recv(self, shard_id: int, want: int, where: str) -> bytes:
@@ -836,7 +759,7 @@ class _Stepper:
         traceback surfaces in the ``ShardError``."""
         try:
             payload = self.workers[shard_id].recv_frame()
-        except self._lost as exc:
+        except ShardError as exc:
             raise self._died(shard_id, where, exc) from None
         if not payload or payload[0] != want:
             detail = (
@@ -928,11 +851,108 @@ def _answer(runner: Optional[ShardRunner], payload: bytes) -> bytes:
         return _error_reply()
 
 
+def fork_available() -> bool:
+    """Whether this platform can fork a :class:`PersistentWorker`
+    (not on Windows)."""
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+#: the coordinator's end of every live worker pipe; a forked child
+#: closes its inherited copies, so that each worker sees EOF when the
+#: coordinator goes away, not only when every sibling has gone too
+_PARENT_ENDS: "weakref.WeakSet[Connection]" = weakref.WeakSet()
+
+
+def _forked_main(
+    target: Callable[..., None], conn: "Connection", args: Tuple[Any, ...]
+) -> None:
+    for end in list(_PARENT_ENDS):
+        end.close()
+    target(conn, *args)
+
+
+class PersistentWorker:
+    """A long-lived fork-context subprocess driven over a duplex pipe.
+
+    Each shard worker holds an engine heap and peer state across many
+    request/response rounds (one per time window).  The child runs
+    ``target(conn, *args)`` with the child end of the pipe.  It is
+    forked, so ``args`` are inherited as they are in memory -- never
+    pickled, however large -- and it starts no interpreter and imports
+    nothing.  Both directions carry raw bytes frames whose meaning is
+    the caller's protocol (the opcode-prefixed frames of
+    :func:`_shard_worker_main`).
+    """
+
+    __slots__ = ("proc", "_conn")
+
+    def __init__(self, target: Callable[..., None], *args: Any) -> None:
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child = ctx.Pipe()
+        _PARENT_ENDS.add(self._conn)
+        self.proc = ctx.Process(
+            target=_forked_main, args=(target, child, args), daemon=True
+        )
+        self.proc.start()
+        child.close()
+
+    def send_frame(self, frame: Any) -> None:
+        """Ship one raw bytes frame (no pickling).
+
+        Raises:
+            ShardError: the worker's pipe is gone (it died).
+        """
+        try:
+            self._conn.send_bytes(frame)
+        except (BrokenPipeError, OSError):
+            raise ShardError(
+                f"shard worker pid={self.proc.pid} exited unexpectedly "
+                "(pipe closed on send)"
+            ) from None
+
+    def recv_frame(self) -> bytes:
+        """Receive one raw bytes frame; EOF means the worker died
+        (a :class:`ShardError`)."""
+        try:
+            return self._conn.recv_bytes()
+        except (EOFError, OSError):
+            raise ShardError(
+                f"shard worker pid={self.proc.pid} exited unexpectedly"
+            ) from None
+
+    def close(self, sentinel: bytes) -> None:
+        """Ask the worker to exit; escalate to terminate if it won't.
+
+        Args:
+            sentinel: the exit request, a raw bytes frame in the
+                worker's protocol.
+        """
+        try:
+            self._conn.send_bytes(sentinel)
+        except (BrokenPipeError, OSError):
+            pass
+        try:
+            self._conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+        self.proc.join(timeout=5)
+        if self.proc.is_alive():
+            _log.warning(
+                "worker pid=%s did not exit when asked; terminating it",
+                self.proc.pid,
+            )
+            self.proc.terminate()
+            self.proc.join(timeout=5)
+
+
 class _InProcessWorker:
     """A shard answered in this process, behind
-    :class:`~repro.experiments.parallel.PersistentWorker`'s surface:
-    the same request and reply frames as a forked worker, with a call
-    where the pipe would be."""
+    :class:`PersistentWorker`'s surface: the same request and reply
+    frames as a forked worker, with a call where the pipe would be."""
 
     __slots__ = ("_runner", "_reply")
 
@@ -976,54 +996,6 @@ def _shard_worker_main(conn: "Connection", *runner_args: Any) -> None:
         pass
     finally:
         conn.close()
-
-
-# ----------------------------------------------------------------------
-# the front door
-# ----------------------------------------------------------------------
-
-
-def run_sharded_workload(
-    ns: Namespace,
-    cfg: SystemConfig,
-    spec: WorkloadSpec,
-    until: float,
-    shards: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> Any:
-    """Run one workload to ``until``, sharded when asked and possible.
-
-    The experiment-facing entry point: shard count comes from
-    ``shards`` or ``REPRO_SHARDS`` (default 1 = the plain serial
-    engine, zero new machinery on that path), backend from ``backend``
-    or ``REPRO_SHARD_BACKEND``.  Configs the windowed protocol cannot
-    handle (jitter, zero delay, oracle maps) raise
-    :class:`ShardError` inside the coordinator; this wrapper warns and
-    falls back to the serial engine, which handles everything.
-
-    Returns the finished :class:`~repro.cluster.system.System` (serial)
-    or :class:`MergedRun` (sharded); both carry the full analysis read
-    surface, and fixed-seed fingerprints are bit-identical either way.
-    """
-    n = resolve_shards(shards, cfg.n_servers)
-    if n > 1:
-        try:
-            coord = WindowedCoordinator(
-                ns, cfg, spec, n, backend=resolve_backend(backend, n)
-            )
-        except ShardError as exc:
-            warnings.warn(
-                f"sharded run unavailable ({exc}); falling back to the "
-                "serial engine",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            return coord.run(until)
-    system = build_system(ns, cfg)
-    WorkloadDriver(system, spec).start()
-    system.run_until(until)
-    return system
 
 
 # ----------------------------------------------------------------------

@@ -371,6 +371,4 @@ class TestCli:
 
     def test_cli_flag_validation(self, capsys):
         with pytest.raises(SystemExit):
-            campaign.main(["--resume", "--no-cache"])
-        with pytest.raises(SystemExit):
             campaign.main(["bogus"])

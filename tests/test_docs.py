@@ -167,6 +167,25 @@ class TestQuotedNames:
         assert not stale, stale
         assert not [n for n in self.REMOVED if self._resolves(n)]
 
+    #: environment variables the docs quote *as removed*
+    REMOVED_VARIABLES = frozenset({"REPRO_SHARD_BACKEND"})
+
+    def test_quoted_variables_are_read(self):
+        """Every backticked ``REPRO_*`` variable in the docs is read
+        under ``src/repro`` (as a string literal in code)."""
+        quoted = set()
+        for doc in self.DOCS:
+            src = (REPO / doc).read_text()
+            for span in re.findall(r"```.*?```|`[^`]+`", src, re.S):
+                quoted.update(re.findall(r"\bREPRO_[A-Z_]+\b", span))
+        read = set()
+        for path in (REPO / "src" / "repro").rglob("*.py"):
+            read.update(re.findall(r"[\"'](REPRO_[A-Z_]+)[\"']",
+                                   path.read_text()))
+        assert {"REPRO_SCALE", "REPRO_SHARDS", "REPRO_WORKERS"} <= quoted
+        assert not sorted(quoted - self.REMOVED_VARIABLES - read)
+        assert not sorted(self.REMOVED_VARIABLES & read)
+
 
 class TestScriptImports:
     """Every ``from repro... import name`` in the example scripts and the

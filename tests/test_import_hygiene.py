@@ -9,16 +9,26 @@ a host that has the module installed.  The same probe keeps the
 developer tooling (``repro.tools``, the determinism linter) off the
 runtime path, and checks that a start-up loads only the modules it runs:
 ``import repro`` alone loads no other module, the probe's paths load
-none of the modules in ``UNUSED_ON_RUNS``, and the linter's CLI loads
-no simulator module.
+none of the modules in ``UNUSED_ON_RUNS`` (nor ``multiprocessing`` or
+the experiments layer), and the linter's CLI loads no simulator module.
+
+Two static checks pin the layering: the simulator, network, server,
+core, cluster and runtime packages never import ``repro.experiments``,
+and only ``repro.experiments`` reads the environment.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "repro"
+
+#: the mechanism packages: they take arguments and decide no policy
+MECHANISM = ("sim", "net", "server", "core", "cluster", "runtime")
 
 #: modules no benchmark workload calls: a run that loads one pays for
 #: compiling it and nothing else
@@ -63,6 +73,9 @@ assert 0 <= sampler.dest(0.75) < len(ns)
 
 assert "numpy" not in sys.modules
 assert "repro.tools" not in sys.modules  # the linter stays off runs
+# serial and inline runs decide nothing and fork nothing
+assert "repro.experiments" not in sys.modules
+assert "multiprocessing" not in sys.modules
 unused = [m for m in UNUSED_ON_RUNS if m in sys.modules]
 assert not unused, unused
 stdlib = getattr(sys, "stdlib_module_names", None)  # 3.10+
@@ -100,3 +113,33 @@ def test_runs_import_nothing_outside_the_stdlib():
 
 def test_lint_cli_loads_no_simulator_module():
     _run_probe(LINT_PROBE)
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{a.name}" for a in node.names)
+
+
+def test_mechanism_never_imports_the_experiments_layer():
+    offenders = [
+        f"{path.relative_to(SRC)}: {name}"
+        for package in MECHANISM
+        for path in sorted((PACKAGE / package).rglob("*.py"))
+        for name in _imported_modules(path)
+        if name == "repro.experiments" or name.startswith("repro.experiments.")
+    ]
+    assert not offenders, offenders
+
+
+def test_only_the_experiments_layer_reads_the_environment():
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if path.relative_to(PACKAGE).parts[0] != "experiments"
+        and re.search(r"os\.environ|getenv", path.read_text())
+    ]
+    assert not offenders, offenders

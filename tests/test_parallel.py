@@ -1,21 +1,48 @@
-"""Tests for the multiprocess experiment fan-out."""
+"""Where a run's work goes: campaign fan-out, the two count variables,
+the derived shard backend, and the forked shard worker."""
 
+import json
 import logging
+import multiprocessing
 import os
 import time
+import warnings
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
+from repro.experiments import campaign
+from repro.experiments.common import run_sharded_workload
 from repro.experiments.parallel import (
     ParallelTaskError,
-    PersistentWorker,
+    env_count,
     parallel_map,
+    shard_backend,
     worker_count,
 )
+from repro.sim.shard import MergedRun, PersistentWorker, run_fingerprint
+from tests.test_shard import fig3_style, serial_run
 
 
 def square(x):
     return x * x
+
+
+def sharded_on_eight_cpus(shards):
+    """A campaign task that shards its run, as on an 8-CPU host: the
+    fingerprint and the backend it ran on."""
+    ns, cfg, spec, until = fig3_style()
+    with mock.patch.object(os, "cpu_count", lambda: 8):
+        run = run_sharded_workload(ns, cfg, spec, until, shards=shards)
+    return json.dumps(run_fingerprint(run), sort_keys=True), run.data_plane
+
+
+def serial_fingerprint():
+    ns, cfg, spec, until = fig3_style()
+    return json.dumps(
+        run_fingerprint(serial_run(ns, cfg, spec, until)), sort_keys=True
+    )
 
 
 def boom(x):
@@ -185,3 +212,141 @@ class TestPersistentWorker:
             f"worker pid={worker.proc.pid} did not exit when asked; "
             "terminating it"
         ]
+
+
+# ----------------------------------------------------------------------
+# the count variables and the derived shard backend
+# ----------------------------------------------------------------------
+
+#: one vocabulary for REPRO_WORKERS and REPRO_SHARDS (None = unset,
+#: ValueError = rejected), on an 8-CPU host
+COUNT_VALUES = [
+    (None, None), ("", None), ("0", None), ("none", None), ("off", None),
+    (" Off ", None), ("auto", 8), ("AUTO", 8), ("1", 1), ("3", 3),
+    ("abc", ValueError), ("-1", ValueError), ("1.5", ValueError),
+]
+
+
+def _set(monkeypatch, var, raw):
+    if raw is None:
+        monkeypatch.delenv(var, raising=False)
+    else:
+        monkeypatch.setenv(var, raw)
+
+
+def _readers(out):
+    """Every reader of each variable, as a call that must raise on a
+    bad value."""
+    ns, cfg, spec, until = fig3_style()
+    return {
+        "REPRO_WORKERS": [
+            lambda: worker_count(10),
+            lambda: parallel_map(square, [dict(x=1), dict(x=2)]),
+            lambda: shard_backend(2),
+        ],
+        "REPRO_SHARDS": [
+            lambda: run_sharded_workload(ns, cfg, spec, until),
+            lambda: campaign.main(["table1", "--out", str(out)]),
+        ],
+    }
+
+
+class TestCountVariables:
+    @pytest.mark.parametrize("var", ["REPRO_WORKERS", "REPRO_SHARDS"])
+    @pytest.mark.parametrize("raw, want", COUNT_VALUES)
+    def test_one_vocabulary(self, monkeypatch, tmp_path, var, raw, want):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        _set(monkeypatch, var, raw)
+        if want is not ValueError:
+            assert env_count(var) == want
+            return
+        # the message names the variable and the value, from every reader
+        match = f"{var}={raw.strip().lower()!r}"
+        with pytest.raises(ValueError, match=match):
+            env_count(var)
+        for read in _readers(tmp_path)[var]:
+            with pytest.raises(ValueError, match=match):
+                read()
+
+
+class TestShardPlacement:
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def test_backend_budget(self, monkeypatch):
+        assert shard_backend(4) == "process"
+        assert shard_backend(8) == "process"
+        assert shard_backend(16) == "inline"  # more shards than cores
+        assert shard_backend(1) == "inline"
+        # campaign workers claim the cores first: 8 // 2 = 4 per run
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        assert shard_backend(4) == "process"
+        assert shard_backend(5) == "inline"
+        monkeypatch.setenv("REPRO_WORKERS", "auto")  # one core per run
+        assert shard_backend(2) == "inline"
+
+    def test_backend_never_warns(self, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert shard_backend(64) == "inline"
+            monkeypatch.setenv("REPRO_WORKERS", "8")
+            assert shard_backend(4) == "inline"
+
+    def test_pool_worker_never_forks(self, monkeypatch):
+        """A daemonic process (a ``parallel_map`` pool worker) may not
+        have children: its shards run inline whatever the budget."""
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setattr(multiprocessing, "current_process",
+                            lambda: SimpleNamespace(daemon=True))
+        assert shard_backend(2) == "inline"
+        monkeypatch.setattr(multiprocessing, "current_process",
+                            lambda: SimpleNamespace(daemon=False))
+        assert shard_backend(2) == "process"
+
+    def test_env_selects_shards(self, monkeypatch):
+        ns, cfg, spec, until = fig3_style()
+        monkeypatch.setenv("REPRO_SHARDS", "2")
+        run = run_sharded_workload(ns, cfg, spec, until)
+        assert isinstance(run, MergedRun)
+        assert run.n_shards == 2
+        assert run.data_plane["backend"] == "process"
+
+
+class TestCampaignWorkersWithShards:
+    def test_pool_worker_runs_its_shards_inline(self, monkeypatch):
+        """``REPRO_WORKERS=2`` with 2 shards per run on an 8-CPU host:
+        the budget covers the shards, but each run is in a pool worker,
+        so it must not fork; both runs equal the serial engine's."""
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        out = parallel_map(sharded_on_eight_cpus,
+                           [dict(shards=2), dict(shards=2)])
+        ref = serial_fingerprint()
+        for fingerprint, data_plane in out:
+            assert data_plane["backend"] == "inline"
+            assert fingerprint == ref
+
+
+class TestWithoutFork:
+    """Where ``fork`` is missing (Windows), shards run inline."""
+
+    @pytest.fixture(autouse=True)
+    def spawn_only(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def test_backend_is_inline(self):
+        assert shard_backend(2) == "inline"
+
+    def test_run_sharded_workload_runs_inline(self):
+        ns, cfg, spec, until = fig3_style()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = run_sharded_workload(ns, cfg, spec, until, shards=2)
+        assert isinstance(run, MergedRun)
+        assert run.data_plane["backend"] == "inline"
+        assert json.dumps(run_fingerprint(run), sort_keys=True) == \
+            serial_fingerprint()

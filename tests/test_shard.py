@@ -4,17 +4,17 @@ The conservative-window contract (`repro.sim.shard`): with constant
 ``net_delay`` lookahead, N shard engines advancing in delay-wide
 lock-stepped windows and exchanging cross-shard messages at barriers
 produce byte-for-byte the fingerprints of one serial engine -- for
-every shard count, on both backends.  These tests lock that contract,
-the windowed-execution edge cases (boundary events, timer cancels
-across windows, jitter rejection), and the shard/backend resolution
-knobs.
+every shard count, on both backends.  These tests lock that contract
+and the windowed-execution edge cases (boundary events, timer cancels
+across windows, jitter rejection).  How many shards a run gets and
+where they run is the experiments layer's decision
+(``tests/test_parallel.py``).
 """
 
 import json
 import pickle
 import sys
 import tracemalloc
-import warnings
 
 import pytest
 
@@ -22,7 +22,7 @@ from repro.analysis.summary import run_summary
 from repro.cluster.builder import build_shard_system, build_system
 from repro.cluster.config import SystemConfig
 from repro.core import maps, routing
-from repro.experiments.common import rate_for_utilization
+from repro.experiments.common import rate_for_utilization, run_sharded_workload
 from repro.namespace.generators import balanced_tree
 from repro.net.transport import (
     ShardTransport,
@@ -38,10 +38,7 @@ from repro.sim.shard import (
     ShardResult,
     ShardRunner,
     WindowedCoordinator,
-    resolve_backend,
-    resolve_shards,
     run_fingerprint,
-    run_sharded_workload,
     window_plan,
 )
 from repro.sim.timerwheel import TimerWheel
@@ -554,19 +551,19 @@ class TestPackedDataPlane:
         had to be terminated."""
         import logging
 
-        from repro.experiments import parallel
+        from repro.sim import shard
         from repro.sim.shard import _Stepper
 
         spawned = []
 
-        class Recorded(parallel.PersistentWorker):
+        class Recorded(shard.PersistentWorker):
             __slots__ = ()
 
             def __init__(self, target, *args):
                 super().__init__(target, *args)
                 spawned.append(self)
 
-        monkeypatch.setattr(parallel, "PersistentWorker", Recorded)
+        monkeypatch.setattr(shard, "PersistentWorker", Recorded)
         ns, cfg, spec, until = fig3_style()
         with caplog.at_level(logging.WARNING):
             WindowedCoordinator(ns, cfg, spec, 2, backend="process").run(until)
@@ -699,7 +696,7 @@ class TestShardSystemConstruction:
 
 
 # ----------------------------------------------------------------------
-# fallback + resolution knobs
+# serial fallback, shard count, platforms without fork
 # ----------------------------------------------------------------------
 
 
@@ -720,98 +717,30 @@ class TestFallback:
         assert json.dumps(run_fingerprint(run), sort_keys=True) == \
             json.dumps(ref, sort_keys=True)
 
-    def test_env_selects_shards(self, monkeypatch):
-        ns, cfg, spec, until = fig3_style()
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        monkeypatch.setenv("REPRO_SHARD_BACKEND", "inline")
-        run = run_sharded_workload(ns, cfg, spec, until)
-        assert isinstance(run, MergedRun)
-        assert run.n_shards == 2
+
+class TestShardCount:
+    def test_clamps_to_servers_and_rejects_zero(self):
+        """``n_shards`` is clamped to the server count; below 1 it is a
+        ``ValueError`` from the coordinator itself."""
+        ns, cfg, spec, _ = fig3_style()
+        coord = WindowedCoordinator(ns, cfg, spec, 64, backend="inline")
+        assert coord.n_shards == cfg.n_servers
+        with pytest.raises(ValueError, match="shard count must be >= 1"):
+            WindowedCoordinator(ns, cfg, spec, 0, backend="inline")
 
 
 class TestWithoutFork:
-    """Where ``fork`` is missing (Windows), ``auto`` runs shards
-    inline and an explicit ``process`` falls back to serial."""
+    """Where ``fork`` is missing (Windows), the coordinator refuses the
+    process backend (the experiments layer never picks it there)."""
 
-    @pytest.fixture(autouse=True)
-    def spawn_only(self, monkeypatch):
+    def test_explicit_process_refused_at_construction(self, monkeypatch):
         import multiprocessing
 
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                             lambda: ["spawn"])
-        monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-
-    def test_auto_resolves_inline(self, monkeypatch):
-        from repro.experiments import parallel
-
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
-        assert resolve_backend(None, 2) == "inline"
-
-    def test_explicit_process_refused_at_construction(self):
         ns, cfg, spec, _ = fig3_style()
         with pytest.raises(ShardError, match="fork"):
             WindowedCoordinator(ns, cfg, spec, 2, backend="process")
-
-    def test_run_sharded_workload_falls_back_to_serial(self):
-        ns, cfg, spec, until = fig3_style()
-        with pytest.warns(RuntimeWarning, match="fork"):
-            run = run_sharded_workload(ns, cfg, spec, until, shards=2,
-                                       backend="process")
-        assert not isinstance(run, MergedRun)
-        ref = run_fingerprint(serial_run(ns, cfg, spec, until))
-        assert json.dumps(run_fingerprint(run), sort_keys=True) == \
-            json.dumps(ref, sort_keys=True)
-
-
-class TestResolution:
-    def test_resolve_shards_env_forms(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert resolve_shards() == 1
-        monkeypatch.setenv("REPRO_SHARDS", "4")
-        assert resolve_shards() == 4
-        assert resolve_shards(n_servers=3) == 3  # clamped
-        monkeypatch.setenv("REPRO_SHARDS", "auto")
-        assert resolve_shards() >= 1
-        monkeypatch.setenv("REPRO_SHARDS", "bogus")
-        with pytest.raises(ValueError):
-            resolve_shards()
-        with pytest.raises(ValueError):
-            resolve_shards(0)
-
-    def test_resolve_backend_budget(self, monkeypatch):
-        from repro.experiments import parallel
-
-        monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
-        assert resolve_backend(n_shards=4) == "process"
-        assert resolve_backend(n_shards=16) == "inline"  # over budget
-        assert resolve_backend(n_shards=1) == "inline"
-        # campaign workers claim the CPUs first (documented precedence)
-        monkeypatch.setenv("REPRO_WORKERS", "8")
-        assert resolve_backend(n_shards=4) == "inline"
-        # explicit process wins but warns about oversubscription
-        with pytest.warns(RuntimeWarning, match="oversubscribes"):
-            assert resolve_backend("process", n_shards=4) == "process"
-
-    def test_resolve_backend_explicit_inline_never_warns(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_backend("inline", n_shards=64) == "inline"
-
-    def test_shard_process_budget(self, monkeypatch):
-        from repro.experiments.parallel import shard_process_budget
-
-        monkeypatch.setattr("repro.experiments.parallel.os.cpu_count",
-                            lambda: 8)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert shard_process_budget() == 8
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert shard_process_budget() == 4
-        monkeypatch.setenv("REPRO_WORKERS", "auto")
-        assert shard_process_budget() == 1
-        assert shard_process_budget(workers=4) == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 # Convenience targets for the TerraDir reproduction.
 #
 #   make install      editable install (offline-friendly)
-#   make lint         ruff over sources, tests, and benchmarks
+#   make lint         ruff over sources, tests, benchmarks, examples, scripts
 #   make test         full unit/integration/property suite
 #   make bench        every figure/table benchmark (shape assertions)
 #   make experiments  print every figure's data (REPRO_SCALE=tiny|small|paper)
@@ -27,7 +27,7 @@ install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
 
 lint:
-	$(PYTHON) -m ruff check src/ tests/ benchmarks/
+	$(PYTHON) -m ruff check src/ tests/ benchmarks/ examples/ scripts/
 
 test:
 	$(PYTHON) -m pytest tests/

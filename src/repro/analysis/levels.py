@@ -24,17 +24,3 @@ def replicas_per_level(system: System, average: bool = True) -> List[float]:
         else:
             out.append(float(total))
     return out
-
-
-def current_replicas_per_level(system: System, average: bool = True) -> List[float]:
-    """Replicas *currently hosted* per level (creations minus evictions
-    observable on the live system)."""
-    sizes = system.ns.level_sizes()
-    counts = [0] * (system.ns.max_depth + 1)
-    depth = system.ns.depth
-    for p in system.peers:
-        for v in p.replicas:
-            counts[depth[v]] += 1
-    if not average:
-        return [float(c) for c in counts]
-    return [c / sizes[lvl] if sizes[lvl] else 0.0 for lvl, c in enumerate(counts)]

@@ -1,8 +1,8 @@
-"""Run summaries and cross-run comparisons."""
+"""Run summaries."""
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict
 
 from repro.cluster.system import System
 
@@ -32,18 +32,3 @@ def run_summary(system: System) -> Dict[str, float]:
 def _mean_utilization(system: System) -> float:
     means = system.stats.loads.means()
     return sum(means) / len(means) if means else 0.0
-
-
-def compare_drop_fractions(
-    results: Mapping[str, Mapping[str, float]]
-) -> Dict[str, Dict[str, float]]:
-    """Shape a {system: {stream: drop_fraction}} table (Fig. 5 layout).
-
-    ``results`` maps system label (B/BC/BCR) to per-stream summaries;
-    returns the same nesting restricted to drop fractions, which is the
-    quantity Fig. 5 plots.
-    """
-    return {
-        sys_label: {stream: v["drop_fraction"] for stream, v in streams.items()}
-        for sys_label, streams in results.items()
-    }

@@ -32,6 +32,9 @@ from repro.server.peer import Peer
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsSink
 
+#: Bloom false-positive rate at nominal per-server digest capacity
+DIGEST_FP_RATE = 0.02
+
 
 def _resolve_owner(
     ns: Namespace, cfg: SystemConfig, owner: Optional[Sequence[int]]
@@ -89,7 +92,7 @@ def _populate_system(
         # node id is hashed once per process, not once per filter
         if template is None:
             template = peer.digest = Digest(
-                digest_capacity, fp_rate=cfg.digest_fp_rate, owner_server=sid
+                digest_capacity, fp_rate=DIGEST_FP_RATE, owner_server=sid
             )
         else:
             peer.digest = Digest.like(template, owner_server=sid)

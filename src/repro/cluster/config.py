@@ -95,23 +95,15 @@ class SystemConfig:
     """Delay before a new session after an aborted one, seconds."""
     session_timeout: float = 2.0
     """Abort a session whose probe/transfer/ack never arrives, seconds."""
-    success_cooldown: float = 0.05
-    """Minimum gap between successful sessions, seconds."""
     hysteresis_enabled: bool = True
     """Book ideal post-transfer loads immediately (creation step 4)."""
     advertisement_enabled: bool = True
     """Advertise recently created replicas in outgoing node maps."""
-    rank_rescale_interval: float = 5.0
-    """Seconds between node-weight decays."""
-    rank_decay: float = 0.5
-    """Multiplier applied to node weights at each rescale."""
     replica_idle_timeout: float = 0.0
     """Evict replicas unused this long; 0 disables timed eviction."""
 
     # --- inverse-mapping digests (section 3.6) ----------------------------
     digests_enabled: bool = True
-    digest_fp_rate: float = 0.02
-    """Bloom false-positive rate at nominal per-server capacity."""
     digest_probe_limit: int = 8
     """Digest snapshots probed per routing step (0 = all known)."""
     digest_dir_max: int = 64
@@ -171,6 +163,10 @@ class SystemConfig:
             raise ValueError("rmap must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if self.digest_probe_limit < 0:
+            raise ValueError("digest_probe_limit must be >= 0")
+        if self.digest_dir_max < 0:
+            raise ValueError("digest_dir_max must be >= 0")
         if self.max_hops < 1:
             raise ValueError("max_hops must be >= 1")
 

@@ -33,6 +33,9 @@ from repro.sim.timerwheel import TimerWheel
 
 __all__ = ["ShardSystem", "System"]
 
+#: seconds between node-weight decays (every peer's ranking rescale)
+RANK_RESCALE_INTERVAL = 5.0
+
 
 class System:
     """A fully wired simulated TerraDir deployment.
@@ -130,7 +133,7 @@ class System:
         self._maintenance_scheduled = True
         rt = self.runtime
         rt.schedule_after(self.cfg.load_window, self._tick_windows)
-        rt.schedule_after(self.cfg.rank_rescale_interval, self._tick_ranking)
+        rt.schedule_after(RANK_RESCALE_INTERVAL, self._tick_ranking)
         if self.cfg.replica_idle_timeout > 0:
             rt.schedule_after(
                 self.cfg.replica_idle_timeout, self._tick_idle_eviction
@@ -156,9 +159,7 @@ class System:
     def _tick_ranking(self) -> None:
         for peer in self.local_peers:
             peer.rescale_ranking()
-        self.runtime.schedule_after(
-            self.cfg.rank_rescale_interval, self._tick_ranking
-        )
+        self.runtime.schedule_after(RANK_RESCALE_INTERVAL, self._tick_ranking)
 
     def _tick_idle_eviction(self) -> None:
         now = self.runtime.now

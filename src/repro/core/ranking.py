@@ -17,13 +17,16 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
+#: multiplier applied to node weights at each rescale
+DECAY = 0.5
+
 
 class NodeRanking:
     """Per-hosted-node demand counters with periodic exponential decay."""
 
     __slots__ = ("_weight", "decay")
 
-    def __init__(self, decay: float = 0.5) -> None:
+    def __init__(self, decay: float = DECAY) -> None:
         if not 0.0 <= decay <= 1.0:
             raise ValueError("decay must be in [0, 1]")
         self._weight: Dict[int, float] = {}

@@ -44,6 +44,9 @@ from repro.net.message import (
     TransferMessage,
 )
 
+#: minimum gap between successful sessions, seconds
+SUCCESS_COOLDOWN = 0.05
+
 
 class _Session:
     """State of one in-flight load-balancing session at its initiator."""
@@ -309,7 +312,7 @@ class ReplicationManager:
         if session.timer is not None:
             session.timer.cancel()
         self._session = None
-        self.next_allowed = now + self.cfg.success_cooldown
+        self.next_allowed = now + SUCCESS_COOLDOWN
 
     # ------------------------------------------------------------------
     # introspection

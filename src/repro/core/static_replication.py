@@ -19,7 +19,6 @@ import random
 from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:
-    from repro.namespace.tree import Namespace
     from repro.server.peer import Peer
 
 from repro.cluster.system import System
@@ -95,10 +94,3 @@ def _note_without_stats(owner: "Peer", node: int, target: int) -> None:
                 return
         out.insert(0, target)
         owner.maps[node] = out
-
-
-def static_replica_count(ns: "Namespace", depth_limit: int, copies: int) -> int:
-    """Replicas a static deployment pays for, regardless of demand."""
-    return copies * sum(
-        1 for v in range(len(ns)) if ns.depth[v] <= depth_limit
-    )

@@ -46,15 +46,6 @@ def balanced_tree(levels: int, arity: int = 2) -> Namespace:
     return Namespace(parent, ("",) + labels * len(internal))
 
 
-def path_tree(length: int) -> Namespace:
-    """A degenerate single-path tree of the given depth (worst-case shape)."""
-    b = NamespaceBuilder()
-    node = 0
-    for i in range(length):
-        node = b.add_child(node, f"p{i}")
-    return b.build()
-
-
 def random_tree(n_nodes: int, seed: int = 0, attach_power: float = 0.0) -> Namespace:
     """A random recursive tree with ``n_nodes`` nodes.
 

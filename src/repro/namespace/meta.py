@@ -17,7 +17,7 @@ application chooses to piggyback.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 
 class NodeMeta:
@@ -97,9 +97,6 @@ class MetaStore:
             self._meta[node] = m
         return m
 
-    def peek_meta(self, node: int) -> Optional[NodeMeta]:
-        return self._meta.get(node)
-
     def set_data(self, node: int, data: object) -> None:
         self._data[node] = data
 
@@ -108,17 +105,3 @@ class MetaStore:
 
     def has_data(self, node: int) -> bool:
         return node in self._data
-
-    def nodes_matching(
-        self,
-        among: Iterable[int],
-        keyword: Optional[str] = None,
-        attribute: Optional[Tuple[str, str]] = None,
-    ) -> List[int]:
-        """Nodes in ``among`` whose meta-data satisfies the predicates."""
-        out = []
-        for node in among:
-            m = self._meta.get(node)
-            if m is not None and m.matches(keyword, attribute):
-                out.append(node)
-        return out

@@ -9,7 +9,7 @@ API boundary.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 ROOT_NAME = "/"
 
@@ -55,44 +55,3 @@ def join(*components: str) -> str:
     if not components:
         return ROOT_NAME
     return _SEPARATOR + _SEPARATOR.join(components)
-
-
-def parent_name(name: str) -> str:
-    """Return the parent of ``name``; the root's parent is itself."""
-    if name == ROOT_NAME:
-        return ROOT_NAME
-    idx = name.rfind(_SEPARATOR)
-    return name[:idx] if idx > 0 else ROOT_NAME
-
-
-def basename(name: str) -> str:
-    """Return the last component of ``name`` (empty string for the root)."""
-    if name == ROOT_NAME:
-        return ""
-    return name[name.rfind(_SEPARATOR) + 1 :]
-
-
-def ancestors_of_name(name: str) -> List[str]:
-    """All ancestors of ``name`` from the root down to ``name`` inclusive.
-
-    This is the "prefix extraction" used when testing names against
-    inverse-mapping digests (paper section 3.6.1).
-    """
-    if name == ROOT_NAME:
-        return [ROOT_NAME]
-    out = [ROOT_NAME]
-    idx = name.find(_SEPARATOR, 1)
-    while idx != -1:
-        out.append(name[:idx])
-        idx = name.find(_SEPARATOR, idx + 1)
-    out.append(name)
-    return out
-
-
-def is_prefix(ancestor: str, name: str) -> bool:
-    """True if ``ancestor`` is ``name`` or a proper namespace ancestor of it."""
-    if ancestor == ROOT_NAME:
-        return True
-    if ancestor == name:
-        return True
-    return name.startswith(ancestor + _SEPARATOR)

@@ -71,10 +71,6 @@ class DispatchRegistry:
         self._handlers[msg_type] = handler
         return handler
 
-    def unregister(self, msg_type: type) -> bool:
-        """Drop the handler for ``msg_type``; True if one was registered."""
-        return self._handlers.pop(msg_type, None) is not None
-
     # ------------------------------------------------------------------
     # lookup and dispatch
     # ------------------------------------------------------------------

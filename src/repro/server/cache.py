@@ -160,22 +160,5 @@ class LRUCache:
         """Drop an entry (e.g. it proved stale); True if present."""
         return self._entries.pop(node, None) is not None
 
-    def remove_server(self, node: int, server: int) -> None:
-        """Drop one stale server from an entry, dropping the entry if emptied."""
-        entry = self._entries.get(node)
-        if entry is None:
-            return
-        try:
-            entry.remove(server)
-        except ValueError:
-            return
-        if not entry:
-            del self._entries[node]
-
     def clear(self) -> None:
         self._entries.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

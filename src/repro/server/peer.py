@@ -155,7 +155,7 @@ class Peer:
         )
         self.digest: Optional[Digest] = None  # wired by the builder
         self.digest_dir: Optional[DigestDirectory] = None
-        self.ranking = NodeRanking(decay=cfg.rank_decay)
+        self.ranking = NodeRanking()
         self.meter = BusyWindowLoadMeter(window=cfg.load_window)
         # pipeline components
         self.ingress = IngressQueue(cfg.queue_size)
@@ -235,7 +235,7 @@ class Peer:
     def pinned(self, node: int) -> bool:
         """True if the topology imposes ``node``'s map here: ``node`` is
         a replica on this peer, or a namespace neighbour of a node this
-        peer hosts (neighbourhood is symmetric, cross links included).
+        peer hosts (tree neighbourhood is symmetric).
 
         Derived from the hosted set rather than counted: O(degree), and
         asked only on the eviction, hand-off and audit paths.

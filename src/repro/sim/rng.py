@@ -20,7 +20,7 @@ import zlib
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 def _stable_hash(name: str) -> int:
@@ -108,17 +108,3 @@ def exponential(rng: random.Random, mean: float) -> float:
     # rng.random() is in [0,1); guard the log(0) corner
     u = 1.0 - rng.random()
     return -mean * math.log(u)
-
-
-def poisson_arrival_times(
-    rng: random.Random, rate: float, horizon: float
-) -> List[float]:
-    """All arrival instants of a Poisson(rate) process on [0, horizon)."""
-    if rate <= 0:
-        raise ValueError("rate must be > 0")
-    out: List[float] = []
-    t = exponential(rng, 1.0 / rate)
-    while t < horizon:
-        out.append(t)
-        t += exponential(rng, 1.0 / rate)
-    return out

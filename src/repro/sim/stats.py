@@ -62,9 +62,6 @@ class TimeSeries:
         self._cnt: List[int] = []
         self._max: List[float] = []
 
-    def _bin(self, t: float) -> int:
-        return int(t / self.bin_width)
-
     def _grow(self, b: int) -> None:
         n = b + 1 - len(self._sum)
         self._sum.extend([0.0] * n)

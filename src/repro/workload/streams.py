@@ -144,40 +144,3 @@ def cuzipf_stream(
         seed=seed,
         name=name or f"cuzipf{alpha:.2f}",
     )
-
-
-def flash_crowd_stream(
-    rate: float,
-    normal: float,
-    crowd: float,
-    alpha: float = 1.5,
-    surge: float = 1.0,
-    seed: int = 0,
-    name: str = "flash-crowd",
-) -> WorkloadSpec:
-    """A flash crowd: normal traffic, then a sudden extreme hot-spot.
-
-    A uniform prefix of ``normal`` seconds is followed by a ``crowd``
-    phase where popularity snaps to Zipf(``alpha``) over a fresh random
-    ranking -- the release-announcement scenario of the Fig. 3/Fig. 5
-    discussion.  ``surge`` additionally multiplies the arrival rate
-    during the crowd (the default 1.0 keeps total offered load flat, so
-    the crowd is a pure *concentration* event).
-
-    Args:
-        normal: duration of the pre-crowd uniform phase, seconds.
-        crowd: duration of the crowd phase, seconds.
-        alpha: Zipf order of the crowd's popularity skew.
-        surge: crowd-phase arrival-rate multiplier (>= 1 for a real
-            crowd; exactly 1.0 preserves the historical stream).
-    """
-    return WorkloadSpec(
-        rate=rate,
-        segments=(
-            StreamSegment(normal, alpha=0.0),
-            StreamSegment(crowd, alpha=alpha, reshuffle=True,
-                          rate_mult=surge),
-        ),
-        seed=seed,
-        name=name,
-    )

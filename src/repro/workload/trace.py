@@ -94,10 +94,6 @@ class TraceRecorder:
         self.trace = QueryTrace()
         system.on_inject = self.trace.append
 
-    @staticmethod
-    def detach(system: System) -> None:
-        system.on_inject = None
-
 
 def replay_trace(
     system: System, trace: QueryTrace, start_at: float = 0.0

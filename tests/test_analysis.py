@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.levels import current_replicas_per_level, replicas_per_level
+from repro.analysis.levels import replicas_per_level
 from repro.analysis.series import (
     drop_fraction_series,
     load_series,
@@ -10,7 +10,7 @@ from repro.analysis.series import (
     rate_series,
     replica_fraction_series,
 )
-from repro.analysis.summary import compare_drop_fractions, run_summary
+from repro.analysis.summary import run_summary
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
@@ -84,12 +84,6 @@ class TestLevels:
         per = replicas_per_level(ran_system, average=False)
         assert sum(per) == ran_system.stats.n_replicas_created
 
-    def test_current_at_most_created(self, ran_system):
-        created = replicas_per_level(ran_system, average=False)
-        live = current_replicas_per_level(ran_system, average=False)
-        for c, l in zip(created, live):
-            assert l <= c + 1e-12
-
 
 class TestSummary:
     def test_run_summary_keys(self, ran_system):
@@ -99,13 +93,6 @@ class TestSummary:
             "control_to_query_ratio", "replicas_live", "utilization_mean",
         ):
             assert key in s
-
-    def test_compare_drop_fractions_shape(self):
-        table = compare_drop_fractions(
-            {"B": {"unif": {"drop_fraction": 0.5}},
-             "BCR": {"unif": {"drop_fraction": 0.1}}}
-        )
-        assert table == {"B": {"unif": 0.5}, "BCR": {"unif": 0.1}}
 
 
 class TestSummaryPercentiles:

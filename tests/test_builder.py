@@ -27,7 +27,6 @@ from repro.namespace.generators import (
     coda_like_tree,
     random_tree,
 )
-from repro.namespace.graph import GraphNamespace
 from repro.namespace.tree import NamespaceBuilder
 
 
@@ -144,6 +143,12 @@ class TestConfigPresets:
             SystemConfig(service_mean=-1.0)
         with pytest.raises(ValueError):
             SystemConfig(rmap=0)
+        # the readers test a bound's truthiness, not its sign: a negative
+        # probe limit would act as 1, and a negative directory bound
+        # evicts from an empty directory (StopIteration on first observe)
+        for field in ("digest_probe_limit", "digest_dir_max"):
+            with pytest.raises(ValueError, match=field):
+                SystemConfig(**{field: -1})
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +221,6 @@ def rewire_per_node(system):
                 peer.pin(nbr, (owner[nbr],))
 
 
-def with_cross_links(ns, seed):
-    import random
-
-    rng = random.Random(seed)
-    n = len(ns)
-    links = [(rng.randrange(n), rng.randrange(n)) for _ in range(max(2, n // 4))]
-    return GraphNamespace.from_tree(ns, [(a, b) for a, b in links if a != b])
-
-
 SHAPES = {
     # the shallowest binary or ternary tree of at least n nodes
     "balanced": lambda n, seed: next(
@@ -232,7 +228,6 @@ SHAPES = {
                       for levels in range(1, 9)) if len(ns) >= n),
     "random": lambda n, seed: random_tree(n, seed=seed),
     "coda": lambda n, seed: coda_like_tree(n_nodes=n, seed=seed),
-    "graph": lambda n, seed: with_cross_links(random_tree(n, seed=seed), seed),
 }
 
 
@@ -286,19 +281,8 @@ class TestBatchWiringEqualsPerNodeWiring:
         assert pinned_only and all(peer.pinned(v) for v in pinned_only)
         assert all(len(peer.maps[v]) == 0 for v in pinned_only)
 
-    def test_cross_links_are_pinned(self):
-        """A bulk context read off the tree arenas alone would drop them."""
-        ns = with_cross_links(balanced_tree(levels=4), seed=5)
-        assert ns.n_cross_links
-        system = build_system(ns, SystemConfig(n_servers=3, seed=2))
-        for peer in system.peers:
-            for v in peer.owned:
-                for nbr in ns.cross.get(v, ()):
-                    assert system.owner[nbr] in peer.maps[nbr]
-
     def test_contexts_is_neighbors_concatenated(self):
-        for ns in (balanced_tree(levels=4, arity=3), random_tree(80, seed=3),
-                   with_cross_links(random_tree(80, seed=4), seed=4)):
+        for ns in (balanced_tree(levels=4, arity=3), random_tree(80, seed=3)):
             nodes = list(range(len(ns)))[::-1]
             assert ns.contexts(nodes) == [
                 nbr for v in nodes for nbr in ns.neighbors(v)]

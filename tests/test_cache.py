@@ -98,14 +98,6 @@ class TestEntryMerging:
         c.replace(1, [])
         assert 1 not in c
 
-    def test_remove_server(self):
-        c = LRUCache(capacity=2)
-        c.put(1, [10, 11])
-        c.remove_server(1, 10)
-        assert list(c.peek(1)) == [11]
-        c.remove_server(1, 11)
-        assert 1 not in c
-
     def test_remove(self):
         c = LRUCache(capacity=2)
         c.put(1, [10])
@@ -133,12 +125,12 @@ class TestPutPath:
 
 
 class TestStats:
-    def test_hit_rate(self):
+    def test_counts_hits_and_misses(self):
         c = LRUCache(capacity=4)
         c.put(1, [10])
         c.get(1)
         c.get(2)
-        assert c.hit_rate == pytest.approx(0.5)
+        assert (c.hits, c.misses) == (1, 1)
 
     def test_clear(self):
         c = LRUCache(capacity=4)

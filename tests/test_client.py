@@ -185,9 +185,11 @@ class TestMetaStore:
         store = MetaStore()
         store.meta(1).add_keywords(["x"])
         store.meta(2).set_attribute("k", "v")
-        assert store.nodes_matching([1, 2], keyword="x") == [1]
-        assert store.nodes_matching([1, 2], attribute=("k", "v")) == [2]
-        assert store.nodes_matching([1, 2]) == [1, 2]
+        one, two = store.meta(1), store.meta(2)
+        assert one.matches(keyword="x") and not two.matches(keyword="x")
+        assert two.matches(attribute=("k", "v"))
+        assert not one.matches(attribute=("k", "v"))
+        assert one.matches() and two.matches()
 
     def test_snapshot_detached(self):
         from repro.namespace.meta import MetaStore

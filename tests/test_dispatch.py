@@ -86,16 +86,6 @@ class TestRegistry:
         reg.dispatch(t, MsgA())
         assert t.log == ["override"]
 
-    def test_unregister(self):
-        reg = DispatchRegistry()
-        reg.register(MsgA, "on_a")
-        assert MsgA in reg
-        assert reg.unregister(MsgA)
-        assert MsgA not in reg
-        assert not reg.unregister(MsgA)
-        with pytest.raises(UnknownMessageError):
-            reg.handler_for(MsgA)
-
     def test_bind_snapshots_current_handlers(self):
         reg = DispatchRegistry()
         reg.register(MsgA, "on_a")

@@ -129,11 +129,16 @@ class TestQuotedNames:
         "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md",
     )
     REMOVED = frozenset({
+        "repro.analysis.export",
+        "repro.analysis.fairness",
         "repro.client.TerraDirClient",
         "repro.experiments.runner",
+        "repro.namespace.graph",
         "repro.runtime.async_runtime.AsyncHandle",
         "repro.sim.profile",
+        "repro.sim.rng.poisson_arrival_times",
         "repro.sim.shardcodec.ShardCodecError",
+        "repro.workload.streams.flash_crowd_stream",
     })
 
     @staticmethod

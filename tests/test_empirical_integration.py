@@ -1,11 +1,10 @@
 """Integration: empirical (trace-derived) namespaces through the whole
-stack -- build from paths, serve lookups, search, and export metrics."""
+stack -- build from paths, serve lookups, and search."""
 
 import io
 
 import pytest
 
-from repro.analysis.export import system_series_to_csv
 from repro.client.client import TerraDirClient
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
@@ -65,13 +64,3 @@ class TestEmpiricalVolume:
             client.search("/src", keyword="python"), timeout=120.0
         )
         assert result.matches == ["/src/core/engine.py"]
-
-    def test_metrics_export_roundtrip(self, volume):
-        ns, counts, system = volume
-        buf = io.StringIO()
-        rows = system_series_to_csv(buf, system)
-        assert rows > 0
-        lines = buf.getvalue().splitlines()
-        assert lines[0].startswith("second,")
-        # one data row per simulated second
-        assert len(lines) == rows + 1

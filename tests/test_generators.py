@@ -10,7 +10,6 @@ from repro.namespace.generators import (
     assign_nodes_to_servers,
     balanced_tree,
     coda_like_tree,
-    path_tree,
     random_tree,
     university_tree,
 )
@@ -46,14 +45,6 @@ class TestBalancedTree:
             balanced_tree(-1)
         with pytest.raises(ValueError):
             balanced_tree(3, arity=0)
-
-
-class TestPathTree:
-    def test_shape(self):
-        ns = path_tree(10)
-        assert len(ns) == 11
-        assert ns.max_depth == 10
-        assert all(len(c) <= 1 for c in ns.children)
 
 
 class TestRandomTree:

@@ -14,7 +14,12 @@ the experiments layer), and the linter's CLI loads no simulator module.
 
 Two static checks pin the layering: the simulator, network, server,
 core, cluster and runtime packages never import ``repro.experiments``,
-and only ``repro.experiments`` reads the environment.
+and only ``repro.experiments`` reads the environment.  A third pins
+reachability: every module under ``src/repro`` is imported, directly or
+transitively, from an entry point -- ``python -m repro``, a script's
+``__main__`` block, a registered experiment or its run units, the
+public API table, or the benchmarks -- so a module only its own tests
+load cannot stay in the package.
 """
 
 import ast
@@ -24,7 +29,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 
 #: the mechanism packages: they take arguments and decide no policy
@@ -39,7 +45,6 @@ UNUSED_ON_RUNS = (
     "repro.core.static_replication",
     "repro.workload.trace",
     "repro.sim.memsize",
-    "repro.namespace.graph",
     "repro.server.state",
 )
 
@@ -116,12 +121,22 @@ def test_lint_cli_loads_no_simulator_module():
 
 
 def _imported_modules(path):
+    """Every module an ``import`` or ``from ... import`` in ``path``
+    names, function-local ones included: relative imports resolved
+    against the file's package, and ``from m import x`` yielding
+    ``m.x`` too (it counts when ``x`` is a submodule)."""
+    inside = SRC in path.parents
+    package = ".".join(path.parent.relative_to(SRC).parts) if inside else ""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             yield from (a.name for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            yield node.module
-            yield from (f"{node.module}.{a.name}" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            yield base
+            yield from (f"{base}.{a.name}" for a in node.names)
 
 
 def test_mechanism_never_imports_the_experiments_layer():
@@ -143,3 +158,83 @@ def test_only_the_experiments_layer_reads_the_environment():
         and re.search(r"os\.environ|getenv", path.read_text())
     ]
     assert not offenders, offenders
+
+
+#: modules no entry point reaches yet, each with what will reach it
+UNREACHED = {
+    "repro.cluster.membership": "ROADMAP item O (the churn experiment)",
+}
+
+
+def _module_files():
+    """``{dotted name: path}`` of every module under ``src/repro``."""
+    out = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        out[".".join(parts)] = path
+    return out
+
+
+def _has_main_block(path):
+    return any(
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Compare)
+        and isinstance(node.test.left, ast.Name)
+        and node.test.left.id == "__name__"
+        for node in ast.parse(path.read_text()).body
+    )
+
+
+def _roots(modules):
+    import repro
+    from repro.experiments.campaign import (
+        _MODULES,
+        EXPERIMENT_NAMES,
+        get_experiment,
+    )
+    from repro.experiments.common import SCALES
+
+    # ``repro.__main__`` and every other script module
+    roots = {name for name, path in modules.items() if _has_main_block(path)}
+    roots.update(_MODULES.values())
+    roots.update(repro._API.values())
+    roots.update(
+        spec.fn.partition(":")[0]
+        for scale in SCALES.values()
+        for name in EXPERIMENT_NAMES
+        for spec in get_experiment(name).specs(scale, seed=0)
+    )
+    for directory in ("bench", "benchmarks"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            roots.update(_imported_modules(path))
+    return roots
+
+
+def _reached(modules, roots):
+    """The import closure of ``roots`` over ``modules`` (names outside
+    it are dropped), each reached module's parent packages included."""
+    reached = set()
+    todo = [m for m in roots if m in modules]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        found = set(_imported_modules(modules[name]))
+        found.update(name.rsplit(".", k)[0] for k in range(1, name.count(".") + 1))
+        todo.extend(m for m in found if m in modules and m not in reached)
+    return reached
+
+
+def test_every_module_is_reached_from_an_entry_point():
+    modules = _module_files()
+    reached = _reached(modules, _roots(modules))
+    unreached = sorted(set(modules) - reached - set(UNREACHED))
+    assert not unreached, (
+        f"no entry point imports {unreached}: delete them with their "
+        "tests, or give them a caller"
+    )
+    stale = sorted(set(UNREACHED) & reached)
+    assert not stale, f"waived modules are reached now: {stale}"

@@ -5,11 +5,7 @@ import pytest
 from repro.namespace.name import (
     ROOT_NAME,
     InvalidNameError,
-    ancestors_of_name,
-    basename,
-    is_prefix,
     join,
-    parent_name,
     split,
     validate_name,
 )
@@ -58,55 +54,3 @@ class TestSplitJoin:
     def test_join_roundtrip(self):
         name = "/university/public/people"
         assert join(*split(name)) == name
-
-
-class TestParentBasename:
-    def test_parent_of_root(self):
-        assert parent_name("/") == "/"
-
-    def test_parent_of_top_level(self):
-        assert parent_name("/a") == "/"
-
-    def test_parent_of_nested(self):
-        assert parent_name("/a/b/c") == "/a/b"
-
-    def test_basename_of_root(self):
-        assert basename("/") == ""
-
-    def test_basename_nested(self):
-        assert basename("/a/b/c") == "c"
-
-
-class TestAncestors:
-    def test_root_ancestors(self):
-        assert ancestors_of_name("/") == ["/"]
-
-    def test_nested_ancestors(self):
-        assert ancestors_of_name("/a/b/c") == ["/", "/a", "/a/b", "/a/b/c"]
-
-    def test_prefix_extraction_matches_paper_example(self):
-        # Fig 2: hosted node names produce all ancestor prefixes
-        name = "/university/public/people/faculty"
-        anc = ancestors_of_name(name)
-        assert "/university/public" in anc
-        assert "/university" in anc
-        assert anc[0] == "/"
-        assert anc[-1] == name
-
-
-class TestIsPrefix:
-    def test_root_prefixes_everything(self):
-        assert is_prefix("/", "/a/b")
-
-    def test_self_prefix(self):
-        assert is_prefix("/a/b", "/a/b")
-
-    def test_proper_prefix(self):
-        assert is_prefix("/a", "/a/b")
-
-    def test_component_boundary(self):
-        # /ab is not an ancestor of /abc
-        assert not is_prefix("/ab", "/abc")
-
-    def test_non_prefix(self):
-        assert not is_prefix("/a/b", "/a/c")

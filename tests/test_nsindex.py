@@ -376,7 +376,6 @@ _CACHE_OP = st.one_of(
     st.tuples(st.just("put"), _NODE, _SERVER),
     st.tuples(st.sampled_from(["get", "touch", "remove"]), _NODE),
     st.tuples(st.just("replace"), _NODE, st.lists(_SERVER, max_size=2)),
-    st.tuples(st.just("remove_server"), _NODE, _SERVER),
     st.tuples(st.just("put_path"),
               st.lists(st.tuples(_NODE, _SERVER), max_size=8)),
 )
@@ -422,9 +421,7 @@ def test_cache_scan_matches_reference(ops, seed):
                 args = (v, (args[1],))
             elif name in ("get", "touch"):
                 ref.touch(v)
-            elif name == "remove" or (name == "replace" and not args[1]) or (
-                    name == "remove_server"
-                    and list(cache.peek(v) or ()) == [args[1]]):
+            elif name == "remove" or (name == "replace" and not args[1]):
                 ref.remove(v)  # the op empties the entry
             getattr(cache, name)(*args)
             getattr(twin, name)(*args)

@@ -11,7 +11,7 @@ from repro.core.ranking import NodeRanking
 from repro.filters.bloom import BloomFilter
 from repro.filters.digest import Digest, DigestDirectory
 from repro.namespace.generators import random_tree
-from repro.namespace.name import ancestors_of_name, is_prefix, join, split
+from repro.namespace.name import join, split
 from repro.sim.rng import ZipfSampler
 from repro.sim.stats import WindowAverager
 
@@ -93,17 +93,6 @@ components = st.lists(
 def test_name_split_join_roundtrip(comps):
     name = join(*comps)
     assert split(name) == tuple(comps)
-
-
-@given(components)
-def test_ancestors_are_prefixes(comps):
-    name = join(*comps)
-    anc = ancestors_of_name(name)
-    assert anc[0] == "/"
-    assert anc[-1] == name
-    assert len(anc) == len(comps) + 1
-    for a in anc:
-        assert is_prefix(a, name)
 
 
 # ---------------------------------------------------------------------------

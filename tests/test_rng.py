@@ -5,12 +5,7 @@ import random
 
 import pytest
 
-from repro.sim.rng import (
-    RngStreams,
-    ZipfSampler,
-    exponential,
-    poisson_arrival_times,
-)
+from repro.sim.rng import RngStreams, ZipfSampler, exponential
 
 
 class TestStreams:
@@ -47,23 +42,6 @@ class TestExponential:
     def test_rejects_bad_mean(self):
         with pytest.raises(ValueError):
             exponential(random.Random(0), 0.0)
-
-
-class TestPoisson:
-    def test_rate(self):
-        rng = random.Random(1)
-        ts = poisson_arrival_times(rng, rate=100.0, horizon=50.0)
-        assert abs(len(ts) / 50.0 - 100.0) < 10.0
-
-    def test_sorted_within_horizon(self):
-        rng = random.Random(1)
-        ts = poisson_arrival_times(rng, rate=10.0, horizon=5.0)
-        assert ts == sorted(ts)
-        assert all(0 < t < 5.0 for t in ts)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            poisson_arrival_times(random.Random(0), 0.0, 1.0)
 
 
 class TestZipf:

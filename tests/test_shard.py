@@ -592,22 +592,17 @@ class TestPackedDataPlane:
         ):
             coord._route(outs, 7)
 
-    @pytest.mark.parametrize("kind", ["tree", "graph"])
-    def test_process_run_uses_no_shared_memory(self, monkeypatch, kind):
-        """Forked workers inherit the namespace (a graph namespace's
-        cross links too) and the owner map: a process run makes no
-        shared-memory block and equals the serial run."""
+    def test_process_run_uses_no_shared_memory(self, monkeypatch):
+        """Forked workers inherit the namespace and the owner map: a
+        process run makes no shared-memory block and equals the serial
+        run."""
         from multiprocessing import shared_memory
-
-        from repro.namespace.graph import mesh_of_trees
 
         def refuse(*args, **kwargs):
             raise AssertionError("the process backend made a SharedMemory")
 
         monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
         ns, cfg, spec, until = fig3_style()
-        if kind == "graph":
-            ns = mesh_of_trees(levels=7, link_depth=3)
         ref = run_fingerprint(serial_run(ns, cfg, spec, until))
         run = WindowedCoordinator(ns, cfg, spec, 2,
                                   backend="process").run(until)

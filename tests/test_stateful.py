@@ -92,15 +92,6 @@ class LRUCacheModel(RuleBasedStateMachine):
         assert self.cache.remove(node) == (self.model.pop(node, None)
                                            is not None)
 
-    @rule(node=st.integers(0, 9), server=st.integers(0, 5))
-    def remove_server(self, node, server):
-        self.cache.remove_server(node, server)
-        entry = self.model.get(node)
-        if entry is not None and server in entry:
-            entry.remove(server)
-            if not entry:
-                del self.model[node]
-
     @invariant()
     def same_contents_and_order(self):
         assert [(n, list(e)) for n, e in self.cache.items()] == [

@@ -15,7 +15,6 @@ from repro.workload.streams import (
     StreamSegment,
     WorkloadSpec,
     cuzipf_stream,
-    flash_crowd_stream,
     unif_stream,
     uzipf_stream,
 )
@@ -256,8 +255,13 @@ class TestGoldenStream:
         assert rows == GOLDEN_CUZIPF
 
     def test_flash_crowd_rows(self):
-        spec = flash_crowd_stream(60.0, normal=0.5, crowd=1.0, alpha=1.2,
-                                  surge=2.0, seed=9)
+        spec = WorkloadSpec(
+            rate=60.0,
+            segments=(StreamSegment(0.5, alpha=0.0),
+                      StreamSegment(1.0, alpha=1.2, reshuffle=True,
+                                    rate_mult=2.0)),
+            seed=9,
+        )
         rows = tuple(islice(iter_arrivals(spec, 511, 8), 64))
         assert rows[0][0] < 0.5 < rows[-1][0]  # spans the surge boundary
         assert rows == GOLDEN_FLASH_CROWD
@@ -302,33 +306,14 @@ class TestFlashCrowd:
         with pytest.raises(ValueError):
             StreamSegment(duration=1.0, rate_mult=-2.0)
 
-    def test_flash_crowd_structure(self):
-        s = flash_crowd_stream(100.0, normal=8.0, crowd=12.0, alpha=1.5,
-                               surge=3.0, seed=99)
-        normal, crowd = s.segments
-        assert normal.alpha == 0.0 and normal.rate_mult == 1.0
-        assert crowd.alpha == 1.5 and crowd.reshuffle
-        assert crowd.rate_mult == 3.0
-        assert s.duration == 20.0 and s.name == "flash-crowd"
-
-    def test_default_surge_preserves_historical_stream(self):
-        """flash_crowd_stream(surge=1.0) is bit-identical to the
-        hand-rolled two-segment spec it replaced (examples/flash_crowd)."""
-        legacy = WorkloadSpec(
-            rate=50.0,
-            segments=(StreamSegment(4.0, alpha=0.0),
-                      StreamSegment(6.0, alpha=1.5, reshuffle=True)),
-            seed=99,
-            name="flash-crowd",
-        )
-        promoted = flash_crowd_stream(50.0, normal=4.0, crowd=6.0,
-                                      alpha=1.5, seed=99)
-        assert (list(iter_arrivals(legacy, 511, 8))
-                == list(iter_arrivals(promoted, 511, 8)))
-
     def test_surge_multiplies_crowd_rate(self):
-        spec = flash_crowd_stream(200.0, normal=5.0, crowd=5.0, alpha=1.0,
-                                  surge=4.0, seed=3)
+        spec = WorkloadSpec(
+            rate=200.0,
+            segments=(StreamSegment(5.0, alpha=0.0),
+                      StreamSegment(5.0, alpha=1.0, reshuffle=True,
+                                    rate_mult=4.0)),
+            seed=3,
+        )
         times = [t for t, _, _ in iter_arrivals(spec, 511, 8)]
         n_normal = sum(1 for t in times if t < 5.0)
         n_crowd = len(times) - n_normal
@@ -337,8 +322,13 @@ class TestFlashCrowd:
         assert 3.0 < n_crowd / n_normal < 5.0
 
     def test_driver_matches_iter_arrivals_under_rate_mult(self):
-        spec = flash_crowd_stream(80.0, normal=3.0, crowd=4.0, alpha=1.2,
-                                  surge=2.5, seed=7)
+        spec = WorkloadSpec(
+            rate=80.0,
+            segments=(StreamSegment(3.0, alpha=0.0),
+                      StreamSegment(4.0, alpha=1.2, reshuffle=True,
+                                    rate_mult=2.5)),
+            seed=7,
+        )
         stub = _StubSystem(n_nodes=511, n_servers=8)
         rec = []
         stub.inject = lambda src, dest: rec.append(

@@ -18,6 +18,16 @@ from __future__ import annotations
 import dataclasses
 
 
+#: fields that must be > 0, >= 0 and >= 1 (:meth:`SystemConfig.validate`)
+_POSITIVE = ("service_mean", "load_window", "l_high_factor", "session_timeout")
+_NON_NEGATIVE = (
+    "net_delay", "net_jitter", "queue_size", "cache_slots", "rfact",
+    "session_backoff", "replica_idle_timeout", "digest_probe_limit",
+    "digest_dir_max", "bootstrap_known_peers", "sample_loads_every",
+)
+_AT_LEAST_ONE = ("n_servers", "rmap", "max_attempts", "max_hops")
+
+
 @dataclasses.dataclass
 class SystemConfig:
     """Configuration for one simulated TerraDir deployment."""
@@ -130,45 +140,30 @@ class SystemConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Raise ValueError on out-of-range parameters."""
-        if self.n_servers < 1:
-            raise ValueError("n_servers must be >= 1")
-        if self.service_mean <= 0:
-            raise ValueError("service_mean must be > 0")
-        if self.net_delay < 0:
-            raise ValueError("net_delay must be >= 0")
-        if self.net_jitter < 0:
-            raise ValueError("net_jitter must be >= 0")
-        if self.queue_size < 0:
-            raise ValueError("queue_size must be >= 0")
+        """Raise ValueError, naming the field, on out-of-range parameters.
+
+        A negative delay, bound or count is never read as "off": the
+        readers test its truthiness or schedule with it, so it would
+        silently disable a mechanism or crash the run far from here.
+        """
+        for names, ok, rule in (
+            (_POSITIVE, lambda v: v > 0, "> 0"),
+            (_NON_NEGATIVE, lambda v: v >= 0, ">= 0"),
+            (_AT_LEAST_ONE, lambda v: v >= 1, ">= 1"),
+        ):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {rule}")
         if not 0.0 <= self.slow_server_fraction <= 1.0:
             raise ValueError("slow_server_fraction must be in [0, 1]")
         if self.slow_factor < 1.0:
             raise ValueError("slow_factor must be >= 1")
-        if self.load_window <= 0:
-            raise ValueError("load_window must be > 0")
         if not 0.0 < self.l_high <= 1.0:
             raise ValueError("l_high must be in (0, 1]")
-        if self.l_high_factor <= 0:
-            raise ValueError("l_high_factor must be > 0")
         if not 0.0 < self.l_high_floor <= 1.0:
             raise ValueError("l_high_floor must be in (0, 1]")
         if not 0.0 <= self.delta_min <= 1.0:
             raise ValueError("delta_min must be in [0, 1]")
-        if self.cache_slots < 0:
-            raise ValueError("cache_slots must be >= 0")
-        if self.rfact < 0:
-            raise ValueError("rfact must be >= 0")
-        if self.rmap < 1:
-            raise ValueError("rmap must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.digest_probe_limit < 0:
-            raise ValueError("digest_probe_limit must be >= 0")
-        if self.digest_dir_max < 0:
-            raise ValueError("digest_dir_max must be >= 0")
-        if self.max_hops < 1:
-            raise ValueError("max_hops must be >= 1")
 
     # ------------------------------------------------------------------
     # Fig. 5 presets

@@ -160,7 +160,7 @@ class ReplicationManager:
         session.target = candidate
         session.awaiting = "probe_reply"
         self._arm_timeout(session)
-        peer.send_control(
+        peer.rt.send(
             candidate,
             ProbeMessage(session.sid, peer.sid, peer.meter.load()),
         )
@@ -204,7 +204,7 @@ class ReplicationManager:
         my_load = peer.meter.load()
         willing = (msg.src_load - my_load) >= self.cfg.delta_min
         peer.known_loads[msg.src] = (msg.src_load, now)
-        peer.send_control(
+        peer.rt.send(
             msg.src,
             ProbeReplyMessage(msg.session, peer.sid, my_load, willing),
         )
@@ -227,7 +227,7 @@ class ReplicationManager:
         # hysteresis: book the targeted post-transfer load increase
         if self.cfg.hysteresis_enabled and installed:
             peer.meter.apply_adjustment(msg.load_delta)
-        peer.send_control(
+        peer.rt.send(
             msg.src, TransferAckMessage(msg.session, peer.sid, installed)
         )
 
@@ -294,7 +294,7 @@ class ReplicationManager:
         session.awaiting = "ack"
         self._arm_timeout(session)
         self.n_replicas_shipped += len(payloads)
-        peer.send_control(session.target, msg)
+        peer.rt.send(session.target, msg)
 
     def on_ack(self, msg: TransferAckMessage, now: float) -> None:
         session = self._session

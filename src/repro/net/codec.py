@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import struct
 from types import MemberDescriptorType
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.filters.bloom import Snapshot
 from repro.namespace.meta import NodeMeta
@@ -86,8 +86,6 @@ __all__ = [
     "DigestTable",
     "ENCODERS",
     "compile_layout",
-    "require_encodable",
-    "supported_types",
 ]
 
 
@@ -522,24 +520,3 @@ DECODERS: Dict[int, Decoder] = {}
 for _tid, _cls in WIRE_TYPES.items():
     _enc, DECODERS[_tid] = compile_layout(_cls)
     ENCODERS[_cls] = (_tid, _enc)
-
-
-def supported_types() -> Tuple[type, ...]:
-    """Every message class the packed codec can carry."""
-    return tuple(ENCODERS)
-
-
-def require_encodable(types: Iterable[type]) -> None:
-    """Fail fast when a registered message class has no codec entry.
-
-    Called at coordinator construction with the peer dispatch
-    registry's types, so adding a new cross-shard message class without
-    a type id breaks loudly before any window runs.
-    """
-    missing = [t.__name__ for t in types if t not in ENCODERS]
-    if missing:
-        raise CodecError(
-            f"no packed codec for message type(s) "
-            f"{', '.join(sorted(missing))}; give it a type id in "
-            "repro.net.message.WIRE_TYPES"
-        )

@@ -5,10 +5,11 @@ Two traffic classes exist:
 * **Query traffic** (:class:`QueryMessage`, :class:`ResponseMessage`)
   competes for each server's bounded request queue and exponential
   service time; queries arriving at a full queue are dropped.
-* **Control traffic** (replication probes/transfers) bypasses the
-  request queue -- the paper reports load-balancing messages are at
-  least two orders of magnitude rarer than queries, and we count them
-  to verify exactly that claim.
+* **Control traffic** (:data:`CONTROL_TYPES`: the replication
+  protocol's probes, transfers, acks and adverts) bypasses the request
+  queue -- the paper reports load-balancing messages are at least two
+  orders of magnitude rarer than queries, and every transport counts
+  them in ``n_control_sent`` to verify exactly that claim.
 
 All in-band soft-state dissemination is piggybacked on query messages:
 the sender's load sample, its digest snapshot, the destination node's
@@ -18,13 +19,16 @@ walked so far (for path-propagation caching).
 **Wire declarations.**  Every class here declares its fields once, in
 wire order, as a ``__slots__`` dict ``{field: kind}`` (the kinds are
 :mod:`repro.net.codec`'s, which compiles them at import).  Adding a wire
-message is one declaration here, a type id in :data:`WIRE_TYPES` and a
-dispatch registration.
+message is one declaration here and a type id in :data:`WIRE_TYPES`;
+a control class also goes into :data:`CONTROL_TYPES`.  A peer handles
+the class with the method named after it (``FooBarMessage`` ->
+``Peer._on_foo_bar``); without one, delivery raises
+:class:`~repro.server.peer.UnknownMessageError`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.filters.bloom import Snapshot
 
@@ -336,8 +340,8 @@ class DataReply:
 
 
 #: type id -> wire class: the closed allowlist both framings carry.  Ids
-#: are wire format, never reused; 1-9 are the peer plane
-#: (``PEER_DISPATCH``), 10-11 the live client plane.
+#: are wire format, never reused; 1-9 are the peer plane (a ``Peer``
+#: method handles each), 10-11 the live client plane.
 WIRE_TYPES: Dict[int, type] = {
     1: QueryMessage,
     2: ResponseMessage,
@@ -351,3 +355,10 @@ WIRE_TYPES: Dict[int, type] = {
     10: ClientLookup,
     11: ClientLookupReply,
 }
+
+#: the replication protocol's classes: every transport counts them in
+#: ``n_control_sent``, everything else in ``n_sent``
+CONTROL_TYPES: FrozenSet[type] = frozenset({
+    AdvertMessage, ProbeMessage, ProbeReplyMessage, TransferMessage,
+    TransferAckMessage,
+})

@@ -44,6 +44,7 @@ from collections import deque
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
+from repro.net.message import CONTROL_TYPES
 from repro.sim.engine import Engine, EventHandle, ShardError
 from repro.sim.rng import exponential
 
@@ -146,20 +147,19 @@ class Transport:
             raise ValueError(f"server {server_id} already registered")
         self._endpoints[server_id] = handler
 
-    def send(self, dest: int, msg: Any, control: bool = False) -> None:
+    def send(self, dest: int, msg: Any) -> None:
         """Schedule delivery of ``msg`` at ``dest`` after ``net_delay``.
 
-        Args:
-            control: marks replication-protocol traffic (counted
-                separately to validate the paper's claim that control
-                traffic is >=100x rarer than queries).
+        A class in :data:`~repro.net.message.CONTROL_TYPES` counts in
+        ``n_control_sent`` (the paper's claim that control traffic is
+        >=100x rarer than queries), anything else in ``n_sent``.
         """
         if dest not in self._endpoints:
             raise KeyError(f"no server registered with id {dest}")
         if dest in self.failed:
             self._lose(dest, msg)
             return
-        if control:
+        if msg.__class__ in CONTROL_TYPES:
             self.n_control_sent += 1
         else:
             self.n_sent += 1
@@ -272,14 +272,14 @@ class ShardTransport(Transport):
 
     # ------------------------------------------------------------------
 
-    def send(self, dest: int, msg: Any, control: bool = False) -> None:
+    def send(self, dest: int, msg: Any) -> None:
         """Ring-buffer local deliveries; buffer cross-shard sends."""
         if not 0 <= dest < self.total_servers:
             raise KeyError(f"no server registered with id {dest}")
         if dest in self.failed:
             self._lose(dest, msg)
             return
-        if control:
+        if msg.__class__ in CONTROL_TYPES:
             self.n_control_sent += 1
         else:
             self.n_sent += 1

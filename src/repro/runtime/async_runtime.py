@@ -173,11 +173,11 @@ class AsyncRuntime:
     # Wire
     # ------------------------------------------------------------------
 
-    def send(self, dest: int, msg: Any, control: bool = False) -> None:
+    def send(self, dest: int, msg: Any) -> None:
         wire = self.wire
         if wire is None:
             raise RuntimeError("AsyncRuntime has no wire attached")
-        wire.send(dest, msg, control=control)
+        wire.send(dest, msg)
 
     def __repr__(self) -> str:
         return f"AsyncRuntime(t={self.now:.3f})"

@@ -63,7 +63,7 @@ from repro.net.frame import (
     decode_message,
     encode_frame,
 )
-from repro.net.message import ClientLookup
+from repro.net.message import CONTROL_TYPES, ClientLookup
 
 __all__ = ["AsyncWire", "tcp_addresses", "uds_addresses"]
 
@@ -270,9 +270,9 @@ class AsyncWire:
     # outbound
     # ------------------------------------------------------------------
 
-    def send(self, dest: int, msg: Any, control: bool = False) -> None:
+    def send(self, dest: int, msg: Any) -> None:
         """Fire-and-forget framed delivery to ``dest``'s listener."""
-        if control:
+        if msg.__class__ in CONTROL_TYPES:
             self.n_control_sent += 1
         else:
             self.n_sent += 1

@@ -15,9 +15,10 @@ capabilities:
   ``timer_after`` through a :class:`~repro.sim.timerwheel.TimerWheel`
   over their own clock and ``schedule``, so a cancelled timeout is a
   dict pop and never a dead entry on either runtime's event heap.
-* :class:`Wire` -- ``rt.send(dest, msg, control=False)``, one-way
-  message delivery to server ``dest``.  The simulator's delivery ring
-  and the framed asyncio transport both sit behind this call.
+* :class:`Wire` -- ``rt.send(dest, msg)``, one-way message delivery
+  to server ``dest``, counted as control traffic by the message's class
+  (:data:`repro.net.message.CONTROL_TYPES`).  The simulator's delivery
+  ring and the framed asyncio transport both sit behind this call.
 
 The contract is deliberately minimal: nothing here exposes event
 counts, heap access, run loops, or connection state, so a component
@@ -103,9 +104,10 @@ class Scheduler(Protocol):
 class Wire(Protocol):
     """One-way message delivery to another server."""
 
-    def send(self, dest: int, msg: Any, control: bool = False) -> None:
-        """Deliver ``msg`` to server ``dest``; ``control`` marks
-        replication-protocol traffic (counted separately)."""
+    def send(self, dest: int, msg: Any) -> None:
+        """Deliver ``msg`` to server ``dest``; a class in
+        :data:`~repro.net.message.CONTROL_TYPES` counts as
+        replication-protocol traffic, anything else as a query's."""
         ...
 
 
@@ -140,5 +142,5 @@ class Runtime(Protocol):
     ) -> CancelHandle:
         ...
 
-    def send(self, dest: int, msg: Any, control: bool = False) -> None:
+    def send(self, dest: int, msg: Any) -> None:
         ...

@@ -18,12 +18,13 @@ focused components, composed here:
 * :class:`~repro.core.replication.ReplicationManager` -- the adaptive
   replication protocol sessions.
 
-Inbound messages route through a typed dispatch registry
-(:class:`~repro.net.dispatch.DispatchRegistry`) instead of an
-``isinstance`` chain; control traffic (replication probes/transfers/
-acks, back-propagated advertisements) and query responses bypass the
-request queue: they are rare, tiny, and the paper accounts for them
-separately.
+An inbound message reaches the method named after its class
+(``TransferAckMessage`` -> ``_on_transfer_ack``), the way
+``ast.NodeVisitor`` finds ``visit_<Class>``: declaring a wire class in
+:mod:`repro.net.message` is all a handler needs to be found.  Control
+traffic (replication probes/transfers/acks, back-propagated
+advertisements) and query responses bypass the request queue: they
+are rare, tiny, and the paper accounts for them separately.
 
 The facade preserves the original ``Peer`` surface: shared routing
 state (maps, pins, cache, digests, ranking, metadata) lives here, and
@@ -49,8 +50,8 @@ from repro.core.maps import merge_maps
 from repro.core.ranking import NodeRanking
 from repro.core.replication import ReplicationManager
 from repro.filters.digest import Digest, DigestDirectory
-from repro.net.dispatch import DispatchRegistry, UnknownMessageError
 from repro.net.message import (
+    WIRE_TYPES,
     AdvertMessage,
     DataReply,
     DataRequest,
@@ -70,23 +71,24 @@ from repro.server.routing_core import RoutingCore
 from repro.server.softstate import SoftStateAbsorber
 from repro.sim.rng import exponential
 
-__all__ = ["PEER_DISPATCH", "Peer"]
+__all__ = ["Peer", "UnknownMessageError"]
 
 
-#: The default message-type -> handler registry for :class:`Peer`.
-#: Handlers are attribute names, so subclasses override a handler by
-#: overriding the method; alternative endpoints may also register
-#: replacements (last registration wins) before peers are built.
-PEER_DISPATCH = DispatchRegistry("peer")
-PEER_DISPATCH.register(QueryMessage, "_on_query")
-PEER_DISPATCH.register(ResponseMessage, "_on_response")
-PEER_DISPATCH.register(ProbeMessage, "_on_probe")
-PEER_DISPATCH.register(ProbeReplyMessage, "_on_probe_reply")
-PEER_DISPATCH.register(TransferMessage, "_on_transfer")
-PEER_DISPATCH.register(TransferAckMessage, "_on_transfer_ack")
-PEER_DISPATCH.register(AdvertMessage, "_on_advert")
-PEER_DISPATCH.register(DataRequest, "_on_data_request")
-PEER_DISPATCH.register(DataReply, "_on_data_reply")
+class UnknownMessageError(TypeError):
+    """Raised when a peer has no handler for a message's class."""
+
+
+def _handler_name(cls: type) -> str:
+    """``_on_`` plus the snake_case class name, less a ``Message``
+    suffix: ``TransferAckMessage`` -> ``_on_transfer_ack``."""
+    name = cls.__name__
+    if name.endswith("Message"):
+        name = name[: -len("Message")]
+    return "_on" + "".join("_" + c.lower() if c.isupper() else c for c in name)
+
+
+#: wire class -> the name of the ``Peer`` method that handles it
+_HANDLER_NAMES = {cls: _handler_name(cls) for cls in WIRE_TYPES.values()}
 
 
 class Peer:
@@ -122,10 +124,6 @@ class Peer:
         "_record_injected",
         "_record_drop",
     )
-
-    #: the dispatch registry bound per instance; class attribute so
-    #: subclasses can substitute a different registry wholesale.
-    dispatch_registry = PEER_DISPATCH
 
     def __init__(self, sid: int, system, owned: Iterable[int]) -> None:
         self.sid = sid
@@ -171,7 +169,13 @@ class Peer:
         # "The replication factor need not be the same for all servers"
         # (paper section 3.4): per-peer override, defaulting to config
         self.rfact = cfg.rfact
-        self._handlers = self.dispatch_registry.bind(self)
+        # bound once per peer; a subclass overrides a handler by
+        # overriding the method
+        self._handlers = {
+            cls: getattr(self, name)
+            for cls, name in _HANDLER_NAMES.items()
+            if hasattr(self, name)
+        }
 
     # ------------------------------------------------------------------
     # component-owned state, re-exposed (public API compatibility)
@@ -429,24 +433,20 @@ class Peer:
     def deliver(self, msg) -> None:
         """Transport hands every inbound message here.
 
-        Routing is a bound-handler dict probe (snapshot of
-        :data:`PEER_DISPATCH` taken at construction); an unregistered
-        message type raises :class:`UnknownMessageError`.
+        Routing is a bound-handler dict probe (bound at construction);
+        a class with no ``_on_`` method raises :class:`UnknownMessageError`.
         """
         if self.failed:
             return  # fail-stop: inbound traffic is lost
         handler = self._handlers.get(msg.__class__)
         if handler is None:
             raise UnknownMessageError(
-                f"peer {self.sid}: no handler registered for message type "
+                f"peer {self.sid}: no handler for message type "
                 f"{msg.__class__.__name__}"
             )
         handler(msg)
 
-    def send_control(self, dest: int, msg) -> None:
-        self.rt.send(dest, msg, control=True)
-
-    # -- dispatch handlers (registered in PEER_DISPATCH) ----------------
+    # -- handlers, one per peer-plane class, found by name ---------------
 
     def _on_response(self, msg: ResponseMessage) -> None:
         self.router.on_response(msg)
@@ -487,7 +487,7 @@ class Peer:
         self._on_query(msg)
 
     def _on_query(self, msg: QueryMessage) -> None:
-        """A query arrives, from a client or a peer (dispatch handler)."""
+        """A query arrives, from a client or a peer."""
         ingress = self.ingress
         if not ingress.in_service:
             self._start_service(msg)

@@ -102,7 +102,7 @@ class RoutingCore:
                 if via >= 0 and m.sender != sid:
                     recent = adverts_recent.get(via)
                     if recent:
-                        peer.send_control(
+                        peer.rt.send(
                             m.sender, AdvertMessage(via, list(recent))
                         )
                 for node in (decision.via, dest):

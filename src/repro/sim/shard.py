@@ -87,7 +87,6 @@ if TYPE_CHECKING:
 from repro.cluster.builder import _resolve_owner, build_shard_system, build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.tree import Namespace
-from repro.net.codec import require_encodable
 from repro.net.transport import check_shardable, shard_of_sid
 from repro.sim.engine import ShardError
 from repro.sim.shardcodec import (
@@ -583,9 +582,6 @@ class WindowedCoordinator:
                 "the process backend forks its shard workers, and "
                 "this platform has no 'fork' start method"
             )
-        from repro.server.peer import PEER_DISPATCH
-
-        require_encodable(PEER_DISPATCH.types())
         self.ns = ns
         self.cfg = cfg
         self.spec = spec

@@ -14,10 +14,10 @@ with flat ``struct``-packed frames:
   can order records -- and a relay can route whole frames -- without
   decoding bodies.  The bodies are :mod:`repro.net.codec`'s -- the same
   compiled layouts the live wire frames -- always with full digest
-  snapshots (a batch has no link table).  Registering a new cross-shard
-  message class in :data:`repro.server.peer.PEER_DISPATCH` without
-  giving it a type id fails loudly at coordinator construction
-  (:func:`repro.net.codec.require_encodable`).
+  snapshots (a batch has no link table).  A peer handles only classes
+  declared in :data:`repro.net.message.WIRE_TYPES` (its handler table
+  is derived from that table), so every message a shard can send has
+  a type id and a compiled layout by construction.
 * **Step frames** (:func:`encode_step_request` /
   :func:`encode_step_reply`): the per-window worker-pipe protocol --
   one ``send_bytes`` each way per barrier, pure bytes, no pickle.  The

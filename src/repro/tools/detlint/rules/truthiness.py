@@ -1,8 +1,8 @@
 """DET002 sized-presence-truthiness: ``len()`` is not ``is None``.
 
 An object whose class defines ``__len__`` is *falsy when empty*.  For
-presence-typed objects -- an Engine, a dispatch registry, a namespace
--- emptiness is a valid state, not absence, so boolean tests silently
+presence-typed objects -- an Engine, a cache, a namespace --
+emptiness is a valid state, not absence, so boolean tests silently
 misfire exactly when the object is empty:
 
 * ``engine = engine or make_engine()`` drops a caller's fresh (empty)
@@ -24,11 +24,14 @@ from typing import Dict, Optional
 from repro.tools.detlint.model import FileContext, Rule
 from repro.tools.detlint.rules._util import terminal_name
 
-#: classes defining ``__len__`` whose emptiness does NOT mean absence
+#: the public classes under ``src/repro`` that define ``__len__``: for
+#: each, emptiness is a valid state, not absence
+#: (``tests/test_detlint.py`` pins this list to the classes)
 SIZED_PRESENCE_TYPES = frozenset({
-    "Engine", "DispatchRegistry", "Namespace", "SystemStats",
-    "ReplicaMap", "NodeMap", "DigestDirectory", "AncestorIndex",
-    "NodeRanking", "TimerWheel",
+    "AncestorIndex", "ArrivalBatch", "DigestDirectory", "Engine",
+    "IngressQueue", "LRUCache", "Namespace", "NamespaceBuilder", "NodeMap",
+    "NodeRanking", "PackedLog", "QueryTrace", "ResultStore", "SearchResult",
+    "TimerWheel",
 })
 
 #: constructors/factories whose result as an ``or`` fallback is a bug

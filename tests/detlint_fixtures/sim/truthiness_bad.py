@@ -8,7 +8,8 @@ These files are AST input only, never imported.
 from typing import Optional
 
 from repro.sim.engine import Engine
-from repro.sim.stats import SystemStats
+from repro.server.cache import LRUCache
+from repro.server.ingress import IngressQueue
 from repro.namespace.tree import Namespace
 
 
@@ -27,10 +28,16 @@ def run(engine: Optional[Engine]):
         engine.run()
 
 
-def drain(stats: SystemStats):
-    assert stats  # DET002: assert-truthiness on a sized type
-    while stats:  # DET002: while-truthiness
-        stats.pop()
+def drain(queue: IngressQueue):
+    assert queue  # DET002: assert-truthiness on a sized type
+    while queue:  # DET002: while-truthiness
+        queue.pop()
+
+
+def probe(cache: Optional[LRUCache], node):
+    if cache:  # DET002: an empty cache is falsy but present
+        return cache.peek(node)
+    return None
 
 
 def label(ns: Namespace):

@@ -59,7 +59,7 @@ def script(rt, log, u):
 
 
 class _NoWire:
-    def send(self, dest, msg, control=False):
+    def send(self, dest, msg):
         raise AssertionError("the script sends nothing")
 
 

@@ -149,6 +149,17 @@ class TestConfigPresets:
         for field in ("digest_probe_limit", "digest_dir_max"):
             with pytest.raises(ValueError, match=field):
                 SystemConfig(**{field: -1})
+        # a negative session timeout dies mid-run as a nameless negative
+        # delay, a zero one aborts every session before its probe reply
+        # (no replica is ever created), and the rest read a negative
+        # value as "off"
+        for field, value in (
+            ("session_timeout", -1.0), ("session_timeout", 0.0),
+            ("session_backoff", -1.0), ("replica_idle_timeout", -1.0),
+            ("sample_loads_every", -1.0), ("bootstrap_known_peers", -1),
+        ):
+            with pytest.raises(ValueError, match=field):
+                SystemConfig.replicated(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ package (``sim/`` and ``runtime/`` are protocol code); its empty
 identically to ``src/repro`` with no root argument.
 """
 
+import ast
 import re
 import shutil
 import subprocess
@@ -19,6 +20,7 @@ from repro.tools.detlint.cli import main as lint_main
 from repro.tools.detlint.cli import text_report
 from repro.tools.detlint.engine import lint_file, lint_paths
 from repro.tools.detlint.rules import RULES
+from repro.tools.detlint.rules.truthiness import SIZED_PRESENCE_TYPES
 
 TESTS_DIR = Path(__file__).resolve().parent
 FIXTURES = TESTS_DIR / "detlint_fixtures"
@@ -142,7 +144,7 @@ class TestTruthiness:
     def test_positives(self):
         result = lint_fixture("sim/truthiness_bad.py")
         found = hits(result, "DET002")
-        assert len(found) == 6
+        assert len(found) == 7
         or_hits = [v for v in found if "'or " in v.message]
         assert len(or_hits) == 2  # make_engine() and []
 
@@ -153,6 +155,24 @@ class TestTruthiness:
     def test_rule_scoped_to_protocol(self, tmp_path):
         result = lint_outside_protocol(tmp_path, "truthiness_bad.py")
         assert result.violations == []
+
+    def test_sized_presence_types_are_the_sized_classes(self):
+        """The hand-kept list names exactly the public classes under
+        ``src/repro`` that define ``__len__``: no class gone from the
+        tree, none that a peer holds left out."""
+        sized = set()
+        for path in (SRC / "repro").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.ClassDef)
+                    and not node.name.startswith("_")
+                    and any(
+                        isinstance(f, ast.FunctionDef) and f.name == "__len__"
+                        for f in node.body
+                    )
+                ):
+                    sized.add(node.name)
+        assert set(SIZED_PRESENCE_TYPES) == sized
 
 
 # ----------------------------------------------------------------------
@@ -202,7 +222,7 @@ class TestPR7Regressions:
 
     def test_fixed_shapes_in_tree_are_clean(self):
         # the real, fixed implementations of both bug sites
-        for rel in ("sim/shard.py", "net/dispatch.py"):
+        for rel in ("sim/shard.py", "cluster/builder.py"):
             fclass, kept, _, err = lint_file(SRC / "repro" / rel)
             assert err is None
             assert [v for v in kept if v.rule_id in ("DET002", "DET003")] \

@@ -121,8 +121,9 @@ class TestQuotedCommands:
 class TestQuotedNames:
     """Every backticked ``repro.x.y`` name in the docs and the verify
     skill resolves by import: the longest importable module prefix, then
-    attributes.  Names the docs quote *as removed* are listed here, and
-    must stay unresolvable."""
+    attributes; every bare ``Class.attr`` resolves against the classes
+    defined under ``src/repro`` (and ``bench/``).  Names the docs quote
+    *as removed* are listed here, and must stay unresolvable."""
 
     DOCS = (
         "README.md", "docs/API.md", "docs/TUTORIAL.md", "DESIGN.md",
@@ -134,6 +135,10 @@ class TestQuotedNames:
         "repro.client.TerraDirClient",
         "repro.experiments.runner",
         "repro.namespace.graph",
+        "repro.net.codec.require_encodable",
+        "repro.net.codec.supported_types",
+        "repro.net.dispatch",
+        "repro.server.peer.PEER_DISPATCH",
         "repro.runtime.async_runtime.AsyncHandle",
         "repro.sim.profile",
         "repro.sim.rng.poisson_arrival_times",
@@ -171,6 +176,88 @@ class TestQuotedNames:
         )
         assert not stale, stale
         assert not [n for n in self.REMOVED if self._resolves(n)]
+
+    #: ``Class.attr`` names the docs quote *as removed*
+    REMOVED_ATTRS = frozenset({
+        "BloomFilter.update",
+        "LRUCache.remove_server",
+        "Peer.dispatch_registry",
+        "Peer.send_control",
+        "ReplicaMap.add_preferred",
+        "ReplicaStore.track_owned",
+    })
+
+    #: quoted classes that live in the standard library
+    STDLIB = {
+        "BaseEventLoop": "asyncio.base_events",
+        "TimerHandle": "asyncio.events",
+        "_SelectorSocketTransport": "asyncio.selector_events",
+    }
+
+    @staticmethod
+    def _class_names(*roots):
+        """``{class: (names it defines, base class names)}`` for every
+        class under ``roots``: methods, nested classes, class-body
+        assignments and ``self.x`` stores.  Same-named classes merge."""
+        found = {}
+        for root in roots:
+            for path in root.rglob("*.py"):
+                for cls in ast.walk(ast.parse(path.read_text())):
+                    if not isinstance(cls, ast.ClassDef):
+                        continue
+                    names, bases = found.setdefault(cls.name, (set(), set()))
+                    bases.update(b.id for b in cls.bases
+                                 if isinstance(b, ast.Name))
+                    for stmt in cls.body:
+                        if isinstance(stmt, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef,
+                                             ast.ClassDef)):
+                            names.add(stmt.name)
+                        for node in ast.walk(stmt):
+                            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                                targets = getattr(node, "targets", None) \
+                                    or [node.target]
+                                for t in targets:
+                                    if isinstance(t, ast.Name) and stmt is node:
+                                        names.add(t.id)
+                                    elif (isinstance(t, ast.Attribute)
+                                          and isinstance(t.value, ast.Name)
+                                          and t.value.id == "self"):
+                                        names.add(t.attr)
+        return found
+
+    def test_quoted_class_attributes_resolve(self):
+        classes = self._class_names(REPO / "src" / "repro", REPO / "bench")
+
+        def resolves(cls, attr, depth=0):
+            if cls in self.STDLIB:
+                obj = getattr(importlib.import_module(self.STDLIB[cls]), cls)
+                return hasattr(obj, attr)
+            if cls not in classes or depth > 8:
+                return False
+            names, bases = classes[cls]
+            if attr.endswith("*"):  # ``SoftStateAbsorber.absorb_*``
+                if any(n.startswith(attr[:-1]) for n in names):
+                    return True
+            elif attr in names:
+                return True
+            return any(resolves(b, attr, depth + 1) for b in bases)
+
+        quoted = set()
+        for doc in self.DOCS:
+            src = (REPO / doc).read_text()
+            for span in re.findall(r"```.*?```|`[^`]+`", src, re.S):
+                quoted.update(re.findall(
+                    r"(?<![\w.])(_?[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*"
+                    r"\.\w+\*?)", span
+                ))
+        assert len(quoted) > 50
+        split = {n: n.split(".") for n in quoted | self.REMOVED_ATTRS}
+        stale = sorted(
+            n for n in quoted - self.REMOVED_ATTRS if not resolves(*split[n])
+        )
+        assert not stale, stale
+        assert not [n for n in self.REMOVED_ATTRS if resolves(*split[n])]
 
     #: environment variables the docs quote *as removed*
     REMOVED_VARIABLES = frozenset({"REPRO_SHARD_BACKEND"})

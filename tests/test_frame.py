@@ -23,7 +23,6 @@ from repro.net.codec import (
     CodecError,
     DigestTable,
     compile_layout,
-    supported_types,
 )
 from repro.net.frame import (
     HEADER_SIZE,
@@ -161,7 +160,7 @@ def test_every_wire_class_round_trips_through_fragmented_frames(msgs, cuts):
 
 def test_the_strategies_cover_every_wire_class():
     # eleven classes on the wire, and the property above draws them all
-    assert len(supported_types()) == 11
+    assert len(codec.ENCODERS) == 11
     seen = set()
 
     @given(wire_messages)
@@ -170,7 +169,7 @@ def test_the_strategies_cover_every_wire_class():
         seen.add(type(m))
 
     collect()
-    assert seen == set(supported_types())
+    assert seen == set(codec.ENCODERS)
 
 
 @given(peer_messages)
@@ -437,7 +436,7 @@ class Deny:
 @settings(max_examples=100, deadline=None)
 def test_an_unregistered_declaration_compiles_and_round_trips(msg):
     """A new message needs its declaration and nothing in the codec."""
-    assert Deny not in supported_types()
+    assert Deny not in codec.ENCODERS
     encode, decode = compile_layout(Deny)
     out = bytearray()
     encode(out, msg, None)
@@ -525,7 +524,7 @@ def corpus_messages():
         reply, raw, ClientLookup(11, 42),
         ClientLookupReply(11, 42, True, servers=[3, 1], hops=4),
     ]
-    assert {type(m) for m in msgs} == set(supported_types())
+    assert {type(m) for m in msgs} == set(codec.ENCODERS)
     return msgs
 
 

@@ -1,8 +1,8 @@
 """The packed cross-shard codec (repro.sim.shardcodec).
 
-Property-based round-trips over every message class registered in
-``PEER_DISPATCH`` (the exact set the sharded data plane may ever put on
-a worker pipe), strict rejection of malformed frames, and the
+Property-based round-trips over every message class a ``Peer`` handles
+(the exact set the sharded data plane may ever put on a worker pipe),
+strict rejection of malformed frames, and the
 step-frame / packed-log / packed-arrival layers the process backend is
 built on.
 """
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.codec import CodecError, require_encodable, supported_types
+from repro.net.codec import ENCODERS, CodecError
 from repro.net.message import (
     AdvertMessage,
     ProbeMessage,
@@ -82,18 +82,12 @@ class TestRoundTrip:
             [_entry_state(e) for e in es]
 
     def test_every_registered_class_is_covered(self):
-        from repro.server.peer import PEER_DISPATCH
+        # a peer's handler table is derived from the declared classes,
+        # so every class a shard can send has a compiled layout
+        from repro.server.peer import _HANDLER_NAMES, Peer
 
-        registered = set(PEER_DISPATCH.types())
-        assert registered <= set(supported_types())
-        require_encodable(PEER_DISPATCH.types())  # must not raise
-
-    def test_require_encodable_rejects_unknown_class(self):
-        class Rogue:
-            pass
-
-        with pytest.raises(CodecError, match="Rogue"):
-            require_encodable([QueryMessage, Rogue])
+        handled = {c for c, n in _HANDLER_NAMES.items() if hasattr(Peer, n)}
+        assert len(handled) == 9 and handled <= set(ENCODERS)
 
     def test_response_path_no_longer_aliases_query(self):
         q = QueryMessage(qid=1, dest=2, origin=3, created_at=0.5)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.message import ProbeMessage
 from repro.net.transport import ShardTransport, Transport
 from repro.sim.engine import Engine
 
@@ -21,7 +22,7 @@ class TestTransport:
         tr = Transport(eng, net_delay=0.0)
         tr.register(0, lambda m: None)
         tr.send(0, "q")
-        tr.send(0, "c", control=True)
+        tr.send(0, ProbeMessage(1, 2, 0.5))
         assert tr.n_sent == 1
         assert tr.n_control_sent == 1
 

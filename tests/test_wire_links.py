@@ -187,7 +187,7 @@ def test_connections_sharing_the_receive_buffer_keep_their_streams_apart():
             reply.data = bytes([i]) * 300_000  # ~5 reads each
             big.append(reply)
         for i, reply in enumerate(big):
-            a.send(1, reply, control=True)
+            a.send(1, reply)
             c.send(1, query(100 + i, 2, 4))
         await until(lambda: len(inbox[1]) == 8)
         got_big = [m for m in inbox[1] if type(m) is DataReply]
@@ -326,12 +326,12 @@ class Cluster:
         carried = []
         send = self.wire.send
 
-        def tapped(dest, msg, control=False):
+        def tapped(dest, msg):
             snap = getattr(msg, "sender_digest", None)
             if snap is not None:
                 sid = msg.sender if type(msg) is QueryMessage else msg.resolver
                 carried.append((dest, sid, snap[0]))
-            send(dest, msg, control=control)
+            send(dest, msg)
 
         self.wire.send = tapped
         return carried

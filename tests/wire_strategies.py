@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.namespace.meta import NodeMeta
 from repro.net.message import WIRE_TYPES
-from repro.server.peer import PEER_DISPATCH
+from repro.server.peer import _HANDLER_NAMES, Peer
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -94,10 +94,11 @@ def messages(cls):
     ).map(lambda fields: _build(cls, fields))
 
 
-#: the nine peer-plane classes (``PEER_DISPATCH``): what a shard batch
-#: may carry
+#: the nine peer-plane classes (the ones a ``Peer`` method handles):
+#: what a shard batch may carry
 peer_messages = st.one_of([
-    messages(cls) for cls in WIRE_TYPES.values() if cls in PEER_DISPATCH
+    messages(cls) for cls in WIRE_TYPES.values()
+    if hasattr(Peer, _HANDLER_NAMES[cls])
 ])
 
 #: all eleven wire classes: what a live frame may carry

@@ -160,7 +160,7 @@ class TerraDirClient:
     ) -> None:
         peer = self.home
         if result.node in peer.owned:
-            meta = peer.metadata.meta(result.node).snapshot()
+            meta = peer.metadata.read(result.node).snapshot()
             data = None if want_meta else peer.metadata.get_data(result.node)
             self.n_retrievals += 1
             future.resolve(

@@ -60,10 +60,15 @@ class NodeRanking:
         return sum(self._weight.values())
 
     def rescale(self) -> None:
-        """Periodic decay so the ranking tracks recent demand patterns."""
+        """Periodic decay so the ranking tracks recent demand patterns.
+
+        A zero weight is left alone: ``0.0 * d`` is ``0.0``, and
+        writing it back would give every cold node its own float."""
         d = self.decay
-        for k in self._weight:
-            self._weight[k] *= d
+        weight = self._weight
+        for k, w in weight.items():
+            if w:
+                weight[k] = w * d
 
     def ranked(self, among: Optional[Iterable[int]] = None) -> List[Tuple[int, float]]:
         """Nodes by descending weight (ties broken by node id for determinism)."""

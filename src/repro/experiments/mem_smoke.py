@@ -22,7 +22,7 @@ Usage::
     python -m repro mem-smoke                 # 2 GB budget
     python -m repro mem-smoke --nodes 100000  # quicker CI variant
     python -m repro mem-smoke --budget-mb 512
-    python -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 125
+    python -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 100
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ DEFAULT_BUDGET_MB = float(os.environ.get("REPRO_MEM_BUDGET_MB", "2048"))
 
 
 def _levels_for(n_nodes: int) -> int:
-    return max(1, (n_nodes + 1).bit_length() - 1)
+    """The fewest levels whose balanced tree (2^(L+1) - 1 nodes) has at
+    least ``n_nodes``: 4 095 is 11 levels, 100 000 and 131 071 are 16."""
+    return max(1, n_nodes.bit_length() - 1)
 
 
 def run_fleet(n_nodes: int, n_servers: int) -> Dict[str, Dict[str, float]]:

@@ -1,9 +1,11 @@
 """A from-scratch Bloom filter over integer keys.
 
 The bit vector is one contiguous ``bytearray``: bit ``p`` is byte
-``p >> 3``, mask ``1 << (p & 7)``.  A key's probe is cached as a tuple
-of ``(byte index, bit mask)`` pairs, so every membership test in the
-tree is the loop ``for i, m in pos: if not vector[i] & m: ...`` --
+``p >> 3``, mask ``1 << (p & 7)``.  A key's probe is a tuple of
+``(byte index, bit mask)`` pairs, cached the first time the key is
+*probed* (an add uses a cached probe but stores none: most keys a
+fleet hosts are never probed), so every membership test in the tree
+is the loop ``for i, m in pos: if not vector[i] & m: ...`` --
 indexing ``bytes`` yields an interned small int, so a test touches one
 object, allocates nothing and costs O(k) at every filter size (a Python
 big-int vector makes probe and cached mask O(n_bits); DESIGN.md
@@ -81,9 +83,9 @@ class BloomFilter:
         self._buf = bytearray(self.n_bits // 8)
         self.n_items = 0
         self._salt = salt & _MASK64
-        # key -> probe; share one dict across all same-geometry filters
-        # (the simulator probes the same node ids against many digests,
-        # so hashing each id once ever pays off)
+        # key -> probe, stored on a key's first probe and shared by
+        # all same-geometry filters (the simulator probes the same node
+        # ids against many digests); adds read it but never fill it
         self.pos_cache: Dict[int, Positions] = {}
         # bit -> its one (byte index, bit mask) object, filled on the
         # first miss and shared with the cache: keys are many, bits few
@@ -102,30 +104,36 @@ class BloomFilter:
         self._pairs = other._pairs
 
     def positions(self, key: int) -> Positions:
-        """The cached ``(byte index, bit mask)`` pairs probed for ``key``:
-        how every caller learns where a key's bits live."""
+        """The ``(byte index, bit mask)`` pairs probed for ``key``:
+        how every probe learns where a key's bits live.  The first probe
+        of a key stores them in :attr:`pos_cache`; later probes, from
+        any filter sharing it, read them back."""
         pos = self.pos_cache.get(key)
         if pos is None:
-            # two splitmix64 rounds (an avalanching 64-bit mix), written
-            # out: the one place a key is hashed, once per process
-            x = ((key ^ self._salt) + 0x9E3779B97F4A7C15) & _MASK64
-            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-            h1 = x ^ (x >> 31)
-            x = (h1 + 0x9E3779B97F4A7C15) & _MASK64
-            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-            h2 = (x ^ (x >> 31)) | 1  # odd step avoids short cycles
-            m = self.n_bits
-            pairs = self._pairs
-            if not pairs:
-                pairs.extend((p >> 3, 1 << (p & 7)) for p in range(m))
-            out = []
-            for _ in range(self.n_hashes):
-                out.append(pairs[h1 % m])
-                h1 = (h1 + h2) & _MASK64  # stepping by adds stays in 64 bits
-            pos = self.pos_cache[key] = tuple(out)
+            pos = self.pos_cache[key] = self._hash(key)
         return pos
+
+    def _hash(self, key: int) -> Positions:
+        """``key``'s probe, computed and stored nowhere."""
+        # two splitmix64 rounds (an avalanching 64-bit mix), written
+        # out: the one place a key is hashed
+        x = ((key ^ self._salt) + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h1 = x ^ (x >> 31)
+        x = (h1 + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h2 = (x ^ (x >> 31)) | 1  # odd step avoids short cycles
+        m = self.n_bits
+        pairs = self._pairs
+        if not pairs:
+            pairs.extend((p >> 3, 1 << (p & 7)) for p in range(m))
+        out = []
+        for _ in range(self.n_hashes):
+            out.append(pairs[h1 % m])
+            h1 = (h1 + h2) & _MASK64  # stepping by adds stays in 64 bits
+        return tuple(out)
 
     @classmethod
     def with_capacity(
@@ -141,13 +149,18 @@ class BloomFilter:
 
     def add_many(self, keys: Iterable[int]) -> None:
         """Insert every key of ``keys`` (duplicates count): the one
-        bit-setting loop, so a batch costs one call, not one per key."""
+        bit-setting loop, so a batch costs one call, not one per key.
+
+        A key some probe already cached is not hashed again; any other
+        key is hashed and its probe not stored: most keys a server
+        hosts are never probed, and the cache holds only what probes
+        ask for."""
         buf = self._buf
         cached = self.pos_cache.get
-        positions = self.positions
+        hash_ = self._hash
         n = 0
         for key in keys:
-            for i, m in cached(key) or positions(key):
+            for i, m in cached(key) or hash_(key):
                 buf[i] |= m
             n += 1
         self.n_items += n

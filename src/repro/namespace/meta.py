@@ -13,6 +13,13 @@ they have encountered (no freshness guarantees -- soft state).  The
 only the version counter (see
 :class:`repro.server.replica_store.Replica`) plus whatever the
 application chooses to piggyback.
+
+A :class:`MetaStore` holds a record only for a node whose meta-data was
+written: writers ask :meth:`MetaStore.meta`, which creates the record;
+readers ask :meth:`MetaStore.read`, which creates nothing and answers a
+node never written with the empty meta-data (version 0) it would have.
+A lookup resolved at its owner reads the version; it does not leave a
+record behind.
 """
 
 from __future__ import annotations
@@ -72,6 +79,10 @@ class NodeMeta:
         return out
 
 
+#: what :meth:`MetaStore.read` answers for a node nobody wrote; read-only
+_UNWRITTEN = NodeMeta()
+
+
 class MetaStore:
     """Owner-side store of node data and meta-data.
 
@@ -90,12 +101,19 @@ class MetaStore:
         return node in self._meta or node in self._data
 
     def meta(self, node: int) -> NodeMeta:
-        """The node's meta-data (created empty on first access)."""
+        """The node's meta-data to write (created empty on first access)."""
         m = self._meta.get(node)
         if m is None:
             m = NodeMeta()
             self._meta[node] = m
         return m
+
+    def read(self, node: int) -> NodeMeta:
+        """The node's meta-data to read, creating nothing: a node never
+        written answers with one shared empty record (version 0, whose
+        :meth:`NodeMeta.snapshot` is a fresh empty copy).  Never write
+        to what this returns; write through :meth:`meta`."""
+        return self._meta.get(node, _UNWRITTEN)
 
     def set_data(self, node: int, data: object) -> None:
         self._data[node] = data

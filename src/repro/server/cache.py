@@ -12,22 +12,23 @@ per message, one closest-entry query per routing decision), so it
 keeps no search structure beside the ``OrderedDict``: every mutator is
 O(1), and routing finds the closest cached node by scanning the
 entries in LRU order (:func:`repro.core.routing.scan_cache`; cost
-linear in ``capacity``, DESIGN.md section 10).
+linear in ``capacity``, DESIGN.md section 10).  An entry is a
+read-only tuple, like a ``Peer.maps`` value (DESIGN.md section 11.7):
+a write stores a new tuple, never edits the one a reader holds.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import OrderedDict
-from typing import Container, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Container, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 
 class LRUCache:
     """Bounded LRU map from node id to a node map of server ids.
 
-    Entries are stored as ``array('i')`` (bounded, int-only) rather
-    than lists of boxed ints; they behave as sequences everywhere they
-    are consumed (iteration, ``in``, ``len``, random selection).
+    Entries are read-only tuples, like :attr:`Peer.maps` values: a
+    write stores a new tuple in the entry's place, so an entry handed
+    out by :meth:`get` or :meth:`peek` never changes under its reader.
 
     >>> c = LRUCache(capacity=2, rmap=4)
     >>> c.put(1, [10]); c.put(2, [20]); c.put(3, [30])
@@ -45,7 +46,7 @@ class LRUCache:
             raise ValueError("rmap must be >= 1")
         self.capacity = capacity
         self.rmap = rmap
-        self._entries: "OrderedDict[int, array]" = OrderedDict()
+        self._entries: "OrderedDict[int, Tuple[int, ...]]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -86,7 +87,8 @@ class LRUCache:
         """Insert or extend an entry (union, bounded by ``rmap``).
 
         The merged entry keeps existing servers and appends new ones up
-        to ``rmap``; a fresh insert may evict the LRU entry.
+        to ``rmap``, as a new tuple; a fresh insert may evict the LRU
+        entry.
         """
         if self.capacity == 0:
             return
@@ -94,10 +96,11 @@ class LRUCache:
         if cur is not None:
             for s in servers:
                 if s not in cur and len(cur) < self.rmap:
-                    cur.append(s)
+                    cur = (*cur, s)
+            self._entries[node] = cur
             self._entries.move_to_end(node)
             return
-        entry = array("i")
+        entry: List[int] = []
         for s in servers:
             if s not in entry and len(entry) < self.rmap:
                 entry.append(s)
@@ -106,7 +109,7 @@ class LRUCache:
         if len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-        self._entries[node] = entry
+        self._entries[node] = tuple(entry)
 
     def put_path(
         self,
@@ -136,23 +139,23 @@ class LRUCache:
             cur = get(node)
             if cur is not None:
                 if server not in cur and len(cur) < rmap:
-                    cur.append(server)
+                    entries[node] = (*cur, server)
                 move_to_end(node)
                 continue
             if len(entries) >= capacity:
                 entries.popitem(last=False)
                 self.evictions += 1
-            entries[node] = array("i", (server,))
+            entries[node] = (server,)
 
     def replace(self, node: int, servers: Sequence[int]) -> None:
-        """Overwrite an entry's map in place (post-merge/filter update).
+        """Overwrite an entry's map (post-merge/filter update).
 
         Keeps the entry's LRU position: this is a content update, not a
         use.
         """
         if node in self._entries:
             if servers:
-                self._entries[node] = array("i", servers[: self.rmap])
+                self._entries[node] = tuple(servers[: self.rmap])
             else:
                 del self._entries[node]
 

@@ -346,7 +346,7 @@ class Peer:
     def meta_version_of(self, node: int) -> int:
         """Newest meta-data version this server knows for ``node``."""
         if node in self.owned:
-            return self.metadata.meta(node).version
+            return self.metadata.read(node).version
         rep = self.store.replicas.get(node)
         return rep.meta_version if rep is not None else 0
 

@@ -184,7 +184,7 @@ class ReplicaStore:
         for nbr in peer.ns.neighbors(node):
             context[nbr] = list(peer.maps.get(nbr, ()))
         if node in peer.owned:
-            meta = peer.metadata.meta(node)
+            meta = peer.metadata.read(node)
             version, snapshot = meta.version, meta.snapshot()
         else:
             rep = self.replicas[node]

@@ -168,10 +168,10 @@ class RoutingCore:
         reply = DataReply(req.rid, req.node, peer.sid)
         if req.node in peer.owned:
             if req.want_meta:
-                reply.meta = peer.metadata.meta(req.node).snapshot()
+                reply.meta = peer.metadata.read(req.node).snapshot()
             else:
                 reply.data = peer.metadata.get_data(req.node)
-                reply.meta = peer.metadata.meta(req.node).snapshot()
+                reply.meta = peer.metadata.read(req.node).snapshot()
         else:
             entry = peer.maps.get(req.node) or peer.cache.peek(req.node)
             reply.redirect_map = [

@@ -409,11 +409,13 @@ class TestBuildCost:
     positions -> 2 x _splitmix64``, ``ranking.track``, ``ns.neighbors``
     and two ``Peer.pin`` per node; on ``sim_wide``'s 32 767 nodes and
     256 servers 12.5 -> 3.6).  What is left per node is one
-    ``positions`` (the hash, once per key per process), one
-    ``ranking.track`` and the shuffle's draw; the rest is the per-peer
-    constructors.  The count is deterministic, so the bound holds on
-    any host; a per-node chain that grows back fails it behind an
-    unchanged fingerprint.
+    ``BloomFilter._hash`` (the add hashes the key and stores nothing; a
+    key is hashed once when added and once more on its first probe,
+    which caches it, so the build's call count is what it was when
+    the add cached it), one ``ranking.track`` and the shuffle's draw;
+    the rest is the per-peer constructors.  The count is
+    deterministic, so the bound holds on any host; a per-node chain
+    that grows back fails it behind an unchanged fingerprint.
     """
 
     MAX_CALLS_PER_NODE = 6.0
@@ -474,3 +476,84 @@ class TestSharedSingleServerMaps:
         total = sum(deep_sizeof(p.maps, seen) for p in system.peers)
         entries = sum(len(p.maps) for p in system.peers)
         assert total / entries <= self.MAX_BYTES_PER_ENTRY, (total, entries)
+
+
+class TestStateWrittenNotRead:
+    """A peer materialises state when a run writes or probes it, never
+    as a side effect of a read or an add.
+
+    After the build no key has been probed, so the fleet's shared Bloom
+    position cache is empty and all peers' digests beyond the namespace
+    take 61 bytes per node (210 when every add cached its key's probe).
+    A run that writes no meta-data leaves no meta-data record, however
+    many lookups its owners resolve; cache entries are read-only tuples
+    like map values; and a rescale leaves a zero weight's float alone.
+    """
+
+    MAX_DIGEST_BYTES_PER_NODE = 100
+
+    @pytest.fixture(scope="class")
+    def system(self):
+        return build_system(balanced_tree(10), SystemConfig(n_servers=32, seed=1))
+
+    @pytest.fixture(scope="class")
+    def ran(self):
+        from repro.experiments.common import Scale, build, make_ns, run_workload
+        from repro.workload.streams import cuzipf_stream
+
+        scale = Scale(name="tiny", ns_levels=10, nc_nodes=300, n_servers=32,
+                      warmup=1.0, phase=1.0, n_phases=2, drain=1.0,
+                      cache_slots=8, digest_probe_limit=1)
+        system = build(make_ns(scale), scale, preset="BCR", seed=3)
+        spec = cuzipf_stream(800, 1.0, warmup=1.0, phase=1.0, n_phases=2,
+                             seed=3)
+        run_workload(system, spec, drain=1.0)
+        assert system.stats.summary()["completed"] > 0
+        return system
+
+    def test_build_probes_nothing_and_caches_no_probe(self, system):
+        from repro.sim.memsize import deep_sizeof
+
+        (cache,) = {id(p.digest.bloom.pos_cache): p.digest.bloom.pos_cache
+                    for p in system.peers}.values()
+        assert not cache
+        seen: set = set()
+        deep_sizeof(system.ns, seen)
+        total = sum(deep_sizeof(p.digest, seen) for p in system.peers)
+        assert total / len(system.ns) <= self.MAX_DIGEST_BYTES_PER_NODE, total
+
+    def test_a_probe_is_cached_and_matches_the_add(self, system):
+        bloom = system.peers[0].digest.bloom
+        node = next(iter(system.peers[0].owned))
+        pos = bloom.positions(node)
+        try:
+            assert bloom.pos_cache[node] is pos
+            assert pos == bloom._hash(node)
+            assert node in system.peers[0].digest
+        finally:
+            del bloom.pos_cache[node]
+
+    def test_a_run_without_meta_writes_leaves_no_meta_record(self, ran):
+        nodes = range(len(ran.ns))
+        for peer in ran.peers:
+            assert not any(v in peer.metadata for v in nodes), peer.sid
+
+    def test_cache_entries_are_tuples(self, ran):
+        n_entries = 0
+        for peer in ran.peers:
+            for _, entry in peer.cache.items():
+                assert type(entry) is tuple
+                n_entries += 1
+        assert n_entries > 0
+
+    def test_rescale_leaves_zero_weights_alone(self, system):
+        from repro.core.ranking import NodeRanking
+        from repro.sim.memsize import deep_sizeof
+
+        ranking = NodeRanking()
+        for v in system.peers[0].owned:
+            ranking.track(v)
+        before = deep_sizeof(ranking)
+        ranking.rescale()
+        assert deep_sizeof(ranking) == before
+        assert ranking.total_weight() == 0.0

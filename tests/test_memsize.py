@@ -95,3 +95,21 @@ class TestMemSmokeFleet:
             assert mem_smoke.main(argv + ["100000"]) == 0
             assert mem_smoke.main(argv + ["1"]) == 1
         assert "fleet_l8_s4" in capsys.readouterr().out
+
+
+class TestMemSmokeLevels:
+    """``--nodes N`` builds the smallest balanced tree of at least N
+    nodes, so a full tree size builds exactly that tree."""
+
+    @pytest.mark.parametrize("n", [3, 4095, 131071, 2**20 - 1])
+    def test_full_tree_size_builds_that_tree(self, n):
+        from repro.experiments.mem_smoke import _levels_for
+
+        assert 2 ** (_levels_for(n) + 1) - 1 == n
+
+    @pytest.mark.parametrize("n, nodes", [(100000, 131071),
+                                          (10**6, 2**20 - 1), (500, 511)])
+    def test_other_sizes_round_up_to_the_next_tree(self, n, nodes):
+        from repro.experiments.mem_smoke import _levels_for
+
+        assert 2 ** (_levels_for(n) + 1) - 1 == nodes

@@ -21,8 +21,8 @@ from repro.experiments.common import (
     build,
     make_ns,
     rate_for_utilization,
-    run_workload,
 )
+from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import cuzipf_stream, unif_stream
 
 
@@ -36,7 +36,7 @@ def _run(scale, seed=1, alpha=1.25, **overrides):
         n_phases=scale.n_phases, seed=seed,
     )
     system = build(ns, scale, preset="BCR", seed=seed, **overrides)
-    run_workload(system, spec, drain=scale.drain)
+    WorkloadDriver(system, spec).run(extra_time=scale.drain)
     return system
 
 
@@ -52,7 +52,6 @@ def test_ablation_path_propagation(benchmark, scale):
     from repro.cluster.builder import build_system
     from repro.cluster.config import SystemConfig
     from repro.namespace.generators import balanced_tree
-    from repro.workload.arrivals import WorkloadDriver
 
     def one(path_propagation):
         ns = balanced_tree(levels=10)
@@ -125,7 +124,7 @@ def test_ablation_replication_under_uniform_load(benchmark, scale):
         duration = scale.warmup + scale.n_phases * scale.phase
         spec = unif_stream(rate, duration, seed=2)
         bcr = build(ns, scale, preset="BCR", seed=2)
-        run_workload(bcr, spec, drain=scale.drain)
+        WorkloadDriver(bcr, spec).run(extra_time=scale.drain)
         return bcr
 
     bcr = run_once(benchmark, campaign)

@@ -16,12 +16,8 @@ import io
 import random
 
 from repro import SystemConfig, build_system
-from repro.workload.trace import (
-    EmpiricalWorkloadDriver,
-    TraceRecorder,
-    namespace_from_paths,
-    replay_trace,
-)
+from repro.workload.arrivals import WorkloadDriver, empirical_arrivals
+from repro.workload.trace import TraceRecorder, namespace_from_paths
 
 
 def synthetic_listing(n_files: int = 900, seed: int = 7) -> str:
@@ -54,9 +50,9 @@ def main() -> None:
     system = fresh(replication=True)
     recorder = TraceRecorder(system)
     rate = 0.4 * 16 / (0.005 * 3.5)
-    drv = EmpiricalWorkloadDriver(system, rate=rate, duration=15.0,
-                                  weights=dict(counts), seed=11)
-    drv.run()
+    WorkloadDriver(system, empirical_arrivals(
+        rate, 15.0, dict(counts), len(system.peers), seed=11)).start()
+    system.run_until(20.0)
     trace = recorder.trace
     print(f"\nrecorded {len(trace)} queries over {trace.duration:.1f} s")
     print(f"  with replication:    drop "
@@ -66,7 +62,7 @@ def main() -> None:
 
     # replay the *identical* sequence without replication
     other = fresh(replication=False)
-    replay_trace(other, trace)
+    WorkloadDriver(other, trace.events).start()
     other.run_until(trace.duration + 5.0)
     print(f"  replayed, no repl.:  drop "
           f"{100 * other.stats.drop_fraction:.2f}%  "

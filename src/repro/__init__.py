@@ -32,7 +32,6 @@ _API = {
     "BloomFilter": "repro.filters.bloom",
     "Digest": "repro.filters.digest",
     "DigestDirectory": "repro.filters.digest",
-    "EmpiricalWorkloadDriver": "repro.workload.trace",
     "Engine": "repro.sim.engine",
     "FailureInjector": "repro.cluster.failures",
     "Namespace": "repro.namespace.tree",
@@ -53,9 +52,9 @@ _API = {
     "build_system": "repro.cluster.builder",
     "coda_like_tree": "repro.namespace.generators",
     "cuzipf_stream": "repro.workload.streams",
+    "empirical_arrivals": "repro.workload.arrivals",
     "namespace_from_paths": "repro.workload.trace",
     "random_tree": "repro.namespace.generators",
-    "replay_trace": "repro.workload.trace",
     "replicate_top_levels": "repro.core.static_replication",
     "unif_stream": "repro.workload.streams",
     "university_tree": "repro.namespace.generators",

@@ -20,7 +20,7 @@ runs the same schedule on an event loop.  On the simulator,
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.cluster.config import SystemConfig
 from repro.namespace.tree import Namespace
@@ -238,21 +238,14 @@ class ShardSystem(System):
 
     Workload injection is pre-generated: the coordinator partitions the
     arrival schedule (:func:`repro.workload.arrivals.iter_arrivals`)
-    across shards with globally assigned query ids, and :meth:`feed`
-    replays this shard's slice through a single self-rescheduling
-    feeder event -- the same one-pending-event discipline as the
-    delivery ring.
+    across shards with globally assigned query ids, and the shard's
+    :class:`~repro.workload.arrivals.WorkloadDriver` feeds its slice
+    into :meth:`inject`, one pending arrival event at a time.
 
     Build one with :func:`repro.cluster.builder.build_shard_system`.
     """
 
-    __slots__ = (
-        "shard_id",
-        "n_shards",
-        "local_sids",
-        "_arrivals",
-        "_arrival_idx",
-    )
+    __slots__ = ("shard_id", "n_shards", "local_sids")
 
     def __init__(
         self,
@@ -273,8 +266,6 @@ class ShardSystem(System):
         super().__init__(ns, cfg, engine, owner, stats=stats)
         self.peers = [None] * cfg.n_servers
         self.local_peers: List = []
-        self._arrivals: Sequence[Tuple[float, int, int, int]] = ()
-        self._arrival_idx = 0
 
     def _build_transport(self, engine: Engine, cfg: SystemConfig) -> Transport:
         return ShardTransport(
@@ -303,22 +294,6 @@ class ShardSystem(System):
             self.on_inject(self.engine.now, src_server, dest_node)
         self.peers[src_server].inject(dest_node, qid)
         return qid
-
-    def feed(self, arrivals: Sequence[Tuple[float, int, int, int]]) -> None:
-        """Schedule this shard's ``(time, src, dest, qid)`` arrivals."""
-        self._arrivals = arrivals
-        self._arrival_idx = 0
-        if arrivals:
-            self.engine.schedule(arrivals[0][0], self._next_arrival)
-
-    def _next_arrival(self) -> None:
-        t, src, dest, qid = self._arrivals[self._arrival_idx]
-        self._arrival_idx += 1
-        self.inject(src, dest, qid=qid)
-        if self._arrival_idx < len(self._arrivals):
-            self.engine.schedule(
-                self._arrivals[self._arrival_idx][0], self._next_arrival
-            )
 
     def __repr__(self) -> str:
         return (

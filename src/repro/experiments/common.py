@@ -219,16 +219,6 @@ def build(
     return build_system(ns, cfg)
 
 
-def run_workload(
-    system: System, spec: WorkloadSpec, drain: float = 5.0
-) -> WorkloadDriver:
-    """Drive ``spec`` into ``system`` to completion; return the driver."""
-    driver = WorkloadDriver(system, spec)
-    driver.start()
-    system.run_until(spec.duration + drain)
-    return driver
-
-
 def run_point(
     scale: Scale,
     spec: WorkloadSpec,
@@ -243,7 +233,7 @@ def run_point(
     """
     ns = make_ns(scale) if namespace == "S" else make_nc(scale)
     system = build(ns, scale, preset=preset, seed=seed, **overrides)
-    run_workload(system, spec, drain=scale.drain)
+    WorkloadDriver(system, spec).run(extra_time=scale.drain)
     return system
 
 

@@ -22,7 +22,8 @@ from repro.analysis.series import rate_series
 from repro.analysis.summary import run_summary
 from repro.core.static_replication import replicate_top_levels
 from repro.experiments.campaign import Experiment
-from repro.experiments.common import Scale, build, make_ns, run_workload
+from repro.experiments.common import Scale, build, make_ns
+from repro.workload.arrivals import WorkloadDriver
 
 MODES = ("static", "adaptive", "both")
 
@@ -47,7 +48,7 @@ def static_mode_run(
         replicate_top_levels(
             system, depth_limit=depth_limit, copies=copies, seed=seed
         )
-    run_workload(system, spec, drain=scale.drain)
+    WorkloadDriver(system, spec).run(extra_time=scale.drain)
 
     summary = run_summary(system)
     n_bins = int(spec.duration) + 1

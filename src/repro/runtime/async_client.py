@@ -23,11 +23,12 @@ drop rate) traces out sustainable throughput against latency, and the
 reported ``max_sustainable_qps`` is the highest achieved rate of any
 SLO-compliant epoch.
 
-Destinations follow a :class:`~repro.workload.streams.WorkloadSpec` --
-the same segment vocabulary (Zipf alpha, reshuffles, per-segment rate
-multipliers) the simulated :class:`~repro.workload.arrivals
-.WorkloadDriver` consumes -- so a live capacity run and a simulated
-one can share a single workload definition.
+Destinations follow a :class:`~repro.workload.streams.WorkloadSpec`,
+drawn by the simulator's own
+:class:`~repro.workload.arrivals.SegmentSampler` against elapsed time
+-- the same segment vocabulary (Zipf alpha, reshuffles, per-segment
+rate multipliers) and the same sampler -- so a live capacity run and a
+simulated one can share a single workload definition.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.net.frame import FrameError, FrameReader, decode_message, encode_frame
 from repro.net.message import ClientLookup, ClientLookupReply
 from repro.runtime.async_runtime import AsyncRuntime
-from repro.sim.rng import ZipfSampler, exponential
+from repro.sim.rng import exponential
+from repro.workload.arrivals import SegmentSampler
 from repro.workload.streams import WorkloadSpec
 
-__all__ = ["AdaptiveLoadClient", "HomeConnection", "SegmentSampler"]
+__all__ = ["AdaptiveLoadClient", "HomeConnection"]
 
 #: bytes one read of a home connection can take (replies are ~50 B)
 _RECV_BUFFER = 16384
@@ -184,56 +186,6 @@ class HomeConnection(asyncio.BufferedProtocol):
     async def close(self) -> None:
         if self.transport is not None:
             self.transport.close()
-
-
-class SegmentSampler:
-    """Destination sampling over a :class:`WorkloadSpec`'s segments.
-
-    Mirrors :func:`~repro.workload.arrivals.iter_arrivals`'s
-    semantics -- one popularity permutation, reshuffled at segment
-    boundaries flagged ``reshuffle``, one Zipf sampler per alpha --
-    driven by *elapsed* time instead of engine time.  Past the final
-    boundary the last segment's shape keeps applying (a live capacity
-    run outlives its nominal spec duration by design).
-
-    Every sampler the spec needs is built here, before the generator
-    starts: a million-node CDF takes ~0.2 s, which on the event loop
-    would stall every lookup in flight.  Building draws nothing from
-    ``rng``, so the stream is the lazily-built one.
-    """
-
-    def __init__(self, spec: WorkloadSpec, n_nodes: int, rng: random.Random) -> None:
-        self.spec = spec
-        self.rng = rng
-        self.perm: List[int] = list(range(n_nodes))
-        rng.shuffle(self.perm)
-        self._samplers: Dict[float, ZipfSampler] = {
-            alpha: ZipfSampler(n_nodes, alpha)
-            for alpha in sorted({seg.alpha for seg in spec.segments})
-            if alpha != 0.0
-        }
-        self._boundaries = spec.boundaries()
-        self._idx = 0
-
-    def _advance(self, rel_t: float) -> None:
-        idx = self._idx
-        last = len(self.spec.segments) - 1
-        while idx < last and rel_t >= self._boundaries[idx]:
-            idx += 1
-            if self.spec.segments[idx].reshuffle:
-                self.rng.shuffle(self.perm)
-        self._idx = idx
-
-    def segment_at(self, rel_t: float):
-        self._advance(rel_t)
-        return self.spec.segments[self._idx]
-
-    def dest(self, rel_t: float) -> int:
-        """Draw a destination node for time-offset ``rel_t``."""
-        seg = self.segment_at(rel_t)
-        if seg.alpha == 0.0:
-            return self.rng.randrange(len(self.perm))
-        return self.perm[self._samplers[seg.alpha].sample(self.rng)]
 
 
 class AdaptiveLoadClient:

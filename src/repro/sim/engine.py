@@ -92,9 +92,9 @@ class Engine:
                 cancel the event; plain events skip handle allocation.
 
         Raises:
-            SimError: when ``time`` is before the current clock.
+            SimError: when ``time`` is before the current clock or NaN.
         """
-        if time < self.now:
+        if not time >= self.now:  # NaN compares False both ways
             raise SimError(f"cannot schedule at {time} (now={self.now})")
         h = EventHandle() if handle else None
         self._seq += 1

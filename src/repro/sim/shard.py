@@ -30,7 +30,8 @@ serial against 1/2/4/8 shards).  Three mechanisms carry the proof:
 - The arrival stream is the one the serial driver consumes lazily
   (:func:`repro.workload.arrivals.iter_arrivals`), materialised once,
   query ids assigned in global arrival order, then partitioned by the
-  source server's shard.
+  source server's shard; each shard feeds its slice through the same
+  :class:`~repro.workload.arrivals.WorkloadDriver`.
 - Every *global* construction draw (node assignment, heterogeneity,
   bootstrap) is replayed identically in each shard and applied only
   locally; per-peer RNG streams are keyed by server id, not creation
@@ -291,7 +292,7 @@ class ShardRunner:
         self.system = build_shard_system(
             ns, cfg, shard_id, n_shards, owner=owner, stats=self.recorder,
         )
-        self.system.feed(arrivals)
+        WorkloadDriver(self.system, arrivals).start()
         self.system.start_maintenance()
         # wall-clock codec accounting (``data_plane`` only -- never
         # part of any fingerprint)

@@ -29,9 +29,9 @@ with flat ``struct``-packed frames:
   buffer plus an interned string table, decoded once at finish, in the
   layouts :data:`STATS_RECORDS` derives from the ``StatsSink`` hooks.
 * **Packed arrivals** (:class:`ArrivalBatch`): the pre-generated
-  ``(t, src, dest, qid)`` schedule as four flat columns; indexing
-  yields the exact tuples :meth:`repro.cluster.system.ShardSystem.feed`
-  expects.
+  ``(t, src, dest, qid)`` schedule as four flat columns; iterating
+  yields the exact rows the shard's
+  :class:`~repro.workload.arrivals.WorkloadDriver` feeds.
 
 Determinism contract: ``decode_batch(encode_batch(entries))`` yields
 entries whose keys and message field values compare equal to the
@@ -340,10 +340,10 @@ def decode_stats_log(log: PackedLog) -> List[Tuple[Any, ...]]:
 class ArrivalBatch:
     """One shard's arrival schedule as four flat columns.
 
-    Indexing yields the exact ``(t, src, dest, qid)`` tuples
-    :meth:`repro.cluster.system.ShardSystem.feed` schedules from, so
-    the feeder code path is unchanged -- only the storage shrinks from
-    one tuple + four boxed values per arrival to 24 packed bytes.
+    Iterating yields the exact ``(t, src, dest, qid)`` rows the shard's
+    :class:`~repro.workload.arrivals.WorkloadDriver` feeds, the same
+    feeder a serial run uses -- only the storage shrinks from one tuple
+    + four boxed values per arrival to 24 packed bytes.
     """
 
     __slots__ = ("t", "src", "dest", "qid")

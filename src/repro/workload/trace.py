@@ -1,4 +1,4 @@
-"""Query traces: recording, replay, and empirical workloads from path
+"""Query traces: recording, replay, and empirical namespaces from path
 listings.
 
 The paper's N_C experiments derive both the namespace and the demand
@@ -7,28 +7,26 @@ pipeline for anyone holding such a trace -- and for reproducible
 record/replay experiments:
 
 * :class:`QueryTrace` -- a list of ``(time, src_server, dest_node)``
-  events with text save/load;
+  events with text save/load that keeps every time bit for bit;
 * :class:`TraceRecorder` -- taps a system's injection point;
-* :func:`replay_trace` -- schedules a recorded trace into a (possibly
-  differently configured) system, enabling A/B comparisons on
-  *identical* query sequences;
 * :func:`namespace_from_paths` -- build a namespace plus per-node
   access counts from ``[count] /path`` lines (``find``/accounting-log
-  style);
-* :class:`EmpiricalWorkloadDriver` -- Poisson arrivals whose
-  destinations follow empirical per-node weights.
+  style).
+
+Replay is ``WorkloadDriver(system, trace.events)``, into a system
+configured alike or not, for A/B comparisons on *identical* query
+sequences; demand that follows access counts is
+:func:`repro.workload.arrivals.empirical_arrivals`.
 """
 
 from __future__ import annotations
 
-import bisect
-import random
+import math
 from typing import Dict, Iterable, List, Optional, TextIO, Tuple
 
 from repro.cluster.system import System
 from repro.namespace.name import validate_name
 from repro.namespace.tree import Namespace, NamespaceBuilder
-from repro.sim.rng import exponential
 
 
 class QueryTrace:
@@ -54,21 +52,34 @@ class QueryTrace:
         return self.events[-1][0] if self.events else 0.0
 
     def save(self, fh: TextIO) -> None:
-        """Write as ``time src dest`` lines."""
+        """Write as ``time src dest`` lines; times as exact float reprs,
+        so :meth:`load` gives back the very events a run recorded."""
         for t, src, dest in self.events:
-            fh.write(f"{t:.9f} {src} {dest}\n")
+            fh.write(f"{t!r} {src} {dest}\n")
 
     @classmethod
     def load(cls, fh: TextIO) -> "QueryTrace":
+        """Read ``time src dest`` lines (``#`` comments skipped), sorted
+        by time; a ValueError names the first line whose time is not
+        finite and >= 0 or whose ids are not integers >= 0."""
         events: List[Tuple[float, int, int]] = []
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'time src dest'")
-            events.append((float(parts[0]), int(parts[1]), int(parts[2])))
+            try:
+                t, src, dest = float(parts[0]), int(parts[1]), int(parts[2])
+                ok = (len(parts) == 3 and 0.0 <= t < math.inf
+                      and src >= 0 and dest >= 0)
+            except (ValueError, IndexError):
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"line {lineno}: expected 'time src dest' with a "
+                    f"finite time >= 0 and ids >= 0, got {line!r}"
+                )
+            events.append((t, src, dest))
         events.sort()
         return cls(events)
 
@@ -95,19 +106,8 @@ class TraceRecorder:
         system.on_inject = self.trace.append
 
 
-def replay_trace(
-    system: System, trace: QueryTrace, start_at: float = 0.0
-) -> None:
-    """Schedule every trace event into ``system`` (relative to
-    ``start_at``); call ``system.run_until`` afterwards to execute."""
-    engine = system.engine
-    inject = system.inject
-    for t, src, dest in trace.events:
-        engine.schedule(start_at + t, inject, src, dest)
-
-
 # ---------------------------------------------------------------------------
-# empirical namespaces and workloads from path listings
+# empirical namespaces from path listings
 # ---------------------------------------------------------------------------
 
 
@@ -153,74 +153,3 @@ def namespace_from_paths(
     ns = builder.build()
     counts = {ns.id_of(name): c for name, c in counts_by_name.items()}
     return ns, counts
-
-
-class EmpiricalWorkloadDriver:
-    """Poisson arrivals with destinations drawn from empirical weights.
-
-    Unlisted nodes get weight 0 (never queried), matching trace-driven
-    demand.  Sources remain uniform over servers, as in the paper.
-    """
-
-    __slots__ = ("system", "rate", "duration", "_rng", "_nodes", "_cum",
-                 "_end", "n_generated", "_started")
-
-    def __init__(
-        self,
-        system: System,
-        rate: float,
-        duration: float,
-        weights: Dict[int, float],
-        seed: int = 0,
-    ) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be > 0")
-        if duration <= 0:
-            raise ValueError("duration must be > 0")
-        positive = [(n, w) for n, w in sorted(weights.items()) if w > 0]
-        if not positive:
-            raise ValueError("need at least one positive weight")
-        self.system = system
-        self.rate = rate
-        self.duration = duration
-        self._rng = random.Random(seed ^ 0x7ABCE)
-        self._nodes = [n for n, _ in positive]
-        cum: List[float] = []
-        acc = 0.0
-        for _, w in positive:
-            acc += w
-            cum.append(acc)
-        self._cum = cum
-        self._end = 0.0
-        self.n_generated = 0
-        self._started = False
-
-    def start(self) -> None:
-        if self._started:
-            raise RuntimeError("driver already started")
-        self._started = True
-        now = self.system.engine.now
-        self._end = now + self.duration
-        self.system.engine.schedule(
-            now + exponential(self._rng, 1.0 / self.rate), self._arrival
-        )
-
-    def run(self, extra_time: float = 5.0) -> None:
-        if not self._started:
-            self.start()
-        self.system.run_until(self._end + extra_time)
-
-    def _sample_dest(self) -> int:
-        u = self._rng.random() * self._cum[-1]
-        return self._nodes[bisect.bisect_left(self._cum, u)]
-
-    def _arrival(self) -> None:
-        now = self.system.engine.now
-        if now >= self._end:
-            return
-        src = self._rng.randrange(len(self.system.peers))
-        self.system.inject(src, self._sample_dest())
-        self.n_generated += 1
-        self.system.engine.schedule(
-            now + exponential(self._rng, 1.0 / self.rate), self._arrival
-        )

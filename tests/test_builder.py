@@ -498,7 +498,8 @@ class TestStateWrittenNotRead:
 
     @pytest.fixture(scope="class")
     def ran(self):
-        from repro.experiments.common import Scale, build, make_ns, run_workload
+        from repro.experiments.common import Scale, build, make_ns
+        from repro.workload.arrivals import WorkloadDriver
         from repro.workload.streams import cuzipf_stream
 
         scale = Scale(name="tiny", ns_levels=10, nc_nodes=300, n_servers=32,
@@ -507,7 +508,7 @@ class TestStateWrittenNotRead:
         system = build(make_ns(scale), scale, preset="BCR", seed=3)
         spec = cuzipf_stream(800, 1.0, warmup=1.0, phase=1.0, n_phases=2,
                              seed=3)
-        run_workload(system, spec, drain=1.0)
+        WorkloadDriver(system, spec).run(extra_time=1.0)
         assert system.stats.summary()["completed"] > 0
         return system
 

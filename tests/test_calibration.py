@@ -10,7 +10,8 @@ check that the guess is close.
 
 import pytest
 
-from repro.experiments.common import Scale, build, make_ns, run_workload
+from repro.experiments.common import Scale, build, make_ns
+from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import unif_stream
 
 
@@ -18,8 +19,9 @@ def measure_utilization(scale, rate, probe_duration=10.0, seed=0,
                         preset="BCR"):
     """One probe run; returns measured mean utilisation and mean hops."""
     system = build(make_ns(scale), scale, preset=preset, seed=seed)
-    run_workload(system, unif_stream(rate, probe_duration, seed=seed),
-                 drain=2.0)
+    WorkloadDriver(system, unif_stream(rate, probe_duration, seed=seed)).run(
+        extra_time=2.0
+    )
     means = system.stats.loads.means()
     steady = means[max(1, len(means) // 4):] or means  # skip warm-up
     return {

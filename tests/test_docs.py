@@ -133,6 +133,7 @@ class TestQuotedNames:
         "repro.analysis.export",
         "repro.analysis.fairness",
         "repro.client.TerraDirClient",
+        "repro.experiments.common.run_workload",
         "repro.experiments.runner",
         "repro.namespace.graph",
         "repro.net.codec.require_encodable",
@@ -144,6 +145,8 @@ class TestQuotedNames:
         "repro.sim.rng.poisson_arrival_times",
         "repro.sim.shardcodec.ShardCodecError",
         "repro.workload.streams.flash_crowd_stream",
+        "repro.workload.trace.EmpiricalWorkloadDriver",
+        "repro.workload.trace.replay_trace",
     })
 
     @staticmethod
@@ -185,6 +188,8 @@ class TestQuotedNames:
         "Peer.send_control",
         "ReplicaMap.add_preferred",
         "ReplicaStore.track_owned",
+        "ShardSystem._next_arrival",
+        "ShardSystem.feed",
     })
 
     #: quoted classes that live in the standard library

@@ -8,10 +8,8 @@ import pytest
 from repro.client.client import TerraDirClient
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
-from repro.workload.trace import (
-    EmpiricalWorkloadDriver,
-    namespace_from_paths,
-)
+from repro.workload.arrivals import WorkloadDriver, empirical_arrivals
+from repro.workload.trace import namespace_from_paths
 
 LISTING = """
 # a small project volume with access counts
@@ -46,9 +44,9 @@ class TestEmpiricalVolume:
         system.on_inject = lambda t, s, d: seen.__setitem__(
             d, seen.get(d, 0) + 1
         )
-        drv = EmpiricalWorkloadDriver(system, rate=250.0, duration=6.0,
-                                      weights=dict(counts), seed=9)
-        drv.run()
+        WorkloadDriver(system, empirical_arrivals(
+            250.0, 6.0, dict(counts), len(system.peers), seed=9)).start()
+        system.run_until(11.0)
         system.on_inject = None
         hot = ns.id_of("/release/v1.0/archive.tar.gz")
         assert seen.get(hot, 0) > 0.3 * sum(seen.values())

@@ -38,6 +38,22 @@ class TestScheduling:
         with pytest.raises(SimError):
             eng.schedule(0.5, lambda: None)
 
+    def test_rejects_nan(self):
+        """``nan < now`` is False: a NaN time used to pass the past-time
+        check and reach the heap, where it dispatched between 0.5 and
+        1.0 and set ``now`` to NaN."""
+        eng = Engine()
+        seen = []
+        for t in (3.0, 1.0, 2.0, 0.5):
+            eng.schedule(t, lambda: seen.append(eng.now))
+        with pytest.raises(SimError):
+            eng.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimError):
+            eng.schedule_after(float("nan"), lambda: None)
+        eng.run()
+        assert seen == [0.5, 1.0, 2.0, 3.0]
+        assert eng.now == 3.0
+
     def test_schedule_after(self):
         eng = Engine()
         seen = []

@@ -1,8 +1,9 @@
 """The package runs on the standard library alone.
 
-One fresh interpreter drives the three places a bounded-Zipf sampler is
-built -- a serial run, a sharded coordinator's pre-generated schedule,
-the live generator's :class:`SegmentSampler` -- and then reads
+One fresh interpreter drives the three paths that build a bounded-Zipf
+sampler -- a serial run, a sharded coordinator's pre-generated schedule,
+the live generator's :class:`SegmentSampler` (one class for all three,
+in ``repro.workload.arrivals``) -- and then reads
 ``sys.modules``: a third-party import anywhere on those paths (numpy
 used to arrive with the first Zipf arrival, mid-run) fails here even on
 a host that has the module installed.  The same probe keeps the
@@ -10,7 +11,8 @@ developer tooling (``repro.tools``, the determinism linter) off the
 runtime path, and checks that a start-up loads only the modules it runs:
 ``import repro`` alone loads no other module, the probe's paths load
 none of the modules in ``UNUSED_ON_RUNS`` (nor ``multiprocessing`` or
-the experiments layer), and the linter's CLI loads no simulator module.
+the experiments layer), the linter's CLI loads no simulator module, and
+the live client loads no cluster module.
 
 Two static checks pin the layering: the simulator, network, server,
 core, cluster and runtime packages never import ``repro.experiments``,
@@ -57,9 +59,8 @@ assert [m for m in added if m.startswith("repro")] == ["repro"], added
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
-from repro.runtime.async_client import SegmentSampler
 from repro.sim.shard import WindowedCoordinator
-from repro.workload.arrivals import WorkloadDriver
+from repro.workload.arrivals import SegmentSampler, WorkloadDriver
 from repro.workload.streams import cuzipf_stream
 
 ns = balanced_tree(levels=6)
@@ -102,6 +103,17 @@ print("clean")
 """
 
 
+#: the live client draws through the simulator's sampler; the module
+#: that holds it names ``System`` for annotations only
+CLIENT_PROBE = """
+import sys
+import repro.runtime.async_client
+loaded = sorted(m for m in sys.modules if m.startswith("repro.cluster"))
+assert not loaded, loaded
+print("clean")
+"""
+
+
 def _run_probe(source):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
@@ -118,6 +130,10 @@ def test_runs_import_nothing_outside_the_stdlib():
 
 def test_lint_cli_loads_no_simulator_module():
     _run_probe(LINT_PROBE)
+
+
+def test_live_client_loads_no_cluster_module():
+    _run_probe(CLIENT_PROBE)
 
 
 def _imported_modules(path):

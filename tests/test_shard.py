@@ -353,6 +353,19 @@ class TestCostModel:
         )
 
 
+class TestEventCounts:
+    """Engine events of one small point, as literals: a change to how
+    arrivals are fed shows here even when every fingerprint agrees."""
+
+    def test_serial_and_two_inline_shards(self):
+        ns, cfg, spec, until = fig3_style()
+        system = serial_run(ns, cfg, spec, until)
+        assert system.stats.n_injected == 1229
+        assert system.engine.n_dispatched == 7143
+        run = WindowedCoordinator(ns, cfg, spec, 2, backend="inline").run(until)
+        assert run.engine.n_dispatched == 7151
+
+
 class TestHopAllocations:
     """A forwarded hop allocates the message fields it sends, and little
     else, in the three modules that make the forwarding decision.

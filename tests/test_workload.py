@@ -9,8 +9,8 @@ import pytest
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
-from repro.runtime.async_client import SegmentSampler
-from repro.workload.arrivals import WorkloadDriver, iter_arrivals
+from repro.sim.rng import exponential
+from repro.workload.arrivals import SegmentSampler, WorkloadDriver, iter_arrivals
 from repro.workload.streams import (
     StreamSegment,
     WorkloadSpec,
@@ -268,7 +268,8 @@ class TestGoldenStream:
 
 
 class TestSegmentSampler:
-    """The live generator's mirror of ``iter_arrivals``' destinations."""
+    """The one destination sampler: ``iter_arrivals`` draws through it
+    by arrival time, the live generator by elapsed time."""
 
     SPEC = WorkloadSpec(
         rate=50.0,
@@ -297,6 +298,24 @@ class TestSegmentSampler:
         assert hot.count(top) > 400 * 0.08  # rank 0 of Zipf(1.0): ~15 %
         # past the last boundary the last segment keeps applying
         assert sampler.segment_at(99.0) is self.SPEC.segments[-1]
+
+    def test_iter_arrivals_draws_its_destinations_through_the_sampler(self):
+        """Driven by hand in the stream's draw order -- the reshuffles
+        crossed, the source, the destination, the next gap -- the
+        sampler yields the stream's destinations."""
+        rows = list(iter_arrivals(self.SPEC, 511, 8))
+        rng = random.Random(self.SPEC.seed ^ 0xA11CE5)
+        sampler = SegmentSampler(self.SPEC, 511, rng)
+        t = exponential(rng, 1.0 / (self.SPEC.rate
+                                    * self.SPEC.segments[0].rate_mult))
+        by_hand = []
+        while t < self.SPEC.duration:
+            seg = sampler.segment_at(t)
+            src = rng.randrange(8)
+            by_hand.append((t, src, sampler.dest(t)))
+            t += exponential(rng, 1.0 / (self.SPEC.rate * seg.rate_mult))
+        assert len(rows) > 150
+        assert by_hand == rows
 
 
 class TestFlashCrowd:

@@ -364,9 +364,6 @@ class ArrivalBatch:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, i: int) -> Tuple[float, int, int, int]:
-        return (self.t[i], self.src[i], self.dest[i], self.qid[i])
-
     def __iter__(self) -> Iterator[Tuple[float, int, int, int]]:
         for i in range(len(self.t)):
             yield (self.t[i], self.src[i], self.dest[i], self.qid[i])

@@ -19,6 +19,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List
 from typing import Mapping, Optional, Tuple, Union
 
+from repro.sim.engine import SimError
 from repro.sim.rng import ZipfSampler, exponential
 from repro.workload.streams import StreamSegment, WorkloadSpec
 
@@ -207,10 +208,19 @@ class WorkloadDriver:
     # ------------------------------------------------------------------
 
     def _schedule_next(self) -> None:
-        """Exactly one pending arrival event, until the rows end."""
+        """Exactly one pending arrival event, until the rows end; a row
+        whose time is not >= the clock (earlier, or NaN) is a ValueError
+        naming it."""
         row = next(self._rows, None)
         if row is not None:
-            self.system.engine.schedule(row[0], self._arrival, *row[1:])
+            try:
+                self.system.engine.schedule(row[0], self._arrival, *row[1:])
+            except SimError:
+                raise ValueError(
+                    f"arrival row {self.n_generated}: time {row[0]!r} is "
+                    f"not >= now={self.system.engine.now!r}; rows must be "
+                    "in time order"
+                ) from None
 
     def _arrival(self, *args: int) -> None:
         # inject first: the next arrival is scheduled after everything

@@ -22,30 +22,38 @@ sequences; demand that follows access counts is
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, TextIO, Tuple
 
 from repro.cluster.system import System
 from repro.namespace.name import validate_name
 from repro.namespace.tree import Namespace, NamespaceBuilder
 
+_time = itemgetter(0)
+
 
 class QueryTrace:
-    """An ordered record of query injections."""
+    """A record of query injections, kept in time order: events given
+    or appended out of order are sorted in by time (equal times keep the
+    order they came in), so a replay never schedules into the past."""
 
     __slots__ = ("events",)
 
     def __init__(
-        self, events: Optional[List[Tuple[float, int, int]]] = None
+        self, events: Optional[Iterable[Tuple[float, int, int]]] = None
     ) -> None:
-        self.events: List[Tuple[float, int, int]] = (
-            events if events is not None else []
+        self.events: List[Tuple[float, int, int]] = sorted(
+            events or (), key=_time
         )
 
     def __len__(self) -> int:
         return len(self.events)
 
     def append(self, t: float, src: int, dest: int) -> None:
-        self.events.append((t, src, dest))
+        events = self.events
+        events.append((t, src, dest))
+        if len(events) > 1 and t < events[-2][0]:
+            events.sort(key=_time)
 
     @property
     def duration(self) -> float:
@@ -60,8 +68,9 @@ class QueryTrace:
     @classmethod
     def load(cls, fh: TextIO) -> "QueryTrace":
         """Read ``time src dest`` lines (``#`` comments skipped), sorted
-        by time; a ValueError names the first line whose time is not
-        finite and >= 0 or whose ids are not integers >= 0."""
+        by time (equal times in file order); a ValueError names the first
+        line whose time is not finite and >= 0 or whose ids are not
+        integers >= 0."""
         events: List[Tuple[float, int, int]] = []
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -80,7 +89,6 @@ class QueryTrace:
                     f"finite time >= 0 and ids >= 0, got {line!r}"
                 )
             events.append((t, src, dest))
-        events.sort()
         return cls(events)
 
     def scaled(self, time_factor: float = 1.0) -> "QueryTrace":

@@ -5,6 +5,9 @@ Scale so the whole module stays fast; shape assertions at real scales
 live in benchmarks/.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.campaign import get_experiment
@@ -28,6 +31,12 @@ MICRO = Scale(
     digest_probe_limit=1,
     long_run=24.0,
     long_bucket=6,
+)
+
+#: sha256 of ``json.dumps(fig9 at MICRO, duration=4.0, seed=1,
+#: sort_keys=True)``
+FIG9_MICRO_SHA256 = (
+    "a2f61f144131c1c2cc7510ac88383b42c7bbcac4d5fd76df319505bf4ae45769"
 )
 
 
@@ -145,6 +154,12 @@ class TestFig9:
         for n, summary in results.items():
             assert summary["nodes"] >= 8 * n - 1
             assert summary["rate"] > 0
+        # every summary, pinned: a change to how a point is built, fed
+        # or drained shows here before it shows in a report
+        digest = hashlib.sha256(
+            json.dumps(results, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == FIG9_MICRO_SHA256
 
     def test_sweep_doubles(self):
         from repro.experiments.fig9_scalability import sweep_sizes

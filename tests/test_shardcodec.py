@@ -427,9 +427,7 @@ class TestReplay:
 
 class TestArrivalBatch:
     @given(st.lists(st.tuples(times, ids, ids, i64), max_size=8))
-    def test_indexing_and_iteration(self, rows):
+    def test_length_and_iteration(self, rows):
         batch = ArrivalBatch(rows)
         assert len(batch) == len(rows)
         assert list(batch) == rows
-        for i, row in enumerate(rows):
-            assert batch[i] == row

@@ -60,6 +60,26 @@ class TestQueryTrace:
         assert QueryTrace().duration == 0.0
         assert QueryTrace([(3.0, 0, 0)]).duration == 3.0
 
+    def test_events_are_kept_in_time_order(self):
+        """Events given or appended out of order are sorted in by time;
+        equal times keep the order they came in."""
+        trace = QueryTrace([(2.0, 0, 3), (1.0, 1, 4)])
+        assert trace.events == [(1.0, 1, 4), (2.0, 0, 3)]
+        assert trace.duration == 2.0
+        trace.append(1.5, 2, 5)
+        trace.append(1.0, 0, 6)
+        trace.append(2.5, 3, 7)
+        assert trace.events == [
+            (1.0, 1, 4), (1.0, 0, 6), (1.5, 2, 5), (2.0, 0, 3), (2.5, 3, 7),
+        ]
+        assert trace.duration == 2.5
+
+    def test_unordered_trace_replays(self):
+        _, system = make()
+        replay(system, QueryTrace([(2.0, 0, 3), (1.0, 1, 4)]))
+        system.run_until(4.0)
+        assert system.stats.n_injected == 2
+
 
 def fingerprint(system):
     return json.dumps(run_fingerprint(system), sort_keys=True)

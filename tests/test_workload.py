@@ -1,6 +1,7 @@
 """Unit tests for query-stream specs and the arrival driver."""
 
 import dataclasses
+import math
 import random
 from itertools import islice
 
@@ -158,6 +159,26 @@ class TestDriver:
         drv.start()
         with pytest.raises(RuntimeError):
             drv.start()
+
+    def test_rows_going_back_in_time_name_the_row(self):
+        """A row earlier than the one before it is a ValueError naming
+        its index, not an engine error about the clock."""
+        system = make_system()
+        WorkloadDriver(system, [(1.0, 0, 1), (3.0, 0, 2), (2.0, 1, 3)]).start()
+        with pytest.raises(ValueError, match=r"row 2: time 2\.0 is not >="):
+            system.run_until(5.0)
+
+    def test_nan_row_names_the_row(self):
+        system = make_system()
+        WorkloadDriver(system, [(1.0, 0, 1), (math.nan, 0, 2)]).start()
+        with pytest.raises(ValueError, match=r"row 1: time nan is not >="):
+            system.run_until(5.0)
+
+    def test_first_row_before_now_names_row_0(self):
+        system = make_system()
+        system.run_until(5.0)
+        with pytest.raises(ValueError, match=r"row 0: time 1\.0 "):
+            WorkloadDriver(system, [(1.0, 0, 1)]).start()
 
     def test_deterministic_given_seed(self):
         outs = []

@@ -2,7 +2,7 @@
 #
 #   make install      editable install (offline-friendly)
 #   make lint         ruff over sources, tests, benchmarks, examples, scripts
-#   make test         full unit/integration/property suite
+#   make test         full unit/integration/property suite, slowest 15 listed
 #   make bench        every figure/table benchmark (shape assertions)
 #   make experiments  print every figure's data (REPRO_SCALE=tiny|small|paper)
 #   make campaign     the same experiments as a cached, resumable campaign
@@ -30,7 +30,7 @@ lint:
 	$(PYTHON) -m ruff check src/ tests/ benchmarks/ examples/ scripts/
 
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest tests/ -q --durations=15
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -173,33 +173,10 @@ class System:
     # running
     # ------------------------------------------------------------------
 
-    def run_until(self, t: float, progress_every: float = 0.0) -> None:
-        """Advance the simulation clock to ``t``.
-
-        Args:
-            progress_every: print a one-line progress report every this
-                many simulated seconds (0 disables) -- handy for
-                paper-scale runs that take minutes of wall time.
-        """
+    def run_until(self, t: float) -> None:
+        """Advance the simulation clock to ``t``."""
         self.start_maintenance()
-        if progress_every <= 0:
-            self.engine.run(until=t)
-            return
-        next_mark = self.engine.now + progress_every
-        while self.engine.now < t:
-            self.engine.run(until=min(next_mark, t))
-            if self.engine.now >= next_mark:
-                s = self.stats
-                if isinstance(s, SystemStats):
-                    print(
-                        f"[t={self.engine.now:8.1f}s] injected={s.n_injected} "
-                        f"completed={s.n_completed} dropped={s.n_dropped} "
-                        f"replicas={s.n_replicas_created}",
-                        flush=True,
-                    )
-                else:  # leaner sinks carry no aggregates to report
-                    print(f"[t={self.engine.now:8.1f}s]", flush=True)
-                next_mark += progress_every
+        self.engine.run(until=t)
 
     # ------------------------------------------------------------------
     # introspection
@@ -212,9 +189,6 @@ class System:
     def loads(self, now: Optional[float] = None) -> List[float]:
         t = self.runtime.now if now is None else now
         return [p.meter.load(t) for p in self.local_peers]
-
-    def hosted_counts(self) -> List[int]:
-        return [p.n_hosted for p in self.local_peers]
 
     def hosts_of(self, node: int) -> List[int]:
         """Ground truth: every local server currently hosting ``node``."""
@@ -236,11 +210,9 @@ class ShardSystem(System):
     ``local_peers`` as the dense ascending-sid view every local loop
     (maintenance ticks, introspection) iterates.
 
-    Workload injection is pre-generated: the coordinator partitions the
-    arrival schedule (:func:`repro.workload.arrivals.iter_arrivals`)
-    across shards with globally assigned query ids, and the shard's
-    :class:`~repro.workload.arrivals.WorkloadDriver` feeds its slice
-    into :meth:`inject`, one pending arrival event at a time.
+    The shard's :class:`~repro.workload.arrivals.WorkloadDriver` feeds
+    the arrivals whose source server it runs into :meth:`inject`, with
+    their global query ids (:class:`~repro.sim.shard.ShardRunner`).
 
     Build one with :func:`repro.cluster.builder.build_shard_system`.
     """
@@ -273,15 +245,11 @@ class ShardSystem(System):
             n_shards=self.n_shards, n_servers=cfg.n_servers,
         )
 
-    # ------------------------------------------------------------------
-    # pre-generated workload
-    # ------------------------------------------------------------------
-
     def inject(self, src_server: int, dest_node: int, qid: Optional[int] = None) -> int:
         """Initiate a lookup with a *pre-assigned* global query id.
 
         Sharded runs cannot mint query ids locally (ids must match the
-        serial run's arrival-order assignment), so the coordinator
+        serial run's arrival-order assignment), so the shard's feeder
         passes them in with each arrival.
         """
         if qid is None:

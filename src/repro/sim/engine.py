@@ -11,6 +11,7 @@ the returned handle's ``cancelled`` flag), and no processes/coroutines.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 
@@ -113,39 +114,18 @@ class Engine:
         """Time of the next pending event, or None when the heap is empty."""
         return self._heap[0][0] if self._heap else None
 
-    def run(self, until: float = float("inf"), max_events: int = 0) -> None:
+    def run(self, until: float = math.inf, max_events: int = 0) -> None:
         """Dispatch events in time order.
 
         Stops when the heap is empty, the next event is later than
         ``until`` (the clock is then advanced to exactly ``until``), or
         ``max_events`` events have been dispatched (0 = unlimited).
         """
-        if self._running:
-            raise SimError("engine is not reentrant")
-        self._running = True
-        heap = self._heap
-        pop = heapq.heappop
-        dispatched = 0
-        try:
-            while heap:
-                t = heap[0][0]
-                if t > until:
-                    break
-                _, _, h, fn, args = pop(heap)
-                if h is not None and h.cancelled:
-                    continue
-                self.now = t
-                fn(*args)
-                dispatched += 1
-                if max_events and dispatched >= max_events:
-                    break
-            if until != float("inf") and self.now < until and not (
-                max_events and dispatched >= max_events
-            ):
-                self.now = until
-        finally:
-            self._running = False
-            self.n_dispatched += dispatched
+        dispatched = self._dispatch(until, max_events)
+        if self.now < until < math.inf and not (
+            max_events and dispatched >= max_events
+        ):
+            self.now = until
 
     def run_window(self, end: float, inclusive: bool = False) -> None:
         """Dispatch one conservative time window, then land on ``end``.
@@ -161,10 +141,20 @@ class Engine:
         stopping rule, so a sharded run ends on the same events a
         serial run does.
         """
-        if self._running:
-            raise SimError("engine is not reentrant")
         if end < self.now:
             raise SimError(f"cannot run a window ending at {end} (now={self.now})")
+        # the last float before ``end`` makes "strictly before" the
+        # same one comparison per event as the inclusive stop
+        self._dispatch(end if inclusive else math.nextafter(end, -math.inf))
+        if self.now < end:
+            self.now = end
+
+    def _dispatch(self, last: float, max_events: int = 0) -> int:
+        """The one dispatch loop: run events due at or before ``last``
+        in ``(time, seq)`` order, at most ``max_events`` of them (0 =
+        unlimited), and return how many ran."""
+        if self._running:
+            raise SimError("engine is not reentrant")
         self._running = True
         heap = self._heap
         pop = heapq.heappop
@@ -172,7 +162,7 @@ class Engine:
         try:
             while heap:
                 t = heap[0][0]
-                if t > end or (t == end and not inclusive):
+                if t > last:
                     break
                 _, _, h, fn, args = pop(heap)
                 if h is not None and h.cancelled:
@@ -180,11 +170,12 @@ class Engine:
                 self.now = t
                 fn(*args)
                 dispatched += 1
-            if self.now < end:
-                self.now = end
+                if max_events and dispatched >= max_events:
+                    break
         finally:
             self._running = False
             self.n_dispatched += dispatched
+        return dispatched
 
     def reset(self) -> None:
         """Drop all pending events and rewind the clock to zero."""

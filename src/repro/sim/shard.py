@@ -27,10 +27,10 @@ Determinism is *by construction*, not by luck: fixed-seed runs are
 bit-identical to the serial engine for every shard count (tests lock
 serial against 1/2/4/8 shards).  Three mechanisms carry the proof:
 
-- The arrival stream is the one the serial driver consumes lazily
-  (:func:`repro.workload.arrivals.iter_arrivals`), materialised once,
-  query ids assigned in global arrival order, then partitioned by the
-  source server's shard; each shard feeds its slice through the same
+- Every shard draws the serial run's arrival stream
+  (:func:`repro.workload.arrivals.iter_arrivals`, whose RNG is private
+  and seeded) lazily, numbers it in global arrival order and feeds the
+  rows whose source server it runs through the same
   :class:`~repro.workload.arrivals.WorkloadDriver`.
 - Every *global* construction draw (node assignment, heterogeneity,
   bootstrap) is replayed identically in each shard and applied only
@@ -99,7 +99,6 @@ from repro.sim.shardcodec import (
     ST_PAYLOAD,
     ST_STEP,
     STATS_RECORDS,
-    ArrivalBatch,
     PackedLog,
     StatsRecord,
     decode_batch,
@@ -277,7 +276,13 @@ class ShardResult:
 
 
 class ShardRunner:
-    """Owns one shard's system and steps it window by window."""
+    """Owns one shard's system and steps it window by window.
+
+    The shard draws ``spec``'s whole stream lazily -- its RNG is
+    private, so every shard draws the serial run's arrivals -- numbers
+    it in arrival order (the serial run's query ids) and feeds the rows
+    whose source server it runs.
+    """
 
     def __init__(
         self,
@@ -286,13 +291,20 @@ class ShardRunner:
         shard_id: int,
         n_shards: int,
         owner: Sequence[int],
-        arrivals: Sequence[Tuple[float, int, int, int]],
+        spec: WorkloadSpec,
     ) -> None:
         self.recorder = ShardRecorder()
         self.system = build_shard_system(
             ns, cfg, shard_id, n_shards, owner=owner, stats=self.recorder,
         )
-        WorkloadDriver(self.system, arrivals).start()
+        n_servers = cfg.n_servers
+        WorkloadDriver(self.system, (
+            (t, src, dest, qid)
+            for qid, (t, src, dest) in enumerate(
+                iter_arrivals(spec, len(ns), n_servers), 1
+            )
+            if shard_of_sid(src, n_servers, n_shards) == shard_id
+        )).start()
         self.system.start_maintenance()
         # wall-clock codec accounting (``data_plane`` only -- never
         # part of any fingerprint)
@@ -363,8 +375,8 @@ class MergedRun:
     :class:`~repro.cluster.system.System`.
 
     Carries exactly the read surface the analysis layer touches
-    (``stats``, ``engine.now``, transport counters,
-    :meth:`total_replicas`, :meth:`hosted_counts`), so
+    (``stats``, ``engine.now``, transport counters and
+    :meth:`total_replicas`), so
     :func:`repro.analysis.summary.run_summary` and
     :func:`repro.analysis.series.rate_series` work on it unchanged.
     ``per_sid`` is :func:`per_sid_state` of every server (all shards
@@ -415,9 +427,6 @@ class MergedRun:
 
     def total_replicas(self) -> int:
         return sum(len(r) for r in self.per_sid["replicas"])
-
-    def hosted_counts(self) -> List[int]:
-        return [len(h) for h in self.per_sid["hosted"]]
 
     def __repr__(self) -> str:
         return (
@@ -552,10 +561,10 @@ def window_plan(
 class WindowedCoordinator:
     """Lock-steps N shard engines through ``net_delay``-wide windows.
 
-    Owns the global pieces of a sharded run: the pre-generated arrival
-    schedule (global query ids, partitioned by source shard), the
-    window plan, the per-barrier frame exchange, and the final merge
-    into a :class:`MergedRun`.  ``backend`` says where the shards run:
+    Owns the global pieces of a sharded run: the window plan, the
+    per-barrier frame exchange, and the final merge into a
+    :class:`MergedRun`; each shard draws its own arrivals
+    (:class:`ShardRunner`).  ``backend`` says where the shards run:
     ``process`` keeps one persistent forked worker per shard,
     ``inline`` answers the same frames in this process (debugging,
     tracing, tests).  ``n_shards`` is clamped to ``cfg.n_servers``
@@ -591,21 +600,6 @@ class WindowedCoordinator:
         #: the last run's barrier accounting (see :meth:`run`)
         self.data_plane: Dict[str, Any] = {}
         self.owner = _resolve_owner(ns, cfg, None)
-        # pre-generate the arrival schedule: global qids in arrival
-        # order, partitioned by the source server's shard, then packed
-        # into flat columns (24 bytes/arrival on the worker pipes
-        # instead of a pickled tuple of four boxed numbers)
-        per_shard: List[List[Tuple[float, int, int, int]]] = [
-            [] for _ in range(self.n_shards)
-        ]
-        n_servers = cfg.n_servers
-        qid = 0
-        for t, src, dest in iter_arrivals(spec, len(ns), n_servers):
-            qid += 1
-            per_shard[shard_of_sid(src, n_servers, self.n_shards)].append(
-                (t, src, dest, qid)
-            )
-        self.arrivals = [ArrivalBatch(rows) for rows in per_shard]
 
     # ------------------------------------------------------------------
 
@@ -701,7 +695,7 @@ class WindowedCoordinator:
     def _runner_args(self, shard_id: int) -> tuple:
         return (
             self.ns, self.cfg, shard_id, self.n_shards, self.owner,
-            self.arrivals[shard_id],
+            self.spec,
         )
 
 
@@ -713,7 +707,7 @@ class _Stepper:
     between windows.  On the process backend each is a forked
     :class:`PersistentWorker`: it inherits
     its :meth:`WindowedCoordinator._runner_args` (the namespace, the
-    owner map, its arrival batch) at fork, copy on write, and all sends
+    owner map, the workload spec) at fork, copy on write, and all sends
     go out before any receive so shards run their windows in parallel.
     On the inline backend each is an :class:`_InProcessWorker` that
     answers the same frames in this process.  Pickle appears once per

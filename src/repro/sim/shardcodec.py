@@ -28,10 +28,6 @@ with flat ``struct``-packed frames:
   :func:`decode_stats_log`): the stats hook calls as one flat byte
   buffer plus an interned string table, decoded once at finish, in the
   layouts :data:`STATS_RECORDS` derives from the ``StatsSink`` hooks.
-* **Packed arrivals** (:class:`ArrivalBatch`): the pre-generated
-  ``(t, src, dest, qid)`` schedule as four flat columns; iterating
-  yields the exact rows the shard's
-  :class:`~repro.workload.arrivals.WorkloadDriver` feeds.
 
 Determinism contract: ``decode_batch(encode_batch(entries))`` yields
 entries whose keys and message field values compare equal to the
@@ -52,14 +48,12 @@ from __future__ import annotations
 
 import inspect
 import struct
-from array import array
-from typing import Any, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.net.codec import DECODE_ERRORS, DECODERS, ENCODERS, Buf, CodecError
 from repro.sim.stats import StatsSink
 
 __all__ = [
-    "ArrivalBatch",
     "MAGIC",
     "PackedLog",
     "STATS_RECORDS",
@@ -331,43 +325,3 @@ def decode_stats_log(log: PackedLog) -> List[Tuple[Any, ...]]:
     if off != len(data):
         raise CodecError("trailing garbage in packed stats log")
     return out
-
-
-# ----------------------------------------------------------------------
-# packed arrivals
-# ----------------------------------------------------------------------
-
-class ArrivalBatch:
-    """One shard's arrival schedule as four flat columns.
-
-    Iterating yields the exact ``(t, src, dest, qid)`` rows the shard's
-    :class:`~repro.workload.arrivals.WorkloadDriver` feeds, the same
-    feeder a serial run uses -- only the storage shrinks from one tuple
-    + four boxed values per arrival to 24 packed bytes.
-    """
-
-    __slots__ = ("t", "src", "dest", "qid")
-
-    def __init__(
-        self, arrivals: Iterable[Tuple[float, int, int, int]] = ()
-    ) -> None:
-        self.t = array("d")
-        self.src = array("i")
-        self.dest = array("i")
-        self.qid = array("q")
-        for t, src, dest, qid in arrivals:
-            self.t.append(t)
-            self.src.append(src)
-            self.dest.append(dest)
-            self.qid.append(qid)
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __iter__(self) -> Iterator[Tuple[float, int, int, int]]:
-        for i in range(len(self.t)):
-            yield (self.t[i], self.src[i], self.dest[i], self.qid[i])
-
-    def __repr__(self) -> str:
-        return f"ArrivalBatch(n={len(self.t)})"
-

@@ -28,7 +28,7 @@ from repro.tools.detlint.rules._util import terminal_name
 #: each, emptiness is a valid state, not absence
 #: (``tests/test_detlint.py`` pins this list to the classes)
 SIZED_PRESENCE_TYPES = frozenset({
-    "AncestorIndex", "ArrivalBatch", "DigestDirectory", "Engine",
+    "AncestorIndex", "DigestDirectory", "Engine",
     "IngressQueue", "LRUCache", "Namespace", "NamespaceBuilder", "NodeMap",
     "NodeRanking", "PackedLog", "QueryTrace", "ResultStore", "SearchResult",
     "TimerWheel",

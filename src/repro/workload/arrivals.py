@@ -4,8 +4,8 @@
 spec's Poisson stream (:func:`iter_arrivals`) and the live AIMD client
 both draw through it.  :func:`empirical_arrivals` is the Poisson stream
 of trace-derived demand.  :class:`WorkloadDriver` is the one feeder: a
-spec's stream, a shard's pre-generated slice, a recorded trace's events
-or any other time-ordered rows, each with exactly one pending arrival
+spec's stream, a shard's share of one, a recorded trace's events or
+any other time-ordered rows, each with exactly one pending arrival
 event, so multi-million-query runs never materialise their arrivals.
 
 Each stream's RNG is private, so *when* an item is drawn never matters.
@@ -90,13 +90,9 @@ def iter_arrivals(
     """Yield the ``(time, src_server, dest_node)`` arrival stream of
     ``spec`` started at ``t0``, in time order, up to the spec's end.
 
-    The serial :class:`WorkloadDriver` pulls one item per arrival
-    event.  Sharded runs cannot generate arrivals lazily inside one
-    shard -- the stream's RNG is global (one Poisson process, one
-    popularity permutation) while injection points are scattered
-    across shards -- so the coordinator materialises the stream,
-    assigns query ids in global arrival order, and partitions by the
-    source server's shard.
+    :class:`WorkloadDriver` pulls one item per arrival event.  The
+    stream's RNG is private and seeded, so each shard of a sharded run
+    draws it whole and keeps the rows whose source server it runs.
 
     Draw order is part of every fixed-seed fingerprint (initial
     shuffle, first gap, then per arrival: reshuffles at the segment
@@ -154,10 +150,10 @@ class WorkloadDriver:
     ``arrivals`` is a :class:`WorkloadSpec`, drawn by
     :func:`iter_arrivals` from :meth:`start` on, or time-ordered
     :data:`Row` tuples with absolute times: a trace's ``events``,
-    :func:`empirical_arrivals`, a shard's
-    :class:`~repro.sim.shardcodec.ArrivalBatch` (whose query ids
-    :meth:`repro.cluster.system.ShardSystem.inject` takes).  After
-    starting rows, run the system to a horizon of your own.
+    :func:`empirical_arrivals`, a shard's rows of a spec's stream
+    (whose query ids :meth:`repro.cluster.system.ShardSystem.inject`
+    takes).  After starting rows, run the system to a horizon of your
+    own.
     """
 
     __slots__ = ("system", "spec", "_source", "_rows", "_end_time",

@@ -40,6 +40,13 @@ FIG9_MICRO_SHA256 = (
 )
 
 
+def fig9_digest(results):
+    """The sha256 :data:`FIG9_MICRO_SHA256` pins, of a fig9 result."""
+    return hashlib.sha256(
+        json.dumps(results, sort_keys=True).encode()
+    ).hexdigest()
+
+
 class TestCommon:
     def test_get_scale_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
@@ -145,21 +152,16 @@ class TestFig8:
 
 
 class TestFig9:
-    def test_runs(self):
+    def test_runs(self, fig9_micro):
         from repro.experiments.fig9_scalability import sweep_sizes
 
-        sizes = sweep_sizes(MICRO)
-        results = get_experiment("fig9").run(MICRO, duration=4.0, seed=1)
-        assert list(results) == sizes
-        for n, summary in results.items():
+        assert list(fig9_micro) == sweep_sizes(MICRO)
+        for n, summary in fig9_micro.items():
             assert summary["nodes"] >= 8 * n - 1
             assert summary["rate"] > 0
         # every summary, pinned: a change to how a point is built, fed
         # or drained shows here before it shows in a report
-        digest = hashlib.sha256(
-            json.dumps(results, sort_keys=True).encode()
-        ).hexdigest()
-        assert digest == FIG9_MICRO_SHA256
+        assert fig9_digest(fig9_micro) == FIG9_MICRO_SHA256
 
     def test_sweep_doubles(self):
         from repro.experiments.fig9_scalability import sweep_sizes

@@ -164,7 +164,7 @@ def test_the_strategies_cover_every_wire_class():
     seen = set()
 
     @given(wire_messages)
-    @settings(max_examples=300, database=None, deadline=None)
+    @settings(max_examples=300, database=None, deadline=None, derandomize=True)
     def collect(m):
         seen.add(type(m))
 

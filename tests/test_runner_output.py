@@ -5,6 +5,7 @@ import pytest
 from repro.experiments import campaign, common
 from repro.experiments.campaign import EXPERIMENT_NAMES, get_experiment
 from repro.experiments.common import Scale
+from tests.test_experiments import FIG9_MICRO_SHA256, fig9_digest
 
 MICRO = Scale(
     name="tiny", ns_levels=6, nc_nodes=300, n_servers=8,
@@ -54,10 +55,12 @@ class TestPrinters:
         assert "util0.4" in out
         assert "smoothed-max" in out
 
-    def test_fig9_printer(self, capsys):
-        report_block("fig9", MICRO)
+    def test_fig9_printer(self, capsys, fig9_micro):
+        get_experiment("fig9").render(fig9_micro)
         out = capsys.readouterr().out
         assert "servers" in out and "latency" in out
+        # the session's one fig9 result: rendering leaves it as pinned
+        assert fig9_digest(fig9_micro) == FIG9_MICRO_SHA256
 
     def test_heterogeneity_printer(self, capsys):
         report_block("heterogeneity", MICRO)

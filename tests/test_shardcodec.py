@@ -26,7 +26,6 @@ from repro.net.message import (
 from repro.sim.shardcodec import (
     MAGIC,
     STATS_RECORDS,
-    ArrivalBatch,
     PackedLog,
     decode_batch,
     decode_stats_log,
@@ -40,8 +39,6 @@ from repro.sim.shardcodec import (
 from tests.test_frame import GOLDEN_QUERY, make_query
 from tests.wire_strategies import (
     i32,
-    i64,
-    ids,
     peer_messages,
     state,
     times,
@@ -419,15 +416,3 @@ class TestReplay:
         replayed = replay_stats([r.packed() for r in recorders], MAX_DEPTH)
         assert json.dumps(stats_fingerprint(replayed), sort_keys=True) == \
             json.dumps(stats_fingerprint(direct), sort_keys=True)
-
-
-# ---------------------------------------------------------------------------
-# packed arrivals
-# ---------------------------------------------------------------------------
-
-class TestArrivalBatch:
-    @given(st.lists(st.tuples(times, ids, ids, i64), max_size=8))
-    def test_length_and_iteration(self, rows):
-        batch = ArrivalBatch(rows)
-        assert len(batch) == len(rows)
-        assert list(batch) == rows

@@ -41,11 +41,6 @@ class TestSystemAPI:
         assert len(loads) == 4
         assert all(0.0 <= v <= 1.0 for v in loads)
 
-    def test_hosted_counts(self, system):
-        ns, sys_ = system
-        counts = sys_.hosted_counts()
-        assert sum(counts) == len(ns)
-
     def test_repr(self, system):
         ns, sys_ = system
         assert "servers=4" in repr(sys_)
@@ -85,15 +80,6 @@ class TestRunnerRegistry:
 
 
 class TestProgressReporting:
-    def test_progress_lines_printed(self, system, capsys):
-        ns, sys_ = system
-        for i in range(5):
-            sys_.inject(0, i)
-        sys_.run_until(3.0, progress_every=1.0)
-        out = capsys.readouterr().out
-        assert out.count("[t=") >= 2
-        assert "injected=" in out
-
     def test_no_progress_by_default(self, system, capsys):
         ns, sys_ = system
         sys_.inject(0, 1)

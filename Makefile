@@ -56,7 +56,7 @@ pairs:
 
 mem:
 	$(PYTHON) -m repro mem-smoke
-	$(PYTHON) -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 100
+	$(PYTHON) -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 89
 
 shard-check:
 	$(PYTHON) -m repro shard-check --shards 1,2,4

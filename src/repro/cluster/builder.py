@@ -41,10 +41,12 @@ def _resolve_owner(
 ) -> Sequence[int]:
     """Validate or default the node-to-server assignment.
 
-    An explicit ``owner`` is validated *in place* and returned as-is:
-    forked shard workers pass the coordinator's assignment, which they
-    share with it copy-on-write, and copying it to a list would
-    re-materialise one boxed int per node per worker.
+    The default is :func:`assign_nodes_to_servers`' ``array('i')``: no
+    boxed int per node, so forked shard workers read it without writing
+    refcounts into the pages they share with the coordinator.  An
+    explicit ``owner`` is validated *in place* and returned as-is:
+    copying it to a list would re-materialise one boxed int per node
+    per worker.
     """
     if cfg.n_servers > len(ns):
         raise ValueError(
@@ -79,8 +81,12 @@ def _populate_system(
     per_server = max(1, math.ceil(len(ns) / cfg.n_servers))
     digest_capacity = max(16, math.ceil(per_server * (1.0 + max(cfg.rfact, 1.0))))
 
+    # one int object per node id for the whole fleet: every table a
+    # peer keys by node (owned, hosted list, ranking, maps) stores a
+    # reference to ``ids[v]``, not an int of its own read off an array
+    ids = list(range(len(ns)))
     owned_by: Dict[int, List[int]] = {sid: [] for sid in sids}
-    for node, srv in enumerate(owner_list):
+    for node, srv in zip(ids, owner_list):
         nodes = owned_by.get(srv)
         if nodes is not None:
             nodes.append(node)
@@ -114,7 +120,7 @@ def _populate_system(
     for sid in sids:
         peer = system.peers[sid]
         peer.adopt_nodes(owned_by[sid], solo)
-        peer.pin_contexts(owned_by[sid], owner_list, solo)
+        peer.pin_contexts(owned_by[sid], owner_list, solo, ids)
 
     # heterogeneity: mark a fraction of servers slow (locally
     # normalized load metric absorbs the difference, section 3.1);

@@ -20,7 +20,7 @@ runs the same schedule on an event loop.  On the simulator,
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.cluster.config import SystemConfig
 from repro.namespace.tree import Namespace
@@ -66,7 +66,7 @@ class System:
         ns: Namespace,
         cfg: SystemConfig,
         engine: Engine,
-        owner: List[int],
+        owner: Sequence[int],
         stats: Optional[StatsSink] = None,
     ) -> None:
         self.engine = engine
@@ -80,7 +80,7 @@ class System:
         self._init_state(ns, cfg, owner, stats)
 
     def _init_state(
-        self, ns: Namespace, cfg: SystemConfig, owner: List[int],
+        self, ns: Namespace, cfg: SystemConfig, owner: Sequence[int],
         stats: Optional[StatsSink],
     ) -> None:
         """Everything but the runtime, transport and timers."""
@@ -224,7 +224,7 @@ class ShardSystem(System):
         ns: Namespace,
         cfg: SystemConfig,
         engine: Engine,
-        owner: List[int],
+        owner: Sequence[int],
         shard_id: int,
         n_shards: int,
         stats: Optional[StatsSink] = None,

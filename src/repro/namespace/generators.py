@@ -249,19 +249,20 @@ def university_tree() -> Namespace:
 
 def assign_nodes_to_servers(
     ns: Namespace, n_servers: int, seed: int = 0
-) -> List[int]:
+) -> array:
     """Uniform-random node-to-server mapping (paper section 4.1).
 
-    Returns ``owner[node_id] -> server_id``.  Every server owns at least
-    one node when ``n_servers <= len(ns)`` (assignment is a random
-    balanced partition: node counts per server differ by at most one).
+    Returns ``owner[node_id] -> server_id`` as an ``array('i')``: four
+    bytes per node, no boxed int.  Every server owns at least one node
+    when ``n_servers <= len(ns)`` (assignment is a random balanced
+    partition: node counts per server differ by at most one).
     """
     if n_servers < 1:
         raise ValueError("n_servers must be >= 1")
     rng = random.Random(seed)
     ids = list(range(len(ns)))
     rng.shuffle(ids)
-    owner = [0] * len(ns)
+    owner = array("i", [0]) * len(ns)
     for i, v in enumerate(ids):
         owner[v] = i % n_servers
     return owner

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from typing import Any, List, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.cluster.builder import _populate_system, _resolve_owner
 from repro.cluster.config import SystemConfig
@@ -62,7 +62,7 @@ class LiveSystem(System):
         cfg: SystemConfig,
         runtime: AsyncRuntime,
         wire: AsyncWire,
-        owner: List[int],
+        owner: Sequence[int],
         stats: Optional[StatsSink] = None,
     ) -> None:
         self.runtime = runtime

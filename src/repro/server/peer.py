@@ -318,20 +318,23 @@ class Peer:
         nodes: Sequence[int],
         owner: Sequence[int],
         solo: Sequence[Tuple[int]],
+        ids: Sequence[int],
     ) -> None:
         """Pin the routing context of every node of ``nodes`` at its
         owner: ``pin(nbr, (owner[nbr],))`` for each neighbour in
         :meth:`Namespace.contexts <repro.namespace.tree.Namespace.contexts>`
         order, in one loop (the builder's wiring of a server's share).
         A new map is the shared ``solo[owner[nbr]]`` (see
-        :meth:`adopt_nodes`).
+        :meth:`adopt_nodes`), and its key is ``ids[nbr]``, the fleet's
+        one int object for that id: the int a namespace array yields is
+        a fresh object per read.
         """
         maps = self.maps
         rmap = self.cfg.rmap
         for nbr in self.ns.contexts(nodes):
             cur = maps.get(nbr)
             if cur is None:
-                maps[nbr] = solo[owner[nbr]] if rmap > 0 else ()
+                maps[ids[nbr]] = solo[owner[nbr]] if rmap > 0 else ()
             elif len(cur) < rmap and owner[nbr] not in cur:
                 maps[nbr] = (*cur, owner[nbr])
 

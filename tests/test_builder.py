@@ -283,7 +283,7 @@ class TestBatchWiringEqualsPerNodeWiring:
         for peer in system.peers:
             nodes = strip_wiring(peer)
             peer.adopt_nodes(nodes)
-            peer.pin_contexts(nodes, system.owner, solo)
+            peer.pin_contexts(nodes, system.owner, solo, range(len(ns)))
         got = [wiring_state(p) for p in system.peers]
         rewire_per_node(system)
         assert got == [wiring_state(p) for p in system.peers]
@@ -443,11 +443,12 @@ class TestSharedSingleServerMaps:
     tuple per server for every single-server map of the fleet.
 
     ``deep_sizeof`` of all peers' ``maps`` beyond the namespace reads
-    75 bytes per entry on this fleet (the dict slot and the key); with
-    a one-element list per entry it read 139.
+    60 bytes per entry on this fleet (the dict slot and a share of the
+    key, which :class:`TestOneObjectPerNodeId` shares across peers); it
+    read 75 with an int per entry and 139 with a one-element list.
     """
 
-    MAX_BYTES_PER_ENTRY = 100
+    MAX_BYTES_PER_ENTRY = 66
 
     @pytest.fixture(scope="class")
     def system(self):
@@ -476,6 +477,45 @@ class TestSharedSingleServerMaps:
         total = sum(deep_sizeof(p.maps, seen) for p in system.peers)
         entries = sum(len(p.maps) for p in system.peers)
         assert total / entries <= self.MAX_BYTES_PER_ENTRY, (total, entries)
+
+
+class TestOneObjectPerNodeId:
+    """The build makes each node id's int once for the fleet: every
+    peer's ``maps`` keys, ``owned`` members, hosted list and ranking
+    keys hold references to it.  When each pinned key was the int a
+    namespace array yields, this fleet held 5 230 key objects for its
+    2 047 ids.  The owner table is an int array: no boxed int per node.
+    """
+
+    @pytest.fixture(scope="class", params=["serial", "shards"])
+    def systems(self, request):
+        """One serial fleet, or the two shards of one (each process of
+        a sharded run builds its own ints)."""
+        ns, cfg = balanced_tree(10), SystemConfig(n_servers=32, seed=1)
+        if request.param == "serial":
+            return [build_system(ns, cfg)]
+        return [build_shard_system(ns, cfg, shard_id, 2)
+                for shard_id in range(2)]
+
+    def test_one_object_per_distinct_id(self, systems):
+        owned = 0
+        for system in systems:
+            objects: dict = {}
+            for peer in system.local_peers:
+                owned += len(peer.owned)
+                for table in (peer.maps, peer.owned, peer.store.hosted_list,
+                              peer.ranking._weight):
+                    for v in table:
+                        objects.setdefault(v, {})[id(v)] = v
+            n_objects = sum(len(objs) for objs in objects.values())
+            assert n_objects == len(objects), (n_objects, len(objects))
+        assert owned == 2047
+
+    def test_owner_is_an_int_array(self):
+        from array import array
+
+        system = build_system(balanced_tree(4), SystemConfig(n_servers=4, seed=1))
+        assert isinstance(system.owner, array) and system.owner.typecode == "i"
 
 
 class TestStateWrittenNotRead:

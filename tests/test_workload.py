@@ -312,9 +312,9 @@ class TestSegmentSampler:
         sampler = SegmentSampler(self.SPEC, 511, random.Random(4))
         before = list(sampler.perm)
         assert all(0 <= sampler.dest(0.5) < 511 for _ in range(50))
-        assert sampler.perm == before
+        assert list(sampler.perm) == before
         hot = [sampler.dest(1.5) for _ in range(400)]
-        assert sampler.perm != before  # reshuffled at the boundary
+        assert list(sampler.perm) != before  # reshuffled at the boundary
         top = sampler.perm[0]
         assert hot.count(top) > 400 * 0.08  # rank 0 of Zipf(1.0): ~15 %
         # past the last boundary the last segment keeps applying

@@ -90,6 +90,10 @@ def _populate_system(
         nodes = owned_by.get(srv)
         if nodes is not None:
             nodes.append(node)
+    for sid, nodes in owned_by.items():
+        if not nodes:
+            # it would route from no hosted ancestor (closest() is -1)
+            raise ValueError(f"server {sid} owns no node")
 
     template = None
     for sid in sids:
@@ -170,7 +174,8 @@ def build_system(
             :class:`~repro.sim.stats.SystemStats` collector.
 
     Raises:
-        ValueError: when there are more servers than nodes (every
+        ValueError: when there are more servers than nodes, or an
+            explicit ``owner`` leaves a server without one (every
             server must own at least one node for routing progress).
     """
     owner_list = _resolve_owner(ns, cfg, owner)
@@ -201,6 +206,8 @@ def build_shard_system(
     Raises:
         ShardError: when the config cannot run sharded
             (:func:`repro.net.transport.check_shardable`).
+        ValueError: when an explicit ``owner`` leaves one of this
+            shard's servers without a node (as :func:`build_system`).
     """
     if n_shards < 1:
         raise ValueError("n_shards must be >= 1")

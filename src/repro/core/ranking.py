@@ -42,6 +42,11 @@ class NodeRanking:
         """Start tracking a newly hosted node (weight 0)."""
         self._weight.setdefault(node, 0.0)
 
+    def track_many(self, nodes: Iterable[int]) -> None:
+        """:meth:`track` for each of ``nodes``, in order, in one pass."""
+        weight = self._weight
+        weight.update({node: 0.0 for node in nodes if node not in weight})
+
     def forget(self, node: int) -> None:
         """Stop tracking (node no longer hosted)."""
         self._weight.pop(node, None)

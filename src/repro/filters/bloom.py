@@ -3,8 +3,8 @@
 The bit vector is one contiguous ``bytearray``: bit ``p`` is byte
 ``p >> 3``, mask ``1 << (p & 7)``.  A key's probe is a tuple of
 ``(byte index, bit mask)`` pairs, cached the first time the key is
-*probed* (an add uses a cached probe but stores none: most keys a
-fleet hosts are never probed), so every membership test in the tree
+*probed* (an add stores none: most keys a fleet hosts are never
+probed), so every membership test in the tree
 is the loop ``for i, m in pos: if not vector[i] & m: ...`` --
 indexing ``bytes`` yields an interned small int, so a test touches one
 object, allocates nothing and costs O(k) at every filter size (a Python
@@ -19,28 +19,72 @@ words.
 Hash family: double hashing over two splitmix64-style mixes,
 ``h_i(x) = (h1(x) + i * h2(x)) mod m`` -- the Kirsch-Mitzenmacher
 construction, which preserves the asymptotic false-positive rate of k
-independent hashes.
+independent hashes.  A probe or a single add hashes one key on a plain
+int; :meth:`BloomFilter.add_many` hashes up to :data:`_LANES` keys side
+by side in one packed int, through the same :func:`_mix`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from typing import Dict, Iterable, List, Tuple, Union
 
 _MASK64 = (1 << 64) - 1
+
+#: keys per packed pass of :meth:`BloomFilter.add_many`: its ints are
+#: 4 KiB, whatever the batch
+_LANES = 256
+#: a one in the low bit of each 128-bit lane
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+#: the low 64 bits of each lane: a pass of ``n`` keys uses the low ``n``
+_LANE_MASK = _MASK64 * _ONES
+#: splitmix64's increment in every lane; ``mask & _GOLDEN`` is the
+#: increment in the lanes ``mask`` covers (and 0x9E37... on a plain int)
+_GOLDEN = 0x9E3779B97F4A7C15 * _ONES
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _mix(x: int, mask: int) -> int:
+    """One splitmix64 round (an avalanching 64-bit mix) on every lane
+    of ``x``, ``mask`` its lanes' low 64 bits: the one place a key is
+    hashed.  On a plain int (``mask == _MASK64``) this is the textbook
+    round, its masks before each multiply no-ops; on a packed int they
+    drop what a shift brought in from the lane above, so no carry or
+    product leaves its 128-bit lane."""
+    x = (x + (mask & _GOLDEN)) & mask
+    x = ((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    x = ((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB & mask
+    return (x ^ (x >> 31)) & mask
+
+
+def _pack(keys: List[int]) -> int:
+    """``keys`` masked to 64 bits, key ``j`` in the low half of 128-bit
+    lane ``j`` of one int."""
+    lanes = array("Q", bytes(16 * len(keys)))
+    try:
+        lanes[::2] = array("Q", keys)
+    except OverflowError:  # a key >= 2**64: only its low 64 bits hash
+        lanes[::2] = array("Q", [k & _MASK64 for k in keys])
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+def _unpack(x: int, n: int) -> "array[int]":
+    """The low 64 bits of each of the ``n`` lanes of ``x``."""
+    lanes = array("Q", x.to_bytes(16 * n, "little"))
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return lanes[::2]
+
 
 #: a versioned snapshot as digests publish it and the wire carries it:
 #: ``(version, vector)``
 Snapshot = Tuple[int, bytes]
 #: one key's probe: ``(byte index, bit mask)`` per hash
 Positions = Tuple[Tuple[int, int], ...]
-
-try:
-    _popcount = int.bit_count  # Python >= 3.10: native popcount
-except AttributeError:  # pragma: no cover - exercised on Python 3.9
-    def _popcount(w: int) -> int:
-        return bin(w).count("1")
-
 
 def optimal_bits(capacity: int, fp_rate: float) -> int:
     """Bit count m for a target false-positive rate at ``capacity`` items."""
@@ -115,16 +159,8 @@ class BloomFilter:
 
     def _hash(self, key: int) -> Positions:
         """``key``'s probe, computed and stored nowhere."""
-        # two splitmix64 rounds (an avalanching 64-bit mix), written
-        # out: the one place a key is hashed
-        x = ((key ^ self._salt) + 0x9E3779B97F4A7C15) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        h1 = x ^ (x >> 31)
-        x = (h1 + 0x9E3779B97F4A7C15) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        h2 = (x ^ (x >> 31)) | 1  # odd step avoids short cycles
+        h1 = _mix(key ^ self._salt, _MASK64)
+        h2 = _mix(h1, _MASK64) | 1  # odd step avoids short cycles
         m = self.n_bits
         pairs = self._pairs
         if not pairs:
@@ -144,26 +180,46 @@ class BloomFilter:
         return cls(m, optimal_hashes(m, capacity), salt=salt)
 
     def add(self, key: int) -> None:
-        """Insert an integer key."""
-        self.add_many((key,))
+        """Insert an integer key (a cached probe is not hashed again)."""
+        buf = self._buf
+        for i, m in self.pos_cache.get(key) or self._hash(key):
+            buf[i] |= m
+        self.n_items += 1
 
     def add_many(self, keys: Iterable[int]) -> None:
-        """Insert every key of ``keys`` (duplicates count): the one
-        bit-setting loop, so a batch costs one call, not one per key.
-
-        A key some probe already cached is not hashed again; any other
-        key is hashed and its probe not stored: most keys a server
+        """Insert every key of ``keys`` (duplicates count), hashing
+        :data:`_LANES` keys per packed pass; bit-identical to :meth:`add`
+        in a loop, and, like it, storing no probe: most keys a server
         hosts are never probed, and the cache holds only what probes
-        ask for."""
+        ask for.
+
+        A pass packs its keys into one int, one 128-bit lane per key,
+        and runs both mixes and the ``h1 + i * h2`` stepping on the
+        whole int; each hash's lanes are then unpacked and their bits
+        marked in ``bits``, one ASCII digit per bit, which is read back
+        as one base-2 int and or-ed into the vector once per call."""
+        batch = list(keys)
+        if not batch:
+            return
+        m = self.n_bits
+        salt = self._salt
+        bits = bytearray(b"0") * m
+        for lo in range(0, len(batch), _LANES):
+            chunk = batch[lo:lo + _LANES]
+            n = len(chunk)
+            mask = _LANE_MASK >> (128 * (_LANES - n))
+            ones = mask & _ONES
+            h1 = _mix(_pack(chunk) ^ salt * ones, mask)
+            h2 = _mix(h1, mask) | ones  # odd steps, as in _hash
+            for _ in range(self.n_hashes):
+                for h in _unpack(h1, n):
+                    bits[h % m] = 49  # ord("1")
+                h1 = (h1 + h2) & mask
+        bits.reverse()  # bit 0 is the last digit
         buf = self._buf
-        cached = self.pos_cache.get
-        hash_ = self._hash
-        n = 0
-        for key in keys:
-            for i, m in cached(key) or hash_(key):
-                buf[i] |= m
-            n += 1
-        self.n_items += n
+        vec = int.from_bytes(buf, "little") | int(bits, 2)
+        buf[:] = vec.to_bytes(len(buf), "little")
+        self.n_items += len(batch)
 
     def __contains__(self, key: int) -> bool:
         return self.test_snapshot(self._buf, key)
@@ -187,7 +243,7 @@ class BloomFilter:
     @property
     def set_bits(self) -> int:
         """Number of bits currently set."""
-        return _popcount(int.from_bytes(self._buf, "little"))
+        return bin(int.from_bytes(self._buf, "little")).count("1")
 
     @property
     def fill_ratio(self) -> float:

@@ -74,7 +74,8 @@ class Digest:
 
     def add(self, node: int) -> None:
         """Record that this server now hosts ``node``."""
-        self.add_many((node,))
+        self._bloom.add(node)
+        self.version += 1
 
     def add_many(self, nodes: Iterable[int]) -> None:
         """Record that this server now hosts ``nodes``: one version per

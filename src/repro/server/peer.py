@@ -302,9 +302,8 @@ class Peer:
         maps = self.maps
         sid = self.sid
         mine = (sid,) if solo is None else solo[sid]
-        track = self.ranking.track
+        self.ranking.track_many(nodes)
         for node in nodes:
-            track(node)
             entry = maps.get(node)
             if entry is None:
                 maps[node] = mine

@@ -6,6 +6,7 @@ oracle the byte-vector filter is compared against, operation for
 operation and byte for byte.
 """
 
+import random
 import struct
 
 import pytest
@@ -17,13 +18,16 @@ from repro.filters.bloom import (
     optimal_bits,
     optimal_hashes,
 )
+from repro.filters.digest import Digest
 
 _MASK64 = (1 << 64) - 1
 
 
 def _splitmix64(x):
-    """One splitmix64 round: the oracle's own copy of the mix that
-    ``BloomFilter.positions`` writes out inline (since issue 24)."""
+    """One splitmix64 round: the oracle's own copy of the mix, written
+    apart from ``repro.filters.bloom._mix``, which runs it on a plain
+    64-bit int for a probe and on packed 128-bit lanes for
+    ``BloomFilter.add_many``."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -143,6 +147,59 @@ class TestAgainstTheWordListOracle:
         assert [i * 8 + m.bit_length() - 1 for i, m in pos] == \
             ref.bit_positions(key)
         assert bf.positions(key) is pos  # cached: hashed once
+
+
+@st.composite
+def batches(draw):
+    """A batch of keys for ``add_many``: sizes around one packed pass
+    (256 lanes) and past it, magnitudes up to ``2 ** 70`` (the packed
+    path hashes a key's low 64 bits, as the oracle does), a quarter of
+    them repeats."""
+    n = draw(st.sampled_from((0, 1, 2, 127, 128, 129)) | st.integers(250, 600))
+    pool = draw(st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=16))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return [
+        rng.choice(pool) if rng.random() < 0.25
+        else rng.getrandbits(70) >> rng.randrange(70)
+        for _ in range(n)
+    ]
+
+
+class TestPackedAddMany:
+    """``add_many`` hashes keys side by side in packed ints: it must set
+    the oracle's bits byte for byte, and the bits ``add`` sets key by
+    key, at every hash count, and count every key, repeats included."""
+
+    @pytest.mark.parametrize("n_hashes", range(1, 9))
+    @given(n_bits=st.integers(1, 4096), salt=st.integers(0, 2 ** 70),
+           keys=batches())
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    def test_matches_the_oracle_and_add(self, n_hashes, n_bits, salt, keys):
+        packed = BloomFilter(n_bits, n_hashes, salt=salt)
+        single = BloomFilter(n_bits, n_hashes, salt=salt)
+        ref = WordListBloom(n_bits, n_hashes, salt=salt)
+        cut = len(keys) // 3  # the second call ors into set bits
+        packed.add_many(iter(keys[:cut]))  # any iterable, read once
+        packed.add_many(keys[cut:])
+        for k in keys:
+            single.add(k)
+            ref.add(k)
+        assert packed.snapshot() == single.snapshot() == ref.packed()
+        assert packed.n_items == single.n_items == len(keys)
+        assert not packed.pos_cache and not single.pos_cache
+
+    @given(keys=batches(), salt=st.integers(0, 2 ** 70))
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_a_digest_versions_every_key(self, keys, salt):
+        batch = Digest(max(16, len(keys)), salt=salt)
+        single = Digest.like(batch)
+        batch.add_many(keys)
+        for k in keys:
+            single.add(k)
+        assert batch.version == single.version == len(keys)
+        assert batch.bloom.n_items == len(keys)
+        assert batch.snapshot() == single.snapshot()
+        assert not batch.bloom.pos_cache
 
 
 class TestSizing:

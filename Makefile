@@ -19,7 +19,7 @@
 #                     (the CI sharded-determinism job's two invocations)
 #   make serve-smoke  live 5-peer UDS cluster + AIMD client (capacity.json)
 #   make det-lint     determinism/shard-safety AST lint (python -m repro lint)
-#   make typecheck    mypy strict gate over sim/, net/, core/, filters/, workload/, tools/
+#   make typecheck    mypy strict gate over sim/, net/, core/, server/, filters/, workload/, tools/
 
 PYTHON ?= python
 

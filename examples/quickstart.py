@@ -48,7 +48,7 @@ def main() -> None:
     drops = system.stats.drops.totals(int(spec.duration) + 1)
     print(f"query drops/s:       {sparkline(drops)}")
     print(f"\nlive replicas: {system.total_replicas()} across "
-          f"{sum(1 for p in system.peers if p.replicas)} servers")
+          f"{sum(1 for p in system.peers if p.store.replicas)} servers")
 
 
 if __name__ == "__main__":

@@ -13,11 +13,13 @@ exercise those claims:
 * a failed server neither receives nor sends -- all messages addressed
   to it (including ones already in flight) are lost;
 * queries lost to a failure are accounted as drops (reason
-  ``failure``), responses as drops too (the client never learns);
+  ``failure``): those queued or in service when it fails, those
+  injected at it while it is down and those sent to it; responses
+  count as drops too (the client never learns);
 * lost replication control messages abandon their session via the
   session timeout;
-* recovery restores the server with its soft state intact (its queue
-  is cleared -- those requests died with it).
+* recovery restores the server with its soft state intact and an
+  empty request queue.
 """
 
 from __future__ import annotations
@@ -48,16 +50,22 @@ class FailureInjector:
     # ------------------------------------------------------------------
 
     def fail(self, sid: int) -> None:
-        """Fail-stop one server."""
+        """Fail-stop one server: its queued requests and the one in
+        service die with it, each recorded as a ``failure`` drop."""
         if sid in self.system.transport.failed:
             return
         self.system.transport.fail_server(sid)
         peer = self.system.peers[sid]
         peer.failed = True
+        now = self.system.engine.now
+        for _ in range(peer.ingress.clear()):
+            self.system.stats.record_drop(now, "failure")
+        if peer.meter.busy:
+            peer.meter.service_finished(now)
         self.n_failures += 1
         logger.info(
             "t=%.3f server %d failed (%d owned nodes, %d replicas)",
-            self.system.engine.now, sid, len(peer.owned), len(peer.replicas),
+            now, sid, len(peer.owned), len(peer.store.replicas),
         )
 
     def fail_random(self, count: int, rng: Optional[random.Random] = None,
@@ -76,22 +84,12 @@ class FailureInjector:
         return victims
 
     def recover(self, sid: int) -> None:
-        """Bring a failed server back with its soft state intact.
-
-        Its request queue died with it; any interrupted service slot is
-        abandoned (the meter is told the service ended at recovery)."""
+        """Bring a failed server back with its soft state intact (its
+        requests were dropped when it failed)."""
         if sid not in self.system.transport.failed:
             return
         self.system.transport.recover_server(sid)
-        peer = self.system.peers[sid]
-        peer.failed = False
-        peer.queue.clear()
-        if peer.in_service:
-            # the in-flight service completion event was suppressed;
-            # release the service slot cleanly
-            peer.in_service = False
-            if peer.meter.busy:
-                peer.meter.service_finished(self.system.engine.now)
+        self.system.peers[sid].failed = False
         self.n_recoveries += 1
         logger.info("t=%.3f server %d recovered",
                     self.system.engine.now, sid)

@@ -57,9 +57,9 @@ def transfer_ownership(system: System, node: int, new_owner: int) -> None:
     _drop_owned(src, node)
 
     # install at the destination (replica first if it held one)
-    if node in dst.replicas:
-        dst.evict_replica(node, system.engine.now)
-    dst.adopt_node(node)
+    if node in dst.store.replicas:
+        dst.store.evict(node, system.engine.now)
+    dst.adopt_nodes((node,))
     dst.metadata._meta[node] = meta  # move, not copy: owner-only state
     if data is not None:
         dst.metadata.set_data(node, data)
@@ -96,7 +96,7 @@ def _drop_owned(peer: Peer, node: int) -> None:
     peer.ranking.forget(node)
     peer.metadata._meta.pop(node, None)
     peer.metadata._data.pop(node, None)
-    peer.adverts_recent.pop(node, None)
+    peer.store.adverts_recent.pop(node, None)
     for nbr in peer.ns.neighbors(node):
         peer.unpin(nbr)
     entry = peer.maps.get(node)
@@ -107,7 +107,7 @@ def _drop_owned(peer: Peer, node: int) -> None:
         else:
             del peer.maps[node]
     if peer.digest is not None:
-        peer.digest.rebuild(peer.iter_hosted())
+        peer.digest.rebuild(peer.store.hosted_list)
 
 
 def retire_server(
@@ -137,8 +137,8 @@ def retire_server(
         raise ValueError("no heirs available")
     moved: Dict[int, int] = {}
     now = system.engine.now
-    for node in list(peer.replicas):
-        peer.evict_replica(node, now)
+    for node in list(peer.store.replicas):
+        peer.store.evict(node, now)
     for i, node in enumerate(sorted(peer.owned)):
         heir = heirs[i % len(heirs)]
         transfer_ownership(system, node, heir)

@@ -184,7 +184,7 @@ class System:
 
     def total_replicas(self) -> int:
         """Replicas currently hosted across this engine's servers."""
-        return sum(len(p.replicas) for p in self.local_peers)
+        return sum(len(p.store.replicas) for p in self.local_peers)
 
     def loads(self, now: Optional[float] = None) -> List[float]:
         t = self.runtime.now if now is None else now

@@ -220,7 +220,7 @@ class ReplicationManager:
                 installed.append(payload.node)
                 continue
             evicted = self._make_room(now)
-            peer.install_replica(payload, now)
+            peer.store.install(payload, now)
             self.n_replicas_installed += 1
             self.n_replicas_evicted += evicted
             installed.append(payload.node)
@@ -236,11 +236,12 @@ class ReplicationManager:
         peer = self.peer
         cap = self.replica_capacity()
         evicted = 0
-        while len(peer.replicas) >= cap and peer.replicas:
-            victims = peer.ranking.bottom(1, among=peer.replicas.keys())
+        replicas = peer.store.replicas
+        while len(replicas) >= cap and replicas:
+            victims = peer.ranking.bottom(1, among=replicas.keys())
             if not victims:
                 break
-            peer.evict_replica(victims[0], now)
+            peer.store.evict(victims[0], now)
             evicted += 1
         return evicted
 
@@ -280,9 +281,9 @@ class ReplicationManager:
         peer = self.peer
         fraction = (ls - lt) / (2.0 * ls) if ls > 0 else 0.0
         nodes = peer.ranking.top_k_for_fraction(
-            fraction, among=list(peer.iter_hosted())
+            fraction, among=peer.store.hosted_list
         )
-        payloads = [peer.build_replica_payload(v) for v in nodes]
+        payloads = [peer.store.build_payload(v) for v in nodes]
         payloads = [p for p in payloads if p is not None]
         if not payloads:
             self._abort(now)
@@ -304,7 +305,7 @@ class ReplicationManager:
             return
         peer = self.peer
         for node in msg.installed:
-            peer.note_replica_created(node, msg.src, now)
+            peer.store.note_created(node, msg.src, now)
         logger.debug(
             "t=%.3f server %d session %d: %d replicas installed on %d",
             now, peer.sid, msg.session, len(msg.installed), msg.src,

@@ -64,14 +64,14 @@ def replicate_top_levels(
             target = system.peers[sid]
             if target.hosts(node):
                 continue
-            payload = owner.build_replica_payload(node)
+            payload = owner.store.build_payload(node)
             if payload is None:
                 continue
-            target.install_replica(payload, now)
+            target.store.install(payload, now)
             installed.append(sid)
             # owner-side bookkeeping identical to an adaptive transfer
             if record_stats:
-                owner.note_replica_created(node, sid, now)
+                owner.store.note_created(node, sid, now)
             else:
                 _note_without_stats(owner, node, sid)
         placed[node] = installed
@@ -82,7 +82,7 @@ def _note_without_stats(owner: "Peer", node: int, target: int) -> None:
     """Owner map/advertisement update minus the stats recording."""
     from repro.server.replica_store import advert_push
 
-    advert_push(owner.adverts_recent, node, target, owner.cfg.rmap)
+    advert_push(owner.store.adverts_recent, node, target, owner.cfg.rmap)
     entry = owner.maps.get(node)
     if entry is not None and target not in entry:
         out = list(entry)  # map values are read-only: replace, not edit

@@ -46,8 +46,8 @@ def heterogeneity_case(
     summary = run_summary(system)
     slow = [p for p in system.peers
             if p.service_mean > system.cfg.service_mean]
-    hosted_slow = sum(p.n_hosted for p in slow)
-    hosted_all = sum(p.n_hosted for p in system.peers)
+    hosted_slow = sum(len(p.store.hosted_list) for p in slow)
+    hosted_all = sum(len(p.store.hosted_list) for p in system.peers)
     summary["slow_hosted_share"] = (
         hosted_slow / hosted_all if hosted_all else 0.0
     )

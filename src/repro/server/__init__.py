@@ -1,7 +1,7 @@
 """The TerraDir server (peer) model: a layered message pipeline.
 
-``Peer`` is a slim facade composing the pipeline components:
-``IngressQueue`` (bounded FIFO + drops), ``SoftStateAbsorber``
-(piggyback intake), ``RoutingCore`` (decision + forward), and
-``ReplicaStore`` (replica lifecycle).
+``Peer`` composes the pipeline components and keeps the routing state
+they share: ``IngressQueue`` (bounded FIFO, service slot, drops),
+``SoftStateAbsorber`` (piggyback intake), ``RoutingCore`` (decision +
+forward), and ``ReplicaStore`` (replicas, hosted list, adverts).
 """

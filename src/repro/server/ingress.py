@@ -3,7 +3,7 @@
 The paper's server model is a single service slot fed by a bounded
 request queue; queries arriving while the slot is busy and the queue is
 full are dropped.  :class:`IngressQueue` owns exactly that state -- the
-FIFO, the capacity, the busy flag, and the drop count -- and nothing
+FIFO, the capacity, the message in service, and the drop count -- and nothing
 else, so the queueing discipline can be audited (and swapped) without
 touching routing or replication code.
 """
@@ -11,7 +11,9 @@ touching routing or replication code.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque
+from typing import Deque, Optional
+
+from repro.net.message import QueryMessage
 
 
 class IngressQueue:
@@ -20,7 +22,8 @@ class IngressQueue:
     Attributes:
         queue: the waiting messages (excludes the one in service).
         capacity: maximum queued messages; arrivals beyond it drop.
-        in_service: True while the single service slot is occupied.
+        in_service: the message occupying the single service slot, or
+            None while the slot is free.
         n_drops: queries dropped because the queue was full.
     """
 
@@ -29,12 +32,12 @@ class IngressQueue:
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
-        self.queue: Deque = deque()
+        self.queue: Deque[QueryMessage] = deque()
         self.capacity = capacity
-        self.in_service = False
+        self.in_service: Optional[QueryMessage] = None
         self.n_drops = 0
 
-    def offer(self, msg) -> bool:
+    def offer(self, msg: QueryMessage) -> bool:
         """Append ``msg`` unless the queue is full.
 
         Returns:
@@ -47,17 +50,22 @@ class IngressQueue:
         self.queue.append(msg)
         return True
 
-    def pop(self):
+    def pop(self) -> QueryMessage:
         """Dequeue the oldest waiting message (FIFO order)."""
         return self.queue.popleft()
 
-    def clear(self) -> None:
-        """Drop all waiting messages without counting them as drops.
+    def clear(self) -> int:
+        """Empty the station -- the waiting messages and the one in
+        service -- without counting queue drops; returns how many
+        messages it held.
 
-        Used by fail-stop recovery: the requests died with the server
-        and are accounted as failure losses, not queue drops.
+        Used by fail-stop: the requests die with the server, and the
+        caller accounts each as a failure loss.
         """
+        n = len(self.queue) + (self.in_service is not None)
         self.queue.clear()
+        self.in_service = None
+        return n
 
     def __len__(self) -> int:
         return len(self.queue)
@@ -68,5 +76,5 @@ class IngressQueue:
     def __repr__(self) -> str:
         return (
             f"IngressQueue(depth={len(self.queue)}/{self.capacity}, "
-            f"in_service={self.in_service}, drops={self.n_drops})"
+            f"in_service={self.in_service is not None}, drops={self.n_drops})"
         )

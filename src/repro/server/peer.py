@@ -1,12 +1,12 @@
-"""The TerraDir server (peer): a facade over the message pipeline.
+"""The TerraDir server (peer): the message pipeline's composition.
 
 A peer owns a set of namespace nodes, may replicate others, and
 processes one query at a time from a bounded FIFO request queue
 (queries arriving in excess are dropped).  The work is layered into
 focused components, composed here:
 
-* :class:`~repro.server.ingress.IngressQueue` -- the bounded FIFO and
-  its drop accounting (the M/M/1/K station);
+* :class:`~repro.server.ingress.IngressQueue` -- the bounded FIFO, the
+  message in service and the drop accounting (the M/M/1/K station);
 * :class:`~repro.server.softstate.SoftStateAbsorber` -- intake of
   piggybacked soft state (load samples, digest snapshots, new-replica
   advertisements, path cache entries);
@@ -26,19 +26,20 @@ traffic (replication probes/transfers/acks, back-propagated
 advertisements) and query responses bypass the request queue: they
 are rare, tiny, and the paper accounts for them separately.
 
-The facade preserves the original ``Peer`` surface: shared routing
-state (maps, pins, cache, digests, ranking, metadata) lives here, and
-component-owned state (queue, replicas, known loads) is re-exposed as
-properties.
+Each piece of state has one owner, and callers name it.  The peer
+keeps the routing state every component shares (maps, cache, digests,
+ranking, metadata, the in-band load table ``known_loads``); the queue
+and the message in service are ``peer.ingress``'s, the replica table,
+the hosted list and the advert record ``peer.store``'s.
 """
 
 from __future__ import annotations
 
 from typing import (
-    Deque,
+    TYPE_CHECKING,
+    Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -58,7 +59,6 @@ from repro.net.message import (
     ProbeMessage,
     ProbeReplyMessage,
     QueryMessage,
-    ReplicaPayload,
     ResponseMessage,
     TransferAckMessage,
     TransferMessage,
@@ -66,10 +66,13 @@ from repro.net.message import (
 from repro.namespace.meta import MetaStore
 from repro.server.cache import LRUCache
 from repro.server.ingress import IngressQueue
-from repro.server.replica_store import Replica, ReplicaStore
+from repro.server.replica_store import ReplicaStore
 from repro.server.routing_core import RoutingCore
 from repro.server.softstate import SoftStateAbsorber
 from repro.sim.rng import exponential
+
+if TYPE_CHECKING:
+    from repro.cluster.system import System
 
 __all__ = ["Peer", "UnknownMessageError"]
 
@@ -109,6 +112,7 @@ class Peer:
         "digest",
         "digest_dir",
         "ranking",
+        "known_loads",
         "meter",
         "ingress",
         "absorber",
@@ -125,7 +129,7 @@ class Peer:
         "_record_drop",
     )
 
-    def __init__(self, sid: int, system, owned: Iterable[int]) -> None:
+    def __init__(self, sid: int, system: System, owned: Iterable[int]) -> None:
         self.sid = sid
         self.sys = system
         # the runtime seam: every clock read, callback, and send below
@@ -154,6 +158,9 @@ class Peer:
         self.digest: Optional[Digest] = None  # wired by the builder
         self.digest_dir: Optional[DigestDirectory] = None
         self.ranking = NodeRanking()
+        # server id -> (last load sample, sample time): written by the
+        # builder's bootstrap, the absorber, replication and membership
+        self.known_loads: Dict[int, Tuple[float, float]] = {}
         self.meter = BusyWindowLoadMeter(window=cfg.load_window)
         # pipeline components
         self.ingress = IngressQueue(cfg.queue_size)
@@ -163,7 +170,7 @@ class Peer:
         self.repl = ReplicationManager(self)
         self.n_processed = 0
         # client-layer completion callbacks: ("lookup", qid) / ("data", rid)
-        self.client_hooks: Dict[Tuple[str, int], object] = {}
+        self.client_hooks: Dict[Tuple[str, int], Callable[..., None]] = {}
         self.failed = False
         self.service_mean = cfg.service_mean  # builder may slow this peer
         # "The replication factor need not be the same for all servers"
@@ -178,63 +185,12 @@ class Peer:
         }
 
     # ------------------------------------------------------------------
-    # component-owned state, re-exposed (public API compatibility)
-    # ------------------------------------------------------------------
-
-    @property
-    def queue(self) -> Deque[QueryMessage]:
-        """The waiting requests (the ingress FIFO, live view)."""
-        return self.ingress.queue
-
-    @property
-    def n_queue_drops(self) -> int:
-        return self.ingress.n_drops
-
-    @property
-    def in_service(self) -> bool:
-        return self.ingress.in_service
-
-    @in_service.setter
-    def in_service(self, value: bool) -> None:
-        self.ingress.in_service = value
-
-    @property
-    def replicas(self) -> Dict[int, Replica]:
-        return self.store.replicas
-
-    @property
-    def hosted_list(self) -> List[int]:
-        """Hosted node ids, owned first then replicas (live view).
-
-        Treat as read-only: membership changes must go through the
-        store (``adopt_node(s)`` / ``install_replica`` / ``evict_replica``
-        / ``store.untrack_owned``) so its ancestor index stays in sync.
-        """
-        return self.store.hosted_list
-
-    @property
-    def adverts_recent(self) -> Dict[int, Deque[int]]:
-        return self.store.adverts_recent
-
-    @property
-    def known_loads(self) -> Dict[int, Tuple[float, float]]:
-        return self.absorber.known_loads
-
-    # ------------------------------------------------------------------
     # hosting state
     # ------------------------------------------------------------------
 
     def hosts(self, node: int) -> bool:
         """True if this server owns or replicates ``node``."""
         return node in self.owned or node in self.store.replicas
-
-    def iter_hosted(self) -> Iterator[int]:
-        """All hosted node ids (owned first, then replicas)."""
-        return self.store.iter_hosted()
-
-    @property
-    def n_hosted(self) -> int:
-        return len(self.owned) + len(self.store.replicas)
 
     def pinned(self, node: int) -> bool:
         """True if the topology imposes ``node``'s map here: ``node`` is
@@ -279,10 +235,6 @@ class Peer:
         entry = self.maps.pop(node, None)
         if entry and self.cfg.caching_enabled:
             self.cache.put(node, entry)
-
-    def adopt_node(self, node: int) -> None:
-        """Take ownership of ``node`` (membership API)."""
-        self.adopt_nodes((node,))
 
     def adopt_nodes(
         self, nodes: Sequence[int], solo: Optional[Sequence[Tuple[int]]] = None
@@ -343,38 +295,16 @@ class Peer:
             raise KeyError(f"server {self.sid} does not own node {node}")
         meta = self.metadata.meta(node)
         meta.version += 1
-        return meta.version
+        version: int = meta.version
+        return version
 
     def meta_version_of(self, node: int) -> int:
         """Newest meta-data version this server knows for ``node``."""
         if node in self.owned:
-            return self.metadata.read(node).version
+            version: int = self.metadata.read(node).version
+            return version
         rep = self.store.replicas.get(node)
         return rep.meta_version if rep is not None else 0
-
-    # ------------------------------------------------------------------
-    # replica lifecycle (delegated to the store)
-    # ------------------------------------------------------------------
-
-    def install_replica(self, payload: ReplicaPayload, now: float) -> None:
-        """Install a replica with full routing context (paper section 2.3)."""
-        self.store.install(payload, now)
-
-    def evict_replica(self, node: int, now: float) -> None:
-        """Locally delete a replica; other servers learn lazily."""
-        self.store.evict(node, now)
-
-    def build_replica_payload(self, node: int) -> Optional[ReplicaPayload]:
-        """Snapshot everything a target needs to host ``node``."""
-        return self.store.build_payload(node)
-
-    def note_replica_created(self, node: int, target: int, now: float) -> None:
-        """Source-side bookkeeping after a target confirmed installation."""
-        self.store.note_created(node, target, now)
-
-    def evict_idle_replicas(self, now: float) -> int:
-        """Timed eviction of long-unused replicas (section 3.5)."""
-        return self.store.evict_idle(now)
 
     # ------------------------------------------------------------------
     # map management
@@ -432,7 +362,7 @@ class Peer:
     # message delivery (transport entry point)
     # ------------------------------------------------------------------
 
-    def deliver(self, msg) -> None:
+    def deliver(self, msg: object) -> None:
         """Transport hands every inbound message here.
 
         Routing is a bound-handler dict probe (bound at construction);
@@ -481,9 +411,13 @@ class Peer:
     # ------------------------------------------------------------------
 
     def inject(self, dest: int, qid: int) -> None:
-        """A client initiates a lookup for ``dest`` at this server."""
+        """A client initiates a lookup for ``dest`` at this server; at a
+        failed server the lookup is lost on arrival."""
         now = self.rt.now
         self._record_injected(now)
+        if self.failed:
+            self._record_drop(now, "failure")
+            return
         msg = QueryMessage(qid, dest, self.sid, now)
         msg.via = -1
         self._on_query(msg)
@@ -491,14 +425,14 @@ class Peer:
     def _on_query(self, msg: QueryMessage) -> None:
         """A query arrives, from a client or a peer."""
         ingress = self.ingress
-        if not ingress.in_service:
+        if ingress.in_service is None:
             self._start_service(msg)
             return
         if not ingress.offer(msg):
             self._record_drop(self.rt.now, "queue")
 
     def _start_service(self, msg: QueryMessage) -> None:
-        self.ingress.in_service = True
+        self.ingress.in_service = msg
         rt = self.rt
         now = rt.now
         self.meter.service_started(now)
@@ -507,20 +441,24 @@ class Peer:
 
     def _finish_service(self, msg: QueryMessage) -> None:
         ingress = self.ingress
-        if self.failed or not ingress.in_service:
-            return  # server died mid-service; the request dies with it
+        if msg is not ingress.in_service:
+            return  # the server failed mid-service; the request died with it
         now = self.rt.now
         self.meter.service_finished(now)
         self.n_processed += 1
         self.router.process(msg)
         self.repl.maybe_trigger(now)
-        ingress.in_service = False
+        ingress.in_service = None
         if ingress.queue:
             self._start_service(ingress.pop())
 
     # ------------------------------------------------------------------
     # periodic maintenance (driven by the system)
     # ------------------------------------------------------------------
+
+    def evict_idle_replicas(self, now: float) -> int:
+        """Timed eviction of long-unused replicas (section 3.5)."""
+        return self.store.evict_idle(now)
 
     def roll_window(self, now: float) -> float:
         """Close the current load window; returns the window's busy fraction."""

@@ -13,12 +13,15 @@ that state.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.maps import merge_maps
 from repro.core.nsindex import AncestorIndex
 from repro.namespace.meta import NodeMeta
 from repro.net.message import ReplicaPayload
+
+if TYPE_CHECKING:
+    from repro.server.peer import Peer
 
 
 def advert_push(
@@ -53,7 +56,7 @@ class Replica:
         self,
         meta_version: int,
         installed_at: float,
-        meta: NodeMeta = None,
+        meta: Optional[NodeMeta] = None,
     ) -> None:
         self.meta_version = meta_version
         self.installed_at = installed_at
@@ -66,7 +69,7 @@ class ReplicaStore:
 
     __slots__ = ("peer", "replicas", "hosted_list", "adverts_recent", "index")
 
-    def __init__(self, peer) -> None:
+    def __init__(self, peer: Peer) -> None:
         self.peer = peer
         self.replicas: Dict[int, Replica] = {}
         self.hosted_list: List[int] = list(peer.owned)
@@ -79,10 +82,6 @@ class ReplicaStore:
     # ------------------------------------------------------------------
     # hosting state
     # ------------------------------------------------------------------
-
-    def iter_hosted(self) -> Iterator[int]:
-        """All hosted node ids (owned first, then replicas)."""
-        return iter(self.hosted_list)
 
     def track_owned_many(self, nodes: Sequence[int]) -> None:
         """Record a batch of adopted owned nodes, in order."""
@@ -152,7 +151,7 @@ class ReplicaStore:
         elif entry and peer.cfg.caching_enabled:
             peer.cache.put(node, [s for s in entry if s != peer.sid])
         if peer.digest is not None:
-            peer.digest.rebuild(self.iter_hosted())
+            peer.digest.rebuild(self.hosted_list)
         peer.stats.record_replica_evicted(now, peer.ns.depth[node])
 
     def evict_idle(self, now: float) -> int:

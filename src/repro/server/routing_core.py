@@ -12,7 +12,7 @@ queue.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core import routing
 from repro.core.maps import merge_maps
@@ -25,6 +25,9 @@ from repro.net.message import (
     ResponseMessage,
 )
 
+if TYPE_CHECKING:
+    from repro.server.peer import Peer
+
 
 class RoutingCore:
     """Decision + forward logic, stateless apart from the peer reference."""
@@ -32,7 +35,7 @@ class RoutingCore:
     __slots__ = ("peer", "_record_drop", "_record_forward",
                  "_record_stale_hop", "_record_completion")
 
-    def __init__(self, peer) -> None:
+    def __init__(self, peer: Peer) -> None:
         self.peer = peer
         # per-query sink hooks, bound once (see Peer.__init__)
         stats = peer.stats

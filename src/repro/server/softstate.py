@@ -12,25 +12,25 @@ Bloom-filter routing stacks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import TYPE_CHECKING, Iterable
 
 from repro.net.message import QueryMessage, ResponseMessage
+
+if TYPE_CHECKING:
+    from repro.server.peer import Peer
 
 
 class SoftStateAbsorber:
     """Absorbs piggybacked soft state into a peer's tables.
 
-    Owns the in-band load-sample table (``known_loads``); all other
-    touched state (maps, cache, digest directory) stays owned by the
-    composing peer.
+    Owns no state: everything it writes (``known_loads``, maps, cache,
+    digest directory) belongs to the composing peer.
     """
 
-    __slots__ = ("peer", "known_loads")
+    __slots__ = ("peer",)
 
-    def __init__(self, peer) -> None:
+    def __init__(self, peer: Peer) -> None:
         self.peer = peer
-        # server id -> (last load sample, sample time)
-        self.known_loads: Dict[int, Tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # per-message intake
@@ -42,7 +42,7 @@ class SoftStateAbsorber:
         sid = peer.sid
         sender = m.sender
         if sender != sid:
-            self.known_loads[sender] = (m.sender_load, now)
+            peer.known_loads[sender] = (m.sender_load, now)
             snap = m.sender_digest
             if snap is not None and peer.digest_dir is not None:
                 peer.digest_dir.observe(sender, snap)
@@ -58,7 +58,7 @@ class SoftStateAbsorber:
         """Intake of everything piggybacked on a query response."""
         peer = self.peer
         if r.resolver != peer.sid:
-            self.known_loads[r.resolver] = (r.sender_load, now)
+            peer.known_loads[r.resolver] = (r.sender_load, now)
             if r.sender_digest is not None and peer.digest_dir is not None:
                 peer.digest_dir.observe(r.resolver, r.sender_digest)
         if peer.cfg.caching_enabled:
@@ -96,4 +96,4 @@ class SoftStateAbsorber:
             peer.cache.put(node, list(servers))
 
     def __repr__(self) -> str:
-        return f"SoftStateAbsorber(known_loads={len(self.known_loads)})"
+        return f"SoftStateAbsorber(peer={self.peer.sid})"

@@ -19,7 +19,10 @@ system against the paper's specification.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet
+from typing import TYPE_CHECKING, Dict, FrozenSet
+
+if TYPE_CHECKING:
+    from repro.server.peer import Peer
 
 
 class Relationship(enum.Enum):
@@ -42,11 +45,11 @@ STATE_MATRIX: Dict[Relationship, FrozenSet[str]] = {
 }
 
 
-def relationship_of(peer, node: int) -> Relationship:
+def relationship_of(peer: Peer, node: int) -> Relationship:
     """Classify ``peer``'s relationship to ``node`` (most specific wins)."""
     if node in peer.owned:
         return Relationship.OWNED
-    if node in peer.replicas:
+    if node in peer.store.replicas:
         return Relationship.REPLICATED
     if peer.pinned(node):
         return Relationship.NEIGHBORING
@@ -55,7 +58,7 @@ def relationship_of(peer, node: int) -> Relationship:
     return Relationship.NONE
 
 
-def state_kinds(peer, node: int) -> FrozenSet[str]:
+def state_kinds(peer: Peer, node: int) -> FrozenSet[str]:
     """The state columns ``peer`` actually maintains for ``node``.
 
     * ``name`` -- the server can refer to the node (it appears in any of
@@ -83,7 +86,7 @@ def state_kinds(peer, node: int) -> FrozenSet[str]:
     return frozenset(kinds)
 
 
-def audit_peer(peer) -> Dict[Relationship, int]:
+def audit_peer(peer: Peer) -> Dict[Relationship, int]:
     """Count ``peer``'s nodes per relationship and verify Table 1 holds.
 
     Returns the per-relationship node counts; raises AssertionError if
@@ -91,7 +94,7 @@ def audit_peer(peer) -> Dict[Relationship, int]:
     """
     counts: Dict[Relationship, int] = {r: 0 for r in Relationship}
     # hosted nodes and everything they pin (their namespace neighbours)
-    hosted = peer.hosted_list
+    hosted = peer.store.hosted_list
     seen = set(hosted) | set(peer.ns.contexts(hosted))
     if peer.cache is not None:
         seen |= set(peer.cache.nodes())

@@ -237,9 +237,9 @@ def per_sid_state(peers: Sequence[Any]) -> Dict[str, List[Any]]:
     finished shard ships back."""
     return {
         "processed": [p.n_processed for p in peers],
-        "queue_drops": [p.n_queue_drops for p in peers],
-        "replicas": [sorted(p.replicas) for p in peers],
-        "hosted": [sorted(p.hosted_list) for p in peers],
+        "queue_drops": [p.ingress.n_drops for p in peers],
+        "replicas": [sorted(p.store.replicas) for p in peers],
+        "hosted": [sorted(p.store.hosted_list) for p in peers],
     }
 
 

@@ -193,7 +193,7 @@ def wiring_state(peer):
         "maps": [(node, list(servers)) for node, servers in peer.maps.items()],
         "ranking": list(peer.ranking._weight),
         "owned": set(peer.owned),
-        "hosted_list": list(peer.hosted_list),
+        "hosted_list": list(peer.store.hosted_list),
         "vector": peer.digest.snapshot()[1],
         "version": peer.digest.version,
         "n_items": bloom.n_items,
@@ -212,7 +212,7 @@ def digest_add_per_key(digest, node):
 
 
 def adopt_per_node(peer, node):
-    """``adopt_node`` -> ``track_owned`` + ``_wire_owned`` as they were."""
+    """One node's adoption as it was: ``track_owned`` + ``_wire_owned``."""
     peer.store.hosted_list.append(node)
     peer.store.index.add(node)
     peer.owned.add(node)
@@ -372,7 +372,7 @@ class TestBatchFilters:
 
 class TestAdoptOnARunningSystem:
     def test_adopt_node_is_the_one_element_batch(self):
-        """``adopt_node(n)`` == ``adopt_nodes((n,))`` == the per-node body,
+        """``adopt_nodes((n,))``, on two systems, == the per-node body,
         on peers that already hold pins, replicas' worth of index rows
         and a node map for ``n``."""
         ns = balanced_tree(levels=5)
@@ -381,7 +381,7 @@ class TestAdoptOnARunningSystem:
         node = next(v for v in range(len(ns))
                     if systems[0].owner[v] != 0 and v in systems[0].peers[0].maps)
         a, b, c = (s.peers[0] for s in systems)
-        a.adopt_node(node)
+        a.adopt_nodes((node,))
         b.adopt_nodes((node,))
         adopt_per_node(c, node)
         assert wiring_state(a) == wiring_state(b) == wiring_state(c)
@@ -394,7 +394,7 @@ class TestAdoptOnARunningSystem:
         transfer_ownership(system, node, 2)
         assert node in system.peers[2].owned
         assert node in system.peers[2].digest
-        assert system.peers[2].hosted_list[-1] == node
+        assert system.peers[2].store.hosted_list[-1] == node
 
 
 class TestBalancedTreeArithmetic:

@@ -103,7 +103,7 @@ class TestRetrieve:
         # install a replica on another server and poison the client's
         # first retrieval target to be that replica
         other = sys_.peers[ns.id_of("/university/public/people")]
-        other.install_replica(owner.build_replica_payload(node), 0.0)
+        other.store.install(owner.store.build_payload(node), 0.0)
 
         client = TerraDirClient(sys_, home_server=0)
         lookup = client.wait(client.lookup(target))

@@ -120,7 +120,7 @@ class CountedPins:
                 peer.maps[node] = [s for s in entry if s != peer.sid]
         elif entry and peer.cfg.caching_enabled:
             peer.cache.put(node, [s for s in entry if s != peer.sid])
-        peer.digest.rebuild(store.iter_hosted())
+        peer.digest.rebuild(store.hosted_list)
         peer.stats.record_replica_evicted(now, peer.ns.depth[node])
 
     def note_created(self, peer, node, target, now):
@@ -162,7 +162,7 @@ class CountedPins:
         peer.ranking.forget(node)
         peer.metadata._meta.pop(node, None)
         peer.metadata._data.pop(node, None)
-        peer.adverts_recent.pop(node, None)
+        peer.store.adverts_recent.pop(node, None)
         for nbr in peer.ns.neighbors(node):
             self.unpin(peer, nbr)
         refs = self.refs[peer.sid].get(node, 0)
@@ -171,7 +171,7 @@ class CountedPins:
             entry[:] = [s for s in entry if s != peer.sid]
             if refs == 0 and not entry:
                 peer.maps.pop(node, None)
-        peer.digest.rebuild(peer.iter_hosted())
+        peer.digest.rebuild(peer.store.hosted_list)
 
     def transfer(self, node, new_owner):
         system = self.system
@@ -184,7 +184,7 @@ class CountedPins:
         }
         node_map = [s for s in src.maps.get(node, ()) if s != src.sid]
         self.drop_owned(src, node)
-        if node in dst.replicas:
+        if node in dst.store.replicas:
             self.evict(dst, node, system.engine.now)
         self.adopt(dst, node)
         dst.metadata._meta[node] = meta
@@ -216,7 +216,7 @@ class CountedPins:
         system = self.system
         peer = system.peers[sid]
         heirs = [p.sid for p in system.peers if p.sid != sid]
-        for node in list(peer.replicas):
+        for node in list(peer.store.replicas):
             self.evict(peer, node, system.engine.now)
         for i, node in enumerate(sorted(peer.owned)):
             self.transfer(node, heirs[i % len(heirs)])
@@ -234,16 +234,16 @@ def step(op, x, y, new, ref):
             return
         node = free[y % len(free)]
         src = new.owner[node]
-        new.peers[sid].install_replica(
-            new.peers[src].build_replica_payload(node), 0.0)
-        ref.install(old.peers[sid], old.peers[src].build_replica_payload(node),
+        new.peers[sid].store.install(
+            new.peers[src].store.build_payload(node), 0.0)
+        ref.install(old.peers[sid], old.peers[src].store.build_payload(node),
                     0.0)
     elif op == "evict":
         sid = x % n
-        held = sorted(new.peers[sid].replicas)
+        held = sorted(new.peers[sid].store.replicas)
         if held:
             node = held[y % len(held)]
-            new.peers[sid].evict_replica(node, 0.0)
+            new.peers[sid].store.evict(node, 0.0)
             ref.evict(old.peers[sid], node, 0.0)
     elif op == "transfer":
         node, dst = x % len(ns), y % n
@@ -257,7 +257,7 @@ def step(op, x, y, new, ref):
         node, target = x % len(ns), y % n
         src = new.owner[node]
         if target != src:
-            new.peers[src].note_replica_created(node, target, 0.0)
+            new.peers[src].store.note_created(node, target, 0.0)
             ref.note_created(old.peers[src], node, target, 0.0)
     elif op == "advert":
         sid, node, server = x % n, y % len(ns), (x // n) % n
@@ -275,7 +275,7 @@ def assert_same(new, ref):
             [(k, list(m)) for k, m in b.maps.items()]
         assert [(k, list(m)) for k, m in a.cache.items()] == \
             [(k, list(m)) for k, m in b.cache.items()]
-        assert a.hosted_list == b.hosted_list
+        assert a.store.hosted_list == b.store.hosted_list
         assert a.rng.getstate() == b.rng.getstate()
 
 
@@ -328,4 +328,4 @@ class TestDerivedPinsEqualTheRefcount:
             op = rng.choices(OPS, weights)[0]
             step(op, rng.randrange(2**16), rng.randrange(2**16), new, ref)
         assert_same(new, ref)
-        assert any(p.replicas for p in new.peers)
+        assert any(p.store.replicas for p in new.peers)

@@ -5,9 +5,10 @@ import pytest
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.cluster.failures import FailureInjector, unreachable_nodes
+from repro.experiments.common import rate_for_utilization
 from repro.namespace.generators import balanced_tree
 from repro.workload.arrivals import WorkloadDriver
-from repro.workload.streams import uzipf_stream
+from repro.workload.streams import cuzipf_stream, uzipf_stream
 
 
 def make(n_servers=16, levels=7, **over):
@@ -101,9 +102,62 @@ class TestRecovery:
         inj.fail(3)
         system.engine.run(until=2.0)
         inj.recover(3)
-        assert len(p.queue) == 0
-        assert not p.in_service
+        assert len(p.ingress.queue) == 0
+        assert not p.ingress.in_service
         assert not p.meter.busy
+
+    def test_every_lookup_is_completed_or_dropped(self):
+        """Fail three busy servers mid-run and bring them back: each
+        injected lookup ends up completed or recorded as a drop --
+        those queued or in service at the failure, and those injected
+        at a dead server, included."""
+        ns = balanced_tree(levels=8)
+        system = build_system(ns, SystemConfig.replicated(n_servers=16, seed=3))
+        inj = FailureInjector(system)
+        spec = cuzipf_stream(rate_for_utilization(0.8, 16), alpha=1.0,
+                             warmup=1.0, phase=1.0, n_phases=1, seed=3)
+        WorkloadDriver(system, spec).start()
+        system.run_until(1.0)
+        busy = sorted(system.peers, key=lambda p: -len(p.ingress.queue))[:3]
+        assert all(p.ingress.queue for p in busy)
+        for p in busy:
+            inj.fail(p.sid)
+        system.run_until(1.5)
+        for p in busy:
+            inj.recover(p.sid)
+        system.run_until(spec.duration + 10.0)
+        s = system.stats
+        assert s.drop_reasons.get("failure", 0) > 0
+        assert s.n_injected == s.n_completed + s.n_dropped
+
+    def test_a_completion_from_before_a_failure_is_void(self):
+        """A service completion scheduled before a failure never takes
+        over the recovered server's next service."""
+        ns = balanced_tree(levels=5)
+        system = build_system(ns, SystemConfig.replicated(n_servers=4, seed=1))
+        inj = FailureInjector(system)
+        dest = next(iter(system.peers[0].owned))
+        system.inject(0, dest)
+        inj.fail(0)
+        inj.recover(0)
+        system.inject(0, dest)
+        system.run_until(10.0)
+        s = system.stats
+        assert (s.n_injected, s.n_completed, s.n_dropped) == (2, 1, 1)
+        assert dict(s.drop_reasons) == {"failure": 1}
+
+    def test_a_failed_server_drops_what_is_injected_there(self):
+        ns, system = make()
+        inj = FailureInjector(system)
+        p = system.peers[3]
+        inj.fail(3)
+        state = p.rng.getstate()
+        p.inject(next(iter(p.owned)), qid=1)
+        assert p.rng.getstate() == state  # no service time drawn
+        assert not p.meter.busy and not p.ingress.in_service
+        s = system.stats
+        assert (s.n_injected, s.n_dropped) == (1, 1)
+        assert dict(s.drop_reasons) == {"failure": 1}
 
     def test_recover_all(self):
         ns, system = make()
@@ -122,7 +176,7 @@ class TestResilienceThroughReplication:
         owner = system.peers[3]
         node = next(iter(owner.owned))
         other = system.peers[5]
-        other.install_replica(owner.build_replica_payload(node), 0.0)
+        other.store.install(owner.store.build_payload(node), 0.0)
         inj.fail(3)
         # make the replica known at the source so routing can use it
         src = system.peers[0]

@@ -121,7 +121,7 @@ class TestLoadBalance:
         assert max(maxima) > max(means)
 
     def test_replicas_spread_across_servers(self, system):
-        hosts = [len(p.replicas) for p in system.peers]
+        hosts = [len(p.store.replicas) for p in system.peers]
         assert sum(1 for h in hosts if h > 0) >= 3
 
 
@@ -140,7 +140,7 @@ class TestSoftStateConsistency:
 
     def test_rfact_respected_everywhere(self, system):
         for p in system.peers:
-            assert len(p.replicas) <= max(1, int(0.1 * len(p.owned)))
+            assert len(p.store.replicas) <= max(1, int(0.1 * len(p.owned)))
 
     def test_stale_hops_exist_but_rare(self, system):
         summary = run_summary(system)
@@ -168,8 +168,8 @@ class TestInvariants:
 
     def test_hosted_list_consistent(self, system):
         for p in system.peers:
-            assert sorted(p.hosted_list) == sorted(
-                list(p.owned) + list(p.replicas)
+            assert sorted(p.store.hosted_list) == sorted(
+                list(p.owned) + list(p.store.replicas)
             )
 
     def test_table1_audit_passes(self, system):

@@ -72,10 +72,10 @@ class TestTransferOwnership:
         ns, system = make()
         node = next(iter(system.peers[0].owned))
         src, dst = system.peers[0], system.peers[1]
-        dst.install_replica(src.build_replica_payload(node), 0.0)
+        dst.store.install(src.store.build_payload(node), 0.0)
         transfer_ownership(system, node, 1)
         assert node in dst.owned
-        assert node not in dst.replicas
+        assert node not in dst.store.replicas
 
     def test_stale_routing_recovers_after_transfer(self):
         """Queries routed with stale maps take a stale hop at the old
@@ -110,7 +110,7 @@ class TestRetireServer:
         ns, system = make()
         moved = retire_server(system, 0)
         assert len(system.peers[0].owned) == 0
-        assert len(system.peers[0].replicas) == 0
+        assert len(system.peers[0].store.replicas) == 0
         for node, heir in moved.items():
             assert node in system.peers[heir].owned
 

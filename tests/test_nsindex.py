@@ -454,7 +454,7 @@ class TestLiveEquivalence:
         assert all(len(peer.cache) for peer in system.peers)
         for peer in system.peers:
             assert sorted(peer.store.index.nodes()) == sorted(
-                peer.hosted_list)
+                peer.store.hosted_list)
             order = list(peer.cache.nodes())
             for dest in dests:
                 if not peer.hosts(dest):
@@ -508,7 +508,7 @@ class TestCostModel:
         assert "touch" not in calls
         indexed = calls["extend"] + calls["add"]
         assert indexed - calls.get("remove", 0) == sum(
-            len(p.hosted_list) for p in system.peers)
+            len(p.store.hosted_list) for p in system.peers)
 
     def test_index_weighs_a_row_per_member(self):
         """No container per ancestor: what an index holds beyond the
@@ -519,7 +519,7 @@ class TestCostModel:
         seen = set()
         deep_sizeof(ns, seen)  # shared, charged to nobody's index
         for peer in system.peers:
-            members = len(peer.hosted_list)
+            members = len(peer.store.hosted_list)
             assert deep_sizeof(peer.store.index, seen) <= members * (
                 8 * (ns.max_depth + 1) + 160)
 

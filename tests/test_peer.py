@@ -21,8 +21,8 @@ class TestQueueing:
         p = system.peers[0]
         dest = next(iter(system.peers[1].owned))
         p.inject(dest, qid=1)
-        assert p.in_service
-        assert len(p.queue) == 0
+        assert p.ingress.in_service
+        assert len(p.ingress.queue) == 0
 
     def test_excess_arrivals_dropped(self):
         ns, system = make(queue_size=2)
@@ -31,8 +31,8 @@ class TestQueueing:
         for i in range(5):
             p.inject(dest, qid=i)
         # 1 in service + 2 queued + 2 dropped
-        assert len(p.queue) == 2
-        assert p.n_queue_drops == 2
+        assert len(p.ingress.queue) == 2
+        assert p.ingress.n_drops == 2
         assert system.stats.drop_reasons.get("queue") == 2
 
     def test_queue_drains_in_fifo_order(self):
@@ -42,8 +42,8 @@ class TestQueueing:
         for i in range(3):
             p.inject(dest, qid=i)
         system.engine.run(until=5.0)
-        assert not p.in_service
-        assert len(p.queue) == 0
+        assert not p.ingress.in_service
+        assert len(p.ingress.queue) == 0
         assert p.n_processed == 3
 
     def test_busy_time_accumulates(self):
@@ -202,5 +202,5 @@ class TestMetaVersioning:
         node = next(iter(src.owned))
         src.bump_meta(node)
         src.bump_meta(node)
-        dst.install_replica(src.build_replica_payload(node), 0.0)
-        assert dst.replicas[node].meta_version == 2
+        dst.store.install(src.store.build_payload(node), 0.0)
+        assert dst.store.replicas[node].meta_version == 2

@@ -25,11 +25,11 @@ class TestPinning:
         a, b = ns.neighbors(free)[:2]
         for r in (a, b):
             src = system.peers[system.owner[r]]
-            p.install_replica(src.build_replica_payload(r), 0.0)
+            p.store.install(src.store.build_payload(r), 0.0)
         assert p.pinned(free) and free in p.maps
-        p.evict_replica(a, 1.0)
+        p.store.evict(a, 1.0)
         assert p.pinned(free) and free in p.maps
-        p.evict_replica(b, 1.0)
+        p.store.evict(b, 1.0)
         assert not p.pinned(free) and free not in p.maps
         assert free in p.cache  # demoted, not dropped
 
@@ -189,33 +189,33 @@ class TestNoteReplicaCreated:
         ns, system = make()
         p = system.peers[0]
         node = next(iter(p.owned))
-        p.note_replica_created(node, 3, 0.0)
+        p.store.note_created(node, 3, 0.0)
         assert p.maps[node][0] == 3
-        assert 3 in p.adverts_recent[node]
+        assert 3 in p.store.adverts_recent[node]
 
     def test_adverts_recent_bounded(self):
         ns, system = make(rmap=2)
         p = system.peers[0]
         node = next(iter(p.owned))
         for target in (1, 2, 3, 4):
-            p.note_replica_created(node, target, 0.0)
-        assert len(p.adverts_recent[node]) == 2
-        assert list(p.adverts_recent[node]) == [4, 3]  # most recent first
+            p.store.note_created(node, target, 0.0)
+        assert len(p.store.adverts_recent[node]) == 2
+        assert list(p.store.adverts_recent[node]) == [4, 3]  # most recent first
 
     def test_duplicate_target_moves_to_front(self):
         ns, system = make()
         p = system.peers[0]
         node = next(iter(p.owned))
-        p.note_replica_created(node, 1, 0.0)
-        p.note_replica_created(node, 2, 0.0)
-        p.note_replica_created(node, 1, 0.0)
-        assert list(p.adverts_recent[node])[0] == 1
+        p.store.note_created(node, 1, 0.0)
+        p.store.note_created(node, 2, 0.0)
+        p.store.note_created(node, 1, 0.0)
+        assert list(p.store.adverts_recent[node])[0] == 1
 
     def test_stats_recorded_per_level(self):
         ns, system = make()
         p = system.peers[0]
         node = next(iter(p.owned))
-        p.note_replica_created(node, 3, 0.0)
+        p.store.note_created(node, 3, 0.0)
         assert system.stats.level_replicas[ns.depth[node]] == 1
 
 
@@ -226,7 +226,7 @@ class TestQueueEdgeCases:
         dest = next(iter(system.peers[1].owned))
         p.inject(dest, qid=1)  # starts service
         p.inject(dest, qid=2)  # queue full (size 0) -> dropped
-        assert p.n_queue_drops == 1
+        assert p.ingress.n_drops == 1
 
     def test_ttl_drop(self):
         ns, system = make(max_hops=1)
@@ -250,7 +250,7 @@ class TestDigestLifecycle:
         ns, system = make()
         src, dst = system.peers[0], system.peers[1]
         node = next(iter(src.owned))
-        dst.install_replica(src.build_replica_payload(node), 0.0)
+        dst.store.install(src.store.build_payload(node), 0.0)
         assert node in dst.digest
 
     def test_install_clears_stale_cache_entry(self):
@@ -258,7 +258,7 @@ class TestDigestLifecycle:
         src, dst = system.peers[0], system.peers[1]
         node = next(iter(src.owned))
         dst.cache.put(node, [src.sid])
-        dst.install_replica(src.build_replica_payload(node), 0.0)
+        dst.store.install(src.store.build_payload(node), 0.0)
         assert node not in dst.cache
 
     def test_digest_version_monotone(self):
@@ -266,9 +266,9 @@ class TestDigestLifecycle:
         src, dst = system.peers[0], system.peers[1]
         node = next(iter(src.owned))
         v0 = dst.digest.version
-        dst.install_replica(src.build_replica_payload(node), 0.0)
+        dst.store.install(src.store.build_payload(node), 0.0)
         v1 = dst.digest.version
-        dst.evict_replica(node, 1.0)
+        dst.store.evict(node, 1.0)
         v2 = dst.digest.version
         assert v0 < v1 < v2
 
@@ -284,9 +284,9 @@ class TestUnpinHostedRegression:
         owned = next(iter(p.owned))
         nbr = next(n for n in ns.neighbors(owned) if not p.hosts(n))
         src = system.peers[system.owner[nbr]]
-        p.install_replica(src.build_replica_payload(nbr), 0.0)
+        p.store.install(src.store.build_payload(nbr), 0.0)
         assert owned in p.maps
-        p.evict_replica(nbr, 1.0)
+        p.store.evict(nbr, 1.0)
         assert owned in p.maps          # the owned node keeps its map
         assert p.sid in p.maps[owned]
         from repro.server.state import audit_peer
@@ -310,12 +310,12 @@ class TestWrongLengthDigest:
         system.engine.run(until=5.0)
         assert p.digest_dir.n_rejected == 1
         assert p.digest_dir.get(0) is None
-        assert not p.in_service and p.n_processed == 1
+        assert not p.ingress.in_service and p.n_processed == 1
         # the parent commit raised IndexError out of the third of these
         # decisions, the first to probe the stored one-word vector
         for i, dest in enumerate(remote[1:40]):
             system.inject(3, dest)
             system.engine.run(until=6.0 + i)
-        assert p.n_processed >= 40 and not p.in_service
+        assert p.n_processed >= 40 and not p.ingress.in_service
         assert system.stats.n_completed == 40  # the scripted one included
         assert sum(x.digest_dir.n_rejected for x in system.peers) == 1

@@ -349,6 +349,6 @@ def test_routing_decision_invariants(seed, levels, data):
     assert 0 <= decision.next_server < 4
     # the candidate is strictly closer to the destination than the
     # closest hosted node (incremental progress, section 2.2.2)
-    closest = min(ns.distance(h, dest) for h in peer.iter_hosted())
+    closest = min(ns.distance(h, dest) for h in peer.store.hosted_list)
     assert ns.distance(decision.via, dest) < closest
     assert decision.distance == ns.distance(decision.via, dest)

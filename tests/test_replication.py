@@ -94,7 +94,7 @@ class TestFullSession:
         force_load(src, 1.0)
         src.repl.maybe_trigger(0.0)
         run_control_roundtrips(system)
-        assert 1 in src.adverts_recent.get(hot, ())
+        assert 1 in src.store.adverts_recent.get(hot, ())
         assert 1 in src.maps[hot]  # advertised entry entered the map
 
     def test_hysteresis_applied_both_sides(self):
@@ -222,18 +222,18 @@ class TestTargetAdmission:
         run_control_roundtrips(system)
         assert dst.hosts(owned[1])
         assert not dst.hosts(owned[0])
-        assert len(dst.replicas) <= cap
+        assert len(dst.store.replicas) <= cap
 
     def test_duplicate_transfer_merges_maps_only(self):
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
         hot = next(iter(src.owned))
-        payload = src.build_replica_payload(hot)
-        dst.install_replica(payload, 0.0)
-        n_before = len(dst.replicas)
+        payload = src.store.build_payload(hot)
+        dst.store.install(payload, 0.0)
+        n_before = len(dst.store.replicas)
         from repro.net.message import TransferMessage
         dst.repl.on_transfer(TransferMessage(99, src.sid, [payload]), 0.0)
-        assert len(dst.replicas) == n_before  # no double install
+        assert len(dst.store.replicas) == n_before  # no double install
 
 
 class TestEviction:
@@ -246,9 +246,9 @@ class TestEviction:
             return [v for v in range(len(ns)) if dst.pinned(v)]
 
         pins_before, maps_before = pinned(), set(dst.maps)
-        dst.install_replica(src.build_replica_payload(hot), 0.0)
+        dst.store.install(src.store.build_payload(hot), 0.0)
         assert set(pinned()) >= set(pins_before) | {hot}
-        dst.evict_replica(hot, 1.0)
+        dst.store.evict(hot, 1.0)
         assert pinned() == pins_before
         assert set(dst.maps) == maps_before
         assert not dst.hosts(hot)
@@ -257,16 +257,16 @@ class TestEviction:
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
         hot = next(iter(src.owned))
-        dst.install_replica(src.build_replica_payload(hot), 0.0)
+        dst.store.install(src.store.build_payload(hot), 0.0)
         assert hot in dst.digest
-        dst.evict_replica(hot, 1.0)
+        dst.store.evict(hot, 1.0)
         assert hot not in dst.digest
 
     def test_idle_timeout_eviction(self):
         ns, system = make_system(replica_idle_timeout=10.0)
         src, dst = system.peers[0], system.peers[1]
         hot = next(iter(src.owned))
-        dst.install_replica(src.build_replica_payload(hot), 0.0)
+        dst.store.install(src.store.build_payload(hot), 0.0)
         assert dst.evict_idle_replicas(5.0) == 0
         assert dst.evict_idle_replicas(20.0) == 1
         assert not dst.hosts(hot)
@@ -275,7 +275,7 @@ class TestEviction:
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
         hot = next(iter(src.owned))
-        dst.install_replica(src.build_replica_payload(hot), 0.0)
+        dst.store.install(src.store.build_payload(hot), 0.0)
         assert dst.evict_idle_replicas(1e9) == 0
 
 
@@ -350,6 +350,6 @@ class TestPerServerRfact:
         owned = sorted(src.owned)[:3]
         for node in owned:
             from repro.net.message import TransferMessage
-            payload = src.build_replica_payload(node)
+            payload = src.store.build_payload(node)
             dst.repl.on_transfer(TransferMessage(1, src.sid, [payload]), 0.0)
-        assert len(dst.replicas) <= 1
+        assert len(dst.store.replicas) <= 1

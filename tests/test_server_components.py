@@ -1,4 +1,6 @@
-"""Unit tests for the peer pipeline components and the facade seams."""
+"""Unit tests for the peer pipeline components and who owns what."""
+
+from types import MemberDescriptorType
 
 import pytest
 
@@ -6,6 +8,7 @@ from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
 from repro.server.ingress import IngressQueue
+from repro.server.peer import Peer
 from repro.server.replica_store import ReplicaStore
 from repro.server.routing_core import RoutingCore
 from repro.server.softstate import SoftStateAbsorber
@@ -70,7 +73,7 @@ def make(n_servers=4, levels=4, **over):
 
 
 class TestPeerFacade:
-    """The facade exposes component state under the historical names."""
+    """Each piece of peer state has one owner, and callers name it."""
 
     def test_component_wiring(self):
         ns, system = make()
@@ -80,38 +83,29 @@ class TestPeerFacade:
         assert isinstance(p.router, RoutingCore)
         assert isinstance(p.store, ReplicaStore)
 
-    def test_queue_property_is_live_ingress_deque(self):
-        ns, system = make()
-        p = system.peers[0]
-        assert p.queue is p.ingress.queue
-        dest = next(iter(system.peers[1].owned))
-        p.inject(dest, qid=1)  # goes straight into service
-        p.inject(dest, qid=2)  # queued
-        assert len(p.queue) == 1
-        p.queue.clear()  # the failures module clears through this name
-        assert len(p.ingress.queue) == 0
-
     def test_drop_accounting_delegates(self):
         ns, system = make(queue_size=1)
         p = system.peers[0]
         dest = next(iter(system.peers[1].owned))
         for i in range(4):
             p.inject(dest, qid=i)
-        assert p.n_queue_drops == p.ingress.n_drops == 2
+        assert p.ingress.n_drops == 2
 
-    def test_in_service_setter_reaches_ingress(self):
+    def test_state_has_one_owner(self):
+        """The peer re-exports no component state: no property or
+        one-line forward reaches the same state a second way."""
+        forwards = {
+            "queue", "n_queue_drops", "in_service", "replicas",
+            "hosted_list", "adverts_recent", "n_hosted", "iter_hosted",
+            "install_replica", "evict_replica", "build_replica_payload",
+            "note_replica_created", "adopt_node",
+        }
+        assert not forwards & set(vars(Peer))
+        assert "iter_hosted" not in vars(ReplicaStore)
+        # the in-band load table is a plain peer slot; the absorber
+        # writes it and keeps no table of its own
+        assert isinstance(vars(Peer)["known_loads"], MemberDescriptorType)
+        assert SoftStateAbsorber.__slots__ == ("peer",)
         ns, system = make()
         p = system.peers[0]
-        p.in_service = True  # failures.py assigns through the facade
-        assert p.ingress.in_service
-        p.in_service = False
-        assert not p.ingress.in_service
-
-    def test_store_state_visible_through_facade(self):
-        ns, system = make()
-        p = system.peers[0]
-        assert p.replicas is p.store.replicas
-        assert p.hosted_list is p.store.hosted_list
-        assert p.adverts_recent is p.store.adverts_recent
-        assert p.known_loads is p.absorber.known_loads
-        assert set(p.hosted_list) == set(p.owned)
+        assert set(p.store.hosted_list) == set(p.owned)

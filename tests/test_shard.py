@@ -692,7 +692,7 @@ class TestShardSystemConstruction:
         assert sorted(seen) == list(range(cfg.n_servers))
         for sid, p in seen.items():
             ref = serial.peers[sid]
-            assert sorted(p.hosted_list) == sorted(ref.hosted_list)
+            assert sorted(p.store.hosted_list) == sorted(ref.store.hosted_list)
             assert p.service_mean == ref.service_mean  # het draw replayed
             assert p.known_loads == ref.known_loads  # bootstrap replayed
 

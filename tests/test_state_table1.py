@@ -49,7 +49,7 @@ class TestClassification:
         ns, sys_ = system
         src, dst = sys_.peers[0], sys_.peers[1]
         v = next(iter(src.owned))
-        dst.install_replica(src.build_replica_payload(v), 0.0)
+        dst.store.install(src.store.build_payload(v), 0.0)
         assert relationship_of(dst, v) is Relationship.REPLICATED
 
     def test_neighboring(self, system):
@@ -101,7 +101,7 @@ class TestStateKinds:
         ns, sys_ = system
         src, dst = sys_.peers[0], sys_.peers[1]
         v = next(iter(src.owned))
-        dst.install_replica(src.build_replica_payload(v), 0.0)
+        dst.store.install(src.store.build_payload(v), 0.0)
         assert state_kinds(dst, v) == {"name", "map", "meta", "context"}
 
     def test_cached_has_name_and_map_only(self, system):
@@ -124,7 +124,7 @@ class TestAudit:
         ns, sys_ = system
         src, dst = sys_.peers[0], sys_.peers[1]
         v = next(iter(src.owned))
-        dst.install_replica(src.build_replica_payload(v), 0.0)
+        dst.store.install(src.store.build_payload(v), 0.0)
         counts = audit_peer(dst)
         assert counts[Relationship.REPLICATED] == 1
 
@@ -132,7 +132,7 @@ class TestAudit:
         ns, sys_ = system
         src, dst = sys_.peers[0], sys_.peers[1]
         v = next(iter(src.owned))
-        dst.install_replica(src.build_replica_payload(v), 0.0)
-        dst.evict_replica(v, 1.0)
+        dst.store.install(src.store.build_payload(v), 0.0)
+        dst.store.evict(v, 1.0)
         counts = audit_peer(dst)
         assert counts[Relationship.REPLICATED] == 0

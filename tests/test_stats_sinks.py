@@ -24,9 +24,9 @@ def run_fig3(stats=None):
     system.run_until(spec.duration + 1.0)
     fingerprint = {
         "processed": [p.n_processed for p in system.peers],
-        "queue_drops": [p.n_queue_drops for p in system.peers],
-        "replicas": [sorted(p.replicas) for p in system.peers],
-        "hosted": [sorted(p.hosted_list) for p in system.peers],
+        "queue_drops": [p.ingress.n_drops for p in system.peers],
+        "replicas": [sorted(p.store.replicas) for p in system.peers],
+        "hosted": [sorted(p.store.hosted_list) for p in system.peers],
         "now": system.engine.now,
         "events": system.engine.n_dispatched,
     }

@@ -30,8 +30,8 @@ class TestSystemAPI:
         node = next(iter(sys_.peers[1].owned))
         assert sys_.hosts_of(node) == [1]
         other = sys_.peers[2]
-        other.install_replica(
-            sys_.peers[1].build_replica_payload(node), 0.0
+        other.store.install(
+            sys_.peers[1].store.build_payload(node), 0.0
         )
         assert sorted(sys_.hosts_of(node)) == [1, 2]
 

@@ -76,11 +76,11 @@ def test_random_campaign_preserves_invariants(cfg_kwargs, wl, tree_pick):
 
     # 3. bounds: rfact, cache capacity, queue, hosted-list consistency
     for p in system.peers:
-        assert len(p.replicas) <= max(1, int(cfg.rfact * len(p.owned)))
+        assert len(p.store.replicas) <= max(1, int(cfg.rfact * len(p.owned)))
         assert len(p.cache) <= p.cache.capacity
-        assert len(p.queue) <= cfg.queue_size
-        assert sorted(p.hosted_list) == sorted(
-            list(p.owned) + list(p.replicas)
+        assert len(p.ingress.queue) <= cfg.queue_size
+        assert sorted(p.store.hosted_list) == sorted(
+            list(p.owned) + list(p.store.replicas)
         )
 
     # 4. replicas only exist when the feature is on

@@ -401,7 +401,7 @@ def test_wrong_length_digest_frame_leaves_the_cluster_answering():
                 writer.close()
                 return (
                     [p.digest_dir.n_rejected for p in c.system.peers],
-                    victim.digest_dir.get(0), victim.in_service,
+                    victim.digest_dir.get(0), victim.ingress.in_service,
                     c.wire.n_frame_errors,
                 )
 

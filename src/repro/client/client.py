@@ -62,7 +62,6 @@ class TerraDirClient:
         self._record_retry = system.stats.record_client_retry
         self._rid = 0
         self.n_lookups = 0
-        self.n_retrievals = 0
         self.n_timeouts = 0
         self.n_retries = 0
 
@@ -162,7 +161,6 @@ class TerraDirClient:
         if result.node in peer.owned:
             meta = peer.metadata.read(result.node).snapshot()
             data = None if want_meta else peer.metadata.get_data(result.node)
-            self.n_retrievals += 1
             future.resolve(
                 RetrievalResult(
                     result.node, result.name, data, meta, peer.sid, 0, result
@@ -194,7 +192,6 @@ class TerraDirClient:
 
         def on_reply(reply) -> None:
             if reply.meta is not None or reply.data is not None:
-                self.n_retrievals += 1
                 future.resolve(
                     RetrievalResult(
                         result.node, result.name, reply.data, reply.meta,

@@ -15,7 +15,8 @@ exercise those claims:
 * queries lost to a failure are accounted as drops (reason
   ``failure``): those queued or in service when it fails, those
   injected at it while it is down and those sent to it; responses
-  count as drops too (the client never learns);
+  count as drops too (the client never learns).  The injector tallies
+  the ones it sees by cause in :attr:`FailureInjector.drops`;
 * lost replication control messages abandon their session via the
   session timeout;
 * recovery restores the server with its soft state intact and an
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import logging
 import random
+from collections import Counter
 from typing import Iterable, List, Optional, Set
 
 from repro.cluster.system import System
@@ -41,7 +43,13 @@ class FailureInjector:
         self.system = system
         system.transport.on_lost = self._on_lost
         self.n_failures = 0
-        self.n_recoveries = 0
+        #: the ``failure`` drops accounted here, by cause: ``queued`` at
+        #: a server when it failed, a ``response`` lost, a forward lost
+        #: while a live server hosted its ``via`` node
+        #: (``forward_live_via``) or while none did
+        #: (``forward_dead_via``).  Lookups injected at a failed server
+        #: are the rest (``Peer.inject`` records them).
+        self.drops: Counter = Counter()
 
     @property
     def failed(self) -> Set[int]:
@@ -58,8 +66,10 @@ class FailureInjector:
         peer = self.system.peers[sid]
         peer.failed = True
         now = self.system.engine.now
-        for _ in range(peer.ingress.clear()):
+        queued = peer.ingress.clear()
+        for _ in range(queued):
             self.system.stats.record_drop(now, "failure")
+        self.drops["queued"] += queued
         if peer.meter.busy:
             peer.meter.service_finished(now)
         self.n_failures += 1
@@ -90,7 +100,6 @@ class FailureInjector:
             return
         self.system.transport.recover_server(sid)
         self.system.peers[sid].failed = False
-        self.n_recoveries += 1
         logger.info("t=%.3f server %d recovered",
                     self.system.engine.now, sid)
 
@@ -102,11 +111,17 @@ class FailureInjector:
 
     def _on_lost(self, dest: int, msg) -> None:
         """Account for messages swallowed by a failure."""
-        now = self.system.engine.now
         kind = msg.__class__
-        if kind is QueryMessage or kind is ResponseMessage:
-            # the query can never complete: record it as dropped
-            self.system.stats.record_drop(now, "failure")
+        if kind is ResponseMessage:
+            self.drops["response"] += 1
+        elif kind is QueryMessage:
+            via = msg.via
+            live = any(p.hosts(via) for p in self.system.peers if not p.failed)
+            self.drops["forward_live_via" if live else "forward_dead_via"] += 1
+        else:
+            return
+        # the query can never complete: record it as dropped
+        self.system.stats.record_drop(self.system.engine.now, "failure")
 
 
 def unreachable_nodes(system: System) -> List[int]:

@@ -10,9 +10,18 @@ at a known instant, optionally recover them later, and measure
 
 * the completion rate before / during / after the failure epoch,
 * replica creations triggered by the failure (the re-replication
-  reaction), and
+  reaction),
 * how much of the namespace became unreachable (black holes: every
-  host failed).
+  host failed),
+* the ``failure`` drops by cause: lookups injected at a failed server,
+  requests queued there when it failed, responses lost, and forwards
+  lost while a live server hosted their ``via`` node or while none
+  did, and
+* the survivors' mean and maximum load (busy share: services finished
+  times the mean service time, over the epoch) before and during the
+  failure -- the load that section 3.1 says rises and re-replicates.
+
+Measuring changes no draw and no outcome: the run is the same.
 """
 
 from __future__ import annotations
@@ -46,14 +55,24 @@ def resilience_run(
     spec = uzipf_stream(rate, total, alpha=alpha, seed=seed)
     driver = WorkloadDriver(system, spec)
     driver.start()
+    failed = system.transport.failed
+    injected_at_failed = 0
+
+    def tap(now: float, src: int, dest: int) -> None:
+        nonlocal injected_at_failed
+        injected_at_failed += src in failed
+
+    system.on_inject = tap
 
     system.run_until(2 * phase)
+    at_fail = [p.n_processed for p in system.peers]
     n_fail = max(1, int(fail_fraction * scale.n_servers))
-    injector.fail_random(n_fail, rng=random.Random(seed))
+    victims = set(injector.fail_random(n_fail, rng=random.Random(seed)))
     holes = len(unreachable_nodes(system))
 
+    system.run_until(3 * phase)
+    at_recovery = [p.n_processed for p in system.peers]
     if recover:
-        system.run_until(3 * phase)
         injector.recover_all()
     system.run_until(total + scale.drain)
 
@@ -68,6 +87,12 @@ def resilience_run(
         inj = epoch(injected, lo, hi)
         return epoch(completed, lo, hi) / inj if inj else 0.0
 
+    survivors = [p for p in system.peers if p.sid not in victims]
+    before = [at_fail[p.sid] * p.service_mean / (2 * phase)
+              for p in survivors]
+    during = [(at_recovery[p.sid] - at_fail[p.sid]) * p.service_mean / phase
+              for p in survivors]
+    drops = injector.drops
     return {
         "n_failed": float(n_fail),
         "black_hole_nodes": float(holes),
@@ -78,6 +103,16 @@ def resilience_run(
         "replicas_during": epoch(created, 2 * phase, 3 * phase),
         "replicas_after": epoch(created, 3 * phase, 4 * phase),
         "recovered": 1.0 if recover else 0.0,
+        "failure_drops": float(system.stats.drop_reasons.get("failure", 0)),
+        "drops_injected_at_failed": float(injected_at_failed),
+        "drops_queued_at_failure": float(drops["queued"]),
+        "drops_response_lost": float(drops["response"]),
+        "drops_forward_live_via": float(drops["forward_live_via"]),
+        "drops_forward_dead_via": float(drops["forward_dead_via"]),
+        "survivor_load_mean_before": sum(before) / len(before),
+        "survivor_load_max_before": max(before),
+        "survivor_load_mean_during": sum(during) / len(during),
+        "survivor_load_max_during": max(during),
     }
 
 

@@ -53,7 +53,7 @@ def relationship_of(peer: Peer, node: int) -> Relationship:
         return Relationship.REPLICATED
     if peer.pinned(node):
         return Relationship.NEIGHBORING
-    if peer.cache is not None and node in peer.cache:
+    if node in peer.cache:
         return Relationship.CACHED
     return Relationship.NONE
 
@@ -74,7 +74,7 @@ def state_kinds(peer: Peer, node: int) -> FrozenSet[str]:
     if rel is Relationship.NONE:
         return frozenset()
     kinds = {"name"}
-    if node in peer.maps or (peer.cache is not None and node in peer.cache):
+    if node in peer.maps or node in peer.cache:
         kinds.add("map")
     if rel is Relationship.OWNED:
         kinds.add("data")
@@ -96,8 +96,7 @@ def audit_peer(peer: Peer) -> Dict[Relationship, int]:
     # hosted nodes and everything they pin (their namespace neighbours)
     hosted = peer.store.hosted_list
     seen = set(hosted) | set(peer.ns.contexts(hosted))
-    if peer.cache is not None:
-        seen |= set(peer.cache.nodes())
+    seen |= set(peer.cache.nodes())
     for node in seen:
         rel = relationship_of(peer, node)
         counts[rel] += 1

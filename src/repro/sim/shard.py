@@ -36,12 +36,12 @@ serial against 1/2/4/8 shards).  Three mechanisms carry the proof:
   bootstrap) is replayed identically in each shard and applied only
   locally; per-peer RNG streams are keyed by server id, not creation
   order.
-- Stats are recorded per shard as a timestamped event log and replayed
-  in canonical merge order ``(time, shard, log index)`` into one fresh
-  collector, reproducing the serial run's accumulation order exactly
-  (contiguous shard blocks make merged same-time per-server records,
-  e.g. maintenance load samples, come out in serial's ascending-sid
-  order).
+- Stats are recorded per shard as timestamped records, shipped with
+  each barrier's reply and replayed in canonical merge order ``(time,
+  shard, log index)`` into one collector, reproducing the serial run's
+  accumulation order exactly (contiguous shard blocks make merged
+  same-time per-server records, e.g. maintenance load samples, come
+  out in serial's ascending-sid order).
 
 Every barrier is one request frame to each shard and one reply frame
 back (:mod:`repro.sim.shardcodec`); the backend decides only where a
@@ -68,17 +68,11 @@ import pickle
 import traceback
 import weakref
 from functools import partial
+from operator import itemgetter
 from time import perf_counter
 from types import SimpleNamespace
 from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence,
     Tuple,
 )
 
@@ -163,22 +157,24 @@ class ShardRecorder(StatsSink):
     Aggregating per shard and summing at the end would lose bitwise
     equality with the serial run: float accumulation order, histogram
     dict insertion order, and per-bin maxima all depend on the *global*
-    event order.  Replaying all shards' logs merged by ``(time, shard,
-    index)`` into one fresh :class:`~repro.sim.stats.SystemStats`
+    event order.  Replaying all shards' records merged by ``(time,
+    shard, index)`` into one :class:`~repro.sim.stats.SystemStats`
     performs the serial collector's additions in the serial order.
 
-    Records go straight into a flat byte buffer (a
-    :class:`~repro.sim.shardcodec.PackedLog`) with string arguments
-    interned into a small table.  The hook methods are set below the
-    class, one per :data:`~repro.sim.shardcodec.STATS_RECORDS` entry.
+    Records go straight into a flat byte buffer with string arguments
+    interned into a small table; :meth:`take` hands the buffer over at
+    every barrier, so it holds one window's records at most.  The hook
+    methods are set below the class, one per
+    :data:`~repro.sim.shardcodec.STATS_RECORDS` entry.
     """
 
-    __slots__ = ("_data", "_strings", "_sidx", "n")
+    __slots__ = ("_data", "_strings", "_sidx", "_shipped", "n")
 
     def __init__(self) -> None:
         self._data = bytearray()
         self._strings: List[str] = []
         self._sidx: Dict[str, int] = {}
+        self._shipped = 0  # strings already handed over by take()
         self.n = 0
 
     def _intern(self, s: str) -> int:
@@ -190,40 +186,49 @@ class ShardRecorder(StatsSink):
                 raise ShardError("stats string table overflow (u16 index)")
         return i
 
-    def packed(self) -> PackedLog:
-        """The log so far as a picklable flat-bytes payload."""
-        return PackedLog(bytes(self._data), tuple(self._strings), self.n)
+    def take(self) -> PackedLog:
+        """The records logged since the last take, with the strings
+        interned since; the buffer starts empty again."""
+        log = PackedLog(self._data, tuple(self._strings[self._shipped:]), self.n)
+        self._data = bytearray()
+        self._shipped = len(self._strings)
+        self.n = 0
+        return log
 
 
 for _code, _record in enumerate(STATS_RECORDS):
     setattr(ShardRecorder, _record[0], _recorder_hook(_code, _record))
 
 
-def replay_stats(logs: Sequence[PackedLog], max_depth: int) -> SystemStats:
-    """Merge per-shard logs and replay them into one fresh collector.
+def replay_stats(
+    stats: SystemStats,
+    held: List[List[Tuple[Any, ...]]],
+    logs: Sequence[PackedLog],
+    before: float = math.inf,
+) -> None:
+    """Replay ``held[i]`` plus ``logs[i]`` (one barrier's records per
+    shard) into ``stats`` up to ``before``; later records stay in
+    ``held``.
 
-    Streams are merged by ``(timestamp, shard_id, log_index)`` --
-    within a shard the log index is execution order, and across shards
-    simultaneous records come out in shard order, which (contiguous
-    shard blocks, ascending-sid local loops) equals the serial run's
-    ascending-sid order for the only simultaneous cross-shard records
-    there are: per-server maintenance samples.  Every record calls the
-    hook it was logged from, with the arguments it was logged with.
+    Streams merge by ``(timestamp, shard_id, log_index)``: within a
+    shard, execution order; across shards, shard order, which equals
+    the serial run's ascending-sid order for the only simultaneous
+    cross-shard records, per-server maintenance samples.  A shard logs
+    in time order and no later window logs before ``before``, so
+    barrier-by-barrier replay is exactly the whole run's merge.
     """
-    stats = SystemStats(max_depth)
-
-    def keyed(
-        shard_id: int, log: List[tuple]
-    ) -> Iterator[Tuple[float, int, int, tuple]]:
-        # a real function, not a nested genexp: the genexp would look
-        # up shard_id lazily and stamp every stream with the last one
-        return ((rec[0], shard_id, idx, rec) for idx, rec in enumerate(log))
-
-    streams = [keyed(i, decode_stats_log(log)) for i, log in enumerate(logs)]
+    ready: List[List[Tuple[Any, ...]]] = []
+    for i, log in enumerate(logs):
+        recs = held[i] + decode_stats_log(log)
+        cut = len(recs)
+        while cut and recs[cut - 1][0] >= before:
+            cut -= 1
+        ready.append(recs[:cut])
+        held[i] = recs[cut:]
     hooks = [getattr(stats, name) for name, _, _ in STATS_RECORDS]
-    for t, _, _, rec in heapq.merge(*streams):
-        hooks[rec[1]](t, *rec[2:])
-    return stats
+    # heapq.merge is stable: equal times come out in shard order
+    for rec in heapq.merge(*ready, key=itemgetter(0)):
+        hooks[rec[1]](rec[0], *rec[2:])
 
 
 # ----------------------------------------------------------------------
@@ -247,19 +252,13 @@ class ShardResult:
     """Everything a finished shard ships back to the coordinator.
 
     Plain picklable payload (one per shard, pickled once at finish):
-    the stats event log, the engine and transport counters, and
-    :func:`per_sid_state` of the shard's servers.
+    the engine and transport counters and :func:`per_sid_state` of the
+    shard's servers.  Stats records travel with the step replies.
     """
 
     __slots__ = (
-        "shard_id",
-        "log",
-        "n_sent",
-        "n_control_sent",
-        "n_lost",
-        "n_dispatched",
-        "per_sid",
-        "data_plane",
+        "shard_id", "n_sent", "n_control_sent", "n_lost", "n_dispatched",
+        "per_sid", "data_plane",
     )
 
     def __init__(self, **kw: Any) -> None:
@@ -269,10 +268,7 @@ class ShardResult:
             raise TypeError(f"unexpected fields {sorted(kw)}")
 
     def __repr__(self) -> str:
-        return (
-            f"ShardResult(shard={self.shard_id}, events={self.n_dispatched}, "
-            f"log={len(self.log)} records)"
-        )
+        return f"ShardResult(shard={self.shard_id}, events={self.n_dispatched})"
 
 
 class ShardRunner:
@@ -324,9 +320,10 @@ class ShardRunner:
 
     def step(
         self, end: float, inclusive: bool, frames: Sequence[Any]
-    ) -> Tuple[List[Tuple[int, bytes]], float]:
+    ) -> Tuple[List[Tuple[int, bytes]], float, PackedLog]:
         """Ingest the barrier's frames, run one window, return egress
-        frames plus this shard's next pending event time.
+        frames, this shard's next pending event time and the stats
+        records logged since the last step (the recorder empties).
 
         Ingress and egress are codec frames
         (:mod:`repro.sim.shardcodec`); message objects exist only
@@ -345,7 +342,7 @@ class ShardRunner:
             (dest, encode_batch(out[dest])) for dest in sorted(out)
         ]
         self.encode_s += perf_counter() - t1
-        return dest_frames, self.next_time()
+        return dest_frames, self.next_time(), self.recorder.take()
 
     # the benchmark's tracer looks both names up in this class's dict
     step_packed = step
@@ -355,7 +352,6 @@ class ShardRunner:
         transport = system.transport
         return ShardResult(
             shard_id=system.shard_id,
-            log=self.recorder.packed(),
             n_sent=transport.n_sent,
             n_control_sent=transport.n_control_sent,
             n_lost=transport.n_lost,
@@ -384,15 +380,8 @@ class MergedRun:
     """
 
     __slots__ = (
-        "ns",
-        "cfg",
-        "stats",
-        "engine",
-        "transport",
-        "n_shards",
-        "n_windows",
-        "per_sid",
-        "data_plane",
+        "ns", "cfg", "stats", "engine", "transport", "n_shards", "n_windows",
+        "per_sid", "data_plane",
     )
 
     def __init__(
@@ -618,6 +607,9 @@ class WindowedCoordinator:
         had been stepped individually.  The final inclusive window is
         never skipped (it must land every clock on ``until``).
 
+        Every step reply carries its window's stats records, replayed
+        while the shards run the next window (:class:`_Stepper`).
+
         Each call builds its shards afresh and counts only its own
         barriers into :attr:`data_plane`.
         """
@@ -628,12 +620,8 @@ class WindowedCoordinator:
             pending = False  # any cross-shard mail at the last barrier?
             next_min: Optional[float] = None
             for end, inclusive in window_plan(self.cfg.net_delay, until):
-                if (
-                    not inclusive
-                    and not pending
-                    and next_min is not None
-                    and end <= next_min
-                ):
+                if (not inclusive and not pending and next_min is not None
+                        and end <= next_min):
                     n_coalesced += 1
                     continue
                 outs, next_min = stepper.step_all(end, inclusive, inboxes)
@@ -649,9 +637,6 @@ class WindowedCoordinator:
                 # stays undelivered, exactly like serial in-flight mail.
                 stepper.step_all(until, True, inboxes)
             results = stepper.finish_all()
-            # process workers exit on their own once finished: replay
-            # while they tear down, join them after
-            stats = replay_stats([r.log for r in results], self.ns.max_depth)
         finally:
             stepper.close()
         self.data_plane = {
@@ -660,11 +645,12 @@ class WindowedCoordinator:
             "n_coalesced": n_coalesced,
             "barrier_wait_s": stepper.barrier_wait_s,
             "bytes_exchanged": bytes_exchanged,
+            "stats_bytes": stepper.stats_bytes,
             "encode_s": sum(r.data_plane["encode_s"] for r in results),
             "decode_s": sum(r.data_plane["decode_s"] for r in results),
         }
         return MergedRun(
-            self.ns, self.cfg, results, stats, until, self.data_plane
+            self.ns, self.cfg, results, stepper.stats, until, self.data_plane
         )
 
     def _route(
@@ -693,10 +679,8 @@ class WindowedCoordinator:
         return inboxes
 
     def _runner_args(self, shard_id: int) -> tuple:
-        return (
-            self.ns, self.cfg, shard_id, self.n_shards, self.owner,
-            self.spec,
-        )
+        return (self.ns, self.cfg, shard_id, self.n_shards, self.owner,
+                self.spec)
 
 
 class _Stepper:
@@ -705,29 +689,37 @@ class _Stepper:
     Workers are long-lived (one request per window) because shard state
     -- the engine heap, every peer -- cannot cross a process boundary
     between windows.  On the process backend each is a forked
-    :class:`PersistentWorker`: it inherits
-    its :meth:`WindowedCoordinator._runner_args` (the namespace, the
-    owner map, the workload spec) at fork, copy on write, and all sends
-    go out before any receive so shards run their windows in parallel.
-    On the inline backend each is an :class:`_InProcessWorker` that
-    answers the same frames in this process.  Pickle appears once per
-    shard, for the final :class:`ShardResult`; every window request,
-    every egress batch and the stats log inside the result is flat
-    packed bytes (:mod:`repro.sim.shardcodec`).
+    :class:`PersistentWorker` that inherits its
+    :meth:`WindowedCoordinator._runner_args` at fork, copy on write; on
+    the inline backend an :class:`_InProcessWorker` answers the same
+    frames in this process.  Only the final :class:`ShardResult` is
+    pickled.
+
+    A barrier sends every request, replays the previous barrier's
+    records timed before this window's end into :attr:`stats` while
+    the shards step (:func:`replay_stats`), then receives the replies;
+    :meth:`finish_all` replays the rest.  So records at exactly
+    ``until`` wait for the extra drain pass's records at ``until``.
     """
 
     def __init__(self, coord: WindowedCoordinator) -> None:
         start: Callable[..., Any] = _InProcessWorker
         if coord.backend == "process":
             start = partial(PersistentWorker, _shard_worker_main)
+        n = coord.n_shards
         self.workers: List[Any] = []
+        self.stats = SystemStats(coord.ns.max_depth)
+        self.stats_bytes = 0
+        self._strings: List[List[str]] = [[] for _ in range(n)]
+        self._held: List[List[Tuple[Any, ...]]] = [[] for _ in range(n)]
+        self._logs: List[PackedLog] = []  # the last barrier's, not replayed
         self.barrier_wait_s = 0.0
         self._window = 0
         try:
-            for i in range(coord.n_shards):
+            for i in range(n):
                 self.workers.append(start(*coord._runner_args(i)))
             # the handshake: a failed build is an ST_ERROR naming its shard
-            for i in range(coord.n_shards):
+            for i in range(n):
                 self._recv(i, ST_OK, "while building its shard")
         except BaseException:
             self.close()
@@ -770,24 +762,34 @@ class _Stepper:
         where = f"at window {self._window} (end={end})"
         for i, frames in enumerate(inboxes):
             self._send(i, encode_step_request(end, inclusive, frames), where)
+        replay_stats(self.stats, self._held, self._logs, end)
         outs: List[Dict[int, Any]] = []
+        logs: List[PackedLog] = []
         next_min = math.inf
         t0 = perf_counter()
         for i in range(len(inboxes)):
             payload = self._recv(i, ST_STEP, where)
-            nt, dest_frames = decode_step_reply(memoryview(payload)[1:])
+            nt, dest_frames, log = decode_step_reply(memoryview(payload)[1:])
             # frames stay zero-copy views into the reply payload; the
             # routed inbox holds them alive until the next send
             outs.append(dict(dest_frames))
+            table = self._strings[i]
+            table += log.strings
+            logs.append(PackedLog(log.data, table, log.n))
+            self.stats_bytes += len(log.data)
             if nt < next_min:
                 next_min = nt
         self.barrier_wait_s += perf_counter() - t0
+        self._logs = logs
         return outs, next_min
 
     def finish_all(self) -> List[ShardResult]:
         n = len(self.workers)
         for i in range(n):
             self._send(i, bytes((OP_FINISH,)), "during finish")
+        # process workers exit on their own once finished: replay the
+        # rest while they tear down
+        replay_stats(self.stats, self._held, self._logs)
         return [
             pickle.loads(
                 memoryview(self._recv(i, ST_PAYLOAD, "during finish"))[1:]
@@ -820,10 +822,11 @@ def _answer(runner: Optional[ShardRunner], payload: bytes) -> bytes:
     """A shard's reply to one request frame.
 
     ``OP_STEP`` runs one window and replies ``ST_STEP`` with the egress
-    frames; ``OP_FINISH`` replies ``ST_PAYLOAD`` with the pickled
-    :class:`ShardResult`.  Any exception becomes ``ST_ERROR`` plus its
-    traceback, which the coordinator raises as a :class:`ShardError`
-    naming the shard and the window.
+    frames and the window's stats records; ``OP_FINISH`` replies
+    ``ST_PAYLOAD`` with the pickled :class:`ShardResult`.  Any
+    exception becomes ``ST_ERROR`` plus its traceback, which the
+    coordinator raises as a :class:`ShardError` naming the shard and
+    the window.
     """
     try:
         if runner is None:
@@ -833,8 +836,8 @@ def _answer(runner: Optional[ShardRunner], payload: bytes) -> bytes:
             end, inclusive, frames = decode_step_request(
                 memoryview(payload)[1:]
             )
-            dest_frames, nt = runner.step(end, inclusive, frames)
-            return encode_step_reply(nt, dest_frames)
+            dest_frames, nt, log = runner.step(end, inclusive, frames)
+            return encode_step_reply(nt, dest_frames, log)
         if op == OP_FINISH:
             return bytes((ST_PAYLOAD,)) + pickle.dumps(runner.finish())
         raise ShardError(f"unknown op {op}")
@@ -967,8 +970,8 @@ def _shard_worker_main(conn: "Connection", *runner_args: Any) -> None:
     the coordinator's own objects.  The first reply is the build's
     handshake; every later one is :func:`_answer`'s.  After a finish
     (or a failure) the worker exits without waiting for ``OP_EXIT``,
-    so its exit overlaps the coordinator's replay instead of following
-    it.
+    so its exit overlaps the coordinator's last replay instead of
+    following it.
     """
     runner, reply = _open(runner_args)
     try:
@@ -1027,23 +1030,19 @@ def main(argv: List[str]) -> int:
         "--shards", default="1,4",
         help="comma-separated shard counts to verify (default: 1,4)",
     )
-    parser.add_argument(
-        "--levels", type=int, default=10,
-        help="namespace tree depth (default: 10)",
-    )
+    parser.add_argument("--levels", type=int, default=10,
+                        help="namespace tree depth (default: 10)")
     parser.add_argument(
         "--servers", type=int, default=48,
         help="server count; the stream offers 25 lookups/s per server, "
         "about 45%% utilisation (default: 48)",
     )
-    parser.add_argument(
-        "--duration", type=float, default=4.0,
-        help="workload duration in simulated seconds (default: 4)",
-    )
-    parser.add_argument(
-        "--backend", default="inline", choices=("inline", "process"),
-        help="shard backend to exercise (default: inline)",
-    )
+    parser.add_argument("--duration", type=float, default=4.0,
+                        help="workload duration in simulated seconds "
+                        "(default: 4)")
+    parser.add_argument("--backend", default="inline",
+                        choices=("inline", "process"),
+                        help="shard backend to exercise (default: inline)")
     args = parser.parse_args(argv)
     counts = [int(c) for c in args.shards.split(",") if c.strip()]
 
@@ -1084,6 +1083,7 @@ def main(argv: List[str]) -> int:
         print(
             f"shards={n} ({args.backend}): windows={run.n_windows} "
             f"coalesced={run.data_plane['n_coalesced']} "
+            f"stats_bytes={run.data_plane['stats_bytes']} "
             f"{_cost_text(run)} ({over:+.1%} vs serial) "
             f"{'OK: bit-identical to serial' if ok else 'FAIL: diverged'}"
             f"{'' if cheap else '; FAIL: event count over the limit'}"

@@ -1,11 +1,11 @@
 """Packed wire codec for the sharded data plane.
 
 The process-backed sharded run used to move three kinds of Python
-object graphs over the worker pipes every window: pickled egress
-batches (cross-shard messages), pickled ingest batches, and -- at
-finish -- per-shard stats logs as lists of tuples.  At fig9 scale the
-pickle time dwarfs the barrier itself.  This module replaces all of it
-with flat ``struct``-packed frames:
+object graphs over the worker pipes: pickled egress batches
+(cross-shard messages), pickled ingest batches, and per-shard stats
+logs as lists of tuples.  At fig9 scale the pickle time dwarfs the
+barrier itself.  This module replaces all of it with flat
+``struct``-packed frames:
 
 * **Egress frames** (:func:`encode_batch` / :func:`decode_batch`): one
   frame per destination shard per window.  Every record carries the
@@ -23,11 +23,15 @@ with flat ``struct``-packed frames:
   one ``send_bytes`` each way per barrier, pure bytes, no pickle.  The
   reply header carries the shard's next pending event time, which the
   coordinator uses for window coalescing (see
-  :class:`repro.sim.shard.WindowedCoordinator`).
+  :class:`repro.sim.shard.WindowedCoordinator`); the reply ends with
+  the stats records the shard logged during the window.
 * **Packed stats logs** (:class:`PackedLog` /
-  :func:`decode_stats_log`): the stats hook calls as one flat byte
-  buffer plus an interned string table, decoded once at finish, in the
-  layouts :data:`STATS_RECORDS` derives from the ``StatsSink`` hooks.
+  :func:`decode_stats_log`): one window's stats hook calls as one flat
+  byte buffer plus the strings interned since the shard's last reply,
+  in the layouts :data:`STATS_RECORDS` derives from the ``StatsSink``
+  hooks.  The coordinator decodes and replays each barrier's logs
+  while the shards run the next window; no shard keeps a whole run's
+  log.
 
 Determinism contract: ``decode_batch(encode_batch(entries))`` yields
 entries whose keys and message field values compare equal to the
@@ -169,6 +173,8 @@ ST_ERROR = 0x7F     # utf-8 traceback follows
 _STEP_REQ = struct.Struct("<dBI")    # end, inclusive, n_frames
 _STEP_REPLY = struct.Struct("<dI")   # next_event_time, n_dests
 _DEST_FRAME = struct.Struct("<iI")   # dest_shard, frame_len
+_STATS = struct.Struct("<IHI")       # n_records, n_new_strings, data_len
+_U16 = struct.Struct("<H")
 
 
 def encode_step_request(
@@ -204,18 +210,33 @@ def decode_step_request(payload: Buf) -> Tuple[float, bool, List[memoryview]]:
 
 
 def encode_step_reply(
-    next_time: float, dest_frames: Sequence[Tuple[int, Buf]]
+    next_time: float, dest_frames: Sequence[Tuple[int, Buf]], log: PackedLog
 ) -> bytes:
+    """``ST_STEP``, the header, the egress frames, then the stats
+    section: ``log``'s record count, its new strings (each a ``u16``
+    length and utf-8 bytes) and its record bytes."""
     out = bytearray((ST_STEP,))
     out += _STEP_REPLY.pack(next_time, len(dest_frames))
     for dest, frame in dest_frames:
         out += _DEST_FRAME.pack(dest, len(frame))
         out += frame
+    out += _STATS.pack(log.n, len(log.strings), len(log.data))
+    for text in log.strings:
+        raw = text.encode("utf-8")
+        out += _U16.pack(len(raw))
+        out += raw
+    out += log.data
     return bytes(out)
 
 
-def decode_step_reply(payload: Buf) -> Tuple[float, List[Tuple[int, memoryview]]]:
-    """Parse a step reply (minus its leading status byte)."""
+def decode_step_reply(
+    payload: Buf,
+) -> Tuple[float, List[Tuple[int, memoryview]], PackedLog]:
+    """Parse a step reply (minus its leading status byte).
+
+    The returned log's ``strings`` are only those the shard interned
+    since its previous reply; its ``data`` is a view into ``payload``.
+    """
     view = memoryview(payload)
     try:
         next_time, n_dests = _STEP_REPLY.unpack_from(view, 0)
@@ -228,11 +249,27 @@ def decode_step_reply(payload: Buf) -> Tuple[float, List[Tuple[int, memoryview]]
                 raise CodecError("truncated step-reply frame")
             dest_frames.append((dest, view[off:off + flen]))
             off += flen
+        n, n_strings, data_len = _STATS.unpack_from(view, off)
+        off += _STATS.size
+        strings: List[str] = []
+        for _ in range(n_strings):
+            (slen,) = _U16.unpack_from(view, off)
+            off += 2
+            if off + slen > len(view):
+                raise CodecError("truncated step-reply string")
+            strings.append(str(view[off:off + slen], "utf-8"))
+            off += slen
+        if off + data_len > len(view):
+            raise CodecError("truncated step-reply stats")
+        data = view[off:off + data_len]
+        off += data_len
     except struct.error as exc:
         raise CodecError(f"truncated step reply: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"bad stats string in step reply: {exc}") from None
     if off != len(view):
         raise CodecError("trailing garbage in step reply")
-    return next_time, dest_frames
+    return next_time, dest_frames, PackedLog(data, tuple(strings), n)
 
 
 # ----------------------------------------------------------------------
@@ -278,11 +315,18 @@ STATS_RECORDS = stats_records(StatsSink)
 
 
 class PackedLog:
-    """One shard's stats event log as flat bytes + a string table."""
+    """Stats records as flat bytes, the string table their ``str``
+    arguments index, and the record count.
+
+    A shard ships one per step reply: the records it logged during the
+    window.  In a reply, ``strings`` holds only the strings interned
+    since the previous reply; the coordinator decodes against the
+    shard's whole table so far.
+    """
 
     __slots__ = ("data", "strings", "n")
 
-    def __init__(self, data: bytes, strings: Tuple[str, ...], n: int) -> None:
+    def __init__(self, data: Buf, strings: Sequence[str], n: int) -> None:
         self.data = data
         self.strings = strings
         self.n = n
@@ -297,8 +341,8 @@ class PackedLog:
 def decode_stats_log(log: PackedLog) -> List[Tuple[Any, ...]]:
     """Expand a packed log back into ``(t, opcode, *args)`` tuples.
 
-    Done exactly once per shard at finish, for the canonical-order
-    replay (:func:`repro.sim.shard.replay_stats`); the opcode indexes
+    Done once per shard per barrier, for the canonical-order replay
+    (:func:`repro.sim.shard.replay_stats`); the opcode indexes
     :data:`STATS_RECORDS`, and string arguments come back as strings.
     """
     data = log.data

@@ -225,6 +225,21 @@ class TestResilience:
         r = get_experiment("resilience").run(MICRO, seed=1, recover=False)
         assert r["recovered"] == 0.0
 
+    @pytest.mark.parametrize("recover", [True, False])
+    def test_failure_drops_split_by_cause_add_up(self, recover):
+        r = get_experiment("resilience").run(MICRO, seed=2, recover=recover)
+        causes = [k for k in r if k.startswith("drops_")]
+        assert sorted(causes) == [
+            "drops_forward_dead_via", "drops_forward_live_via",
+            "drops_injected_at_failed", "drops_queued_at_failure",
+            "drops_response_lost",
+        ]
+        assert r["failure_drops"] > 0
+        assert sum(r[k] for k in causes) == r["failure_drops"]
+        for epoch in ("before", "during"):
+            assert 0.0 < r[f"survivor_load_mean_{epoch}"] <= \
+                r[f"survivor_load_max_{epoch}"]
+
 
 class TestStaticVsAdaptive:
     def test_runs(self):

@@ -485,6 +485,22 @@ class TestPackedDataPlane:
             assert dp["n_barriers"] + dp["n_coalesced"] == planned
             assert run.n_windows == dp["n_barriers"]
 
+    @pytest.mark.parametrize("backend", ["inline", "process"])
+    def test_horizon_mid_stream_equals_serial(self, backend):
+        """The horizon ends mid-stream with cross-shard mail in flight,
+        so the coordinator drains one more pass at ``until``: stats
+        records at exactly ``until`` from both passes merge as the
+        serial run accumulated them."""
+        ns, cfg, _, _ = fig3_style()
+        spec = cuzipf_stream(rate=400.0, alpha=1.0, warmup=2.0, phase=2.0,
+                             n_phases=1, seed=3)
+        system = serial_run(ns, cfg, spec, 1.0)
+        run = WindowedCoordinator(ns, cfg, spec, 2, backend=backend).run(1.0)
+        assert json.dumps(run_fingerprint(run), sort_keys=True) == \
+            json.dumps(run_fingerprint(system), sort_keys=True)
+        assert json.dumps(run_summary(run), sort_keys=True) == \
+            json.dumps(run_summary(system), sort_keys=True)
+
     def test_process_data_plane_counters(self):
         ns, cfg, spec, until = fig3_style()
         coord = WindowedCoordinator(ns, cfg, spec, 2, backend="process")
@@ -666,16 +682,68 @@ class TestPackedDataPlane:
         ns, cfg, spec, _ = fig3_style()
         coord = WindowedCoordinator(ns, cfg, spec, 2, backend="inline")
         runner = ShardRunner(*coord._runner_args(0))
-        runner.step(1.5, False, [])
+        _, _, log = runner.step(1.5, False, [])
+        assert len(log) > 0
         result = runner.finish()
         assert "__getstate__" not in vars(ShardResult)
-        assert len(result.log) > 0
         clone = pickle.loads(pickle.dumps(result))
         for name in ShardResult.__slots__:
-            if name != "log":
-                assert getattr(clone, name) == getattr(result, name), name
-        assert (clone.log.data, clone.log.strings, clone.log.n) == \
-            (result.log.data, result.log.strings, result.log.n)
+            assert getattr(clone, name) == getattr(result, name), name
+
+
+class TestStatsStream:
+    """Stats records move one barrier at a time: no shard keeps, and no
+    result carries, a whole run's log, and the coordinator holds about
+    one barrier of records however long the run."""
+
+    def _run(self, scale):
+        from repro.sim import shard
+
+        ns = balanced_tree(levels=7)
+        cfg = SystemConfig.replicated(n_servers=16, seed=7, cache_slots=8)
+        spec = cuzipf_stream(rate=400.0, alpha=1.0, warmup=scale,
+                             phase=scale, n_phases=2, seed=7)
+        barriers, pending, results = [], [], []
+        step, finish, replay = ShardRunner.step, ShardRunner.finish, \
+            shard.replay_stats
+
+        def emptying_step(self, *args):
+            out = step(self, *args)
+            assert (self.recorder.n, len(self.recorder._data)) == (0, 0)
+            return out
+
+        def pickled_finish(self):
+            result = finish(self)
+            results.append(pickle.dumps(result))
+            return result
+
+        def counted_replay(stats, held, logs, before=float("inf")):
+            barriers.append(sum(len(log) for log in logs))
+            pending.append(barriers[-1] + sum(len(h) for h in held))
+            replay(stats, held, logs, before)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ShardRunner, "step", emptying_step)
+            patch.setattr(ShardRunner, "finish", pickled_finish)
+            patch.setattr(shard, "replay_stats", counted_replay)
+            run = WindowedCoordinator(ns, cfg, spec, 2,
+                                      backend="inline").run(spec.duration + 1.0)
+        assert json.dumps(run_fingerprint(run), sort_keys=True) == \
+            json.dumps(run_fingerprint(serial_run(ns, cfg, spec,
+                                                  spec.duration + 1.0)),
+                       sort_keys=True)
+        return barriers, max(pending), results
+
+    def test_memory_does_not_grow_with_run_length(self):
+        assert "log" not in ShardResult.__slots__
+        short, short_peak, short_results = self._run(1.0)
+        long, long_peak, long_results = self._run(4.0)
+        assert sum(long) > 3 * sum(short)  # the run did grow
+        for barriers, peak in ((short, short_peak), (long, long_peak)):
+            assert peak <= max(barriers)
+        # a finished shard ships counters and end state, no log
+        for a, b in zip(short_results, long_results):
+            assert len(b) < 1.5 * len(a) < 2048
 
 
 class TestShardSystemConstruction:

@@ -2,18 +2,16 @@
 
 Property-based round-trips over every message class a ``Peer`` handles
 (the exact set the sharded data plane may ever put on a worker pipe),
-strict rejection of malformed frames, and the
-step-frame / packed-log / packed-arrival layers the process backend is
-built on.
+strict rejection of malformed frames, and the step-frame and
+per-barrier stats-log layers the process backend is built on.
 """
 
 import json
 import math
-import pickle
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.codec import ENCODERS, CodecError
@@ -233,12 +231,18 @@ class TestStepFrames:
         dest_frames=st.lists(
             st.tuples(i32, st.binary(max_size=32)), max_size=4
         ),
+        data=st.binary(max_size=64),
+        strings=st.lists(st.text(max_size=8), max_size=3),
+        n=st.integers(0, 2**32 - 1),
     )
-    def test_reply_round_trip(self, nt, dest_frames):
-        payload = encode_step_reply(nt, dest_frames)
-        got_nt, got = decode_step_reply(memoryview(payload)[1:])
+    def test_reply_round_trip(self, nt, dest_frames, data, strings, n):
+        log = PackedLog(data, tuple(strings), n)
+        payload = encode_step_reply(nt, dest_frames, log)
+        got_nt, got, got_log = decode_step_reply(memoryview(payload)[1:])
         assert got_nt == nt
         assert [(d, bytes(f)) for d, f in got] == dest_frames
+        assert (bytes(got_log.data), got_log.strings, got_log.n) == \
+            (data, tuple(strings), n)
 
     def test_truncated_request(self):
         payload = encode_step_request(1.0, False, [b"abcd"])
@@ -246,13 +250,20 @@ class TestStepFrames:
             decode_step_request(memoryview(payload)[1:-1])
 
     def test_truncated_reply(self):
-        payload = encode_step_reply(1.0, [(1, b"abcd")])
-        with pytest.raises(CodecError):
-            decode_step_reply(memoryview(payload)[1:-1])
+        log = PackedLog(b"\x00" * 9, ("queue",), 1)
+        payload = encode_step_reply(1.0, [(1, b"abcd")], log)
+        for cut in (1, 10, 12 + len(log.data)):
+            with pytest.raises(CodecError, match="truncated"):
+                decode_step_reply(memoryview(payload)[1:-cut])
+        with pytest.raises(CodecError, match="trailing"):
+            decode_step_reply(memoryview(payload + b"\x00")[1:])
+        bad = payload.replace(b"queue", b"qu\xffue")
+        with pytest.raises(CodecError, match="stats string"):
+            decode_step_reply(memoryview(bad)[1:])
 
 
 # ---------------------------------------------------------------------------
-# packed stats logs
+# per-barrier stats logs
 # ---------------------------------------------------------------------------
 
 class TestPackedLog:
@@ -293,12 +304,12 @@ class TestPackedLog:
         return rec
 
     def test_golden_log_is_byte_identical(self):
-        log = self._recorded().packed()
+        log = self._recorded().take()
         assert log.data == self.GOLDEN
         assert log.strings == self.GOLDEN_STRINGS
 
     def test_decode_matches_recorded_stream(self):
-        log = self._recorded().packed()
+        log = self._recorded().take()
         assert len(log) == 12
         assert [
             (t, STATS_RECORDS[code][0], *args)
@@ -319,13 +330,29 @@ class TestPackedLog:
         ]
         assert log.strings == ("queue", "cache")
 
-    def test_pickle_round_trip(self):
-        log = self._recorded().packed()
-        clone = pickle.loads(pickle.dumps(log))
+    def test_step_reply_round_trip(self):
+        log = self._recorded().take()
+        payload = encode_step_reply(0.5, [], log)
+        _, _, clone = decode_step_reply(memoryview(payload)[1:])
         assert decode_stats_log(clone) == decode_stats_log(log)
 
+    def test_take_empties_and_ships_only_new_strings(self):
+        rec = self._recorded()
+        first = rec.take()
+        assert (rec.n, len(rec._data)) == (0, 0)
+        assert rec.take().n == 0 and rec.take().strings == ()
+        rec.record_drop(2.0, "queue")
+        rec.record_forward(2.1, "digest")
+        second = rec.take()
+        # "queue" travelled with the first log; only "digest" is new
+        assert second.strings == ("digest",)
+        table = first.strings + second.strings
+        assert decode_stats_log(PackedLog(second.data, table, second.n)) == [
+            (2.0, 1, "queue"), (2.1, 3, "digest"),
+        ]
+
     def test_corrupt_log_rejected(self):
-        log = self._recorded().packed()
+        log = self._recorded().take()
         with pytest.raises(CodecError):
             decode_stats_log(PackedLog(log.data[:-1], log.strings, log.n))
         with pytest.raises(CodecError):
@@ -395,11 +422,17 @@ spread_calls = st.lists(
 )
 
 
+def _fingerprint(stats):
+    from repro.sim.shard import stats_fingerprint
+
+    return json.dumps(stats_fingerprint(stats), sort_keys=True)
+
+
 class TestReplay:
     @given(spread_calls)
     @settings(max_examples=200, deadline=None)
     def test_replay_equals_direct_calls_in_merge_order(self, spread):
-        from repro.sim.shard import ShardRecorder, replay_stats, stats_fingerprint
+        from repro.sim.shard import ShardRecorder, replay_stats
         from repro.sim.stats import SystemStats
 
         n_shards = 1 + max(shard for shard, _, _ in spread)
@@ -413,6 +446,81 @@ class TestReplay:
         direct = SystemStats(MAX_DEPTH)
         for t, _, _, name, args in sorted(calls):
             getattr(direct, name)(t, *args)
-        replayed = replay_stats([r.packed() for r in recorders], MAX_DEPTH)
-        assert json.dumps(stats_fingerprint(replayed), sort_keys=True) == \
-            json.dumps(stats_fingerprint(direct), sort_keys=True)
+        replayed = SystemStats(MAX_DEPTH)
+        replay_stats(replayed, [[] for _ in recorders],
+                     [r.take() for r in recorders])
+        assert _fingerprint(replayed) == _fingerprint(direct)
+
+    #: the coordinator's barriers for these times: two end-exclusive
+    #: windows, the inclusive one at the horizon, then the extra drain
+    #: pass at the horizon for mail that lands exactly on it
+    PLAN = ((0.5, False), (1.0, False), (2.5, True), (2.5, True))
+
+    @given(spread_calls, st.lists(st.booleans(), min_size=80, max_size=80))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    # shard 1 logs 1e16 in the inclusive window, shard 0 logs 1.0 twice
+    # in the extra pass, all at the horizon: the merge wants
+    # 1.0 + 1.0 + 1e16, and replaying shard 1's record early gives 1e16
+    @example(
+        [(0, 2.5, ("record_completion", (1.0, 1, 1)))] * 2
+        + [(1, 2.5, ("record_completion", (1e16, 1, 1)))],
+        [True, True, False],
+    )
+    def test_barrier_by_barrier_equals_whole_stream(self, spread, late):
+        """Replayed per barrier the way the coordinator does it -- each
+        barrier's logs shipped through a step reply, replayed up to the
+        next window's end while that window runs, the rest after the
+        last pass -- the records give the whole-stream merge's
+        fingerprint.  ``late`` moves a record at the horizon into the
+        extra drain pass, after that shard's inclusive-window records."""
+        from repro.sim.shard import ShardRecorder, replay_stats
+        from repro.sim.stats import SystemStats
+
+        n_shards = 1 + max(shard for shard, _, _ in spread)
+        horizon = self.PLAN[-1][0]
+        streams = [[] for _ in range(n_shards)]
+        # a stable sort: a shard logs in time order, a horizon record of
+        # the extra pass after that shard's inclusive-window ones
+        for shard, t, extra, call in sorted(
+            ((shard, t, extra and t == horizon, call)
+             for (shard, t, call), extra in zip(spread, late)),
+            key=lambda e: e[:3],
+        ):
+            streams[shard].append((t, extra, call))
+
+        whole = [ShardRecorder() for _ in range(n_shards)]
+        for rec, stream in zip(whole, streams):
+            for t, _, (name, args) in stream:
+                getattr(rec, name)(t, *args)
+        merged = SystemStats(MAX_DEPTH)
+        replay_stats(merged, [[] for _ in whole], [r.take() for r in whole])
+
+        recorders = [ShardRecorder() for _ in range(n_shards)]
+        tables = [[] for _ in range(n_shards)]
+        held = [[] for _ in range(n_shards)]
+        logs = []
+        stats = SystemStats(MAX_DEPTH)
+        start = 0.0
+        for k, (end, inclusive) in enumerate(self.PLAN):
+            extra_pass = k == len(self.PLAN) - 1
+            for rec, stream in zip(recorders, streams):
+                for t, extra, (name, args) in stream:
+                    if extra_pass:
+                        ran = extra
+                    else:
+                        ran = not extra and start <= t and (
+                            t < end or (inclusive and t == end))
+                    if ran:
+                        getattr(rec, name)(t, *args)
+            # the shards run this window while the last barrier replays
+            replay_stats(stats, held, logs, end)
+            logs = []
+            for i, rec in enumerate(recorders):
+                _, _, log = decode_step_reply(
+                    memoryview(encode_step_reply(0.0, [], rec.take()))[1:])
+                tables[i] += log.strings
+                logs.append(PackedLog(log.data, tables[i], log.n))
+            start = end
+        replay_stats(stats, held, logs)
+        assert held == [[] for _ in range(n_shards)]
+        assert _fingerprint(stats) == _fingerprint(merged)

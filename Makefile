@@ -13,8 +13,10 @@
 #   make pairs PARENT=<commit> W=<workload> [N=10] [SEEDS=1,2]
 #                     alternating parent/change benchmark pairs from clean
 #                     copies: medians, quartiles, wins (scripts/pairs.py)
+#   make loc PARENT=<commit>  src/ lines added, deleted and moved against
+#                     a parent, per file and in total (scripts/loc.py)
 #   make mem          build both 10^6-node namespaces under the 2 GB RSS budget,
-#                     and a 131 071-node / 256-server fleet under 100 MB
+#                     and a 131 071-node / 256-server fleet under 89 MiB
 #   make shard-check  sharded runs bit-identical to serial, events within 5 %
 #                     (the CI sharded-determinism job's two invocations)
 #   make serve-smoke  live 5-peer UDS cluster + AIMD client (capacity.json)
@@ -54,6 +56,9 @@ pairs:
 	$(PYTHON) scripts/pairs.py --parent $(PARENT) --workload $(W) \
 		--n $(N) --seeds $(SEEDS)
 
+loc:
+	$(PYTHON) scripts/loc.py --parent $(PARENT)
+
 mem:
 	$(PYTHON) -m repro mem-smoke
 	$(PYTHON) -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 89
@@ -78,4 +83,4 @@ outputs:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-.PHONY: install lint test bench experiments campaign figures outputs bench-selfcheck pairs mem shard-check serve-smoke det-lint typecheck
+.PHONY: install lint test bench experiments campaign figures outputs bench-selfcheck pairs loc mem shard-check serve-smoke det-lint typecheck

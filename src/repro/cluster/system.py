@@ -20,7 +20,7 @@ runs the same schedule on an event loop.  On the simulator,
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster.config import SystemConfig
 from repro.namespace.tree import Namespace
@@ -185,6 +185,19 @@ class System:
     def total_replicas(self) -> int:
         """Replicas currently hosted across this engine's servers."""
         return sum(len(p.store.replicas) for p in self.local_peers)
+
+    @property
+    def per_sid(self) -> Dict[str, List[Any]]:
+        """The simulation-owned state of this engine's servers, one list
+        per quantity in ascending sid order: what a fingerprint compares
+        and a finished shard ships back."""
+        peers = self.local_peers
+        return {
+            "processed": [p.n_processed for p in peers],
+            "queue_drops": [p.ingress.n_drops for p in peers],
+            "replicas": [sorted(p.store.replicas) for p in peers],
+            "hosted": [sorted(p.store.hosted_list) for p in peers],
+        }
 
     def loads(self, now: Optional[float] = None) -> List[float]:
         t = self.runtime.now if now is None else now

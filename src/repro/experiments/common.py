@@ -33,6 +33,7 @@ from repro.namespace.generators import balanced_tree, coda_like_tree
 from repro.namespace.tree import Namespace
 from repro.sim.engine import ShardError
 from repro.sim.shard import WindowedCoordinator
+from repro.sim.stats import StatsSink
 from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import WorkloadSpec, cuzipf_stream, unif_stream
 
@@ -204,9 +205,12 @@ def build(
     scale: Scale,
     preset: str = "BCR",
     seed: int = 0,
+    stats: Optional[StatsSink] = None,
     **overrides,
 ) -> System:
-    """Build a system under one of the Fig. 5 presets (B, BC, BCR)."""
+    """Build a system under one of the Fig. 5 presets (B, BC, BCR),
+    reporting into ``stats`` (default: a fresh
+    :class:`~repro.sim.stats.SystemStats`)."""
     factory = PRESET_CONFIGS[preset]
     merged = dict(
         n_servers=scale.n_servers,
@@ -216,7 +220,7 @@ def build(
     )
     merged.update(overrides)
     cfg = factory(**merged)
-    return build_system(ns, cfg)
+    return build_system(ns, cfg, stats=stats)
 
 
 def run_point(
@@ -255,8 +259,9 @@ def run_sharded_workload(
     serial engine, which handles everything.
 
     Returns the finished :class:`~repro.cluster.system.System` (serial)
-    or :class:`~repro.sim.shard.MergedRun` (sharded); both carry the
-    full analysis read surface, and fixed-seed fingerprints are
+    or :class:`~repro.sim.shard.MergedRun` (sharded); callers read
+    both the same way (``per_sid``, ``stats``, engine and transport
+    counters, ``total_replicas()``), and fixed-seed fingerprints are
     bit-identical either way.
     """
     if shards is None:

@@ -8,7 +8,8 @@ again*; caches let routing jump over partitions.
 The experiment: run a steady workload, fail a fraction of the servers
 at a known instant, optionally recover them later, and measure
 
-* the completion rate before / during / after the failure epoch,
+* the completion rate before / during / after the failure epoch (the
+  share of the lookups each epoch injected that completed),
 * replica creations triggered by the failure (the re-replication
   reaction),
 * how much of the namespace became unreachable (black holes: every
@@ -33,8 +34,27 @@ from repro.analysis.series import rate_series
 from repro.cluster.failures import FailureInjector, unreachable_nodes
 from repro.experiments.campaign import Experiment, only
 from repro.experiments.common import Scale, build, make_ns
+from repro.sim.stats import SystemStats, TimeSeries
 from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import uzipf_stream
+
+
+class _EpochStats(SystemStats):
+    """Also bins each completion at its lookup's injection time, ``now
+    - latency``, so an epoch's completion rate counts the lookups that
+    epoch injected, not those it finished."""
+
+    __slots__ = ("completed_by_injection",)
+
+    def __init__(self, max_depth: int) -> None:
+        super().__init__(max_depth)
+        self.completed_by_injection = TimeSeries()
+
+    def record_completion(
+        self, now: float, latency: float, hops: int, stale_hops: int
+    ) -> None:
+        super().record_completion(now, latency, hops, stale_hops)
+        self.completed_by_injection.add(now - latency)
 
 
 def resilience_run(
@@ -47,7 +67,8 @@ def resilience_run(
 ) -> Dict[str, float]:
     """The full failure/recovery timeline -- picklable task unit."""
     ns = make_ns(scale)
-    system = build(ns, scale, preset="BCR", seed=seed)
+    stats = _EpochStats(ns.max_depth)
+    system = build(ns, scale, preset="BCR", seed=seed, stats=stats)
     injector = FailureInjector(system)
     rate = scale.rate(utilization)
     phase = scale.phase
@@ -77,7 +98,7 @@ def resilience_run(
     system.run_until(total + scale.drain)
 
     injected = rate_series(system, "injected", int(total) + 1)
-    completed = rate_series(system, "completions", int(total) + 1)
+    completed = stats.completed_by_injection.totals(int(total) + 1)
     created = rate_series(system, "replicas_created", int(total) + 1)
 
     def epoch(series, lo, hi):

@@ -43,6 +43,9 @@ serial against 1/2/4/8 shards).  Three mechanisms carry the proof:
   same-time per-server records, e.g. maintenance load samples, come
   out in serial's ascending-sid order).
 
+A finished sharded run is a :class:`MergedRun`, read like a finished
+serial ``System`` by every reader, :func:`run_fingerprint` included.
+
 Every barrier is one request frame to each shard and one reply frame
 back (:mod:`repro.sim.shardcodec`); the backend decides only where a
 shard answers them.  ``process`` forks one :class:`PersistentWorker`
@@ -112,11 +115,9 @@ __all__ = [
     "MergedRun",
     "PersistentWorker",
     "ShardRecorder",
-    "ShardResult",
     "ShardRunner",
     "WindowedCoordinator",
     "fork_available",
-    "per_sid_state",
     "replay_stats",
     "run_fingerprint",
     "stats_fingerprint",
@@ -236,41 +237,6 @@ def replay_stats(
 # ----------------------------------------------------------------------
 
 
-def per_sid_state(peers: Sequence[Any]) -> Dict[str, List[Any]]:
-    """The simulation-owned per-server state of ``peers`` (ascending
-    sid), one list per quantity -- what a fingerprint compares and a
-    finished shard ships back."""
-    return {
-        "processed": [p.n_processed for p in peers],
-        "queue_drops": [p.ingress.n_drops for p in peers],
-        "replicas": [sorted(p.store.replicas) for p in peers],
-        "hosted": [sorted(p.store.hosted_list) for p in peers],
-    }
-
-
-class ShardResult:
-    """Everything a finished shard ships back to the coordinator.
-
-    Plain picklable payload (one per shard, pickled once at finish):
-    the engine and transport counters and :func:`per_sid_state` of the
-    shard's servers.  Stats records travel with the step replies.
-    """
-
-    __slots__ = (
-        "shard_id", "n_sent", "n_control_sent", "n_lost", "n_dispatched",
-        "per_sid", "data_plane",
-    )
-
-    def __init__(self, **kw: Any) -> None:
-        for name in self.__slots__:
-            setattr(self, name, kw.pop(name))
-        if kw:
-            raise TypeError(f"unexpected fields {sorted(kw)}")
-
-    def __repr__(self) -> str:
-        return f"ShardResult(shard={self.shard_id}, events={self.n_dispatched})"
-
-
 class ShardRunner:
     """Owns one shard's system and steps it window by window.
 
@@ -347,17 +313,16 @@ class ShardRunner:
     # the benchmark's tracer looks both names up in this class's dict
     step_packed = step
 
-    def finish(self) -> ShardResult:
+    def finish(self) -> Tuple[Any, ...]:
+        """Plain data, pickled once: messages sent, control sent and
+        lost, engine events, encode and decode seconds, and ``per_sid``;
+        no stats records (they travel with the step replies)."""
         system = self.system
         transport = system.transport
-        return ShardResult(
-            shard_id=system.shard_id,
-            n_sent=transport.n_sent,
-            n_control_sent=transport.n_control_sent,
-            n_lost=transport.n_lost,
-            n_dispatched=system.engine.n_dispatched,
-            per_sid=per_sid_state(system.local_peers),
-            data_plane={"encode_s": self.encode_s, "decode_s": self.decode_s},
+        return (
+            transport.n_sent, transport.n_control_sent, transport.n_lost,
+            system.engine.n_dispatched, self.encode_s, self.decode_s,
+            system.per_sid,
         )
 
 
@@ -367,16 +332,13 @@ class ShardRunner:
 
 
 class MergedRun:
-    """The merged outcome of a sharded run, shaped like a finished
-    :class:`~repro.cluster.system.System`.
+    """The merged outcome of a sharded run, built from every shard's
+    :meth:`ShardRunner.finish` payload in shard order.
 
-    Carries exactly the read surface the analysis layer touches
-    (``stats``, ``engine.now``, transport counters and
-    :meth:`total_replicas`), so
-    :func:`repro.analysis.summary.run_summary` and
-    :func:`repro.analysis.series.rate_series` work on it unchanged.
-    ``per_sid`` is :func:`per_sid_state` of every server (all shards
-    concatenated in shard order, which is ascending sid).
+    It reads like a finished :class:`~repro.cluster.system.System`:
+    ``ns``, ``stats``, ``engine``, transport counters, ``per_sid`` (the
+    shards' concatenated, so in ascending sid) and
+    :meth:`total_replicas`, whatever the analysis layer reads.
     """
 
     __slots__ = (
@@ -388,30 +350,28 @@ class MergedRun:
         self,
         ns: Namespace,
         cfg: SystemConfig,
-        results: Sequence[ShardResult],
+        finished: Sequence[Tuple[Any, ...]],
         stats: SystemStats,
         until: float,
         data_plane: Dict[str, Any],
     ) -> None:
+        *counters, per_sids = zip(*finished)
+        sent, control, lost, dispatched, encode_s, decode_s = map(sum, counters)
         self.ns = ns
         self.cfg = cfg
         self.stats = stats
-        self.data_plane = data_plane
-        self.n_shards = len(results)
+        self.data_plane = dict(data_plane, encode_s=encode_s, decode_s=decode_s)
+        self.n_shards = len(finished)
         # barriers the coordinator stepped; its extra pass for mail
         # landing exactly on the horizon is not a window of the plan
         self.n_windows: int = data_plane["n_barriers"]
-        self.engine = SimpleNamespace(
-            now=until, n_dispatched=sum(r.n_dispatched for r in results)
-        )
+        self.engine = SimpleNamespace(now=until, n_dispatched=dispatched)
         self.transport = SimpleNamespace(
-            n_sent=sum(r.n_sent for r in results),
-            n_control_sent=sum(r.n_control_sent for r in results),
-            n_lost=sum(r.n_lost for r in results),
+            n_sent=sent, n_control_sent=control, n_lost=lost
         )
         self.per_sid = {
-            key: [v for r in results for v in r.per_sid[key]]
-            for key in results[0].per_sid
+            key: [v for per_sid in per_sids for v in per_sid[key]]
+            for key in per_sids[0]
         }
 
     def total_replicas(self) -> int:
@@ -483,10 +443,7 @@ def run_fingerprint(run: Any) -> Dict[str, Any]:
     state.  Equal fingerprints therefore say nothing about cost: the
     event count is bounded separately (:data:`MAX_EVENT_OVERHEAD`).
     """
-    fp = dict(
-        run.per_sid if isinstance(run, MergedRun)
-        else per_sid_state(run.peers)
-    )
+    fp = dict(run.per_sid)
     fp["now"] = run.engine.now
     fp["transport"] = [
         run.transport.n_sent, run.transport.n_control_sent,
@@ -636,22 +593,19 @@ class WindowedCoordinator:
                 # inclusive pass at the same instant.  Anything later
                 # stays undelivered, exactly like serial in-flight mail.
                 stepper.step_all(until, True, inboxes)
-            results = stepper.finish_all()
+            finished = stepper.finish_all()
         finally:
             stepper.close()
-        self.data_plane = {
+        run = MergedRun(self.ns, self.cfg, finished, stepper.stats, until, {
             "backend": self.backend,
             "n_barriers": n_barriers,
             "n_coalesced": n_coalesced,
             "barrier_wait_s": stepper.barrier_wait_s,
             "bytes_exchanged": bytes_exchanged,
             "stats_bytes": stepper.stats_bytes,
-            "encode_s": sum(r.data_plane["encode_s"] for r in results),
-            "decode_s": sum(r.data_plane["decode_s"] for r in results),
-        }
-        return MergedRun(
-            self.ns, self.cfg, results, stepper.stats, until, self.data_plane
-        )
+        })
+        self.data_plane = run.data_plane
+        return run
 
     def _route(
         self, outs: Sequence[Dict[int, Any]], window: int
@@ -692,8 +646,8 @@ class _Stepper:
     :class:`PersistentWorker` that inherits its
     :meth:`WindowedCoordinator._runner_args` at fork, copy on write; on
     the inline backend an :class:`_InProcessWorker` answers the same
-    frames in this process.  Only the final :class:`ShardResult` is
-    pickled.
+    frames in this process.  Only the final
+    :meth:`ShardRunner.finish` payloads are pickled.
 
     A barrier sends every request, replays the previous barrier's
     records timed before this window's end into :attr:`stats` while
@@ -783,7 +737,7 @@ class _Stepper:
         self._logs = logs
         return outs, next_min
 
-    def finish_all(self) -> List[ShardResult]:
+    def finish_all(self) -> List[Tuple[Any, ...]]:
         n = len(self.workers)
         for i in range(n):
             self._send(i, bytes((OP_FINISH,)), "during finish")
@@ -823,8 +777,8 @@ def _answer(runner: Optional[ShardRunner], payload: bytes) -> bytes:
 
     ``OP_STEP`` runs one window and replies ``ST_STEP`` with the egress
     frames and the window's stats records; ``OP_FINISH`` replies
-    ``ST_PAYLOAD`` with the pickled :class:`ShardResult`.  Any
-    exception becomes ``ST_ERROR`` plus its traceback, which the
+    ``ST_PAYLOAD`` with the pickled :meth:`ShardRunner.finish` payload.
+    Any exception becomes ``ST_ERROR`` plus its traceback, which the
     coordinator raises as a :class:`ShardError` naming the shard and
     the window.
     """
@@ -1024,7 +978,8 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro shard-check",
         description="verify sharded runs are bit-identical to serial "
-        "and dispatch no more than 5%% more engine events",
+        f"and dispatch no more than {MAX_EVENT_OVERHEAD:.0%} more engine "
+        "events",
     )
     parser.add_argument(
         "--shards", default="1,4",

@@ -240,6 +240,17 @@ class TestResilience:
             assert 0.0 < r[f"survivor_load_mean_{epoch}"] <= \
                 r[f"survivor_load_max_{epoch}"]
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("recover", [True, False])
+    def test_completion_rates_are_shares(self, seed, recover):
+        """An epoch's completion rate counts the lookups it injected
+        that completed, so it is a share; counting completions by their
+        own time read 1.0092 ``completion_after`` on tiny seed 1."""
+        r = get_experiment("resilience").run(SCALES["tiny"], seed=seed,
+                                             recover=recover)
+        for epoch in ("before", "during", "after"):
+            assert 0.0 <= r[f"completion_{epoch}"] <= 1.0, epoch
+
 
 class TestStaticVsAdaptive:
     def test_runs(self):

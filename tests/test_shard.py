@@ -35,7 +35,6 @@ from repro.sim.engine import Engine, ShardError
 from repro.sim.shard import (
     MAX_EVENT_OVERHEAD,
     MergedRun,
-    ShardResult,
     ShardRunner,
     WindowedCoordinator,
     run_fingerprint,
@@ -289,6 +288,36 @@ class TestShardedDeterminism:
                                   backend="process").run(until)
         assert json.dumps(run_fingerprint(run), sort_keys=True) == \
             json.dumps(ref, sort_keys=True)
+
+    def test_serial_and_merged_runs_read_alike(self):
+        """The analysis layer's read surface, attribute by attribute:
+        a finished serial ``System`` and a sharded ``MergedRun`` must
+        not drift apart."""
+        from repro.analysis.series import rate_series
+
+        ns, cfg, spec, until = fig3_style()
+        system = serial_run(ns, cfg, spec, until)
+        run = WindowedCoordinator(ns, cfg, spec, 2,
+                                  backend="inline").run(until)
+
+        def same(read):
+            assert json.dumps(read(run), sort_keys=True) == \
+                json.dumps(read(system), sort_keys=True)
+
+        same(run_summary)
+        for which in ("injected", "drops", "completions",
+                      "replicas_created"):
+            same(lambda r: rate_series(r, which))
+        same(lambda r: r.total_replicas())
+        same(lambda r: r.per_sid)
+        # what bench/diagnose.py reads off either
+        for r in (system, run):
+            assert r.ns is ns
+            assert r.stats.n_injected == system.stats.n_injected
+            assert r.engine.n_dispatched > 0
+            assert r.transport.n_sent == system.transport.n_sent
+            assert r.transport.n_control_sent == \
+                system.transport.n_control_sent
 
     def test_merged_run_shape(self):
         ns, cfg, spec, until = fig3_style()
@@ -678,17 +707,15 @@ class TestPackedDataPlane:
                            r"at window [1-9]\d*:.*no step for shard 1"):
             coord.run(until)
 
-    def test_shard_result_pickles_natively(self):
+    def test_finish_payload_pickles_natively(self):
         ns, cfg, spec, _ = fig3_style()
         coord = WindowedCoordinator(ns, cfg, spec, 2, backend="inline")
         runner = ShardRunner(*coord._runner_args(0))
         _, _, log = runner.step(1.5, False, [])
         assert len(log) > 0
-        result = runner.finish()
-        assert "__getstate__" not in vars(ShardResult)
-        clone = pickle.loads(pickle.dumps(result))
-        for name in ShardResult.__slots__:
-            assert getattr(clone, name) == getattr(result, name), name
+        payload = runner.finish()
+        assert pickle.loads(pickle.dumps(payload)) == payload
+        assert payload[-1] == runner.system.per_sid
 
 
 class TestStatsStream:
@@ -735,14 +762,18 @@ class TestStatsStream:
         return barriers, max(pending), results
 
     def test_memory_does_not_grow_with_run_length(self):
-        assert "log" not in ShardResult.__slots__
         short, short_peak, short_results = self._run(1.0)
         long, long_peak, long_results = self._run(4.0)
         assert sum(long) > 3 * sum(short)  # the run did grow
         for barriers, peak in ((short, short_peak), (long, long_peak)):
             assert peak <= max(barriers)
-        # a finished shard ships counters and end state, no log
+        # a finished shard ships counters and end state, no stats records
         for a, b in zip(short_results, long_results):
+            *counters, per_sid = pickle.loads(b)
+            assert [type(c) for c in counters] == [int] * 4 + [float] * 2
+            assert sorted(per_sid) == [
+                "hosted", "processed", "queue_drops", "replicas"
+            ]
             assert len(b) < 1.5 * len(a) < 2048
 
 
@@ -863,6 +894,16 @@ class TestShardCheckCli:
         assert "FAIL" not in out
         # serial and every shard count report their engine cost
         assert out.count("events=") == 3 and "/msg)" in out
+
+    def test_help_states_the_event_limit(self, capsys):
+        from repro.sim.shard import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert exit_.value.code == 0
+        assert "no more than 5% more" in " ".join(out.split())
+        assert "%%" not in out
 
     def test_shard_check_fails_a_run_that_costs_too_many_events(
         self, capsys, monkeypatch

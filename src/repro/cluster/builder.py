@@ -133,7 +133,7 @@ def _populate_system(
         het_rng = random.Random(cfg.seed ^ 0x51095109)
         n_slow = int(round(cfg.slow_server_fraction * cfg.n_servers))
         for sid in het_rng.sample(range(cfg.n_servers), n_slow):
-            peer = system.peers[sid] if sid < len(system.peers) else None
+            peer = system.peers[sid]
             if peer is not None:
                 peer.service_mean = cfg.service_mean * cfg.slow_factor
 
@@ -149,7 +149,7 @@ def _populate_system(
         everyone_else = range(cfg.n_servers - 1)
         for sid in range(cfg.n_servers):
             picks = boot_rng.sample(everyone_else, k)
-            peer = system.peers[sid] if sid < len(system.peers) else None
+            peer = system.peers[sid]
             if peer is not None:
                 for i in picks:
                     peer.known_loads[i if i < sid else i + 1] = (0.0, 0.0)

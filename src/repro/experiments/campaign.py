@@ -10,10 +10,11 @@ every experiment's run list into *data* instead of ad-hoc loops:
 * :class:`ResultStore` -- a disk-backed artifact store holding one
   ``<fingerprint>.json`` per completed run (output plus metadata:
   scale, seed, code version, wall time, worker id);
-* :class:`Campaign` -- an executor that fans specs out through
-  :func:`repro.experiments.parallel.parallel_map`, skips fingerprint
-  hits, isolates and retries per-task failures instead of aborting the
-  pool, and reports ``done/cached/failed/total`` progress;
+* :class:`Campaign` -- the one executor: it skips fingerprint hits,
+  fans the rest out through one
+  :func:`repro.experiments.parallel.parallel_map` call, records per-task
+  failures instead of aborting the pool, and reports
+  ``done/cached/failed/total`` progress;
 * the experiment registry (:data:`EXPERIMENT_NAMES`,
   :func:`get_experiment`) behind ``python -m repro`` and
   ``python -m repro run``.
@@ -23,14 +24,15 @@ Each experiment module is one :class:`Experiment` declaration: a
 ``(task, params)`` per run), an *assembler* (stored payloads -> the
 figure's data structure), and a *renderer* (data structure -> printed
 report).  :meth:`Experiment.run` is the one way to run it, in memory or
-against a store.  Every payload is JSON round-tripped before assembly,
-so a cold run, a partially resumed run, and a fully cached re-run
-assemble bit-identical results.
+against a store; either way it runs a :class:`Campaign`.  Every payload
+is JSON round-tripped before assembly, so a cold run, a partially
+resumed run, and a fully cached re-run assemble bit-identical results.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import json
@@ -50,7 +52,7 @@ from typing import (
     Tuple,
 )
 
-from repro.experiments.parallel import env_count, parallel_map, worker_count
+from repro.experiments.parallel import env_count, parallel_map
 
 FINGERPRINT_VERSION = 1
 """Bumped whenever the canonical spec encoding changes (invalidates
@@ -318,12 +320,6 @@ def run_spec(spec: RunSpec, store_dir: Optional[str] = None) -> Dict[str, Any]:
     return record
 
 
-def _call_spec(spec: RunSpec) -> Any:
-    """Raising variant used by the in-memory :meth:`Experiment.run`."""
-    fn = resolve_task(spec.fn)
-    return to_jsonable(fn(**dict(spec.params)))
-
-
 # ----------------------------------------------------------------------
 # Campaign executor
 # ----------------------------------------------------------------------
@@ -336,7 +332,6 @@ class CampaignStats:
     cached: int = 0
     executed: int = 0
     failed: int = 0
-    retried: int = 0
     elapsed: float = 0.0
 
     @property
@@ -364,10 +359,9 @@ class CampaignResult:
 
     Attributes:
         specs: the input specs, in order.
-        payloads: one JSON payload per spec (None where the run failed
-            after all retries).
+        payloads: one JSON payload per spec (None where the run failed).
         stats: the final counters.
-        failures: ``(spec, record)`` for every spec still failing.
+        failures: ``(spec, record)`` for every spec that failed.
     """
 
     specs: List[RunSpec]
@@ -376,16 +370,22 @@ class CampaignResult:
     failures: List[Tuple[RunSpec, Dict[str, Any]]]
 
     def raise_on_failure(self) -> None:
-        """Raise ``RuntimeError`` summarising failures, if any."""
+        """Raise ``RuntimeError`` if any run failed.
+
+        The message names each failed run as ``experiment:task`` with
+        its error, then the first failure's traceback, so a caller sees
+        where a run broke even when it broke in a pool worker.
+        """
         if not self.failures:
             return
         lines = [f"{len(self.failures)} of {self.stats.total} runs failed:"]
         for spec, record in self.failures[:5]:
-            err = record.get("error") or {}
+            err = record["error"]
             lines.append(
                 f"  {spec.experiment}:{spec.task} -> "
-                f"{err.get('type')}: {err.get('message')}"
+                f"{err['type']}: {err['message']}"
             )
+        lines.append(self.failures[0][1]["error"]["traceback"].rstrip())
         raise RuntimeError("\n".join(lines))
 
 
@@ -396,10 +396,6 @@ class Campaign:
         store: artifact store; None runs fully in memory.
         workers: pool size (None consults ``REPRO_WORKERS``).
         use_cache: consult the store and skip fingerprint hits.
-        max_retries: extra attempts per failing spec before recording
-            it as failed.
-        echo: progress callback (default: print to stderr); pass
-            ``lambda s: None`` to silence.
     """
 
     def __init__(
@@ -407,31 +403,26 @@ class Campaign:
         store: Optional[ResultStore] = None,
         workers: Optional[int] = None,
         use_cache: bool = True,
-        max_retries: int = 1,
-        echo: Optional[Callable[[str], None]] = None,
     ) -> None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self.store = store
         self.workers = workers
         self.use_cache = use_cache and store is not None
-        self.max_retries = max_retries
-        self._echo = echo if echo is not None else (
-            lambda s: print(s, file=sys.stderr, flush=True)
-        )
 
     def run(self, specs: Sequence[RunSpec]) -> CampaignResult:
         """Execute every spec, reusing cached artifacts where possible.
 
-        Specs sharing a fingerprint execute once.  Payloads come back
-        in spec order regardless of completion order, so campaign runs
-        assemble exactly like in-memory :meth:`Experiment.run` runs.
+        Specs sharing a fingerprint execute once, and every spec to
+        execute goes through one :func:`parallel_map` call (one pool).
+        A failed run is recorded, not retried: task functions are
+        deterministic, and the next run of the campaign re-executes
+        exactly its failures.  Payloads come back in spec order
+        regardless of completion order.  One ``[campaign]`` summary
+        line goes to stderr when the run ends.
         """
         t0 = time.perf_counter()
         specs = list(specs)
         stats = CampaignStats(total=len(specs))
         payloads: List[Any] = [None] * len(specs)
-        records: Dict[str, Dict[str, Any]] = {}
 
         # fingerprint hits (and intra-campaign duplicates) run once
         by_fp: Dict[str, List[int]] = {}
@@ -448,48 +439,24 @@ class Campaign:
                 pending.append(fp)
 
         store_dir = str(self.store.root) if self.store is not None else None
-        for attempt in range(self.max_retries + 1):
-            if not pending:
-                break
-            if attempt > 0:
-                stats.retried += len(pending)
-                self._echo(
-                    f"[campaign] retrying {len(pending)} failed run(s) "
-                    f"(attempt {attempt + 1}/{self.max_retries + 1})"
-                )
-            still_failing: List[str] = []
-            for chunk in self._chunks(pending):
-                chunk_specs = [specs[by_fp[fp][0]] for fp in chunk]
-                results = parallel_map(
-                    run_spec,
-                    [dict(spec=s, store_dir=store_dir) for s in chunk_specs],
-                    self.workers,
-                )
-                for fp, record in zip(chunk, results):
-                    records[fp] = record
-                    if record["status"] == "ok":
-                        stats.executed += len(by_fp[fp])
-                        for i in by_fp[fp]:
-                            payloads[i] = record["result"]
-                    else:
-                        still_failing.append(fp)
-                stats.failed = sum(len(by_fp[fp]) for fp in still_failing)
-                stats.elapsed = time.perf_counter() - t0
-                self._echo(f"[campaign] {stats.summary()}")
-            pending = still_failing
-
-        stats.failed = sum(len(by_fp[fp]) for fp in pending)
+        records = parallel_map(
+            functools.partial(run_spec, store_dir=store_dir),
+            [specs[by_fp[fp][0]] for fp in pending],
+            self.workers,
+        )
+        failures: List[Tuple[RunSpec, Dict[str, Any]]] = []
+        for fp, record in zip(pending, records):
+            idxs = by_fp[fp]
+            if record["status"] == "ok":
+                stats.executed += len(idxs)
+                for i in idxs:
+                    payloads[i] = record["result"]
+            else:
+                stats.failed += len(idxs)
+                failures.extend((specs[i], record) for i in idxs)
         stats.elapsed = time.perf_counter() - t0
-        failures = [
-            (specs[i], records[fp]) for fp in pending for i in by_fp[fp]
-        ]
+        print(f"[campaign] {stats.summary()}", file=sys.stderr, flush=True)
         return CampaignResult(specs, payloads, stats, failures)
-
-    def _chunks(self, fps: List[str]) -> List[List[str]]:
-        """Batch pending work so progress is reported as chunks finish."""
-        n_workers = worker_count(len(fps), self.workers)
-        size = max(4, 4 * max(1, n_workers))
-        return [fps[i:i + size] for i in range(0, len(fps), size)]
 
 
 # ----------------------------------------------------------------------
@@ -558,28 +525,22 @@ class Experiment:
         use_cache: bool = True,
         **kw: Any,
     ) -> Any:
-        """Build, execute, and assemble the experiment.
+        """Build, execute, and assemble the experiment as a
+        :class:`Campaign`.
 
         ``scale`` and ``seed`` default to ``$REPRO_SCALE`` /
         ``$REPRO_SEED``; ``kw`` reaches :attr:`grid`.  With no
-        ``store`` the runs execute in memory and a failing run raises;
-        with a store this is a cached, resumable campaign (failures
-        raise after bounded retries).
+        ``store`` the runs execute in memory; with a store the campaign
+        is cached and resumable.  If any run fails, this raises
+        ``RuntimeError`` once every run has finished, naming each failed
+        ``experiment:task`` and the first failure's traceback.
         """
         from repro.experiments.common import get_scale, get_seed
 
         specs = self.specs(scale or get_scale(), seed=get_seed(seed), **kw)
-        if store is None:
-            payloads = parallel_map(
-                _call_spec, [dict(spec=s) for s in specs], workers
-            )
-        else:
-            result = Campaign(
-                store=store, workers=workers, use_cache=use_cache
-            ).run(specs)
-            result.raise_on_failure()
-            payloads = result.payloads
-        return self.assemble(specs, payloads)
+        result = Campaign(store, workers, use_cache).run(specs)
+        result.raise_on_failure()
+        return self.assemble(specs, result.payloads)
 
 
 _MODULES: Dict[str, str] = {
@@ -648,14 +609,15 @@ def report(argv: List[str]) -> None:
 
 def main(argv: List[str]) -> int:
     """``python -m repro run [exp ...] [--jobs N] [--no-cache]
-    [--out DIR] [--retries N]`` -- run experiments as a cached campaign.
+    [--out DIR]`` -- run experiments as a cached campaign.
 
     Scale and base seed come from ``REPRO_SCALE`` / ``REPRO_SEED``, the
     shard count of each run from ``REPRO_SHARDS``.
     Artifacts land in ``--out`` (default ``results/``); a re-run skips
     every fingerprint hit, so an interrupted campaign resumes where it
     stopped.  ``--no-cache`` forces re-execution (artifacts are still
-    rewritten).  Exits non-zero if any run still fails after retries.
+    rewritten).  Exits non-zero if any run fails; a failed run is never
+    a cache hit, so the next invocation re-executes exactly those.
     """
     import argparse
 
@@ -680,10 +642,6 @@ def main(argv: List[str]) -> int:
     parser.add_argument(
         "--no-cache", action="store_true",
         help="ignore existing artifacts and re-execute every run",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="extra attempts per failing run (default: 1)",
     )
     args = parser.parse_args(argv)
 
@@ -712,7 +670,6 @@ def main(argv: List[str]) -> int:
         store=ResultStore(args.out),
         workers=args.jobs,
         use_cache=not args.no_cache,
-        max_retries=args.retries,
     )
     result = campaign.run(all_specs)
 
@@ -732,9 +689,9 @@ def main(argv: List[str]) -> int:
 
     print(f"\ncampaign: {result.stats.summary()}")
     for spec, record in result.failures:
-        err = record.get("error") or {}
+        err = record["error"]
         print(f"  FAILED {spec.experiment}:{spec.task} -> "
-              f"{err.get('type')}: {err.get('message')}")
+              f"{err['type']}: {err['message']}")
     return 1 if result.failures else 0
 
 

@@ -17,17 +17,17 @@ core, or an integer >= 1::
     REPRO_WORKERS=auto python -m repro fig5
     REPRO_WORKERS=8 pytest benchmarks/test_bench_fig5.py --benchmark-only
 
-A ``parallel_map`` task function must be importable (module-level, not
-a closure) and its kwargs picklable -- pass scale objects and seeds,
-rebuild systems inside the task.  Results are returned in task order
-regardless of completion order, so parallel and serial runs produce
-identical output.
+A ``parallel_map`` task function must be importable (module-level, or
+a ``functools.partial`` of one, not a closure) and its items picklable
+-- pass scale objects and seeds, rebuild systems inside the task.
+Results are returned in task order regardless of completion order, so
+parallel and serial runs produce identical output.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 # multiprocessing and repro.sim.shard are imported where they are used:
 # every experiment imports this module, and a serial run needs neither
@@ -109,59 +109,23 @@ def shard_backend(n_shards: int) -> str:
     return "process" if cores >= n_shards else "inline"
 
 
-class ParallelTaskError(RuntimeError):
-    """A ``parallel_map`` task failed; names the task, not just the error.
-
-    A bare pool failure surfaces as a remote traceback with no hint of
-    which of N identical-looking tasks died; this wrapper carries the
-    task index, the function, and a truncated kwargs summary.  The
-    message also embeds the original exception, since exception chains
-    (``__cause__``) do not survive pickling back from pool workers.
-    """
-
-
-def _describe_kwargs(kwargs: Dict[str, Any], limit: int = 60) -> str:
-    parts = []
-    for k, v in kwargs.items():
-        r = repr(v)
-        if len(r) > limit:
-            r = r[: limit - 3] + "..."
-        parts.append(f"{k}={r}")
-    return ", ".join(parts)
-
-
-def _invoke(payload):
-    index, total, fn, kwargs = payload
-    try:
-        return fn(**kwargs)
-    except Exception as exc:
-        raise ParallelTaskError(
-            f"task {index}/{total} ({fn.__module__}.{fn.__qualname__}) "
-            f"failed with {type(exc).__name__}: {exc} "
-            f"[kwargs: {_describe_kwargs(kwargs)}]"
-        ) from exc
-
-
 def parallel_map(
-    fn: Callable[..., Any],
-    kwargs_list: Sequence[Dict[str, Any]],
+    fn: Callable[[Any], Any],
+    items: Sequence[Any],
     workers: Optional[int] = None,
 ) -> List[Any]:
-    """Run ``fn(**kw)`` for every kw, possibly across processes.
+    """``[fn(item) for item in items]``, possibly across processes.
 
     Serial when the resolved worker count is 0 or there is at most one
-    task.  Uses the ``spawn`` start method for portability (no
-    inherited simulator state).  A failing task raises
-    :class:`ParallelTaskError` naming its index and kwargs (in both the
-    serial and pooled paths, so failures read the same either way).
+    item; otherwise one ``spawn`` pool (no inherited simulator state)
+    maps every item.  An exception ``fn`` raises propagates unchanged
+    (the campaign's task, ``run_spec``, records failures instead).
     """
-    n = worker_count(len(kwargs_list), workers)
-    total = len(kwargs_list)
-    payloads = [(i, total, fn, kw) for i, kw in enumerate(kwargs_list)]
-    if n == 0 or total <= 1:
-        return [_invoke(p) for p in payloads]
+    n = worker_count(len(items), workers)
+    if n == 0 or len(items) <= 1:
+        return [fn(item) for item in items]
     import multiprocessing
 
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(processes=n) as pool:
-        return pool.map(_invoke, payloads)
+        return pool.map(fn, items)

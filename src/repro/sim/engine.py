@@ -176,10 +176,3 @@ class Engine:
             self._running = False
             self.n_dispatched += dispatched
         return dispatched
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        self._heap.clear()
-        self.now = 0.0
-        self._seq = 0
-        self.n_dispatched = 0

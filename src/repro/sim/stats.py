@@ -19,25 +19,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 
-class Counter:
-    """A plain named counter with helpers for rate reporting."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, by: int = 1) -> None:
-        self.value += by
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
-
-
 class TimeSeries:
     """Values bucketed into fixed-width time bins (default 1 second).
 

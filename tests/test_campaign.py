@@ -3,16 +3,19 @@ fan-out, and cold-vs-cached assembly equality."""
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
 from repro.experiments import campaign
 from repro.experiments.campaign import (
     Campaign,
+    Experiment,
     ResultStore,
     RunSpec,
     canonical,
@@ -26,8 +29,6 @@ MICRO = Scale(
     warmup=1.5, phase=1.5, n_phases=1, drain=1.5, cache_slots=6,
     digest_probe_limit=1, long_run=12.0, long_bucket=3,
 )
-
-QUIET = dict(echo=lambda s: None)
 
 
 def toy_task(tag, value, marker_dir):
@@ -47,6 +48,16 @@ def flaky_task(tag, marker_dir):
     if runs == 0:
         raise ValueError(f"transient failure in {tag}")
     return {"tag": tag, "recovered": True}
+
+
+def failing_point(tag):
+    raise ValueError(f"no cell named {tag}")
+
+
+FAILING = Experiment(
+    name="toy", title="one point that raises", point=failing_point,
+    grid=lambda scale, seed: [("cell", dict(tag="x"))], render=print,
+)
 
 
 def run_count(marker_dir, tag):
@@ -232,7 +243,7 @@ class TestCampaign:
     def test_cold_run_executes_and_stores(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         specs = toy_specs(tmp_path)
-        result = Campaign(store=store, **QUIET).run(specs)
+        result = Campaign(store=store).run(specs)
         assert result.stats.executed == 3
         assert result.stats.cached == 0
         assert not result.failures
@@ -244,8 +255,8 @@ class TestCampaign:
     def test_rerun_is_fully_cached(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         specs = toy_specs(tmp_path)
-        first = Campaign(store=store, **QUIET).run(specs)
-        again = Campaign(store=store, **QUIET).run(specs)
+        first = Campaign(store=store).run(specs)
+        again = Campaign(store=store).run(specs)
         assert again.stats.cached == 3 and again.stats.executed == 0
         assert again.payloads == first.payloads
         assert all(run_count(tmp_path, t) == 1 for t in "abc")
@@ -259,12 +270,12 @@ class TestCampaign:
         specs[-1] = dataclasses.replace(
             specs[-1], params=dict(tag="flaky", marker_dir=str(tmp_path))
         )
-        first = Campaign(store=store, max_retries=0, **QUIET).run(specs)
+        first = Campaign(store=store).run(specs)
         assert first.stats.failed == 1 and first.stats.executed == 3
         assert [s.task for s, _ in first.failures] == ["flaky"]
         assert first.payloads[-1] is None
 
-        resumed = Campaign(store=store, max_retries=0, **QUIET).run(specs)
+        resumed = Campaign(store=store).run(specs)
         assert resumed.stats.cached == 3
         assert resumed.stats.executed == 1
         assert not resumed.failures
@@ -273,28 +284,17 @@ class TestCampaign:
         assert all(run_count(tmp_path, t) == 1 for t in "abc")
         assert run_count(tmp_path, "flaky") == 2
 
-    def test_retry_recovers_transient_failure(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        specs = toy_specs(tmp_path, tags=("flaky",), fn="flaky_task")
-        specs[0] = dataclasses.replace(
-            specs[0], params=dict(tag="flaky", marker_dir=str(tmp_path))
-        )
-        result = Campaign(store=store, max_retries=1, **QUIET).run(specs)
-        assert not result.failures
-        assert result.stats.retried == 1
-        assert run_count(tmp_path, "flaky") == 2
-
     def test_no_cache_reexecutes(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         specs = toy_specs(tmp_path)
-        Campaign(store=store, **QUIET).run(specs)
-        redo = Campaign(store=store, use_cache=False, **QUIET).run(specs)
+        Campaign(store=store).run(specs)
+        redo = Campaign(store=store, use_cache=False).run(specs)
         assert redo.stats.executed == 3 and redo.stats.cached == 0
         assert all(run_count(tmp_path, t) == 2 for t in "abc")
 
     def test_duplicate_specs_execute_once(self, tmp_path):
         specs = toy_specs(tmp_path, tags=("a",)) * 3
-        result = Campaign(**QUIET).run(specs)
+        result = Campaign().run(specs)
         assert result.stats.total == 3
         assert run_count(tmp_path, "a") == 1
         assert result.payloads[0] == result.payloads[2]
@@ -306,16 +306,38 @@ class TestCampaign:
         specs[-1] = dataclasses.replace(
             specs[-1], params=dict(tag="bad", marker_dir=str(tmp_path))
         )
-        result = Campaign(max_retries=0, **QUIET).run(specs)
+        result = Campaign().run(specs)
         assert result.payloads[0] == {"tag": "ok", "value": 0}
         with pytest.raises(RuntimeError, match="1 of 2 runs failed"):
             result.raise_on_failure()
 
-    def test_summary_format(self, tmp_path):
-        result = Campaign(**QUIET).run(toy_specs(tmp_path))
+    def test_summary_format(self, tmp_path, capsys):
+        result = Campaign().run(toy_specs(tmp_path))
         line = result.stats.summary()
         assert "done=3/3" in line and "cached=0" in line
         assert "executed=3" in line and "failed=0" in line
+        # one progress line, on stderr, when the run ends
+        assert capsys.readouterr().err == f"[campaign] {line}\n"
+
+    def test_one_pool_per_campaign(self, tmp_path):
+        """Every spec to execute goes through one pool, however many."""
+        spawn = multiprocessing.get_context("spawn")
+        specs = toy_specs(tmp_path, tags=tuple("abcdefghij"))
+        with mock.patch.object(spawn, "Pool", wraps=spawn.Pool) as pool:
+            result = Campaign(workers=2).run(specs)
+        assert result.stats.executed == 10 and not result.failures
+        assert pool.call_count == 1
+
+    def test_in_memory_failure_names_the_run(self):
+        """An in-memory experiment raises after its runs finish, naming
+        ``experiment:task``, the error and the raising frame."""
+        with pytest.raises(RuntimeError) as info:
+            FAILING.run(MICRO, seed=0)
+        assert info.type is RuntimeError
+        text = str(info.value)
+        assert "toy:cell -> ValueError: no cell named x" in text
+        assert "in failing_point" in text
+        assert 'raise ValueError(f"no cell named {tag}")' in text
 
 
 class TestColdVsCached:

@@ -133,7 +133,11 @@ class TestQuotedNames:
         "repro.analysis.export",
         "repro.analysis.fairness",
         "repro.client.TerraDirClient",
+        "repro.experiments.campaign._call_spec",
         "repro.experiments.common.run_workload",
+        "repro.experiments.parallel.ParallelTaskError",
+        "repro.experiments.parallel._describe_kwargs",
+        "repro.experiments.parallel._invoke",
         "repro.experiments.runner",
         "repro.namespace.graph",
         "repro.net.codec.require_encodable",
@@ -144,6 +148,7 @@ class TestQuotedNames:
         "repro.sim.profile",
         "repro.sim.rng.poisson_arrival_times",
         "repro.sim.shardcodec.ShardCodecError",
+        "repro.sim.stats.Counter",
         "repro.workload.streams.flash_crowd_stream",
         "repro.workload.trace.EmpiricalWorkloadDriver",
         "repro.workload.trace.replay_trace",
@@ -183,6 +188,10 @@ class TestQuotedNames:
     #: ``Class.attr`` names the docs quote *as removed*
     REMOVED_ATTRS = frozenset({
         "BloomFilter.update",
+        "Campaign._chunks",
+        "Campaign.max_retries",
+        "CampaignStats.retried",
+        "Engine.reset",
         "LRUCache.remove_server",
         "Peer.dispatch_registry",
         "Peer.send_control",

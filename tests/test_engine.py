@@ -182,15 +182,3 @@ class TestCancellation:
         assert eng.peek_time() is None
         eng.schedule(3.0, lambda: None)
         assert eng.peek_time() == 3.0
-
-
-class TestReset:
-    def test_reset_clears_everything(self):
-        eng = Engine()
-        eng.schedule(1.0, lambda: None)
-        eng.run()
-        eng.schedule(9.0, lambda: None)
-        eng.reset()
-        assert eng.now == 0.0
-        assert len(eng) == 0
-        assert eng.peek_time() is None

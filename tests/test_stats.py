@@ -2,17 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import Counter, LatencyStats, TimeSeries, WindowAverager
-
-
-class TestCounter:
-    def test_inc_and_reset(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        c.reset()
-        assert c.value == 0
+from repro.sim.stats import LatencyStats, TimeSeries, WindowAverager
 
 
 class TestTimeSeries:

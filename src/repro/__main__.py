@@ -48,8 +48,7 @@ def main(argv) -> int:
         return serve_main(argv[1:], ResultStore)
     from repro.experiments.campaign import report
 
-    report(argv)
-    return 0
+    return report(argv)
 
 
 if __name__ == "__main__":

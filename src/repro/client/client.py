@@ -158,7 +158,7 @@ class TerraDirClient:
         self, future: Future, result: LookupResult, want_meta: bool
     ) -> None:
         peer = self.home
-        if result.node in peer.owned:
+        if peer.owns(result.node):
             meta = peer.metadata.read(result.node).snapshot()
             data = None if want_meta else peer.metadata.get_data(result.node)
             future.resolve(

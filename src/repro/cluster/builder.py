@@ -82,7 +82,7 @@ def _populate_system(
     digest_capacity = max(16, math.ceil(per_server * (1.0 + max(cfg.rfact, 1.0))))
 
     # one int object per node id for the whole fleet: every table a
-    # peer keys by node (owned, hosted list, ranking, maps) stores a
+    # peer keys by node (hosted list, ranking, maps) stores a
     # reference to ``ids[v]``, not an int of its own read off an array
     ids = list(range(len(ns)))
     owned_by: Dict[int, List[int]] = {sid: [] for sid in sids}
@@ -97,7 +97,7 @@ def _populate_system(
 
     template = None
     for sid in sids:
-        peer = Peer(sid, system, owned=())
+        peer = Peer(sid, system)
         # one geometry and one hash-position cache for the fleet: each
         # node id is hashed once per process, not once per filter
         if template is None:

@@ -48,7 +48,8 @@ class FailureInjector:
         #: while a live server hosted its ``via`` node
         #: (``forward_live_via``) or while none did
         #: (``forward_dead_via``).  Lookups injected at a failed server
-        #: are the rest (``Peer.inject`` records them).
+        #: are the rest (``Peer.inject`` records them; ``System.inject``
+        #: sends a lookup there only when every server has failed).
         self.drops: Counter = Counter()
 
     @property
@@ -75,7 +76,7 @@ class FailureInjector:
         self.n_failures += 1
         logger.info(
             "t=%.3f server %d failed (%d owned nodes, %d replicas)",
-            now, sid, len(peer.owned), len(peer.store.replicas),
+            now, sid, len(peer.owned_nodes()), len(peer.store.replicas),
         )
 
     def fail_random(self, count: int, rng: Optional[random.Random] = None,

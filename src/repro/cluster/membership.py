@@ -54,11 +54,12 @@ def transfer_ownership(system: System, node: int, new_owner: int) -> None:
     }
     node_map = [s for s in src.maps.get(node, ()) if s != src.sid]
 
-    _drop_owned(src, node)
-
-    # install at the destination (replica first if it held one)
+    # a replica at the destination goes while neither side's hosting
+    # changed; then the owner table moves, and each side follows it
     if node in dst.store.replicas:
         dst.store.evict(node, system.engine.now)
+    system.owner[node] = new_owner
+    _drop_owned(src, node)
     dst.adopt_nodes((node,))
     dst.metadata._meta[node] = meta  # move, not copy: owner-only state
     if data is not None:
@@ -66,7 +67,6 @@ def transfer_ownership(system: System, node: int, new_owner: int) -> None:
     dst.pin(node, node_map)  # extends the map adoption just led with dst
     for nbr, nbr_map in context.items():
         dst.pin(nbr, nbr_map)
-    system.owner[node] = new_owner
 
     # The transfer handshake also refreshes the node's *context
     # holders*: every server keeping a topology-imposed (pinned) map
@@ -90,8 +90,8 @@ def transfer_ownership(system: System, node: int, new_owner: int) -> None:
 
 
 def _drop_owned(peer: Peer, node: int) -> None:
-    """Remove an owned node and its pins from ``peer``."""
-    peer.owned.discard(node)
+    """Remove a node the owner table no longer gives ``peer``, and its
+    pins."""
     peer.store.untrack_owned(node)
     peer.ranking.forget(node)
     peer.metadata._meta.pop(node, None)
@@ -139,7 +139,7 @@ def retire_server(
     now = system.engine.now
     for node in list(peer.store.replicas):
         peer.store.evict(node, now)
-    for i, node in enumerate(sorted(peer.owned)):
+    for i, node in enumerate(sorted(peer.owned_nodes())):
         heir = heirs[i % len(heirs)]
         transfer_ownership(system, node, heir)
         moved[node] = heir
@@ -155,7 +155,7 @@ def add_server(system: System, take_nodes: Iterable[int]) -> int:
     from repro.filters.digest import Digest, DigestDirectory
 
     sid = len(system.peers)
-    peer = Peer(sid, system, owned=())
+    peer = Peer(sid, system)
     # fleet geometry, so snapshots stay cross-evaluable both ways
     peer.digest = Digest.like(system.peers[0].digest, owner_server=sid)
     peer.digest_dir = DigestDirectory(

@@ -20,7 +20,7 @@ runs the same schedule on an event loop.  On the simulator,
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.cluster.config import SystemConfig
 from repro.namespace.tree import Namespace
@@ -30,6 +30,9 @@ from repro.sim.engine import Engine, ShardError
 from repro.sim.rng import RngStreams
 from repro.sim.stats import StatsSink, SystemStats
 from repro.sim.timerwheel import TimerWheel
+
+if TYPE_CHECKING:
+    from repro.server.peer import Peer
 
 __all__ = ["ShardSystem", "System"]
 
@@ -111,12 +114,32 @@ class System:
     # ------------------------------------------------------------------
 
     def inject(self, src_server: int, dest_node: int) -> int:
-        """Initiate a lookup for ``dest_node`` at ``src_server``."""
+        """Initiate a lookup for ``dest_node`` at ``src_server``.
+
+        A client whose drawn server has failed goes to the next live
+        sid instead (wrapping around; no random draw, so fault-free
+        runs draw exactly as before).  With every server failed the
+        lookup is lost at the drawn one, as one ``failure`` drop.
+        """
         self._qid += 1
+        peer = self.peers[src_server]
+        if peer.failed:
+            peer = self._next_live(src_server)
         if self.on_inject is not None:
-            self.on_inject(self.engine.now, src_server, dest_node)
-        self.peers[src_server].inject(dest_node, self._qid)
+            self.on_inject(self.engine.now, peer.sid, dest_node)
+        peer.inject(dest_node, self._qid)
         return self._qid
+
+    def _next_live(self, sid: int) -> Peer:
+        """The first live peer after ``sid`` in sid order, wrapping
+        around; ``sid``'s own peer when every server has failed."""
+        peers = self.peers
+        n = len(peers)
+        for k in range(1, n):
+            peer = peers[(sid + k) % n]
+            if not peer.failed:
+                return peer
+        return peers[sid]
 
     def lookup_name(self, src_server: int, name: str) -> int:
         """Inject a lookup by fully-qualified name."""

@@ -22,7 +22,12 @@ DECAY = 0.5
 
 
 class NodeRanking:
-    """Per-hosted-node demand counters with periodic exponential decay."""
+    """Per-hosted-node demand counters with periodic exponential decay.
+
+    A weight exists only for a node that has had demand since it was
+    last hosted: a node never hit reads ``0.0``, exactly as a stored
+    zero would, so every query that ranks hosted nodes passes them as
+    ``among``."""
 
     __slots__ = ("_weight", "decay")
 
@@ -38,25 +43,15 @@ class NodeRanking:
     def __contains__(self, node: int) -> bool:
         return node in self._weight
 
-    def track(self, node: int) -> None:
-        """Start tracking a newly hosted node (weight 0)."""
-        self._weight.setdefault(node, 0.0)
-
-    def track_many(self, nodes: Iterable[int]) -> None:
-        """:meth:`track` for each of ``nodes``, in order, in one pass."""
-        weight = self._weight
-        weight.update({node: 0.0 for node in nodes if node not in weight})
-
     def forget(self, node: int) -> None:
-        """Stop tracking (node no longer hosted)."""
+        """Drop ``node``'s weight (node no longer hosted)."""
         self._weight.pop(node, None)
 
     def hit(self, node: int, amount: float = 1.0) -> None:
-        """Record routing work performed on ``node``'s behalf."""
-        # untracked hits are dropped: transient queries may touch nodes
-        # between host/unhost events
-        if node in self._weight:
-            self._weight[node] += amount
+        """Record routing work performed on ``node``'s behalf (a hosted
+        node: its first hit creates its weight)."""
+        weight = self._weight
+        weight[node] = weight.get(node, 0.0) + amount
 
     def weight(self, node: int) -> float:
         return self._weight.get(node, 0.0)
@@ -90,9 +85,9 @@ class NodeRanking:
         """Smallest top-ranked prefix whose weight sum reaches ``fraction``
         of the total weight (creation protocol step 3).
 
-        Always returns at least one node when any node is tracked, so an
-        overloaded server sheds *something* even when weights are all
-        zero (cold counters).
+        Always returns at least one node when any is ranked (every node
+        of ``among``), so an overloaded server sheds *something* even
+        when weights are all zero (cold counters).
         """
         ranked = self.ranked(among)
         if not ranked:

@@ -251,7 +251,9 @@ class ReplicationManager:
         Uses the *peer's* replication factor -- a locally enforced
         policy the paper allows to differ across servers (section 3.4).
         """
-        return max(1, int(self.peer.rfact * len(self.peer.owned)))
+        store = self.peer.store
+        n_owned = len(store.hosted_list) - len(store.replicas)
+        return max(1, int(self.peer.rfact * n_owned))
 
     # ------------------------------------------------------------------
     # source side (steps 3 and 4)

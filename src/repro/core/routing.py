@@ -168,13 +168,13 @@ def digest_shortcut(peer: "Peer", dest: int, best_d: int) -> Tuple[int, int, int
 def decide(peer: "Peer", dest: int) -> RouteDecision:
     """One full routing step for a query destined to ``dest`` at ``peer``."""
     store = peer.store
-    if dest in peer.owned or dest in store.replicas:
+    sid = peer.sid
+    if peer.owner[dest] == sid or dest in store.replicas:
         return RouteDecision(
             RouteAction.RESOLVED, via=dest, source="resolved", distance=0,
         )
 
     rng = peer.rng
-    sid = peer.sid
     cache = peer.cache
 
     # direct map for the destination itself (neighbor of a hosted node)

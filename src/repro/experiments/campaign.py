@@ -581,30 +581,70 @@ def get_experiment(name: str) -> Experiment:
 # CLI: python -m repro [experiments...] and python -m repro run ...
 # ----------------------------------------------------------------------
 
-def report(argv: List[str]) -> None:
+def _check_names(wanted: Sequence[str]) -> Optional[str]:
+    """The error for requested names that are not experiments, if any."""
+    unknown = [w for w in wanted if w not in _MODULES]
+    if unknown:
+        return f"unknown experiments {unknown}; choose from {list(_MODULES)}"
+    return None
+
+
+def _run_and_render(
+    campaign: Campaign, wanted: Sequence[str], scale, seed: int
+) -> CampaignResult:
+    """Run every spec of the ``wanted`` experiments as one campaign, then
+    print one block per experiment in order (a block whose runs failed
+    says which were skipped)."""
+    groups: List[Tuple[str, List[RunSpec]]] = [
+        (name, get_experiment(name).specs(scale, seed=seed)) for name in wanted
+    ]
+    result = campaign.run([spec for _, specs in groups for spec in specs])
+    offset = 0
+    failed_by_spec = {id(s) for s, _ in result.failures}
+    for name, specs in groups:
+        payloads = result.payloads[offset:offset + len(specs)]
+        offset += len(specs)
+        print(f"\n=== {name} ===")
+        bad = [s for s in specs if id(s) in failed_by_spec]
+        if bad:
+            print(f"  skipped: {len(bad)}/{len(specs)} runs failed "
+                  f"({', '.join(s.task for s in bad)})")
+            continue
+        exp = get_experiment(name)
+        exp.render(exp.assemble(specs, payloads))
+    return result
+
+
+def _print_failures(result: CampaignResult) -> int:
+    """List the failed runs; the exit status (1 if any failed)."""
+    for spec, record in result.failures:
+        err = record["error"]
+        print(f"  FAILED {spec.experiment}:{spec.task} -> "
+              f"{err['type']}: {err['message']}")
+    return 1 if result.failures else 0
+
+
+def report(argv: List[str]) -> int:
     """``python -m repro [exp ...]`` -- print the combined report.
 
     Runs the requested experiments (default: all) in memory at
-    ``$REPRO_SCALE`` under ``$REPRO_SEED``, one block per experiment,
-    each followed by its wall time.
+    ``$REPRO_SCALE`` under ``$REPRO_SEED`` as one campaign (one pool
+    under ``$REPRO_WORKERS``), then prints one block per experiment and
+    the campaign's wall time.  Returns 1 if any run failed.
     """
-    from repro.experiments.common import get_scale
+    from repro.experiments.common import get_scale, get_seed
 
     wanted = argv or list(EXPERIMENT_NAMES)
-    unknown = [w for w in wanted if w not in _MODULES]
-    if unknown:
-        raise SystemExit(
-            f"unknown experiments {unknown}; choose from {list(_MODULES)}"
-        )
+    error = _check_names(wanted)
+    if error:
+        raise SystemExit(error)
     scale = get_scale()
     print(f"scale={scale.name}  servers={scale.n_servers}  "
           f"N_S=2^{scale.ns_levels + 1}-1 nodes  N_C={scale.nc_nodes} nodes")
-    for name in wanted:
-        t0 = time.perf_counter()
-        print(f"\n=== {name} ===")
-        exp = get_experiment(name)
-        exp.render(exp.run(scale))
-        print(f"  [{time.perf_counter() - t0:.1f}s]")
+    t0 = time.perf_counter()
+    result = _run_and_render(Campaign(), wanted, scale, get_seed())
+    print(f"\n  [{time.perf_counter() - t0:.1f}s]")
+    return _print_failures(result)
 
 
 def main(argv: List[str]) -> int:
@@ -646,11 +686,9 @@ def main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
 
     wanted = list(args.experiments) or list(EXPERIMENT_NAMES)
-    unknown = [w for w in wanted if w not in _MODULES]
-    if unknown:
-        parser.error(
-            f"unknown experiments {unknown}; choose from {list(_MODULES)}"
-        )
+    error = _check_names(wanted)
+    if error:
+        parser.error(error)
 
     scale = get_scale()
     seed = get_seed()
@@ -659,40 +697,14 @@ def main(argv: List[str]) -> int:
         f"scale={scale.name}  seed={seed}  out={args.out}  "
         f"cache={'off' if args.no_cache else 'on'}  shards={shards}"
     )
-    groups: List[Tuple[str, List[RunSpec]]] = []
-    all_specs: List[RunSpec] = []
-    for name in wanted:
-        specs = get_experiment(name).specs(scale, seed=seed)
-        groups.append((name, specs))
-        all_specs.extend(specs)
-
     campaign = Campaign(
         store=ResultStore(args.out),
         workers=args.jobs,
         use_cache=not args.no_cache,
     )
-    result = campaign.run(all_specs)
-
-    offset = 0
-    failed_by_spec = {id(s) for s, _ in result.failures}
-    for name, specs in groups:
-        payloads = result.payloads[offset:offset + len(specs)]
-        offset += len(specs)
-        print(f"\n=== {name} ===")
-        bad = [s for s in specs if id(s) in failed_by_spec]
-        if bad:
-            print(f"  skipped: {len(bad)}/{len(specs)} runs failed "
-                  f"({', '.join(s.task for s in bad)})")
-            continue
-        exp = get_experiment(name)
-        exp.render(exp.assemble(specs, payloads))
-
+    result = _run_and_render(campaign, wanted, scale, seed)
     print(f"\ncampaign: {result.stats.summary()}")
-    for spec, record in result.failures:
-        err = record["error"]
-        print(f"  FAILED {spec.experiment}:{spec.task} -> "
-              f"{err['type']}: {err['message']}")
-    return 1 if result.failures else 0
+    return _print_failures(result)
 
 
 if __name__ == "__main__":  # pragma: no cover

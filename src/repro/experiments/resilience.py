@@ -14,8 +14,10 @@ at a known instant, optionally recover them later, and measure
   reaction),
 * how much of the namespace became unreachable (black holes: every
   host failed),
-* the ``failure`` drops by cause: lookups injected at a failed server,
-  requests queued there when it failed, responses lost, and forwards
+* the ``failure`` drops by cause: lookups injected at a failed server
+  (0 unless every server has failed: ``System.inject`` starts a lookup
+  drawn at a dead server at the next live one), requests queued at a
+  server when it failed, responses lost, and forwards
   lost while a live server hosted their ``via`` node or while none
   did, and
 * the survivors' mean and maximum load (busy share: services finished

@@ -115,13 +115,13 @@ class LRUCache:
         self,
         path: Iterable[Tuple[int, int]],
         own_sid: int,
-        owned: Container[int],
+        owner: Sequence[int],
         replicas: Container[int],
     ) -> None:
         """Absorb a propagated path: ``put(node, (server,))`` for every
         ``(node, server)`` hop in order, skipping hops served by
-        ``own_sid`` and nodes the caching server hosts itself (members
-        of ``owned`` or ``replicas``).
+        ``own_sid`` and nodes the caching server hosts itself (those
+        ``owner`` maps to ``own_sid``, and members of ``replicas``).
 
         One call per message instead of one per hop; entries, LRU order
         and the eviction count come out exactly as from the ``put`` loop.
@@ -134,7 +134,7 @@ class LRUCache:
         move_to_end = entries.move_to_end
         rmap = self.rmap
         for node, server in path:
-            if server == own_sid or node in owned or node in replicas:
+            if server == own_sid or owner[node] == own_sid or node in replicas:
                 continue
             cur = get(node)
             if cur is not None:

@@ -105,7 +105,7 @@ class Peer:
         "ns",
         "rng",
         "stats",
-        "owned",
+        "owner",
         "maps",
         "metadata",
         "cache",
@@ -129,7 +129,7 @@ class Peer:
         "_record_drop",
     )
 
-    def __init__(self, sid: int, system: System, owned: Iterable[int]) -> None:
+    def __init__(self, sid: int, system: System) -> None:
         self.sid = sid
         self.sys = system
         # the runtime seam: every clock read, callback, and send below
@@ -146,7 +146,9 @@ class Peer:
         # per recording beats an attribute chain per processed event
         self._record_injected = self.stats.record_injected
         self._record_drop = self.stats.record_drop
-        self.owned = set(owned)
+        # the fleet's one node -> owner table (``System.owner``): what
+        # this peer owns is read there, never copied (DESIGN.md 11.7)
+        self.owner = system.owner
         # node -> its map; a value is a read-only sequence that writers
         # replace, never mutate, so one ``(sid,)`` tuple can stand for
         # every single-server map of the fleet (DESIGN.md section 11.7)
@@ -190,7 +192,17 @@ class Peer:
 
     def hosts(self, node: int) -> bool:
         """True if this server owns or replicates ``node``."""
-        return node in self.owned or node in self.store.replicas
+        return self.owner[node] == self.sid or node in self.store.replicas
+
+    def owns(self, node: int) -> bool:
+        """True if this server owns ``node``."""
+        return self.owner[node] == self.sid
+
+    def owned_nodes(self) -> List[int]:
+        """The nodes this server owns, in adoption order: the front of
+        the hosted list, which holds them before the replicas."""
+        store = self.store
+        return store.hosted_list[: len(store.hosted_list) - len(store.replicas)]
 
     def pinned(self, node: int) -> bool:
         """True if the topology imposes ``node``'s map here: ``node`` is
@@ -203,9 +215,9 @@ class Peer:
         replicas = self.store.replicas
         if node in replicas:
             return True
-        owned = self.owned
+        owner, sid = self.owner, self.sid
         for nbr in self.ns.neighbors(node):
-            if nbr in owned or nbr in replicas:
+            if owner[nbr] == sid or nbr in replicas:
                 return True
         return False
 
@@ -239,22 +251,21 @@ class Peer:
     def adopt_nodes(
         self, nodes: Sequence[int], solo: Optional[Sequence[Tuple[int]]] = None
     ) -> None:
-        """Take ownership of ``nodes``, in order: everything adoption
-        sets up, once per batch (one index write, one pass over the
-        digest's bits) -- the builder hands over a server's whole share.
+        """Set up what hosting ``nodes`` needs once the owner table
+        names this server, in order and once per batch (one index
+        write, one pass over the digest's bits) -- the builder hands
+        over a server's whole share.
 
         ``solo`` is the fleet's table of one-server maps (``solo[s] ==
         (s,)``, one tuple per server shared by every peer); without it
         a fresh ``(sid,)`` is stored.
         """
         self.store.track_owned_many(nodes)
-        self.owned.update(nodes)
         # the meta record is created on first access (version 0 either
         # way): nothing is materialised for the common never-written node
         maps = self.maps
         sid = self.sid
         mine = (sid,) if solo is None else solo[sid]
-        self.ranking.track_many(nodes)
         for node in nodes:
             entry = maps.get(node)
             if entry is None:
@@ -291,7 +302,7 @@ class Peer:
 
     def bump_meta(self, node: int) -> int:
         """Owner-only meta-data version bump; replicas converge lazily."""
-        if node not in self.owned:
+        if not self.owns(node):
             raise KeyError(f"server {self.sid} does not own node {node}")
         meta = self.metadata.meta(node)
         meta.version += 1
@@ -300,7 +311,7 @@ class Peer:
 
     def meta_version_of(self, node: int) -> int:
         """Newest meta-data version this server knows for ``node``."""
-        if node in self.owned:
+        if self.owns(node):
             version: int = self.metadata.read(node).version
             return version
         rep = self.store.replicas.get(node)
@@ -469,7 +480,7 @@ class Peer:
 
     def __repr__(self) -> str:
         return (
-            f"Peer(sid={self.sid}, owned={len(self.owned)}, "
+            f"Peer(sid={self.sid}, owned={len(self.owned_nodes())}, "
             f"replicas={len(self.store.replicas)}, "
             f"load={self.meter.measured():.2f})"
         )

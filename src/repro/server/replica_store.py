@@ -72,21 +72,30 @@ class ReplicaStore:
     def __init__(self, peer: Peer) -> None:
         self.peer = peer
         self.replicas: Dict[int, Replica] = {}
-        self.hosted_list: List[int] = list(peer.owned)
+        # owned nodes first, in adoption order, then replicas: the owned
+        # count is ``len(hosted_list) - len(replicas)``
+        self.hosted_list: List[int] = []
         self.adverts_recent: Dict[int, array] = {}
         # ancestor index over the hosted list, kept in lock-step with it
         # (same membership, seq order == list order) so routing finds
         # the closest hosted node in O(depth) instead of a full scan
-        self.index = AncestorIndex(peer.ns, self.hosted_list)
+        self.index = AncestorIndex(peer.ns)
 
     # ------------------------------------------------------------------
     # hosting state
     # ------------------------------------------------------------------
 
     def track_owned_many(self, nodes: Sequence[int]) -> None:
-        """Record a batch of adopted owned nodes, in order."""
-        self.hosted_list.extend(nodes)
-        self.index.extend(nodes)
+        """Record a batch of adopted owned nodes, in order, after the
+        owned nodes already hosted and before any replica (an adoption
+        beside replicas, by ownership transfer, re-stamps the index)."""
+        hosted = self.hosted_list
+        at = len(hosted) - len(self.replicas)
+        hosted[at:at] = nodes
+        if self.replicas:
+            self.index.rebuild(hosted)
+        else:
+            self.index.extend(nodes)
 
     def untrack_owned(self, node: int) -> None:
         """Drop an owned node from the hosted list (ownership transfer).
@@ -116,7 +125,6 @@ class ReplicaStore:
                                       meta=payload.meta)
         self.hosted_list.append(node)
         self.index.add(node)
-        peer.ranking.track(node)
         entry = peer.maps.get(node)
         merged = merge_maps(
             entry if entry is not None else [],
@@ -182,7 +190,7 @@ class ReplicaStore:
         context: Dict[int, List[int]] = {}
         for nbr in peer.ns.neighbors(node):
             context[nbr] = list(peer.maps.get(nbr, ()))
-        if node in peer.owned:
+        if peer.owns(node):
             meta = peer.metadata.read(node)
             version, snapshot = meta.version, meta.snapshot()
         else:

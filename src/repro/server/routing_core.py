@@ -64,7 +64,7 @@ class RoutingCore:
         via = m.via
         # nothing below changes what this peer hosts: one test serves
         # the attribution here and the path entry at the end
-        served = via >= 0 and (via in peer.owned or via in store.replicas)
+        served = via >= 0 and (peer.owner[via] == sid or via in store.replicas)
         if served:
             peer.ranking.hit(via)
             store.touch(via, now)
@@ -169,7 +169,7 @@ class RoutingCore:
         we own the node, else redirect with our map for it."""
         peer = self.peer
         reply = DataReply(req.rid, req.node, peer.sid)
-        if req.node in peer.owned:
+        if peer.owns(req.node):
             if req.want_meta:
                 reply.meta = peer.metadata.read(req.node).snapshot()
             else:

@@ -52,7 +52,7 @@ class SoftStateAbsorber:
         if path:
             cfg = peer.cfg
             if cfg.caching_enabled and cfg.path_propagation:
-                peer.cache.put_path(path, sid, peer.owned, peer.store.replicas)
+                peer.cache.put_path(path, sid, peer.owner, peer.store.replicas)
 
     def absorb_response(self, r: ResponseMessage, now: float) -> None:
         """Intake of everything piggybacked on a query response."""
@@ -68,7 +68,7 @@ class SoftStateAbsorber:
                 )
             if peer.cfg.path_propagation:
                 peer.cache.put_path(
-                    r.path, peer.sid, peer.owned, peer.store.replicas
+                    r.path, peer.sid, peer.owner, peer.store.replicas
                 )
 
     def absorb_advert(self, node: int, servers: Iterable[int]) -> None:

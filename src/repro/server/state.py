@@ -47,7 +47,7 @@ STATE_MATRIX: Dict[Relationship, FrozenSet[str]] = {
 
 def relationship_of(peer: Peer, node: int) -> Relationship:
     """Classify ``peer``'s relationship to ``node`` (most specific wins)."""
-    if node in peer.owned:
+    if peer.owns(node):
         return Relationship.OWNED
     if node in peer.store.replicas:
         return Relationship.REPLICATED

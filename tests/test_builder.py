@@ -36,7 +36,7 @@ class TestBuild:
         system = build_system(ns, SystemConfig(n_servers=8, seed=1))
         seen = {}
         for p in system.peers:
-            for v in p.owned:
+            for v in p.owned_nodes():
                 assert v not in seen
                 seen[v] = p.sid
         assert len(seen) == len(ns)
@@ -44,13 +44,13 @@ class TestBuild:
     def test_every_server_owns_at_least_one(self):
         ns = balanced_tree(levels=5)
         system = build_system(ns, SystemConfig(n_servers=8, seed=1))
-        assert all(len(p.owned) >= 1 for p in system.peers)
+        assert all(len(p.owned_nodes()) >= 1 for p in system.peers)
 
     def test_owner_array_matches_peers(self):
         ns = balanced_tree(levels=5)
         system = build_system(ns, SystemConfig(n_servers=8, seed=1))
         for v in range(len(ns)):
-            assert v in system.peers[system.owner[v]].owned
+            assert system.peers[system.owner[v]].owns(v)
 
     def test_neighbor_contexts_wired(self):
         """Every owned node's neighbors have pinned maps pointing at
@@ -58,7 +58,7 @@ class TestBuild:
         ns = balanced_tree(levels=5)
         system = build_system(ns, SystemConfig(n_servers=8, seed=1))
         for p in system.peers:
-            for v in p.owned:
+            for v in p.owned_nodes():
                 for nbr in ns.neighbors(v):
                     assert nbr in p.maps
                     assert system.owner[nbr] in p.maps[nbr]
@@ -67,7 +67,7 @@ class TestBuild:
         ns = balanced_tree(levels=5)
         system = build_system(ns, SystemConfig(n_servers=8, seed=1))
         for p in system.peers:
-            for v in p.owned:
+            for v in p.owned_nodes():
                 assert v in p.digest
 
     def test_digests_share_position_cache(self):
@@ -88,7 +88,7 @@ class TestBuild:
         ns = balanced_tree(levels=3)  # 15 nodes
         owner = [v % 3 for v in range(len(ns))]
         system = build_system(ns, SystemConfig(n_servers=3, seed=1), owner=owner)
-        assert sorted(system.peers[0].owned) == [v for v in range(15) if v % 3 == 0]
+        assert sorted(system.peers[0].owned_nodes()) == [v for v in range(15) if v % 3 == 0]
 
     def test_rejects_more_servers_than_nodes(self):
         ns = balanced_tree(levels=2)  # 7 nodes
@@ -119,17 +119,17 @@ class TestBuild:
         # shard 0 hosts servers 0 and 1, which both own nodes
         shard = build_shard_system(ns, SystemConfig(n_servers=4, seed=1), 0, 2,
                                    owner=owner)
-        assert all(p.owned for p in shard.local_peers)
+        assert all(p.owned_nodes() for p in shard.local_peers)
         system = build_system(ns, SystemConfig(n_servers=4, seed=1),
                               owner=[v % 4 for v in range(len(ns))])
-        assert all(p.owned for p in system.peers)
+        assert all(p.owned_nodes() for p in system.peers)
 
     def test_deterministic_given_seed(self):
         ns = balanced_tree(levels=4)
         a = build_system(ns, SystemConfig(n_servers=4, seed=9))
         b = build_system(ns, SystemConfig(n_servers=4, seed=9))
-        assert [sorted(p.owned) for p in a.peers] == [
-            sorted(p.owned) for p in b.peers
+        assert [sorted(p.owned_nodes()) for p in a.peers] == [
+            sorted(p.owned_nodes()) for p in b.peers
         ]
 
 
@@ -192,7 +192,7 @@ def wiring_state(peer):
     return {
         "maps": [(node, list(servers)) for node, servers in peer.maps.items()],
         "ranking": list(peer.ranking._weight),
-        "owned": set(peer.owned),
+        "owned": peer.owned_nodes(),
         "hosted_list": list(peer.store.hosted_list),
         "vector": peer.digest.snapshot()[1],
         "version": peer.digest.version,
@@ -212,11 +212,10 @@ def digest_add_per_key(digest, node):
 
 
 def adopt_per_node(peer, node):
-    """One node's adoption as it was: ``track_owned`` + ``_wire_owned``."""
+    """One node's adoption as it was: ``track_owned`` + ``_wire_owned``
+    (less the owned set and the zero ranking weight, both gone)."""
     peer.store.hosted_list.append(node)
     peer.store.index.add(node)
-    peer.owned.add(node)
-    peer.ranking.track(node)
     entry = peer.maps.get(node)
     if entry is None:
         peer.maps[node] = [peer.sid]
@@ -228,8 +227,7 @@ def adopt_per_node(peer, node):
 def strip_wiring(peer):
     """Undo the build's wiring of ``peer``; returns its owned nodes,
     ascending (the order the builder hands them over in)."""
-    nodes = sorted(peer.owned)
-    peer.owned.clear()
+    nodes = sorted(peer.owned_nodes())
     peer.maps.clear()
     peer.ranking._weight.clear()
     del peer.store.hosted_list[:]
@@ -307,7 +305,7 @@ class TestBatchWiringEqualsPerNodeWiring:
         rewire_per_node(system)
         assert got == [wiring_state(p) for p in system.peers]
         peer = system.peers[0]
-        pinned_only = [v for v in peer.maps if v not in peer.owned]
+        pinned_only = [v for v in peer.maps if not peer.owns(v)]
         assert pinned_only and all(peer.pinned(v) for v in pinned_only)
         assert all(len(peer.maps[v]) == 0 for v in pinned_only)
 
@@ -390,9 +388,9 @@ class TestAdoptOnARunningSystem:
     def test_transfer_still_audits_clean(self):
         ns = balanced_tree(levels=5)
         system = build_system(ns, SystemConfig(n_servers=4, seed=3))
-        node = next(iter(system.peers[1].owned))
+        node = system.peers[1].owned_nodes()[0]
         transfer_ownership(system, node, 2)
-        assert node in system.peers[2].owned
+        assert system.peers[2].owns(node)
         assert node in system.peers[2].digest
         assert system.peers[2].store.hosted_list[-1] == node
 
@@ -423,14 +421,15 @@ class TestBuildCost:
     """The build runs a body per *peer*, not a call chain per node.
 
     Python-level ``call`` events (``sys.setprofile``) of one
-    ``build_system``, per owned node: 2.19 on this fleet (13.7 before
+    ``build_system``, per owned node: 2.03 on this fleet (13.7 before
     the batch build: ``_wire_owned -> Digest.add -> BloomFilter.add ->
     positions -> 2 x _splitmix64``, ``ranking.track``, ``ns.neighbors``
     and two ``Peer.pin`` per node; then 4.8 with one
     ``BloomFilter._hash`` and one ``ranking.track`` per node, and 3.16
-    once ``add_many`` hashed a server's share in packed passes).  No
-    call is left per node in ``adopt_nodes`` (``ranking.track_many``,
-    ``BloomFilter.add_many``) or ``pin_contexts``; what is left is the
+    once ``add_many`` hashed a server's share in packed passes; 2.06
+    before adoption stopped filling an owned set and zero ranking
+    weights).  No call is left per node in ``adopt_nodes``
+    (``BloomFilter.add_many``) or ``pin_contexts``; what is left is the
     shuffle's draw and the per-peer constructors.  The count is
     deterministic, so the bound holds on any host; a per-node chain
     that grows back fails it behind an unchanged fingerprint.
@@ -520,8 +519,8 @@ class TestOneObjectPerNodeId:
         for system in systems:
             objects: dict = {}
             for peer in system.local_peers:
-                owned += len(peer.owned)
-                for table in (peer.maps, peer.owned, peer.store.hosted_list,
+                owned += len(peer.owned_nodes())
+                for table in (peer.maps, peer.store.hosted_list,
                               peer.ranking._weight):
                     for v in table:
                         objects.setdefault(v, {})[id(v)] = v
@@ -583,7 +582,7 @@ class TestStateWrittenNotRead:
 
     def test_a_probe_is_cached_and_matches_the_add(self, system):
         bloom = system.peers[0].digest.bloom
-        node = next(iter(system.peers[0].owned))
+        node = system.peers[0].owned_nodes()[0]
         pos = bloom.positions(node)
         try:
             assert bloom.pos_cache[node] is pos
@@ -610,8 +609,8 @@ class TestStateWrittenNotRead:
         from repro.sim.memsize import deep_sizeof
 
         ranking = NodeRanking()
-        for v in system.peers[0].owned:
-            ranking.track(v)
+        for v in system.peers[0].owned_nodes():
+            ranking.hit(v, 0.0)
         before = deep_sizeof(ranking)
         ranking.rescale()
         assert deep_sizeof(ranking) == before

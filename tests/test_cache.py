@@ -108,19 +108,21 @@ class TestEntryMerging:
 class TestPutPath:
     def test_skips_own_hops_and_hosted_nodes(self):
         c = LRUCache(capacity=4)
-        c.put_path([(1, 10), (2, 7), (3, 11), (4, 12)], 7, {3}, {4: None})
+        owner = [0, 0, 0, 7, 0]  # server 7 owns node 3
+        c.put_path([(1, 10), (2, 7), (3, 11), (4, 12)], 7, owner, {4: None})
         assert [(n, list(e)) for n, e in c.items()] == [(1, [10])]
 
     def test_extends_touches_and_evicts_like_put(self):
         c = LRUCache(capacity=2, rmap=2)
-        c.put_path([(1, 10), (2, 20), (1, 11), (1, 12), (3, 30)], 0, (), ())
+        c.put_path([(1, 10), (2, 20), (1, 11), (1, 12), (3, 30)], 0,
+                   [1] * 4, ())
         assert [(n, list(e)) for n, e in c.items()] == [
             (1, [10, 11]), (3, [30])]
         assert c.evictions == 1
 
     def test_zero_capacity_noop(self):
         c = LRUCache(capacity=0)
-        c.put_path([(1, 10)], 0, (), ())
+        c.put_path([(1, 10)], 0, [1] * 2, ())
         assert len(c) == 0
 
 

@@ -328,6 +328,40 @@ class TestCampaign:
         assert result.stats.executed == 10 and not result.failures
         assert pool.call_count == 1
 
+    def test_report_runs_one_campaign(self, tmp_path, monkeypatch, capsys):
+        """``python -m repro`` runs every requested experiment as one
+        campaign: one ``[campaign]`` line and, under two workers, one
+        pool, however many experiments."""
+        from repro.experiments import common
+
+        spawn = multiprocessing.get_context("spawn")
+
+        def toy_experiment(name):
+            return Experiment(
+                name=name, title=name, point=toy_task,
+                grid=lambda scale, seed: [
+                    (tag, dict(tag=f"{name}-{tag}", value=i,
+                               marker_dir=str(tmp_path)))
+                    for i, tag in enumerate("abc")
+                ],
+                render=print, assemble=lambda specs, payloads: payloads,
+            )
+
+        toys = {name: toy_experiment(name) for name in ("one", "two")}
+        monkeypatch.setattr(campaign, "_MODULES", dict.fromkeys(toys, ""))
+        monkeypatch.setattr(campaign, "get_experiment", toys.__getitem__)
+        monkeypatch.setattr(common, "get_scale", lambda name=None: MICRO)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        with mock.patch.object(spawn, "Pool", wraps=spawn.Pool) as pool:
+            assert campaign.report(["one", "two"]) == 0
+        assert pool.call_count == 1
+        out = capsys.readouterr()
+        assert out.err.count("[campaign]") == 1
+        assert out.out.index("=== one ===") < out.out.index("=== two ===")
+        assert "'tag': 'two-c', 'value': 4" in out.out
+        assert all(run_count(tmp_path, f"{name}-{tag}") == 1
+                   for name in toys for tag in "abc")
+
     def test_in_memory_failure_names_the_run(self):
         """An in-memory experiment raises after its runs finish, naming
         ``experiment:task``, the error and the raising frame."""

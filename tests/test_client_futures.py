@@ -62,7 +62,7 @@ class TestTimeouts:
         ns, system = make_system()
         inj = FailureInjector(system)
         victim = 2
-        node = next(iter(system.peers[victim].owned))
+        node = system.peers[victim].owned_nodes()[0]
         inj.fail(victim)
         client = TerraDirClient(system, home_server=0, lookup_timeout=2.0)
         fut = client.lookup_node(node)
@@ -73,7 +73,7 @@ class TestTimeouts:
     def test_wait_timeout_raises_timeout_error(self):
         ns, system = make_system()
         client = TerraDirClient(system, home_server=0, lookup_timeout=50.0)
-        node = next(iter(system.peers[2].owned))
+        node = system.peers[2].owned_nodes()[0]
         fut = client.lookup_node(node)
         # drain the engine artificially short: deadline before response
         with pytest.raises(TimeoutError):
@@ -82,7 +82,7 @@ class TestTimeouts:
     def test_timeout_cancelled_on_success(self):
         ns, system = make_system()
         client = TerraDirClient(system, home_server=0, lookup_timeout=5.0)
-        node = next(iter(system.peers[2].owned))
+        node = system.peers[2].owned_nodes()[0]
         result = client.wait(client.lookup_node(node))
         assert result.node == node
         # let the (cancelled) timeout instant pass: no spurious failure
@@ -100,7 +100,7 @@ class TestRetrieveFailures:
         """All mapped servers redirect in circles -> bounded attempts."""
         ns, system = make_system()
         inj = FailureInjector(system)
-        node = next(iter(system.peers[2].owned))
+        node = system.peers[2].owned_nodes()[0]
         client = TerraDirClient(system, home_server=0, lookup_timeout=3.0,
                                 retrieve_attempts=2)
         lookup = client.wait(client.lookup_node(node))
@@ -113,7 +113,7 @@ class TestRetrieveFailures:
     def test_home_served_retrieval(self):
         ns, system = make_system()
         home = system.peers[0]
-        node = next(iter(home.owned))
+        node = home.owned_nodes()[0]
         home.metadata.set_data(node, "local")
         client = TerraDirClient(system, home_server=0)
         result = client.wait(client.retrieve(ns.name_of(node)))
@@ -128,7 +128,7 @@ class TestLookupRetries:
         ns, system = make_system()
         inj = FailureInjector(system)
         victim = 2
-        node = next(iter(system.peers[victim].owned))
+        node = system.peers[victim].owned_nodes()[0]
         client = TerraDirClient(system, home_server=0, lookup_timeout=2.0,
                                 lookup_retries=2)
         inj.fail(victim)
@@ -142,7 +142,7 @@ class TestLookupRetries:
         ns, system = make_system()
         inj = FailureInjector(system)
         victim = 2
-        node = next(iter(system.peers[victim].owned))
+        node = system.peers[victim].owned_nodes()[0]
         inj.fail(victim)
         client = TerraDirClient(system, home_server=0, lookup_timeout=1.0,
                                 lookup_retries=1)

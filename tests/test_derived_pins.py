@@ -36,7 +36,7 @@ class CountedPins:
         for peer in system.peers:
             peer.maps = {node: list(m) for node, m in peer.maps.items()}
             refs = self.refs[peer.sid] = {}
-            for nbr in system.ns.contexts(sorted(peer.owned)):
+            for nbr in system.ns.contexts(sorted(peer.owned_nodes())):
                 refs[nbr] = refs.get(nbr, 0) + 1
 
     # -- Peer --------------------------------------------------------------
@@ -71,8 +71,6 @@ class CountedPins:
 
     def adopt(self, peer, node):
         peer.store.track_owned_many((node,))
-        peer.owned.add(node)
-        peer.ranking.track(node)
         entry = peer.maps.get(node)
         if entry is None:
             peer.maps[node] = [peer.sid]
@@ -88,7 +86,6 @@ class CountedPins:
                                        meta=payload.meta)
         store.hosted_list.append(node)
         store.index.add(node)
-        peer.ranking.track(node)
         entry = peer.maps.get(node)
         peer.maps[node] = merge_maps(
             entry if entry is not None else [],
@@ -157,7 +154,6 @@ class CountedPins:
     # -- membership --------------------------------------------------------
 
     def drop_owned(self, peer, node):
-        peer.owned.discard(node)
         peer.store.untrack_owned(node)
         peer.ranking.forget(node)
         peer.metadata._meta.pop(node, None)
@@ -183,9 +179,10 @@ class CountedPins:
             nbr: list(src.maps.get(nbr, ())) for nbr in system.ns.neighbors(node)
         }
         node_map = [s for s in src.maps.get(node, ()) if s != src.sid]
-        self.drop_owned(src, node)
         if node in dst.store.replicas:
             self.evict(dst, node, system.engine.now)
+        system.owner[node] = new_owner
+        self.drop_owned(src, node)
         self.adopt(dst, node)
         dst.metadata._meta[node] = meta
         if data is not None:
@@ -196,7 +193,6 @@ class CountedPins:
                 entry.append(s)
         for nbr, nbr_map in context.items():
             self.pin(dst, nbr, nbr_map)
-        system.owner[node] = new_owner
         for p in system.peers:
             if p.sid == new_owner:
                 continue
@@ -218,7 +214,7 @@ class CountedPins:
         heirs = [p.sid for p in system.peers if p.sid != sid]
         for node in list(peer.store.replicas):
             self.evict(peer, node, system.engine.now)
-        for i, node in enumerate(sorted(peer.owned)):
+        for i, node in enumerate(sorted(peer.owned_nodes())):
             self.transfer(node, heirs[i % len(heirs)])
 
 

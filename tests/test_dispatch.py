@@ -139,7 +139,7 @@ class TestRegistry:
                 self.seen.append(msg)
 
         system = make_system()
-        peer = Recording(9, system, ())
+        peer = Recording(9, system)
         peer.seen = []
         msg = ProbeMessage(1, 2, 0.5)
         peer.deliver(msg)

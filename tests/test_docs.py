@@ -193,7 +193,10 @@ class TestQuotedNames:
         "CampaignStats.retried",
         "Engine.reset",
         "LRUCache.remove_server",
+        "NodeRanking.track",
+        "NodeRanking.track_many",
         "Peer.dispatch_registry",
+        "Peer.owned",
         "Peer.send_control",
         "ReplicaMap.add_preferred",
         "ReplicaStore.track_owned",

@@ -25,7 +25,7 @@ class TestFailStop:
         ns, system = make()
         inj = FailureInjector(system)
         inj.fail(3)
-        dest = next(iter(system.peers[3].owned))
+        dest = system.peers[3].owned_nodes()[0]
         system.inject(0, dest)
         system.engine.run(until=5.0)
         assert system.peers[3].n_processed == 0
@@ -37,7 +37,7 @@ class TestFailStop:
         ns, system = make()
         inj = FailureInjector(system)
         inj.fail(3)
-        dest = next(iter(system.peers[3].owned))
+        dest = system.peers[3].owned_nodes()[0]
         for _ in range(5):
             system.inject(0, dest)
             system.engine.run(until=system.engine.now + 2.0)
@@ -46,7 +46,7 @@ class TestFailStop:
     def test_in_flight_messages_lost(self):
         ns, system = make(net_delay=1.0)
         inj = FailureInjector(system)
-        dest = next(iter(system.peers[3].owned))
+        dest = system.peers[3].owned_nodes()[0]
         system.inject(0, dest)  # message now in flight toward 3's subtree
         system.engine.run(until=0.5)
         inj.fail(3)
@@ -58,7 +58,7 @@ class TestFailStop:
         inj = FailureInjector(system)
         inj.fail(3)
         # a lookup entirely within server 0's owned set
-        dest = next(iter(system.peers[0].owned))
+        dest = system.peers[0].owned_nodes()[0]
         system.inject(0, dest)
         system.engine.run(until=2.0)
         assert system.stats.n_completed == 1
@@ -86,7 +86,7 @@ class TestRecovery:
         inj.fail(3)
         system.engine.run(until=1.0)
         inj.recover(3)
-        dest = next(iter(system.peers[3].owned))
+        dest = system.peers[3].owned_nodes()[0]
         system.inject(0, dest)
         system.engine.run(until=system.engine.now + 5.0)
         assert system.stats.n_completed == 1
@@ -95,7 +95,7 @@ class TestRecovery:
         ns, system = make()
         inj = FailureInjector(system)
         p = system.peers[3]
-        dest = next(iter(p.owned))
+        dest = p.owned_nodes()[0]
         # fill its queue then fail it mid-service
         for i in range(4):
             p.inject(dest, qid=100 + i)
@@ -109,11 +109,14 @@ class TestRecovery:
     def test_every_lookup_is_completed_or_dropped(self):
         """Fail three busy servers mid-run and bring them back: each
         injected lookup ends up completed or recorded as a drop --
-        those queued or in service at the failure, and those injected
-        at a dead server, included."""
+        those queued or in service at the failure included -- and a
+        lookup drawn at a dead server starts at a live one instead."""
         ns = balanced_tree(levels=8)
         system = build_system(ns, SystemConfig.replicated(n_servers=16, seed=3))
         inj = FailureInjector(system)
+        at_dead = []  # per injection: did it start at a failed server?
+        system.on_inject = lambda now, src, dest: at_dead.append(
+            system.peers[src].failed)
         spec = cuzipf_stream(rate_for_utilization(0.8, 16), alpha=1.0,
                              warmup=1.0, phase=1.0, n_phases=1, seed=3)
         WorkloadDriver(system, spec).start()
@@ -129,6 +132,7 @@ class TestRecovery:
         s = system.stats
         assert s.drop_reasons.get("failure", 0) > 0
         assert s.n_injected == s.n_completed + s.n_dropped
+        assert len(at_dead) == s.n_injected and not any(at_dead)
 
     def test_a_completion_from_before_a_failure_is_void(self):
         """A service completion scheduled before a failure never takes
@@ -136,7 +140,7 @@ class TestRecovery:
         ns = balanced_tree(levels=5)
         system = build_system(ns, SystemConfig.replicated(n_servers=4, seed=1))
         inj = FailureInjector(system)
-        dest = next(iter(system.peers[0].owned))
+        dest = system.peers[0].owned_nodes()[0]
         system.inject(0, dest)
         inj.fail(0)
         inj.recover(0)
@@ -147,17 +151,45 @@ class TestRecovery:
         assert dict(s.drop_reasons) == {"failure": 1}
 
     def test_a_failed_server_drops_what_is_injected_there(self):
+        """A lookup starts at a failed server only when every server
+        has failed (``System.inject`` moves it to a live one
+        otherwise): it is one ``failure`` drop, with no service drawn."""
         ns, system = make()
         inj = FailureInjector(system)
         p = system.peers[3]
-        inj.fail(3)
+        for sid in range(len(system.peers)):
+            inj.fail(sid)
         state = p.rng.getstate()
-        p.inject(next(iter(p.owned)), qid=1)
+        starts = []
+        system.on_inject = lambda now, src, dest: starts.append(src)
+        system.inject(3, p.owned_nodes()[0])
+        assert starts == [3]
         assert p.rng.getstate() == state  # no service time drawn
         assert not p.meter.busy and not p.ingress.in_service
         s = system.stats
         assert (s.n_injected, s.n_dropped) == (1, 1)
         assert dict(s.drop_reasons) == {"failure": 1}
+
+    @pytest.mark.parametrize("drawn, dead, start", [
+        (3, (3, 4), 5),
+        (15, (15,), 0),  # wraps around
+        (14, (14, 15, 0), 1),
+    ])
+    def test_a_lookup_drawn_at_a_failed_server_starts_at_the_next_live_one(
+            self, drawn, dead, start):
+        ns, system = make()
+        inj = FailureInjector(system)
+        for sid in dead:
+            inj.fail(sid)
+        starts = []
+        system.on_inject = lambda now, src, dest: starts.append(src)
+        dest = system.peers[start].owned_nodes()[0]
+        system.inject(drawn, dest)
+        system.engine.run(until=2.0)
+        assert starts == [start]
+        assert system.peers[start].n_processed == 1
+        s = system.stats
+        assert (s.n_injected, s.n_completed, s.n_dropped) == (1, 1, 0)
 
     def test_recover_all(self):
         ns, system = make()
@@ -174,7 +206,7 @@ class TestResilienceThroughReplication:
         ns, system = make()
         inj = FailureInjector(system)
         owner = system.peers[3]
-        node = next(iter(owner.owned))
+        node = owner.owned_nodes()[0]
         other = system.peers[5]
         other.store.install(owner.store.build_payload(node), 0.0)
         inj.fail(3)
@@ -190,7 +222,7 @@ class TestResilienceThroughReplication:
         inj = FailureInjector(system)
         inj.fail(3)
         holes = unreachable_nodes(system)
-        assert set(holes) == set(system.peers[3].owned)
+        assert set(holes) == set(system.peers[3].owned_nodes())
         inj.recover(3)
         assert unreachable_nodes(system) == []
 

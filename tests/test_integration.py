@@ -140,7 +140,7 @@ class TestSoftStateConsistency:
 
     def test_rfact_respected_everywhere(self, system):
         for p in system.peers:
-            assert len(p.store.replicas) <= max(1, int(0.1 * len(p.owned)))
+            assert len(p.store.replicas) <= max(1, int(0.1 * len(p.owned_nodes())))
 
     def test_stale_hops_exist_but_rare(self, system):
         summary = run_summary(system)
@@ -150,7 +150,7 @@ class TestSoftStateConsistency:
         assert system.stats.completion_fraction > 0.8
 
     def test_digest_versions_advance(self, system):
-        assert any(p.digest.version > len(p.owned) for p in system.peers)
+        assert any(p.digest.version > len(p.owned_nodes()) for p in system.peers)
 
 
 class TestInvariants:
@@ -163,13 +163,13 @@ class TestInvariants:
         return run(SystemConfig.replicated, spec)
 
     def test_ownership_never_changes(self, system):
-        owned = sorted(v for p in system.peers for v in p.owned)
+        owned = sorted(v for p in system.peers for v in p.owned_nodes())
         assert owned == list(range(len(system.ns)))
 
     def test_hosted_list_consistent(self, system):
         for p in system.peers:
             assert sorted(p.store.hosted_list) == sorted(
-                list(p.owned) + list(p.store.replicas)
+                p.owned_nodes() + list(p.store.replicas)
             )
 
     def test_table1_audit_passes(self, system):

@@ -56,8 +56,8 @@ def make_ops():
 
 def pick_transfers(system):
     """Scripted replica installs: (source sid, target sid, node)."""
-    owned0 = sorted(system.peers[0].owned)
-    owned1 = sorted(system.peers[1].owned)
+    owned0 = sorted(system.peers[0].owned_nodes())
+    owned1 = sorted(system.peers[1].owned_nodes())
     return [
         (0, 1, owned0[0]),
         (0, 2, owned0[1]),

@@ -25,15 +25,15 @@ def make(n_servers=8, levels=6, **over):
 class TestTransferOwnership:
     def test_basic_move(self):
         ns, system = make()
-        node = next(iter(system.peers[0].owned))
+        node = system.peers[0].owned_nodes()[0]
         transfer_ownership(system, node, 1)
-        assert node not in system.peers[0].owned
-        assert node in system.peers[1].owned
+        assert not system.peers[0].owns(node)
+        assert system.peers[1].owns(node)
         assert system.owner[node] == 1
 
     def test_data_and_meta_move(self):
         ns, system = make()
-        node = next(iter(system.peers[0].owned))
+        node = system.peers[0].owned_nodes()[0]
         src = system.peers[0]
         src.metadata.set_data(node, b"payload")
         src.bump_meta(node)
@@ -45,21 +45,21 @@ class TestTransferOwnership:
 
     def test_new_owner_has_context(self):
         ns, system = make()
-        node = next(iter(system.peers[0].owned))
+        node = system.peers[0].owned_nodes()[0]
         transfer_ownership(system, node, 1)
         for nbr in ns.neighbors(node):
             assert nbr in system.peers[1].maps
 
     def test_old_owner_digest_updated(self):
         ns, system = make()
-        node = next(iter(system.peers[0].owned))
+        node = system.peers[0].owned_nodes()[0]
         transfer_ownership(system, node, 1)
         assert node not in system.peers[0].digest
         assert node in system.peers[1].digest
 
     def test_rejects_self_transfer(self):
         ns, system = make()
-        node = next(iter(system.peers[0].owned))
+        node = system.peers[0].owned_nodes()[0]
         with pytest.raises(ValueError):
             transfer_ownership(system, node, 0)
 
@@ -70,18 +70,18 @@ class TestTransferOwnership:
 
     def test_replica_holder_promotes_to_owner(self):
         ns, system = make()
-        node = next(iter(system.peers[0].owned))
+        node = system.peers[0].owned_nodes()[0]
         src, dst = system.peers[0], system.peers[1]
         dst.store.install(src.store.build_payload(node), 0.0)
         transfer_ownership(system, node, 1)
-        assert node in dst.owned
+        assert dst.owns(node)
         assert node not in dst.store.replicas
 
     def test_stale_routing_recovers_after_transfer(self):
         """Queries routed with stale maps take a stale hop at the old
         owner and still resolve (section 2.3's tolerance claim)."""
         ns, system = make()
-        node = next(iter(system.peers[2].owned))
+        node = system.peers[2].owned_nodes()[0]
         transfer_ownership(system, node, 3)
         # server 0 still believes the old mapping (wired at build time
         # only if node neighbors one of its owned nodes; force it)
@@ -92,16 +92,16 @@ class TestTransferOwnership:
 
     def test_audit_passes_after_transfer(self):
         ns, system = make()
-        node = next(iter(system.peers[0].owned))
+        node = system.peers[0].owned_nodes()[0]
         transfer_ownership(system, node, 1)
         audit_peer(system.peers[0])
         audit_peer(system.peers[1])
 
     def test_every_node_still_owned_once(self):
         ns, system = make()
-        node = next(iter(system.peers[0].owned))
+        node = system.peers[0].owned_nodes()[0]
         transfer_ownership(system, node, 1)
-        owned = sorted(v for p in system.peers for v in p.owned)
+        owned = sorted(v for p in system.peers for v in p.owned_nodes())
         assert owned == list(range(len(ns)))
 
 
@@ -109,10 +109,10 @@ class TestRetireServer:
     def test_retirement_moves_everything(self):
         ns, system = make()
         moved = retire_server(system, 0)
-        assert len(system.peers[0].owned) == 0
+        assert len(system.peers[0].owned_nodes()) == 0
         assert len(system.peers[0].store.replicas) == 0
         for node, heir in moved.items():
-            assert node in system.peers[heir].owned
+            assert system.peers[heir].owns(node)
 
     def test_round_robin_heirs(self):
         ns, system = make()
@@ -135,16 +135,16 @@ class TestRetireServer:
 class TestAddServer:
     def test_join_takes_nodes(self):
         ns, system = make()
-        victim_nodes = sorted(system.peers[0].owned)[:3]
+        victim_nodes = sorted(system.peers[0].owned_nodes())[:3]
         sid = add_server(system, victim_nodes)
         assert sid == 8
-        assert sorted(system.peers[sid].owned) == victim_nodes
+        assert sorted(system.peers[sid].owned_nodes()) == victim_nodes
         for v in victim_nodes:
             assert system.owner[v] == sid
 
     def test_joiner_participates_in_routing(self):
         ns, system = make()
-        victim_nodes = sorted(system.peers[0].owned)[:2]
+        victim_nodes = sorted(system.peers[0].owned_nodes())[:2]
         sid = add_server(system, victim_nodes)
         system.inject(1, victim_nodes[0])
         system.engine.run(until=10.0)
@@ -152,9 +152,9 @@ class TestAddServer:
 
     def test_joiner_digest_cross_evaluable(self):
         ns, system = make()
-        sid = add_server(system, sorted(system.peers[0].owned)[:1])
+        sid = add_server(system, sorted(system.peers[0].owned_nodes())[:1])
         joiner = system.peers[sid]
-        node = next(iter(joiner.owned))
+        node = joiner.owned_nodes()[0]
         old = system.peers[1]
         # built by the fleet's one constructor: same geometry, same
         # position cache, nothing reached into from outside
@@ -165,14 +165,14 @@ class TestAddServer:
         assert old.digest_dir.observe(sid, joiner.digest.snapshot())
         assert old.digest_dir.test(sid, node) is True
         # ... and the joiner an old peer's
-        theirs = next(iter(old.owned))
+        theirs = old.owned_nodes()[0]
         assert joiner.digest_dir.observe(old.sid, old.digest.snapshot())
         assert joiner.digest_dir.test(old.sid, theirs) is True
         assert old.digest_dir.n_rejected == joiner.digest_dir.n_rejected == 0
 
     def test_workload_spans_new_server(self):
         ns, system = make()
-        sid = add_server(system, sorted(system.peers[0].owned)[:2])
+        sid = add_server(system, sorted(system.peers[0].owned_nodes())[:2])
         drv = WorkloadDriver(system, unif_stream(150.0, 5.0, seed=4))
         drv.run()
         assert system.stats.completion_fraction > 0.9

@@ -380,7 +380,9 @@ _CACHE_OP = st.one_of(
               st.lists(st.tuples(_NODE, _SERVER), max_size=8)),
 )
 # what put_path is told to skip: hops served by server 0, hosted nodes
-_OWN_SID, _OWNED, _REPLICAS = 0, {1, 2}, {3: None}
+# (server 0 owns nodes 1 and 2 of the owner table, and replicates 3)
+_OWN_SID, _REPLICAS = 0, {3: None}
+_OWNER = [0 if v in (1, 2) else 1 for v in range(63)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -409,9 +411,10 @@ def test_cache_scan_matches_reference(ops, seed):
     for op in ops:
         name, args = op[0], op[1:]
         if name == "put_path":
-            cache.put_path(args[0], _OWN_SID, _OWNED, _REPLICAS)
+            cache.put_path(args[0], _OWN_SID, _OWNER, _REPLICAS)
             for v, s in args[0]:
-                if s != _OWN_SID and v not in _OWNED and v not in _REPLICAS:
+                if s != _OWN_SID and _OWNER[v] != _OWN_SID \
+                        and v not in _REPLICAS:
                     twin.put(v, (s,))
                     ref_put(v)
         else:

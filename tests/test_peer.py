@@ -19,7 +19,7 @@ class TestQueueing:
     def test_first_message_starts_service(self):
         ns, system = make()
         p = system.peers[0]
-        dest = next(iter(system.peers[1].owned))
+        dest = system.peers[1].owned_nodes()[0]
         p.inject(dest, qid=1)
         assert p.ingress.in_service
         assert len(p.ingress.queue) == 0
@@ -27,7 +27,7 @@ class TestQueueing:
     def test_excess_arrivals_dropped(self):
         ns, system = make(queue_size=2)
         p = system.peers[0]
-        dest = next(iter(system.peers[1].owned))
+        dest = system.peers[1].owned_nodes()[0]
         for i in range(5):
             p.inject(dest, qid=i)
         # 1 in service + 2 queued + 2 dropped
@@ -38,7 +38,7 @@ class TestQueueing:
     def test_queue_drains_in_fifo_order(self):
         ns, system = make()
         p = system.peers[0]
-        dest = next(iter(system.peers[1].owned))
+        dest = system.peers[1].owned_nodes()[0]
         for i in range(3):
             p.inject(dest, qid=i)
         system.engine.run(until=5.0)
@@ -49,7 +49,7 @@ class TestQueueing:
     def test_busy_time_accumulates(self):
         ns, system = make()
         p = system.peers[0]
-        dest = next(iter(system.peers[1].owned))
+        dest = system.peers[1].owned_nodes()[0]
         p.inject(dest, qid=1)
         system.run_until(10.0)  # run_until drives window maintenance
         assert p.meter.n_windows > 0
@@ -59,7 +59,7 @@ class TestLocalResolution:
     def test_owned_destination_resolves_without_network(self):
         ns, system = make()
         p = system.peers[0]
-        dest = next(iter(p.owned))
+        dest = p.owned_nodes()[0]
         sent_before = system.transport.n_sent
         p.inject(dest, qid=1)
         system.engine.run(until=2.0)
@@ -72,7 +72,7 @@ class TestEndToEndQuery:
     def test_remote_lookup_completes(self):
         ns, system = make()
         src = system.peers[0]
-        dest = next(iter(system.peers[2].owned))
+        dest = system.peers[2].owned_nodes()[0]
         src.inject(dest, qid=1)
         system.engine.run(until=10.0)
         assert system.stats.n_completed == 1
@@ -81,7 +81,7 @@ class TestEndToEndQuery:
     def test_latency_includes_network_and_service(self):
         ns, system = make(net_delay=0.1, service_mean=0.001)
         src = system.peers[0]
-        dest = next(iter(system.peers[2].owned))
+        dest = system.peers[2].owned_nodes()[0]
         src.inject(dest, qid=1)
         system.engine.run(until=10.0)
         # at least one forward + one response = 2 network legs
@@ -104,7 +104,7 @@ class TestSoftStateAbsorption:
     def test_sender_load_learned(self):
         ns, system = make()
         src = system.peers[0]
-        dest = next(iter(system.peers[2].owned))
+        dest = system.peers[2].owned_nodes()[0]
         src.inject(dest, qid=1)
         system.engine.run(until=10.0)
         learned = [
@@ -116,7 +116,7 @@ class TestSoftStateAbsorption:
     def test_digest_snapshot_learned(self):
         ns, system = make()
         src = system.peers[0]
-        dest = next(iter(system.peers[2].owned))
+        dest = system.peers[2].owned_nodes()[0]
         src.inject(dest, qid=1)
         system.engine.run(until=10.0)
         learned = [
@@ -127,7 +127,7 @@ class TestSoftStateAbsorption:
     def test_response_caches_destination(self):
         ns, system = make()
         src = system.peers[0]
-        dest = next(iter(system.peers[2].owned))
+        dest = system.peers[2].owned_nodes()[0]
         src.inject(dest, qid=1)
         system.engine.run(until=10.0)
         assert src.cache.peek(dest) is not None
@@ -135,7 +135,7 @@ class TestSoftStateAbsorption:
     def test_no_caching_when_disabled(self):
         ns, system = make(caching_enabled=False)
         src = system.peers[0]
-        dest = next(iter(system.peers[2].owned))
+        dest = system.peers[2].owned_nodes()[0]
         src.inject(dest, qid=1)
         system.engine.run(until=10.0)
         assert len(src.cache) == 0
@@ -172,7 +172,7 @@ class TestStaleHops:
     def test_stale_hop_counted_and_query_recovers(self):
         ns, system = make()
         src = system.peers[0]
-        dest = next(iter(system.peers[2].owned))
+        dest = system.peers[2].owned_nodes()[0]
         # poison the source cache: server 1 claims to host dest but won't
         src.cache.put(dest, [1])
         src.inject(dest, qid=1)
@@ -185,21 +185,21 @@ class TestMetaVersioning:
     def test_owner_bumps_meta(self):
         ns, system = make()
         p = system.peers[0]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         assert p.bump_meta(node) == 1
         assert p.bump_meta(node) == 2
 
     def test_non_owner_cannot_bump(self):
         ns, system = make()
         p = system.peers[0]
-        node = next(iter(system.peers[1].owned))
+        node = system.peers[1].owned_nodes()[0]
         with pytest.raises(KeyError):
             p.bump_meta(node)
 
     def test_replica_carries_meta_version(self):
         ns, system = make()
         src, dst = system.peers[0], system.peers[1]
-        node = next(iter(src.owned))
+        node = src.owned_nodes()[0]
         src.bump_meta(node)
         src.bump_meta(node)
         dst.store.install(src.store.build_payload(node), 0.0)

@@ -80,7 +80,7 @@ class TestMergeMapFiltering:
         ns, system = make()
         p = system.peers[0]
         other = system.peers[1]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         # p learns other's digest; other's digest does NOT contain node
         p.digest_dir.observe(other.sid, other.digest.snapshot())
         p.merge_map(node, [other.sid])
@@ -89,14 +89,14 @@ class TestMergeMapFiltering:
     def test_unknown_digest_entries_kept(self):
         ns, system = make()
         p = system.peers[0]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         p.merge_map(node, [4])  # no digest known for server 4
         assert 4 in p.maps[node]
 
     def test_positive_digest_entries_kept(self):
         ns, system = make()
         p, other = system.peers[0], system.peers[1]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         other.digest.add(node)  # other now claims to host it
         p.digest_dir.observe(other.sid, other.digest.snapshot())
         p.merge_map(node, [other.sid])
@@ -105,7 +105,7 @@ class TestMergeMapFiltering:
     def test_oracle_mode_uses_ground_truth(self):
         ns, system = make(oracle_maps=True)
         p, other = system.peers[0], system.peers[1]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         p.merge_map(node, [other.sid])  # other truly does not host it
         assert other.sid not in p.maps[node]
 
@@ -121,7 +121,7 @@ class TestMergeMapFiltering:
     def test_owner_never_filtered_out_of_own_map(self):
         ns, system = make()
         p = system.peers[0]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         for _ in range(10):
             p.merge_map(node, [1, 2, 3, 4, 5])
         assert p.sid in p.maps[node]
@@ -131,14 +131,14 @@ class TestAdvertAbsorption:
     def test_advert_prepends_to_map(self):
         ns, system = make()
         p = system.peers[0]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         p.deliver(AdvertMessage(node, [4]))
         assert p.maps[node][0] == 4
 
     def test_advert_bounded_by_rmap(self):
         ns, system = make(rmap=2)
         p = system.peers[0]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         for s in (2, 3, 4, 5):
             p.deliver(AdvertMessage(node, [s]))
         assert len(p.maps[node]) <= 3  # self + rmap-bounded entries
@@ -146,7 +146,7 @@ class TestAdvertAbsorption:
     def test_advert_never_evicts_self(self):
         ns, system = make(rmap=2)
         p = system.peers[0]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         for s in (2, 3, 4, 5, 6):
             p.deliver(AdvertMessage(node, [s]))
         assert p.sid in p.maps[node]
@@ -156,7 +156,7 @@ class TestAdvertAbsorption:
         an advert at the owner must not reach a context holder's map."""
         ns, system = make()
         p = system.peers[0]
-        node = next(v for v in p.owned
+        node = next(v for v in p.owned_nodes()
                     if any(system.owner[n] != 0 for n in ns.neighbors(v)))
         holder = system.peers[next(system.owner[n] for n in ns.neighbors(node)
                                    if system.owner[n] != 0)]
@@ -188,7 +188,7 @@ class TestNoteReplicaCreated:
     def test_map_gets_target_first(self):
         ns, system = make()
         p = system.peers[0]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         p.store.note_created(node, 3, 0.0)
         assert p.maps[node][0] == 3
         assert 3 in p.store.adverts_recent[node]
@@ -196,7 +196,7 @@ class TestNoteReplicaCreated:
     def test_adverts_recent_bounded(self):
         ns, system = make(rmap=2)
         p = system.peers[0]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         for target in (1, 2, 3, 4):
             p.store.note_created(node, target, 0.0)
         assert len(p.store.adverts_recent[node]) == 2
@@ -205,7 +205,7 @@ class TestNoteReplicaCreated:
     def test_duplicate_target_moves_to_front(self):
         ns, system = make()
         p = system.peers[0]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         p.store.note_created(node, 1, 0.0)
         p.store.note_created(node, 2, 0.0)
         p.store.note_created(node, 1, 0.0)
@@ -214,7 +214,7 @@ class TestNoteReplicaCreated:
     def test_stats_recorded_per_level(self):
         ns, system = make()
         p = system.peers[0]
-        node = next(iter(p.owned))
+        node = p.owned_nodes()[0]
         p.store.note_created(node, 3, 0.0)
         assert system.stats.level_replicas[ns.depth[node]] == 1
 
@@ -223,7 +223,7 @@ class TestQueueEdgeCases:
     def test_zero_queue_size_drops_all_waiting(self):
         ns, system = make(queue_size=0)
         p = system.peers[0]
-        dest = next(iter(system.peers[1].owned))
+        dest = system.peers[1].owned_nodes()[0]
         p.inject(dest, qid=1)  # starts service
         p.inject(dest, qid=2)  # queue full (size 0) -> dropped
         assert p.ingress.n_drops == 1
@@ -249,14 +249,14 @@ class TestDigestLifecycle:
     def test_install_adds_to_digest(self):
         ns, system = make()
         src, dst = system.peers[0], system.peers[1]
-        node = next(iter(src.owned))
+        node = src.owned_nodes()[0]
         dst.store.install(src.store.build_payload(node), 0.0)
         assert node in dst.digest
 
     def test_install_clears_stale_cache_entry(self):
         ns, system = make()
         src, dst = system.peers[0], system.peers[1]
-        node = next(iter(src.owned))
+        node = src.owned_nodes()[0]
         dst.cache.put(node, [src.sid])
         dst.store.install(src.store.build_payload(node), 0.0)
         assert node not in dst.cache
@@ -264,7 +264,7 @@ class TestDigestLifecycle:
     def test_digest_version_monotone(self):
         ns, system = make()
         src, dst = system.peers[0], system.peers[1]
-        node = next(iter(src.owned))
+        node = src.owned_nodes()[0]
         v0 = dst.digest.version
         dst.store.install(src.store.build_payload(node), 0.0)
         v1 = dst.digest.version
@@ -281,7 +281,7 @@ class TestUnpinHostedRegression:
         ns, system = make(n_servers=4, levels=4)
         p, other = system.peers[0], system.peers[1]
         # find a replica candidate adjacent to one of p's owned nodes
-        owned = next(iter(p.owned))
+        owned = p.owned_nodes()[0]
         nbr = next(n for n in ns.neighbors(owned) if not p.hosts(n))
         src = system.peers[system.owner[nbr]]
         p.store.install(src.store.build_payload(nbr), 0.0)

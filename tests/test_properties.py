@@ -229,7 +229,6 @@ def test_undenied_equals_the_per_server_tests(hosted, known, servers, node, own)
 def test_top_k_for_fraction_is_minimal_prefix(weights, fraction):
     r = NodeRanking()
     for node, w in weights.items():
-        r.track(node)
         r.hit(node, w)
     top = r.top_k_for_fraction(fraction)
     if not weights:
@@ -261,7 +260,6 @@ def test_rescale_preserves_ranking_order(weights):
     # reorder by node id, so only well-separated weights are asserted
     r = NodeRanking(decay=0.3)
     for node, w in weights.items():
-        r.track(node)
         r.hit(node, w)
     sep = sorted(weights.values())
     if any(b - a < 1e-9 * max(b, 1.0) for a, b in zip(sep, sep[1:])):

@@ -6,22 +6,22 @@ from repro.core.ranking import NodeRanking
 
 
 class TestTracking:
-    def test_track_and_hit(self):
+    def test_hits_accumulate(self):
         r = NodeRanking()
-        r.track(1)
         r.hit(1)
         r.hit(1, 2.0)
         assert r.weight(1) == 3.0
 
-    def test_untracked_hits_dropped(self):
+    def test_only_a_hit_stores_a_weight(self):
+        """A node never hit holds no entry and reads 0.0; its first hit
+        creates the weight (callers hit hosted nodes only)."""
         r = NodeRanking()
+        assert r.weight(5) == 0.0 and 5 not in r and len(r) == 0
         r.hit(5)
-        assert r.weight(5) == 0.0
-        assert 5 not in r
+        assert r.weight(5) == 1.0 and 5 in r
 
     def test_forget(self):
         r = NodeRanking()
-        r.track(1)
         r.hit(1)
         r.forget(1)
         assert 1 not in r
@@ -29,8 +29,6 @@ class TestTracking:
 
     def test_total_weight(self):
         r = NodeRanking()
-        r.track(1)
-        r.track(2)
         r.hit(1, 3.0)
         r.hit(2, 2.0)
         assert r.total_weight() == 5.0
@@ -39,7 +37,6 @@ class TestTracking:
 class TestRescale:
     def test_decay(self):
         r = NodeRanking(decay=0.5)
-        r.track(1)
         r.hit(1, 8.0)
         r.rescale()
         assert r.weight(1) == 4.0
@@ -47,7 +44,6 @@ class TestRescale:
     def test_rescale_preserves_order(self):
         r = NodeRanking(decay=0.25)
         for n, w in ((1, 10.0), (2, 5.0), (3, 1.0)):
-            r.track(n)
             r.hit(n, w)
         before = [n for n, _ in r.ranked()]
         r.rescale()
@@ -57,8 +53,6 @@ class TestRescale:
         """Rescaling approximates *recent* demand: an old hot node
         yields its rank to a newly hot node after a few decays."""
         r = NodeRanking(decay=0.1)
-        r.track(1)
-        r.track(2)
         r.hit(1, 100.0)
         for _ in range(3):
             r.rescale()
@@ -74,15 +68,12 @@ class TestRescale:
 class TestRanked:
     def test_descending_with_deterministic_ties(self):
         r = NodeRanking()
-        for n in (3, 1, 2):
-            r.track(n)
         r.hit(2, 5.0)
-        assert r.ranked() == [(2, 5.0), (1, 0.0), (3, 0.0)]
+        assert r.ranked(among=(3, 1, 2)) == [(2, 5.0), (1, 0.0), (3, 0.0)]
 
     def test_among_restricts(self):
         r = NodeRanking()
         for n in (1, 2, 3):
-            r.track(n)
             r.hit(n, float(n))
         assert [n for n, _ in r.ranked(among=[1, 3])] == [3, 1]
 
@@ -91,7 +82,6 @@ class TestTopKForFraction:
     def _ranking(self):
         r = NodeRanking()
         for n, w in ((1, 50.0), (2, 30.0), (3, 15.0), (4, 5.0)):
-            r.track(n)
             r.hit(n, w)
         return r
 
@@ -110,8 +100,7 @@ class TestTopKForFraction:
 
     def test_cold_counters_still_ship_one(self):
         r = NodeRanking()
-        r.track(9)
-        assert r.top_k_for_fraction(0.5) == [9]
+        assert r.top_k_for_fraction(0.5, among=[9]) == [9]
 
     def test_empty_ranking(self):
         assert NodeRanking().top_k_for_fraction(0.5) == []
@@ -125,13 +114,11 @@ class TestBottom:
     def test_lowest_ranked_first(self):
         r = NodeRanking()
         for n, w in ((1, 5.0), (2, 1.0), (3, 3.0)):
-            r.track(n)
             r.hit(n, w)
         assert r.bottom(2) == [2, 3]
 
     def test_among(self):
         r = NodeRanking()
         for n, w in ((1, 5.0), (2, 1.0), (3, 3.0)):
-            r.track(n)
             r.hit(n, w)
         assert r.bottom(1, among=[1, 3]) == [3]

@@ -75,7 +75,7 @@ class TestFullSession:
         src, dst = system.peers[0], system.peers[1]
         src.known_loads[1] = (0.0, 0.0)
         # make one node clearly hottest
-        hot = next(iter(src.owned))
+        hot = src.owned_nodes()[0]
         src.ranking.hit(hot, 100.0)
         force_load(src, 1.0)
         assert src.repl.maybe_trigger(0.0)
@@ -89,7 +89,7 @@ class TestFullSession:
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
         src.known_loads[1] = (0.0, 0.0)
-        hot = next(iter(src.owned))
+        hot = src.owned_nodes()[0]
         src.ranking.hit(hot, 100.0)
         force_load(src, 1.0)
         src.repl.maybe_trigger(0.0)
@@ -101,7 +101,7 @@ class TestFullSession:
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
         src.known_loads[1] = (0.0, 0.0)
-        hot = next(iter(src.owned))
+        hot = src.owned_nodes()[0]
         src.ranking.hit(hot, 100.0)
         force_load(src, 1.0)
         src.repl.maybe_trigger(0.0)
@@ -116,7 +116,7 @@ class TestFullSession:
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
         src.known_loads[1] = (0.0, 0.0)
-        hot = next(iter(src.owned))
+        hot = src.owned_nodes()[0]
         src.ranking.hit(hot, 100.0)
         force_load(src, 1.0)
         src.repl.maybe_trigger(0.0)
@@ -129,7 +129,7 @@ class TestFullSession:
         weight reaches (ls - lt) / (2 ls)."""
         ns, system = make_system()
         src = system.peers[0]
-        owned = sorted(src.owned)
+        owned = sorted(src.owned_nodes())
         # equal weights: fraction (1.0-0.0)/(2*1.0)=0.5 needs half of them
         for v in owned:
             src.ranking.hit(v, 10.0)
@@ -176,7 +176,7 @@ class TestRetryAbort:
         src.known_loads[1] = (0.0, 0.0)
         src.known_loads[2] = (0.1, 0.0)
         force_load(system.peers[1], 0.95)  # min-believed-load target refuses
-        hot = next(iter(src.owned))
+        hot = src.owned_nodes()[0]
         src.ranking.hit(hot, 50.0)
         force_load(src, 1.0)
         src.repl.maybe_trigger(0.0)
@@ -203,7 +203,7 @@ class TestTargetAdmission:
         # capacity = max(1, int(0.1 * ~8 owned)) -> a single replica slot
         cap = dst.repl.replica_capacity()
         assert cap == 1
-        owned = sorted(src.owned)
+        owned = sorted(src.owned_nodes())
         src.known_loads[1] = (0.0, 0.0)
         # session 1: ship one node
         src.ranking.hit(owned[0], 100.0)
@@ -227,7 +227,7 @@ class TestTargetAdmission:
     def test_duplicate_transfer_merges_maps_only(self):
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
-        hot = next(iter(src.owned))
+        hot = src.owned_nodes()[0]
         payload = src.store.build_payload(hot)
         dst.store.install(payload, 0.0)
         n_before = len(dst.store.replicas)
@@ -240,7 +240,7 @@ class TestEviction:
     def test_evicted_replica_unpins_context(self):
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
-        hot = next(iter(src.owned))
+        hot = src.owned_nodes()[0]
 
         def pinned():
             return [v for v in range(len(ns)) if dst.pinned(v)]
@@ -256,7 +256,7 @@ class TestEviction:
     def test_eviction_rebuilds_digest(self):
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
-        hot = next(iter(src.owned))
+        hot = src.owned_nodes()[0]
         dst.store.install(src.store.build_payload(hot), 0.0)
         assert hot in dst.digest
         dst.store.evict(hot, 1.0)
@@ -265,7 +265,7 @@ class TestEviction:
     def test_idle_timeout_eviction(self):
         ns, system = make_system(replica_idle_timeout=10.0)
         src, dst = system.peers[0], system.peers[1]
-        hot = next(iter(src.owned))
+        hot = src.owned_nodes()[0]
         dst.store.install(src.store.build_payload(hot), 0.0)
         assert dst.evict_idle_replicas(5.0) == 0
         assert dst.evict_idle_replicas(20.0) == 1
@@ -274,7 +274,7 @@ class TestEviction:
     def test_idle_eviction_disabled_by_default(self):
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
-        hot = next(iter(src.owned))
+        hot = src.owned_nodes()[0]
         dst.store.install(src.store.build_payload(hot), 0.0)
         assert dst.evict_idle_replicas(1e9) == 0
 
@@ -333,7 +333,7 @@ class TestPerServerRfact:
         ns, system = make_system(rfact=2.0)
         p = system.peers[0]
         assert p.rfact == 2.0
-        assert p.repl.replica_capacity() == max(1, int(2.0 * len(p.owned)))
+        assert p.repl.replica_capacity() == max(1, int(2.0 * len(p.owned_nodes())))
 
     def test_local_override_changes_capacity(self):
         ns, system = make_system(rfact=2.0)
@@ -341,13 +341,13 @@ class TestPerServerRfact:
         p.rfact = 0.0
         assert p.repl.replica_capacity() == 1  # floor of one replica slot
         p.rfact = 5.0
-        assert p.repl.replica_capacity() == 5 * len(p.owned)
+        assert p.repl.replica_capacity() == 5 * len(p.owned_nodes())
 
     def test_override_enforced_on_install(self):
         ns, system = make_system()
         src, dst = system.peers[0], system.peers[1]
         dst.rfact = 0.0  # one replica slot only
-        owned = sorted(src.owned)[:3]
+        owned = sorted(src.owned_nodes())[:3]
         for node in owned:
             from repro.net.message import TransferMessage
             payload = src.store.build_payload(node)

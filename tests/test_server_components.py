@@ -86,7 +86,7 @@ class TestPeerFacade:
     def test_drop_accounting_delegates(self):
         ns, system = make(queue_size=1)
         p = system.peers[0]
-        dest = next(iter(system.peers[1].owned))
+        dest = system.peers[1].owned_nodes()[0]
         for i in range(4):
             p.inject(dest, qid=i)
         assert p.ingress.n_drops == 2
@@ -108,4 +108,4 @@ class TestPeerFacade:
         assert SoftStateAbsorber.__slots__ == ("peer",)
         ns, system = make()
         p = system.peers[0]
-        assert set(p.store.hosted_list) == set(p.owned)
+        assert set(p.store.hosted_list) == set(p.owned_nodes())

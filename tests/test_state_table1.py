@@ -42,20 +42,20 @@ class TestClassification:
     def test_owned(self, system):
         ns, sys_ = system
         p = sys_.peers[0]
-        v = next(iter(p.owned))
+        v = p.owned_nodes()[0]
         assert relationship_of(p, v) is Relationship.OWNED
 
     def test_replicated(self, system):
         ns, sys_ = system
         src, dst = sys_.peers[0], sys_.peers[1]
-        v = next(iter(src.owned))
+        v = src.owned_nodes()[0]
         dst.store.install(src.store.build_payload(v), 0.0)
         assert relationship_of(dst, v) is Relationship.REPLICATED
 
     def test_neighboring(self, system):
         ns, sys_ = system
         p = sys_.peers[0]
-        v = next(iter(p.owned))
+        v = p.owned_nodes()[0]
         for nbr in ns.neighbors(v):
             if not p.hosts(nbr):
                 assert relationship_of(p, nbr) is Relationship.NEIGHBORING
@@ -83,8 +83,8 @@ class TestClassification:
         ns, sys_ = system
         p = sys_.peers[0]
         owned_pair = [
-            v for v in p.owned
-            if any(n in p.owned for n in ns.neighbors(v))
+            v for v in p.owned_nodes()
+            if any(p.owns(n) for n in ns.neighbors(v))
         ]
         if owned_pair:  # depends on random assignment; usually non-empty
             assert relationship_of(p, owned_pair[0]) is Relationship.OWNED
@@ -94,13 +94,13 @@ class TestStateKinds:
     def test_owned_has_all_columns(self, system):
         ns, sys_ = system
         p = sys_.peers[0]
-        v = next(iter(p.owned))
+        v = p.owned_nodes()[0]
         assert state_kinds(p, v) == {"name", "map", "data", "meta", "context"}
 
     def test_replica_has_table1_columns(self, system):
         ns, sys_ = system
         src, dst = sys_.peers[0], sys_.peers[1]
-        v = next(iter(src.owned))
+        v = src.owned_nodes()[0]
         dst.store.install(src.store.build_payload(v), 0.0)
         assert state_kinds(dst, v) == {"name", "map", "meta", "context"}
 
@@ -118,12 +118,12 @@ class TestAudit:
         ns, sys_ = system
         for p in sys_.peers:
             counts = audit_peer(p)
-            assert counts[Relationship.OWNED] == len(p.owned)
+            assert counts[Relationship.OWNED] == len(p.owned_nodes())
 
     def test_audit_after_replication(self, system):
         ns, sys_ = system
         src, dst = sys_.peers[0], sys_.peers[1]
-        v = next(iter(src.owned))
+        v = src.owned_nodes()[0]
         dst.store.install(src.store.build_payload(v), 0.0)
         counts = audit_peer(dst)
         assert counts[Relationship.REPLICATED] == 1
@@ -131,7 +131,7 @@ class TestAudit:
     def test_audit_after_eviction(self, system):
         ns, sys_ = system
         src, dst = sys_.peers[0], sys_.peers[1]
-        v = next(iter(src.owned))
+        v = src.owned_nodes()[0]
         dst.store.install(src.store.build_payload(v), 0.0)
         dst.store.evict(v, 1.0)
         counts = audit_peer(dst)

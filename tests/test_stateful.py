@@ -61,10 +61,11 @@ class LRUCacheModel(RuleBasedStateMachine):
                         max_size=6))
     def put_path(self, path):
         """One batched call == the per-hop put loop it replaced."""
-        own_sid, owned, replicas = 0, {1}, {2: None}
-        self.cache.put_path(path, own_sid, owned, replicas)
+        own_sid, replicas = 0, {2: None}
+        owner = [0 if v == 1 else 1 for v in range(10)]  # 0 owns node 1
+        self.cache.put_path(path, own_sid, owner, replicas)
         for node, server in path:
-            if server != own_sid and node not in owned \
+            if server != own_sid and owner[node] != own_sid \
                     and node not in replicas:
                 self._model_put(node, (server,))
 

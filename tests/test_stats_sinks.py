@@ -69,6 +69,6 @@ class TestSystemStatsAsSink:
         cfg = SystemConfig.replicated(n_servers=3, seed=2)
         system = build_system(ns, cfg)
         client = TerraDirClient(system, home_server=0)
-        fut = client.lookup(ns.name_of(next(iter(system.peers[1].owned))))
+        fut = client.lookup(ns.name_of(system.peers[1].owned_nodes()[0]))
         client.wait(fut)
         assert system.stats.n_client_lookups == client.n_lookups >= 1

@@ -27,7 +27,7 @@ class TestSystemAPI:
 
     def test_hosts_of_ground_truth(self, system):
         ns, sys_ = system
-        node = next(iter(sys_.peers[1].owned))
+        node = sys_.peers[1].owned_nodes()[0]
         assert sys_.hosts_of(node) == [1]
         other = sys_.peers[2]
         other.store.install(

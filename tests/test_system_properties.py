@@ -71,16 +71,16 @@ def test_random_campaign_preserves_invariants(cfg_kwargs, wl, tree_pick):
     assert stats.n_completed + stats.n_dropped >= 0.95 * stats.n_injected
 
     # 2. ownership is a partition, always
-    owned = sorted(v for p in system.peers for v in p.owned)
+    owned = sorted(v for p in system.peers for v in p.owned_nodes())
     assert owned == list(range(len(ns)))
 
     # 3. bounds: rfact, cache capacity, queue, hosted-list consistency
     for p in system.peers:
-        assert len(p.store.replicas) <= max(1, int(cfg.rfact * len(p.owned)))
+        assert len(p.store.replicas) <= max(1, int(cfg.rfact * len(p.owned_nodes())))
         assert len(p.cache) <= p.cache.capacity
         assert len(p.ingress.queue) <= cfg.queue_size
         assert sorted(p.store.hosted_list) == sorted(
-            list(p.owned) + list(p.store.replicas)
+            p.owned_nodes() + list(p.store.replicas)
         )
 
     # 4. replicas only exist when the feature is on

@@ -355,7 +355,7 @@ def test_version_bump_sends_the_snapshot_in_full_exactly_once_per_link():
                     await c.lookup(src, node)
                 # install a replica on peer 1: its digest mutates
                 before = c.system.peers[1].digest.version
-                node = sorted(c.system.peers[0].owned)[0]
+                node = sorted(c.system.peers[0].owned_nodes())[0]
                 payload = c.system.peers[0].store.build_payload(node)
                 c.rt.send(1, TransferMessage(900, 0, [payload]))
                 await until(lambda: c.system.peers[1].hosts(node))

@@ -16,6 +16,7 @@ Three presets mirror the systems compared in Fig. 5:
 from __future__ import annotations
 
 import dataclasses
+from typing import Any, Dict
 
 
 #: fields that must be > 0, >= 0 and >= 1 (:meth:`SystemConfig.validate`)
@@ -170,9 +171,9 @@ class SystemConfig:
     # ------------------------------------------------------------------
 
     @classmethod
-    def base(cls, **overrides) -> "SystemConfig":
+    def base(cls, **overrides: Any) -> "SystemConfig":
         """B: plain hierarchical routing, no caches/replicas/digests."""
-        merged = dict(
+        merged: Dict[str, Any] = dict(
             caching_enabled=False,
             replication_enabled=False,
             digests_enabled=False,
@@ -181,9 +182,9 @@ class SystemConfig:
         return cls(**merged)
 
     @classmethod
-    def caching(cls, **overrides) -> "SystemConfig":
+    def caching(cls, **overrides: Any) -> "SystemConfig":
         """BC: base system plus path-propagating LRU caches."""
-        merged = dict(
+        merged: Dict[str, Any] = dict(
             caching_enabled=True,
             replication_enabled=False,
             digests_enabled=False,
@@ -192,9 +193,9 @@ class SystemConfig:
         return cls(**merged)
 
     @classmethod
-    def replicated(cls, **overrides) -> "SystemConfig":
+    def replicated(cls, **overrides: Any) -> "SystemConfig":
         """BCR: caching plus adaptive replication plus digests."""
-        merged = dict(
+        merged: Dict[str, Any] = dict(
             caching_enabled=True,
             replication_enabled=True,
             digests_enabled=True,
@@ -202,6 +203,6 @@ class SystemConfig:
         merged.update(overrides)
         return cls(**merged)
 
-    def replace(self, **overrides) -> "SystemConfig":
+    def replace(self, **overrides: Any) -> "SystemConfig":
         """A modified copy (dataclasses.replace with validation)."""
         return dataclasses.replace(self, **overrides)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import logging
 import random
 from collections import Counter
-from typing import Iterable, List, Optional, Set
+from typing import Any, Iterable, List, Optional, Set
 
 from repro.cluster.system import System
 from repro.net.message import QueryMessage, ResponseMessage
@@ -37,9 +37,20 @@ logger = logging.getLogger("repro.failures")
 
 
 class FailureInjector:
-    """Inject and heal fail-stop server failures in a running system."""
+    """Inject and heal fail-stop server failures in a running system.
+
+    Failures are serial-only: the serial :class:`System` re-homes a
+    lookup drawn at a failed server, a shard or live system does not,
+    and a shard's transport cannot fail a server of another shard.  So
+    any system but the serial one is refused with a ``ValueError``.
+    """
 
     def __init__(self, system: System) -> None:
+        if type(system) is not System:
+            raise ValueError(
+                f"failures are serial-only: FailureInjector cannot drive "
+                f"a {type(system).__name__}"
+            )
         self.system = system
         system.transport.on_lost = self._on_lost
         self.n_failures = 0
@@ -110,7 +121,7 @@ class FailureInjector:
 
     # ------------------------------------------------------------------
 
-    def _on_lost(self, dest: int, msg) -> None:
+    def _on_lost(self, dest: int, msg: Any) -> None:
         """Account for messages swallowed by a failure."""
         kind = msg.__class__
         if kind is ResponseMessage:

@@ -59,13 +59,12 @@ monotonically increasing *sequence number* on :meth:`add` and keeping
   ``depth(t) - da > best`` can neither improve nor tie and the walk
   stops at ``da = depth(t) - best``.
 
-**Writes.**  :meth:`add` copies the shared part of its row from the
-neighbour the lemma names, then sweeps outward over the members of the
-buckets the newcomer becomes the minimum of (it carries the newest
-stamp, so only where it is strictly shallowest).  :meth:`remove` drops
-the member's row and marks the rest stale: the next read recomputes
-every row in one O(members * depth) sweep, so a burst of evictions
-pays for one.  :meth:`extend` is that sweep over a whole batch.
+**Writes.**  :meth:`add` inserts the member into the rank-sorted
+columns and :meth:`remove` deletes it; both only mark the rows stale.
+The next read recomputes every row in one O(members * depth) sweep,
+so a burst of installs and evictions pays for one, and :meth:`extend`
+is that sweep over a whole batch.  Writes are rare beside reads (one
+per replica installed or evicted, against one read per hop).
 """
 
 from __future__ import annotations
@@ -128,7 +127,8 @@ class AncestorIndex:
         # past the member's own depth are never read
         self._rows = array("i")
         self._seq = 0
-        # set by remove(): rows may name a member that is gone
+        # set by add() and remove(): rows are out of date until the
+        # next read sweeps them
         self._stale = False
         self.extend(members)
 
@@ -192,61 +192,11 @@ class AncestorIndex:
             raise ValueError(f"node {node} already indexed")
         self._seq += 1
         width = self._width
-        # alone in every bucket below the deepest shared ancestor
-        row = array("i", (node,)) * width
-        if ranks and not self._stale:
-            pos, lca = self._neighbour(node, i)
-            rows = self._rows
-            base = pos * width
-            row[:lca + 1] = rows[base:base + lca + 1]
-            # buckets grow towards the root and their minima only get
-            # shallower, so the levels node takes over (newest stamp:
-            # strictly shallower only) are one run k0..lca
-            depth = self._depth
-            d_node = depth[node]
-            k0 = lca + 1
-            while k0 and d_node < depth[row[k0 - 1]]:
-                k0 -= 1
-            if k0 <= lca:
-                row[k0:lca + 1] = array("i", (node,)) * (lca + 1 - k0)
-                self._take_over(node, i - 1, -1, k0, lca)
-                self._take_over(node, i, 1, k0, lca)
         ranks.insert(i, r)
         self._nodes.insert(i, node)
         self._seqs.insert(i, self._seq)
-        self._rows[i * width:i * width] = row
-
-    def _take_over(
-        self, node: int, j: int, step: int, k0: int, top: int
-    ) -> None:
-        """Name ``node`` the minimum at levels ``k0..top`` in the rows
-        of the members from position ``j`` outward in direction
-        ``step``, as far as they share those ancestors with it.
-
-        Members farther out in rank share ever shallower ancestors with
-        ``node``, so ``top`` only falls and the sweep ends at the first
-        member outside the depth-``k0`` ancestor's subtree.
-        """
-        arena = self._arena
-        off = self._off
-        nodes = self._nodes
-        rows = self._rows
-        width = self._width
-        o_node = off[node]
-        n = len(nodes)
-        while 0 <= j < n:
-            o = off[nodes[j]]
-            reach = off[nodes[j] + 1] - o - 1
-            if top > reach:
-                top = reach
-            while top >= k0 and arena[o + top] != arena[o_node + top]:
-                top -= 1
-            if top < k0:
-                return
-            base = j * width
-            for k in range(base + k0, base + top + 1):
-                rows[k] = node
-            j += step
+        self._rows[i * width:i * width] = array("i", (node,)) * width
+        self._stale = True
 
     def touch(self, node: int) -> None:
         """Move ``node`` to the back of the mirrored order.

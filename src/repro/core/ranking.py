@@ -15,7 +15,7 @@ The ranking answers two questions for the replication protocol:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: multiplier applied to node weights at each rescale
 DECAY = 0.5
@@ -26,22 +26,13 @@ class NodeRanking:
 
     A weight exists only for a node that has had demand since it was
     last hosted: a node never hit reads ``0.0``, exactly as a stored
-    zero would, so every query that ranks hosted nodes passes them as
+    zero would, so every query that ranks hosted nodes names them in
     ``among``."""
 
-    __slots__ = ("_weight", "decay")
+    __slots__ = ("_weight",)
 
-    def __init__(self, decay: float = DECAY) -> None:
-        if not 0.0 <= decay <= 1.0:
-            raise ValueError("decay must be in [0, 1]")
+    def __init__(self) -> None:
         self._weight: Dict[int, float] = {}
-        self.decay = decay
-
-    def __len__(self) -> int:
-        return len(self._weight)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._weight
 
     def forget(self, node: int) -> None:
         """Drop ``node``'s weight (node no longer hosted)."""
@@ -53,41 +44,34 @@ class NodeRanking:
         weight = self._weight
         weight[node] = weight.get(node, 0.0) + amount
 
-    def weight(self, node: int) -> float:
-        return self._weight.get(node, 0.0)
-
-    def total_weight(self) -> float:
-        return sum(self._weight.values())
-
     def rescale(self) -> None:
-        """Periodic decay so the ranking tracks recent demand patterns.
+        """Periodic decay (by :data:`DECAY`) so the ranking tracks
+        recent demand patterns.
 
-        A zero weight is left alone: ``0.0 * d`` is ``0.0``, and
+        A zero weight is left alone: ``0.0 * DECAY`` is ``0.0``, and
         writing it back would give every cold node its own float."""
-        d = self.decay
         weight = self._weight
         for k, w in weight.items():
             if w:
-                weight[k] = w * d
+                weight[k] = w * DECAY
 
-    def ranked(self, among: Optional[Iterable[int]] = None) -> List[Tuple[int, float]]:
-        """Nodes by descending weight (ties broken by node id for determinism)."""
-        items = (
-            self._weight.items()
-            if among is None
-            else ((n, self._weight.get(n, 0.0)) for n in among)
-        )
-        return sorted(items, key=lambda kv: (-kv[1], kv[0]))
+    def ranked(self, among: Iterable[int]) -> List[Tuple[int, float]]:
+        """``among`` by descending weight (ties broken by node id for
+        determinism)."""
+        get = self._weight.get
+        return sorted(((n, get(n, 0.0)) for n in among),
+                      key=lambda kv: (-kv[1], kv[0]))
 
     def top_k_for_fraction(
-        self, fraction: float, among: Optional[Iterable[int]] = None
+        self, fraction: float, among: Iterable[int]
     ) -> List[int]:
-        """Smallest top-ranked prefix whose weight sum reaches ``fraction``
-        of the total weight (creation protocol step 3).
+        """Smallest top-ranked prefix of ``among`` whose weight sum
+        reaches ``fraction`` of its total weight (creation protocol
+        step 3).
 
-        Always returns at least one node when any is ranked (every node
-        of ``among``), so an overloaded server sheds *something* even
-        when weights are all zero (cold counters).
+        Always returns at least one node when ``among`` is not empty,
+        so an overloaded server sheds *something* even when weights are
+        all zero (cold counters).
         """
         ranked = self.ranked(among)
         if not ranked:
@@ -105,8 +89,9 @@ class NodeRanking:
                 break
         return out
 
-    def bottom(self, k: int, among: Optional[Iterable[int]] = None) -> List[int]:
-        """The ``k`` lowest-ranked nodes (eviction candidates)."""
+    def bottom(self, k: int, among: Iterable[int]) -> List[int]:
+        """The ``k`` lowest-ranked nodes of ``among`` (eviction
+        candidates)."""
         ranked = self.ranked(among)
         ranked.reverse()
         return [n for n, _ in ranked[:k]]

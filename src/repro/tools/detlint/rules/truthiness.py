@@ -28,10 +28,9 @@ from repro.tools.detlint.rules._util import terminal_name
 #: each, emptiness is a valid state, not absence
 #: (``tests/test_detlint.py`` pins this list to the classes)
 SIZED_PRESENCE_TYPES = frozenset({
-    "AncestorIndex", "DigestDirectory", "Engine",
-    "IngressQueue", "LRUCache", "Namespace", "NamespaceBuilder", "NodeMap",
-    "NodeRanking", "PackedLog", "QueryTrace", "ResultStore", "SearchResult",
-    "TimerWheel",
+    "AncestorIndex", "DigestDirectory", "Engine", "IngressQueue",
+    "LRUCache", "Namespace", "NamespaceBuilder", "PackedLog", "QueryTrace",
+    "ResultStore", "SearchResult", "TimerWheel",
 })
 
 #: constructors/factories whose result as an ``or`` fallback is a bug

@@ -187,8 +187,10 @@ class TestConfigPresets:
 
 
 def wiring_state(peer):
-    """Everything the build wires into one peer, order included."""
+    """Everything the build wires into one peer, order included; the
+    index as a read sees it (one ``closest`` runs any pending sweep)."""
     bloom, index = peer.digest.bloom, peer.store.index
+    index.closest(0)
     return {
         "maps": [(node, list(servers)) for node, servers in peer.maps.items()],
         "ranking": list(peer.ranking._weight),
@@ -609,9 +611,10 @@ class TestStateWrittenNotRead:
         from repro.sim.memsize import deep_sizeof
 
         ranking = NodeRanking()
-        for v in system.peers[0].owned_nodes():
+        owned = system.peers[0].owned_nodes()
+        for v in owned:
             ranking.hit(v, 0.0)
         before = deep_sizeof(ranking)
         ranking.rescale()
         assert deep_sizeof(ranking) == before
-        assert ranking.total_weight() == 0.0
+        assert all(w == 0.0 for _, w in ranking.ranked(among=owned))

@@ -133,6 +133,8 @@ class TestQuotedNames:
         "repro.analysis.export",
         "repro.analysis.fairness",
         "repro.client.TerraDirClient",
+        "repro.core.maps.NodeMap",
+        "repro.core.maps.select_host",
         "repro.experiments.campaign._call_spec",
         "repro.experiments.common.run_workload",
         "repro.experiments.parallel.ParallelTaskError",
@@ -187,14 +189,21 @@ class TestQuotedNames:
 
     #: ``Class.attr`` names the docs quote *as removed*
     REMOVED_ATTRS = frozenset({
+        "AncestorIndex._take_over",
         "BloomFilter.update",
         "Campaign._chunks",
         "Campaign.max_retries",
         "CampaignStats.retried",
         "Engine.reset",
         "LRUCache.remove_server",
+        "NodeMap.add_preferred",
+        "NodeRanking.__contains__",
+        "NodeRanking.__len__",
+        "NodeRanking.decay",
+        "NodeRanking.total_weight",
         "NodeRanking.track",
         "NodeRanking.track_many",
+        "NodeRanking.weight",
         "Peer.dispatch_registry",
         "Peer.owned",
         "Peer.send_control",

@@ -1,12 +1,17 @@
 """Tests for fail-stop failures, recovery, and the protocol's reaction."""
 
+import asyncio
+
 import pytest
 
-from repro.cluster.builder import build_system
+from repro.cluster.builder import build_shard_system, build_system
 from repro.cluster.config import SystemConfig
 from repro.cluster.failures import FailureInjector, unreachable_nodes
 from repro.experiments.common import rate_for_utilization
 from repro.namespace.generators import balanced_tree
+from repro.runtime.async_runtime import AsyncRuntime
+from repro.runtime.async_service import build_live_system
+from repro.runtime.async_wire import AsyncWire, uds_addresses
 from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import cuzipf_stream, uzipf_stream
 
@@ -18,6 +23,33 @@ def make(n_servers=16, levels=7, **over):
     defaults.update(over)
     cfg = SystemConfig.replicated(**defaults)
     return ns, build_system(ns, cfg)
+
+
+class TestSerialOnly:
+    """Failures are serial-only: ``ShardSystem.inject`` and
+    ``LiveSystem.inject`` start a lookup drawn at a failed server there,
+    where ``System.inject`` re-homes it, so the injector refuses every
+    system but the serial one, naming its class."""
+
+    def test_shard_system_is_refused(self):
+        ns = balanced_tree(levels=6)
+        shard = build_shard_system(ns, SystemConfig(n_servers=4, seed=8), 0, 2)
+        with pytest.raises(ValueError, match="ShardSystem"):
+            FailureInjector(shard)
+        assert shard.transport.on_lost is None
+
+    def test_live_system_is_refused(self):
+        ns = balanced_tree(levels=6)
+        cfg = SystemConfig(n_servers=4, seed=8)
+        loop = asyncio.new_event_loop()
+        try:
+            # nothing listens or connects: the build only registers peers
+            wire = AsyncWire(loop, uds_addresses("/nonexistent", 4))
+            live = build_live_system(ns, cfg, AsyncRuntime(loop), wire)
+            with pytest.raises(ValueError, match="LiveSystem"):
+                FailureInjector(live)
+        finally:
+            loop.close()
 
 
 class TestFailStop:

@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from repro.core.maps import NodeMap, merge_maps, select_host
+from repro.cluster.builder import build_system
+from repro.cluster.config import SystemConfig
+from repro.core.maps import merge_maps
+from repro.core.routing import _select
+from repro.namespace.generators import balanced_tree
 
 
 class TestMergeMaps:
@@ -51,61 +55,33 @@ class TestMergeMaps:
 
 
 class TestSelectHost:
+    """A host drawn from a map: ``routing._select``, -1 when none."""
+
     def test_none_on_empty(self):
-        assert select_host([], random.Random(0)) is None
+        assert _select([], random.Random(0), exclude=-1) == -1
 
     def test_excludes_self(self):
-        assert select_host([7], random.Random(0), exclude=7) is None
-        assert select_host([7, 8], random.Random(0), exclude=7) == 8
+        assert _select([7], random.Random(0), exclude=7) == -1
+        assert _select([7, 8], random.Random(0), exclude=7) == 8
 
     def test_uniform_choice(self):
         rng = random.Random(0)
-        seen = {select_host([1, 2, 3], rng) for _ in range(100)}
+        seen = {_select([1, 2, 3], rng, exclude=-1) for _ in range(100)}
         assert seen == {1, 2, 3}
 
 
 class TestNodeMap:
-    def test_add_respects_bound(self):
-        m = NodeMap(node=1, rmap=2)
-        assert m.add(10)
-        assert m.add(11)
-        assert not m.add(12)
-        assert len(m) == 2
-
-    def test_add_dedupes(self):
-        m = NodeMap(node=1, rmap=4)
-        assert m.add(10)
-        assert not m.add(10)
+    """A node map as a peer keeps it: a ``Peer.maps`` value."""
 
     def test_add_preferred_evicts_when_full(self):
-        m = NodeMap(node=1, rmap=2, servers=[10, 11])
-        m.add_preferred(12, random.Random(0))
-        assert 12 in m
-        assert len(m) == 2
-
-    def test_discard(self):
-        m = NodeMap(node=1, rmap=4, servers=[10])
-        assert m.discard(10)
-        assert not m.discard(10)
-
-    def test_merge(self):
-        m = NodeMap(node=1, rmap=3, servers=[1, 2])
-        m.merge([3, 4], random.Random(0), advertised=(9,))
-        assert m.servers[0] == 9
-        assert len(m) == 3
-
-    def test_filter_prunes(self):
-        """Digest-based pruning: entries failing the digest test go."""
-        m = NodeMap(node=1, rmap=4, servers=[1, 2, 3])
-        dropped = m.filter(lambda s: s != 2)
-        assert dropped == 1
-        assert sorted(m.servers) == [1, 3]
-
-    def test_select(self):
-        m = NodeMap(node=1, rmap=4, servers=[5])
-        assert m.select(random.Random(0)) == 5
-        assert m.select(random.Random(0), exclude=5) is None
-
-    def test_rejects_bad_rmap(self):
-        with pytest.raises(ValueError):
-            NodeMap(node=1, rmap=0)
+        """An advertised new replica enters a full map at the front
+        (``ReplicaStore.note_created``) and evicts a random entry, never
+        the server's own."""
+        ns = balanced_tree(levels=5)
+        system = build_system(ns, SystemConfig.replicated(
+            n_servers=4, seed=1, rmap=2))
+        peer = system.peers[0]
+        for node in peer.owned_nodes()[:12]:
+            peer.maps[node] = (3, peer.sid)
+            peer.store.note_created(node, 2, 0.0)
+            assert peer.maps[node] == [2, peer.sid]

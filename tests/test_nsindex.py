@@ -243,8 +243,9 @@ class TestRowTable:
 
     def test_shallowest_member_added_last_takes_over(self, ns):
         """A newcomer shallower than every member becomes the minimum
-        of buckets other rows already name: ``add`` must rewrite them,
-        and only as far out as the newcomer's ancestors reach."""
+        of buckets other rows already name: the sweep after ``add``
+        must rewrite them, and only as far out as the newcomer's
+        ancestors reach."""
         order = ns.nodes_at_depth(ns.max_depth)[::3]
         idx = AncestorIndex(ns, order)
         mid = ns.children[ns.children[0][1]][0]  # over a quarter of them
@@ -271,6 +272,34 @@ class TestRowTable:
         for v in list(order):
             idx.remove(v)
         assert idx.closest(5) == (-1, NO_BOUND)
+
+    def test_a_write_burst_costs_one_sweep(self, ns, monkeypatch):
+        """Writes only mark the rows stale: adds and removes between
+        two reads cost one ``_fill_rows`` at the second read, and the
+        answers are the scan's."""
+        sweeps = []
+        fill = AncestorIndex._fill_rows
+
+        def counted(self):
+            sweeps.append(1)
+            fill(self)
+        monkeypatch.setattr(AncestorIndex, "_fill_rows", counted)
+        order = ns.nodes_at_depth(ns.max_depth)[::3]
+        idx = AncestorIndex(ns, order)
+        idx.closest(0)
+        for burst in (("add", 0), ("add", 5), ("remove", order[1]),
+                      ("add", 3), ("remove", 5)), (("add", 1), ("add", 2)):
+            for op, v in burst:
+                getattr(idx, op)(v)
+                if op == "add":
+                    order.append(v)
+                else:
+                    order.remove(v)
+            del sweeps[:]
+            assert idx.closest(0) == ref_closest(ns, order, 0)
+            assert len(sweeps) == 1, burst
+            assert_matches_scan(ns, idx, order)
+            assert len(sweeps) == 1, burst
 
     def test_destinations_ranked_outside_the_members(self, ns):
         """Members in one middle subtree: destinations before the first
@@ -311,8 +340,8 @@ _MEMBER = st.integers(0, 30)
 class IndexMachine(RuleBasedStateMachine):
     """Every write the index has, in any order, on a regular and an
     irregular tree; the whole query surface is compared with the
-    ordered-list scan after each step, so rows are read fresh after an
-    ``add``, stale after any number of removes, and rebuilt."""
+    ordered-list scan after each step, so rows are read stale after
+    any mix of adds and removes, and rebuilt."""
 
     def __init__(self):
         super().__init__()

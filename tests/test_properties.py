@@ -230,12 +230,12 @@ def test_top_k_for_fraction_is_minimal_prefix(weights, fraction):
     r = NodeRanking()
     for node, w in weights.items():
         r.hit(node, w)
-    top = r.top_k_for_fraction(fraction)
+    top = r.top_k_for_fraction(fraction, among=weights)
     if not weights:
         assert top == []
         return
     assert len(top) >= 1
-    ranked = [n for n, _ in r.ranked()]
+    ranked = [n for n, _ in r.ranked(among=weights)]
     # the selection is a prefix of the ranking
     assert top == ranked[: len(top)]
     total = sum(weights.values())
@@ -258,15 +258,15 @@ def test_top_k_for_fraction_is_minimal_prefix(weights, fraction):
 def test_rescale_preserves_ranking_order(weights):
     # ties (including float-underflow-induced ones) may legitimately
     # reorder by node id, so only well-separated weights are asserted
-    r = NodeRanking(decay=0.3)
+    r = NodeRanking()
     for node, w in weights.items():
         r.hit(node, w)
     sep = sorted(weights.values())
     if any(b - a < 1e-9 * max(b, 1.0) for a, b in zip(sep, sep[1:])):
         return
-    before = [n for n, _ in r.ranked()]
+    before = [n for n, _ in r.ranked(among=weights)]
     r.rescale()
-    assert [n for n, _ in r.ranked()] == before
+    assert [n for n, _ in r.ranked(among=weights)] == before
 
 
 # ---------------------------------------------------------------------------

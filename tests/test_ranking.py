@@ -1,8 +1,6 @@
 """Unit tests for load-based node ranking (paper section 3.2)."""
 
-import pytest
-
-from repro.core.ranking import NodeRanking
+from repro.core.ranking import DECAY, NodeRanking
 
 
 class TestTracking:
@@ -10,59 +8,55 @@ class TestTracking:
         r = NodeRanking()
         r.hit(1)
         r.hit(1, 2.0)
-        assert r.weight(1) == 3.0
+        assert r.ranked(among=[1]) == [(1, 3.0)]
 
     def test_only_a_hit_stores_a_weight(self):
         """A node never hit holds no entry and reads 0.0; its first hit
         creates the weight (callers hit hosted nodes only)."""
         r = NodeRanking()
-        assert r.weight(5) == 0.0 and 5 not in r and len(r) == 0
+        assert r.ranked(among=[5]) == [(5, 0.0)] and not r._weight
         r.hit(5)
-        assert r.weight(5) == 1.0 and 5 in r
+        assert r.ranked(among=[5]) == [(5, 1.0)] and 5 in r._weight
 
     def test_forget(self):
         r = NodeRanking()
         r.hit(1)
         r.forget(1)
-        assert 1 not in r
-        assert r.weight(1) == 0.0
+        assert 1 not in r._weight
+        assert r.ranked(among=[1]) == [(1, 0.0)]
 
     def test_total_weight(self):
         r = NodeRanking()
         r.hit(1, 3.0)
         r.hit(2, 2.0)
-        assert r.total_weight() == 5.0
+        assert sum(w for _, w in r.ranked(among=[1, 2, 3])) == 5.0
 
 
 class TestRescale:
     def test_decay(self):
-        r = NodeRanking(decay=0.5)
+        r = NodeRanking()
         r.hit(1, 8.0)
         r.rescale()
-        assert r.weight(1) == 4.0
+        assert r.ranked(among=[1]) == [(1, 8.0 * DECAY)]
 
     def test_rescale_preserves_order(self):
-        r = NodeRanking(decay=0.25)
+        r = NodeRanking()
         for n, w in ((1, 10.0), (2, 5.0), (3, 1.0)):
             r.hit(n, w)
-        before = [n for n, _ in r.ranked()]
+        before = [n for n, _ in r.ranked(among=[1, 2, 3])]
         r.rescale()
-        assert [n for n, _ in r.ranked()] == before
+        assert [n for n, _ in r.ranked(among=[1, 2, 3])] == before
 
     def test_recent_demand_dominates_after_decay(self):
         """Rescaling approximates *recent* demand: an old hot node
         yields its rank to a newly hot node after a few decays."""
-        r = NodeRanking(decay=0.1)
+        r = NodeRanking()
         r.hit(1, 100.0)
-        for _ in range(3):
+        for _ in range(4):  # 100 * 0.5 ** 4 = 6.25
             r.rescale()
         r.hit(2, 10.0)
-        ranked = [n for n, _ in r.ranked()]
+        ranked = [n for n, _ in r.ranked(among=[1, 2])]
         assert ranked[0] == 2
-
-    def test_rejects_bad_decay(self):
-        with pytest.raises(ValueError):
-            NodeRanking(decay=1.5)
 
 
 class TestRanked:
@@ -79,31 +73,33 @@ class TestRanked:
 
 
 class TestTopKForFraction:
+    NODES = (1, 2, 3, 4)
+
     def _ranking(self):
         r = NodeRanking()
-        for n, w in ((1, 50.0), (2, 30.0), (3, 15.0), (4, 5.0)):
+        for n, w in zip(self.NODES, (50.0, 30.0, 15.0, 5.0)):
             r.hit(n, w)
         return r
 
     def test_exact_prefix(self):
         r = self._ranking()
-        assert r.top_k_for_fraction(0.5) == [1]
-        assert r.top_k_for_fraction(0.8) == [1, 2]
-        assert r.top_k_for_fraction(0.95) == [1, 2, 3]
-        assert r.top_k_for_fraction(1.0) == [1, 2, 3, 4]
+        assert r.top_k_for_fraction(0.5, among=self.NODES) == [1]
+        assert r.top_k_for_fraction(0.8, among=self.NODES) == [1, 2]
+        assert r.top_k_for_fraction(0.95, among=self.NODES) == [1, 2, 3]
+        assert r.top_k_for_fraction(1.0, among=self.NODES) == [1, 2, 3, 4]
 
     def test_zero_fraction_ships_top_node(self):
         """Paper step 3: k is the smallest count reaching the target;
         with target 0 that is still one node (something must move)."""
         r = self._ranking()
-        assert r.top_k_for_fraction(0.0) == [1]
+        assert r.top_k_for_fraction(0.0, among=self.NODES) == [1]
 
     def test_cold_counters_still_ship_one(self):
         r = NodeRanking()
         assert r.top_k_for_fraction(0.5, among=[9]) == [9]
 
     def test_empty_ranking(self):
-        assert NodeRanking().top_k_for_fraction(0.5) == []
+        assert NodeRanking().top_k_for_fraction(0.5, among=()) == []
 
     def test_among_subset(self):
         r = self._ranking()
@@ -115,7 +111,7 @@ class TestBottom:
         r = NodeRanking()
         for n, w in ((1, 5.0), (2, 1.0), (3, 3.0)):
             r.hit(n, w)
-        assert r.bottom(2) == [2, 3]
+        assert r.bottom(2, among=(1, 2, 3)) == [2, 3]
 
     def test_among(self):
         r = NodeRanking()

@@ -64,7 +64,7 @@ def unannotated(source: str) -> List[str]:
 class TestStrictPackages:
     def test_each_package_carries_the_strict_flags(self):
         cfg = _mypy_config()
-        assert "repro.filters" in cfg["packages"]
+        assert {"repro.filters", "repro.cluster"} <= set(cfg["packages"])
         for pkg in cfg["packages"]:
             flags = [f for mods, f in cfg["overrides"] if f"{pkg}.*" in mods]
             assert any(f.get("disallow_untyped_defs") == "true"

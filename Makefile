@@ -16,7 +16,7 @@
 #   make loc PARENT=<commit>  src/ lines added, deleted and moved against
 #                     a parent, per file and in total (scripts/loc.py)
 #   make mem          build both 10^6-node namespaces under the 2 GB RSS budget,
-#                     and a 131 071-node / 256-server fleet under 76 MiB
+#                     and a 131 071-node / 256-server fleet under 55 MiB
 #   make shard-check  sharded runs bit-identical to serial, events within 5 %
 #                     (the CI sharded-determinism job's two invocations)
 #   make serve-smoke  live 5-peer UDS cluster + AIMD client (capacity.json)
@@ -61,7 +61,7 @@ loc:
 
 mem:
 	$(PYTHON) -m repro mem-smoke
-	$(PYTHON) -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 76
+	$(PYTHON) -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 55
 
 shard-check:
 	$(PYTHON) -m repro shard-check --shards 1,2,4

@@ -1,9 +1,10 @@
 """System assembly: nodes to servers, neighbor wiring, digests, bootstrap.
 
 The paper's methodology maps both namespaces uniformly at random onto
-the participating servers; every server then pins a map for each
-neighbor of each node it owns (its routing contexts), seeds its own
-digest with its owned nodes, and learns the loads of a few random peers
+the participating servers; every server then keeps a map for each
+neighbor of each node it owns (its routing contexts, read off the
+owner table until one differs), seeds its own digest with its owned
+nodes, and learns the loads of a few random peers
 so replication has somewhere to start before in-band dissemination
 takes over.
 
@@ -81,12 +82,8 @@ def _populate_system(
     per_server = max(1, math.ceil(len(ns) / cfg.n_servers))
     digest_capacity = max(16, math.ceil(per_server * (1.0 + max(cfg.rfact, 1.0))))
 
-    # one int object per node id for the whole fleet: every table a
-    # peer keys by node (hosted list, ranking, maps) stores a
-    # reference to ``ids[v]``, not an int of its own read off an array
-    ids = list(range(len(ns)))
     owned_by: Dict[int, List[int]] = {sid: [] for sid in sids}
-    for node, srv in zip(ids, owner_list):
+    for node, srv in enumerate(owner_list):
         nodes = owned_by.get(srv)
         if nodes is not None:
             nodes.append(node)
@@ -117,14 +114,10 @@ def _populate_system(
             system.peers[sid] = peer
         system.transport.register(sid, peer.deliver)
 
-    # ownership and routing contexts.  Map values are read-only, so
-    # every single-server map of the fleet is one of these tuples:
-    # ~3 per owned node, stored by reference instead of as a list each
-    solo = [(s,) for s in range(cfg.n_servers)]
+    # ownership; the routing contexts' maps are the owner table's
+    # defaults (Peer.map_of), so nothing more is wired for them
     for sid in sids:
-        peer = system.peers[sid]
-        peer.adopt_nodes(owned_by[sid], solo)
-        peer.pin_contexts(owned_by[sid], owner_list, solo, ids)
+        system.peers[sid].adopt_nodes(owned_by[sid])
 
     # heterogeneity: mark a fraction of servers slow (locally
     # normalized load metric absorbs the difference, section 3.1);

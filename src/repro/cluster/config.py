@@ -28,6 +28,17 @@ _NON_NEGATIVE = (
 )
 _AT_LEAST_ONE = ("n_servers", "rmap", "max_attempts", "max_hops")
 
+#: the Fig. 5 systems: preset -> its (caching, replication, digests)
+#: switches, under the names of their ``SystemConfig`` classmethods
+_PRESETS: Dict[str, Dict[str, bool]] = {
+    name: dict(caching_enabled=c, replication_enabled=r, digests_enabled=d)
+    for name, c, r, d in (
+        ("base", False, False, False),
+        ("caching", True, False, False),
+        ("replicated", True, True, True),
+    )
+}
+
 
 @dataclasses.dataclass
 class SystemConfig:
@@ -173,35 +184,17 @@ class SystemConfig:
     @classmethod
     def base(cls, **overrides: Any) -> "SystemConfig":
         """B: plain hierarchical routing, no caches/replicas/digests."""
-        merged: Dict[str, Any] = dict(
-            caching_enabled=False,
-            replication_enabled=False,
-            digests_enabled=False,
-        )
-        merged.update(overrides)
-        return cls(**merged)
+        return cls(**{**_PRESETS["base"], **overrides})
 
     @classmethod
     def caching(cls, **overrides: Any) -> "SystemConfig":
         """BC: base system plus path-propagating LRU caches."""
-        merged: Dict[str, Any] = dict(
-            caching_enabled=True,
-            replication_enabled=False,
-            digests_enabled=False,
-        )
-        merged.update(overrides)
-        return cls(**merged)
+        return cls(**{**_PRESETS["caching"], **overrides})
 
     @classmethod
     def replicated(cls, **overrides: Any) -> "SystemConfig":
         """BCR: caching plus adaptive replication plus digests."""
-        merged: Dict[str, Any] = dict(
-            caching_enabled=True,
-            replication_enabled=True,
-            digests_enabled=True,
-        )
-        merged.update(overrides)
-        return cls(**merged)
+        return cls(**{**_PRESETS["replicated"], **overrides})
 
     def replace(self, **overrides: Any) -> "SystemConfig":
         """A modified copy (dataclasses.replace with validation)."""

@@ -46,37 +46,47 @@ def transfer_ownership(system: System, node: int, new_owner: int) -> None:
     src = system.peers[old_owner]
     dst = system.peers[new_owner]
 
-    # capture state to move before tearing down the source
+    # capture state to move before tearing down the source, and the
+    # maps this transfer rewrites as they stand before the owner table
+    # moves: a default map reads the owner table (Peer.map_of)
     meta = src.metadata.meta(node)
     data = src.metadata.get_data(node)
-    context = {
-        nbr: list(src.maps.get(nbr, ())) for nbr in system.ns.neighbors(node)
-    }
-    node_map = [s for s in src.maps.get(node, ()) if s != src.sid]
+    neighbors = system.ns.neighbors(node)
+    context = {nbr: list(src.map_of(nbr) or ()) for nbr in neighbors}
+    node_map = [s for s in src.map_of(node) or () if s != src.sid]
 
     # a replica at the destination goes while neither side's hosting
     # changed; then the owner table moves, and each side follows it
     if node in dst.store.replicas:
         dst.store.evict(node, system.engine.now)
+    held = dst.map_of(node)
+    held_context = [dst.map_of(nbr) for nbr in neighbors]
     system.owner[node] = new_owner
-    _drop_owned(src, node)
+    _drop_owned(src, node, node_map)
     dst.adopt_nodes((node,))
     dst.metadata._meta[node] = meta  # move, not copy: owner-only state
     if data is not None:
         dst.metadata.set_data(node, data)
-    dst.pin(node, node_map)  # extends the map adoption just led with dst
-    for nbr, nbr_map in context.items():
-        dst.pin(nbr, nbr_map)
+    # the adopter leads its node's map, then extends it
+    if held is None:
+        held = (new_owner,)
+    elif new_owner not in held:
+        held = (new_owner, *held)
+    dst.pin(node, node_map, held)
+    for (nbr, nbr_map), cur in zip(context.items(), held_context):
+        dst.pin(nbr, nbr_map, cur)
 
     # The transfer handshake also refreshes the node's *context
     # holders*: every server keeping a topology-imposed (pinned) map
     # for this node -- the hosts of its namespace neighbors -- learns
     # the new owner, exactly as a real ownership hand-off would notify
     # them.  Ad-hoc state (caches) stays stale: that is soft state.
+    # A holder's default ``(old_owner,)`` reads ``(new_owner,)`` now;
+    # either gives the same rewrite, which is the new default again.
     for p in system.peers:
         if p.sid == new_owner:
             continue
-        entry = p.maps.get(node)
+        entry = p.map_of(node)
         if entry is None or not p.pinned(node):
             continue
         out = list(entry)  # map values are read-only
@@ -86,12 +96,13 @@ def transfer_ownership(system: System, node: int, new_owner: int) -> None:
             if len(out) >= p.cfg.rmap:
                 out.pop()
             out.insert(0, new_owner)
-        p.maps[node] = out
+        p.set_map(node, out)
 
 
-def _drop_owned(peer: Peer, node: int) -> None:
+def _drop_owned(peer: Peer, node: int, kept: Sequence[int]) -> None:
     """Remove a node the owner table no longer gives ``peer``, and its
-    pins."""
+    pins; ``kept`` is its map there, less ``peer``, from before the
+    owner table moved."""
     peer.store.untrack_owned(node)
     peer.ranking.forget(node)
     peer.metadata._meta.pop(node, None)
@@ -99,13 +110,10 @@ def _drop_owned(peer: Peer, node: int) -> None:
     peer.store.adverts_recent.pop(node, None)
     for nbr in peer.ns.neighbors(node):
         peer.unpin(nbr)
-    entry = peer.maps.get(node)
-    if entry is not None:
-        kept = [s for s in entry if s != peer.sid]
-        if kept or peer.pinned(node):
-            peer.maps[node] = kept
-        else:
-            del peer.maps[node]
+    if kept or peer.pinned(node):
+        peer.set_map(node, kept)
+    else:
+        peer.drop_map(node)
     if peer.digest is not None:
         peer.digest.rebuild(peer.store.hosted_list)
 
@@ -162,6 +170,7 @@ def add_server(system: System, take_nodes: Iterable[int]) -> int:
         peer.digest, max_peers=system.cfg.digest_dir_max
     )
     system.peers.append(peer)
+    system.solo.append((sid,))
     system.transport.register(sid, peer.deliver)
 
     rng = system.rng_streams.stream(f"join-{sid}")

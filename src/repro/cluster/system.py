@@ -20,7 +20,7 @@ runs the same schedule on an event loop.  On the simulator,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.config import SystemConfig
 from repro.namespace.tree import Namespace
@@ -59,6 +59,7 @@ class System:
         "peers",
         "local_peers",
         "owner",
+        "solo",
         "_qid",
         "_maintenance_scheduled",
         "on_inject",
@@ -98,6 +99,9 @@ class System:
         # a subset
         self.local_peers: List = self.peers
         self.owner = owner
+        # the one-server maps, ``solo[s] == (s,)``: a peer's map of a
+        # node it keeps is ``solo[owner[v]]`` unless its overlay differs
+        self.solo: List[Tuple[int]] = [(s,) for s in range(cfg.n_servers)]
         self._qid = 0
         self._maintenance_scheduled = False
         self.on_inject = None  # optional (now, src, dest) tap for tracing

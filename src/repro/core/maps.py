@@ -6,8 +6,9 @@ stale list of servers that own or replicate it.  Maps are bounded to
 new-replica entries first and fills the remainder at random from the
 union.
 
-Maps are plain sequences of server ids (``Peer.maps`` values, never
-edited in place): :func:`merge_maps` writes them, and
+Maps are plain sequences of server ids, never edited in place (what
+``Peer.map_of`` returns; a peer stores only those that differ from the
+owner table's default): :func:`merge_maps` writes them, and
 ``repro.core.routing._select`` / ``_select_filtered`` draw a host from
 one, the latter skipping entries whose digest denies the node.
 """

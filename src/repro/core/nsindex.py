@@ -191,11 +191,10 @@ class AncestorIndex:
         if i < len(ranks) and ranks[i] == r:
             raise ValueError(f"node {node} already indexed")
         self._seq += 1
-        width = self._width
         ranks.insert(i, r)
         self._nodes.insert(i, node)
         self._seqs.insert(i, self._seq)
-        self._rows[i * width:i * width] = array("i", (node,)) * width
+        # the rows are left as they are: the next read rebuilds them
         self._stale = True
 
     def touch(self, node: int) -> None:
@@ -214,9 +213,7 @@ class AncestorIndex:
         i = self._position(node)
         if i < 0:
             return
-        width = self._width
         del self._ranks[i], self._nodes[i], self._seqs[i]
-        del self._rows[i * width:(i + 1) * width]
         self._stale = True
 
     def clear(self) -> None:

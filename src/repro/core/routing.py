@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:
     from repro.server.peer import Peer
@@ -165,8 +165,19 @@ def digest_shortcut(peer: "Peer", dest: int, best_d: int) -> Tuple[int, int, int
     return -1, -1, best_d
 
 
-def decide(peer: "Peer", dest: int) -> RouteDecision:
-    """One full routing step for a query destined to ``dest`` at ``peer``."""
+#: ``decide``'s ``direct`` when the caller has not read the map
+_UNREAD: Any = object()
+
+
+def decide(
+    peer: "Peer", dest: int, direct: Optional[Sequence[int]] = _UNREAD,
+) -> RouteDecision:
+    """One full routing step for a query destined to ``dest`` at ``peer``.
+
+    ``direct`` is ``peer.map_of(dest)`` when the caller has read it
+    (:meth:`RoutingCore.process <repro.server.routing_core.RoutingCore.process>`
+    does, once a hop); otherwise it is read here.
+    """
     store = peer.store
     sid = peer.sid
     if peer.owner[dest] == sid or dest in store.replicas:
@@ -178,7 +189,8 @@ def decide(peer: "Peer", dest: int) -> RouteDecision:
     cache = peer.cache
 
     # direct map for the destination itself (neighbor of a hosted node)
-    direct = peer.maps.get(dest)
+    if direct is _UNREAD:
+        direct = peer.map_of(dest)
     if direct:
         server = _select_filtered(peer, dest, direct, rng, sid)
         if server >= 0:
@@ -236,7 +248,15 @@ def decide(peer: "Peer", dest: int) -> RouteDecision:
         best_d = d_star - 1
         source = "struct"
 
-    server = _select_filtered(peer, via, peer.maps.get(via) or (), rng, sid)
+    # via neighbours the hosted h_star, so it has a map here: stored,
+    # or the default (with nothing hosted, h_star is -1: ask the peer)
+    entry = peer.maps.get(via)
+    if entry is None:
+        if h_star < 0:
+            entry = peer.map_of(via) or ()
+        else:
+            entry = peer.solo[peer.owner[via]] if peer.cfg.rmap > 0 else ()
+    server = _select_filtered(peer, via, entry, rng, sid)
     if server >= 0:
         return RouteDecision(
             RouteAction.FORWARD, via=via, next_server=server,

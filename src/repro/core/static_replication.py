@@ -83,7 +83,7 @@ def _note_without_stats(owner: "Peer", node: int, target: int) -> None:
     from repro.server.replica_store import advert_push
 
     advert_push(owner.store.adverts_recent, node, target, owner.cfg.rmap)
-    entry = owner.maps.get(node)
+    entry = owner.map_of(node)
     if entry is not None and target not in entry:
         out = list(entry)  # map values are read-only: replace, not edit
         if len(out) >= owner.cfg.rmap:
@@ -93,4 +93,4 @@ def _note_without_stats(owner: "Peer", node: int, target: int) -> None:
             else:
                 return
         out.insert(0, target)
-        owner.maps[node] = out
+        owner.set_map(node, out)

@@ -22,7 +22,7 @@ Usage::
     python -m repro mem-smoke                 # 2 GB budget
     python -m repro mem-smoke --nodes 100000  # quicker CI variant
     python -m repro mem-smoke --budget-mb 512
-    python -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 76
+    python -m repro mem-smoke --nodes 100000 --servers 256 --budget-mb 55
 """
 
 from __future__ import annotations

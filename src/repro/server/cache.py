@@ -13,8 +13,8 @@ keeps no search structure beside the ``OrderedDict``: every mutator is
 O(1), and routing finds the closest cached node by scanning the
 entries in LRU order (:func:`repro.core.routing.scan_cache`; cost
 linear in ``capacity``, DESIGN.md section 10).  An entry is a
-read-only tuple, like a ``Peer.maps`` value (DESIGN.md section 11.7):
-a write stores a new tuple, never edits the one a reader holds.
+read-only tuple, like a map ``Peer.map_of`` returns (DESIGN.md section
+11.7): a write stores a new tuple, never edits the one a reader holds.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Container, Iterable, Iterator, List, Optional, Sequence, Tupl
 class LRUCache:
     """Bounded LRU map from node id to a node map of server ids.
 
-    Entries are read-only tuples, like :attr:`Peer.maps` values: a
-    write stores a new tuple in the entry's place, so an entry handed
+    Entries are read-only tuples, like the maps ``Peer.map_of``
+    returns: a write stores a new tuple in the entry's place, so an entry handed
     out by :meth:`get` or :meth:`peek` never changes under its reader.
 
     >>> c = LRUCache(capacity=2, rmap=4)

@@ -106,6 +106,7 @@ class Peer:
         "rng",
         "stats",
         "owner",
+        "solo",
         "maps",
         "metadata",
         "cache",
@@ -149,9 +150,10 @@ class Peer:
         # the fleet's one node -> owner table (``System.owner``): what
         # this peer owns is read there, never copied (DESIGN.md 11.7)
         self.owner = system.owner
-        # node -> its map; a value is a read-only sequence that writers
-        # replace, never mutate, so one ``(sid,)`` tuple can stand for
-        # every single-server map of the fleet (DESIGN.md section 11.7)
+        # node -> its map where it differs from the default map
+        # ``solo[owner[v]]`` (:meth:`map_of`); a value is a read-only
+        # sequence that writers replace, never mutate (DESIGN.md 11.7)
+        self.solo = system.solo
         self.maps: Dict[int, Sequence[int]] = {}
         self.metadata = MetaStore()
         self.cache = LRUCache(
@@ -212,27 +214,39 @@ class Peer:
         Derived from the hosted set rather than counted: O(degree), and
         asked only on the eviction, hand-off and audit paths.
         """
-        replicas = self.store.replicas
-        if node in replicas:
+        return node in self.store.replicas or self._beside_hosted(node)
+
+    def _beside_hosted(self, node: int) -> bool:
+        """True if a namespace neighbour of ``node`` is hosted here,
+        read off the namespace arrays (no neighbour tuple is built)."""
+        owner, sid, replicas = self.owner, self.sid, self.store.replicas
+        ns = self.ns
+        up = ns.parent[node]
+        # the root is its own parent: it has no neighbour above
+        if up != node and (owner[up] == sid or up in replicas):
             return True
-        owner, sid = self.owner, self.sid
-        for nbr in self.ns.neighbors(node):
-            if owner[nbr] == sid or nbr in replicas:
+        arena, off = ns.child_arena, ns.child_off
+        for i in range(off[node], off[node + 1]):
+            kid = arena[i]
+            if owner[kid] == sid or kid in replicas:
                 return True
         return False
 
-    def pin(self, node: int, servers: Iterable[int]) -> None:
+    def pin(
+        self, node: int, servers: Iterable[int],
+        cur: Optional[Sequence[int]],
+    ) -> None:
         """Keep a neighbor map (routing context of a hosted node):
-        create ``node``'s map, or extend it with ``servers`` up to
-        ``rmap``."""
-        cur = self.maps.get(node)
+        ``cur``, the map in effect before the hosting change that pins
+        ``node`` (``None`` for none), extended with ``servers`` up to
+        ``rmap``, or a new map of them."""
         entry = list(cur) if cur is not None else []
         rmap = self.cfg.rmap
         for s in servers:
             if s not in entry and len(entry) < rmap:
                 entry.append(s)
-        if cur is None or len(entry) != len(cur):
-            self.maps[node] = tuple(entry)
+        self.set_map(node, cur if cur is not None and len(entry) == len(cur)
+                     else tuple(entry))
 
     def unpin(self, node: int) -> None:
         """Demote ``node``'s map to a cache entry once nothing pins it
@@ -244,61 +258,28 @@ class Peer:
         """
         if self.hosts(node) or self.pinned(node):
             return
-        entry = self.maps.pop(node, None)
+        entry = self.drop_map(node)
         if entry and self.cfg.caching_enabled:
             self.cache.put(node, entry)
 
-    def adopt_nodes(
-        self, nodes: Sequence[int], solo: Optional[Sequence[Tuple[int]]] = None
-    ) -> None:
+    def adopt_nodes(self, nodes: Sequence[int]) -> None:
         """Set up what hosting ``nodes`` needs once the owner table
         names this server, in order and once per batch (one index
         write, one pass over the digest's bits) -- the builder hands
-        over a server's whole share.
-
-        ``solo`` is the fleet's table of one-server maps (``solo[s] ==
-        (s,)``, one tuple per server shared by every peer); without it
-        a fresh ``(sid,)`` is stored.
+        over a server's whole share.  Their maps, and their neighbours',
+        are the derived defaults (:meth:`map_of`): nothing is written.
         """
         self.store.track_owned_many(nodes)
+        if self.cfg.rmap <= 0:
+            # no one-server default then; an owned node still leads
+            # its own map
+            mine = self.solo[self.sid]
+            for node in nodes:
+                self.maps[node] = mine
         # the meta record is created on first access (version 0 either
         # way): nothing is materialised for the common never-written node
-        maps = self.maps
-        sid = self.sid
-        mine = (sid,) if solo is None else solo[sid]
-        for node in nodes:
-            entry = maps.get(node)
-            if entry is None:
-                maps[node] = mine
-            elif sid not in entry:
-                maps[node] = (sid, *entry)
         if self.digest is not None:
             self.digest.add_many(nodes)
-
-    def pin_contexts(
-        self,
-        nodes: Sequence[int],
-        owner: Sequence[int],
-        solo: Sequence[Tuple[int]],
-        ids: Sequence[int],
-    ) -> None:
-        """Pin the routing context of every node of ``nodes`` at its
-        owner: ``pin(nbr, (owner[nbr],))`` for each neighbour in
-        :meth:`Namespace.contexts <repro.namespace.tree.Namespace.contexts>`
-        order, in one loop (the builder's wiring of a server's share).
-        A new map is the shared ``solo[owner[nbr]]`` (see
-        :meth:`adopt_nodes`), and its key is ``ids[nbr]``, the fleet's
-        one int object for that id: the int a namespace array yields is
-        a fresh object per read.
-        """
-        maps = self.maps
-        rmap = self.cfg.rmap
-        for nbr in self.ns.contexts(nodes):
-            cur = maps.get(nbr)
-            if cur is None:
-                maps[ids[nbr]] = solo[owner[nbr]] if rmap > 0 else ()
-            elif len(cur) < rmap and owner[nbr] not in cur:
-                maps[nbr] = (*cur, owner[nbr])
 
     def bump_meta(self, node: int) -> int:
         """Owner-only meta-data version bump; replicas converge lazily."""
@@ -321,8 +302,67 @@ class Peer:
     # map management
     # ------------------------------------------------------------------
 
-    def merge_map(self, node: int, incoming: Iterable[int]) -> None:
-        """Merge an incoming map into whatever we keep for ``node``.
+    def map_of(self, node: int) -> Optional[Sequence[int]]:
+        """The map this peer keeps for ``node``, or ``None`` for none.
+
+        ``maps`` is an overlay: it holds only the entries that differ
+        from the default.  A node this peer hosts, or a namespace
+        neighbour of one, has a map, by default its owner's one-server
+        map ``solo[owner[node]]`` (``()`` when ``rmap`` is 0), read off
+        the live owner table (DESIGN.md section 11.7).
+        """
+        entry = self.maps.get(node)
+        if entry is not None:
+            return entry
+        # the key test, written out (this runs on every hop): ``node``
+        # or its parent hosted (the root is its own parent), else a child
+        owner, sid, replicas = self.owner, self.sid, self.store.replicas
+        ns = self.ns
+        up = ns.parent[node]
+        if not (owner[node] == sid or owner[up] == sid or replicas and (
+                node in replicas or up in replicas)):
+            arena = ns.child_arena
+            off = ns.child_off
+            for i in range(off[node], off[node + 1]):
+                kid = arena[i]
+                if owner[kid] == sid or replicas and kid in replicas:
+                    break
+            else:
+                return None
+        return self.solo[owner[node]] if self.cfg.rmap > 0 else ()
+
+    def set_map(self, node: int, entry: Sequence[int]) -> None:
+        """Replace ``node``'s map with the read-only ``entry``: stored in
+        the overlay unless it equals the default map of a node this peer
+        keeps a map for (``entry`` may be a list, the default a tuple)."""
+        if self.cfg.rmap > 0:
+            same = len(entry) == 1 and entry[0] == self.owner[node]
+        else:
+            same = not entry
+        # the key test only for an entry equal to the default: most
+        # writes (merges, adverts, notes) store two or more servers
+        if same and (self.hosts(node) or self._beside_hosted(node)):
+            self.maps.pop(node, None)
+        else:
+            self.maps[node] = entry
+
+    def drop_map(self, node: int) -> Sequence[int]:
+        """Pop ``node``'s map and return the one in effect until now.
+
+        For a node that stops having a map here: the caller has just
+        ended the hosting that gave it one, so the default is read as
+        it stood (the owner of ``node`` has not changed).
+        """
+        entry = self.maps.pop(node, None)
+        if entry is None:
+            return self.solo[self.owner[node]] if self.cfg.rmap > 0 else ()
+        return entry
+
+    def merge_map(
+        self, node: int, incoming: Iterable[int]
+    ) -> Optional[Sequence[int]]:
+        """Merge an incoming map into whatever we keep for ``node``;
+        returns the map kept for ``node`` afterwards (:meth:`map_of`).
 
         Applies digest-based map filtering (paper section 3.6.2): known
         digests that answer "no" for ``node`` veto their server's entry.
@@ -330,30 +370,30 @@ class Peer:
         (most hops of most queries) has nothing to merge into and
         returns before filtering.
         """
-        entry = self.maps.get(node)
+        entry = self.map_of(node)
         cached = None
         if entry is None:
             if not self.cfg.caching_enabled:
-                return
+                return None
             cached = self.cache.peek(node)
             if cached is None:
-                return
+                return None
         incoming = self._filter_servers(node, incoming)
         if not incoming:
-            return
+            return entry
         advertised: Sequence[int] = self.store.adverts_recent.get(node, ())
         if entry is None:
             self.cache.replace(
                 node,
                 merge_maps(cached, incoming, self.cfg.rmap, self.rng, advertised),
             )
-            return
+            return None
         if self.sid in entry and self.hosts(node):
             # a host never merges itself out of its own node's map
             advertised = (self.sid, *advertised)
-        self.maps[node] = merge_maps(
-            entry, incoming, self.cfg.rmap, self.rng, advertised
-        )
+        entry = merge_maps(entry, incoming, self.cfg.rmap, self.rng, advertised)
+        self.set_map(node, entry)
+        return entry
 
     def _filter_servers(self, node: int, servers: Iterable[int]) -> List[int]:
         """Digest map filtering: drop entries whose digest denies ``node``.

@@ -121,19 +121,22 @@ class ReplicaStore:
         """Install a replica with full routing context (paper section 2.3)."""
         peer = self.peer
         node = payload.node
+        # hosting ``node`` gives it and its neighbours a default map
+        # here: merge into, and pin on, the maps in effect before that
+        entry = peer.map_of(node)
+        context = [(nbr, nbr_map, peer.map_of(nbr))
+                   for nbr, nbr_map in payload.context.items()]
         self.replicas[node] = Replica(payload.meta_version, now,
                                       meta=payload.meta)
         self.hosted_list.append(node)
         self.index.add(node)
-        entry = peer.maps.get(node)
-        merged = merge_maps(
+        peer.set_map(node, merge_maps(
             entry if entry is not None else [],
             payload.node_map, peer.cfg.rmap, peer.rng,
             advertised=(peer.sid,),
-        )
-        peer.maps[node] = merged
-        for nbr, nbr_map in payload.context.items():
-            peer.pin(nbr, nbr_map)
+        ))
+        for nbr, nbr_map, cur in context:
+            peer.pin(nbr, nbr_map, cur)
         # drop any stale cache entry now superseded by hosted state
         peer.cache.remove(node)
         if peer.digest is not None:
@@ -150,12 +153,10 @@ class ReplicaStore:
         peer.ranking.forget(node)
         for nbr in peer.ns.neighbors(node):
             peer.unpin(nbr)
-        entry = peer.maps.pop(node, None)
+        entry = peer.drop_map(node)
         if peer.pinned(node):
             # the node is also a pinned neighbor of another hosted node
-            # (re-inserted: it moves to the end of the map order)
-            if entry is not None:
-                peer.maps[node] = [s for s in entry if s != peer.sid]
+            peer.set_map(node, [s for s in entry if s != peer.sid])
         elif entry and peer.cfg.caching_enabled:
             peer.cache.put(node, [s for s in entry if s != peer.sid])
         if peer.digest is not None:
@@ -184,12 +185,12 @@ class ReplicaStore:
         peer = self.peer
         if not peer.hosts(node):
             return None
-        node_map = list(peer.maps.get(node, ()))
+        node_map = list(peer.map_of(node) or ())
         if peer.sid not in node_map:
             node_map.insert(0, peer.sid)
         context: Dict[int, List[int]] = {}
         for nbr in peer.ns.neighbors(node):
-            context[nbr] = list(peer.maps.get(nbr, ()))
+            context[nbr] = list(peer.map_of(nbr) or ())
         if peer.owns(node):
             meta = peer.metadata.read(node)
             version, snapshot = meta.version, meta.snapshot()
@@ -203,7 +204,7 @@ class ReplicaStore:
         """Source-side bookkeeping after a target confirmed installation."""
         peer = self.peer
         advert_push(self.adverts_recent, node, target, peer.cfg.rmap)
-        entry = peer.maps.get(node)
+        entry = peer.map_of(node)
         if entry is not None:
             out = list(entry)  # map values are read-only
             if target in out:
@@ -214,7 +215,7 @@ class ReplicaStore:
                 if candidates:
                     out.pop(peer.rng.choice(candidates))
             out.insert(0, target)
-            peer.maps[node] = out
+            peer.set_map(node, out)
         peer.stats.record_replica_created(now, peer.ns.depth[node])
 
     def __repr__(self) -> str:

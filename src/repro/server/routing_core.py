@@ -73,11 +73,15 @@ class RoutingCore:
             self._record_stale_hop(now)
 
         # -- merge the in-flight destination map into kept state ----------
+        # (the map kept for dest is read once a hop: nothing below
+        # writes one)
         if m.dest_map:
-            peer.merge_map(dest, m.dest_map)
+            mine = peer.merge_map(dest, m.dest_map)
+        else:
+            mine = peer.map_of(dest)
 
         # -- route ---------------------------------------------------------
-        decision = routing.decide(peer, dest)
+        decision = routing.decide(peer, dest, mine)
         action = decision.action
         if action is routing.RouteAction.RESOLVED:
             self.resolve(m, now)
@@ -123,7 +127,7 @@ class RoutingCore:
         if cfg.digests_enabled and peer.digest is not None:
             m.sender_digest = peer.digest.snapshot()
         m.dest_map = merge_maps(
-            peer.maps.get(dest) or peer.cache.peek(dest) or (),
+            mine or peer.cache.peek(dest) or (),
             m.dest_map, cfg.rmap, peer.rng, advertised,
         )
         peer.rt.send(decision.next_server, m)
@@ -134,7 +138,7 @@ class RoutingCore:
         peer.ranking.hit(m.dest)
         peer.store.touch(m.dest, now)
         m.path.append((m.dest, peer.sid))
-        entry = list(peer.maps.get(m.dest, ()))
+        entry = list(peer.map_of(m.dest) or ())
         if peer.sid not in entry:
             entry.insert(0, peer.sid)
         resp = ResponseMessage(
@@ -176,7 +180,7 @@ class RoutingCore:
                 reply.data = peer.metadata.get_data(req.node)
                 reply.meta = peer.metadata.read(req.node).snapshot()
         else:
-            entry = peer.maps.get(req.node) or peer.cache.peek(req.node)
+            entry = peer.map_of(req.node) or peer.cache.peek(req.node)
             reply.redirect_map = [
                 s for s in (entry if entry is not None else ())
                 if s != peer.sid

@@ -74,7 +74,7 @@ class SoftStateAbsorber:
     def absorb_advert(self, node: int, servers: Iterable[int]) -> None:
         """Fold advertised new replicas into kept maps, preferred."""
         peer = self.peer
-        entry = peer.maps.get(node)
+        entry = peer.map_of(node)
         if entry is not None:
             # map values are read-only: edit a copy, store it if it moved
             out = list(entry)
@@ -90,7 +90,7 @@ class SoftStateAbsorber:
                 out.insert(0, s)
                 moved = True
             if moved:
-                peer.maps[node] = out
+                peer.set_map(node, out)
             return
         if peer.cfg.caching_enabled and node in peer.cache:
             peer.cache.put(node, list(servers))

@@ -74,14 +74,15 @@ def state_kinds(peer: Peer, node: int) -> FrozenSet[str]:
     if rel is Relationship.NONE:
         return frozenset()
     kinds = {"name"}
-    if node in peer.maps or node in peer.cache:
+    if peer.map_of(node) is not None or node in peer.cache:
         kinds.add("map")
     if rel is Relationship.OWNED:
         kinds.add("data")
     if rel in (Relationship.OWNED, Relationship.REPLICATED):
         kinds.add("meta")
         # context: a map for every namespace neighbor must be present
-        if all(nbr in peer.maps for nbr in peer.ns.neighbors(node)):
+        if all(peer.map_of(nbr) is not None
+               for nbr in peer.ns.neighbors(node)):
             kinds.add("context")
     return frozenset(kinds)
 

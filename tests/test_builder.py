@@ -1,13 +1,13 @@
 """Unit tests for system assembly.
 
 Since issue 24 the builder wires a server's whole share in one pass
-(``Peer.adopt_nodes`` / ``Peer.pin_contexts`` / ``Digest.add_many``).
-The per-node wiring it replaced is kept here as the reference --
-:func:`rewire_per_node` -- and every batch body must leave, peer for
-peer, the state that reference leaves: the pinned fingerprints encode
-the insertion order of ``maps`` and the ranking.  Map values are
-compared as lists: the build stores shared tuples
-(:class:`TestSharedSingleServerMaps`).
+(``Peer.adopt_nodes`` / ``Digest.add_many``).  The per-node wiring it
+replaced is kept here as the reference -- :func:`rewire_per_node`,
+which still writes every map into a plain dict -- and every batch body
+must leave, peer for peer, the state that reference leaves.  The build
+writes no map: a peer reads its maps off the owner table
+(``Peer.map_of``), so the maps are compared node by node as the peer
+reads them, values as lists (:class:`TestSharedSingleServerMaps`).
 """
 
 import sys
@@ -60,8 +60,8 @@ class TestBuild:
         for p in system.peers:
             for v in p.owned_nodes():
                 for nbr in ns.neighbors(v):
-                    assert nbr in p.maps
-                    assert system.owner[nbr] in p.maps[nbr]
+                    assert p.map_of(nbr) is not None
+                    assert system.owner[nbr] in p.map_of(nbr)
 
     def test_digest_seeded_with_owned(self):
         ns = balanced_tree(levels=5)
@@ -149,6 +149,16 @@ class TestConfigPresets:
         assert cfg.caching_enabled and cfg.replication_enabled
         assert cfg.digests_enabled
 
+    def test_overrides_win_over_the_preset(self):
+        for preset in (SystemConfig.base, SystemConfig.caching,
+                       SystemConfig.replicated):
+            cfg = preset(caching_enabled=True, digests_enabled=False,
+                         n_servers=7)
+            assert cfg.caching_enabled and not cfg.digests_enabled
+            assert cfg.n_servers == 7
+        cfg = SystemConfig.replicated(replication_enabled=False)
+        assert cfg == SystemConfig.caching(digests_enabled=True)
+
     def test_replace(self):
         cfg = SystemConfig().replace(n_servers=42)
         assert cfg.n_servers == 42
@@ -186,13 +196,24 @@ class TestConfigPresets:
 # ---------------------------------------------------------------------------
 
 
+def effective_maps(peer):
+    """node -> the map ``peer`` reads for it (``Peer.map_of``), as a
+    list, for every node that has one."""
+    out = {}
+    for v in range(len(peer.ns)):
+        servers = peer.map_of(v)
+        if servers is not None:
+            out[v] = list(servers)
+    return out
+
+
 def wiring_state(peer):
     """Everything the build wires into one peer, order included; the
     index as a read sees it (one ``closest`` runs any pending sweep)."""
     bloom, index = peer.digest.bloom, peer.store.index
     index.closest(0)
     return {
-        "maps": [(node, list(servers)) for node, servers in peer.maps.items()],
+        "maps": effective_maps(peer),
         "ranking": list(peer.ranking._weight),
         "owned": peer.owned_nodes(),
         "hosted_list": list(peer.store.hosted_list),
@@ -213,17 +234,28 @@ def digest_add_per_key(digest, node):
     digest.version += 1
 
 
-def adopt_per_node(peer, node):
+def adopt_per_node(peer, node, maps):
     """One node's adoption as it was: ``track_owned`` + ``_wire_owned``
-    (less the owned set and the zero ranking weight, both gone)."""
+    (less the owned set and the zero ranking weight, both gone), its
+    map written into the plain dict ``maps``."""
     peer.store.hosted_list.append(node)
     peer.store.index.add(node)
-    entry = peer.maps.get(node)
+    entry = maps.get(node)
     if entry is None:
-        peer.maps[node] = [peer.sid]
+        maps[node] = [peer.sid]
     elif peer.sid not in entry:
-        peer.maps[node] = [peer.sid, *entry]
+        maps[node] = [peer.sid, *entry]
     digest_add_per_key(peer.digest, node)
+
+
+def pin_per_node(maps, node, servers, rmap):
+    """``Peer.pin`` as it was, on the plain dict ``maps``: create the
+    map, or extend it up to ``rmap``."""
+    entry = list(maps.get(node, ()))
+    for s in servers:
+        if s not in entry and len(entry) < rmap:
+            entry.append(s)
+    maps[node] = entry
 
 
 def strip_wiring(peer):
@@ -240,15 +272,18 @@ def strip_wiring(peer):
 
 def rewire_per_node(system):
     """Redo every local peer's wiring the pre-issue-24 way: one adoption
-    per owned node, then one ``pin`` per neighbour of each."""
+    per owned node, then one ``pin`` per neighbour of each, every map
+    written out; the full dict then stands in as the peer's overlay."""
     ns, owner = system.ns, system.owner
     for peer in system.local_peers:
         nodes = strip_wiring(peer)
+        maps = {}
         for node in nodes:
-            adopt_per_node(peer, node)
+            adopt_per_node(peer, node, maps)
         for node in nodes:
             for nbr in ns.neighbors(node):
-                peer.pin(nbr, (owner[nbr],))
+                pin_per_node(maps, nbr, (owner[nbr],), peer.cfg.rmap)
+        peer.maps = maps
 
 
 SHAPES = {
@@ -294,22 +329,21 @@ class TestBatchWiringEqualsPerNodeWiring:
     def test_rmap_zero_still_creates_empty_maps(self):
         """No config can say ``rmap=0`` (``SystemConfig`` and ``LRUCache``
         refuse it), but ``Peer.pin`` handles it -- an empty map is still
-        created -- and the batch body must not differ from ``pin``."""
+        created -- and the derived default must not differ from it: a
+        pinned map reads empty, an owned node's map its owner."""
         ns = random_tree(90, seed=8)
         system = build_system(ns, SystemConfig(n_servers=3, seed=8))
         system.cfg.rmap = 0
-        solo = [(s,) for s in range(3)]
         for peer in system.peers:
-            nodes = strip_wiring(peer)
-            peer.adopt_nodes(nodes)
-            peer.pin_contexts(nodes, system.owner, solo, range(len(ns)))
+            peer.adopt_nodes(strip_wiring(peer))
         got = [wiring_state(p) for p in system.peers]
         rewire_per_node(system)
         assert got == [wiring_state(p) for p in system.peers]
         peer = system.peers[0]
-        pinned_only = [v for v in peer.maps if not peer.owns(v)]
+        maps = effective_maps(peer)
+        pinned_only = [v for v in maps if not peer.owns(v)]
         assert pinned_only and all(peer.pinned(v) for v in pinned_only)
-        assert all(len(peer.maps[v]) == 0 for v in pinned_only)
+        assert all(len(maps[v]) == 0 for v in pinned_only)
 
     def test_contexts_is_neighbors_concatenated(self):
         for ns in (balanced_tree(levels=4, arity=3), random_tree(80, seed=3)):
@@ -374,18 +408,22 @@ class TestAdoptOnARunningSystem:
     def test_adopt_node_is_the_one_element_batch(self):
         """``adopt_nodes((n,))``, on two systems, == the per-node body,
         on peers that already hold pins, replicas' worth of index rows
-        and a node map for ``n``."""
+        and a node map for ``n``.  Adoption writes no map; the transfer
+        that moves the owner table does (see the next test)."""
         ns = balanced_tree(levels=5)
         systems = [build_system(ns, SystemConfig(n_servers=4, seed=3))
                    for _ in range(3)]
-        node = next(v for v in range(len(ns))
-                    if systems[0].owner[v] != 0 and v in systems[0].peers[0].maps)
+        node = next(v for v in range(len(ns)) if systems[0].owner[v] != 0
+                    and systems[0].peers[0].map_of(v) is not None)
         a, b, c = (s.peers[0] for s in systems)
         a.adopt_nodes((node,))
         b.adopt_nodes((node,))
-        adopt_per_node(c, node)
-        assert wiring_state(a) == wiring_state(b) == wiring_state(c)
-        assert a.maps[node][0] == 0  # the adopter leads its node's map
+        adopt_per_node(c, node, {})
+        assert not a.maps  # nothing written
+        states = [wiring_state(p) for p in (a, b, c)]
+        for state in states:
+            del state["maps"]
+        assert states[0] == states[1] == states[2]
 
     def test_transfer_still_audits_clean(self):
         ns = balanced_tree(levels=5)
@@ -393,6 +431,7 @@ class TestAdoptOnARunningSystem:
         node = system.peers[1].owned_nodes()[0]
         transfer_ownership(system, node, 2)
         assert system.peers[2].owns(node)
+        assert system.peers[2].map_of(node)[0] == 2  # the adopter leads
         assert node in system.peers[2].digest
         assert system.peers[2].store.hosted_list[-1] == node
 
@@ -431,7 +470,8 @@ class TestBuildCost:
     once ``add_many`` hashed a server's share in packed passes; 2.06
     before adoption stopped filling an owned set and zero ranking
     weights).  No call is left per node in ``adopt_nodes``
-    (``BloomFilter.add_many``) or ``pin_contexts``; what is left is the
+    (``BloomFilter.add_many``), and the build writes no map (the
+    per-peer ``pin_contexts`` loop is gone); what is left is the
     shuffle's draw and the per-peer constructors.  The count is
     deterministic, so the bound holds on any host; a per-node chain
     that grows back fails it behind an unchanged fingerprint.
@@ -458,16 +498,18 @@ class TestBuildCost:
 
 
 class TestSharedSingleServerMaps:
-    """A map value is read-only, so the build stores one ``(sid,)``
-    tuple per server for every single-server map of the fleet.
+    """A map value is read-only, so every single-server map of the
+    fleet is one ``(sid,)`` tuple per server (``System.solo``), and the
+    build stores none of them: a peer reads them off the owner table.
 
-    ``deep_sizeof`` of all peers' ``maps`` beyond the namespace reads
-    60 bytes per entry on this fleet (the dict slot and a share of the
-    key, which :class:`TestOneObjectPerNodeId` shares across peers); it
-    read 75 with an int per entry and 139 with a one-element list.
+    ``deep_sizeof`` of all peers' map overlays and the fleet's ``solo``
+    table beyond the namespace reads 0.8 bytes per map a peer reads on
+    this fleet (an empty dict per peer); it read 60 when every map was
+    a dict entry, 75 with an int per entry and 139 with a one-element
+    list.
     """
 
-    MAX_BYTES_PER_ENTRY = 66
+    MAX_BYTES_PER_ENTRY = 1
 
     @pytest.fixture(scope="class")
     def system(self):
@@ -477,8 +519,9 @@ class TestSharedSingleServerMaps:
         solo = {}
         n_single = 0
         for peer in system.peers:
-            for servers in peer.maps.values():
-                if len(servers) == 1:
+            for v in range(len(system.ns)):
+                servers = peer.map_of(v)
+                if servers is not None and len(servers) == 1:
                     n_single += 1
                     assert solo.setdefault(servers[0], servers) is servers
         assert n_single > len(system.ns)  # owned maps plus most contexts
@@ -486,22 +529,25 @@ class TestSharedSingleServerMaps:
 
     def test_no_map_value_is_a_list_after_build(self, system):
         for peer in system.peers:
-            assert not any(isinstance(v, list) for v in peer.maps.values())
+            assert not peer.maps  # the build writes no map
+            maps = map(peer.map_of, range(len(system.ns)))
+            assert not any(isinstance(v, list) for v in maps)
 
     def test_bytes_per_map_entry(self, system):
         from repro.sim.memsize import deep_sizeof
 
         seen: set = set()
         deep_sizeof(system.ns, seen)
-        total = sum(deep_sizeof(p.maps, seen) for p in system.peers)
-        entries = sum(len(p.maps) for p in system.peers)
+        total = deep_sizeof(system.solo, seen)
+        total += sum(deep_sizeof(p.maps, seen) for p in system.peers)
+        entries = sum(map(len, map(effective_maps, system.peers)))
         assert total / entries <= self.MAX_BYTES_PER_ENTRY, (total, entries)
 
 
 class TestOneObjectPerNodeId:
     """The build makes each node id's int once for the fleet: every
-    peer's ``maps`` keys, ``owned`` members, hosted list and ranking
-    keys hold references to it.  When each pinned key was the int a
+    peer's overlay keys, hosted list and ranking keys hold references
+    to it.  When each pinned key was the int a
     namespace array yields, this fleet held 5 230 key objects for its
     2 047 ids.  The owner table is an int array: no boxed int per node.
     """

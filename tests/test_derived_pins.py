@@ -3,38 +3,51 @@
 A peer used to count, per node, how many of its hosted nodes pinned
 that node's map (a ``pin_refs`` dict beside ``maps``), and released the
 map when the count fell to zero; every map was a list edited in place.
-The pin is now derived from the hosted set and map values are
-read-only.  The counted, in-place bodies are kept here verbatim -- only
-the count moved out of the peer -- as :class:`CountedPins`, the
-reference: a second system runs them on the same random sequence of
-replica installs and evictions, ownership transfers, retirements,
-replica-creation notes and adverts, and after every step the two
-systems must agree, peer for peer, on every node's pin, the maps
-(insertion order included), the caches and the RNG state.
+The pin is now derived from the hosted set, map values are
+read-only, and a peer stores only the maps that differ from the owner
+table's default (``Peer.map_of``).  The counted, in-place bodies are
+kept here verbatim -- only the count moved out of the peer -- as
+:class:`CountedPins`, the reference, which keeps every map in a full
+dict: a second system runs them on the same random sequence of replica
+installs and evictions, ownership transfers, retirements, server
+additions, replica-creation notes and adverts, and after every step
+the two systems must agree, peer for peer, on every node's pin, every
+node's map as the peer reads it, the caches and the RNG state.  (No
+code iterates the maps, so their order is not compared.)
 """
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
-from repro.cluster.membership import retire_server, transfer_ownership
+from repro.cluster.membership import (
+    add_server,
+    retire_server,
+    transfer_ownership,
+)
 from repro.core.maps import merge_maps
-from repro.namespace.generators import random_tree
+from repro.experiments.common import rate_for_utilization
+from repro.namespace.generators import balanced_tree, random_tree
 from repro.server.replica_store import Replica, advert_push
-from tests.test_builder import SHAPES
+from repro.workload.arrivals import WorkloadDriver
+from repro.workload.streams import cuzipf_stream, unif_stream
+from tests.test_builder import SHAPES, effective_maps
 
 
 class CountedPins:
-    """The refcounted pin bodies, run against ``system``'s peers."""
+    """The refcounted pin bodies, run against ``system``'s peers, each
+    peer's ``maps`` a full dict of every map it reads (so the overlay
+    read finds every one of them there)."""
 
     def __init__(self, system):
         self.system = system
         self.refs = {}
         for peer in system.peers:
-            peer.maps = {node: list(m) for node, m in peer.maps.items()}
+            peer.maps = effective_maps(peer)
             refs = self.refs[peer.sid] = {}
             for nbr in system.ns.contexts(sorted(peer.owned_nodes())):
                 refs[nbr] = refs.get(nbr, 0) + 1
@@ -208,14 +221,25 @@ class CountedPins:
                     entry.pop()
                 entry.insert(0, new_owner)
 
-    def retire(self, sid):
+    def retire(self, sid, heirs=None):
         system = self.system
         peer = system.peers[sid]
-        heirs = [p.sid for p in system.peers if p.sid != sid]
+        if heirs is None:
+            heirs = [p.sid for p in system.peers]
+        heirs = [h for h in heirs if h != sid]
         for node in list(peer.store.replicas):
             self.evict(peer, node, system.engine.now)
         for i, node in enumerate(sorted(peer.owned_nodes())):
             self.transfer(node, heirs[i % len(heirs)])
+
+    def add(self, take):
+        """A new server (``add_server`` with nothing to take) that then
+        receives ``take`` through the reference transfer."""
+        sid = add_server(self.system, ())
+        self.refs[sid] = {}
+        for node in take:
+            self.transfer(node, sid)
+        return sid
 
 
 def step(op, x, y, new, ref):
@@ -267,8 +291,7 @@ def assert_same(new, ref):
         counts = ref.refs[b.sid]
         assert all(c > 0 for c in counts.values())
         assert [v for v in nodes if a.pinned(v)] == sorted(counts)
-        assert [(k, list(m)) for k, m in a.maps.items()] == \
-            [(k, list(m)) for k, m in b.maps.items()]
+        assert effective_maps(a) == effective_maps(b)
         assert [(k, list(m)) for k, m in a.cache.items()] == \
             [(k, list(m)) for k, m in b.cache.items()]
         assert a.store.hosted_list == b.store.hosted_list
@@ -325,3 +348,39 @@ class TestDerivedPinsEqualTheRefcount:
             step(op, rng.randrange(2**16), rng.randrange(2**16), new, ref)
         assert_same(new, ref)
         assert any(p.store.replicas for p in new.peers)
+
+
+# ---------------------------------------------------------------------------
+# the key set after a run: hosted nodes plus their namespace neighbours
+# ---------------------------------------------------------------------------
+
+
+#: the bench's two simulator workloads at reduced size: (levels,
+#: servers, stream for a seed); ``hotspot`` runs at 50 % so that
+#: replicas are created and evicted
+REDUCED = {
+    "sim_hotspot": (7, 16, lambda n, seed: cuzipf_stream(
+        rate_for_utilization(0.5, n), alpha=1.0, warmup=1.0, phase=1.0,
+        n_phases=2, seed=seed)),
+    "sim_wide": (9, 32, lambda n, seed: unif_stream(
+        rate_for_utilization(0.2, n), duration=0.5, seed=seed)),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", sorted(REDUCED))
+def test_key_set_is_hosted_plus_contexts_after_a_run(workload, seed):
+    """A peer keeps a map for exactly its hosted nodes and their
+    namespace neighbours, after replicas came and went."""
+    levels, n, stream = REDUCED[workload]
+    cfg = SystemConfig.replicated(n_servers=n, cache_slots=16,
+                                  digest_probe_limit=2, seed=seed)
+    system = build_system(balanced_tree(levels), cfg)
+    WorkloadDriver(system, stream(n, seed)).run(extra_time=6.0)
+    assert system.stats.summary()["completed"] > 0
+    if workload == "sim_hotspot":
+        assert system.stats.summary()["replicas_created"] > 0
+    for peer in system.peers:
+        hosted = peer.store.hosted_list
+        want = set(hosted) | set(system.ns.contexts(hosted))
+        assert set(effective_maps(peer)) == want, peer.sid

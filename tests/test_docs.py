@@ -206,6 +206,7 @@ class TestQuotedNames:
         "NodeRanking.weight",
         "Peer.dispatch_registry",
         "Peer.owned",
+        "Peer.pin_contexts",
         "Peer.send_control",
         "ReplicaMap.add_preferred",
         "ReplicaStore.track_owned",

@@ -14,6 +14,7 @@ from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
 from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import cuzipf_stream
+from tests.test_builder import effective_maps
 
 
 N_SERVERS = 24
@@ -190,5 +191,5 @@ class TestInvariants:
 
     def test_maps_bounded_by_rmap(self, system):
         for p in system.peers:
-            for node, entry in p.maps.items():
+            for node, entry in effective_maps(p).items():
                 assert len(entry) <= p.cfg.rmap + 1  # +1 for self entry

@@ -71,7 +71,7 @@ class TestSelectHost:
 
 
 class TestNodeMap:
-    """A node map as a peer keeps it: a ``Peer.maps`` value."""
+    """A node map as a peer keeps it: a ``Peer.map_of`` value."""
 
     def test_add_preferred_evicts_when_full(self):
         """An advertised new replica enters a full map at the front
@@ -82,6 +82,6 @@ class TestNodeMap:
             n_servers=4, seed=1, rmap=2))
         peer = system.peers[0]
         for node in peer.owned_nodes()[:12]:
-            peer.maps[node] = (3, peer.sid)
+            peer.set_map(node, (3, peer.sid))
             peer.store.note_created(node, 2, 0.0)
-            assert peer.maps[node] == [2, peer.sid]
+            assert peer.map_of(node) == [2, peer.sid]

@@ -48,7 +48,7 @@ class TestTransferOwnership:
         node = system.peers[0].owned_nodes()[0]
         transfer_ownership(system, node, 1)
         for nbr in ns.neighbors(node):
-            assert nbr in system.peers[1].maps
+            assert system.peers[1].map_of(nbr) is not None
 
     def test_old_owner_digest_updated(self):
         ns, system = make()

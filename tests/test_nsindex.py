@@ -273,6 +273,23 @@ class TestRowTable:
             idx.remove(v)
         assert idx.closest(5) == (-1, NO_BOUND)
 
+    def test_a_write_leaves_the_rows_to_the_next_read(self, ns):
+        """``add`` and ``remove`` edit the member columns only: the row
+        table is rebuilt whole by the next read, so a write moves no
+        row."""
+        order = ns.nodes_at_depth(ns.max_depth)[::3]
+        idx = AncestorIndex(ns, order)
+        rows = idx._rows
+        before = rows.tobytes()
+        idx.add(0)
+        idx.remove(order[1])
+        idx.add(5)
+        assert idx._rows is rows and rows.tobytes() == before
+        order = [v for v in order if v != order[1]] + [0, 5]
+        assert idx.closest(3) == ref_closest(ns, order, 3)
+        assert idx._rows is not rows
+        assert len(idx._rows) == len(order) * idx._width
+
     def test_a_write_burst_costs_one_sweep(self, ns, monkeypatch):
         """Writes only mark the rows stale: adds and removes between
         two reads cost one ``_fill_rows`` at the second read, and the

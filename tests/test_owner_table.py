@@ -25,6 +25,7 @@ from repro.runtime.async_service import build_live_system
 from repro.runtime.async_wire import AsyncWire, uds_addresses
 from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import cuzipf_stream, unif_stream
+from tests.test_derived_pins import CountedPins, assert_same
 
 TREES = {
     "balanced": lambda: balanced_tree(levels=7),
@@ -82,9 +83,14 @@ class TestOwnershipIsTheOwnerTable:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_after_random_membership_changes(self, tree, seed):
+        """Ownership, and every peer's maps: the same sequence runs on
+        :class:`CountedPins`, whose peers keep every map in a full dict,
+        so a default map read off the live owner table must equal what
+        a transfer wrote out (paper section 2.3)."""
         ns = TREES[tree]()
-        system = build_system(
-            ns, SystemConfig.replicated(n_servers=N_SERVERS, seed=seed))
+        cfg = SystemConfig.replicated(n_servers=N_SERVERS, seed=seed)
+        system = build_system(ns, cfg)
+        ref = CountedPins(build_system(ns, cfg))
         adopted = adoption_model(system)
         rng = random.Random(seed)
 
@@ -102,6 +108,7 @@ class TestOwnershipIsTheOwnerTable:
                     continue
                 moved(node, new_owner)
                 transfer_ownership(system, node, new_owner)
+                ref.transfer(node, new_owner)
             elif op < 0.85:
                 sid = rng.randrange(n_peers)
                 if not adopted[sid]:
@@ -111,13 +118,16 @@ class TestOwnershipIsTheOwnerTable:
                 for i, node in enumerate(sorted(adopted[sid])):
                     moved(node, live_heirs[i % len(live_heirs)])
                 retire_server(system, sid, heirs)
+                ref.retire(sid, heirs)
             else:
                 take = rng.sample(range(len(ns)), 3)
                 adopted[len(system.peers)] = []
                 for node in take:
                     moved(node, len(system.peers))
                 add_server(system, take)
+                ref.add(take)
             check_fleet(system, adopted)
+            assert_same(system, ref)
         assert len(system.peers) > N_SERVERS
 
 
@@ -193,16 +203,25 @@ def test_an_adoption_beside_replicas_goes_before_them():
 
 
 class TestPeerBytesPerOwnedNode:
-    """A peer derives what it owns from the fleet's owner table, and its
-    ranking stores only weights that demand created.
+    """A peer derives what it owns, and the maps it does not store,
+    from the fleet's owner table, and its ranking stores only weights
+    that demand created.
 
-    ``deep_sizeof`` of all peers beyond the namespace, their ``maps``,
-    their ancestor indexes and the fleet-level objects they reference
-    reads 110 bytes per owned node on this fleet; it read 179 when
-    every peer kept a set of its owned ids and a zero weight for each.
+    ``deep_sizeof`` of all peers beyond the namespace, their ancestor
+    indexes and the fleet-level objects they reference (the node id
+    ints among them, one per node for the fleet) reads 111 bytes per
+    owned node on this fleet, the (empty) map overlays included; it
+    read 110 without them and 179 when every peer kept a set of its
+    owned ids and a zero weight for each.  The maps themselves were
+    another 60 bytes per entry, about three entries per owned node.
     """
 
     MAX_BYTES_PER_OWNED_NODE = 121
+    #: ``deep_sizeof`` of every overlay after the short replicated run
+    #: of ``test_overlays_store_only_what_differs``: it reads 34 KiB,
+    #: 240 stored maps of the 3 147 the peers read (all of them stored,
+    #: at 60 bytes each, would be 184 KiB)
+    MAX_OVERLAY_BYTES_AFTER_RUN = 38 * 1024
 
     def test_bytes_per_owned_node(self):
         from repro.sim.memsize import deep_sizeof
@@ -212,11 +231,31 @@ class TestPeerBytesPerOwnedNode:
         seen: set = set()
         deep_sizeof(system.ns, seen)
         for peer in system.peers:
-            deep_sizeof(peer.maps, seen)
             deep_sizeof(peer.store.index, seen)
+            seen.update(map(id, peer.store.hosted_list))
         for shared in (system, system.runtime, system.cfg, system.stats,
-                       system.owner):
+                       system.owner, system.solo):
             seen.add(id(shared))
         total = sum(deep_sizeof(p, seen) for p in system.peers)
         per_node = total / len(system.ns)
         assert per_node <= self.MAX_BYTES_PER_OWNED_NODE, total
+
+    def test_overlays_store_only_what_differs(self):
+        """The build stores no map; a replicated run stores the few
+        that replicas, adverts and merges made differ from the owner
+        table's default."""
+        from repro.sim.memsize import deep_sizeof
+
+        rfact, stream = RUNS["hotspot"]
+        n = 32
+        cfg = SystemConfig.replicated(n_servers=n, cache_slots=16,
+                                      digest_probe_limit=2, rfact=rfact,
+                                      seed=1)
+        system = build_system(balanced_tree(levels=9), cfg)
+        assert not any(p.maps for p in system.peers)
+        WorkloadDriver(system, stream(n)).run(extra_time=6.0)
+        assert system.stats.summary()["replicas_created"] > 0
+        assert any(p.maps for p in system.peers)
+        seen: set = {id(system.ns)}
+        total = sum(deep_sizeof(p.maps, seen) for p in system.peers)
+        assert total <= self.MAX_OVERLAY_BYTES_AFTER_RUN, total

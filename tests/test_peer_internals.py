@@ -26,11 +26,11 @@ class TestPinning:
         for r in (a, b):
             src = system.peers[system.owner[r]]
             p.store.install(src.store.build_payload(r), 0.0)
-        assert p.pinned(free) and free in p.maps
+        assert p.pinned(free) and p.map_of(free) is not None
         p.store.evict(a, 1.0)
-        assert p.pinned(free) and free in p.maps
+        assert p.pinned(free) and p.map_of(free) is not None
         p.store.evict(b, 1.0)
-        assert not p.pinned(free) and free not in p.maps
+        assert not p.pinned(free) and p.map_of(free) is None
         assert free in p.cache  # demoted, not dropped
 
     def test_pin_does_not_count(self):
@@ -40,18 +40,18 @@ class TestPinning:
         p = system.peers[0]
         free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v))
-        p.pin(free, [1])
-        p.pin(free, [2])
-        assert p.maps[free] == (1, 2)
+        p.pin(free, [1], p.map_of(free))
+        p.pin(free, [2], p.map_of(free))
+        assert p.map_of(free) == (1, 2)
         p.unpin(free)
-        assert free not in p.maps
+        assert p.map_of(free) is None
 
     def test_unpin_demotes_to_cache(self):
         ns, system = make()
         p = system.peers[0]
         free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v))
-        p.pin(free, [3])
+        p.pin(free, [3], None)
         p.unpin(free)
         assert list(p.cache.peek(free)) == [3]
 
@@ -60,7 +60,7 @@ class TestPinning:
         p = system.peers[0]
         free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v))
-        p.pin(free, [3])
+        p.pin(free, [3], None)
         p.unpin(free)
         assert len(p.cache) == 0
 
@@ -69,8 +69,8 @@ class TestPinning:
         p = system.peers[0]
         free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v))
-        p.pin(free, [1, 2, 3, 4])
-        assert len(p.maps[free]) == 2
+        p.pin(free, [1, 2, 3, 4], None)
+        assert len(p.map_of(free)) == 2
 
 
 class TestMergeMapFiltering:
@@ -84,14 +84,14 @@ class TestMergeMapFiltering:
         # p learns other's digest; other's digest does NOT contain node
         p.digest_dir.observe(other.sid, other.digest.snapshot())
         p.merge_map(node, [other.sid])
-        assert other.sid not in p.maps[node]
+        assert other.sid not in p.map_of(node)
 
     def test_unknown_digest_entries_kept(self):
         ns, system = make()
         p = system.peers[0]
         node = p.owned_nodes()[0]
         p.merge_map(node, [4])  # no digest known for server 4
-        assert 4 in p.maps[node]
+        assert 4 in p.map_of(node)
 
     def test_positive_digest_entries_kept(self):
         ns, system = make()
@@ -100,14 +100,14 @@ class TestMergeMapFiltering:
         other.digest.add(node)  # other now claims to host it
         p.digest_dir.observe(other.sid, other.digest.snapshot())
         p.merge_map(node, [other.sid])
-        assert other.sid in p.maps[node]
+        assert other.sid in p.map_of(node)
 
     def test_oracle_mode_uses_ground_truth(self):
         ns, system = make(oracle_maps=True)
         p, other = system.peers[0], system.peers[1]
         node = p.owned_nodes()[0]
         p.merge_map(node, [other.sid])  # other truly does not host it
-        assert other.sid not in p.maps[node]
+        assert other.sid not in p.map_of(node)
 
     def test_merge_into_cache_entry(self):
         ns, system = make()
@@ -124,7 +124,7 @@ class TestMergeMapFiltering:
         node = p.owned_nodes()[0]
         for _ in range(10):
             p.merge_map(node, [1, 2, 3, 4, 5])
-        assert p.sid in p.maps[node]
+        assert p.sid in p.map_of(node)
 
 
 class TestAdvertAbsorption:
@@ -133,7 +133,7 @@ class TestAdvertAbsorption:
         p = system.peers[0]
         node = p.owned_nodes()[0]
         p.deliver(AdvertMessage(node, [4]))
-        assert p.maps[node][0] == 4
+        assert p.map_of(node)[0] == 4
 
     def test_advert_bounded_by_rmap(self):
         ns, system = make(rmap=2)
@@ -141,7 +141,7 @@ class TestAdvertAbsorption:
         node = p.owned_nodes()[0]
         for s in (2, 3, 4, 5):
             p.deliver(AdvertMessage(node, [s]))
-        assert len(p.maps[node]) <= 3  # self + rmap-bounded entries
+        assert len(p.map_of(node)) <= 3  # self + rmap-bounded entries
 
     def test_advert_never_evicts_self(self):
         ns, system = make(rmap=2)
@@ -149,7 +149,7 @@ class TestAdvertAbsorption:
         node = p.owned_nodes()[0]
         for s in (2, 3, 4, 5, 6):
             p.deliver(AdvertMessage(node, [s]))
-        assert p.sid in p.maps[node]
+        assert p.sid in p.map_of(node)
 
     def test_advert_replaces_a_shared_map(self):
         """The build shares one ``(sid,)`` per server across the fleet:
@@ -160,10 +160,10 @@ class TestAdvertAbsorption:
                     if any(system.owner[n] != 0 for n in ns.neighbors(v)))
         holder = system.peers[next(system.owner[n] for n in ns.neighbors(node)
                                    if system.owner[n] != 0)]
-        assert holder.maps[node] is p.maps[node] == (0,)
+        assert holder.map_of(node) is p.map_of(node) == (0,)
         p.deliver(AdvertMessage(node, [4]))
-        assert list(p.maps[node]) == [4, 0]
-        assert holder.maps[node] == (0,)
+        assert list(p.map_of(node)) == [4, 0]
+        assert holder.map_of(node) == (0,)
 
     def test_advert_to_cached_entry(self):
         ns, system = make()
@@ -180,7 +180,7 @@ class TestAdvertAbsorption:
         free = next(v for v in range(len(ns)) if not p.pinned(v)
                     and not p.hosts(v) and v not in p.cache)
         p.deliver(AdvertMessage(free, [2]))
-        assert free not in p.maps
+        assert p.map_of(free) is None
         assert free not in p.cache
 
 
@@ -190,7 +190,7 @@ class TestNoteReplicaCreated:
         p = system.peers[0]
         node = p.owned_nodes()[0]
         p.store.note_created(node, 3, 0.0)
-        assert p.maps[node][0] == 3
+        assert p.map_of(node)[0] == 3
         assert 3 in p.store.adverts_recent[node]
 
     def test_adverts_recent_bounded(self):
@@ -285,10 +285,10 @@ class TestUnpinHostedRegression:
         nbr = next(n for n in ns.neighbors(owned) if not p.hosts(n))
         src = system.peers[system.owner[nbr]]
         p.store.install(src.store.build_payload(nbr), 0.0)
-        assert owned in p.maps
+        assert p.map_of(owned) is not None
         p.store.evict(nbr, 1.0)
-        assert owned in p.maps          # the owned node keeps its map
-        assert p.sid in p.maps[owned]
+        assert p.map_of(owned) is not None  # the owned node keeps its map
+        assert p.sid in p.map_of(owned)
         from repro.server.state import audit_peer
         audit_peer(p)
 

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import balanced_tree
+from tests.test_builder import effective_maps
 
 
 def make_system(n_servers=8, levels=5, **over):
@@ -95,7 +96,7 @@ class TestFullSession:
         src.repl.maybe_trigger(0.0)
         run_control_roundtrips(system)
         assert 1 in src.store.adverts_recent.get(hot, ())
-        assert 1 in src.maps[hot]  # advertised entry entered the map
+        assert 1 in src.map_of(hot)  # advertised entry entered the map
 
     def test_hysteresis_applied_both_sides(self):
         ns, system = make_system()
@@ -122,7 +123,7 @@ class TestFullSession:
         src.repl.maybe_trigger(0.0)
         run_control_roundtrips(system)
         for nbr in ns.neighbors(hot):
-            assert nbr in dst.maps
+            assert dst.map_of(nbr) is not None
 
     def test_weight_fraction_selects_enough_nodes(self):
         """Creation step 3: ship the smallest top-ranked prefix whose
@@ -245,12 +246,12 @@ class TestEviction:
         def pinned():
             return [v for v in range(len(ns)) if dst.pinned(v)]
 
-        pins_before, maps_before = pinned(), set(dst.maps)
+        pins_before, maps_before = pinned(), set(effective_maps(dst))
         dst.store.install(src.store.build_payload(hot), 0.0)
         assert set(pinned()) >= set(pins_before) | {hot}
         dst.store.evict(hot, 1.0)
         assert pinned() == pins_before
-        assert set(dst.maps) == maps_before
+        assert set(effective_maps(dst)) == maps_before
         assert not dst.hosts(hot)
 
     def test_eviction_rebuilds_digest(self):

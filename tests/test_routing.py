@@ -10,6 +10,7 @@ from repro.experiments.common import rate_for_utilization
 from repro.namespace.generators import balanced_tree, university_tree
 from repro.workload.arrivals import WorkloadDriver
 from repro.workload.streams import cuzipf_stream
+from tests.test_builder import effective_maps
 
 
 def uni_system(**cfg_over):
@@ -228,8 +229,8 @@ class TestFailure:
         peer = system.peers[src]
         dst = ns.id_of("/university/private")
         # sabotage every map so no forwarding choice remains
-        for node in list(peer.maps):
-            peer.maps[node] = []
+        for node in effective_maps(peer):
+            peer.set_map(node, [])
         d = decide(peer, dst)
         assert d.action is RouteAction.FAIL
 
@@ -247,7 +248,7 @@ def inferable_names(peer, dest):
     ns = peer.ns
     out = set()
     seeds = set(peer.store.hosted_list)
-    seeds.update(peer.maps.keys())
+    seeds.update(effective_maps(peer))
     seeds.update(peer.cache.nodes())
     seeds.add(dest)
     for v in seeds:
@@ -312,7 +313,7 @@ class TestSelectionFiltering:
         peer = system.peers[src]
         phantom = system.peers[ns.id_of("/university/private")]
         # the direct map for dst gains a phantom host; its digest says no
-        peer.maps[dst] = (*peer.maps[dst], phantom.sid)
+        peer.set_map(dst, (*peer.map_of(dst), phantom.sid))
         peer.digest_dir.observe(phantom.sid, phantom.digest.snapshot())
         for _ in range(30):
             d = decide(peer, dst)
@@ -323,7 +324,7 @@ class TestSelectionFiltering:
         src = ns.id_of("/university/public/people/students")
         dst = ns.id_of("/university/public/people")
         peer = system.peers[src]
-        peer.maps[dst] = (*peer.maps[dst], 7)  # no digest for server 7
+        peer.set_map(dst, (*peer.map_of(dst), 7))  # no digest for server 7
         chosen = {decide(peer, dst).next_server for _ in range(50)}
         assert 7 in chosen
 

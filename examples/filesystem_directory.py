@@ -9,6 +9,9 @@ both.  Demonstrates:
 * building namespaces from paths (``Namespace.from_names``),
 * name-based lookups through the public API,
 * owner-side meta-data updates with lazy replica convergence,
+* the section 2.1 client operations: attributes and keywords written
+  at the owner, a two-step retrieve, and a keyword search over a
+  subtree,
 * cache/digest introspection after a run.
 
     python examples/filesystem_directory.py
@@ -16,6 +19,7 @@ both.  Demonstrates:
 
 from repro import (
     SystemConfig,
+    TerraDirClient,
     WorkloadDriver,
     build_system,
     coda_like_tree,
@@ -57,7 +61,30 @@ def main() -> None:
     owner = system.peers[system.owner[node]]
     version = owner.bump_meta(node)
     print(f"  owner server {owner.sid} bumped meta-data of {target!r} "
-          f"to v{version}\n")
+          f"to v{version}")
+
+    # attributes and keywords: only the owner writes them, and each
+    # write that changes something bumps the version again
+    meta = owner.metadata.meta(node)
+    meta.set_attribute("format", "tar.gz")
+    meta.add_keywords(["release"])
+    for doc in ("/docs/design.md", "/docs/api/reference.md"):
+        doc_node = ns.id_of(doc)
+        system.peers[system.owner[doc_node]].metadata.meta(
+            doc_node).add_keywords(["docs"])
+
+    # a client on server 0: lookup, then fetch from a mapped host; a
+    # lookup its home server's bounded queue drops is reissued
+    client = TerraDirClient(system, home_server=0, lookup_retries=2)
+    got = client.wait(client.retrieve(target, want_meta=True))
+    print(f"  retrieved {target!r} meta-data v{got.meta.version} from "
+          f"server {got.served_by}: {got.meta.attributes}, "
+          f"keywords {sorted(got.meta.keywords)}")
+    # a search decomposes into one lookup per node under the root and
+    # filters the owners' meta-data at the client
+    found = client.wait(client.search("/", keyword="docs"))
+    print(f"  search('/', keyword='docs') over {len(found.resolved)} "
+          f"nodes: {sorted(found.matches)}\n")
 
     # --- Coda-like volume under skewed access -----------------------------
     volume = coda_like_tree(n_nodes=3000, seed=1993)

@@ -5,9 +5,10 @@ Demonstrates the empirical pipeline the paper used with its Coda trace:
 
 1. build a namespace + access counts from a ``[count] /path`` listing,
 2. drive lookups whose popularity follows the empirical counts,
-3. record the exact query sequence, and
-4. replay it against a differently configured system (replication
-   disabled) for a controlled comparison on identical input.
+3. record the exact query sequence and save it as text,
+4. load it back and replay it against a differently configured system
+   (replication disabled) for a controlled comparison on identical
+   input.
 
     python examples/trace_replay.py
 """
@@ -17,7 +18,7 @@ import random
 
 from repro import SystemConfig, build_system
 from repro.workload.arrivals import WorkloadDriver, empirical_arrivals
-from repro.workload.trace import TraceRecorder, namespace_from_paths
+from repro.workload.trace import QueryTrace, TraceRecorder, namespace_from_paths
 
 
 def synthetic_listing(n_files: int = 900, seed: int = 7) -> str:
@@ -60,9 +61,18 @@ def main() -> None:
           f"mean hops {system.stats.mean_hops:.2f}  "
           f"replicas {system.stats.n_replicas_created}")
 
+    # a saved trace loads back bit for bit (times are exact reprs)
+    saved = io.StringIO()
+    trace.save(saved)
+    saved.seek(0)
+    loaded = QueryTrace.load(saved)
+    assert loaded.events == trace.events
+    print(f"  saved as {len(saved.getvalue())} bytes of text; "
+          f"loaded back {len(loaded)} identical events")
+
     # replay the *identical* sequence without replication
     other = fresh(replication=False)
-    WorkloadDriver(other, trace.events).start()
+    WorkloadDriver(other, loaded.events).start()
     other.run_until(trace.duration + 5.0)
     print(f"  replayed, no repl.:  drop "
           f"{100 * other.stats.drop_fraction:.2f}%  "

@@ -2,12 +2,14 @@
 """Lines of ``src/`` a change adds, deletes and moves against a parent.
 
 ``python3 scripts/loc.py --parent COMMIT`` (or ``make loc
-PARENT=COMMIT``) diffs the working tree's ``src/`` against ``COMMIT``
-and prints, per file and in total, the lines added and deleted (git's
-counts) and how many of the deleted lines moved: a deleted non-blank
-line is *moved* when its stripped text is added somewhere in the same
-diff, each added line pairing with at most one deleted line.  Renamed
-files count as deleted and added, so their lines count as moved.
+PARENT=COMMIT``) diffs the working tree's ``src/`` and ``tests/``
+against ``COMMIT`` and prints, per ``src/`` file and in total, the
+lines added and deleted (git's counts) and how many of the deleted
+lines moved: a deleted non-blank line is *moved* when its stripped text
+is added somewhere in the same diff -- in ``src/``, or in ``tests/``
+for code moved beside the one test that uses it -- each added line
+pairing with at most one deleted line.  Renamed files count as deleted
+and added, so their lines count as moved.
 """
 
 from __future__ import annotations
@@ -93,10 +95,13 @@ def main(argv: Sequence[str]) -> int:
     args = parser.parse_args(argv)
     diff = subprocess.run(
         ["git", "diff", "--no-color", "--no-renames", "-U0", args.parent,
-         "--", "src/"],
+         "--", "src/", "tests/"],
         cwd=ROOT, check=True, stdout=subprocess.PIPE, text=True,
     ).stdout
-    print(render(count_lines(diff)))
+    # git lists src/ before tests/, so src/ deletions pair first
+    counts = count_lines(diff)
+    print(render({path: row for path, row in counts.items()
+                  if path.startswith("src/")}))
     return 0
 
 

@@ -44,6 +44,8 @@ class TerraDirClient:
             raise ValueError(f"no server {home_server}")
         if lookup_timeout <= 0:
             raise ValueError("lookup_timeout must be > 0")
+        if retrieve_attempts < 1:
+            raise ValueError("retrieve_attempts must be >= 1")
         if lookup_retries < 0:
             raise ValueError("lookup_retries must be >= 0")
         self.system = system
@@ -231,10 +233,13 @@ class TerraDirClient:
         all resolved names match.
 
         Args:
-            max_nodes: cap on subtree size (0 = unlimited).
+            max_nodes: cap on subtree size (0 = unlimited; a negative
+                cap raises ValueError).
 
         The future yields a :class:`SearchResult`.
         """
+        if max_nodes < 0:
+            raise ValueError("max_nodes must be >= 0")
         ns = self.system.ns
         root_id = ns.id_of(root)
         nodes = ns.subtree(root_id)

@@ -230,10 +230,6 @@ class System:
         t = self.runtime.now if now is None else now
         return [p.meter.load(t) for p in self.local_peers]
 
-    def hosts_of(self, node: int) -> List[int]:
-        """Ground truth: every local server currently hosting ``node``."""
-        return [p.sid for p in self.local_peers if p.hosts(node)]
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(servers={len(self.local_peers)}, "

@@ -320,7 +320,3 @@ class ReplicationManager:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    @property
-    def in_session(self) -> bool:
-        return self._session is not None

@@ -240,28 +240,14 @@ class BloomFilter:
                 return False
         return True
 
-    @property
-    def set_bits(self) -> int:
-        """Number of bits currently set."""
-        return bin(int.from_bytes(self._buf, "little")).count("1")
-
-    @property
-    def fill_ratio(self) -> float:
-        """Fraction of bits set (saturation indicator)."""
-        return self.set_bits / self.n_bits
-
-    def expected_fp_rate(self) -> float:
-        """FP rate estimate from the actual fill ratio."""
-        return self.fill_ratio**self.n_hashes
-
     def __or__(self, other: "BloomFilter") -> "BloomFilter":
         """Union of two filters with identical geometry.
 
         ``n_items`` counts insertions, not distinct keys, so the
         union's count is the sum of both sides' insertion counts -- an
         upper bound on the number of distinct keys it holds (keys added
-        to both sides are counted twice; :attr:`set_bits` /
-        :attr:`fill_ratio` reflect the true saturation).
+        to both sides are counted twice; the bits set reflect the true
+        saturation).
         """
         if self.geometry != other.geometry:
             raise ValueError("cannot union Bloom filters of differing geometry")

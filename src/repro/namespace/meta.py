@@ -43,12 +43,6 @@ class NodeMeta:
         self.version += 1
         return self.version
 
-    def remove_attribute(self, name: str) -> int:
-        if name in self.attributes:
-            del self.attributes[name]
-            self.version += 1
-        return self.version
-
     def add_keywords(self, words: Iterable[str]) -> int:
         added = False
         for w in words:
@@ -120,6 +114,3 @@ class MetaStore:
 
     def get_data(self, node: int) -> Optional[object]:
         return self._data.get(node)
-
-    def has_data(self, node: int) -> bool:
-        return node in self._data

@@ -160,7 +160,6 @@ class Namespace:
         "child_arena",
         "child_off",
         "_label",
-        "_levels",
         "_preorder",
         "n_leaves",
         "max_depth",
@@ -243,7 +242,6 @@ class Namespace:
         self.child_off: array = child_off
         self.children = _ArenaView(child_arena, child_off)
         self.n_leaves: int = n_leaves
-        self._levels: Optional[List[array]] = None
         self._preorder: Optional[array] = None
 
     # ------------------------------------------------------------------
@@ -277,18 +275,6 @@ class Namespace:
                 out.extend(arena[o:e])
         return out
 
-    def is_leaf(self, v: int) -> bool:
-        return self.child_off[v] == self.child_off[v + 1]
-
-    def _level_lists(self) -> List[array]:
-        """Per-depth node-id arrays, computed once on first use."""
-        if self._levels is None:
-            levels = [array("i") for _ in range(self.max_depth + 1)]
-            for v, d in enumerate(self.depth):
-                levels[d].append(v)
-            self._levels = levels
-        return self._levels
-
     @property
     def preorder(self) -> array:
         """Depth-first rank of every node, computed once on first use.
@@ -318,11 +304,6 @@ class Namespace:
                 free[v] = r + 1
             self._preorder = rank
         return self._preorder
-
-    def nodes_at_depth(self, d: int) -> List[int]:
-        """All node ids at depth ``d`` (ascending; cached as ``array('i')``)."""
-        levels = self._level_lists()
-        return list(levels[d]) if 0 <= d < len(levels) else []
 
     # ------------------------------------------------------------------
     # names (lazy: nothing materialises all n strings)
@@ -360,10 +341,6 @@ class Namespace:
                 raise KeyError(name)
         return node
 
-    def label_of(self, v: int) -> str:
-        """The last path component of node ``v`` (empty for the root)."""
-        return self._label[v]
-
     # ------------------------------------------------------------------
     # tree metrics (the routing hot path)
     # ------------------------------------------------------------------
@@ -391,18 +368,13 @@ class Namespace:
         """Namespace (tree) distance between ``a`` and ``b``."""
         return self.depth[a] + self.depth[b] - 2 * self.lca_depth(a, b)
 
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True if ``a`` is ``b`` or a proper ancestor of ``b``."""
-        da = self.depth[a]
-        return da <= self.depth[b] and \
-            self.anc_arena[self.anc_off[b] + da] == a
-
     def step_toward(self, a: int, b: int) -> int:
         """The neighbor of ``a`` one namespace hop closer to ``b``.
 
         The child on the path down to ``b`` when ``a`` is an ancestor
-        of ``b``, otherwise ``a``'s parent (the up-then-down geodesic
-        of :meth:`route_path`, taken one step at a time).
+        of ``b``, otherwise ``a``'s parent: the up-then-down geodesic
+        the base protocol routes along (paper section 2.2.1), taken one
+        step at a time.
 
         Raises:
             ValueError: if ``a == b`` (there is no step to take).
@@ -414,19 +386,6 @@ class Namespace:
         if da <= self.depth[b] and self.anc_arena[ob + da] == a:
             return self.anc_arena[ob + da + 1]
         return self.parent[a]
-
-    def route_path(self, src: int, dst: int) -> List[int]:
-        """The canonical up-then-down node path from ``src`` to ``dst``.
-
-        This is the route the *base* protocol follows when no caches,
-        replicas, or digests provide a shortcut (paper section 2.2.1).
-        """
-        arena, off = self.anc_arena, self.anc_off
-        ld = self.lca_depth(src, dst)
-        os_, od = off[src], off[dst]
-        up = [arena[os_ + d] for d in range(self.depth[src], ld - 1, -1)]
-        down = [arena[od + d] for d in range(ld + 1, self.depth[dst] + 1)]
-        return up + down
 
     def subtree(self, v: int) -> List[int]:
         """All ids in the subtree rooted at ``v`` (preorder)."""
@@ -442,8 +401,11 @@ class Namespace:
         return out
 
     def level_sizes(self) -> List[int]:
-        """Node count per depth level, index = depth (computed once)."""
-        return [len(level) for level in self._level_lists()]
+        """Node count per depth level, index = depth."""
+        sizes = [0] * (self.max_depth + 1)
+        for d in self.depth:
+            sizes[d] += 1
+        return sizes
 
     @classmethod
     def from_names(cls, names: Iterable[str]) -> "Namespace":

@@ -208,15 +208,6 @@ class Transport:
         if self.on_lost is not None:
             self.on_lost(dest, msg)
 
-    @property
-    def n_in_flight(self) -> int:
-        """Messages accepted but not yet delivered on the ring path.
-
-        Always 0 on the heap fallback path (jitter or zero delay),
-        where in-flight messages live on the engine heap instead.
-        """
-        return len(self._ring)
-
     def fail_server(self, server_id: int) -> None:
         """Fail-stop ``server_id``: all traffic to it is lost."""
         if server_id not in self._endpoints:
@@ -335,11 +326,6 @@ class ShardTransport(Transport):
             self._arm(head)
 
     # ------------------------------------------------------------------
-
-    @property
-    def n_in_flight(self) -> int:
-        """Ring entries plus not-yet-exchanged egress entries."""
-        return len(self._ring) + sum(len(b) for b in self._egress.values())
 
     def fail_server(self, server_id: int) -> None:
         """Fail-stop a *local* server (cross-shard failures need a

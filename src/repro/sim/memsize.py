@@ -14,8 +14,8 @@ Two deliberate exclusions keep the number meaningful:
 * types, modules, and functions are treated as code, not state;
 * weak references are not followed.
 
-:func:`rss_bytes` / :func:`peak_rss_bytes` read the process-level truth
-from ``/proc/self/status`` (falling back to :mod:`resource`), used by
+:func:`peak_rss_bytes` reads the process-level truth from
+``/proc/self/status`` (falling back to :mod:`resource`), used by
 ``make mem`` to enforce the documented million-node RSS budget.
 """
 
@@ -92,21 +92,12 @@ def deep_sizeof(obj: Any, seen: Optional[set] = None) -> int:
     return total
 
 
-def rss_bytes() -> int:
-    """Current resident set size of this process in bytes (best effort)."""
-    return _read_status("VmRSS:")
-
-
 def peak_rss_bytes() -> int:
     """Peak resident set size of this process in bytes (best effort)."""
-    return _read_status("VmHWM:")
-
-
-def _read_status(field: str) -> int:
     try:
         with open("/proc/self/status") as f:
             for line in f:
-                if line.startswith(field):
+                if line.startswith("VmHWM:"):
                     return int(line.split()[1]) * 1024
     except OSError:
         pass

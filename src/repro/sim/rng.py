@@ -91,15 +91,6 @@ class ZipfSampler:
             return rng.randrange(self.n)
         return bisect_left(self._cdf, rng.random())
 
-    def pmf(self, rank: int) -> float:
-        """Probability mass of a rank (0-based)."""
-        if not 0 <= rank < self.n:
-            raise IndexError(rank)
-        if self._cdf is None:
-            return 1.0 / self.n
-        lo = self._cdf[rank - 1] if rank > 0 else 0.0
-        return self._cdf[rank] - lo
-
 
 def exponential(rng: random.Random, mean: float) -> float:
     """One draw from Exp(mean) -- service times, Poisson inter-arrivals."""

@@ -325,10 +325,6 @@ class SystemStats(StatsSink):
         return self.n_dropped / self.n_injected if self.n_injected else 0.0
 
     @property
-    def completion_fraction(self) -> float:
-        return self.n_completed / self.n_injected if self.n_injected else 0.0
-
-    @property
     def mean_hops(self) -> float:
         return self.hops_sum / self.n_completed if self.n_completed else 0.0
 

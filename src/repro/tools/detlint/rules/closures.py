@@ -37,7 +37,6 @@ EAGER_CONSUMERS = frozenset({
 
 _CLOSURE_NODES = (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef,
                   ast.GeneratorExp)
-_COMP_NODES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def _free_reads(node: ast.AST, shadowed: Set[str]) -> Set[str]:

@@ -91,14 +91,6 @@ class QueryTrace:
             events.append((t, src, dest))
         return cls(events)
 
-    def scaled(self, time_factor: float = 1.0) -> "QueryTrace":
-        """A copy with all timestamps multiplied (speed up / slow down)."""
-        if time_factor <= 0:
-            raise ValueError("time_factor must be > 0")
-        return QueryTrace(
-            [(t * time_factor, s, d) for t, s, d in self.events]
-        )
-
 
 class TraceRecorder:
     """Record every injection into a system.

@@ -23,6 +23,11 @@ from repro.filters.digest import Digest
 _MASK64 = (1 << 64) - 1
 
 
+def set_bits(bf):
+    """How many bits of ``bf``'s vector are set (its saturation)."""
+    return bin(int.from_bytes(bf.snapshot(), "little")).count("1")
+
+
 def _splitmix64(x):
     """One splitmix64 round: the oracle's own copy of the mix, written
     apart from ``repro.filters.bloom._mix``, which runs it on a plain
@@ -108,7 +113,7 @@ class TestAgainstTheWordListOracle:
             bf.add(k)
             ref.add(k)
         assert bf.snapshot() == ref.packed()
-        assert bf.set_bits == ref.set_bits
+        assert set_bits(bf) == ref.set_bits
         for k in first + second + probes:
             assert (k in bf) == (k in ref)
             assert bf.test_snapshot(snap, k) == ref.test_snapshot(ref_snap, k)
@@ -116,7 +121,7 @@ class TestAgainstTheWordListOracle:
         bf.clear()
         ref.clear()
         assert bf.snapshot() == ref.packed() == bytes(bf.n_bits // 8)
-        assert bf.set_bits == 0 and not any(k in bf for k in probes)
+        assert set_bits(bf) == 0 and not any(k in bf for k in probes)
 
     @given(geometries, key_lists, key_lists)
     @settings(max_examples=100)
@@ -132,7 +137,7 @@ class TestAgainstTheWordListOracle:
             rb.add(k)
         u, ru = a | b, ra.union(rb)
         assert u.snapshot() == ru.packed()
-        assert u.set_bits == ru.set_bits
+        assert set_bits(u) == ru.set_bits
         assert u.n_items == len(left) + len(right)
         assert all(k in u for k in left + right)
 
@@ -317,14 +322,9 @@ class TestUnion:
 class TestDiagnostics:
     def test_fill_ratio_grows(self):
         bf = BloomFilter.with_capacity(100)
-        assert bf.fill_ratio == 0.0
+        assert set_bits(bf) == 0
         bf.add_many(range(50))
-        assert 0.0 < bf.fill_ratio < 1.0
-
-    def test_expected_fp_rate_bounds(self):
-        bf = BloomFilter.with_capacity(100, fp_rate=0.01)
-        bf.add_many(range(100))
-        assert 0.0 < bf.expected_fp_rate() < 0.1
+        assert 0 < set_bits(bf) < bf.n_bits
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
@@ -336,20 +336,19 @@ class TestDiagnostics:
 class TestBitCounts:
     def test_set_bits_counts_ones(self):
         bf = BloomFilter(128, 3, salt=1)
-        assert bf.set_bits == 0
+        assert set_bits(bf) == 0
         bf.add(42)
-        assert 0 < bf.set_bits <= 3
-        assert bf.fill_ratio == bf.set_bits / bf.n_bits
+        assert 0 < set_bits(bf) <= 3
 
     def test_fill_ratio_from_words_not_items(self):
-        """fill_ratio reflects distinct set bits, so re-adding the same
-        key (which double-counts n_items) cannot inflate it."""
+        """The fill counts distinct set bits, so re-adding the same key
+        (which double-counts n_items) cannot inflate the fill."""
         bf = BloomFilter(128, 3, salt=1)
         bf.add(7)
-        ratio = bf.fill_ratio
+        filled = set_bits(bf)
         bf.add(7)
         assert bf.n_items == 2  # insertion count, not distinct keys
-        assert bf.fill_ratio == ratio
+        assert set_bits(bf) == filled
 
     def test_union_n_items_is_upper_bound(self):
         a = BloomFilter(128, 3, salt=1)
@@ -358,4 +357,4 @@ class TestBitCounts:
         b.add(5)  # same key on both sides
         u = a | b
         assert u.n_items == 2  # documented upper bound on distinct keys
-        assert u.set_bits == a.set_bits  # identical bit pattern
+        assert set_bits(u) == set_bits(a)  # identical bit pattern

@@ -453,7 +453,6 @@ class TestBalancedTreeArithmetic:
         assert list(got.anc_arena) == list(want.anc_arena)
         assert (got.n_leaves, got.max_depth) == (want.n_leaves, want.max_depth)
         for v in range(len(want)):
-            assert got.label_of(v) == want.label_of(v)
             assert got.name_of(v) == want.name_of(v)
         assert got.id_of(got.name_of(len(got) - 1)) == len(got) - 1
 

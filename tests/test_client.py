@@ -6,6 +6,7 @@ from repro.client.client import TerraDirClient
 from repro.cluster.builder import build_system
 from repro.cluster.config import SystemConfig
 from repro.namespace.generators import university_tree
+from repro.namespace.tree import Namespace
 
 
 @pytest.fixture
@@ -56,6 +57,13 @@ class TestLookup:
         ns, sys_ = system
         with pytest.raises(ValueError):
             TerraDirClient(sys_, home_server=999)
+
+    def test_rejects_fewer_than_one_retrieve_attempt(self, system):
+        """With no attempt allowed, every non-local retrieve would fail
+        with "no data host reachable" whatever the lookup map held."""
+        ns, sys_ = system
+        with pytest.raises(ValueError, match="retrieve_attempts"):
+            TerraDirClient(sys_, home_server=0, retrieve_attempts=0)
 
     def test_counters(self, system):
         ns, sys_ = system
@@ -166,6 +174,15 @@ class TestSearch:
         )
         assert len(result.matches) == 3
 
+    def test_search_rejects_a_negative_cap(self):
+        """``max_nodes=-1`` used to slice ``nodes[:-1]`` and silently
+        skip the subtree's last node (3 of 4 resolved on ``/a``)."""
+        ns = Namespace.from_names(["/a/x", "/a/y", "/a/z", "/b/w"])
+        sys_ = build_system(ns, SystemConfig.replicated(n_servers=2, seed=1))
+        client = TerraDirClient(sys_, home_server=0)
+        with pytest.raises(ValueError, match="max_nodes"):
+            client.search("/a", max_nodes=-1)
+
 
 class TestMetaStore:
     def test_attributes_and_keywords(self):
@@ -176,8 +193,6 @@ class TestMetaStore:
         assert m.set_attribute("color", "red") == 1
         assert m.add_keywords(["a", "b"]) == 2
         assert m.add_keywords(["a"]) == 2  # no change, no version bump
-        assert m.remove_attribute("color") == 3
-        assert m.remove_attribute("color") == 3
 
     def test_matching(self):
         from repro.namespace.meta import MetaStore
@@ -206,8 +221,7 @@ class TestMetaStore:
         from repro.namespace.meta import MetaStore
 
         store = MetaStore()
-        assert not store.has_data(1)
+        assert store.get_data(1) is None and 1 not in store
         store.set_data(1, b"bytes")
         assert store.get_data(1) == b"bytes"
-        assert store.has_data(1)
         assert 1 in store

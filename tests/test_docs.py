@@ -148,9 +148,11 @@ class TestQuotedNames:
         "repro.server.peer.PEER_DISPATCH",
         "repro.runtime.async_runtime.AsyncHandle",
         "repro.sim.profile",
+        "repro.sim.memsize.rss_bytes",
         "repro.sim.rng.poisson_arrival_times",
         "repro.sim.shardcodec.ShardCodecError",
         "repro.sim.stats.Counter",
+        "repro.tools.detlint.rules.closures._COMP_NODES",
         "repro.workload.streams.flash_crowd_stream",
         "repro.workload.trace.EmpiricalWorkloadDriver",
         "repro.workload.trace.replay_trace",
@@ -190,13 +192,23 @@ class TestQuotedNames:
     #: ``Class.attr`` names the docs quote *as removed*
     REMOVED_ATTRS = frozenset({
         "AncestorIndex._take_over",
+        "BloomFilter.expected_fp_rate",
+        "BloomFilter.fill_ratio",
+        "BloomFilter.set_bits",
         "BloomFilter.update",
         "Campaign._chunks",
         "Campaign.max_retries",
         "CampaignStats.retried",
         "Engine.reset",
         "LRUCache.remove_server",
+        "MetaStore.has_data",
+        "Namespace.is_ancestor",
+        "Namespace.is_leaf",
+        "Namespace.label_of",
+        "Namespace.nodes_at_depth",
+        "Namespace.route_path",
         "NodeMap.add_preferred",
+        "NodeMeta.remove_attribute",
         "NodeRanking.__contains__",
         "NodeRanking.__len__",
         "NodeRanking.decay",
@@ -208,10 +220,17 @@ class TestQuotedNames:
         "Peer.owned",
         "Peer.pin_contexts",
         "Peer.send_control",
+        "QueryTrace.scaled",
         "ReplicaMap.add_preferred",
         "ReplicaStore.track_owned",
+        "ReplicationManager.in_session",
         "ShardSystem._next_arrival",
         "ShardSystem.feed",
+        "ShardTransport.n_in_flight",
+        "System.hosts_of",
+        "SystemStats.completion_fraction",
+        "Transport.n_in_flight",
+        "ZipfSampler.pmf",
     })
 
     #: quoted classes that live in the standard library

@@ -275,7 +275,7 @@ class TestResilienceThroughReplication:
         # replication sessions with dead partners were aborted, not hung
         for p in system.peers:
             if not p.failed:
-                assert not p.repl.in_session or p.repl.next_allowed >= 0
+                assert p.repl._session is None or p.repl.next_allowed >= 0
 
     def test_session_timeout_aborts_on_dead_partner(self):
         ns, system = make(session_timeout=0.5, bootstrap_known_peers=0)
@@ -285,9 +285,9 @@ class TestResilienceThroughReplication:
         inj.fail(3)
         src.meter.apply_adjustment(1.0)
         assert src.repl.maybe_trigger(0.0)
-        assert src.repl.in_session
+        assert src.repl._session is not None
         system.engine.run(until=2.0)
-        assert not src.repl.in_session
+        assert src.repl._session is None
         assert src.repl.n_sessions_aborted == 1
 
 

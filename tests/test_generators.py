@@ -13,6 +13,7 @@ from repro.namespace.generators import (
     random_tree,
     university_tree,
 )
+from tests.test_routing import route_path
 
 
 def _parent_digest(ns) -> str:
@@ -154,7 +155,7 @@ class TestUniversityTree:
         ns = university_tree()
         src = ns.id_of("/university/public/people/students")
         dst = ns.id_of("/university/private")
-        path = [ns.name_of(v) for v in ns.route_path(src, dst)]
+        path = [ns.name_of(v) for v in route_path(ns, src, dst)]
         assert path == [
             "/university/public/people/students",
             "/university/public/people",

@@ -21,10 +21,15 @@ reachability: every module under ``src/repro`` is imported, directly or
 transitively, from an entry point -- ``python -m repro``, a script's
 ``__main__`` block, a registered experiment or its run units, the
 public API table, or the benchmarks -- so a module only its own tests
-load cannot stay in the package.
+load cannot stay in the package.  A fourth does the same per def:
+every function, class, method and module-level assignment under
+``src/repro`` is named somewhere outside ``tests/`` (or is a hook, or
+public API), so a def only tests call cannot stay either.
 """
 
 import ast
+import collections
+import importlib
 import os
 import re
 import subprocess
@@ -176,7 +181,9 @@ def test_only_the_experiments_layer_reads_the_environment():
     assert not offenders, offenders
 
 
-#: modules no entry point reaches yet, each with what will reach it
+#: modules no entry point reaches yet, and defs only tests name, each
+#: (by dotted name) with the roadmap item that will reach it; a def in
+#: a waived module is waived too
 UNREACHED = {
     "repro.cluster.membership": "ROADMAP item O (the churn experiment)",
 }
@@ -254,3 +261,120 @@ def test_every_module_is_reached_from_an_entry_point():
     )
     stale = sorted(set(UNREACHED) & reached)
     assert not stale, f"waived modules are reached now: {stale}"
+
+
+#: the directories whose code keeps a def alive: everything but tests
+CALLERS = ("src", "bench", "benchmarks", "examples", "scripts")
+
+
+def _docstrings(tree):
+    """The ids of the string nodes in ``tree`` that are docstrings."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
+def _named(node, docstrings):
+    """Every name ``node`` mentions: ``Name`` ids, ``Attribute`` attrs,
+    import aliases and identifier-valued strings (``bench/tracer.py``'s
+    ``PATCHES`` names its targets so), docstrings aside."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield from sub.name.split(".")
+            if sub.asname:
+                yield sub.asname
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier() and id(sub) not in docstrings):
+            yield sub.value
+
+
+def _defs(body, prefix, module, owner=None):
+    """``(dotted name, name, node, enclosing class)`` of every function,
+    class and method under ``body`` and of every module-level
+    assignment target, looking inside ``if`` / ``try`` / ``with``."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            dotted = f"{prefix}.{node.name}"
+            yield dotted, node.name, node, owner
+            inner = node.name if isinstance(node, ast.ClassDef) else None
+            yield from _defs(node.body, dotted, module, inner)
+        elif isinstance(node, (ast.If, ast.Try, ast.With)):
+            for block in (node.body, getattr(node, "orelse", []),
+                          getattr(node, "finalbody", []),
+                          *(h.body for h in getattr(node, "handlers", []))):
+                yield from _defs(block, prefix, module, owner)
+        elif prefix == module and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield f"{prefix}.{name.id}", name.id, node, None
+
+
+def _is_hook(module, owner, name):
+    """A name something outside ``repro`` calls: a dunder, an AST
+    visitor's ``visit_*``, an ``_on_*`` handler, or a method a base
+    class from outside ``repro`` declares (an asyncio protocol's
+    ``connection_made``, say)."""
+    if (name.startswith("__") and name.endswith("__")) \
+            or name.startswith(("visit_", "_on_")):
+        return True
+    if owner is None:
+        return False
+    cls = getattr(importlib.import_module(module), owner, None)
+    return cls is not None and any(
+        name in vars(base)
+        for base in cls.__mro__[1:]
+        if not base.__module__.startswith("repro")
+    )
+
+
+def test_every_def_is_named_outside_tests():
+    import repro
+
+    uses = collections.Counter()
+    defs = []  # (dotted, name, module, enclosing class, uses inside it)
+    for directory in CALLERS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            docstrings = _docstrings(tree)
+            uses.update(_named(tree, docstrings))
+            if PACKAGE not in path.parents:
+                continue
+            parts = path.relative_to(SRC).with_suffix("").parts
+            module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+            for dotted, name, node, owner in _defs(tree.body, module, module):
+                inside = sum(n == name for n in _named(node, docstrings))
+                defs.append((dotted, name, module, owner, inside))
+
+    orphans, stale = [], []
+    for dotted, name, module, owner, inside in defs:
+        alive = (
+            uses[name] > inside
+            or repro._API.get(name) == module
+            or _is_hook(module, owner, name)
+        )
+        if dotted in UNREACHED and alive:
+            stale.append(dotted)
+        elif not alive and dotted not in UNREACHED and module not in UNREACHED:
+            orphans.append(dotted)
+    assert not orphans, (
+        f"only tests name {orphans}: delete them with their tests, give "
+        "them a caller, or move them beside the test that uses them"
+    )
+    assert not stale, f"waived defs are named now: {stale}"
+    unknown = set(UNREACHED) - {d[0] for d in defs} - set(_module_files())
+    assert not unknown, f"waivers name no module or def: {sorted(unknown)}"

@@ -71,6 +71,11 @@ def followup_ops(transfers):
     return [(s, node) for _, _, node in transfers for s in range(N_SERVERS)]
 
 
+def hosts(system, node):
+    """Ground truth: the sids of the servers that now host ``node``."""
+    return tuple(p.sid for p in system.peers if p.hosts(node))
+
+
 def outcome(reply_or_resp, servers):
     return (reply_or_resp, tuple(servers))
 
@@ -104,7 +109,7 @@ def sim_trace():
         assert payload is not None
         system.runtime.send(dst, TransferMessage(900 + i, src, [payload]))
         system.engine.run()
-        placements.append(tuple(sorted(system.hosts_of(node))))
+        placements.append(hosts(system, node))
 
     for src, dest in followup_ops(transfers):
         do_lookup(src, dest)
@@ -148,7 +153,7 @@ async def _live_trace():
             assert payload is not None
             rt.send(dst, TransferMessage(900 + i, src, [payload]))
             await asyncio.sleep(0.05)
-            placements.append(tuple(sorted(system.hosts_of(node))))
+            placements.append(hosts(system, node))
 
         for src, dest in followup_ops(transfers):
             await do_lookup(src, dest)

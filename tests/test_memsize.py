@@ -6,7 +6,7 @@ from array import array
 import pytest
 
 from repro.namespace.generators import balanced_tree
-from repro.sim.memsize import deep_sizeof, fmt_bytes, report, rss_bytes
+from repro.sim.memsize import deep_sizeof, fmt_bytes, peak_rss_bytes, report
 
 
 class TestDeepSizeof:
@@ -63,7 +63,7 @@ class TestDeepSizeof:
 
 class TestRss:
     def test_rss_positive_on_linux(self):
-        rss = rss_bytes()
+        rss = peak_rss_bytes()
         assert rss == 0 or rss > 1024 * 1024  # zero only when unsupported
 
 

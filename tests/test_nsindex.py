@@ -246,7 +246,7 @@ class TestRowTable:
         of buckets other rows already name: the sweep after ``add``
         must rewrite them, and only as far out as the newcomer's
         ancestors reach."""
-        order = ns.nodes_at_depth(ns.max_depth)[::3]
+        order = [v for v in ns if ns.depth[v] == ns.max_depth][::3]
         idx = AncestorIndex(ns, order)
         mid = ns.children[ns.children[0][1]][0]  # over a quarter of them
         for v in (mid, 0):
@@ -277,7 +277,7 @@ class TestRowTable:
         """``add`` and ``remove`` edit the member columns only: the row
         table is rebuilt whole by the next read, so a write moves no
         row."""
-        order = ns.nodes_at_depth(ns.max_depth)[::3]
+        order = [v for v in ns if ns.depth[v] == ns.max_depth][::3]
         idx = AncestorIndex(ns, order)
         rows = idx._rows
         before = rows.tobytes()
@@ -301,7 +301,7 @@ class TestRowTable:
             sweeps.append(1)
             fill(self)
         monkeypatch.setattr(AncestorIndex, "_fill_rows", counted)
-        order = ns.nodes_at_depth(ns.max_depth)[::3]
+        order = [v for v in ns if ns.depth[v] == ns.max_depth][::3]
         idx = AncestorIndex(ns, order)
         idx.closest(0)
         for burst in (("add", 0), ("add", 5), ("remove", order[1]),

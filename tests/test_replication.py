@@ -43,7 +43,7 @@ class TestTrigger:
         p.known_loads[1] = (0.0, 0.0)
         force_load(p, 0.9)
         assert p.repl.maybe_trigger(0.0)
-        assert p.repl.in_session
+        assert p.repl._session is not None
 
     def test_no_concurrent_sessions(self):
         ns, system = make_system()
@@ -65,7 +65,7 @@ class TestTrigger:
         p = system.peers[0]
         force_load(p, 0.9)
         assert not p.repl.maybe_trigger(0.0)  # knows nobody
-        assert not p.repl.in_session
+        assert p.repl._session is None
         assert p.repl.n_sessions_aborted == 1
         assert p.repl.next_allowed > 0.0  # back-off in force
 
@@ -82,7 +82,7 @@ class TestFullSession:
         assert src.repl.maybe_trigger(0.0)
         run_control_roundtrips(system)
         assert dst.hosts(hot)
-        assert not src.repl.in_session
+        assert src.repl._session is None
         assert dst.repl.n_replicas_installed >= 1
         assert src.repl.n_replicas_shipped >= 1
 
@@ -154,7 +154,7 @@ class TestRetryAbort:
         force_load(src, 1.0)
         src.repl.maybe_trigger(0.0)
         run_control_roundtrips(system, n=10)
-        assert not src.repl.in_session
+        assert src.repl._session is None
         assert src.repl.n_sessions_aborted == 1
         assert system.total_replicas() == 0
 

@@ -50,12 +50,6 @@ class TestQueryTrace:
         with pytest.raises(ValueError, match="line 3"):
             QueryTrace.load(io.StringIO(f"# header\n0.5 0 1\n{bad}\n"))
 
-    def test_scaled(self):
-        trace = QueryTrace([(1.0, 0, 1)])
-        assert trace.scaled(0.5).events == [(0.5, 0, 1)]
-        with pytest.raises(ValueError):
-            trace.scaled(0.0)
-
     def test_duration(self):
         assert QueryTrace().duration == 0.0
         assert QueryTrace([(3.0, 0, 0)]).duration == 3.0

@@ -72,13 +72,14 @@ class TestDeliveryRing:
         one drain event, not N heap entries."""
         eng = Engine()
         tr = Transport(eng, net_delay=0.05)
-        tr.register(0, lambda m: None)
+        got = []
+        tr.register(0, got.append)
         for i in range(1000):
             tr.send(0, i)
-        assert tr.n_in_flight == 1000
+        assert not got
         assert eng.pending == 1
         eng.run()
-        assert tr.n_in_flight == 0
+        assert got == list(range(1000))
         assert eng.pending == 0
 
     def test_sends_during_drain_deliver_one_delay_later(self):
@@ -164,7 +165,7 @@ class TestDeliveryRing:
         tr.register(0, lambda m: None)
         tr.fail_server(0)
         tr.send(0, "x")
-        assert tr.n_in_flight == 0
+        assert eng.pending == 0  # no drain armed for it
         assert tr.n_lost == 1
 
 
@@ -279,4 +280,4 @@ class TestJitter:
                                       digest_probe_limit=1)
         system = build_system(ns, cfg)
         WorkloadDriver(system, unif_stream(100.0, 4.0, seed=1)).run()
-        assert system.stats.completion_fraction > 0.95
+        assert system.stats.n_completed / system.stats.n_injected > 0.95
